@@ -9,6 +9,7 @@ and the closed momentum-space form).
 
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
+    Estimate,
     QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
@@ -16,7 +17,6 @@ from reltoa.numerics import (
 from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
-    KernelEval,
     PhysicalParams,
     barrier_factor,
     fb_series,
@@ -38,11 +38,11 @@ from reltoa.classical import (
     tau_top,
 )
 from reltoa.ior import (
-    IorResult,
     Luminality,
     ior_direct,
     ior_momentum,
     ior_series,
+    momentum_split,
     qc_expectation,
     superluminal_classify,
     toa_difference,
@@ -54,9 +54,8 @@ __all__ = [
     "NATURAL_UNITS",
     "BarrierSpec",
     "ClassicallyForbiddenError",
+    "Estimate",
     "GaussianPacket",
-    "IorResult",
-    "KernelEval",
     "Luminality",
     "PhysicalParams",
     "QuadratureError",
@@ -75,6 +74,7 @@ __all__ = [
     "momentum_density",
     "momentum_kernel_f",
     "momentum_kernel_g",
+    "momentum_split",
     "phi_overlap",
     "qc_asymptotic",
     "qc_expectation",

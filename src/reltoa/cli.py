@@ -44,13 +44,13 @@ from reltoa.numerics import (
 )
 from reltoa.wavepacket import GaussianPacket, momentum_density, phi_overlap
 from reltoa.ior import (
+    Luminality,
     ior_direct,
     ior_momentum,
     ior_series,
+    momentum_split,
     qc_expectation,
-    superluminal_classify,
     toa_difference,
-    traversal_time,
 )
 
 UNAVAILABLE = "---"
@@ -107,10 +107,18 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
+_CONFIG_KEYS = (
+    "mu", "c", "hbar", "rel_tol", "abs_tol", "max_subdivisions", "max_series_terms",
+)
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     raw: dict[str, str] = {}
     if args.config:
         raw = _parse_config_file(args.config)
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     mu = float(raw.get("mu", 1.0))
     c = float(raw.get("c", 1.0))
     hbar = float(raw.get("hbar", 1.0))
@@ -226,7 +234,6 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     for k0 in np.linspace(args.ko_min, args.ko_max, args.steps):
         packet = _packet(args.sigma, float(k0))
         res = ior_momentum(packet, args.vo, cfg.params, cfg.settings)
-        label = "superluminal" if res.value < 1.0 else "subluminal"
         rows.append(
             [
                 fmt(float(k0)),
@@ -234,7 +241,7 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
                 fmt(res.err),
                 fmt(kc),
                 fmt(kc - sigma_k),
-                label,
+                Luminality.of(res.value).value,
             ]
         )
     _emit(cfg, header, rows)
@@ -317,31 +324,27 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
     def put(name: str, method: str, value: float, err: float, unit: str) -> None:
         rows.append([name, method, fmt(value), fmt(err), unit])
 
+    kc = kappa_c(args.vo, cfg.params)
     put("t_c", "exact", t_c, 0.0, "time")
-    put("kappa_c", "closed", kappa_c(args.vo, cfg.params), 0.0, "1/length")
-    res_m = ior_momentum(packet, args.vo, cfg.params, cfg.settings)
-    put("rc", "momentum", res_m.value, res_m.err, "dimensionless")
-    put("rc_plus", "momentum", res_m.plus_part, 0.0, "dimensionless")
-    put("rc_minus", "momentum", res_m.minus_part, 0.0, "dimensionless")
-    try:
-        res_d = ior_direct(packet, args.vo, cfg.params, cfg.settings)
-        put("rc", "direct", res_d.value, res_d.err, "dimensionless")
-    except (QuadratureError, SeriesDivergenceError):
-        rows.append(["rc", "direct", UNAVAILABLE, UNAVAILABLE, "dimensionless"])
-    try:
-        res_s = ior_series(packet, args.vo, None, cfg.params, cfg.settings)
-        put("rc", "series", res_s.value, res_s.err, "dimensionless")
-    except (QuadratureError, SeriesDivergenceError):
-        rows.append(["rc", "series", UNAVAILABLE, UNAVAILABLE, "dimensionless"])
-    qc = qc_expectation(packet, cfg.params, cfg.settings)
-    put("qc", "direct", qc, 0.0, "dimensionless")
-    tau, tau_plus, tau_minus = traversal_time(packet, barrier, cfg.params, cfg.settings)
-    put("tau_trav", "momentum", tau, t_c * res_m.err, "time")
-    put("tau_plus", "momentum", tau_plus, 0.0, "time")
-    put("tau_minus", "momentum", tau_minus, 0.0, "time")
+    put("kappa_c", "closed", kc, 0.0, "1/length")
+    rc, plus, minus = momentum_split(packet, args.vo, cfg.params, cfg.settings)
+    put("rc", "momentum", rc.value, rc.err, "dimensionless")
+    put("rc_plus", "momentum", plus, 0.0, "dimensionless")
+    put("rc_minus", "momentum", minus, 0.0, "dimensionless")
+    rows.append(["rc", "direct"]
+                + _safe_ior(lambda: ior_direct(packet, args.vo, cfg.params, cfg.settings))
+                + ["dimensionless"])
+    rows.append(["rc", "series"]
+                + _safe_ior(lambda: ior_series(packet, args.vo, None, cfg.params, cfg.settings))
+                + ["dimensionless"])
+    put("qc", "direct", qc_expectation(packet, cfg.params, cfg.settings), 0.0, "dimensionless")
+    put("tau_trav", "momentum", t_c * rc.value, t_c * rc.err, "time")
+    put("tau_plus", "momentum", t_c * plus, 0.0, "time")
+    put("tau_minus", "momentum", t_c * minus, 0.0, "time")
     put("toa_difference", "direct", toa_difference(packet, barrier, cfg.params, cfg.settings), 0.0, "time")
-    label, margin = superluminal_classify(packet, args.vo, cfg.params, cfg.settings)
-    rows.append(["classification", "momentum", label.value, fmt(margin), "margin: 1/length"])
+    margin = packet.k0 - (kc - packet.sigma_k)
+    rows.append(["classification", "momentum", Luminality.of(rc.value).value, fmt(margin),
+                 "margin: 1/length"])
     _emit(cfg, header, rows)
     return EXIT_OK
 
@@ -409,12 +412,9 @@ def _limit_checks(cfg: RunConfig):
         yield f"classical arrival time region {region}", abs(quad - closed), 1e-8
 
     packet = GaussianPacket(q0=-3.0, sigma=0.5, k0=2.0)
+    grid = np.linspace(-16.0, 16.0, 400_001)
+    h = grid[1] - grid[0]
     for zeta in (0.5, 1.0, 5.0):
-        grid = np.linspace(-16.0, 16.0, 400_001)
-        h = grid[1] - grid[0]
-        env = (0.5 * math.sqrt(2.0 * math.pi)) ** -0.5 * np.exp(
-            -((grid + 3.0) ** 2) / (4.0 * 0.25)
-        )
         env_m = (0.5 * math.sqrt(2.0 * math.pi)) ** -0.5 * np.exp(
             -((grid + 3.0 - 0.5 * zeta) ** 2) / (4.0 * 0.25)
         )

@@ -7,7 +7,7 @@ computed by three independent routes that must agree,
 
   * direct   - oscillatory sine transform of T_B(-V_o, zeta) Phi(zeta),
   * series   - term-by-term Gaussian sine moments of the residue series
-               plus the shared branch-cut transform,
+               plus the sine transform of the kernel's branch-cut term,
   * momentum - the closed half-line momentum integrals above kappa_c.
 
 Only imaginary parts (sine transforms) are ever formed; the real parts
@@ -18,58 +18,40 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import Callable
 
-from reltoa.classical import kappa_c, tau_top
+from reltoa.classical import kappa_c
 from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
     barrier_factor,
     barrier_free_gap,
+    branch_integral,
+    fb_coeffs,
     free_factor,
-    gb_factor,
-    _fb_coeffs,
 )
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
+    Estimate,
     QuadratureSettings,
     SeriesDivergenceError,
-    integrate_semiinf_exp,
     integrate_sqrt_endpoint,
     sine_transform_decaying,
 )
 from reltoa.wavepacket import GaussianPacket, momentum_density, phi_overlap
 
 __all__ = [
-    "IorResult",
     "Luminality",
     "ior_direct",
     "ior_series",
     "ior_momentum",
+    "momentum_split",
     "qc_expectation",
     "traversal_time",
     "toa_difference",
     "superluminal_classify",
 ]
-
-
-@dataclass(frozen=True)
-class IorResult:
-    """Effective refraction index from one evaluation route.
-
-    For the momentum route, value = plus_part - minus_part holds exactly,
-    the two parts being the above-threshold weights of the +k and -k
-    momentum components.
-    """
-
-    method: str
-    value: float
-    err: float
-    converged: bool
-    plus_part: float | None = None
-    minus_part: float | None = None
-    terms_used: int | None = None
 
 
 def _require_subcritical(v0: float, params: PhysicalParams) -> None:
@@ -79,30 +61,47 @@ def _require_subcritical(v0: float, params: PhysicalParams) -> None:
         )
 
 
-def ior_direct(
+def _phi_transform(
+    kernel: Callable[[float], float],
     packet: GaussianPacket,
-    v0: float,
-    params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> IorResult:
-    """R_c by direct sine transform of the barrier kernel against the packet.
+    params: PhysicalParams,
+    settings: QuadratureSettings,
+) -> tuple[float, float]:
+    """int_0^inf sin(k0 zeta) kernel(zeta) Phi(zeta) dzeta and its error.
 
-    R_c = (mu c / hbar) * int_0^inf sin(k0 zeta) T_B(-v0, zeta) Phi(zeta) dzeta.
+    Beyond the cut the product cannot contribute above abs_tol: every
+    kernel transformed here is bounded by a small multiple of
+    1 + 1/(scale*zeta).
     """
-    _require_subcritical(v0, params)
     scale = params.mu * params.c / params.hbar
-    # beyond this point the integrand cannot contribute above abs_tol:
-    # |T_B| is bounded by a small multiple of 1 + 1/(scale*zeta)
     cut = 1e-3 * settings.abs_tol
 
     def integrand(zeta: float) -> float:
         phi = phi_overlap(packet, zeta)
         if phi * (4.0 + 1.0 / (scale * zeta)) < cut:
             return 0.0
-        return barrier_factor(-v0, zeta, params, settings).value * phi
+        return kernel(zeta) * phi
 
-    val, err = sine_transform_decaying(integrand, packet.k0, settings)
-    return IorResult(method="direct", value=scale * val, err=scale * err, converged=True)
+    return sine_transform_decaying(integrand, packet.k0, settings)
+
+
+def ior_direct(
+    packet: GaussianPacket,
+    v0: float,
+    params: PhysicalParams = NATURAL_UNITS,
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+) -> Estimate:
+    """R_c by direct sine transform of the barrier kernel against the packet.
+
+    R_c = (mu c / hbar) * int_0^inf sin(k0 zeta) T_B(-v0, zeta) Phi(zeta) dzeta.
+    """
+    _require_subcritical(v0, params)
+    scale = params.mu * params.c / params.hbar
+    val, err = _phi_transform(
+        lambda zeta: barrier_factor(-v0, zeta, params, settings).value,
+        packet, params, settings,
+    )
+    return Estimate(scale * val, scale * err)
 
 
 def _branch_transform(
@@ -111,20 +110,16 @@ def _branch_transform(
     params: PhysicalParams,
     settings: QuadratureSettings,
 ) -> tuple[float, float]:
-    # sine transform of the branch-cut part of T_B(-v0, zeta) times Phi;
-    # shared verbatim between the direct and series routes
+    # sine transform of the branch-cut term of T_B(-v0, zeta) times Phi,
+    # which the series route adds to its residue moments; G_B is even in v0
     scale = params.mu * params.c / params.hbar
 
     def integrand(zeta: float) -> float:
         phi = phi_overlap(packet, zeta)
         if phi < 1e-3 * settings.abs_tol * scale * zeta:
             return 0.0
-
-        def envelope(z: float) -> float:
-            return math.sqrt(z * z - 1.0) / z * gb_factor(v0, z, params)
-
-        br, _ = integrate_semiinf_exp(envelope, 1.0, scale * zeta, settings)
-        return (2.0 / math.pi) * br * phi
+        br, _ = branch_integral(v0, zeta, params, settings)
+        return br * phi
 
     return sine_transform_decaying(integrand, packet.k0, settings)
 
@@ -159,7 +154,7 @@ def ior_series(
     l_max: int | None = None,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> IorResult:
+) -> Estimate:
     """R_c by term-by-term sine moments of the residue series plus the
     branch transform.
 
@@ -172,8 +167,7 @@ def ior_series(
     cap = l_max if l_max is not None else settings.max_series_terms
     scale = params.mu * params.c / params.hbar
 
-    # generous precision for the coefficients; the moment sum decides dps
-    entry = _fb_coeffs(-v0, params, 48, 30, settings)
+    entry = fb_coeffs(-v0, params, settings)
     chunk = 48
     moments = _gaussian_sine_moments(packet.k0, packet.sigma, chunk, settings)
 
@@ -184,13 +178,12 @@ def ior_series(
     grow = 0
     grow_start = 0.0
     prev_mag = None
-    used = 0
     converged = False
     p = 0
     inv_fact = 1.0  # 1/(2p)!
     while p <= cap:
         if p >= len(entry.coeffs):
-            entry = _fb_coeffs(-v0, params, len(entry.coeffs) + chunk, entry.dps, settings)
+            entry = fb_coeffs(-v0, params, settings, entry)
         if p >= len(moments):
             moments = _gaussian_sine_moments(
                 packet.k0, packet.sigma, len(moments) + chunk, settings
@@ -200,7 +193,6 @@ def ior_series(
         s = total + y
         comp = (s - total) - y
         total = s
-        used = p + 1
         mag = abs(term)
         if mag > max_term:
             max_term = mag
@@ -236,9 +228,7 @@ def ior_series(
     br, br_err = _branch_transform(packet, v0, params, settings)
     value = scale * (total + br)
     err = scale * (br_err + max_term * 1e-15 + settings.abs_tol)
-    return IorResult(
-        method="series", value=value, err=err, converged=True, terms_used=used
-    )
+    return Estimate(value, err)
 
 
 def _density_seeds(packet: GaussianPacket, kc: float) -> tuple[float, ...]:
@@ -257,13 +247,26 @@ def ior_momentum(
     v0: float,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> IorResult:
-    """R_c by the closed momentum-space form.
+) -> Estimate:
+    """R_c by the closed momentum-space form (see momentum_split)."""
+    return momentum_split(packet, v0, params, settings)[0]
+
+
+def momentum_split(
+    packet: GaussianPacket,
+    v0: float,
+    params: PhysicalParams = NATURAL_UNITS,
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+) -> tuple[Estimate, float, float]:
+    """R_c by the closed momentum-space form, with its +k and -k weights.
 
     Both half-line integrals run from kappa_c upward with the crossing-time
     weight sqrt(E_k^2/((E_k - v0)^2 - mu^2 c^4)), whose inverse-square-root
     start is absorbed by the substitution engine; below-threshold momentum
-    components contribute nothing (they cross instantaneously).
+    components contribute nothing (they cross instantaneously).  Returns
+    (R_c, plus, minus), where plus and minus are the above-threshold
+    weights of the +k and -k components and R_c.value == plus - minus
+    exactly.
     """
     _require_subcritical(v0, params)
     if v0 == 0.0:
@@ -287,14 +290,7 @@ def ior_momentum(
     seeds = _density_seeds(packet, kc)
     plus, err_p = integrate_sqrt_endpoint(f_plus, kc, settings, seeds)
     minus, err_m = integrate_sqrt_endpoint(f_minus, kc, settings, seeds)
-    return IorResult(
-        method="momentum",
-        value=plus - minus,
-        err=err_p + err_m,
-        converged=True,
-        plus_part=plus,
-        minus_part=minus,
-    )
+    return Estimate(plus - minus, err_p + err_m), plus, minus
 
 
 def qc_expectation(
@@ -308,16 +304,9 @@ def qc_expectation(
     sqrt(1 + (hbar k0)^2/(mu c)^2) for packets wide in position.  There is
     no barrier dependence by construction.
     """
-    scale = params.mu * params.c / params.hbar
-    cut = 1e-3 * settings.abs_tol
-
-    def integrand(zeta: float) -> float:
-        phi = phi_overlap(packet, zeta)
-        if phi * (4.0 + 1.0 / (scale * zeta)) < cut:
-            return 0.0
-        return free_factor(zeta, params, settings).value * phi
-
-    val, _err = sine_transform_decaying(integrand, packet.k0, settings)
+    val, _err = _phi_transform(
+        lambda zeta: free_factor(zeta, params, settings).value, packet, params, settings
+    )
     return packet.k0 * val
 
 
@@ -335,9 +324,9 @@ def traversal_time(
     """
     barrier.require_subcritical(params)
     packet.check_support(barrier.a)
-    res = ior_momentum(packet, barrier.v0, params, settings)
+    res, plus, minus = momentum_split(packet, barrier.v0, params, settings)
     t_c = barrier.length / params.c
-    return t_c * res.value, t_c * res.plus_part, t_c * res.minus_part
+    return t_c * res.value, t_c * plus, t_c * minus
 
 
 def toa_difference(
@@ -355,15 +344,10 @@ def toa_difference(
     """
     barrier.require_subcritical(params)
     packet.check_support(barrier.a)
-    scale = params.mu * params.c / params.hbar
-
-    def integrand(zeta: float) -> float:
-        phi = phi_overlap(packet, zeta)
-        if phi * (4.0 + 1.0 / (scale * zeta)) < 1e-3 * settings.abs_tol:
-            return 0.0
-        return barrier_free_gap(barrier.v0, zeta, params, settings) * phi
-
-    gap, _err = sine_transform_decaying(integrand, packet.k0, settings)
+    gap, _err = _phi_transform(
+        lambda zeta: barrier_free_gap(barrier.v0, zeta, params, settings),
+        packet, params, settings,
+    )
     # (mu L / p0) * k0 * gap = (mu L / hbar) * gap
     return params.mu * barrier.length / params.hbar * gap
 
@@ -371,6 +355,11 @@ def toa_difference(
 class Luminality(enum.Enum):
     SUPERLUMINAL = "superluminal"
     SUBLUMINAL = "subluminal"
+
+    @classmethod
+    def of(cls, rc: float) -> Luminality:
+        """R_c < 1: the barrier is crossed faster than light would cross it."""
+        return cls.SUPERLUMINAL if rc < 1.0 else cls.SUBLUMINAL
 
 
 def superluminal_classify(
@@ -381,35 +370,12 @@ def superluminal_classify(
 ) -> tuple[Luminality, float]:
     """Classify the crossing as super- or subluminal, with a heuristic margin.
 
-    R_c < 1 means the barrier is crossed faster than light would cross it.
-    The margin k0 - (kappa_c - sigma_k) is the packet's distance from the
-    rule-of-thumb boundary: packets with k0 below kappa_c - sigma_k carry
-    almost no above-threshold weight and cross superluminally.
+    The label is Luminality.of(R_c) on the momentum route.  The margin
+    k0 - (kappa_c - sigma_k) is the packet's distance from the rule-of-thumb
+    boundary: packets with k0 below kappa_c - sigma_k carry almost no
+    above-threshold weight and cross superluminally.
     """
     res = ior_momentum(packet, v0, params, settings)
-    label = Luminality.SUPERLUMINAL if res.value < 1.0 else Luminality.SUBLUMINAL
     margin = packet.k0 - (kappa_c(v0, params) - packet.sigma_k)
-    return label, margin
+    return Luminality.of(res.value), margin
 
-
-def tau_plus_consistency(
-    packet: GaussianPacket,
-    barrier: BarrierSpec,
-    params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> tuple[float, float]:
-    """Return (tau_plus, independent weighted average of tau_top).
-
-    The two numbers are the same integral assembled through different code
-    paths: the momentum-route plus-part against direct quadrature of
-    tau_top(k) * |psi(+k)|^2 above kappa_c.
-    """
-    kc = kappa_c(barrier.v0, params)
-    t_c = barrier.length / params.c
-    res = ior_momentum(packet, barrier.v0, params, settings)
-
-    def f(k: float) -> float:
-        return momentum_density(packet, k, +1) * tau_top(k, barrier.v0, barrier.length, params)
-
-    avg, _err = integrate_sqrt_endpoint(f, kc, settings, _density_seeds(packet, kc))
-    return t_c * res.plus_part, avg

@@ -24,6 +24,7 @@ import mpmath as mp
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     MP_LOCK,
+    Estimate,
     QuadratureSettings,
     SeriesDivergenceError,
     gen_binomial,
@@ -34,7 +35,6 @@ __all__ = [
     "PhysicalParams",
     "NATURAL_UNITS",
     "BarrierSpec",
-    "KernelEval",
     "free_factor",
     "gb_factor",
     "fb_series",
@@ -55,8 +55,10 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.mu > 0.0 and self.c > 0.0 and self.hbar > 0.0):
-            raise ValueError("mu, c and hbar must all be positive")
+        for name in ("mu", "c", "hbar"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def rest_energy(self) -> float:
@@ -101,20 +103,11 @@ class BarrierSpec:
             )
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    """A kernel-factor sample: relative coordinate, value, error estimate."""
-
-    zeta: float
-    value: float
-    err: float
-
-
 def free_factor(
     zeta: float,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> KernelEval:
+) -> Estimate:
     """Free time-kernel factor T_F(zeta) = 1 + (2/pi) * branch-cut integral.
 
     Strictly decreasing in zeta, -> 1 as zeta -> inf, and diverging like
@@ -124,7 +117,7 @@ def free_factor(
         raise ValueError("free_factor requires zeta > 0")
     decay = params.mu * params.c * zeta / params.hbar
     val, err = integrate_semiinf_exp(_branch_envelope, 1.0, decay, settings)
-    return KernelEval(zeta, 1.0 + (2.0 / math.pi) * val, (2.0 / math.pi) * err)
+    return Estimate(1.0 + (2.0 / math.pi) * val, (2.0 / math.pi) * err)
 
 
 def _branch_envelope(z: float) -> float:
@@ -162,7 +155,7 @@ class _FbCoeffs:
     errs: list[float]  # truncation floor per coefficient (0 for clean exits)
 
 
-def _fb_coeffs(
+def _fb_coeffs_at(
     v: float,
     params: PhysicalParams,
     n_needed: int,
@@ -181,6 +174,24 @@ def _fb_coeffs(
         entry = _build_fb_coeffs(v, params, count, dps, settings)
         _FB_CACHE[key] = entry
         return entry
+
+
+def fb_coeffs(
+    v: float,
+    params: PhysicalParams,
+    settings: QuadratureSettings,
+    outgrown: _FbCoeffs | None = None,
+) -> _FbCoeffs:
+    """Cached residue coefficients D_p(v) for a caller walking p upward.
+
+    The first request asks for 48 terms at 30 digits; passing the entry the
+    caller has outgrown asks for 48 more at that entry's precision.  The
+    digits of a cached entry depend on the requests that built it, so the
+    kernel evaluation and the series route share this one request pattern.
+    """
+    if outgrown is None:
+        return _fb_coeffs_at(v, params, 48, 30, settings)
+    return _fb_coeffs_at(v, params, len(outgrown.coeffs) + 48, outgrown.dps, settings)
 
 
 def _build_fb_coeffs(
@@ -292,10 +303,10 @@ def _fb_eval(
     params: PhysicalParams,
     settings: QuadratureSettings,
     drop_unity: bool = False,
-) -> tuple[float, int, float]:
+) -> tuple[float, float]:
     """Evaluate the residue series at zeta; with drop_unity, return F_B - 1.
 
-    Returns (value, terms_used, rounding_error_estimate).  Scans term
+    Returns (value, rounding_error_estimate).  Scans term
     magnitudes in log space first, then sums in float or, when the peak
     term towers over the result by more than ~12 digits, in arbitrary
     precision with enough guard digits.
@@ -304,7 +315,7 @@ def _fb_eval(
     log_z2 = math.log10(z2) if z2 > 0.0 else -math.inf
     floor_log = math.log10(settings.abs_tol) - 6.0
 
-    entry = _fb_coeffs(v, params, 48, 30, settings)
+    entry = fb_coeffs(v, params, settings)
     max_log = -math.inf
     p = 0
     small = 0
@@ -314,7 +325,7 @@ def _fb_eval(
                 raise SeriesDivergenceError(
                     f"residue series needs more than {settings.max_series_terms} terms"
                 )
-            entry = _fb_coeffs(v, params, len(entry.coeffs) + 48, entry.dps, settings)
+            entry = fb_coeffs(v, params, settings, entry)
         log_term = entry.log10[p] + p * log_z2 - _LGAMMA10(2 * p + 1)
         if log_term > max_log:
             max_log = log_term
@@ -363,15 +374,14 @@ def _fb_eval(
         ratio = ratio * z2 / ((2 * q + 1) * (2 * q + 2))
     if math.isfinite(total) and max_term <= 1e6 * max(abs(total), 1e-300):
         err = max_term * 1e-15 * math.sqrt(used) + trunc
-        return total, used, err
+        return total, err
 
     dps = int(max(max_log, 1.0)) + 25
-    entry = _fb_coeffs(v, params, p_stop, dps, settings)
+    entry = _fb_coeffs_at(v, params, p_stop, dps, settings)
     with MP_LOCK, mp.workdps(dps):
         total_mp = mp.mpf(0)
         ratio_mp = mp.mpf(1)  # zeta^(2p) / (2p)!
         z2_mp = mp.mpf(zeta) ** 2
-        used = 0
         small = 0
         trunc = 0.0
         for q in range(p_stop):
@@ -382,7 +392,6 @@ def _fb_eval(
             if entry.errs[q]:
                 trunc += entry.errs[q] * float(ratio_mp)
             total_mp += term
-            used = q + 1
             if abs(term) <= settings.abs_tol * (1 + abs(total_mp)):
                 small += 1
                 if small >= 3:
@@ -392,7 +401,7 @@ def _fb_eval(
             ratio_mp = ratio_mp * z2_mp / ((2 * q + 1) * (2 * q + 2))
         value = float(total_mp)
     err = 10.0 ** (max_log - dps + 2) + trunc
-    return value, used, err
+    return value, err
 
 
 def _LGAMMA10(n: int) -> float:
@@ -404,31 +413,33 @@ def fb_series(
     zeta: float,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> tuple[float, int]:
+) -> Estimate:
     """Residue factor F_B(v0, zeta) as its power series, with signed v0.
 
     The physics callers pass v0 = -V_o for a barrier of height V_o (the
     series is stated for T_B(-V_o, zeta)); passing +V_o flips both sign
-    factors and yields the F_B entering T_B(+V_o, zeta).  Returns
-    (value, terms_used) where terms_used counts zeta^(2p) terms.
+    factors and yields the F_B entering T_B(+V_o, zeta).
     """
     if zeta < 0.0:
         raise ValueError("fb_series requires zeta >= 0")
-    value, used, _err = _fb_eval(v0, zeta, params, settings)
-    return value, used
+    return Estimate(*_fb_eval(v0, zeta, params, settings))
 
 
-def _branch_integral(
+def branch_integral(
     v0: float,
     zeta: float,
     params: PhysicalParams,
     settings: QuadratureSettings,
 ) -> tuple[float, float]:
-    # (2/pi) * int_1^inf exp(-mu c |zeta| z / hbar) sqrt(z^2-1)/z G_B(v0, z) dz
+    """Branch-cut term of T_B(v0, zeta), with its error estimate:
+
+        (2/pi) * int_1^inf exp(-mu c |zeta| z / hbar) sqrt(z^2-1)/z G_B(v0, z) dz
+    """
     decay = params.mu * params.c * abs(zeta) / params.hbar
 
     def integrand(z: float) -> float:
-        return _branch_envelope(z) * gb_factor(v0, z, params)
+        # z >= 1 on every node; inline, as this runs millions of times
+        return math.sqrt(z * z - 1.0) / z * gb_factor(v0, z, params)
 
     val, err = integrate_semiinf_exp(integrand, 1.0, decay, settings)
     return (2.0 / math.pi) * val, (2.0 / math.pi) * err
@@ -439,7 +450,7 @@ def barrier_factor(
     zeta: float,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> KernelEval:
+) -> Estimate:
     """Barrier time-kernel factor T_B(v0, zeta) = F_B + branch-cut term.
 
     v0 is signed exactly as in fb_series; T_B(0, zeta) reduces to the free
@@ -447,9 +458,9 @@ def barrier_factor(
     """
     if zeta <= 0.0:
         raise ValueError("barrier_factor requires zeta > 0")
-    fb_val, _used, fb_err = _fb_eval(v0, zeta, params, settings)
-    br_val, br_err = _branch_integral(v0, zeta, params, settings)
-    return KernelEval(zeta, fb_val + br_val, fb_err + br_err)
+    fb_val, fb_err = _fb_eval(v0, zeta, params, settings)
+    br_val, br_err = branch_integral(v0, zeta, params, settings)
+    return Estimate(fb_val + br_val, fb_err + br_err)
 
 
 def barrier_free_gap(
@@ -467,7 +478,7 @@ def barrier_free_gap(
     """
     if zeta <= 0.0:
         raise ValueError("barrier_free_gap requires zeta > 0")
-    series_part, _used, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
+    series_part, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
     decay = params.mu * params.c * zeta / params.hbar
 
     def integrand(z: float) -> float:
@@ -487,7 +498,7 @@ def region_kernel(
     barrier: BarrierSpec,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> KernelEval:
+) -> Estimate:
     """Region kernels of the barrier arrival-time operator.
 
         I   : (eta/2) T_F(zeta)
@@ -504,17 +515,17 @@ def region_kernel(
         raise ValueError("region_kernel requires zeta > 0")
     tf = free_factor(zeta, params, settings)
     if region == "I":
-        return KernelEval(zeta, 0.5 * eta * tf.value, 0.5 * abs(eta) * tf.err)
+        return Estimate(0.5 * eta * tf.value, 0.5 * abs(eta) * tf.err)
     if region == "II":
         tb = barrier_factor(barrier.v0, zeta, params, settings)
         val = 0.5 * (eta + barrier.b) * tf.value - 0.5 * barrier.b * tb.value
         err = 0.5 * abs(eta + barrier.b) * tf.err + 0.5 * abs(barrier.b) * tb.err
-        return KernelEval(zeta, val, err)
+        return Estimate(val, err)
     length = barrier.length
     tb = barrier_factor(-barrier.v0, zeta, params, settings)
     val = 0.5 * (eta + length) * tf.value - 0.5 * length * tb.value
     err = 0.5 * abs(eta + length) * tf.err + 0.5 * length * tb.err
-    return KernelEval(zeta, val, err)
+    return Estimate(val, err)
 
 
 def momentum_kernel_f(

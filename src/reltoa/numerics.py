@@ -24,6 +24,7 @@ import mpmath as mp
 MP_LOCK = threading.RLock()
 
 __all__ = [
+    "Estimate",
     "QuadratureSettings",
     "DEFAULT_SETTINGS",
     "QuadratureError",
@@ -47,6 +48,14 @@ class SeriesDivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Estimate:
+    """A computed number and its error estimate: every kernel and R_c result."""
+
+    value: float
+    err: float
+
+
+@dataclass(frozen=True)
 class QuadratureSettings:
     """Tolerances and resource caps shared by all numerical operations.
 
@@ -62,10 +71,10 @@ class QuadratureSettings:
     max_series_terms: int = 600
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be > 0")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be >= 0")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if self.max_series_terms < 1:

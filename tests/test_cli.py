@@ -5,11 +5,18 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import reltoa
 from reltoa.cli import main
 from reltoa.classical import kappa_c
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -183,10 +190,25 @@ class TestConfig:
         assert len(parse_csv(out)) == 3
 
     def test_bad_config_file(self, capsys, tmp_path):
+        # (file text, extra argv, message naming the key); unknown keys and
+        # non-finite numbers must not be accepted silently
+        cases = [
+            ("rel_tol: oops\n", (), "want key=value"),
+            ("rel-tol = 1e-6\n", (), "unknown config key(s): rel-tol"),
+            ("max_series_term = 50\n", (), "unknown config key(s): max_series_term"),
+            ("rel_tol = inf\n", (), "rel_tol must be finite"),
+            ("abs_tol = inf\n", (), "abs_tol must be finite"),
+            ("mu = inf\n", (), "mu must be finite"),
+            ("c = nan\n", (), "c must be finite"),
+            ("# no keys\n", ("--tol", "inf"), "rel_tol must be finite"),
+        ]
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("rel_tol: oops\n")
-        code, _ = run_cli(capsys, "--config", str(cfg), "table2")
-        assert code == 1
+        for text, argv, named in cases:
+            cfg.write_text(text)
+            code = main(["--config", str(cfg), *argv, "table2"])
+            err = capsys.readouterr().err
+            assert code == 1, text
+            assert named in err, (text, err)
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "t2.csv"
@@ -194,3 +216,39 @@ class TestConfig:
         assert code == 0
         rows = parse_csv(out_path.read_text())
         assert len(rows) == 3
+
+
+# Reference outputs in natural units: a refactor must reproduce them byte
+# for byte.  A fresh interpreter per command gives the CLI's own
+# coefficient-cache history, on which the residue-series digits depend.
+GOLDEN = [
+    (
+        "scan_v0.99_sigma6_steps120.csv",
+        ["scan", "--vo", "0.99", "--sigma", "6", "--ko-min", "0.1", "--ko-max", "6.0",
+         "--steps", "120"],
+    ),
+    (
+        "density_v0.99_sigma4_k1.3_grid400.csv",
+        ["density", "--vo", "0.99", "--sigma", "4", "--ko", "1.3", "--grid", "400"],
+    ),
+    (
+        "kernel_v0.1_zeta0.5-10_grid20.csv",
+        ["kernel", "--vo", "0.1", "--zeta-min", "0.5", "--zeta-max", "10", "--grid", "20"],
+    ),
+    (
+        "point_readme.csv",
+        ["point", "--vo", "0.2", "--sigma", "0.5", "--ko", "2", "--barrier-a", "-21",
+         "--barrier-b", "-20"],
+    ),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_csv_bytes_match_reference(name, argv):
+    src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "reltoa.cli", *argv],
+        capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out == (DATA / name).read_bytes()

@@ -9,19 +9,37 @@ import scipy.integrate
 
 from reltoa.classical import kappa_c, qc_asymptotic, tau_top
 from reltoa.kernels import BarrierSpec, barrier_free_gap
-from reltoa.numerics import SeriesDivergenceError
+from reltoa.numerics import SeriesDivergenceError, integrate_sqrt_endpoint
 from reltoa.wavepacket import GaussianPacket, momentum_density
 from reltoa.ior import (
     Luminality,
+    _density_seeds,
     ior_direct,
     ior_momentum,
     ior_series,
+    momentum_split,
     qc_expectation,
     superluminal_classify,
-    tau_plus_consistency,
     toa_difference,
     traversal_time,
 )
+
+
+def tau_plus_consistency(packet: GaussianPacket, barrier: BarrierSpec) -> tuple[float, float]:
+    """Return (tau_plus, independent weighted average of tau_top).
+
+    The two numbers are the same integral assembled through different code
+    paths: the momentum-route plus weight against direct quadrature of
+    tau_top(k) * |psi(+k)|^2 above kappa_c.
+    """
+    kc = kappa_c(barrier.v0)
+    _, plus, _ = momentum_split(packet, barrier.v0)
+
+    def f(k: float) -> float:
+        return momentum_density(packet, k, +1) * tau_top(k, barrier.v0, barrier.length)
+
+    avg, _err = integrate_sqrt_endpoint(f, kc, seeds=_density_seeds(packet, kc))
+    return barrier.length * plus, avg  # t_c = L / c with c = 1
 
 
 def narrow(k0: float) -> GaussianPacket:
@@ -58,10 +76,6 @@ class TestIorSeries:
         with pytest.raises(SeriesDivergenceError):
             ior_series(wide(0.19), 0.3)
 
-    def test_reports_terms_used(self):
-        res = ior_series(narrow(2.0), 0.2)
-        assert res.terms_used is not None and res.terms_used > 3
-
 
 class TestIorMomentum:
     def test_reference_values(self):
@@ -69,16 +83,17 @@ class TestIorMomentum:
         assert ior_momentum(narrow(0.15), 0.3).value == pytest.approx(0.18996, abs=1e-4)
 
     def test_wide_packet_tiny(self):
-        res = ior_momentum(wide(0.19), 0.3)
+        res, plus, _ = momentum_split(wide(0.19), 0.3)
         assert abs(res.value) < 1e-20
         # magnitude scale of the suppressed crossing weight
-        assert 1e-31 < res.plus_part < 1e-27
+        assert 1e-31 < plus < 1e-27
 
     def test_decomposition_exact(self):
-        res = ior_momentum(narrow(0.5), 0.3)
-        assert res.plus_part >= 0.0
-        assert res.minus_part >= 0.0
-        assert res.value == res.plus_part - res.minus_part  # exact identity
+        res, plus, minus = momentum_split(narrow(0.5), 0.3)
+        assert plus >= 0.0
+        assert minus >= 0.0
+        assert res.value == plus - minus  # exact identity
+        assert ior_momentum(narrow(0.5), 0.3) == res
 
     def test_methods_agree(self):
         for k0, v0 in ((2.0, 0.3), (0.25, 0.3)):

@@ -162,24 +162,23 @@ class TestGbFactor:
 class TestFbSeries:
     def test_zero_height_is_one(self):
         for zeta in (0.0, 1.0, 7.5):
-            val, used = fb_series(0.0, zeta)
-            assert val == 1.0
+            assert fb_series(0.0, zeta).value == 1.0
 
     def test_nonrelativistic_limit(self):
         params = PhysicalParams(mu=1.0, c=1e6, hbar=1.0)
-        val, _ = fb_series(-0.3, 2.0, params)
+        val = fb_series(-0.3, 2.0, params).value
         assert val == pytest.approx(hyp0f1_one(-0.3 * 4.0 / 2.0), abs=1e-6)
 
     def test_triple_sum_oracle(self):
         for v, zeta in [(-0.3, 1.0), (0.3, 1.0), (-0.6, 2.5), (-0.3, 8.0)]:
-            val, _ = fb_series(v, zeta)
+            val = fb_series(v, zeta).value
             assert val == pytest.approx(
                 fb_triple_sum_oracle(v, zeta, NATURAL_UNITS), rel=1e-9, abs=1e-11
             )
 
     def test_large_zeta_against_oracle(self):
         # deep cancellation regime: partial terms ~ exp(kappa zeta) >> result
-        val, _ = fb_series(-0.3, 40.0)
+        val = fb_series(-0.3, 40.0).value
         ref = fb_triple_sum_oracle(-0.3, 40.0, NATURAL_UNITS, l_terms=400, dps=70)
         assert val == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
@@ -191,7 +190,7 @@ class TestFbSeries:
         # near the rest energy the series is asymptotic; the optimally
         # truncated value must match the original-ordering summation run to
         # its own floor (l = 251, where its terms bottom out at ~6e-16)
-        val, _ = fb_series(-0.9, 1.0)
+        val = fb_series(-0.9, 1.0).value
         ref = fb_triple_sum_oracle(-0.9, 1.0, NATURAL_UNITS, l_terms=252, dps=60)
         assert val == pytest.approx(ref, abs=1e-9)
         assert barrier_factor(-0.9, 1.0).err < 1e-9
