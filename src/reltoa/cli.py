@@ -112,6 +112,17 @@ _CONFIG_KEYS = (
 )
 
 
+def _config_number(raw: dict[str, str], key: str, default: float, kind: type):
+    """raw[key] parsed as kind (float or int), or default when the key is absent."""
+    if key not in raw:
+        return default
+    try:
+        return kind(raw[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {raw[key]!r}") from None
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     raw: dict[str, str] = {}
     if args.config:
@@ -119,13 +130,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    mu = float(raw.get("mu", 1.0))
-    c = float(raw.get("c", 1.0))
-    hbar = float(raw.get("hbar", 1.0))
-    rel_tol = args.tol if args.tol is not None else float(raw.get("rel_tol", 1e-10))
-    abs_tol = float(raw.get("abs_tol", 1e-14))
-    max_sub = int(raw.get("max_subdivisions", 2000))
-    max_terms = int(raw.get("max_series_terms", 600))
+    mu = _config_number(raw, "mu", 1.0, float)
+    c = _config_number(raw, "c", 1.0, float)
+    hbar = _config_number(raw, "hbar", 1.0, float)
+    rel_tol = args.tol if args.tol is not None else _config_number(raw, "rel_tol", 1e-10, float)
+    abs_tol = _config_number(raw, "abs_tol", 1e-14, float)
+    max_sub = _config_number(raw, "max_subdivisions", 2000, int)
+    max_terms = _config_number(raw, "max_series_terms", 600, int)
     params = PhysicalParams(mu=mu, c=c, hbar=hbar)
     settings = QuadratureSettings(
         rel_tol=rel_tol,

@@ -188,7 +188,7 @@ def ior_series(
             moments = _gaussian_sine_moments(
                 packet.k0, packet.sigma, len(moments) + chunk, settings
             )
-        term = float(entry.coeffs[p]) * moments[p] * inv_fact
+        term = entry.floats[p] * moments[p] * inv_fact
         y = term - comp
         s = total + y
         comp = (s - total) - y

@@ -8,14 +8,22 @@ reorganized as a single power series in zeta^2,
 
 whose coefficients D_p collect the triple sum over (l, m, n) with p = l - n
 held fixed.  The coefficients depend only on (v, mu, c, hbar), so they are
-computed once per barrier strength in arbitrary precision and cached; the
-zeta series itself cancels like a Bessel function (partial terms reach
+computed once per barrier strength in arbitrary precision and cached.  The
+build runs l-major: the binomial row C(l, m) b^(l-m) depends only on l, so it
+is built once and every p whose l-sum reaches it adds its term l from it.
+Each D_p gets the same mpf operations in the same order as in a loop over p,
+so its bits do not depend on the sweep.  p = 0 is summed first, on its own,
+because near the rest energy it is the one that fails; only one row is kept
+alive, to hold the build's peak memory.
+
+The zeta series itself cancels like a Bessel function (partial terms reach
 exp(~kappa*zeta) before collapsing to O(1)), so the evaluation escalates to
 arbitrary precision whenever double precision cannot absorb it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -153,6 +161,7 @@ class _FbCoeffs:
     coeffs: list  # mpf values of D_p, valid at self.dps
     log10: list[float]  # log10 |D_p| (for fast magnitude scans); -inf for 0
     errs: list[float]  # truncation floor per coefficient (0 for clean exits)
+    floats: list[float]  # float(D_p), converted once for the double-precision sums
 
 
 def _fb_coeffs_at(
@@ -194,6 +203,32 @@ def fb_coeffs(
     return _fb_coeffs_at(v, params, len(outgrown.coeffs) + 48, outgrown.dps, settings)
 
 
+class _LSum:
+    """Running l-sum of one coefficient, D_p = sum_{l >= p} term_l.
+
+    term_l = comb(2l, l) A^l C^(l-p) S(l, l-p), where S(l, n) is the m-sum
+    of C(l, m) b^(l-m) C((m+1)/2, n).  The sum humps (the peak drifts out
+    like ~p/3), decays, and for strong barriers eventually regrows: it is
+    asymptotic in that regime, so the state keeps the deepest post-peak
+    minimum (optimal truncation) and its floor as the error.
+    """
+
+    __slots__ = ("p", "acc", "running", "central", "small", "peak_mag",
+                 "best_mag", "best_acc", "best_idx", "trunc_err")
+
+    def __init__(self, p: int, a_fac) -> None:
+        self.p = p
+        self.acc = mp.mpf(0)
+        self.running = a_fac**p  # A^l * C^(l-p) at l = p
+        self.central = mp.mpf(math.comb(2 * p, p))
+        self.small = 0
+        self.peak_mag = mp.mpf(0)
+        self.best_mag = None
+        self.best_acc = None
+        self.best_idx = p
+        self.trunc_err = 0.0
+
+
 def _build_fb_coeffs(
     v: float,
     params: PhysicalParams,
@@ -205,96 +240,124 @@ def _build_fb_coeffs(
         a_fac = mp.mpf(params.mu) * mp.mpf(v) / (2 * mp.mpf(params.hbar) ** 2)
         b_fac = mp.mpf(v) / (2 * mp.mpf(params.mu) * mp.mpf(params.c) ** 2)
         c_fac = -(mp.mpf(params.hbar) ** 2) / (mp.mpf(params.mu) * mp.mpf(params.c)) ** 2
+        ac_fac = a_fac * c_fac
         eps = mp.mpf(10) ** (-(dps - 8))
         b_pow = [mp.mpf(1)]
-        gb_rows: dict[int, list] = {}
+        gb_rows: list[list] = []  # gb_rows[m][n] = C((m+1)/2, n)
+        gb_alpha: list = []  # (m+1)/2, exact
 
-        def gbin(m: int, n: int):
-            # generalized binomial C((m+1)/2, n), grown by recurrence
-            row = gb_rows.get(m)
-            if row is None:
-                row = [mp.mpf(1)]
-                gb_rows[m] = row
-            alpha = mp.mpf(m + 1) / 2
-            while len(row) <= n:
-                k = len(row)
-                row.append(row[-1] * (alpha - (k - 1)) / k)
-            return row[n]
+        def binom_row(l: int) -> list:
+            # C(l, m) b^(l-m) for m = 0..l, the binomials by Pascal recurrence
+            while len(b_pow) <= l:
+                b_pow.append(b_pow[-1] * b_fac)
+            row = []
+            binom_lm = mp.mpf(1)
+            for m in range(l + 1):
+                if m > 0:
+                    binom_lm = binom_lm * (l - m + 1) / m
+                row.append(binom_lm * b_pow[l - m])
+            return row
 
-        coeffs = []
-        errs = []
-        for p in range(count):
-            acc = mp.mpf(0)
-            running = a_fac**p  # A^l * C^(l-p) at l = p
-            small = 0
-            l = p
-            central = mp.mpf(math.comb(2 * p, p))
-            # the l-sum humps (the peak drifts out like ~p/3), decays, and
-            # for strong barriers eventually regrows: it is asymptotic in
-            # that regime, so we keep the optimal-truncation state (the
-            # deepest post-peak minimum) and its floor as the error
-            peak_mag = mp.mpf(0)
-            best_mag = None
-            best_acc = None
-            best_idx = p
-            trunc_err = 0.0
-            while True:
-                while len(b_pow) <= l:
-                    b_pow.append(b_pow[-1] * b_fac)
-                n_idx = l - p
-                # inner sum over m with Pascal-recurrence binomials; odd m
-                # gives an integer upper binomial argument (m+1)/2 that
-                # truncates, so those terms vanish once n exceeds it
-                s = mp.mpf(0)
-                binom_lm = mp.mpf(1)
-                for m_idx in range(l + 1):
-                    if m_idx > 0:
-                        binom_lm = binom_lm * (l - m_idx + 1) / m_idx
-                    if m_idx % 2 == 1 and (m_idx + 1) // 2 < n_idx:
-                        continue
-                    s += binom_lm * b_pow[l - m_idx] * gbin(m_idx, n_idx)
-                term = central * running * s
-                acc += term
-                mag = abs(term)
-                if mag > peak_mag:
-                    peak_mag = mag
-                    best_mag = None
-                    best_acc = None
-                    best_idx = l
-                elif best_mag is None or mag < best_mag:
-                    best_mag = mag
-                    best_acc = acc
-                    best_idx = l
-                elif l - best_idx >= 20 and mag > 1e4 * best_mag:
-                    # risen far above the post-peak floor: the sum is
-                    # asymptotic here, so truncate at the floor
-                    floor = float(best_mag)
-                    if floor > 1e-9 * (1 + abs(float(best_acc))):
-                        raise SeriesDivergenceError(
-                            f"residue-series coefficient p={p} floors at "
-                            f"{floor:.1e} for v={v}: barrier strength too "
-                            "close to the rest-mass energy"
-                        )
-                    acc = best_acc
-                    trunc_err = floor
-                    break
-                if mag <= eps * (1 + abs(acc)):
-                    small += 1
-                    if small >= 3:
-                        break
-                else:
-                    small = 0
-                if l - p >= 4 * settings.max_series_terms:
+        def m_sum(row: list, n: int):
+            # sum over m of row[m] * C((m+1)/2, n), the binomials grown by
+            # recurrence as far as they are used
+            while len(gb_rows) < len(row):
+                gb_alpha.append(mp.mpf(len(gb_rows) + 1) / 2)
+                gb_rows.append([mp.mpf(1)])
+            # odd m give an integer upper argument (m+1)/2 that truncates,
+            # so the odd m below 2n - 1 contribute nothing
+            cut = max(2 * n - 1, 0)
+            s = mp.mpf(0)
+            for m in itertools.chain(range(0, min(cut, len(row)), 2), range(cut, len(row))):
+                gbin = gb_rows[m]
+                while len(gbin) <= n:
+                    k = len(gbin)
+                    gbin.append(gbin[-1] * (gb_alpha[m] - (k - 1)) / k)
+                s += row[m] * gbin[n]
+            return s
+
+        def add_term(st: _LSum, l: int, s) -> bool:
+            # add term l of D_p; True once D_p is settled
+            term = st.central * st.running * s
+            st.acc += term
+            mag = abs(term)
+            if mag > st.peak_mag:
+                st.peak_mag = mag
+                st.best_mag = None
+                st.best_acc = None
+                st.best_idx = l
+            elif st.best_mag is None or mag < st.best_mag:
+                st.best_mag = mag
+                st.best_acc = st.acc
+                st.best_idx = l
+            elif l - st.best_idx >= 20 and mag > 1e4 * st.best_mag:
+                # risen far above the post-peak floor: the sum is
+                # asymptotic here, so truncate at the floor
+                floor = float(st.best_mag)
+                if floor > 1e-9 * (1 + abs(float(st.best_acc))):
                     raise SeriesDivergenceError(
-                        f"residue-series coefficient p={p} did not converge for v={v}"
+                        f"residue-series coefficient p={st.p} floors at "
+                        f"{floor:.1e} for v={v}: barrier strength too "
+                        "close to the rest-mass energy"
                     )
-                l += 1
-                central = central * 2 * (2 * l - 1) / l  # comb(2l, l) update
-                running *= a_fac * c_fac
-            coeffs.append(acc)
-            errs.append(trunc_err)
+                st.acc = st.best_acc
+                st.trunc_err = floor
+                return True
+            if mag <= eps * (1 + abs(st.acc)):
+                st.small += 1
+                if st.small >= 3:
+                    return True
+            else:
+                st.small = 0
+            if l - st.p >= 4 * settings.max_series_terms:
+                raise SeriesDivergenceError(
+                    f"residue-series coefficient p={st.p} did not converge for v={v}"
+                )
+            st.central = st.central * 2 * (2 * l + 1) / (l + 1)  # comb(2l, l) update
+            st.running *= ac_fac
+            return False
+
+        # p = 0 first, on its own: near the rest energy it is the coefficient
+        # that fails, and in the sweep below every p <= l would run along
+        # until it did
+        sums = [_LSum(0, a_fac)]
+        l = 0
+        while not add_term(sums[0], l, m_sum(binom_row(l), l)):
+            l += 1
+        # Then one sweep over l for p >= 1.  Row l depends only on (l, m), so
+        # it is built once and every unfinished p adds its term l from it, in
+        # ascending p: each D_p sees the same mpf operations in the same
+        # order as in a loop over p that rebuilds the row, so its bits are the
+        # same.  Only row l is alive: caching every row, or looping p-major
+        # over a window of rows, raises the build's peak memory.
+        failure = None
+        limit = count
+        active: list[_LSum] = []
+        l = 1
+        while l < limit or active:
+            if l < limit:
+                sums.append(_LSum(l, a_fac))
+                active.append(sums[-1])
+            row = binom_row(l)
+            unfinished = []
+            for st in active:
+                try:
+                    if not add_term(st, l, m_sum(row, l - st.p)):
+                        unfinished.append(st)
+                except SeriesDivergenceError as exc:
+                    # the build reports its smallest failing p: drop the
+                    # larger p, and let only a smaller one replace this error
+                    failure, limit = exc, st.p
+                    break
+            active = unfinished
+            l += 1
+        if failure is not None:
+            raise failure
+        coeffs = [st.acc for st in sums]
+        errs = [st.trunc_err for st in sums]
         logs = [float(mp.log10(abs(cf))) if cf != 0 else -math.inf for cf in coeffs]
-    return _FbCoeffs(dps=dps, coeffs=coeffs, log10=logs, errs=errs)
+        floats = [float(cf) for cf in coeffs]
+    return _FbCoeffs(dps=dps, coeffs=coeffs, log10=logs, errs=errs, floats=floats)
 
 
 def _fb_eval(
@@ -350,9 +413,8 @@ def _fb_eval(
     trunc = 0.0
     used = 0
     small = 0
-    floats = [float(cf) for cf in entry.coeffs[:p_stop]]
     for q in range(p_stop):
-        d_q = floats[q]
+        d_q = entry.floats[q]
         if drop_unity and q == 0:
             d_q -= 1.0
         term = d_q * ratio

@@ -201,6 +201,8 @@ class TestConfig:
             ("mu = inf\n", (), "mu must be finite"),
             ("c = nan\n", (), "c must be finite"),
             ("# no keys\n", ("--tol", "inf"), "rel_tol must be finite"),
+            ("max_subdivisions = 1e3\n", (), "max_subdivisions must be an integer, got '1e3'"),
+            ("mu = abc\n", (), "mu must be a number, got 'abc'"),
         ]
         cfg = tmp_path / "bad.cfg"
         for text, argv, named in cases:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import importlib.util
+import json
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +19,7 @@ from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
+    _build_fb_coeffs,
     barrier_factor,
     barrier_free_gap,
     fb_series,
@@ -25,7 +29,25 @@ from reltoa.kernels import (
     momentum_kernel_g,
     region_kernel,
 )
-from reltoa.numerics import hyp0f1_one
+from reltoa.numerics import (
+    DEFAULT_SETTINGS,
+    QuadratureSettings,
+    SeriesDivergenceError,
+    hyp0f1_one,
+)
+
+
+def _load_fb_build_bench():
+    # the script that writes tests/data/fb_coeffs_pin.json defines its digest
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "fb_build_bench.py"
+    spec = importlib.util.spec_from_file_location("fb_build_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FB_BUILD_BENCH = _load_fb_build_bench()
+FB_PINS = json.loads(FB_BUILD_BENCH.PIN_FILE.read_text())["builds"]
 
 
 def fb_triple_sum_oracle(v: float, zeta: float, params: PhysicalParams,
@@ -196,10 +218,45 @@ class TestFbSeries:
         assert barrier_factor(-0.9, 1.0).err < 1e-9
 
     def test_rest_energy_scale_raises(self):
-        from reltoa.numerics import SeriesDivergenceError
-
         with pytest.raises(SeriesDivergenceError):
             fb_series(-0.99, 1.0)
+
+
+class TestFbCoeffBuild:
+    """The coefficient build reproduces its pinned bits and failure messages.
+
+    The pins are sha256 digests of (v, count, dps) builds written by
+    scripts/fb_build_bench.py; the digits of every residue-series value
+    downstream depend on these bits.
+    """
+
+    @pytest.mark.parametrize(
+        "pin", FB_PINS, ids=lambda pin: f"v{pin['v']}-count{pin['count']}-dps{pin['dps']}"
+    )
+    def test_bits_match_pin(self, pin):
+        entry = _build_fb_coeffs(
+            pin["v"], NATURAL_UNITS, pin["count"], pin["dps"], DEFAULT_SETTINGS
+        )
+        assert FB_BUILD_BENCH.digest(entry) == pin["sha256"]
+        assert entry.floats == [float(cf) for cf in entry.coeffs]
+        if pin["v"] == -0.9:
+            # this pin covers the optimal-truncation exit of every coefficient
+            assert all(entry.errs)
+
+    def test_rest_energy_failure_message(self):
+        with pytest.raises(SeriesDivergenceError) as info:
+            _build_fb_coeffs(-0.99, NATURAL_UNITS, 112, 45, DEFAULT_SETTINGS)
+        assert str(info.value) == (
+            "residue-series coefficient p=0 floors at 6.8e-07 for v=-0.99: "
+            "barrier strength too close to the rest-mass energy"
+        )
+
+    def test_failure_names_the_smallest_failing_p(self):
+        # p = 47 runs out of its 4 * 23 l-terms; the larger p still summing
+        # when it does must not be reported instead
+        with pytest.raises(SeriesDivergenceError) as info:
+            _build_fb_coeffs(-0.6, NATURAL_UNITS, 50, 30, QuadratureSettings(max_series_terms=23))
+        assert str(info.value) == "residue-series coefficient p=47 did not converge for v=-0.6"
 
 
 class TestBarrierFactor:
