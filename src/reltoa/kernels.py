@@ -19,6 +19,16 @@ alive, to hold the build's peak memory.
 The zeta series itself cancels like a Bessel function (partial terms reach
 exp(~kappa*zeta) before collapsing to O(1)), so the evaluation escalates to
 arbitrary precision whenever double precision cannot absorb it.
+
+The branch-cut integral of T_B runs an adaptive Laplace quadrature at every
+node of a sine transform, and every one of them bisects [0, 1] along the
+same dyadic tree, so only ~1,000 distinct nodes z occur per barrier
+strength.  The zeta-independent factor h(z) = sqrt(z^2-1)/z * G_B(v0, z) is
+therefore kept in a profile table per (v0, params), filled on first use of
+each node.  h is a pure function of (v0, params, z), so a table entry is the
+float the integrand would compute anyway: values, error estimates and
+adaptive decisions do not depend on which call or thread filled it, and the
+table needs neither a lock nor the quadrature settings in its key.
 """
 
 from __future__ import annotations
@@ -90,6 +100,10 @@ class BarrierSpec:
     b: float
 
     def __post_init__(self) -> None:
+        for name in ("v0", "a", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.a < self.b < 0.0:
             raise ValueError("barrier edges must satisfy a < b < 0")
         if not self.v0 > 0.0:
@@ -121,8 +135,8 @@ def free_factor(
     Strictly decreasing in zeta, -> 1 as zeta -> inf, and diverging like
     2*hbar/(pi*mu*c*zeta) as zeta -> 0+.
     """
-    if zeta <= 0.0:
-        raise ValueError("free_factor requires zeta > 0")
+    if not zeta > 0.0:
+        raise ValueError(f"free_factor requires zeta > 0, got {zeta}")
     decay = params.mu * params.c * zeta / params.hbar
     val, err = integrate_semiinf_exp(_branch_envelope, 1.0, decay, settings)
     return Estimate(1.0 + (2.0 / math.pi) * val, (2.0 / math.pi) * err)
@@ -130,6 +144,12 @@ def free_factor(
 
 def _branch_envelope(z: float) -> float:
     return math.sqrt(z * z - 1.0) / z if z > 1.0 else 0.0
+
+
+def _require_finite_v0(v0: float, name: str) -> None:
+    # before any coefficient build or profile table: a NaN key matches nothing
+    if not math.isfinite(v0):
+        raise ValueError(f"{name} requires a finite v0, got {v0}")
 
 
 def gb_factor(
@@ -482,9 +502,34 @@ def fb_series(
     series is stated for T_B(-V_o, zeta)); passing +V_o flips both sign
     factors and yields the F_B entering T_B(+V_o, zeta).
     """
-    if zeta < 0.0:
-        raise ValueError("fb_series requires zeta >= 0")
+    _require_finite_v0(v0, "fb_series")
+    if not zeta >= 0.0:
+        raise ValueError(f"fb_series requires zeta >= 0, got {zeta}")
     return Estimate(*_fb_eval(v0, zeta, params, settings))
+
+
+class _BranchProfile(dict):
+    """h(z) = sqrt(z^2-1)/z * G_B(v0, z) at every quadrature node met so far.
+
+    Indexing computes and stores h on a miss; a hit is a plain dict lookup,
+    so ``profile.__getitem__`` serves as the integrand itself.
+    """
+
+    __slots__ = ("v0", "params")
+
+    def __init__(self, v0: float, params: PhysicalParams) -> None:
+        super().__init__()
+        self.v0 = v0
+        self.params = params
+
+    def __missing__(self, z: float) -> float:
+        # z >= 1 on every node of the half-line map
+        h = math.sqrt(z * z - 1.0) / z * gb_factor(self.v0, z, self.params)
+        self[z] = h
+        return h
+
+
+_BRANCH_PROFILES: dict[tuple[float, PhysicalParams], _BranchProfile] = {}
 
 
 def branch_integral(
@@ -497,13 +542,14 @@ def branch_integral(
 
         (2/pi) * int_1^inf exp(-mu c |zeta| z / hbar) sqrt(z^2-1)/z G_B(v0, z) dz
     """
+    _require_finite_v0(v0, "branch_integral")
     decay = params.mu * params.c * abs(zeta) / params.hbar
-
-    def integrand(z: float) -> float:
-        # z >= 1 on every node; inline, as this runs millions of times
-        return math.sqrt(z * z - 1.0) / z * gb_factor(v0, z, params)
-
-    val, err = integrate_semiinf_exp(integrand, 1.0, decay, settings)
+    key = (v0, params)
+    profile = _BRANCH_PROFILES.get(key)
+    if profile is None:
+        # setdefault: threads racing here end up sharing one table
+        profile = _BRANCH_PROFILES.setdefault(key, _BranchProfile(v0, params))
+    val, err = integrate_semiinf_exp(profile.__getitem__, 1.0, decay, settings)
     return (2.0 / math.pi) * val, (2.0 / math.pi) * err
 
 
@@ -518,8 +564,9 @@ def barrier_factor(
     v0 is signed exactly as in fb_series; T_B(0, zeta) reduces to the free
     factor.
     """
-    if zeta <= 0.0:
-        raise ValueError("barrier_factor requires zeta > 0")
+    _require_finite_v0(v0, "barrier_factor")
+    if not zeta > 0.0:
+        raise ValueError(f"barrier_factor requires zeta > 0, got {zeta}")
     fb_val, fb_err = _fb_eval(v0, zeta, params, settings)
     br_val, br_err = branch_integral(v0, zeta, params, settings)
     return Estimate(fb_val + br_val, fb_err + br_err)
@@ -538,8 +585,9 @@ def barrier_free_gap(
     accurate down to O(v0) and vanishes identically at v0 = 0.  This is
     what the arrival-time difference integrates against.
     """
-    if zeta <= 0.0:
-        raise ValueError("barrier_free_gap requires zeta > 0")
+    _require_finite_v0(v0, "barrier_free_gap")
+    if not zeta > 0.0:
+        raise ValueError(f"barrier_free_gap requires zeta > 0, got {zeta}")
     series_part, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
     decay = params.mu * params.c * zeta / params.hbar
 
@@ -573,8 +621,8 @@ def region_kernel(
     """
     if region not in _REGIONS:
         raise ValueError(f"region must be one of {_REGIONS}")
-    if zeta <= 0.0:
-        raise ValueError("region_kernel requires zeta > 0")
+    if not zeta > 0.0:
+        raise ValueError(f"region_kernel requires zeta > 0, got {zeta}")
     tf = free_factor(zeta, params, settings)
     if region == "I":
         return Estimate(0.5 * eta * tf.value, 0.5 * abs(eta) * tf.err)
@@ -641,8 +689,8 @@ def momentum_kernel_g(
     """
     if j < 0 or k < 0:
         raise ValueError("momentum_kernel_g requires j >= 0 and k >= 0")
-    if zeta <= 0.0:
-        raise ValueError("momentum_kernel_g requires zeta > 0")
+    if not zeta > 0.0:
+        raise ValueError(f"momentum_kernel_g requires zeta > 0, got {zeta}")
     if k % 2 == 1:
         return 0.0
     decay = params.mu * params.c * zeta / params.hbar

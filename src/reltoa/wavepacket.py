@@ -24,6 +24,10 @@ class GaussianPacket:
     k0: float
 
     def __post_init__(self) -> None:
+        for name in ("q0", "sigma", "k0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
         if not self.k0 > 0.0:

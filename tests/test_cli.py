@@ -146,6 +146,18 @@ class TestKernelDump:
             assert float(r["t_barrier_minus (dimensionless)"]) == pytest.approx(tf, rel=1e-9)
             assert float(r["t_barrier_plus (dimensionless)"]) == pytest.approx(tf, rel=1e-9)
 
+    def test_non_finite_arguments_exit_1(self, capsys):
+        # rejected as bad input before any coefficient build or CSV row
+        for argv, named in [
+            (("--vo", "nan"), "requires a finite v0, got nan"),
+            (("--vo", "0.1", "--zeta-min", "nan", "--grid", "2"), "requires zeta > 0, got nan"),
+        ]:
+            code = main(["kernel", *argv])
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            assert named in captured.err, (argv, captured.err)
+            assert captured.out == "", argv
+
 
 class TestPoint:
     def test_reference_configuration(self, capsys):

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import cmath
+import concurrent.futures
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import random
+import subprocess
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -15,12 +21,14 @@ import scipy.integrate
 from hypothesis import given, strategies as st
 
 from conftest import branch_integral_oracle
+from reltoa import kernels
 from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
     _build_fb_coeffs,
     barrier_factor,
+    branch_integral,
     barrier_free_gap,
     fb_series,
     free_factor,
@@ -48,6 +56,7 @@ def _load_fb_build_bench():
 
 FB_BUILD_BENCH = _load_fb_build_bench()
 FB_PINS = json.loads(FB_BUILD_BENCH.PIN_FILE.read_text())["builds"]
+BRANCH_PIN = json.loads(FB_BUILD_BENCH.BRANCH_PIN_FILE.read_text())
 
 
 def fb_triple_sum_oracle(v: float, zeta: float, params: PhysicalParams,
@@ -259,6 +268,126 @@ class TestFbCoeffBuild:
         assert str(info.value) == "residue-series coefficient p=47 did not converge for v=-0.6"
 
 
+class TestBranchProfile:
+    """The branch-cut integral reads G_B from a per-strength profile table.
+
+    The table may only change how often G_B is evaluated: the pin holds the
+    bits of every (value, err) as they were before the table existed.
+    """
+
+    def test_bits_match_pin_in_reversed_order(self):
+        # a fresh process, so the grid fills the tables in reverse
+        code = (
+            "import importlib.util, json, sys\n"
+            "spec = importlib.util.spec_from_file_location('fb_build_bench', sys.argv[1])\n"
+            "bench = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(bench)\n"
+            "pin = json.loads(bench.BRANCH_PIN_FILE.read_text())\n"
+            "grid = [(v0, zeta) for v0 in pin['v0'] for zeta in pin['zeta']]\n"
+            "print(bench.branch_digest(pin, bench.branch_values(grid[::-1])))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(FB_BUILD_BENCH.__file__)],
+            capture_output=True, check=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert len(BRANCH_PIN["v0"]) == 6 and len(BRANCH_PIN["zeta"]) == 40
+        assert out.stdout.strip() == BRANCH_PIN["sha256"]
+
+    def test_table_holds_the_integrand_and_spares_g_b(self, monkeypatch):
+        v0 = 0.27
+        kernels._BRANCH_PROFILES.pop((v0, NATURAL_UNITS), None)
+        first = branch_integral(v0, 2.0, NATURAL_UNITS, DEFAULT_SETTINGS)
+        table = kernels._BRANCH_PROFILES[(v0, NATURAL_UNITS)]
+        assert table
+        for z, h in table.items():
+            assert h == math.sqrt(z * z - 1.0) / z * gb_factor(v0, z)
+        calls = []
+        original = kernels.gb_factor
+        monkeypatch.setattr(
+            kernels, "gb_factor", lambda *args: calls.append(args) or original(*args)
+        )
+        size = len(table)
+        assert branch_integral(v0, 2.0, NATURAL_UNITS, DEFAULT_SETTINGS) == first
+        assert calls == [] and len(table) == size
+
+    def test_concurrent_threads_match_serial_bits(self):
+        grid = [(v0, 0.25 * i) for v0 in (-0.3, 0.3) for i in range(1, 37)]
+        units = (NATURAL_UNITS.mu, NATURAL_UNITS.c, NATURAL_UNITS.hbar)
+
+        def forget(coefficients: bool):
+            # empty the profile tables and, if asked, the coefficient cache
+            for v0 in (-0.3, 0.3):
+                kernels._BRANCH_PROFILES.pop((v0, NATURAL_UNITS), None)
+                if coefficients:
+                    kernels._FB_CACHE.pop((v0, *units), None)
+
+        def bits(est):
+            return est.value.hex(), est.err.hex()
+
+        forget(coefficients=True)
+        serial = {point: bits(barrier_factor(*point)) for point in grid}
+
+        def sweep(seed, start):
+            order = grid[:]
+            random.Random(seed).shuffle(order)
+            start.wait()
+            return {point: bits(barrier_factor(*point)) for point in order}
+
+        # four threads, switched often, race on the coefficient build in the
+        # first round and on filling the empty tables in every round
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                for rnd in range(8):
+                    forget(coefficients=rnd == 0)
+                    start = threading.Barrier(4, timeout=60)
+                    futures = [pool.submit(sweep, 4 * rnd + i, start) for i in range(4)]
+                    for future in futures:
+                        assert future.result(timeout=120) == serial, rnd
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestKernelArguments:
+    def test_nan_zeta_raises(self):
+        barrier = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
+        calls = {
+            "free_factor": lambda: free_factor(math.nan),
+            "barrier_factor": lambda: barrier_factor(0.1, math.nan),
+            "fb_series": lambda: fb_series(0.1, math.nan),
+            "barrier_free_gap": lambda: barrier_free_gap(0.1, math.nan),
+            "region_kernel": lambda: region_kernel("III", -3.0, math.nan, barrier),
+            "momentum_kernel_g": lambda: momentum_kernel_g(0, 0, math.nan),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"^{name} requires zeta"):
+                call()
+
+    def test_non_finite_v0_raises_before_any_build(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("coefficient build started")
+
+        monkeypatch.setattr(kernels, "_build_fb_coeffs", no_build)
+        tables = set(kernels._BRANCH_PROFILES)
+        calls = {
+            "barrier_factor": lambda v0: barrier_factor(v0, 1.0),
+            "fb_series": lambda v0: fb_series(v0, 1.0),
+            "branch_integral": lambda v0: branch_integral(
+                v0, 1.0, NATURAL_UNITS, DEFAULT_SETTINGS
+            ),
+            "barrier_free_gap": lambda v0: barrier_free_gap(v0, 1.0),
+        }
+        for v0 in (math.nan, math.inf, -math.inf):
+            for name, call in calls.items():
+                with pytest.raises(ValueError, match=f"^{name} requires a finite v0"):
+                    call(v0)
+        assert set(kernels._BRANCH_PROFILES) == tables
+
+
 class TestBarrierFactor:
     def test_zero_height_recovers_free(self):
         for zeta in (0.1, 1.0, 10.0):
@@ -389,6 +518,11 @@ class TestBarrierSpec:
             BarrierSpec(v0=0.3, a=-2.0, b=1.0)
         with pytest.raises(ValueError):
             BarrierSpec(v0=-0.1, a=-2.0, b=-1.0)
+        for field, bad in [("v0", math.inf), ("a", -math.inf), ("a", math.nan),
+                           ("b", math.nan)]:
+            fields = {"v0": 0.3, "a": -2.0, "b": -1.0, field: bad}
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                BarrierSpec(**fields)
 
     def test_length_positive(self):
         barrier = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)

@@ -102,6 +102,11 @@ class TestPacketValidation:
             GaussianPacket(q0=-5.0, sigma=0.0, k0=1.0)
         with pytest.raises(ValueError):
             GaussianPacket(q0=-5.0, sigma=1.0, k0=-2.0)
+        for field, bad in [("q0", -math.inf), ("q0", math.nan), ("sigma", math.inf),
+                           ("k0", math.inf), ("k0", math.nan)]:
+            fields = {"q0": -50.0, "sigma": 0.5, "k0": 2.0, field: bad}
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                GaussianPacket(**fields)
 
     def test_support_check(self):
         packet = GaussianPacket(q0=-1.0, sigma=1.0, k0=1.0)
