@@ -1,0 +1,51 @@
+#!/usr/bin/env python3
+"""Print the sha256 of the stdout of eight reference CLI commands.
+
+Each command runs in a fresh ``python -m reltoa.cli`` process against the
+library in this checkout's src/, because a cached coefficient entry's digits
+depend on the requests that built it.  The digests are what CHANGES.md
+records when a change claims byte-identical output; compare them by eye or
+with diff.  Run from anywhere:
+
+    python scripts/cli_digests.py
+
+Cold, the whole set takes a few minutes on a 2-core host (table2 and the
+wide kernel dump are the slow ones).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+COMMANDS = (
+    "table1",
+    "table2",
+    "scan --vo 0.99 --sigma 6 --ko-min 0.1 --ko-max 6 --steps 120",
+    "kernel --vo 0.3",
+    "kernel --vo 0.1 --zeta-min 1 --zeta-max 160 --grid 160",
+    "density --vo 0.99 --sigma 4 --ko 1.3 --grid 400",
+    "point --vo 0.2 --sigma 0.5 --ko 2 --barrier-a -21 --barrier-b -20",
+    "limits",
+)
+
+
+def main() -> int:
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    for command in COMMANDS:
+        out = subprocess.run(
+            [sys.executable, "-m", "reltoa.cli", *command.split()],
+            capture_output=True, check=True, env=env,
+        ).stdout
+        print(f"{hashlib.sha256(out).hexdigest()}  {command}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,9 @@ computed by three independent routes that must agree,
   * direct   - oscillatory sine transform of T_B(-V_o, zeta) Phi(zeta),
   * series   - term-by-term Gaussian sine moments of the residue series
                plus the sine transform of the kernel's branch-cut term,
+               taken as one z-integral of the G_B profile against the
+               closed-form (Faddeeva) sine transform of
+               Phi(zeta) exp(-mu c z zeta / hbar),
   * momentum - the closed half-line momentum integrals above kappa_c.
 
 Only imaginary parts (sine transforms) are ever formed; the real parts
@@ -27,15 +30,17 @@ from reltoa.kernels import (
     PhysicalParams,
     barrier_factor,
     barrier_free_gap,
-    branch_integral,
+    branch_profile,
     fb_coeffs,
-    free_factor,
 )
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
+    FADDEEVA_IM_REL_ERR,
     Estimate,
     QuadratureSettings,
     SeriesDivergenceError,
+    faddeeva,
+    integrate_semiinf_exp,
     integrate_sqrt_endpoint,
     sine_transform_decaying,
 )
@@ -104,6 +109,28 @@ def ior_direct(
     return Estimate(scale * val, scale * err)
 
 
+def _laplace_sine(
+    packet: GaussianPacket,
+    params: PhysicalParams,
+) -> Callable[[float], float]:
+    """J(z) = int_0^inf sin(k0 zeta) Phi(zeta) exp(-mu c z zeta / hbar) dzeta.
+
+    With Phi = exp(-a zeta^2), a = 1/(8 sigma^2), this closes to
+    Im[(1/2) sqrt(pi/a) w((k0 + i mu c z / hbar) / (2 sqrt(a)))], w the
+    Faddeeva function.  J > 0 for every z >= 0: a decreasing weight under
+    sin(k0 zeta) leaves each positive half-period ahead of the next.
+    """
+    root = math.sqrt(2.0) * packet.sigma  # 1/(2 sqrt(a))
+    pref = math.sqrt(2.0 * math.pi) * packet.sigma  # (1/2) sqrt(pi/a)
+    re_arg = packet.k0 * root
+    im_scale = params.mu * params.c / params.hbar * root
+
+    def j(z: float) -> float:
+        return pref * faddeeva(complex(re_arg, im_scale * z)).imag
+
+    return j
+
+
 def _branch_transform(
     packet: GaussianPacket,
     v0: float,
@@ -111,17 +138,16 @@ def _branch_transform(
     settings: QuadratureSettings,
 ) -> tuple[float, float]:
     # sine transform of the branch-cut term of T_B(-v0, zeta) times Phi,
-    # which the series route adds to its residue moments; G_B is even in v0
-    scale = params.mu * params.c / params.hbar
-
-    def integrand(zeta: float) -> float:
-        phi = phi_overlap(packet, zeta)
-        if phi < 1e-3 * settings.abs_tol * scale * zeta:
-            return 0.0
-        br, _ = branch_integral(v0, zeta, params, settings)
-        return br * phi
-
-    return sine_transform_decaying(integrand, packet.k0, settings)
+    # which the series route adds to its residue moments, with the zeta
+    # integral taken first in closed form: (2/pi) int_1^inf h(z) J(z) dz.
+    # G_B is even in v0, and the decay-0 map visits the nodes of every
+    # branch_integral, so h comes from the same profile table.  h >= 0 and
+    # J > 0, so the Faddeeva error is at most its relative bound times |val|.
+    h = branch_profile(v0, params)
+    j = _laplace_sine(packet, params)
+    val, err = integrate_semiinf_exp(lambda z: h[z] * j(z), 1.0, 0.0, settings)
+    err += FADDEEVA_IM_REL_ERR * abs(val)
+    return (2.0 / math.pi) * val, (2.0 / math.pi) * err
 
 
 def _gaussian_sine_moments(
@@ -302,12 +328,15 @@ def qc_expectation(
 
     Q_c = k0 * int_0^inf sin(k0 zeta) T_F(zeta) Phi(zeta) dzeta; tends to
     sqrt(1 + (hbar k0)^2/(mu c)^2) for packets wide in position.  There is
-    no barrier dependence by construction.
+    no barrier dependence by construction.  With T_F's branch integral
+    taken outermost this is k0 [J(0) + (2/pi) int_1^inf sqrt(z^2-1)/z J(z) dz],
+    J the closed-form sine transform of _laplace_sine.
     """
-    val, _err = _phi_transform(
-        lambda zeta: free_factor(zeta, params, settings).value, packet, params, settings
+    j = _laplace_sine(packet, params)
+    val, _err = integrate_semiinf_exp(
+        lambda z: math.sqrt(z * z - 1.0) / z * j(z), 1.0, 0.0, settings
     )
-    return packet.k0 * val
+    return packet.k0 * (j(0.0) + (2.0 / math.pi) * val)
 
 
 def traversal_time(

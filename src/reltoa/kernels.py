@@ -21,14 +21,17 @@ exp(~kappa*zeta) before collapsing to O(1)), so the evaluation escalates to
 arbitrary precision whenever double precision cannot absorb it.
 
 The branch-cut integral of T_B runs an adaptive Laplace quadrature at every
-node of a sine transform, and every one of them bisects [0, 1] along the
-same dyadic tree, so only ~1,000 distinct nodes z occur per barrier
-strength.  The zeta-independent factor h(z) = sqrt(z^2-1)/z * G_B(v0, z) is
-therefore kept in a profile table per (v0, params), filled on first use of
-each node.  h is a pure function of (v0, params, z), so a table entry is the
-float the integrand would compute anyway: values, error estimates and
-adaptive decisions do not depend on which call or thread filled it, and the
-table needs neither a lock nor the quadrature settings in its key.
+node of the direct route's sine transform, and every one of them bisects
+[0, 1] along the same dyadic tree, so only ~1,000 distinct nodes z occur per
+barrier strength.  The zeta-independent factor h(z) = sqrt(z^2-1)/z *
+G_B(v0, z) is therefore kept in a profile table per (v0, params), filled on
+first use of each node.  The series route reads the same table
+(branch_profile) at the nodes of its single outer z-integral, whose decay-0
+map bisects the same tree.  h is a pure function of (v0, params, z), so a
+table entry is the float the integrand would compute anyway: values, error
+estimates and adaptive decisions do not depend on which call or thread
+filled it, and the table needs neither a lock nor the quadrature settings
+in its key.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def free_factor(
     Strictly decreasing in zeta, -> 1 as zeta -> inf, and diverging like
     2*hbar/(pi*mu*c*zeta) as zeta -> 0+.
     """
-    if not zeta > 0.0:
+    if not 0.0 < zeta < math.inf:
         raise ValueError(f"free_factor requires zeta > 0, got {zeta}")
     decay = params.mu * params.c * zeta / params.hbar
     val, err = integrate_semiinf_exp(_branch_envelope, 1.0, decay, settings)
@@ -503,7 +506,7 @@ def fb_series(
     factors and yields the F_B entering T_B(+V_o, zeta).
     """
     _require_finite_v0(v0, "fb_series")
-    if not zeta >= 0.0:
+    if not 0.0 <= zeta < math.inf:
         raise ValueError(f"fb_series requires zeta >= 0, got {zeta}")
     return Estimate(*_fb_eval(v0, zeta, params, settings))
 
@@ -532,6 +535,17 @@ class _BranchProfile(dict):
 _BRANCH_PROFILES: dict[tuple[float, PhysicalParams], _BranchProfile] = {}
 
 
+def branch_profile(v0: float, params: PhysicalParams) -> _BranchProfile:
+    """The shared table of h(z) = sqrt(z^2-1)/z * G_B(v0, z); index it by z >= 1."""
+    _require_finite_v0(v0, "branch_profile")
+    key = (v0, params)
+    profile = _BRANCH_PROFILES.get(key)
+    if profile is None:
+        # setdefault: threads racing here end up sharing one table
+        profile = _BRANCH_PROFILES.setdefault(key, _BranchProfile(v0, params))
+    return profile
+
+
 def branch_integral(
     v0: float,
     zeta: float,
@@ -544,11 +558,7 @@ def branch_integral(
     """
     _require_finite_v0(v0, "branch_integral")
     decay = params.mu * params.c * abs(zeta) / params.hbar
-    key = (v0, params)
-    profile = _BRANCH_PROFILES.get(key)
-    if profile is None:
-        # setdefault: threads racing here end up sharing one table
-        profile = _BRANCH_PROFILES.setdefault(key, _BranchProfile(v0, params))
+    profile = branch_profile(v0, params)
     val, err = integrate_semiinf_exp(profile.__getitem__, 1.0, decay, settings)
     return (2.0 / math.pi) * val, (2.0 / math.pi) * err
 
@@ -565,7 +575,7 @@ def barrier_factor(
     factor.
     """
     _require_finite_v0(v0, "barrier_factor")
-    if not zeta > 0.0:
+    if not 0.0 < zeta < math.inf:
         raise ValueError(f"barrier_factor requires zeta > 0, got {zeta}")
     fb_val, fb_err = _fb_eval(v0, zeta, params, settings)
     br_val, br_err = branch_integral(v0, zeta, params, settings)
@@ -586,7 +596,7 @@ def barrier_free_gap(
     what the arrival-time difference integrates against.
     """
     _require_finite_v0(v0, "barrier_free_gap")
-    if not zeta > 0.0:
+    if not 0.0 < zeta < math.inf:
         raise ValueError(f"barrier_free_gap requires zeta > 0, got {zeta}")
     series_part, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
     decay = params.mu * params.c * zeta / params.hbar
@@ -621,7 +631,7 @@ def region_kernel(
     """
     if region not in _REGIONS:
         raise ValueError(f"region must be one of {_REGIONS}")
-    if not zeta > 0.0:
+    if not 0.0 < zeta < math.inf:
         raise ValueError(f"region_kernel requires zeta > 0, got {zeta}")
     tf = free_factor(zeta, params, settings)
     if region == "I":
@@ -689,7 +699,7 @@ def momentum_kernel_g(
     """
     if j < 0 or k < 0:
         raise ValueError("momentum_kernel_g requires j >= 0 and k >= 0")
-    if not zeta > 0.0:
+    if not 0.0 < zeta < math.inf:
         raise ValueError(f"momentum_kernel_g requires zeta > 0, got {zeta}")
     if k % 2 == 1:
         return 0.0

@@ -151,6 +151,7 @@ class TestKernelDump:
         for argv, named in [
             (("--vo", "nan"), "requires a finite v0, got nan"),
             (("--vo", "0.1", "--zeta-min", "nan", "--grid", "2"), "requires zeta > 0, got nan"),
+            (("--vo", "0.1", "--zeta-max", "inf", "--grid", "2"), "requires zeta > 0, got"),
         ]:
             code = main(["kernel", *argv])
             captured = capsys.readouterr()

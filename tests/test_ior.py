@@ -8,12 +8,20 @@ import pytest
 import scipy.integrate
 
 from reltoa.classical import kappa_c, qc_asymptotic, tau_top
-from reltoa.kernels import BarrierSpec, barrier_free_gap
-from reltoa.numerics import SeriesDivergenceError, integrate_sqrt_endpoint
-from reltoa.wavepacket import GaussianPacket, momentum_density
+from reltoa.kernels import NATURAL_UNITS, BarrierSpec, branch_integral, free_factor
+from reltoa.numerics import (
+    DEFAULT_SETTINGS,
+    QuadratureSettings,
+    SeriesDivergenceError,
+    integrate_sqrt_endpoint,
+    sine_transform_decaying,
+)
+from reltoa.wavepacket import GaussianPacket, momentum_density, phi_overlap
 from reltoa.ior import (
     Luminality,
+    _branch_transform,
     _density_seeds,
+    _phi_transform,
     ior_direct,
     ior_momentum,
     ior_series,
@@ -40,6 +48,32 @@ def tau_plus_consistency(packet: GaussianPacket, barrier: BarrierSpec) -> tuple[
 
     avg, _err = integrate_sqrt_endpoint(f, kc, seeds=_density_seeds(packet, kc))
     return barrier.length * plus, avg  # t_c = L / c with c = 1
+
+
+def nested_branch_transform(packet: GaussianPacket, v0: float) -> tuple[float, float]:
+    """Series-route branch transform with zeta outermost (natural units).
+
+    int_0^inf sin(k0 zeta) Phi(zeta) [branch-cut term of T_B(v0, zeta)]
+    dzeta, one adaptive Laplace integral per sine-transform node.
+    """
+    cut = 1e-3 * DEFAULT_SETTINGS.abs_tol
+
+    def integrand(zeta: float) -> float:
+        phi = phi_overlap(packet, zeta)
+        if phi < cut * zeta:
+            return 0.0
+        br, _ = branch_integral(v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+        return br * phi
+
+    return sine_transform_decaying(integrand, packet.k0, DEFAULT_SETTINGS)
+
+
+def nested_qc(packet: GaussianPacket) -> tuple[float, float]:
+    """Q_c and its error as k0 times the sine transform of T_F Phi, zeta outermost."""
+    val, err = _phi_transform(
+        lambda zeta: free_factor(zeta).value, packet, NATURAL_UNITS, DEFAULT_SETTINGS
+    )
+    return packet.k0 * val, packet.k0 * err
 
 
 def narrow(k0: float) -> GaussianPacket:
@@ -75,6 +109,25 @@ class TestIorSeries:
     def test_wide_packet_diverges(self):
         with pytest.raises(SeriesDivergenceError):
             ior_series(wide(0.19), 0.3)
+
+    @pytest.mark.parametrize("k0", [0.15, 2.0, 5.0])
+    @pytest.mark.parametrize("v0", [0.3, 0.6])
+    def test_branch_transform_matches_nested_oracle(self, k0, v0):
+        swapped, swapped_err = _branch_transform(narrow(k0), v0, NATURAL_UNITS, DEFAULT_SETTINGS)
+        nested, nested_err = nested_branch_transform(narrow(k0), v0)
+        gap = abs(swapped - nested)
+        assert gap <= swapped_err + nested_err
+        assert gap <= 5e-12
+
+    def test_error_bar_covers_tight_run(self):
+        # the reported err bounds the distance to a run at much tighter
+        # tolerances, on the benchmark's Table 1 rows and the v0 = 0.5, 0.6 rows
+        tight = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16)
+        rows = [(k0, 0.3) for k0 in (2.0, 0.9, 3.0, 5.0, 0.15, 0.2, 0.25)]
+        for k0, v0 in rows + [(2.0, 0.5), (2.0, 0.6)]:
+            res = ior_series(narrow(k0), v0)
+            ref = ior_series(narrow(k0), v0, settings=tight)
+            assert abs(res.value - ref.value) <= res.err, (k0, v0)
 
 
 class TestIorMomentum:
@@ -117,6 +170,13 @@ class TestQcExpectation:
         packet = GaussianPacket(q0=-600.0, sigma=12.0, k0=0.5)
         assert qc_expectation(packet) == pytest.approx(math.sqrt(1.25), rel=1e-2)
         # no barrier argument exists: barrier independence holds by signature
+
+    def test_matches_nested_oracle(self):
+        packet = GaussianPacket(q0=-300.0, sigma=6.0, k0=2.0)
+        nested, nested_err = nested_qc(packet)
+        gap = abs(qc_expectation(packet) - nested)
+        assert gap <= nested_err
+        assert gap <= 5e-12
 
 
 class TestTraversalTime:

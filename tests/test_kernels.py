@@ -356,16 +356,19 @@ class TestKernelArguments:
     def test_nan_zeta_raises(self):
         barrier = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
         calls = {
-            "free_factor": lambda: free_factor(math.nan),
-            "barrier_factor": lambda: barrier_factor(0.1, math.nan),
-            "fb_series": lambda: fb_series(0.1, math.nan),
-            "barrier_free_gap": lambda: barrier_free_gap(0.1, math.nan),
-            "region_kernel": lambda: region_kernel("III", -3.0, math.nan, barrier),
-            "momentum_kernel_g": lambda: momentum_kernel_g(0, 0, math.nan),
+            "free_factor": lambda zeta: free_factor(zeta),
+            "barrier_factor": lambda zeta: barrier_factor(0.3, zeta),
+            "fb_series": lambda zeta: fb_series(-0.3, zeta),
+            "barrier_free_gap": lambda zeta: barrier_free_gap(0.3, zeta),
+            "region_kernel": lambda zeta: region_kernel("III", -3.0, zeta, barrier),
+            "momentum_kernel_g": lambda zeta: momentum_kernel_g(0, 0, zeta),
         }
-        for name, call in calls.items():
-            with pytest.raises(ValueError, match=f"^{name} requires zeta"):
-                call()
+        # an infinite zeta must raise too: past the guard, the residue
+        # series would run toward its term cap before failing
+        for zeta in (math.nan, math.inf, -math.inf):
+            for name, call in calls.items():
+                with pytest.raises(ValueError, match=f"^{name} requires zeta"):
+                    call(zeta)
 
     def test_non_finite_v0_raises_before_any_build(self, monkeypatch):
         def no_build(*args):

@@ -14,9 +14,11 @@ from hypothesis import given, strategies as st
 from conftest import branch_integral_oracle, sine_integral_oracle
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
+    FADDEEVA_IM_REL_ERR,
     QuadratureError,
     QuadratureSettings,
     csgn,
+    faddeeva,
     gen_binomial,
     hyp0f1_one,
     hyp2f1_integral,
@@ -101,6 +103,45 @@ class TestHyp2f1:
             hyp2f1_integral(1.0, 2.0, 1.5, -1.0)  # c <= b
         with pytest.raises(ValueError):
             hyp2f1_integral(1.0, 0.5, 2.0, 0.5)  # z > 0
+
+
+def faddeeva_oracle(z: complex) -> complex:
+    """w(z) = exp(-z^2) erfc(-i z) in 30-digit arithmetic."""
+    with mp.workdps(30):
+        x = mp.mpc(z.real, z.imag)
+        return complex(mp.exp(-x * x) * mp.erfc(-1j * x))
+
+
+class TestFaddeeva:
+    # every (sigma, k0) whose Q_c or series branch transform the CLI or the
+    # tests form; the argument is (k0 + i z) sqrt(2) sigma in natural units
+    SIGMAS = (0.5, 6.0, 9.0, 12.0)
+    K0S = (0.15, 0.19, 0.2, 0.25, 0.5, 0.9, 2.0, 3.0, 5.0)
+
+    def test_im_matches_mpmath_on_the_packet_arguments(self):
+        zs = [0.0] + [float(z) for z in np.geomspace(1.0, 1e6, 25)]
+        worst = 0.0
+        for sigma in self.SIGMAS:
+            root = math.sqrt(2.0) * sigma
+            for k0 in self.K0S:
+                for z in zs:
+                    x = complex(k0 * root, z * root)
+                    ref = faddeeva_oracle(x).imag
+                    worst = max(worst, abs(faddeeva(x).imag - ref) / abs(ref))
+        assert worst <= FADDEEVA_IM_REL_ERR
+
+    def test_asymptotic_region(self):
+        # |z| >> 1, where w ~ i/(sqrt(pi) z) and Im w is the small part
+        for re in (0.05, 1.0, 30.0, 100.0):
+            for im in (1e2, 1e4, 1e6, 1e8):
+                x = complex(re, im)
+                ref = faddeeva_oracle(x)
+                assert abs(faddeeva(x).imag - ref.imag) <= FADDEEVA_IM_REL_ERR * abs(ref.imag)
+                assert abs(faddeeva(x) - ref) <= FADDEEVA_IM_REL_ERR * abs(ref)
+
+    def test_lower_half_plane_rejected(self):
+        with pytest.raises(ValueError, match="Im z >= 0"):
+            faddeeva(complex(1.0, -1e-3))
 
 
 class TestCsgn:
