@@ -164,6 +164,22 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list[str]]) -> None:
             fh.close()
 
 
+def _grid(
+    command: str, count_flag: str, count: int, lo_flag: str, lo: float, hi_flag: str, hi: float
+) -> list[float]:
+    """count evenly spaced points from lo to hi, checked against their flags.
+
+    A non-finite bound is rejected here: np.linspace would turn it into NaN
+    nodes, and the error would then name a value the user never gave.
+    """
+    if count < 2:
+        raise ValueError(f"{command} needs {count_flag} >= 2")
+    for flag, value in ((lo_flag, lo), (hi_flag, hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    return [float(x) for x in np.linspace(lo, hi, count)]
+
+
 def _packet(sigma: float, k0: float, q0: float | None = None) -> GaussianPacket:
     # a far-left center keeps the no-leakage warning silent for scans
     center = q0 if q0 is not None else -max(50.0, 40.0 * sigma)
@@ -229,8 +245,9 @@ def cmd_table2(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise ValueError("scan needs steps >= 2")
+    k0_grid = _grid(
+        "scan", "steps", args.steps, "--ko-min", args.ko_min, "--ko-max", args.ko_max
+    )
     kc = kappa_c(args.vo, cfg.params)
     sigma_k = 0.5 / args.sigma
     header = [
@@ -242,12 +259,12 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
         "classification",
     ]
     rows = []
-    for k0 in np.linspace(args.ko_min, args.ko_max, args.steps):
-        packet = _packet(args.sigma, float(k0))
+    for k0 in k0_grid:
+        packet = _packet(args.sigma, k0)
         res = ior_momentum(packet, args.vo, cfg.params, cfg.settings)
         rows.append(
             [
-                fmt(float(k0)),
+                fmt(k0),
                 fmt(res.value),
                 fmt(res.err),
                 fmt(kc),
@@ -260,14 +277,13 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_density(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.grid < 2:
-        raise ValueError("density needs grid >= 2")
     kc = kappa_c(args.vo, cfg.params)
     packet = _packet(args.sigma, args.ko)
     k_lo = args.k_min if args.k_min is not None else 0.0
     k_hi = args.k_max if args.k_max is not None else max(
         args.ko + 6.0 / (2.0 * args.sigma), 1.2 * kc
     )
+    k_grid = _grid("density", "grid", args.grid, "--k-min", k_lo, "--k-max", k_hi)
     header = [
         "k (1/length)",
         "density_plus (length)",
@@ -275,12 +291,12 @@ def cmd_density(cfg: RunConfig, args: argparse.Namespace) -> int:
         "kappa_c (1/length)",
     ]
     rows = []
-    for k in np.linspace(k_lo, k_hi, args.grid):
+    for k in k_grid:
         rows.append(
             [
-                fmt(float(k)),
-                fmt(momentum_density(packet, float(k), +1)),
-                fmt(momentum_density(packet, float(k), -1)),
+                fmt(k),
+                fmt(momentum_density(packet, k, +1)),
+                fmt(momentum_density(packet, k, -1)),
                 fmt(kc),
             ]
         )
@@ -289,8 +305,9 @@ def cmd_density(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.grid < 2:
-        raise ValueError("kernel needs grid >= 2")
+    zeta_grid = _grid(
+        "kernel", "grid", args.grid, "--zeta-min", args.zeta_min, "--zeta-max", args.zeta_max
+    )
     header = [
         "zeta (length)",
         "t_free (dimensionless)",
@@ -301,8 +318,7 @@ def cmd_kernel(cfg: RunConfig, args: argparse.Namespace) -> int:
         "t_barrier_plus_err (dimensionless)",
     ]
     rows = []
-    for zeta in np.linspace(args.zeta_min, args.zeta_max, args.grid):
-        z = float(zeta)
+    for z in zeta_grid:
         tf = free_factor(z, cfg.params, cfg.settings)
         tm = barrier_factor(-args.vo, z, cfg.params, cfg.settings)
         tp = barrier_factor(+args.vo, z, cfg.params, cfg.settings)

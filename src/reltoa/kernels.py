@@ -24,18 +24,23 @@ The branch-cut integral of T_B runs an adaptive Laplace quadrature at every
 node of the direct route's sine transform, and every one of them bisects
 [0, 1] along the same dyadic tree, so only ~1,000 distinct nodes z occur per
 barrier strength.  The zeta-independent factor h(z) = sqrt(z^2-1)/z *
-G_B(v0, z) is therefore kept in a profile table per (v0, params), filled on
-first use of each node.  The series route reads the same table
-(branch_profile) at the nodes of its single outer z-integral, whose decay-0
-map bisects the same tree.  h is a pure function of (v0, params, z), so a
-table entry is the float the integrand would compute anyway: values, error
-estimates and adaptive decisions do not depend on which call or thread
-filled it, and the table needs neither a lock nor the quadrature settings
-in its key.
+G_B(v0, z) is therefore kept in a numerics.HalfLineTable per (v0, params),
+filled on first use of each node, together with each G7/K15 segment's nodes
+as (z, h(z), (1-t)^2); integrate_half_line then computes only
+exp(-decay * z) and the weighted sums per integral.  T_F's envelope
+sqrt(z^2-1)/z has one such table, and the T_F - T_B gap's envelope times
+(1 - G_B) one per (v0, params).  The series route reads the profile table
+(branch_profile) by z at the nodes of its single outer z-integral, whose
+decay-0 map bisects the same tree.  Every entry is a pure function of
+(v0, params, z), so a table entry is the float the integrand would compute
+anyway: values, error estimates and adaptive decisions do not depend on
+which call or thread filled it, and the tables need neither a lock nor the
+quadrature settings in their keys.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,9 +51,11 @@ from reltoa.numerics import (
     DEFAULT_SETTINGS,
     MP_LOCK,
     Estimate,
+    HalfLineTable,
     QuadratureSettings,
     SeriesDivergenceError,
     gen_binomial,
+    integrate_half_line,
     integrate_semiinf_exp,
 )
 
@@ -141,12 +148,16 @@ def free_factor(
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"free_factor requires zeta > 0, got {zeta}")
     decay = params.mu * params.c * zeta / params.hbar
-    val, err = integrate_semiinf_exp(_branch_envelope, 1.0, decay, settings)
+    val, err = integrate_half_line(_FREE_TABLE, decay, settings)
     return Estimate(1.0 + (2.0 / math.pi) * val, (2.0 / math.pi) * err)
 
 
 def _branch_envelope(z: float) -> float:
     return math.sqrt(z * z - 1.0) / z if z > 1.0 else 0.0
+
+
+# the units enter T_F only through the decay, so one table serves them all
+_FREE_TABLE = HalfLineTable(_branch_envelope)
 
 
 def _require_finite_v0(v0: float, name: str) -> None:
@@ -402,6 +413,7 @@ def _fb_eval(
     floor_log = math.log10(settings.abs_tol) - 6.0
 
     entry = fb_coeffs(v, params, settings)
+    log10_fact = _log10_even_factorials(settings.max_series_terms + 1)
     max_log = -math.inf
     p = 0
     small = 0
@@ -412,10 +424,10 @@ def _fb_eval(
                     f"residue series needs more than {settings.max_series_terms} terms"
                 )
             entry = fb_coeffs(v, params, settings, entry)
-        log_term = entry.log10[p] + p * log_z2 - _LGAMMA10(2 * p + 1)
+        log_term = entry.log10[p] + p * log_z2 - log10_fact[p]
         if log_term > max_log:
             max_log = log_term
-        if log_term < floor_log and (p > 0 and p * log_z2 < _LGAMMA10(2 * p + 1)):
+        if log_term < floor_log and (p > 0 and p * log_z2 < log10_fact[p]):
             small += 1
             if small >= 3:
                 break
@@ -489,8 +501,10 @@ def _fb_eval(
     return value, err
 
 
-def _LGAMMA10(n: int) -> float:
-    return math.lgamma(n) / math.log(10.0)
+@functools.cache
+def _log10_even_factorials(n: int) -> tuple[float, ...]:
+    """log10((2p)!) for p < n, built once per term cap."""
+    return tuple(math.lgamma(2 * p + 1) / math.log(10.0) for p in range(n))
 
 
 def fb_series(
@@ -511,39 +525,37 @@ def fb_series(
     return Estimate(*_fb_eval(v0, zeta, params, settings))
 
 
-class _BranchProfile(dict):
-    """h(z) = sqrt(z^2-1)/z * G_B(v0, z) at every quadrature node met so far.
-
-    Indexing computes and stores h on a miss; a hit is a plain dict lookup,
-    so ``profile.__getitem__`` serves as the integrand itself.
-    """
-
-    __slots__ = ("v0", "params")
-
-    def __init__(self, v0: float, params: PhysicalParams) -> None:
-        super().__init__()
-        self.v0 = v0
-        self.params = params
-
-    def __missing__(self, z: float) -> float:
-        # z >= 1 on every node of the half-line map
-        h = math.sqrt(z * z - 1.0) / z * gb_factor(self.v0, z, self.params)
-        self[z] = h
-        return h
+def _branch_h(v0: float, params: PhysicalParams, z: float) -> float:
+    # z >= 1 on every node of the half-line map
+    return math.sqrt(z * z - 1.0) / z * gb_factor(v0, z, params)
 
 
-_BRANCH_PROFILES: dict[tuple[float, PhysicalParams], _BranchProfile] = {}
+def _gap_integrand(v0: float, params: PhysicalParams, z: float) -> float:
+    return _branch_envelope(z) * (1.0 - gb_factor(v0, z, params))
 
 
-def branch_profile(v0: float, params: PhysicalParams) -> _BranchProfile:
+_BRANCH_PROFILES: dict[tuple[float, PhysicalParams], HalfLineTable] = {}
+_GAP_TABLES: dict[tuple[float, PhysicalParams], HalfLineTable] = {}
+
+
+def _strength_table(
+    tables: dict, integrand, v0: float, params: PhysicalParams
+) -> HalfLineTable:
+    """The shared table of integrand(v0, params, z) for one barrier strength."""
+    key = (v0, params)
+    table = tables.get(key)
+    if table is None:
+        # setdefault: threads racing here end up sharing one table
+        table = tables.setdefault(
+            key, HalfLineTable(functools.partial(integrand, v0, params))
+        )
+    return table
+
+
+def branch_profile(v0: float, params: PhysicalParams) -> HalfLineTable:
     """The shared table of h(z) = sqrt(z^2-1)/z * G_B(v0, z); index it by z >= 1."""
     _require_finite_v0(v0, "branch_profile")
-    key = (v0, params)
-    profile = _BRANCH_PROFILES.get(key)
-    if profile is None:
-        # setdefault: threads racing here end up sharing one table
-        profile = _BRANCH_PROFILES.setdefault(key, _BranchProfile(v0, params))
-    return profile
+    return _strength_table(_BRANCH_PROFILES, _branch_h, v0, params)
 
 
 def branch_integral(
@@ -558,8 +570,7 @@ def branch_integral(
     """
     _require_finite_v0(v0, "branch_integral")
     decay = params.mu * params.c * abs(zeta) / params.hbar
-    profile = branch_profile(v0, params)
-    val, err = integrate_semiinf_exp(profile.__getitem__, 1.0, decay, settings)
+    val, err = integrate_half_line(branch_profile(v0, params), decay, settings)
     return (2.0 / math.pi) * val, (2.0 / math.pi) * err
 
 
@@ -600,11 +611,8 @@ def barrier_free_gap(
         raise ValueError(f"barrier_free_gap requires zeta > 0, got {zeta}")
     series_part, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
     decay = params.mu * params.c * zeta / params.hbar
-
-    def integrand(z: float) -> float:
-        return _branch_envelope(z) * (1.0 - gb_factor(v0, z, params))
-
-    br_val, _br_err = integrate_semiinf_exp(integrand, 1.0, decay, settings)
+    table = _strength_table(_GAP_TABLES, _gap_integrand, v0, params)
+    br_val, _br_err = integrate_half_line(table, decay, settings)
     return -series_part + (2.0 / math.pi) * br_val
 
 

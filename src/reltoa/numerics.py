@@ -6,6 +6,13 @@ finite interval with z = lower + t/(1-t) and refine adaptively with an
 embedded Gauss-Kronrod (G7, K15) pair; the oscillatory sine transform sums
 panels between successive zeros of sin(k*zeta) with Euler acceleration for
 slowly decaying envelopes.
+
+Every pass forms its weighted G7/K15 sums in _gk_sum, in one order.  A
+HalfLineTable holds g(z) for the Laplace integrals int_1^inf g(z)
+exp(-decay z) dz, and each bisected segment's 15 nodes; integrate_half_line
+runs _adaptive_gk with a rule that reads them, so it returns
+integrate_semiinf_exp(g, 1.0, decay) bit for bit while computing only the
+exponentials per integral.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ __all__ = [
     "faddeeva",
     "FADDEEVA_IM_REL_ERR",
     "integrate_semiinf_exp",
+    "HalfLineTable",
+    "integrate_half_line",
     "sine_transform_decaying",
     "integrate_sqrt_endpoint",
 ]
@@ -85,6 +94,9 @@ class QuadratureSettings:
 
 DEFAULT_SETTINGS = QuadratureSettings()
 
+# below this exponent exp() underflows: the half-line map's nodes give 0.0
+_LOG_TINY = math.log(2.2e-308)
+
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (QUADPACK constants).
 _XGK = (
@@ -114,44 +126,79 @@ _WG = (
 _WG_CENTER = 0.417959183673469387755102040816327
 
 
+_WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7 = _WGK
+_WG2, _WG4, _WG6 = _WG
+_X1, _X2, _X3, _X4, _X5, _X6, _X7 = _XGK
+
+
+def _gk_sum(fv, half: float) -> tuple[float, float]:
+    """The weighted G7/K15 sums of one pass: (kronrod_value, error_estimate).
+
+    fv holds the 15 integrand values in node order: the center, then the
+    pair center -/+ half * _XGK[i] for i = 0..6.  Every pass, generic or
+    tabulated, goes through this one summation order.
+    """
+    fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = fv
+    p2 = l2 + r2
+    p4 = l4 + r4
+    p6 = l6 + r6
+    res_k = (
+        _WGK_CENTER * fc + _WK1 * (l1 + r1) + _WK2 * p2 + _WK3 * (l3 + r3)
+        + _WK4 * p4 + _WK5 * (l5 + r5) + _WK6 * p6 + _WK7 * (l7 + r7)
+    )
+    res_g = _WG_CENTER * fc + _WG2 * p2 + _WG4 * p4 + _WG6 * p6
+    return res_k * half, abs(res_k - res_g) * abs(half)
+
+
+def _gk_nodes(a: float, b: float) -> tuple[float, ...]:
+    """The 15 nodes of a pass over [a, b], in _gk_sum's order."""
+    c = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = [c]
+    for x in _XGK:
+        dx = half * x
+        nodes += (c - dx, c + dx)
+    return tuple(nodes)
+
+
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
     """One Gauss-Kronrod (7, 15) pass over [a, b].
 
     Returns (kronrod_value, error_estimate, max_abs_integrand).
     """
-    center = 0.5 * (a + b)
+    # the nodes are written out: this is the innermost loop of every
+    # generic integral
+    c = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = f(center)
-    res_k = _WGK_CENTER * fc
-    res_g = _WG_CENTER * fc
-    fmax = abs(fc)
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        res_k += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            res_g += _WG[i // 2] * (f1 + f2)
-        m = max(abs(f1), abs(f2))
-        if m > fmax:
-            fmax = m
-    return res_k * half, abs(res_k - res_g) * abs(half), fmax
+    d1, d2, d3, d4 = half * _X1, half * _X2, half * _X3, half * _X4
+    d5, d6, d7 = half * _X5, half * _X6, half * _X7
+    fv = (
+        f(c), f(c - d1), f(c + d1), f(c - d2), f(c + d2), f(c - d3), f(c + d3),
+        f(c - d4), f(c + d4), f(c - d5), f(c + d5), f(c - d6), f(c + d6),
+        f(c - d7), f(c + d7),
+    )
+    val, err = _gk_sum(fv, half)
+    return val, err, max(map(abs, fv))
 
 
 def _adaptive_gk(
-    f: Callable[[float], float],
+    f,
     a: float,
     b: float,
     settings: QuadratureSettings,
     seeds: tuple[float, ...] = (),
+    rule=_gk15,
 ) -> tuple[float, float, float]:
     """Globally adaptive bisection on [a, b] with the embedded G7/K15 pair.
 
     `seeds` lists interior breakpoints that receive their own initial
     segments; callers use them to mark narrow features (sharp peaks) the
-    15-point opening pass would otherwise step over.  Returns
-    (value, error_estimate, max_abs_integrand); raises QuadratureError when
-    max_subdivisions segments cannot reach max(abs_tol, rel_tol * |value|).
+    15-point opening pass would otherwise step over.  `rule(f, a, b)` makes
+    one pass over a segment: _gk15 calls the integrand f at its nodes, and a
+    HalfLineTable's rule reads tabulated nodes, with f the negated decay.
+    Returns (value, error_estimate, max_abs_integrand); raises
+    QuadratureError when max_subdivisions segments cannot reach
+    max(abs_tol, rel_tol * |value|).
     """
     points = [a, b]
     for s_pt in seeds:
@@ -165,7 +212,7 @@ def _adaptive_gk(
     counter = 0
     # heap entries: (-err, insertion_id, a, b, val, err); id breaks ties
     for sa, sb in zip(points, points[1:]):
-        val, err, fm = _gk15(f, sa, sb)
+        val, err, fm = rule(f, sa, sb)
         heap.append((-err, counter, sa, sb, val, err))
         counter += 1
         total_val += val
@@ -185,8 +232,8 @@ def _adaptive_gk(
             heapq.heappush(heap, (0.0, counter, sa, sb, sval, serr))
             break
         mid = 0.5 * (sa + sb)
-        v1, e1, m1 = _gk15(f, sa, mid)
-        v2, e2, m2 = _gk15(f, mid, sb)
+        v1, e1, m1 = rule(f, sa, mid)
+        v2, e2, m2 = rule(f, mid, sb)
         fmax = max(fmax, m1, m2)
         total_val += (v1 + v2) - sval
         total_err += (e1 + e2) - serr
@@ -387,13 +434,12 @@ def integrate_semiinf_exp(
     """
     if decay < 0.0:
         raise ValueError("decay must be >= 0")
-    log_tiny = math.log(2.2e-308)
 
     def mapped(t: float) -> float:
         onemt = 1.0 - t
         z = lower + t / onemt
         expo = -decay * z
-        if expo < log_tiny:
+        if expo < _LOG_TINY:
             return 0.0
         return f(z) * math.exp(expo) / (onemt * onemt)
 
@@ -401,6 +447,71 @@ def integrate_semiinf_exp(
         (z - lower) / (1.0 + (z - lower)) for z in seeds if z > lower
     )
     val, err, _ = _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
+    return val, err
+
+
+class HalfLineTable(dict):
+    """g(z) at the nodes of the half-line Laplace integrals over z >= 1.
+
+    Indexing computes and stores g on a miss; a hit is a plain dict lookup,
+    so ``table.__getitem__`` serves as an integrand.  Every such integral
+    bisects [0, 1] in t = (z - 1)/z along the same dyadic tree, so
+    ``segments`` also keeps, per G7/K15 segment (a, b) in t, its 15 nodes as
+    (z, g(z), (1 - t)^2) in pass order; integrate_half_line then computes
+    only exp(-decay * z) and the sums.  Entries are pure functions of z, so
+    threads that fill a table in any order store the same floats.
+    """
+
+    __slots__ = ("g", "segments")
+
+    def __init__(self, g: Callable[[float], float]) -> None:
+        super().__init__()
+        self.g = g
+        self.segments: dict[tuple[float, float], tuple] = {}
+
+    def __missing__(self, z: float) -> float:
+        value = self.g(z)
+        self[z] = value
+        return value
+
+    def _segment(self, a: float, b: float) -> tuple:
+        nodes = []
+        for t in _gk_nodes(a, b):
+            # integrate_semiinf_exp's map at lower = 1, in its operations
+            onemt = 1.0 - t
+            z = 1.0 + t / onemt
+            nodes.append((z, self[z], onemt * onemt))
+        seg = self.segments[(a, b)] = tuple(nodes)
+        return seg
+
+    def _laplace_pass(self, neg_decay: float, a: float, b: float) -> tuple[float, float, float]:
+        # one G7/K15 pass of mapped() at the tabulated nodes, with mapped's
+        # operations and underflow cut; the max integrand is left at 0.0
+        # because integrate_half_line discards it
+        seg = self.segments.get((a, b)) or self._segment(a, b)
+        fv = [
+            0.0 if (expo := neg_decay * z) < _LOG_TINY else g * math.exp(expo) / w
+            for z, g, w in seg
+        ]
+        val, err = _gk_sum(fv, 0.5 * (b - a))
+        return val, err, 0.0
+
+
+def integrate_half_line(
+    table: HalfLineTable,
+    decay: float,
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+) -> tuple[float, float]:
+    """Integral of table.g(z) * exp(-decay * z) over [1, inf), from the table.
+
+    Bit for bit integrate_semiinf_exp(table.g, 1.0, decay, settings):
+    _adaptive_gk bisects the same segments with the same per-node operations
+    and the same summation, but each segment's nodes and g values are
+    computed once per table instead of once per integral.
+    """
+    if decay < 0.0:
+        raise ValueError("decay must be >= 0")
+    val, err, _ = _adaptive_gk(-decay, 0.0, 1.0, settings, rule=table._laplace_pass)
     return val, err
 
 

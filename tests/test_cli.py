@@ -149,11 +149,21 @@ class TestKernelDump:
     def test_non_finite_arguments_exit_1(self, capsys):
         # rejected as bad input before any coefficient build or CSV row
         for argv, named in [
-            (("--vo", "nan"), "requires a finite v0, got nan"),
-            (("--vo", "0.1", "--zeta-min", "nan", "--grid", "2"), "requires zeta > 0, got nan"),
-            (("--vo", "0.1", "--zeta-max", "inf", "--grid", "2"), "requires zeta > 0, got"),
+            (("kernel", "--vo", "nan"), "requires a finite v0, got nan"),
+            (
+                ("kernel", "--vo", "0.1", "--zeta-min", "nan", "--grid", "2"),
+                "--zeta-min must be finite, got nan",
+            ),
+            (
+                ("kernel", "--vo", "0.1", "--zeta-max", "inf", "--grid", "2"),
+                "--zeta-max must be finite, got inf",
+            ),
+            (
+                ("scan", "--vo", "0.3", "--sigma", "6", "--ko-max", "inf"),
+                "--ko-max must be finite, got inf",
+            ),
         ]:
-            code = main(["kernel", *argv])
+            code = main(list(argv))
             captured = capsys.readouterr()
             assert code == 1, argv
             assert named in captured.err, (argv, captured.err)

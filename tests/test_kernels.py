@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import concurrent.futures
+import functools
 import importlib.util
 import json
 import math
@@ -18,7 +19,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, strategies as st
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from conftest import branch_integral_oracle
 from reltoa import kernels
@@ -39,9 +40,13 @@ from reltoa.kernels import (
 )
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
+    HalfLineTable,
+    QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
     hyp0f1_one,
+    integrate_half_line,
+    integrate_semiinf_exp,
 )
 
 
@@ -57,6 +62,25 @@ def _load_fb_build_bench():
 FB_BUILD_BENCH = _load_fb_build_bench()
 FB_PINS = json.loads(FB_BUILD_BENCH.PIN_FILE.read_text())["builds"]
 BRANCH_PIN = json.loads(FB_BUILD_BENCH.BRANCH_PIN_FILE.read_text())
+FACTOR_PIN = json.loads(FB_BUILD_BENCH.FACTOR_PIN_FILE.read_text())
+
+
+def _run_bench_code(code: str) -> str:
+    """stdout of `code` in a fresh interpreter, with the bench script as `bench`."""
+    prelude = (
+        "import importlib.util, json, sys\n"
+        "spec = importlib.util.spec_from_file_location('fb_build_bench', sys.argv[1])\n"
+        "bench = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(bench)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", prelude + code, str(FB_BUILD_BENCH.__file__)],
+        capture_output=True, check=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return out.stdout
 
 
 def fb_triple_sum_oracle(v: float, zeta: float, params: PhysicalParams,
@@ -277,24 +301,29 @@ class TestBranchProfile:
 
     def test_bits_match_pin_in_reversed_order(self):
         # a fresh process, so the grid fills the tables in reverse
-        code = (
-            "import importlib.util, json, sys\n"
-            "spec = importlib.util.spec_from_file_location('fb_build_bench', sys.argv[1])\n"
-            "bench = importlib.util.module_from_spec(spec)\n"
-            "spec.loader.exec_module(bench)\n"
+        out = _run_bench_code(
             "pin = json.loads(bench.BRANCH_PIN_FILE.read_text())\n"
             "grid = [(v0, zeta) for v0 in pin['v0'] for zeta in pin['zeta']]\n"
             "print(bench.branch_digest(pin, bench.branch_values(grid[::-1])))\n"
         )
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        out = subprocess.run(
-            [sys.executable, "-c", code, str(FB_BUILD_BENCH.__file__)],
-            capture_output=True, check=True, text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
         assert len(BRANCH_PIN["v0"]) == 6 and len(BRANCH_PIN["zeta"]) == 40
-        assert out.stdout.strip() == BRANCH_PIN["sha256"]
+        assert out.strip() == BRANCH_PIN["sha256"]
+
+    def test_free_factor_and_gap_match_pins(self):
+        # a fresh process: the residue part of the gap depends on the
+        # coefficient cache's history.  The gap rows at v0 = -0.3 and 0.3
+        # take ~2.5 min of coefficient builds; scripts/fb_build_bench.py
+        # checks them
+        rows = [-0.1, 0.0, 0.1]
+        out = _run_bench_code(
+            "zetas = json.loads(bench.BRANCH_PIN_FILE.read_text())['zeta']\n"
+            "print(bench.free_factor_digest(zetas))\n"
+            f"for v0 in {rows!r}:\n"
+            "    print(bench.gap_digest(v0, zetas))\n"
+        )
+        gap_pins = {row["v0"]: row["sha256"] for row in FACTOR_PIN["barrier_free_gap"]}
+        assert sorted(gap_pins) == sorted(FB_BUILD_BENCH.GAP_V0)
+        assert out.split() == [FACTOR_PIN["free_factor"]] + [gap_pins[v0] for v0 in rows]
 
     def test_table_holds_the_integrand_and_spares_g_b(self, monkeypatch):
         v0 = 0.27
@@ -317,17 +346,22 @@ class TestBranchProfile:
         grid = [(v0, 0.25 * i) for v0 in (-0.3, 0.3) for i in range(1, 37)]
         units = (NATURAL_UNITS.mu, NATURAL_UNITS.c, NATURAL_UNITS.hbar)
 
-        def forget(coefficients: bool):
-            # empty the profile tables and, if asked, the coefficient cache
+        def forget(coefficients: bool, values: bool):
+            # empty the profile tables' segment caches and, if asked, drop
+            # the tables with their values, and the coefficient cache
             for v0 in (-0.3, 0.3):
-                kernels._BRANCH_PROFILES.pop((v0, NATURAL_UNITS), None)
+                table = kernels._BRANCH_PROFILES.get((v0, NATURAL_UNITS))
+                if table is not None:
+                    table.segments.clear()
+                if values:
+                    kernels._BRANCH_PROFILES.pop((v0, NATURAL_UNITS), None)
                 if coefficients:
                     kernels._FB_CACHE.pop((v0, *units), None)
 
         def bits(est):
             return est.value.hex(), est.err.hex()
 
-        forget(coefficients=True)
+        forget(coefficients=True, values=True)
         serial = {point: bits(barrier_factor(*point)) for point in grid}
 
         def sweep(seed, start):
@@ -337,19 +371,73 @@ class TestBranchProfile:
             return {point: bits(barrier_factor(*point)) for point in order}
 
         # four threads, switched often, race on the coefficient build in the
-        # first round and on filling the empty tables in every round
+        # first round, on filling empty value tables in the even rounds, and
+        # on filling empty segment caches from full value tables in the odd
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
                 for rnd in range(8):
-                    forget(coefficients=rnd == 0)
+                    forget(coefficients=rnd == 0, values=rnd % 2 == 0)
                     start = threading.Barrier(4, timeout=60)
                     futures = [pool.submit(sweep, 4 * rnd + i, start) for i in range(4)]
                     for future in futures:
                         assert future.result(timeout=120) == serial, rnd
         finally:
             sys.setswitchinterval(interval)
+
+
+def _outcome(integral):
+    """(value, err) as float.hex, or the QuadratureError's text."""
+    try:
+        val, err = integral()
+    except QuadratureError as exc:
+        return "QuadratureError", str(exc)
+    return val.hex(), err.hex()
+
+
+class TestHalfLineTable:
+    """integrate_half_line reproduces integrate_semiinf_exp bit for bit."""
+
+    INTEGRANDS = {
+        **{
+            f"h(v0={v0})": functools.partial(kernels._branch_h, v0, NATURAL_UNITS)
+            for v0 in (-0.9, -0.3, 0.1)
+        },
+        "T_F envelope": kernels._branch_envelope,
+        "gap(v0=0.3)": functools.partial(kernels._gap_integrand, 0.3, NATURAL_UNITS),
+    }
+
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_generic_integral_bits(self, decays, rng):
+        # always decay 0, where the integrals of h and the T_F envelope
+        # diverge and _adaptive_gk stops on unimprovable segments, and 1e3,
+        # where every node of the opening pass underflows to 0.0
+        decays = decays + [0.0, 1e3]
+        for name, g in self.INTEGRANDS.items():
+            table = HalfLineTable(g)
+            rng.shuffle(decays)
+            for decay in decays:
+                tabulated = _outcome(lambda: integrate_half_line(table, decay))
+                generic = _outcome(lambda: integrate_semiinf_exp(g, 1.0, decay))
+                assert tabulated == generic, (name, decay)
+
+    def test_every_node_underflows(self):
+        table = HalfLineTable(kernels._branch_envelope)
+        assert integrate_half_line(table, 1e3) == (0.0, 0.0)
+        assert min(table) * -1e3 < math.log(2.2e-308)
+
+    def test_kernels_read_their_tables(self):
+        assert kernels._FREE_TABLE.g is kernels._branch_envelope
+        profile = kernels.branch_profile(-0.3, NATURAL_UNITS)
+        assert (profile.g.func, profile.g.args) == (kernels._branch_h, (-0.3, NATURAL_UNITS))
+        barrier_free_gap(0.3, 1.0)
+        gap = kernels._GAP_TABLES[(0.3, NATURAL_UNITS)]
+        assert (gap.g.func, gap.g.args) == (kernels._gap_integrand, (0.3, NATURAL_UNITS))
 
 
 class TestKernelArguments:
