@@ -13,9 +13,14 @@ strengths and log-spaced zeta.  Its (value, err) pairs are hashed and checked
 against tests/data/branch_integral_pin.json.  On the same grid,
 ``free_factor``'s (value, err) per zeta and ``barrier_free_gap``'s value per
 (v0, zeta) are hashed and checked against tests/data/branch_factors_pin.json.
-Last, the node count, segment count and bytes of every half-line table the
+Then the node count, segment count and bytes of every half-line table the
 grid leaves behind are printed: the G_B profile and the gap table per
-strength, and the one T_F table.
+strength, and the one T_F table.  Last, the residue series is timed per
+warm call of ``reltoa.kernels._fb_eval`` (cache filled, best of a few
+rounds) at v = -0.1 and +0.1: in float at zeta <= 9 and at zeta 50, 100 and
+150, where v = -0.1 escalates to the integer sum and v = +0.1, whose terms
+do not cancel, stays in float.  It runs after the pins, whose values depend
+on the coefficient cache's history.
 
 Run from the repository root:
 
@@ -58,6 +63,10 @@ FAILING = [(-0.97, 112, 45), (-0.99, 112, 45)]
 # table's far end
 BRANCH_V0 = [-0.9, -0.3, -0.1, 0.0, 0.1, 0.3]
 BRANCH_ZETA = [0.05 * 3200.0 ** (i / 39) for i in range(40)]
+# the series timing: (v, zeta), timed in this order after every pin
+SERIES_POINTS = [(v, zeta) for v in (-0.1, 0.1) for zeta in (1.0, 3.0, 9.0, 50.0, 100.0, 150.0)]
+SERIES_CALLS = 200  # calls per timed round
+SERIES_ROUNDS = 5
 # the T_F and gap pins use the same grid, but barrier_free_gap(-0.9, zeta)
 # raises in its residue series (the v = +0.9 build fails, ~15 s a call)
 # before it reaches the branch integral, so the gap leaves out v0 = -0.9
@@ -131,6 +140,24 @@ def table_size(table) -> str:
         f"{len(table)} nodes, {node_bytes} bytes; "
         f"{len(table.segments)} segments, {seg_bytes} bytes"
     )
+
+
+def series_timing(v: float, zeta: float) -> tuple[bool, float]:
+    """(escalated?, best warm CPU seconds per _fb_eval call) at (v, zeta)."""
+    escalations = []
+    exact = kernels._fb_sum_exact
+    kernels._fb_sum_exact = lambda *args: escalations.append(args[1]) or exact(*args)
+    try:
+        kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)  # fills the cache
+    finally:
+        kernels._fb_sum_exact = exact
+    best = float("inf")
+    for _ in range(SERIES_ROUNDS):
+        t0 = time.process_time()
+        for _ in range(SERIES_CALLS):
+            kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+        best = min(best, (time.process_time() - t0) / SERIES_CALLS)
+    return bool(escalations), best
 
 
 def _report(line: str, sha: str, pinned: str | None) -> int:
@@ -224,6 +251,11 @@ def main() -> int:
     print(f"free_factor table: {table_size(kernels._FREE_TABLE)}")
     for v0 in GAP_V0:
         print(f"gap table v0={v0:+.1f}: {table_size(kernels._GAP_TABLES[(v0, NATURAL_UNITS)])}")
+
+    for v, zeta in SERIES_POINTS:
+        escalated, cpu = series_timing(v, zeta)
+        path = "integer sum" if escalated else "float"
+        print(f"series v={v:+.1f} zeta={zeta:5.1f}: {path:11s} {1e6 * cpu:8.1f} us/call")
 
     if faults:
         return 1

@@ -17,8 +17,12 @@ because near the rest energy it is the one that fails; only one row is kept
 alive, to hold the build's peak memory.
 
 The zeta series itself cancels like a Bessel function (partial terms reach
-exp(~kappa*zeta) before collapsing to O(1)), so the evaluation escalates to
-arbitrary precision whenever double precision cannot absorb it.
+exp(~kappa*zeta) before collapsing to O(1)), so the evaluation escalates
+whenever double precision cannot absorb it: it then sums the exact mpf
+mantissas of D_p against zeta^(2p)/(2p)! in Python integers, at 25 digits
+beyond the peak term.  That sum needs neither mpmath's precision nor its
+lock; tests/test_kernels.py checks its bits against the same sum in mpf
+arithmetic.
 
 The branch-cut integral of T_B runs an adaptive Laplace quadrature at every
 node of the direct route's sine transform, and every one of them bisects
@@ -187,6 +191,8 @@ def gb_factor(
 # --- residue-series coefficients -------------------------------------------
 
 _FB_CACHE: dict[tuple[float, float, float, float], "_FbCoeffs"] = {}
+# the message of every build that raised, by (v, units, count, dps, term cap)
+_FB_FAILURES: dict[tuple, str] = {}
 
 
 @dataclass
@@ -196,6 +202,7 @@ class _FbCoeffs:
     log10: list[float]  # log10 |D_p| (for fast magnitude scans); -inf for 0
     errs: list[float]  # truncation floor per coefficient (0 for clean exits)
     floats: list[float]  # float(D_p), converted once for the double-precision sums
+    mants: list[tuple[int, int]]  # (man, exp) with D_p = man * 2**exp exactly, for the exact sums
 
 
 def _fb_coeffs_at(
@@ -214,7 +221,16 @@ def _fb_coeffs_at(
         # successive rebuilds geometric rather than per-request
         dps = max(dps_needed + 15, int(1.25 * dps_needed), entry.dps if entry else 0, 30)
         count = max(n_needed + 64, len(entry.coeffs) if entry else 0)
-        entry = _build_fb_coeffs(v, params, count, dps, settings)
+        # the term cap decides where a coefficient stops as not converging
+        failed_key = (*key, count, dps, settings.max_series_terms)
+        message = _FB_FAILURES.get(failed_key)
+        if message is not None:
+            raise SeriesDivergenceError(message)
+        try:
+            entry = _build_fb_coeffs(v, params, count, dps, settings)
+        except SeriesDivergenceError as exc:
+            _FB_FAILURES[failed_key] = str(exc)
+            raise
         _FB_CACHE[key] = entry
         return entry
 
@@ -391,7 +407,9 @@ def _build_fb_coeffs(
         errs = [st.trunc_err for st in sums]
         logs = [float(mp.log10(abs(cf))) if cf != 0 else -math.inf for cf in coeffs]
         floats = [float(cf) for cf in coeffs]
-    return _FbCoeffs(dps=dps, coeffs=coeffs, log10=logs, errs=errs, floats=floats)
+        mants = [(-int(man) if sign else int(man), exp)
+                 for sign, man, exp, _bc in (cf._mpf_ for cf in coeffs)]
+    return _FbCoeffs(dps=dps, coeffs=coeffs, log10=logs, errs=errs, floats=floats, mants=mants)
 
 
 def _fb_eval(
@@ -403,10 +421,11 @@ def _fb_eval(
 ) -> tuple[float, float]:
     """Evaluate the residue series at zeta; with drop_unity, return F_B - 1.
 
-    Returns (value, rounding_error_estimate).  Scans term
-    magnitudes in log space first, then sums in float or, when the peak
-    term towers over the result by more than ~12 digits, in arbitrary
-    precision with enough guard digits.
+    Returns (value, rounding_error_estimate).  Scans term magnitudes in
+    log space first, then sums in float or, when the peak term towers over
+    the result by more than ~6 digits, in Python ints with 25 guard digits
+    over the peak (_fb_sum_exact), from coefficients cached at that many
+    digits.
     """
     z2 = zeta * zeta
     log_z2 = math.log10(z2) if z2 > 0.0 else -math.inf
@@ -475,30 +494,73 @@ def _fb_eval(
 
     dps = int(max(max_log, 1.0)) + 25
     entry = _fb_coeffs_at(v, params, p_stop, dps, settings)
-    with MP_LOCK, mp.workdps(dps):
-        total_mp = mp.mpf(0)
-        ratio_mp = mp.mpf(1)  # zeta^(2p) / (2p)!
-        z2_mp = mp.mpf(zeta) ** 2
-        small = 0
-        trunc = 0.0
-        for q in range(p_stop):
-            d_q = entry.coeffs[q]
-            if drop_unity and q == 0:
-                d_q = d_q - 1
-            term = d_q * ratio_mp
-            if entry.errs[q]:
-                trunc += entry.errs[q] * float(ratio_mp)
-            total_mp += term
-            if abs(term) <= settings.abs_tol * (1 + abs(total_mp)):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            ratio_mp = ratio_mp * z2_mp / ((2 * q + 1) * (2 * q + 2))
-        value = float(total_mp)
+    value, trunc = _fb_sum_exact(entry, zeta, p_stop, dps, drop_unity, settings.abs_tol)
     err = 10.0 ** (max_log - dps + 2) + trunc
     return value, err
+
+
+def _fb_sum_exact(
+    entry: _FbCoeffs,
+    zeta: float,
+    p_stop: int,
+    dps: int,
+    drop_unity: bool,
+    abs_tol: float,
+) -> tuple[float, float]:
+    """Sum D_q zeta^(2q)/(2q)! for q < p_stop in Python ints.
+
+    Returns (value, truncation error).  The terms and the running total are
+    fixed point in units of 2^-bits, bits ~ dps digits: their absolute error
+    stays near 10^-dps, far below the 10^(max_log - dps) the caller reports.
+    Each term multiplies D_q's exact mantissa by the ratio's before one
+    shift, so a tiny D_q keeps its relative precision against a large ratio.
+    The ratio zeta^(2q)/(2q)! floats, with bits significant bits as an mpf
+    has: for a strong barrier it falls far below 2^-bits while D_q grows
+    large.  zeta^2 is exact from the float zeta, and the stopping test is
+    exact.  Both floats are rounded to nearest, as float() of an mpf is
+    (mpmath's raw to_float truncates).  Neither mpmath's precision nor a
+    lock is touched.
+    """
+    bits = math.ceil(dps * math.log2(10.0)) + 8
+    one = 1 << bits
+    num, den = zeta.as_integer_ratio()
+    z2_num, z2_shift = num * num, 2 * (den.bit_length() - 1)  # den is a power of two
+    tol_num, tol_den = abs_tol.as_integer_ratio()
+    total = 0
+    ratio, ratio_exp = one, -bits  # zeta^(2q) / (2q)! = ratio * 2^ratio_exp
+    small = 0
+    trunc = 0.0
+    for q in range(p_stop):
+        man, exp = entry.mants[q]
+        term = man * ratio
+        shift = exp + ratio_exp + bits
+        term = term << shift if shift >= 0 else term >> -shift
+        if drop_unity and q == 0:
+            term -= one
+        if entry.errs[q]:
+            trunc += entry.errs[q] * _nearest_float(ratio, ratio_exp)
+        total += term
+        # |term| <= abs_tol * (1 + |total|), exactly
+        if abs(term) * tol_den <= tol_num * (one + abs(total)):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+        div = (2 * q + 1) * (2 * q + 2)
+        extra = div.bit_length()  # so the quotient keeps every bit of ratio
+        ratio = (ratio * z2_num << extra) // div
+        ratio_exp -= z2_shift + extra
+        excess = ratio.bit_length() - bits
+        if excess > 0:
+            ratio >>= excess
+            ratio_exp += excess
+    return _nearest_float(total, -bits), trunc
+
+
+def _nearest_float(man: int, exp: int) -> float:
+    """man * 2^exp rounded to the nearest float (int / int rounds correctly)."""
+    return man / (1 << -exp) if exp < 0 else float(man << exp)
 
 
 @functools.cache

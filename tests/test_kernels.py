@@ -136,6 +136,36 @@ def fb_triple_sum_oracle(v: float, zeta: float, params: PhysicalParams,
         return float(total)
 
 
+def fb_mpf_sum_oracle(entry, zeta: float, p_stop: int, dps: int,
+                      drop_unity: bool, abs_tol: float) -> tuple[float, float]:
+    """The escalated residue sum in mpf arithmetic at dps digits: the
+    reference whose bits kernels._fb_sum_exact's integer sum must give.
+    Same signature and (value, truncation error) result, so it can stand
+    in for it."""
+    with mp.workdps(dps):
+        total_mp = mp.mpf(0)
+        ratio_mp = mp.mpf(1)  # zeta^(2p) / (2p)!
+        z2_mp = mp.mpf(zeta) ** 2
+        small = 0
+        trunc = 0.0
+        for q in range(p_stop):
+            d_q = entry.coeffs[q]
+            if drop_unity and q == 0:
+                d_q = d_q - 1
+            term = d_q * ratio_mp
+            if entry.errs[q]:
+                trunc += entry.errs[q] * float(ratio_mp)
+            total_mp += term
+            if abs(term) <= abs_tol * (1 + abs(total_mp)):
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+            ratio_mp = ratio_mp * z2_mp / ((2 * q + 1) * (2 * q + 2))
+        return float(total_mp), trunc
+
+
 def contour_kernel_oracle(j: int, k: int, zeta: float,
                           params: PhysicalParams) -> float:
     """Brute-force evaluation of the residue building block f_{j,k}:
@@ -290,6 +320,108 @@ class TestFbCoeffBuild:
         with pytest.raises(SeriesDivergenceError) as info:
             _build_fb_coeffs(-0.6, NATURAL_UNITS, 50, 30, QuadratureSettings(max_series_terms=23))
         assert str(info.value) == "residue-series coefficient p=47 did not converge for v=-0.6"
+
+    def test_failed_build_is_remembered(self, monkeypatch):
+        # a repeat request re-raises the recorded text without building
+        # again; a different term cap can stop the build elsewhere, so it
+        # builds anew
+        monkeypatch.setattr(kernels, "_FB_FAILURES", {})
+        builds = []
+        original = kernels._build_fb_coeffs
+        monkeypatch.setattr(
+            kernels, "_build_fb_coeffs", lambda *args: builds.append(args[:4]) or original(*args)
+        )
+        messages = []
+        other_cap = QuadratureSettings(max_series_terms=599)
+        for settings in (DEFAULT_SETTINGS, DEFAULT_SETTINGS, other_cap):
+            with pytest.raises(SeriesDivergenceError) as info:
+                fb_series(-0.99, 1.0, NATURAL_UNITS, settings)
+            messages.append(str(info.value))
+        assert builds == [(-0.99, NATURAL_UNITS, 112, 45)] * 2
+        assert messages == [
+            "residue-series coefficient p=0 floors at 6.8e-07 for v=-0.99: "
+            "barrier strength too close to the rest-mass energy"
+        ] * 3
+
+
+class TestFbExactSum:
+    """The escalated residue sum in integers gives the mpf sum's bits."""
+
+    @pytest.mark.parametrize("v, zetas, drop_unity", [
+        # +0.1 never cancels, so it stays in float; 33 at -0.1 is a value
+        # that a truncating float conversion leaves one ulp off
+        (0.1, (20.0, 75.0, 160.0), False),
+        (-0.1, (33.0, 50.0, 71.6, 104.6, 140.2, 160.0), False),
+        (-0.3, (20.0, 30.0, 40.0), False),
+        (-0.1, (60.0, 80.0, 150.0), True),
+        # every coefficient carries a truncation floor: covers the err sum
+        (-0.9, (10.0, 15.0, 20.0), False),
+    ])
+    def test_matches_mpf_oracle_bits(self, monkeypatch, v, zetas, drop_unity):
+        key = (v, NATURAL_UNITS.mu, NATURAL_UNITS.c, NATURAL_UNITS.hbar)
+        sums = []
+        exact = kernels._fb_sum_exact
+
+        def evaluate(summer, zeta):
+            monkeypatch.setattr(
+                kernels, "_fb_sum_exact", lambda *args: sums.append(zeta) or summer(*args)
+            )
+            val, err = kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, drop_unity)
+            return val.hex(), err.hex()
+
+        for zeta in zetas:
+            evaluate(exact, zeta)  # settles the coefficient cache for zeta
+            entry = kernels._FB_CACHE[key]
+            assert evaluate(exact, zeta) == evaluate(fb_mpf_sum_oracle, zeta), zeta
+            assert kernels._FB_CACHE[key] is entry
+        # every zeta escalates in all three evaluations, except at v = +0.1
+        assert sums == ([] if v > 0 else [zeta for zeta in zetas for _ in range(3)])
+        if v == -0.9:
+            entry = kernels._FB_CACHE[key]
+            assert all(entry.errs)
+
+    def test_concurrent_sums_match_serial_bits(self):
+        # the escalated sums take no lock and leave mpmath's precision alone,
+        # so a thread that lowers it around each call changes nobody's bits
+        grid = [(v0, 100.0 + 7.5 * i) for v0 in (-0.1, 0.1) for i in range(9)]
+        units = (NATURAL_UNITS.mu, NATURAL_UNITS.c, NATURAL_UNITS.hbar)
+        prec = mp.mp.prec
+        for point in grid:
+            barrier_factor(*point)  # settles the coefficient cache
+        entries = {v0: kernels._FB_CACHE[(v0, *units)] for v0 in (-0.1, 0.1)}
+
+        def bits(est):
+            return est.value.hex(), est.err.hex()
+
+        serial = {point: bits(barrier_factor(*point)) for point in grid}
+
+        def sweep(seed, start, low_precision):
+            order = grid[:]
+            random.Random(seed).shuffle(order)
+            start.wait()
+            out = {}
+            for point in order:
+                if low_precision:
+                    with mp.workdps(8):
+                        out[point] = bits(barrier_factor(*point))
+                else:
+                    out[point] = bits(barrier_factor(*point))
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                for rnd in range(6):
+                    start = threading.Barrier(4, timeout=60)
+                    futures = [pool.submit(sweep, 4 * rnd + i, start, i == rnd % 4)
+                               for i in range(4)]
+                    for future in futures:
+                        assert future.result(timeout=120) == serial, rnd
+        finally:
+            sys.setswitchinterval(interval)
+        assert mp.mp.prec == prec
+        assert all(kernels._FB_CACHE[(v0, *units)] is entry for v0, entry in entries.items())
 
 
 class TestBranchProfile:
