@@ -15,11 +15,12 @@ against tests/data/branch_integral_pin.json.  On the same grid,
 (v0, zeta) are hashed and checked against tests/data/branch_factors_pin.json.
 Then the node count, segment count and bytes of every half-line table the
 grid leaves behind are printed: the G_B profile and the gap table per
-strength, and the one T_F table.  Last, the residue series is timed per
-warm call of ``reltoa.kernels._fb_eval`` (cache filled, best of a few
-rounds) at v = -0.1 and +0.1: in float at zeta <= 9 and at zeta 50, 100 and
-150, where v = -0.1 escalates to the integer sum and v = +0.1, whose terms
-do not cancel, stays in float.  It runs after the pins, whose values depend
+|v0| (G_B is even in v0, so the two signs share them), and the one T_F
+table.  Last, the residue series is timed per warm call of
+``reltoa.kernels._fb_eval`` (cache filled, best of a few rounds) at
+v = -0.1 and +0.1: in float at zeta <= 9 and at zeta 50, 100 and 150, where
+v = -0.1 escalates to the integer sum and v = +0.1, whose terms do not
+cancel, stays in float.  It runs after the pins, whose values depend
 on the coefficient cache's history.
 
 Run from the repository root:
@@ -78,9 +79,16 @@ def build(v: float, count: int, dps: int):
 
 
 def digest(entry) -> str:
-    """sha256 of the coefficients' mpf tuples, then errs, then log10."""
+    """sha256 of the coefficients' mpf tuples, then errs, then log10.
+
+    Each D_p = man * 2**exp is hashed as mpmath's normalized tuple
+    (sign, |man|, exp, bit length of man), which its exact mantissa pair
+    rebuilds bit for bit.
+    """
     h = hashlib.sha256()
-    h.update(repr([tuple(int(x) for x in cf._mpf_) for cf in entry.coeffs]).encode())
+    h.update(repr([
+        (int(man < 0), abs(man), exp, abs(man).bit_length()) for man, exp in entry.mants
+    ]).encode())
     h.update(repr(entry.errs).encode())
     h.update(repr(entry.log10).encode())
     return h.hexdigest()
@@ -245,12 +253,13 @@ def main() -> int:
         faults += _report(f"barrier_free_gap v0={v0:+.1f}: cpu {cpu:7.3f} s  ",
                           gap_rows[-1]["sha256"], gap_pins.get(v0))
 
-    for v0 in pin["v0"]:
+    # G_B is even in v0, so +v0 and -v0 share one table of each kind
+    for v0 in sorted({abs(v0) for v0 in pin["v0"]}):
         table = kernels._BRANCH_PROFILES[(v0, NATURAL_UNITS)]
-        print(f"branch profile v0={v0:+.1f}: {table_size(table)}")
+        print(f"branch profile |v0|={v0:.1f}: {table_size(table)}")
     print(f"free_factor table: {table_size(kernels._FREE_TABLE)}")
-    for v0 in GAP_V0:
-        print(f"gap table v0={v0:+.1f}: {table_size(kernels._GAP_TABLES[(v0, NATURAL_UNITS)])}")
+    for v0 in sorted({abs(v0) for v0 in GAP_V0}):
+        print(f"gap table |v0|={v0:.1f}: {table_size(kernels._GAP_TABLES[(v0, NATURAL_UNITS)])}")
 
     for v, zeta in SERIES_POINTS:
         escalated, cpu = series_timing(v, zeta)

@@ -207,7 +207,7 @@ def cmd_table1(cfg: RunConfig, args: argparse.Namespace) -> int:
         else:
             # the source table reports no direct-integral value on this row
             cells += [UNAVAILABLE, UNAVAILABLE]
-        cells += _safe_ior(lambda: ior_series(packet, v0, None, cfg.params, cfg.settings))
+        cells += _safe_ior(lambda: ior_series(packet, v0, cfg.params, cfg.settings))
         cells += _safe_ior(lambda: ior_momentum(packet, v0, cfg.params, cfg.settings))
         rows.append(cells)
     _emit(cfg, header, rows)
@@ -362,7 +362,7 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
                 + _safe_ior(lambda: ior_direct(packet, args.vo, cfg.params, cfg.settings))
                 + ["dimensionless"])
     rows.append(["rc", "series"]
-                + _safe_ior(lambda: ior_series(packet, args.vo, None, cfg.params, cfg.settings))
+                + _safe_ior(lambda: ior_series(packet, args.vo, cfg.params, cfg.settings))
                 + ["dimensionless"])
     put("qc", "direct", qc_expectation(packet, cfg.params, cfg.settings), 0.0, "dimensionless")
     put("tau_trav", "momentum", t_c * rc.value, t_c * rc.err, "time")

@@ -20,8 +20,9 @@ carry a logarithmic divergence and no physics.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 from reltoa.classical import kappa_c
 from reltoa.kernels import (
@@ -153,31 +154,29 @@ def _branch_transform(
 def _gaussian_sine_moments(
     k: float,
     sigma: float,
-    count: int,
     settings: QuadratureSettings,
-) -> list[float]:
+) -> Iterator[float]:
     """Moments M_2p = int_0^inf sin(k z) z^(2p) exp(-z^2/(8 sigma^2)) dz.
 
-    The base moment M_0 comes from quadrature; higher moments follow the
-    two-term recurrence obtained by integrating the Gaussian factor by
-    parts (interleaving the odd cosine moments).
+    Yields M_0, M_2, ... as the caller walks p upward.  The base moment
+    M_0 comes from quadrature; higher moments follow the two-term
+    recurrence obtained by integrating the Gaussian factor by parts
+    (interleaving the odd cosine moments).
     """
     alpha = 1.0 / (8.0 * sigma * sigma)
-    m0, _ = sine_transform_decaying(lambda z: math.exp(-alpha * z * z), k, settings)
-    moments = [m0]
-    c_odd = (1.0 - k * m0) / (2.0 * alpha)  # C_1
-    for p in range(1, count):
+    m, _ = sine_transform_decaying(lambda z: math.exp(-alpha * z * z), k, settings)
+    yield m
+    c_odd = (1.0 - k * m) / (2.0 * alpha)  # C_1
+    for p in itertools.count(1):
         s = 2 * p
-        m = ((s - 1) * moments[-1] + k * c_odd) / (2.0 * alpha)
-        moments.append(m)
+        m = ((s - 1) * m + k * c_odd) / (2.0 * alpha)
+        yield m
         c_odd = (s * c_odd - k * m) / (2.0 * alpha)
-    return moments
 
 
 def ior_series(
     packet: GaussianPacket,
     v0: float,
-    l_max: int | None = None,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> Estimate:
@@ -190,12 +189,11 @@ def ior_series(
     where this representation stops converging.
     """
     _require_subcritical(v0, params)
-    cap = l_max if l_max is not None else settings.max_series_terms
+    cap = settings.max_series_terms
     scale = params.mu * params.c / params.hbar
 
     entry = fb_coeffs(-v0, params, settings)
-    chunk = 48
-    moments = _gaussian_sine_moments(packet.k0, packet.sigma, chunk, settings)
+    moments = _gaussian_sine_moments(packet.k0, packet.sigma, settings)
 
     total = 0.0
     comp = 0.0
@@ -205,16 +203,11 @@ def ior_series(
     grow_start = 0.0
     prev_mag = None
     converged = False
-    p = 0
     inv_fact = 1.0  # 1/(2p)!
-    while p <= cap:
-        if p >= len(entry.coeffs):
+    for p, moment in zip(range(cap + 1), moments):
+        if p >= len(entry.floats):
             entry = fb_coeffs(-v0, params, settings, entry)
-        if p >= len(moments):
-            moments = _gaussian_sine_moments(
-                packet.k0, packet.sigma, len(moments) + chunk, settings
-            )
-        term = entry.floats[p] * moments[p] * inv_fact
+        term = entry.floats[p] * moment * inv_fact
         y = term - comp
         s = total + y
         comp = (s - total) - y
@@ -242,7 +235,6 @@ def ior_series(
             grow = 0
         prev_mag = mag
         inv_fact /= (2 * p + 1) * (2 * p + 2)
-        p += 1
     if not converged:
         raise SeriesDivergenceError(
             f"sine-moment series did not converge within {cap} terms"

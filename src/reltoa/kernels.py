@@ -9,8 +9,12 @@ reorganized as a single power series in zeta^2,
 whose coefficients D_p collect the triple sum over (l, m, n) with p = l - n
 held fixed.  The coefficients depend only on (v, mu, c, hbar), so they are
 computed once per barrier strength in arbitrary precision and cached.  The
-build runs l-major: the binomial row C(l, m) b^(l-m) depends only on l, so it
-is built once and every p whose l-sum reaches it adds its term l from it.
+build computes in a private mpmath context, so its bits do not depend on
+mpmath's global precision or on whoever sets it; a lock owned by the cache
+makes racing requests build once.  The entry keeps D_p as floats and as
+exact (mantissa, exponent) pairs, not as mpf values.  The build runs
+l-major: the binomial row C(l, m) b^(l-m) depends only on l, so it is built
+once and every p whose l-sum reaches it adds its term l from it.
 Each D_p gets the same mpf operations in the same order as in a loop over p,
 so its bits do not depend on the sweep.  p = 0 is summed first, on its own,
 because near the rest energy it is the one that fails; only one row is kept
@@ -20,26 +24,26 @@ The zeta series itself cancels like a Bessel function (partial terms reach
 exp(~kappa*zeta) before collapsing to O(1)), so the evaluation escalates
 whenever double precision cannot absorb it: it then sums the exact mpf
 mantissas of D_p against zeta^(2p)/(2p)! in Python integers, at 25 digits
-beyond the peak term.  That sum needs neither mpmath's precision nor its
-lock; tests/test_kernels.py checks its bits against the same sum in mpf
+beyond the peak term.  That sum needs neither mpmath nor a lock;
+tests/test_kernels.py checks its bits against the same sum in mpf
 arithmetic.
 
 The branch-cut integral of T_B runs an adaptive Laplace quadrature at every
 node of the direct route's sine transform, and every one of them bisects
 [0, 1] along the same dyadic tree, so only ~1,000 distinct nodes z occur per
 barrier strength.  The zeta-independent factor h(z) = sqrt(z^2-1)/z *
-G_B(v0, z) is therefore kept in a numerics.HalfLineTable per (v0, params),
-filled on first use of each node, together with each G7/K15 segment's nodes
-as (z, h(z), (1-t)^2); integrate_half_line then computes only
-exp(-decay * z) and the weighted sums per integral.  T_F's envelope
-sqrt(z^2-1)/z has one such table, and the T_F - T_B gap's envelope times
-(1 - G_B) one per (v0, params).  The series route reads the profile table
-(branch_profile) by z at the nodes of its single outer z-integral, whose
-decay-0 map bisects the same tree.  Every entry is a pure function of
-(v0, params, z), so a table entry is the float the integrand would compute
-anyway: values, error estimates and adaptive decisions do not depend on
-which call or thread filled it, and the tables need neither a lock nor the
-quadrature settings in their keys.
+G_B(v0, z) is therefore kept in a numerics.HalfLineTable per (|v0|, params)
+(G_B is even in v0 bit for bit), filled on first use of each node, together
+with each G7/K15 segment's nodes as (z, h(z), (1-t)^2); integrate_half_line
+then computes only exp(-decay * z) and the weighted sums per integral.
+T_F's envelope sqrt(z^2-1)/z has one such table, and the T_F - T_B gap's
+envelope times (1 - G_B) one per (|v0|, params).  The series route reads the
+profile table (branch_profile) by z at the nodes of its single outer
+z-integral, whose decay-0 map bisects the same tree.  Every entry is a pure
+function of (|v0|, params, z), so a table entry is the float the integrand
+would compute anyway: values, error estimates and adaptive decisions do not
+depend on which call or thread filled it, and the tables need neither a lock
+nor the quadrature settings in their keys.
 """
 
 from __future__ import annotations
@@ -47,13 +51,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
-    MP_LOCK,
     Estimate,
     HalfLineTable,
     QuadratureSettings,
@@ -193,12 +197,13 @@ def gb_factor(
 _FB_CACHE: dict[tuple[float, float, float, float], "_FbCoeffs"] = {}
 # the message of every build that raised, by (v, units, count, dps, term cap)
 _FB_FAILURES: dict[tuple, str] = {}
+# held around lookup, failure memo and build, so racing requests build once
+_FB_LOCK = threading.Lock()
 
 
 @dataclass
 class _FbCoeffs:
-    dps: int
-    coeffs: list  # mpf values of D_p, valid at self.dps
+    dps: int  # the precision D_p was built at
     log10: list[float]  # log10 |D_p| (for fast magnitude scans); -inf for 0
     errs: list[float]  # truncation floor per coefficient (0 for clean exits)
     floats: list[float]  # float(D_p), converted once for the double-precision sums
@@ -213,14 +218,14 @@ def _fb_coeffs_at(
     settings: QuadratureSettings,
 ) -> _FbCoeffs:
     key = (v, params.mu, params.c, params.hbar)
-    with MP_LOCK:
+    with _FB_LOCK:
         entry = _FB_CACHE.get(key)
-        if entry is not None and entry.dps >= dps_needed and len(entry.coeffs) >= n_needed:
+        if entry is not None and entry.dps >= dps_needed and len(entry.floats) >= n_needed:
             return entry
         # rebuilding is a from-scratch job, so overshoot both axes and make
         # successive rebuilds geometric rather than per-request
         dps = max(dps_needed + 15, int(1.25 * dps_needed), entry.dps if entry else 0, 30)
-        count = max(n_needed + 64, len(entry.coeffs) if entry else 0)
+        count = max(n_needed + 64, len(entry.floats) if entry else 0)
         # the term cap decides where a coefficient stops as not converging
         failed_key = (*key, count, dps, settings.max_series_terms)
         message = _FB_FAILURES.get(failed_key)
@@ -250,7 +255,7 @@ def fb_coeffs(
     """
     if outgrown is None:
         return _fb_coeffs_at(v, params, 48, 30, settings)
-    return _fb_coeffs_at(v, params, len(outgrown.coeffs) + 48, outgrown.dps, settings)
+    return _fb_coeffs_at(v, params, len(outgrown.floats) + 48, outgrown.dps, settings)
 
 
 class _LSum:
@@ -266,13 +271,13 @@ class _LSum:
     __slots__ = ("p", "acc", "running", "central", "small", "peak_mag",
                  "best_mag", "best_acc", "best_idx", "trunc_err")
 
-    def __init__(self, p: int, a_fac) -> None:
+    def __init__(self, p: int, a_fac, ctx: mp.MPContext) -> None:
         self.p = p
-        self.acc = mp.mpf(0)
+        self.acc = ctx.mpf(0)
         self.running = a_fac**p  # A^l * C^(l-p) at l = p
-        self.central = mp.mpf(math.comb(2 * p, p))
+        self.central = ctx.mpf(math.comb(2 * p, p))
         self.small = 0
-        self.peak_mag = mp.mpf(0)
+        self.peak_mag = ctx.mpf(0)
         self.best_mag = None
         self.best_acc = None
         self.best_idx = p
@@ -286,130 +291,133 @@ def _build_fb_coeffs(
     dps: int,
     settings: QuadratureSettings,
 ) -> _FbCoeffs:
-    with MP_LOCK, mp.workdps(dps):
-        a_fac = mp.mpf(params.mu) * mp.mpf(v) / (2 * mp.mpf(params.hbar) ** 2)
-        b_fac = mp.mpf(v) / (2 * mp.mpf(params.mu) * mp.mpf(params.c) ** 2)
-        c_fac = -(mp.mpf(params.hbar) ** 2) / (mp.mpf(params.mu) * mp.mpf(params.c)) ** 2
-        ac_fac = a_fac * c_fac
-        eps = mp.mpf(10) ** (-(dps - 8))
-        b_pow = [mp.mpf(1)]
-        gb_rows: list[list] = []  # gb_rows[m][n] = C((m+1)/2, n)
-        gb_alpha: list = []  # (m+1)/2, exact
+    # a private context: its precision is this build's alone, whatever
+    # mpmath's global precision is set to by the caller or another thread
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    a_fac = ctx.mpf(params.mu) * ctx.mpf(v) / (2 * ctx.mpf(params.hbar) ** 2)
+    b_fac = ctx.mpf(v) / (2 * ctx.mpf(params.mu) * ctx.mpf(params.c) ** 2)
+    c_fac = -(ctx.mpf(params.hbar) ** 2) / (ctx.mpf(params.mu) * ctx.mpf(params.c)) ** 2
+    ac_fac = a_fac * c_fac
+    eps = ctx.mpf(10) ** (-(dps - 8))
+    b_pow = [ctx.mpf(1)]
+    gb_rows: list[list] = []  # gb_rows[m][n] = C((m+1)/2, n)
+    gb_alpha: list = []  # (m+1)/2, exact
 
-        def binom_row(l: int) -> list:
-            # C(l, m) b^(l-m) for m = 0..l, the binomials by Pascal recurrence
-            while len(b_pow) <= l:
-                b_pow.append(b_pow[-1] * b_fac)
-            row = []
-            binom_lm = mp.mpf(1)
-            for m in range(l + 1):
-                if m > 0:
-                    binom_lm = binom_lm * (l - m + 1) / m
-                row.append(binom_lm * b_pow[l - m])
-            return row
+    def binom_row(l: int) -> list:
+        # C(l, m) b^(l-m) for m = 0..l, the binomials by Pascal recurrence
+        while len(b_pow) <= l:
+            b_pow.append(b_pow[-1] * b_fac)
+        row = []
+        binom_lm = ctx.mpf(1)
+        for m in range(l + 1):
+            if m > 0:
+                binom_lm = binom_lm * (l - m + 1) / m
+            row.append(binom_lm * b_pow[l - m])
+        return row
 
-        def m_sum(row: list, n: int):
-            # sum over m of row[m] * C((m+1)/2, n), the binomials grown by
-            # recurrence as far as they are used
-            while len(gb_rows) < len(row):
-                gb_alpha.append(mp.mpf(len(gb_rows) + 1) / 2)
-                gb_rows.append([mp.mpf(1)])
-            # odd m give an integer upper argument (m+1)/2 that truncates,
-            # so the odd m below 2n - 1 contribute nothing
-            cut = max(2 * n - 1, 0)
-            s = mp.mpf(0)
-            for m in itertools.chain(range(0, min(cut, len(row)), 2), range(cut, len(row))):
-                gbin = gb_rows[m]
-                while len(gbin) <= n:
-                    k = len(gbin)
-                    gbin.append(gbin[-1] * (gb_alpha[m] - (k - 1)) / k)
-                s += row[m] * gbin[n]
-            return s
+    def m_sum(row: list, n: int):
+        # sum over m of row[m] * C((m+1)/2, n), the binomials grown by
+        # recurrence as far as they are used
+        while len(gb_rows) < len(row):
+            gb_alpha.append(ctx.mpf(len(gb_rows) + 1) / 2)
+            gb_rows.append([ctx.mpf(1)])
+        # odd m give an integer upper argument (m+1)/2 that truncates,
+        # so the odd m below 2n - 1 contribute nothing
+        cut = max(2 * n - 1, 0)
+        s = ctx.mpf(0)
+        for m in itertools.chain(range(0, min(cut, len(row)), 2), range(cut, len(row))):
+            gbin = gb_rows[m]
+            while len(gbin) <= n:
+                k = len(gbin)
+                gbin.append(gbin[-1] * (gb_alpha[m] - (k - 1)) / k)
+            s += row[m] * gbin[n]
+        return s
 
-        def add_term(st: _LSum, l: int, s) -> bool:
-            # add term l of D_p; True once D_p is settled
-            term = st.central * st.running * s
-            st.acc += term
-            mag = abs(term)
-            if mag > st.peak_mag:
-                st.peak_mag = mag
-                st.best_mag = None
-                st.best_acc = None
-                st.best_idx = l
-            elif st.best_mag is None or mag < st.best_mag:
-                st.best_mag = mag
-                st.best_acc = st.acc
-                st.best_idx = l
-            elif l - st.best_idx >= 20 and mag > 1e4 * st.best_mag:
-                # risen far above the post-peak floor: the sum is
-                # asymptotic here, so truncate at the floor
-                floor = float(st.best_mag)
-                if floor > 1e-9 * (1 + abs(float(st.best_acc))):
-                    raise SeriesDivergenceError(
-                        f"residue-series coefficient p={st.p} floors at "
-                        f"{floor:.1e} for v={v}: barrier strength too "
-                        "close to the rest-mass energy"
-                    )
-                st.acc = st.best_acc
-                st.trunc_err = floor
-                return True
-            if mag <= eps * (1 + abs(st.acc)):
-                st.small += 1
-                if st.small >= 3:
-                    return True
-            else:
-                st.small = 0
-            if l - st.p >= 4 * settings.max_series_terms:
+    def add_term(st: _LSum, l: int, s) -> bool:
+        # add term l of D_p; True once D_p is settled
+        term = st.central * st.running * s
+        st.acc += term
+        mag = abs(term)
+        if mag > st.peak_mag:
+            st.peak_mag = mag
+            st.best_mag = None
+            st.best_acc = None
+            st.best_idx = l
+        elif st.best_mag is None or mag < st.best_mag:
+            st.best_mag = mag
+            st.best_acc = st.acc
+            st.best_idx = l
+        elif l - st.best_idx >= 20 and mag > 1e4 * st.best_mag:
+            # risen far above the post-peak floor: the sum is
+            # asymptotic here, so truncate at the floor
+            floor = float(st.best_mag)
+            if floor > 1e-9 * (1 + abs(float(st.best_acc))):
                 raise SeriesDivergenceError(
-                    f"residue-series coefficient p={st.p} did not converge for v={v}"
+                    f"residue-series coefficient p={st.p} floors at "
+                    f"{floor:.1e} for v={v}: barrier strength too "
+                    "close to the rest-mass energy"
                 )
-            st.central = st.central * 2 * (2 * l + 1) / (l + 1)  # comb(2l, l) update
-            st.running *= ac_fac
-            return False
+            st.acc = st.best_acc
+            st.trunc_err = floor
+            return True
+        if mag <= eps * (1 + abs(st.acc)):
+            st.small += 1
+            if st.small >= 3:
+                return True
+        else:
+            st.small = 0
+        if l - st.p >= 4 * settings.max_series_terms:
+            raise SeriesDivergenceError(
+                f"residue-series coefficient p={st.p} did not converge for v={v}"
+            )
+        st.central = st.central * 2 * (2 * l + 1) / (l + 1)  # comb(2l, l) update
+        st.running *= ac_fac
+        return False
 
-        # p = 0 first, on its own: near the rest energy it is the coefficient
-        # that fails, and in the sweep below every p <= l would run along
-        # until it did
-        sums = [_LSum(0, a_fac)]
-        l = 0
-        while not add_term(sums[0], l, m_sum(binom_row(l), l)):
-            l += 1
-        # Then one sweep over l for p >= 1.  Row l depends only on (l, m), so
-        # it is built once and every unfinished p adds its term l from it, in
-        # ascending p: each D_p sees the same mpf operations in the same
-        # order as in a loop over p that rebuilds the row, so its bits are the
-        # same.  Only row l is alive: caching every row, or looping p-major
-        # over a window of rows, raises the build's peak memory.
-        failure = None
-        limit = count
-        active: list[_LSum] = []
-        l = 1
-        while l < limit or active:
-            if l < limit:
-                sums.append(_LSum(l, a_fac))
-                active.append(sums[-1])
-            row = binom_row(l)
-            unfinished = []
-            for st in active:
-                try:
-                    if not add_term(st, l, m_sum(row, l - st.p)):
-                        unfinished.append(st)
-                except SeriesDivergenceError as exc:
-                    # the build reports its smallest failing p: drop the
-                    # larger p, and let only a smaller one replace this error
-                    failure, limit = exc, st.p
-                    break
-            active = unfinished
-            l += 1
-        if failure is not None:
-            raise failure
-        coeffs = [st.acc for st in sums]
-        errs = [st.trunc_err for st in sums]
-        logs = [float(mp.log10(abs(cf))) if cf != 0 else -math.inf for cf in coeffs]
-        floats = [float(cf) for cf in coeffs]
-        mants = [(-int(man) if sign else int(man), exp)
-                 for sign, man, exp, _bc in (cf._mpf_ for cf in coeffs)]
-    return _FbCoeffs(dps=dps, coeffs=coeffs, log10=logs, errs=errs, floats=floats, mants=mants)
+    # p = 0 first, on its own: near the rest energy it is the coefficient
+    # that fails, and in the sweep below every p <= l would run along
+    # until it did
+    sums = [_LSum(0, a_fac, ctx)]
+    l = 0
+    while not add_term(sums[0], l, m_sum(binom_row(l), l)):
+        l += 1
+    # Then one sweep over l for p >= 1.  Row l depends only on (l, m), so
+    # it is built once and every unfinished p adds its term l from it, in
+    # ascending p: each D_p sees the same mpf operations in the same
+    # order as in a loop over p that rebuilds the row, so its bits are the
+    # same.  Only row l is alive: caching every row, or looping p-major
+    # over a window of rows, raises the build's peak memory.
+    failure = None
+    limit = count
+    active: list[_LSum] = []
+    l = 1
+    while l < limit or active:
+        if l < limit:
+            sums.append(_LSum(l, a_fac, ctx))
+            active.append(sums[-1])
+        row = binom_row(l)
+        unfinished = []
+        for st in active:
+            try:
+                if not add_term(st, l, m_sum(row, l - st.p)):
+                    unfinished.append(st)
+            except SeriesDivergenceError as exc:
+                # the build reports its smallest failing p: drop the
+                # larger p, and let only a smaller one replace this error
+                failure, limit = exc, st.p
+                break
+        active = unfinished
+        l += 1
+    if failure is not None:
+        raise failure
+    coeffs = [st.acc for st in sums]
+    errs = [st.trunc_err for st in sums]
+    logs = [float(ctx.log10(abs(cf))) if cf != 0 else -math.inf for cf in coeffs]
+    floats = [float(cf) for cf in coeffs]
+    mants = [(-int(man) if sign else int(man), exp)
+             for sign, man, exp, _bc in (cf._mpf_ for cf in coeffs)]
+    return _FbCoeffs(dps=dps, log10=logs, errs=errs, floats=floats, mants=mants)
 
 
 def _fb_eval(
@@ -437,7 +445,7 @@ def _fb_eval(
     p = 0
     small = 0
     while True:
-        if p >= len(entry.coeffs):
+        if p >= len(entry.floats):
             if p >= settings.max_series_terms:
                 raise SeriesDivergenceError(
                     f"residue series needs more than {settings.max_series_terms} terms"
@@ -518,8 +526,8 @@ def _fb_sum_exact(
     has: for a strong barrier it falls far below 2^-bits while D_q grows
     large.  zeta^2 is exact from the float zeta, and the stopping test is
     exact.  Both floats are rounded to nearest, as float() of an mpf is
-    (mpmath's raw to_float truncates).  Neither mpmath's precision nor a
-    lock is touched.
+    (mpmath's raw to_float truncates).  Neither mpmath nor a lock is
+    touched.
     """
     bits = math.ceil(dps * math.log2(10.0)) + 8
     one = 1 << bits
@@ -603,13 +611,18 @@ _GAP_TABLES: dict[tuple[float, PhysicalParams], HalfLineTable] = {}
 def _strength_table(
     tables: dict, integrand, v0: float, params: PhysicalParams
 ) -> HalfLineTable:
-    """The shared table of integrand(v0, params, z) for one barrier strength."""
-    key = (v0, params)
+    """The shared table of integrand(|v0|, params, z) for one barrier strength.
+
+    Both integrands reach v0 only through G_B, which is even in v0 bit for
+    bit (the sign flips Im w exactly, and Re w^(-1/2) is even in it), so
+    +v0 and -v0 share one table.
+    """
+    key = (abs(v0), params)
     table = tables.get(key)
     if table is None:
         # setdefault: threads racing here end up sharing one table
         table = tables.setdefault(
-            key, HalfLineTable(functools.partial(integrand, v0, params))
+            key, HalfLineTable(functools.partial(integrand, *key))
         )
     return table
 

@@ -1,11 +1,13 @@
 """Quadrature engines and special functions used by the physics modules.
 
 Everything here is deterministic and pure: identical inputs and settings
-produce bit-identical outputs.  The semi-infinite integrators map onto a
-finite interval with z = lower + t/(1-t) and refine adaptively with an
-embedded Gauss-Kronrod (G7, K15) pair; the oscillatory sine transform sums
-panels between successive zeros of sin(k*zeta) with Euler acceleration for
-slowly decaying envelopes.
+produce bit-identical outputs.  hyp0f1_one escalates to arbitrary precision
+in a private mpmath context, so nothing here reads or sets mpmath's global
+precision.  The semi-infinite integrators map onto a finite interval with
+z = lower + t/(1-t) and refine adaptively with an embedded Gauss-Kronrod
+(G7, K15) pair; the oscillatory sine transform sums panels between
+successive zeros of sin(k*zeta) with Euler acceleration for slowly decaying
+envelopes.
 
 Every pass forms its weighted G7/K15 sums in _gk_sum, in one order.  A
 HalfLineTable holds g(z) for the Laplace integrals int_1^inf g(z)
@@ -19,16 +21,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import mpmath as mp
-
-# mpmath's working precision is process-global state; every arbitrary-
-# precision block in the package takes this lock so concurrent callers
-# cannot corrupt one another's precision context
-MP_LOCK = threading.RLock()
 
 __all__ = [
     "Estimate",
@@ -38,7 +34,6 @@ __all__ = [
     "SeriesDivergenceError",
     "hyp0f1_one",
     "hyp2f1_integral",
-    "csgn",
     "gen_binomial",
     "faddeeva",
     "FADDEEVA_IM_REL_ERR",
@@ -260,20 +255,21 @@ def hyp0f1_one(x: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> flo
         return value
     # cancellation ate the float result: redo with enough guard digits
     digits = int(math.log10(max_term + 1.0)) + 25
-    with MP_LOCK, mp.workdps(max(digits, 30)):
-        term = mp.mpf(1)
-        total = mp.mpf(1)
-        xm = mp.mpf(x)
-        small = 0
-        for m in range(1, settings.max_series_terms + 1):
-            term = term * xm / (m * m)
-            total += term
-            if abs(term) <= settings.rel_tol * abs(total):
-                small += 1
-                if small >= 3:
-                    return float(total)
-            else:
-                small = 0
+    ctx = mp.MPContext()  # private precision: mpmath's global one is the caller's
+    ctx.dps = max(digits, 30)
+    term = ctx.mpf(1)
+    total = ctx.mpf(1)
+    xm = ctx.mpf(x)
+    small = 0
+    for m in range(1, settings.max_series_terms + 1):
+        term = term * xm / (m * m)
+        total += term
+        if abs(term) <= settings.rel_tol * abs(total):
+            small += 1
+            if small >= 3:
+                return float(total)
+        else:
+            small = 0
     raise SeriesDivergenceError("hyp0f1_one did not converge within max_series_terms")
 
 
@@ -350,17 +346,6 @@ def hyp2f1_integral(
     v_low, _e0, _ = _adaptive_gk(piece_low, 0.0, 1.0, settings)
     v_high, _e1, _ = _adaptive_gk(piece_high, 0.0, 1.0, settings)
     return prefac * (v_low + v_high)
-
-
-def csgn(z: complex) -> int:
-    """Complex signum: sign of Re z, falling back to sign of Im z on the axis."""
-    if z == 0:
-        raise ValueError("csgn undefined at 0")
-    if z.real > 0.0:
-        return 1
-    if z.real < 0.0:
-        return -1
-    return 1 if z.imag > 0.0 else -1
 
 
 def gen_binomial(alpha: float, n: int) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings as hyp_settings, strategies as st
+from mpmath import libmp
 
 from conftest import branch_integral_oracle
 from reltoa import kernels
@@ -136,6 +137,12 @@ def fb_triple_sum_oracle(v: float, zeta: float, params: PhysicalParams,
         return float(total)
 
 
+def exact_mpf(mant: tuple[int, int]):
+    """The mpf man * 2**exp of an _FbCoeffs.mants pair, with every bit kept
+    (mp.mpf((man, exp)) would round it to the current precision)."""
+    return mp.make_mpf(libmp.from_man_exp(*mant))
+
+
 def fb_mpf_sum_oracle(entry, zeta: float, p_stop: int, dps: int,
                       drop_unity: bool, abs_tol: float) -> tuple[float, float]:
     """The escalated residue sum in mpf arithmetic at dps digits: the
@@ -149,7 +156,7 @@ def fb_mpf_sum_oracle(entry, zeta: float, p_stop: int, dps: int,
         small = 0
         trunc = 0.0
         for q in range(p_stop):
-            d_q = entry.coeffs[q]
+            d_q = exact_mpf(entry.mants[q])
             if drop_unity and q == 0:
                 d_q = d_q - 1
             term = d_q * ratio_mp
@@ -221,14 +228,15 @@ class TestGbFactor:
             assert gb_factor(0.0, z) == 1.0
 
     def test_even_in_v(self):
-        assert gb_factor(0.3, 2.0) == pytest.approx(gb_factor(-0.3, 2.0), rel=1e-15)
+        assert gb_factor(0.3, 2.0) == gb_factor(-0.3, 2.0)
 
     @given(
         st.floats(min_value=-0.95, max_value=0.95),
         st.floats(min_value=1.0, max_value=40.0),
     )
     def test_even_in_v_property(self, v, z):
-        assert gb_factor(v, z) == pytest.approx(gb_factor(-v, z), rel=1e-13, abs=1e-13)
+        # bit for bit: +v0 and -v0 share one branch-profile table
+        assert gb_factor(v, z) == gb_factor(-v, z)
 
     def test_half_sum_oracle(self):
         # independent evaluation as the literal half-sum of both branches
@@ -301,10 +309,41 @@ class TestFbCoeffBuild:
             pin["v"], NATURAL_UNITS, pin["count"], pin["dps"], DEFAULT_SETTINGS
         )
         assert FB_BUILD_BENCH.digest(entry) == pin["sha256"]
-        assert entry.floats == [float(cf) for cf in entry.coeffs]
+        assert entry.floats == [float(exact_mpf(mant)) for mant in entry.mants]
         if pin["v"] == -0.9:
             # this pin covers the optimal-truncation exit of every coefficient
             assert all(entry.errs)
+
+    def test_bits_ignore_a_concurrent_global_precision(self):
+        # the build computes in a private mpmath context, so a thread that
+        # keeps setting mpmath's global precision changes neither its bits
+        # nor the precision the caller finds afterwards, nor the cache
+        pin = next(pin for pin in FB_PINS if (pin["v"], pin["count"]) == (0.1, 112))
+        cached = dict(kernels._FB_CACHE)
+        prec = mp.mp.prec
+        stop = threading.Event()
+
+        def meddle():
+            while not stop.is_set():
+                with mp.workdps(8):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        meddler = threading.Thread(target=meddle)
+        meddler.start()
+        try:
+            entry = _build_fb_coeffs(
+                pin["v"], NATURAL_UNITS, pin["count"], pin["dps"], DEFAULT_SETTINGS
+            )
+        finally:
+            stop.set()
+            meddler.join()
+            sys.setswitchinterval(interval)
+        assert FB_BUILD_BENCH.digest(entry) == pin["sha256"]
+        assert mp.mp.prec == prec
+        assert kernels._FB_CACHE.keys() == cached.keys()
+        assert all(kernels._FB_CACHE[key] is entry for key, entry in cached.items())
 
     def test_rest_energy_failure_message(self):
         with pytest.raises(SeriesDivergenceError) as info:
@@ -479,15 +518,16 @@ class TestBranchProfile:
         units = (NATURAL_UNITS.mu, NATURAL_UNITS.c, NATURAL_UNITS.hbar)
 
         def forget(coefficients: bool, values: bool):
-            # empty the profile tables' segment caches and, if asked, drop
-            # the tables with their values, and the coefficient cache
-            for v0 in (-0.3, 0.3):
-                table = kernels._BRANCH_PROFILES.get((v0, NATURAL_UNITS))
-                if table is not None:
-                    table.segments.clear()
-                if values:
-                    kernels._BRANCH_PROFILES.pop((v0, NATURAL_UNITS), None)
-                if coefficients:
+            # empty the profile table's segment cache and, if asked, drop
+            # the table with its values, and the coefficient cache; both
+            # signs share the profile of |v0| = 0.3
+            table = kernels._BRANCH_PROFILES.get((0.3, NATURAL_UNITS))
+            if table is not None:
+                table.segments.clear()
+            if values:
+                kernels._BRANCH_PROFILES.pop((0.3, NATURAL_UNITS), None)
+            if coefficients:
+                for v0 in (-0.3, 0.3):
                     kernels._FB_CACHE.pop((v0, *units), None)
 
         def bits(est):
@@ -565,8 +605,10 @@ class TestHalfLineTable:
 
     def test_kernels_read_their_tables(self):
         assert kernels._FREE_TABLE.g is kernels._branch_envelope
+        # G_B is even in v0, so both signs share the table built at |v0|
         profile = kernels.branch_profile(-0.3, NATURAL_UNITS)
-        assert (profile.g.func, profile.g.args) == (kernels._branch_h, (-0.3, NATURAL_UNITS))
+        assert (profile.g.func, profile.g.args) == (kernels._branch_h, (0.3, NATURAL_UNITS))
+        assert kernels.branch_profile(0.3, NATURAL_UNITS) is profile
         barrier_free_gap(0.3, 1.0)
         gap = kernels._GAP_TABLES[(0.3, NATURAL_UNITS)]
         assert (gap.g.func, gap.g.args) == (kernels._gap_integrand, (0.3, NATURAL_UNITS))

@@ -17,7 +17,6 @@ from reltoa.numerics import (
     FADDEEVA_IM_REL_ERR,
     QuadratureError,
     QuadratureSettings,
-    csgn,
     faddeeva,
     gen_binomial,
     hyp0f1_one,
@@ -142,17 +141,6 @@ class TestFaddeeva:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(ValueError, match="Im z >= 0"):
             faddeeva(complex(1.0, -1e-3))
-
-
-class TestCsgn:
-    def test_paper_cases(self):
-        assert csgn(complex(1.0, -5.0)) == 1
-        assert csgn(complex(-0.1, 9.0)) == -1
-        assert csgn(complex(0.0, -2.0)) == -1
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            csgn(0j)
 
 
 class TestGenBinomial:
