@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the stdout of eight reference CLI commands.
+"""Print the sha256 and CPU time of the stdout of eight reference CLI commands.
 
 Each command runs in a fresh ``python -m reltoa.cli`` process against the
 library in this checkout's src/, because a cached coefficient entry's digits
 depend on the requests that built it.  The digests are what CHANGES.md
 records when a change claims byte-identical output; compare them by eye or
-with diff.  Run from anywhere:
+with diff.  Beside each digest goes the command's CPU seconds (user plus
+system, from the getrusage(RUSAGE_CHILDREN) delta around it): its cold
+time, start-up included, since every command starts a new process.  Run
+from anywhere:
 
     python scripts/cli_digests.py
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -35,15 +39,22 @@ COMMANDS = (
 )
 
 
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def main() -> int:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
     for command in COMMANDS:
+        before = _children_cpu_s()
         out = subprocess.run(
             [sys.executable, "-m", "reltoa.cli", *command.split()],
             capture_output=True, check=True, env=env,
         ).stdout
-        print(f"{hashlib.sha256(out).hexdigest()}  {command}", flush=True)
+        cpu_s = _children_cpu_s() - before
+        print(f"{hashlib.sha256(out).hexdigest()}  {cpu_s:8.2f} s  {command}", flush=True)
     return 0
 
 

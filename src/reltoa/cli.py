@@ -15,8 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from reltoa.classical import (
     ClassicallyForbiddenError,
     classical_toa_closed,
@@ -172,6 +170,8 @@ def _grid(
     A non-finite bound is rejected here: np.linspace would turn it into NaN
     nodes, and the error would then name a value the user never gave.
     """
+    import numpy as np  # only the grid commands pay numpy's import
+
     if count < 2:
         raise ValueError(f"{command} needs {count_flag} >= 2")
     for flag, value in ((lo_flag, lo), (hi_flag, hi)):
@@ -356,8 +356,8 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
     put("kappa_c", "closed", kc, 0.0, "1/length")
     rc, plus, minus = momentum_split(packet, args.vo, cfg.params, cfg.settings)
     put("rc", "momentum", rc.value, rc.err, "dimensionless")
-    put("rc_plus", "momentum", plus, 0.0, "dimensionless")
-    put("rc_minus", "momentum", minus, 0.0, "dimensionless")
+    put("rc_plus", "momentum", plus.value, plus.err, "dimensionless")
+    put("rc_minus", "momentum", minus.value, minus.err, "dimensionless")
     rows.append(["rc", "direct"]
                 + _safe_ior(lambda: ior_direct(packet, args.vo, cfg.params, cfg.settings))
                 + ["dimensionless"])
@@ -366,8 +366,8 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
                 + ["dimensionless"])
     put("qc", "direct", qc_expectation(packet, cfg.params, cfg.settings), 0.0, "dimensionless")
     put("tau_trav", "momentum", t_c * rc.value, t_c * rc.err, "time")
-    put("tau_plus", "momentum", t_c * plus, 0.0, "time")
-    put("tau_minus", "momentum", t_c * minus, 0.0, "time")
+    put("tau_plus", "momentum", t_c * plus.value, t_c * plus.err, "time")
+    put("tau_minus", "momentum", t_c * minus.value, t_c * minus.err, "time")
     put("toa_difference", "direct", toa_difference(packet, barrier, cfg.params, cfg.settings), 0.0, "time")
     margin = packet.k0 - (kc - packet.sigma_k)
     rows.append(["classification", "momentum", Luminality.of(rc.value).value, fmt(margin),
@@ -378,6 +378,8 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _limit_checks(cfg: RunConfig):
     """Yield (name, residual, threshold) for every limit/oracle property."""
+    import numpy as np  # the overlap check's trapezoid rule
+
     params = cfg.params
     settings = cfg.settings
 

@@ -611,6 +611,14 @@ def integrate_sqrt_endpoint(
     the substitution squeezes into regions an unseeded opening pass can
     miss.  A stronger-than-inverse-square-root blowup is detected by
     probing the substituted integrand toward u = 0.
+
+    The u-integral runs as one map t -> k = a + u^2 with u = t/(1-t), so
+    each node costs one Python call besides f.  It returns, bit for bit,
+    integrate_semiinf_exp(lambda u: 2.0*u*f(a + u*u), 0.0, 0.0, settings,
+    u_seeds), with the same operations in the same order, less two that are
+    exact: the envelope exp(-0.0 * u) is exactly 1.0, and the lower bound
+    adds 0.0 to t/(1-t) >= +0.0.  For the same reason each seed's t is
+    u/(1 + u) with u = sqrt(k - a).
     """
 
     def g(u: float) -> float:
@@ -622,5 +630,12 @@ def integrate_sqrt_endpoint(
         raise QuadratureError(
             "integrand singularity at the lower endpoint is stronger than 1/sqrt"
         )
-    u_seeds = tuple(math.sqrt(k - a) for k in seeds if k > a)
-    return integrate_semiinf_exp(g, 0.0, 0.0, settings, u_seeds)
+
+    def mapped(t: float) -> float:
+        onemt = 1.0 - t
+        u = t / onemt
+        return 2.0 * u * f(a + u * u) / (onemt * onemt)
+
+    t_seeds = tuple(u / (1.0 + u) for u in (math.sqrt(k - a) for k in seeds if k > a))
+    val, err, _ = _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
+    return val, err

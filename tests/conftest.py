@@ -11,6 +11,15 @@ hypothesis.settings.register_profile("ci", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("ci")
 
 
+def crossing_weight(k: float, v0: float, params) -> float:
+    """The momentum route's crossing weight sqrt(E^2/((E - v0)^2 - mu^2 c^4)),
+    0.0 at and below threshold, in the operations of its two-call form."""
+    rest = params.rest_energy
+    e_k = math.hypot(params.hbar * k * params.c, rest)
+    denom = (e_k - v0) ** 2 - rest * rest
+    return math.sqrt(e_k * e_k / denom) if denom > 0.0 else 0.0
+
+
 def simpson(y: np.ndarray, x: np.ndarray) -> float:
     # composite Simpson on an odd-length uniform grid
     n = len(x)

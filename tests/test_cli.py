@@ -277,3 +277,16 @@ def test_csv_bytes_match_reference(name, argv):
         capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert out == (DATA / name).read_bytes()
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the grid commands and `limits` need numpy, and they import it
+    # when they run; `point` and the tables start without it
+    src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, reltoa, reltoa.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, check=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "False"

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import pathlib
 
 import pytest
 import scipy.integrate
+from hypothesis import given, strategies as st
+
+from conftest import crossing_weight
 
 from reltoa.classical import kappa_c, qc_asymptotic, tau_top
-from reltoa.kernels import NATURAL_UNITS, BarrierSpec, branch_integral, free_factor
+from reltoa.kernels import (
+    NATURAL_UNITS,
+    BarrierSpec,
+    PhysicalParams,
+    branch_integral,
+    free_factor,
+)
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     QuadratureSettings,
@@ -20,6 +32,7 @@ from reltoa.wavepacket import GaussianPacket, momentum_density, phi_overlap
 from reltoa.ior import (
     Luminality,
     _branch_transform,
+    _crossing_integrand,
     _density_seeds,
     _phi_transform,
     ior_direct,
@@ -47,7 +60,7 @@ def tau_plus_consistency(packet: GaussianPacket, barrier: BarrierSpec) -> tuple[
         return momentum_density(packet, k, +1) * tau_top(k, barrier.v0, barrier.length)
 
     avg, _err = integrate_sqrt_endpoint(f, kc, seeds=_density_seeds(packet, kc))
-    return barrier.length * plus, avg  # t_c = L / c with c = 1
+    return barrier.length * plus.value, avg  # t_c = L / c with c = 1
 
 
 def nested_branch_transform(packet: GaussianPacket, v0: float) -> tuple[float, float]:
@@ -74,6 +87,9 @@ def nested_qc(packet: GaussianPacket) -> tuple[float, float]:
         lambda zeta: free_factor(zeta).value, packet, NATURAL_UNITS, DEFAULT_SETTINGS
     )
     return packet.k0 * val, packet.k0 * err
+
+
+MOMENTUM_PIN = pathlib.Path(__file__).parent / "data" / "momentum_pin.json"
 
 
 def narrow(k0: float) -> GaussianPacket:
@@ -139,14 +155,64 @@ class TestIorMomentum:
         res, plus, _ = momentum_split(wide(0.19), 0.3)
         assert abs(res.value) < 1e-20
         # magnitude scale of the suppressed crossing weight
-        assert 1e-31 < plus < 1e-27
+        assert 1e-31 < plus.value < 1e-27
 
     def test_decomposition_exact(self):
         res, plus, minus = momentum_split(narrow(0.5), 0.3)
-        assert plus >= 0.0
-        assert minus >= 0.0
-        assert res.value == plus - minus  # exact identity
+        assert plus.value >= 0.0
+        assert minus.value >= 0.0
+        assert res.value == plus.value - minus.value  # exact identity
+        assert res.err == plus.err + minus.err
         assert ior_momentum(narrow(0.5), 0.3) == res
+
+    def test_bits_match_pin(self):
+        # sha256 of float.hex(R_c value, R_c err, plus, minus) over the grid,
+        # sigma-major, then v0, then k0; k0 lies on both sides of kappa_c
+        pin = json.loads(MOMENTUM_PIN.read_text())
+        h = hashlib.sha256()
+        for sigma in pin["sigma"]:
+            for v0 in pin["v0"]:
+                for k0 in pin["k0"]:
+                    packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+                    res, plus, minus = momentum_split(packet, v0)
+                    line = f"{res.value.hex()} {res.err.hex()} {plus.value.hex()} {minus.value.hex()}"
+                    h.update(f"{line}\n".encode())
+        assert h.hexdigest() == pin["sha256"]
+
+    def test_split_error_bars_cover_tight_run(self):
+        # each weight's err bounds its distance to a run at 100x tighter
+        # tolerances, for narrow and wide packets on both sides of kappa_c
+        # (rel_tol = 1e-13 is out of reach: some of these cells raise)
+        tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-16)
+        packets = (narrow(0.5), narrow(2.0), wide(0.7, 2.0), wide(1.0, 6.0), wide(0.19), wide(2.0))
+        for packet in packets:
+            for v0 in (0.1, 0.3, 0.99):
+                _, plus, minus = momentum_split(packet, v0)
+                _, plus_t, minus_t = momentum_split(packet, v0, settings=tight)
+                assert abs(plus.value - plus_t.value) <= plus.err, (packet, v0)
+                assert abs(minus.value - minus_t.value) <= minus.err, (packet, v0)
+
+    @given(
+        sigma=st.floats(min_value=0.2, max_value=12.0),
+        k0=st.floats(min_value=0.01, max_value=6.0),
+        v0_frac=st.floats(min_value=0.001, max_value=0.999),
+        sign=st.sampled_from([+1, -1]),
+        params=st.sampled_from(
+            [NATURAL_UNITS, PhysicalParams(mu=2.0, c=3.0, hbar=0.5),
+             PhysicalParams(mu=0.7, c=137.0, hbar=1.3)]
+        ),
+    )
+    def test_fused_integrand_matches_two_call_form(self, sigma, k0, v0_frac, sign, params):
+        packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+        v0 = v0_frac * params.rest_energy
+        fused = _crossing_integrand(packet, v0, params, sign)
+        kc = kappa_c(v0, params)
+        grid = [kc * (1.0 + j / 64.0) for j in range(-8, 200)]
+        grid += [kc, math.nextafter(kc, 0.0), math.nextafter(kc, math.inf)]
+        grid += [k0 + j * packet.sigma_k / 4.0 for j in range(-40, 41)]
+        for k in grid:
+            two_call = momentum_density(packet, k, sign) * crossing_weight(k, v0, params)
+            assert fused(k).hex() == two_call.hex(), k
 
     def test_methods_agree(self):
         for k0, v0 in ((2.0, 0.3), (0.25, 0.3)):

@@ -11,7 +11,9 @@ import scipy.integrate
 import scipy.special
 from hypothesis import given, strategies as st
 
-from conftest import branch_integral_oracle, sine_integral_oracle
+from conftest import branch_integral_oracle, crossing_weight, sine_integral_oracle
+from reltoa.classical import kappa_c
+from reltoa.kernels import NATURAL_UNITS
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
@@ -25,6 +27,7 @@ from reltoa.numerics import (
     integrate_sqrt_endpoint,
     sine_transform_decaying,
 )
+from reltoa.wavepacket import GaussianPacket, momentum_density
 
 
 def hyp0f1_partial_sum(x: float, terms: int) -> float:
@@ -279,6 +282,79 @@ class TestSqrtEndpoint:
     def test_stronger_singularity_detected(self):
         with pytest.raises(QuadratureError):
             integrate_sqrt_endpoint(lambda k: math.exp(-k) / (k - 1.0) if k > 1.0 else 0.0, 1.0)
+
+
+def composed_sqrt_endpoint(f, a, settings=DEFAULT_SETTINGS, seeds=()):
+    """integrate_sqrt_endpoint as the u-integrand k = a + u^2 handed to
+    integrate_semiinf_exp at lower = 0 and decay = 0, behind the same probes."""
+
+    def g(u):
+        return 2.0 * u * f(a + u * u)
+
+    if abs(g(1e-7)) > 100.0 * abs(g(1e-3)) + 1.0:
+        raise QuadratureError(
+            "integrand singularity at the lower endpoint is stronger than 1/sqrt"
+        )
+    u_seeds = tuple(math.sqrt(k - a) for k in seeds if k > a)
+    return integrate_semiinf_exp(g, 0.0, 0.0, settings, u_seeds)
+
+
+def outcome(integrate, f, a, settings, seeds):
+    """float.hex of (value, err), or the type and text of what was raised.
+
+    A tail that does not decay can bisect down to a node at t = 1.0, where
+    both forms divide by zero; the forms must agree on that too.
+    """
+    try:
+        val, err = integrate(f, a, settings, seeds)
+    except (QuadratureError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return val.hex(), err.hex()
+
+
+class TestSqrtEndpointMap:
+    """integrate_sqrt_endpoint's one-map form against the composed form."""
+
+    @given(
+        kind=st.sampled_from(["crossing", "bare", "trips_probe"]),
+        a=st.floats(min_value=-3.0, max_value=3.0),
+        v0=st.floats(min_value=0.01, max_value=0.99),
+        sigma=st.sampled_from([0.5, 2.0, 9.0]),
+        k0=st.floats(min_value=0.05, max_value=4.0),
+        sign=st.sampled_from([+1, -1]),
+        offsets=st.lists(st.floats(min_value=-2.0, max_value=6.0), max_size=8),
+        settings=st.sampled_from([
+            DEFAULT_SETTINGS,
+            QuadratureSettings(rel_tol=1e-6, abs_tol=1e-9, max_subdivisions=40),
+        ]),
+    )
+    def test_bits_match_composed_form(self, kind, a, v0, sigma, k0, sign, offsets, settings):
+        if kind == "crossing":
+            a = kappa_c(v0)
+            packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+
+            def f(k):
+                return momentum_density(packet, k, sign) * crossing_weight(k, v0, NATURAL_UNITS)
+        elif kind == "bare":
+            def f(k):
+                return 1.0 / math.sqrt(k - a) if k > a else 0.0
+        else:
+            def f(k):
+                return 1.0 / (k - a) if k > a else 0.0
+        seeds = tuple(a + x for x in offsets)
+        new = outcome(integrate_sqrt_endpoint, f, a, settings, seeds)
+        assert new == outcome(composed_sqrt_endpoint, f, a, settings, seeds)
+        if kind == "trips_probe":
+            assert new == ("QuadratureError", "integrand singularity at the lower "
+                                              "endpoint is stronger than 1/sqrt")
+
+    def test_non_decaying_tail_raises(self):
+        # a bare inverse square root is not integrable at infinity
+        settings = QuadratureSettings(max_subdivisions=40)
+        with pytest.raises(QuadratureError, match="tolerance not met"):
+            integrate_sqrt_endpoint(
+                lambda k: 1.0 / math.sqrt(k - 1.0) if k > 1.0 else 0.0, 1.0, settings
+            )
 
 
 class TestSettings:
