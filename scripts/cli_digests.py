@@ -2,18 +2,17 @@
 """Print the sha256 and CPU time of the stdout of eight reference CLI commands.
 
 Each command runs in a fresh ``python -m reltoa.cli`` process against the
-library in this checkout's src/, because a cached coefficient entry's digits
-depend on the requests that built it.  The digests are what CHANGES.md
-records when a change claims byte-identical output; compare them by eye or
-with diff.  Beside each digest goes the command's CPU seconds (user plus
-system, from the getrusage(RUSAGE_CHILDREN) delta around it): its cold
-time, start-up included, since every command starts a new process.  Run
-from anywhere:
+library in this checkout's src/, as a user's command does.  The digests are
+what CHANGES.md records when a change claims byte-identical output; compare
+them by eye or with diff.  Beside each digest goes the command's CPU
+seconds (user plus system, from the getrusage(RUSAGE_CHILDREN) delta around
+it): its cold time, start-up included, since every command starts a new
+process.  Run from anywhere:
 
     python scripts/cli_digests.py
 
-Cold, the whole set takes a few minutes on a 2-core host (table2 and the
-wide kernel dump are the slow ones).
+Cold, the whole set takes about half a minute on a 2-core host (table1 is
+the slow one).
 """
 
 from __future__ import annotations

@@ -1,27 +1,18 @@
 #!/usr/bin/env python3
-"""Time the residue-coefficient build D_p(v) and pin the branch-cut integrals.
+"""Pin the branch-cut integrals, T_F and the T_F - T_B gap; time F_B warm.
 
-Each pinned build (v, count, dps) calls ``reltoa.kernels._build_fb_coeffs``
-twice: once for its CPU time and its bits, once under tracemalloc for its
-peak memory.  The bits are hashed and checked against
-tests/data/fb_coeffs_pin.json, which tests/test_kernels.py also reads.  The
-two builds near the rest energy that must fail are timed the same way, with
-their message.  The coefficient cache is not touched.
-
-Then ``reltoa.kernels.branch_integral`` runs over a grid of barrier
-strengths and log-spaced zeta.  Its (value, err) pairs are hashed and checked
-against tests/data/branch_integral_pin.json.  On the same grid,
-``free_factor``'s (value, err) per zeta and ``barrier_free_gap``'s value per
-(v0, zeta) are hashed and checked against tests/data/branch_factors_pin.json.
-Then the node count, segment count and bytes of every half-line table the
-grid leaves behind are printed: the G_B profile and the gap table per
-|v0| (G_B is even in v0, so the two signs share them), and the one T_F
-table.  Last, the residue series is timed per warm call of
-``reltoa.kernels._fb_eval`` (cache filled, best of a few rounds) at
-v = -0.1 and +0.1: in float at zeta <= 9 and at zeta 50, 100 and 150, where
-v = -0.1 escalates to the integer sum and v = +0.1, whose terms do not
-cancel, stays in float.  It runs after the pins, whose values depend
-on the coefficient cache's history.
+``reltoa.kernels.branch_integral`` runs over a grid of barrier strengths
+and log-spaced zeta.  Its (value, err) pairs are hashed and checked against
+tests/data/branch_integral_pin.json.  On the same grid, ``free_factor``'s
+(value, err) per zeta and ``barrier_free_gap``'s value per (v0, zeta) are
+hashed and checked against tests/data/branch_factors_pin.json, which
+tests/test_kernels.py also reads.  Then the node count, segment count and
+bytes of every half-line table the grid leaves behind are printed: the G_B
+profile and the gap table per |v0| (G_B is even in v0, so the two signs
+share them), and the one T_F table.  Last, the residue factor F_B is timed
+per warm call of ``reltoa.kernels._fb_eval`` (its rule cached, best of a
+few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150, with the number
+of rule intervals each call uses.
 
 Run from the repository root:
 
@@ -37,61 +28,31 @@ import json
 import pathlib
 import sys
 import time
-import tracemalloc
 
 from reltoa import kernels
 from reltoa.kernels import (
     NATURAL_UNITS,
-    _build_fb_coeffs,
     barrier_free_gap,
     branch_integral,
     free_factor,
 )
-from reltoa.numerics import DEFAULT_SETTINGS, SeriesDivergenceError
+from reltoa.numerics import DEFAULT_SETTINGS
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
-PIN_FILE = DATA / "fb_coeffs_pin.json"
 BRANCH_PIN_FILE = DATA / "branch_integral_pin.json"
 FACTOR_PIN_FILE = DATA / "branch_factors_pin.json"
 
-# (v, count, dps): the table1 and kernel-CLI sizes, and a strong barrier whose
-# every coefficient takes the optimal-truncation exit
-BUILDS = [(-0.3, 112, 45), (0.1, 112, 45), (-0.1, 224, 60), (-0.9, 24, 45)]
-# strengths too close to the rest energy: the build raises on p = 0
-FAILING = [(-0.97, 112, 45), (-0.99, 112, 45)]
 # the branch-cut pin: both signs the routes use, zero, and a strong barrier,
 # at 40 log-spaced zeta from a wide packet's small-zeta end to the kernel
 # table's far end
 BRANCH_V0 = [-0.9, -0.3, -0.1, 0.0, 0.1, 0.3]
 BRANCH_ZETA = [0.05 * 3200.0 ** (i / 39) for i in range(40)]
-# the series timing: (v, zeta), timed in this order after every pin
-SERIES_POINTS = [(v, zeta) for v in (-0.1, 0.1) for zeta in (1.0, 3.0, 9.0, 50.0, 100.0, 150.0)]
-SERIES_CALLS = 200  # calls per timed round
-SERIES_ROUNDS = 5
-# the T_F and gap pins use the same grid, but barrier_free_gap(-0.9, zeta)
-# raises in its residue series (the v = +0.9 build fails, ~15 s a call)
-# before it reaches the branch integral, so the gap leaves out v0 = -0.9
-GAP_V0 = [v0 for v0 in BRANCH_V0 if v0 != -0.9]
-
-
-def build(v: float, count: int, dps: int):
-    return _build_fb_coeffs(v, NATURAL_UNITS, count, dps, DEFAULT_SETTINGS)
-
-
-def digest(entry) -> str:
-    """sha256 of the coefficients' mpf tuples, then errs, then log10.
-
-    Each D_p = man * 2**exp is hashed as mpmath's normalized tuple
-    (sign, |man|, exp, bit length of man), which its exact mantissa pair
-    rebuilds bit for bit.
-    """
-    h = hashlib.sha256()
-    h.update(repr([
-        (int(man < 0), abs(man), exp, abs(man).bit_length()) for man, exp in entry.mants
-    ]).encode())
-    h.update(repr(entry.errs).encode())
-    h.update(repr(entry.log10).encode())
-    return h.hexdigest()
+# the T_F and gap pins use the same grid
+GAP_V0 = BRANCH_V0
+# the F_B timing: (v, zeta), timed in this order after every pin
+FB_POINTS = [(v, zeta) for v in (-0.1, 0.1) for zeta in (1.0, 3.0, 9.0, 50.0, 100.0, 150.0)]
+FB_CALLS = 200  # calls per timed round
+FB_ROUNDS = 5
 
 
 def branch_values(grid) -> dict:
@@ -150,22 +111,18 @@ def table_size(table) -> str:
     )
 
 
-def series_timing(v: float, zeta: float) -> tuple[bool, float]:
-    """(escalated?, best warm CPU seconds per _fb_eval call) at (v, zeta)."""
-    escalations = []
-    exact = kernels._fb_sum_exact
-    kernels._fb_sum_exact = lambda *args: escalations.append(args[1]) or exact(*args)
-    try:
-        kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)  # fills the cache
-    finally:
-        kernels._fb_sum_exact = exact
+def fb_timing(v: float, zeta: float) -> tuple[int, float]:
+    """(rule intervals, best warm CPU seconds per _fb_eval call) at (v, zeta)."""
+    kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)  # fills the rule cache
+    reach = kernels._fb_reach(v)
+    intervals = kernels._fb_intervals(v, reach, zeta * reach)
     best = float("inf")
-    for _ in range(SERIES_ROUNDS):
+    for _ in range(FB_ROUNDS):
         t0 = time.process_time()
-        for _ in range(SERIES_CALLS):
+        for _ in range(FB_CALLS):
             kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
-        best = min(best, (time.process_time() - t0) / SERIES_CALLS)
-    return bool(escalations), best
+        best = min(best, (time.process_time() - t0) / FB_CALLS)
+    return intervals, best
 
 
 def _report(line: str, sha: str, pinned: str | None) -> int:
@@ -177,55 +134,12 @@ def _report(line: str, sha: str, pinned: str | None) -> int:
     return int(sha != pinned)
 
 
-def _measure(v: float, count: int, dps: int):
-    """(cpu seconds, tracemalloc peak MB, entry or the error raised)."""
-    outcome = None
-    t0 = time.process_time()
-    try:
-        outcome = build(v, count, dps)
-    except SeriesDivergenceError as exc:
-        outcome = exc
-    cpu = time.process_time() - t0
-    tracemalloc.start()
-    try:
-        build(v, count, dps)
-    except SeriesDivergenceError:
-        pass
-    peak = tracemalloc.get_traced_memory()[1] / 1e6
-    tracemalloc.stop()
-    return cpu, peak, outcome
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true", help="rewrite the pin files")
     args = parser.parse_args()
-    pins = {} if args.write else {
-        (b["v"], b["count"], b["dps"]): b["sha256"]
-        for b in json.loads(PIN_FILE.read_text())["builds"]
-    }
 
-    written = []
     faults = 0
-    for v, count, dps in BUILDS + FAILING:
-        cpu, peak, outcome = _measure(v, count, dps)
-        line = f"v={v:+.2f} count={count:3d} dps={dps}: cpu {cpu:7.3f} s  peak {peak:6.2f} MB  "
-        if (v, count, dps) in FAILING:
-            raised = isinstance(outcome, SeriesDivergenceError)
-            faults += not raised
-            print(line + (f"raises: {outcome}" if raised else "DID NOT RAISE"))
-        elif isinstance(outcome, SeriesDivergenceError):
-            faults += 1
-            print(line + f"RAISES: {outcome}")
-        elif args.write:
-            written.append({"v": v, "count": count, "dps": dps, "sha256": digest(outcome)})
-            print(line + written[-1]["sha256"])
-        else:
-            sha = digest(outcome)
-            same = pins.get((v, count, dps)) == sha
-            faults += not same
-            print(line + ("matches pin" if same else f"DIFFERS from pin: {sha}"))
-
     pin = {"v0": BRANCH_V0, "zeta": BRANCH_ZETA} if args.write else json.loads(
         BRANCH_PIN_FILE.read_text()
     )
@@ -236,8 +150,6 @@ def main() -> int:
     faults += _report(f"branch_integral, {len(values)} points: cpu {cpu:7.3f} s  ",
                       sha, None if args.write else pin["sha256"])
 
-    # T_F and the gap on the same grid; their residue series builds dominate
-    # the time, not the tabulated branch integrals
     factor_pin = {} if args.write else json.loads(FACTOR_PIN_FILE.read_text())
     t0 = time.process_time()
     free_sha = free_factor_digest(pin["zeta"])
@@ -261,20 +173,19 @@ def main() -> int:
     for v0 in sorted({abs(v0) for v0 in GAP_V0}):
         print(f"gap table |v0|={v0:.1f}: {table_size(kernels._GAP_TABLES[(v0, NATURAL_UNITS)])}")
 
-    for v, zeta in SERIES_POINTS:
-        escalated, cpu = series_timing(v, zeta)
-        path = "integer sum" if escalated else "float"
-        print(f"series v={v:+.1f} zeta={zeta:5.1f}: {path:11s} {1e6 * cpu:8.1f} us/call")
+    for v, zeta in FB_POINTS:
+        intervals, cpu = fb_timing(v, zeta)
+        print(f"F_B v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} intervals "
+              f"{1e6 * cpu:8.1f} us/call")
 
     if faults:
         return 1
     if args.write:
-        PIN_FILE.write_text(json.dumps({"builds": written}, indent=2) + "\n")
         BRANCH_PIN_FILE.write_text(json.dumps({**pin, "sha256": sha}, indent=2) + "\n")
         FACTOR_PIN_FILE.write_text(
             json.dumps({"free_factor": free_sha, "barrier_free_gap": gap_rows}, indent=2) + "\n"
         )
-        print(f"wrote {PIN_FILE}, {BRANCH_PIN_FILE} and {FACTOR_PIN_FILE}")
+        print(f"wrote {BRANCH_PIN_FILE} and {FACTOR_PIN_FILE}")
     return 0
 
 

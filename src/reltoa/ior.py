@@ -32,7 +32,7 @@ from reltoa.kernels import (
     barrier_factor,
     barrier_free_gap,
     branch_profile,
-    fb_coeffs,
+    fb_moments,
 )
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
@@ -192,8 +192,8 @@ def ior_series(
     cap = settings.max_series_terms
     scale = params.mu * params.c / params.hbar
 
-    entry = fb_coeffs(-v0, params, settings)
     moments = _gaussian_sine_moments(packet.k0, packet.sigma, settings)
+    coeffs = fb_moments(-v0, params)
 
     total = 0.0
     comp = 0.0
@@ -204,10 +204,8 @@ def ior_series(
     prev_mag = None
     converged = False
     inv_fact = 1.0  # 1/(2p)!
-    for p, moment in zip(range(cap + 1), moments):
-        if p >= len(entry.floats):
-            entry = fb_coeffs(-v0, params, settings, entry)
-        term = entry.floats[p] * moment * inv_fact
+    for p, moment, d_p in zip(range(cap + 1), moments, coeffs):
+        term = d_p * moment * inv_fact
         y = term - comp
         s = total + y
         comp = (s - total) - y

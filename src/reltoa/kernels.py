@@ -1,32 +1,35 @@
 """Time-kernel factors for the free and square-barrier arrival-time operators.
 
-The free factor T_F and barrier factors F_B, G_B, T_B are assembled from a
-branch-cut quadrature plus the residue power series.  The residue series is
-reorganized as a single power series in zeta^2,
+The free factor T_F is 1 plus a branch-cut quadrature; the barrier factor
+T_B is the residue factor F_B plus the branch-cut term.  F_B is a moment
+integral of the below-threshold crossing weight.  In natural units (v in
+units of mu c^2, zeta in units of hbar/(mu c); in others F_B(v, zeta) is
+F_B(v/(mu c^2), zeta mu c/hbar)) and with a = |v|,
 
-    F_B(v, zeta) = sum_p D_p(v) * zeta^(2p) / (2p)!,
+    v < 0:  F_B = (2/pi) int_0^kappa_c W(s) cos(zeta s) ds,
+            W = E/sqrt(1 - (E - a)^2),  E = sqrt(1 + s^2),  kappa_c = sqrt(2a + a^2)
+    v > 0:  F_B = (2/pi) int_0^x* W(x) cosh(zeta x) dx,
+            W = E/sqrt((E + a)^2 - 1),  E = sqrt(1 - x^2),  x* = sqrt(2a - a^2).
 
-whose coefficients D_p collect the triple sum over (l, m, n) with p = l - n
-held fixed.  The coefficients depend only on (v, mu, c, hbar), so they are
-computed once per barrier strength in arbitrary precision and cached.  The
-build computes in a private mpmath context, so its bits do not depend on
-mpmath's global precision or on whoever sets it; a lock owned by the cache
-makes racing requests build once.  The entry keeps D_p as floats and as
-exact (mantissa, exponent) pairs, not as mpf values.  The build runs
-l-major: the binomial row C(l, m) b^(l-m) depends only on l, so it is built
-once and every p whose l-sum reaches it adds its term l from it.
-Each D_p gets the same mpf operations in the same order as in a loop over p,
-so its bits do not depend on the sweep.  p = 0 is summed first, on its own,
-because near the rest energy it is the one that fails; only one row is kept
-alive, to hold the build's peak memory.
+W is the momentum route's crossing weight continued below the threshold.
+Its inverse square root at the end cancels exactly under s = kappa_c
+sin(theta) (x = x* sin(theta)), which leaves
+F_B = (2/pi) int_0^(pi/2) g(theta) C(zeta s) dtheta
+with g = E sqrt((E + 1 + a)/(E + 1 - a)) for v < 0 and
+E sqrt((E + 1 - a)/(E + 1 + a)) for v > 0, smooth and positive, and C = cos
+or cosh.  The theta-integrand is even and periodic, so the trapezoid rule
+converges spectrally, and its nodes nest under doubling: one pass over the
+n-interval rule gives the n/2-interval sum from its even-indexed nodes, and
+their difference, plus a rounding bound, is the error estimate.  The nodes
+(s_k, w_k g_k) are cached per (v, n), with n sized from zeta, and need
+neither numpy nor mpmath.  Every value is a pure function of its
+arguments, whichever calls or threads came first.
 
-The zeta series itself cancels like a Bessel function (partial terms reach
-exp(~kappa*zeta) before collapsing to O(1)), so the evaluation escalates
-whenever double precision cannot absorb it: it then sums the exact mpf
-mantissas of D_p against zeta^(2p)/(2p)! in Python integers, at 25 digits
-beyond the peak term.  That sum needs neither mpmath nor a lock;
-tests/test_kernels.py checks its bits against the same sum in mpf
-arithmetic.
+The series route keeps the power series F_B = sum_p D_p zeta^(2p)/(2p)!
+termwise.  Its coefficients are the moments
+D_p = (-1)^p (2/pi) int_0^kappa_c s^(2p) W(s) ds of the same weight (no
+sign change for v > 0), summed over one fixed 512-interval rule and cached
+per strength as the series walks p upward.
 
 The branch-cut integral of T_B runs an adaptive Laplace quadrature at every
 node of the direct route's sine transform, and every one of them bisects
@@ -51,15 +54,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
+import operator
 from dataclasses import dataclass
-
-import mpmath as mp
+from typing import Iterator
 
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     Estimate,
     HalfLineTable,
+    QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
     gen_binomial,
@@ -169,7 +172,7 @@ _FREE_TABLE = HalfLineTable(_branch_envelope)
 
 
 def _require_finite_v0(v0: float, name: str) -> None:
-    # before any coefficient build or profile table: a NaN key matches nothing
+    # before any F_B rule or profile table: a NaN key matches nothing
     if not math.isfinite(v0):
         raise ValueError(f"{name} requires a finite v0, got {v0}")
 
@@ -192,232 +195,139 @@ def gb_factor(
     return (w ** -0.5).real
 
 
-# --- residue-series coefficients -------------------------------------------
+# --- residue factor F_B ------------------------------------------------------
 
-_FB_CACHE: dict[tuple[float, float, float, float], "_FbCoeffs"] = {}
-# the message of every build that raised, by (v, units, count, dps, term cap)
-_FB_FAILURES: dict[tuple, str] = {}
-# held around lookup, failure memo and build, so racing requests build once
-_FB_LOCK = threading.Lock()
-
-
-@dataclass
-class _FbCoeffs:
-    dps: int  # the precision D_p was built at
-    log10: list[float]  # log10 |D_p| (for fast magnitude scans); -inf for 0
-    errs: list[float]  # truncation floor per coefficient (0 for clean exits)
-    floats: list[float]  # float(D_p), converted once for the double-precision sums
-    mants: list[tuple[int, int]]  # (man, exp) with D_p = man * 2**exp exactly, for the exact sums
+_UNIT_ROUNDOFF = 2.0 ** -53
+# the rule sizes and the moment rule, in intervals of [0, pi/2]
+_FB_MIN_INTERVALS = 32
+_FB_MAX_INTERVALS = 1 << 15
+_MOMENT_INTERVALS = 512
+_MOMENT_CHUNK = 32  # moments added per extension of a cached entry
 
 
-def _fb_coeffs_at(
-    v: float,
-    params: PhysicalParams,
-    n_needed: int,
-    dps_needed: int,
-    settings: QuadratureSettings,
-) -> _FbCoeffs:
-    key = (v, params.mu, params.c, params.hbar)
-    with _FB_LOCK:
-        entry = _FB_CACHE.get(key)
-        if entry is not None and entry.dps >= dps_needed and len(entry.floats) >= n_needed:
-            return entry
-        # rebuilding is a from-scratch job, so overshoot both axes and make
-        # successive rebuilds geometric rather than per-request
-        dps = max(dps_needed + 15, int(1.25 * dps_needed), entry.dps if entry else 0, 30)
-        count = max(n_needed + 64, len(entry.floats) if entry else 0)
-        # the term cap decides where a coefficient stops as not converging
-        failed_key = (*key, count, dps, settings.max_series_terms)
-        message = _FB_FAILURES.get(failed_key)
-        if message is not None:
-            raise SeriesDivergenceError(message)
-        try:
-            entry = _build_fb_coeffs(v, params, count, dps, settings)
-        except SeriesDivergenceError as exc:
-            _FB_FAILURES[failed_key] = str(exc)
-            raise
-        _FB_CACHE[key] = entry
-        return entry
+def _fb_reach(v: float) -> float:
+    """End of the crossing-weight integral, in natural units: kappa_c for
+    v < 0, x* for v > 0."""
+    a = abs(v)
+    return math.sqrt(a * (2.0 + a)) if v < 0.0 else math.sqrt(a * (2.0 - a))
 
 
-def fb_coeffs(
-    v: float,
-    params: PhysicalParams,
-    settings: QuadratureSettings,
-    outgrown: _FbCoeffs | None = None,
-) -> _FbCoeffs:
-    """Cached residue coefficients D_p(v) for a caller walking p upward.
+def _fb_intervals(v: float, reach: float, y_max: float) -> int:
+    """Least power of two >= 1.2 * y_max + 16 and >= 20 / eta, at least 32.
 
-    The first request asks for 48 terms at 30 digits; passing the entry the
-    caller has outgrown asks for 48 more at that entry's precision.  The
-    digits of a cached entry depend on the requests that built it, so the
-    kernel evaluation and the series route share this one request pattern.
+    y_max = zeta * reach counts the oscillations (growth, for v > 0) of
+    C(zeta s) over the rule.  eta is the half-width of the strip about the
+    real theta-axis in which g is analytic, set by the branch point of E:
+    sinh(eta) = 1/kappa_c for v < 0 and cosh(eta) = 1/x* for v > 0, which
+    narrows as v -> +1.  At that size both the n- and the n/2-interval
+    rules reach rounding level on 0 < |v| < 1 and zeta <= 160.
     """
-    if outgrown is None:
-        return _fb_coeffs_at(v, params, 48, 30, settings)
-    return _fb_coeffs_at(v, params, len(outgrown.floats) + 48, outgrown.dps, settings)
+    eta = math.asinh(1.0 / reach) if v < 0.0 else math.acosh(1.0 / reach)
+    need = max(1.2 * y_max + 16.0, 20.0 / eta, _FB_MIN_INTERVALS)
+    return 1 << math.ceil(math.log2(need))
 
 
-class _LSum:
-    """Running l-sum of one coefficient, D_p = sum_{l >= p} term_l.
+def _fb_nodes(v: float, n: int) -> list[tuple[float, float, float]]:
+    """(s_k, ln g_k, w_k) at theta_k = k pi/(2n), k = 0..n, in natural units.
 
-    term_l = comb(2l, l) A^l C^(l-p) S(l, l-p), where S(l, n) is the m-sum
-    of C(l, m) b^(l-m) C((m+1)/2, n).  The sum humps (the peak drifts out
-    like ~p/3), decays, and for strong barriers eventually regrows: it is
-    asymptotic in that regime, so the state keeps the deepest post-peak
-    minimum (optimal truncation) and its floor as the error.
+    s = reach * sin(theta); w_k = 1/n, halved at both ends, is the
+    trapezoid weight times 2/pi.  E = sqrt(1 -+ s^2) is formed without
+    cancellation: for v > 0, 1 - s^2 = (1 - a)^2 + (x* cos(theta))^2.
     """
-
-    __slots__ = ("p", "acc", "running", "central", "small", "peak_mag",
-                 "best_mag", "best_acc", "best_idx", "trunc_err")
-
-    def __init__(self, p: int, a_fac, ctx: mp.MPContext) -> None:
-        self.p = p
-        self.acc = ctx.mpf(0)
-        self.running = a_fac**p  # A^l * C^(l-p) at l = p
-        self.central = ctx.mpf(math.comb(2 * p, p))
-        self.small = 0
-        self.peak_mag = ctx.mpf(0)
-        self.best_mag = None
-        self.best_acc = None
-        self.best_idx = p
-        self.trunc_err = 0.0
-
-
-def _build_fb_coeffs(
-    v: float,
-    params: PhysicalParams,
-    count: int,
-    dps: int,
-    settings: QuadratureSettings,
-) -> _FbCoeffs:
-    # a private context: its precision is this build's alone, whatever
-    # mpmath's global precision is set to by the caller or another thread
-    ctx = mp.MPContext()
-    ctx.dps = dps
-    a_fac = ctx.mpf(params.mu) * ctx.mpf(v) / (2 * ctx.mpf(params.hbar) ** 2)
-    b_fac = ctx.mpf(v) / (2 * ctx.mpf(params.mu) * ctx.mpf(params.c) ** 2)
-    c_fac = -(ctx.mpf(params.hbar) ** 2) / (ctx.mpf(params.mu) * ctx.mpf(params.c)) ** 2
-    ac_fac = a_fac * c_fac
-    eps = ctx.mpf(10) ** (-(dps - 8))
-    b_pow = [ctx.mpf(1)]
-    gb_rows: list[list] = []  # gb_rows[m][n] = C((m+1)/2, n)
-    gb_alpha: list = []  # (m+1)/2, exact
-
-    def binom_row(l: int) -> list:
-        # C(l, m) b^(l-m) for m = 0..l, the binomials by Pascal recurrence
-        while len(b_pow) <= l:
-            b_pow.append(b_pow[-1] * b_fac)
-        row = []
-        binom_lm = ctx.mpf(1)
-        for m in range(l + 1):
-            if m > 0:
-                binom_lm = binom_lm * (l - m + 1) / m
-            row.append(binom_lm * b_pow[l - m])
-        return row
-
-    def m_sum(row: list, n: int):
-        # sum over m of row[m] * C((m+1)/2, n), the binomials grown by
-        # recurrence as far as they are used
-        while len(gb_rows) < len(row):
-            gb_alpha.append(ctx.mpf(len(gb_rows) + 1) / 2)
-            gb_rows.append([ctx.mpf(1)])
-        # odd m give an integer upper argument (m+1)/2 that truncates,
-        # so the odd m below 2n - 1 contribute nothing
-        cut = max(2 * n - 1, 0)
-        s = ctx.mpf(0)
-        for m in itertools.chain(range(0, min(cut, len(row)), 2), range(cut, len(row))):
-            gbin = gb_rows[m]
-            while len(gbin) <= n:
-                k = len(gbin)
-                gbin.append(gbin[-1] * (gb_alpha[m] - (k - 1)) / k)
-            s += row[m] * gbin[n]
-        return s
-
-    def add_term(st: _LSum, l: int, s) -> bool:
-        # add term l of D_p; True once D_p is settled
-        term = st.central * st.running * s
-        st.acc += term
-        mag = abs(term)
-        if mag > st.peak_mag:
-            st.peak_mag = mag
-            st.best_mag = None
-            st.best_acc = None
-            st.best_idx = l
-        elif st.best_mag is None or mag < st.best_mag:
-            st.best_mag = mag
-            st.best_acc = st.acc
-            st.best_idx = l
-        elif l - st.best_idx >= 20 and mag > 1e4 * st.best_mag:
-            # risen far above the post-peak floor: the sum is
-            # asymptotic here, so truncate at the floor
-            floor = float(st.best_mag)
-            if floor > 1e-9 * (1 + abs(float(st.best_acc))):
-                raise SeriesDivergenceError(
-                    f"residue-series coefficient p={st.p} floors at "
-                    f"{floor:.1e} for v={v}: barrier strength too "
-                    "close to the rest-mass energy"
-                )
-            st.acc = st.best_acc
-            st.trunc_err = floor
-            return True
-        if mag <= eps * (1 + abs(st.acc)):
-            st.small += 1
-            if st.small >= 3:
-                return True
+    a = abs(v)
+    reach = _fb_reach(v)
+    sign = 1.0 if v < 0.0 else -1.0
+    nodes = []
+    for k in range(n + 1):
+        s = reach * math.sin(math.pi * k / (2 * n))
+        if v < 0.0:
+            e = math.hypot(1.0, s)
+            ln_e = 0.5 * math.log1p(s * s)
         else:
-            st.small = 0
-        if l - st.p >= 4 * settings.max_series_terms:
-            raise SeriesDivergenceError(
-                f"residue-series coefficient p={st.p} did not converge for v={v}"
-            )
-        st.central = st.central * 2 * (2 * l + 1) / (l + 1)  # comb(2l, l) update
-        st.running *= ac_fac
-        return False
+            e = math.hypot(1.0 - a, reach * math.sin(math.pi * (n - k) / (2 * n)))
+            ln_e = math.log(e)
+        weight = (0.5 if k in (0, n) else 1.0) / n
+        nodes.append((s, ln_e + sign * math.atanh(a / (1.0 + e)), weight))
+    return nodes
 
-    # p = 0 first, on its own: near the rest energy it is the coefficient
-    # that fails, and in the sweep below every p <= l would run along
-    # until it did
-    sums = [_LSum(0, a_fac, ctx)]
-    l = 0
-    while not add_term(sums[0], l, m_sum(binom_row(l), l)):
-        l += 1
-    # Then one sweep over l for p >= 1.  Row l depends only on (l, m), so
-    # it is built once and every unfinished p adds its term l from it, in
-    # ascending p: each D_p sees the same mpf operations in the same
-    # order as in a loop over p that rebuilds the row, so its bits are the
-    # same.  Only row l is alive: caching every row, or looping p-major
-    # over a window of rows, raises the build's peak memory.
-    failure = None
-    limit = count
-    active: list[_LSum] = []
-    l = 1
-    while l < limit or active:
-        if l < limit:
-            sums.append(_LSum(l, a_fac, ctx))
-            active.append(sums[-1])
-        row = binom_row(l)
-        unfinished = []
-        for st in active:
-            try:
-                if not add_term(st, l, m_sum(row, l - st.p)):
-                    unfinished.append(st)
-            except SeriesDivergenceError as exc:
-                # the build reports its smallest failing p: drop the
-                # larger p, and let only a smaller one replace this error
-                failure, limit = exc, st.p
-                break
-        active = unfinished
-        l += 1
-    if failure is not None:
-        raise failure
-    coeffs = [st.acc for st in sums]
-    errs = [st.trunc_err for st in sums]
-    logs = [float(ctx.log10(abs(cf))) if cf != 0 else -math.inf for cf in coeffs]
-    floats = [float(cf) for cf in coeffs]
-    mants = [(-int(man) if sign else int(man), exp)
-             for sign, man, exp, _bc in (cf._mpf_ for cf in coeffs)]
-    return _FbCoeffs(dps=dps, log10=logs, errs=errs, floats=floats, mants=mants)
+
+class _FbRule:
+    """The n-interval trapezoid rule for F_B(v, .), v in units of mu c^2.
+
+    Every node list is kept as its even- and odd-indexed halves: with the
+    n-interval weights, T_n = even + odd and T_(n/2) = 2 * even.
+    """
+
+    __slots__ = ("cosine", "reach", "s", "c", "m", "w2", "c_sum", "cs_sum")
+
+    def __init__(self, v: float, n: int) -> None:
+        nodes = _fb_nodes(v, n)
+        s = [node[0] for node in nodes]
+        c = [w * math.exp(ln_g) for _s, ln_g, w in nodes]  # w g
+        m = [w * math.expm1(ln_g) for _s, ln_g, w in nodes]  # w (g - 1)
+        w2 = [2.0 * w for _s, _ln_g, w in nodes]
+        self.cosine = v < 0.0
+        self.reach = s[-1]
+        self.s, self.c, self.m, self.w2 = (
+            (tuple(seq[0::2]), tuple(seq[1::2])) for seq in (s, c, m, w2)
+        )
+        self.c_sum = math.fsum(c)
+        self.cs_sum = math.fsum(map(operator.mul, c, s))
+
+    def evaluate(self, x: float, drop_unity: bool) -> tuple[float, float, float]:
+        """(T_n, |T_n - T_(n/2)|, rounding bound) at natural zeta = x.
+
+        C is cos for v < 0 and cosh for v > 0.  The bound allows 6 units of
+        roundoff per node value and 6 per unit of x * s in C's argument,
+        whose rounding C amplifies.  With drop_unity, T_n is F_B - 1,
+        summed as (g - 1) C(x s) -+ 2 S(x s / 2)^2 (S = sin or sinh), since
+        the weights sum to one.
+        """
+        fn = math.cos if self.cosine else math.cosh
+        (s_even, s_odd), (c_even, c_odd) = self.s, self.c
+        if drop_unity:
+            even, odd = (
+                self._minus_unity(s, m, w2, x) for s, m, w2 in zip(self.s, self.m, self.w2)
+            )
+        else:
+            even = math.fsum(map(operator.mul, c_even, map(fn, map(x.__mul__, s_even))))
+            odd = math.fsum(map(operator.mul, c_odd, map(fn, map(x.__mul__, s_odd))))
+        value = even + odd
+        y_max = x * self.reach
+        if self.cosine:
+            scale = 6.0 * self.c_sum + 6.0 * x * self.cs_sum
+            if drop_unity:
+                scale += 12.0 + 6.0 * y_max
+        else:
+            # positive terms, each at most its weight times cosh(y_max)
+            scale = (6.0 + 6.0 * y_max) * (2.0 * math.cosh(y_max) if drop_unity else value)
+        return value, abs(odd - even), _UNIT_ROUNDOFF * scale
+
+    def _minus_unity(self, s, m, w2, x: float) -> float:
+        fn, half_fn = (math.cos, math.sin) if self.cosine else (math.cosh, math.sinh)
+        scaled = math.fsum(map(operator.mul, m, map(fn, map(x.__mul__, s))))
+        halves = [t * t for t in map(half_fn, map((0.5 * x).__mul__, s))]
+        unity = math.fsum(map(operator.mul, w2, halves))
+        return scaled - unity if self.cosine else scaled + unity
+
+
+_FB_RULES: dict[tuple[float, int], _FbRule] = {}
+
+
+def _fb_rule(v: float, n: int) -> _FbRule:
+    """The cached n-interval rule of strength v (natural units)."""
+    rule = _FB_RULES.get((v, n))
+    if rule is None:
+        # setdefault: threads racing here end up sharing one rule
+        rule = _FB_RULES.setdefault((v, n), _FbRule(v, n))
+    return rule
+
+
+def _require_below_rest(v0: float, params: PhysicalParams, name: str) -> None:
+    if not abs(v0) < params.rest_energy:
+        raise ValueError(
+            f"{name} requires |v0| below the rest energy {params.rest_energy}, got {v0}"
+        )
 
 
 def _fb_eval(
@@ -427,154 +337,82 @@ def _fb_eval(
     settings: QuadratureSettings,
     drop_unity: bool = False,
 ) -> tuple[float, float]:
-    """Evaluate the residue series at zeta; with drop_unity, return F_B - 1.
+    """F_B(v, zeta), or F_B - 1 with drop_unity, and its error estimate.
 
-    Returns (value, rounding_error_estimate).  Scans term magnitudes in
-    log space first, then sums in float or, when the peak term towers over
-    the result by more than ~6 digits, in Python ints with 25 guard digits
-    over the peak (_fb_sum_exact), from coefficients cached at that many
-    digits.
+    The error is |T_n - T_(n/2)| plus the rounding bound.  The rule doubles
+    while the first exceeds the second, which at the starting size does not
+    happen on 0 < |v| < 1; past _FB_MAX_INTERVALS a difference above the
+    settings' tolerance raises QuadratureError.
     """
-    z2 = zeta * zeta
-    log_z2 = math.log10(z2) if z2 > 0.0 else -math.inf
-    floor_log = math.log10(settings.abs_tol) - 6.0
-
-    entry = fb_coeffs(v, params, settings)
-    log10_fact = _log10_even_factorials(settings.max_series_terms + 1)
-    max_log = -math.inf
-    p = 0
-    small = 0
-    while True:
-        if p >= len(entry.floats):
-            if p >= settings.max_series_terms:
-                raise SeriesDivergenceError(
-                    f"residue series needs more than {settings.max_series_terms} terms"
-                )
-            entry = fb_coeffs(v, params, settings, entry)
-        log_term = entry.log10[p] + p * log_z2 - log10_fact[p]
-        if log_term > max_log:
-            max_log = log_term
-        if log_term < floor_log and (p > 0 and p * log_z2 < log10_fact[p]):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        p += 1
-        if p > settings.max_series_terms:
-            raise SeriesDivergenceError(
-                f"residue series did not converge within {settings.max_series_terms} terms"
-            )
-    p_stop = p + 1
-
-    # float pass first; escalate when cancellation eats more than ~6 digits
-    total = 0.0
-    comp = 0.0
-    ratio = 1.0
-    max_term = 0.0
-    trunc = 0.0
-    used = 0
-    small = 0
-    for q in range(p_stop):
-        d_q = entry.floats[q]
-        if drop_unity and q == 0:
-            d_q -= 1.0
-        term = d_q * ratio
-        if entry.errs[q]:
-            trunc += entry.errs[q] * abs(ratio)
-        if abs(term) > max_term:
-            max_term = abs(term)
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        used = q + 1
-        if abs(term) <= settings.abs_tol * (1 + abs(total)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        ratio = ratio * z2 / ((2 * q + 1) * (2 * q + 2))
-    if math.isfinite(total) and max_term <= 1e6 * max(abs(total), 1e-300):
-        err = max_term * 1e-15 * math.sqrt(used) + trunc
-        return total, err
-
-    dps = int(max(max_log, 1.0)) + 25
-    entry = _fb_coeffs_at(v, params, p_stop, dps, settings)
-    value, trunc = _fb_sum_exact(entry, zeta, p_stop, dps, drop_unity, settings.abs_tol)
-    err = 10.0 ** (max_log - dps + 2) + trunc
-    return value, err
+    vn = v / params.rest_energy
+    if vn == 0.0:
+        return (0.0 if drop_unity else 1.0), 0.0
+    x = params.mu * params.c * zeta / params.hbar
+    reach = _fb_reach(vn)
+    n = _fb_intervals(vn, reach, x * reach)
+    while n <= _FB_MAX_INTERVALS:
+        try:
+            value, trunc, rounding = _fb_rule(vn, n).evaluate(x, drop_unity)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise SeriesDivergenceError(f"F_B({v}, {zeta}) overflows a float")
+        if trunc <= rounding or (
+            n == _FB_MAX_INTERVALS
+            and trunc <= max(settings.abs_tol, settings.rel_tol * abs(value))
+        ):
+            return value, trunc + rounding
+        n *= 2
+    raise QuadratureError(
+        f"F_B({v}, {zeta}) needs more than {_FB_MAX_INTERVALS} rule intervals"
+    )
 
 
-def _fb_sum_exact(
-    entry: _FbCoeffs,
-    zeta: float,
-    p_stop: int,
-    dps: int,
-    drop_unity: bool,
-    abs_tol: float,
-) -> tuple[float, float]:
-    """Sum D_q zeta^(2q)/(2q)! for q < p_stop in Python ints.
+# D_p per (v in units of mu c^2, mu c / hbar): the D_p so far, the weights
+# times s^(2p) that continue them, and the nodes' s^2
+_FB_MOMENTS: dict[tuple[float, float], tuple[tuple[float, ...], ...]] = {}
 
-    Returns (value, truncation error).  The terms and the running total are
-    fixed point in units of 2^-bits, bits ~ dps digits: their absolute error
-    stays near 10^-dps, far below the 10^(max_log - dps) the caller reports.
-    Each term multiplies D_q's exact mantissa by the ratio's before one
-    shift, so a tiny D_q keeps its relative precision against a large ratio.
-    The ratio zeta^(2q)/(2q)! floats, with bits significant bits as an mpf
-    has: for a strong barrier it falls far below 2^-bits while D_q grows
-    large.  zeta^2 is exact from the float zeta, and the stopping test is
-    exact.  Both floats are rounded to nearest, as float() of an mpf is
-    (mpmath's raw to_float truncates).  Neither mpmath nor a lock is
-    touched.
+
+def _more_moments(key: tuple[float, float]) -> tuple[tuple[float, ...], ...]:
+    """The cached moments of key, extended by _MOMENT_CHUNK coefficients.
+
+    D_p is the same sum of the same products whichever call extends the
+    entry, so an entry is a pure function of key and its length, and
+    threads racing here store equal entries.
     """
-    bits = math.ceil(dps * math.log2(10.0)) + 8
-    one = 1 << bits
-    num, den = zeta.as_integer_ratio()
-    z2_num, z2_shift = num * num, 2 * (den.bit_length() - 1)  # den is a power of two
-    tol_num, tol_den = abs_tol.as_integer_ratio()
-    total = 0
-    ratio, ratio_exp = one, -bits  # zeta^(2q) / (2q)! = ratio * 2^ratio_exp
-    small = 0
-    trunc = 0.0
-    for q in range(p_stop):
-        man, exp = entry.mants[q]
-        term = man * ratio
-        shift = exp + ratio_exp + bits
-        term = term << shift if shift >= 0 else term >> -shift
-        if drop_unity and q == 0:
-            term -= one
-        if entry.errs[q]:
-            trunc += entry.errs[q] * _nearest_float(ratio, ratio_exp)
-        total += term
-        # |term| <= abs_tol * (1 + |total|), exactly
-        if abs(term) * tol_den <= tol_num * (one + abs(total)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        div = (2 * q + 1) * (2 * q + 2)
-        extra = div.bit_length()  # so the quotient keeps every bit of ratio
-        ratio = (ratio * z2_num << extra) // div
-        ratio_exp -= z2_shift + extra
-        excess = ratio.bit_length() - bits
-        if excess > 0:
-            ratio >>= excess
-            ratio_exp += excess
-    return _nearest_float(total, -bits), trunc
+    vn, scale = key
+    entry = _FB_MOMENTS.get(key)
+    if entry is None:
+        nodes = _fb_nodes(vn, _MOMENT_INTERVALS)
+        coeffs: tuple[float, ...] = ()
+        powers = tuple(w * math.exp(ln_g) for _s, ln_g, w in nodes)
+        squares = tuple((scale * s) ** 2 for s, _ln_g, _w in nodes)
+    else:
+        coeffs, powers, squares = entry
+    sign = -1.0 if vn < 0.0 else 1.0
+    new = []
+    for p in range(len(coeffs), len(coeffs) + _MOMENT_CHUNK):
+        new.append(sign**p * math.fsum(powers))
+        powers = tuple(map(operator.mul, powers, squares))
+    entry = (coeffs + tuple(new), powers, squares)
+    _FB_MOMENTS[key] = entry
+    return entry
 
 
-def _nearest_float(man: int, exp: int) -> float:
-    """man * 2^exp rounded to the nearest float (int / int rounds correctly)."""
-    return man / (1 << -exp) if exp < 0 else float(man << exp)
+def fb_moments(v: float, params: PhysicalParams) -> Iterator[float]:
+    """Power-series coefficients D_p of F_B(v, zeta) = sum_p D_p zeta^(2p)/(2p)!.
 
-
-@functools.cache
-def _log10_even_factorials(n: int) -> tuple[float, ...]:
-    """log10((2p)!) for p < n, built once per term cap."""
-    return tuple(math.lgamma(2 * p + 1) / math.log(10.0) for p in range(n))
+    Yields D_0, D_1, ... as the caller walks p upward.  D_p is the moment
+    (-1)^p (2/pi) int_0^kappa_c s^(2p) W(s) ds of the crossing weight (no
+    sign change for v > 0), in the units of params, from the fixed
+    512-interval theta rule and cached per strength.
+    """
+    key = (v / params.rest_energy, params.mu * params.c / params.hbar)
+    for p in itertools.count():
+        entry = _FB_MOMENTS.get(key)
+        while entry is None or p >= len(entry[0]):
+            entry = _more_moments(key)
+        yield entry[0][p]
 
 
 def fb_series(
@@ -583,13 +421,15 @@ def fb_series(
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> Estimate:
-    """Residue factor F_B(v0, zeta) as its power series, with signed v0.
+    """Residue factor F_B(v0, zeta) as its moment integral, with signed v0.
 
     The physics callers pass v0 = -V_o for a barrier of height V_o (the
-    series is stated for T_B(-V_o, zeta)); passing +V_o flips both sign
-    factors and yields the F_B entering T_B(+V_o, zeta).
+    kernel is stated for T_B(-V_o, zeta)); passing +V_o yields the F_B
+    entering T_B(+V_o, zeta).  |v0| must lie below the rest energy.  The
+    settings only decide whether a rule at its size cap is accepted.
     """
     _require_finite_v0(v0, "fb_series")
+    _require_below_rest(v0, params, "fb_series")
     if not 0.0 <= zeta < math.inf:
         raise ValueError(f"fb_series requires zeta >= 0, got {zeta}")
     return Estimate(*_fb_eval(v0, zeta, params, settings))
@@ -661,6 +501,7 @@ def barrier_factor(
     factor.
     """
     _require_finite_v0(v0, "barrier_factor")
+    _require_below_rest(v0, params, "barrier_factor")
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"barrier_factor requires zeta > 0, got {zeta}")
     fb_val, fb_err = _fb_eval(v0, zeta, params, settings)
@@ -676,19 +517,20 @@ def barrier_free_gap(
 ) -> float:
     """Difference T_F(zeta) - T_B(-v0, zeta) without forming either side.
 
-    Both the series part (1 - F_B) and the branch part (quadrature of
+    Both the residue part (1 - F_B) and the branch part (quadrature of
     1 - G_B) are assembled from small differences, so the result stays
     accurate down to O(v0) and vanishes identically at v0 = 0.  This is
     what the arrival-time difference integrates against.
     """
     _require_finite_v0(v0, "barrier_free_gap")
+    _require_below_rest(v0, params, "barrier_free_gap")
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"barrier_free_gap requires zeta > 0, got {zeta}")
-    series_part, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
+    residue_part, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
     decay = params.mu * params.c * zeta / params.hbar
     table = _strength_table(_GAP_TABLES, _gap_integrand, v0, params)
     br_val, _br_err = integrate_half_line(table, decay, settings)
-    return -series_part + (2.0 / math.pi) * br_val
+    return -residue_part + (2.0 / math.pi) * br_val
 
 
 _REGIONS = ("I", "II", "III")

@@ -2,12 +2,13 @@
 
 Everything here is deterministic and pure: identical inputs and settings
 produce bit-identical outputs.  hyp0f1_one escalates to arbitrary precision
-in a private mpmath context, so nothing here reads or sets mpmath's global
-precision.  The semi-infinite integrators map onto a finite interval with
-z = lower + t/(1-t) and refine adaptively with an embedded Gauss-Kronrod
-(G7, K15) pair; the oscillatory sine transform sums panels between
-successive zeros of sin(k*zeta) with Euler acceleration for slowly decaying
-envelopes.
+in a private mpmath context, and imports mpmath only then, so nothing here
+reads or sets mpmath's global precision.  The semi-infinite integrators map
+onto a finite interval with z = lower + t/(1-t) and refine adaptively with
+an embedded Gauss-Kronrod (G7, K15) pair; a tail that does not decay drives
+bisection to the t = 1 node, where they raise QuadratureError.  The
+oscillatory sine transform sums panels between successive zeros of
+sin(k*zeta) with Euler acceleration for slowly decaying envelopes.
 
 Every pass forms its weighted G7/K15 sums in _gk_sum, in one order.  A
 HalfLineTable holds g(z) for the Laplace integrals int_1^inf g(z)
@@ -23,8 +24,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import mpmath as mp
 
 __all__ = [
     "Estimate",
@@ -254,6 +253,8 @@ def hyp0f1_one(x: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> flo
     if converged and max_term <= 1e4 * max(abs(value), 1e-30):
         return value
     # cancellation ate the float result: redo with enough guard digits
+    import mpmath as mp  # only this branch pays mpmath's import
+
     digits = int(math.log10(max_term + 1.0)) + 25
     ctx = mp.MPContext()  # private precision: mpmath's global one is the caller's
     ctx.dps = max(digits, 30)
@@ -401,6 +402,11 @@ def faddeeva(z: complex) -> complex:
     return 2.0 * p / (lz * lz) + _INV_SQRT_PI / lz
 
 
+# the half-line maps' t = 1 node, which bisection reaches only on a tail
+# that does not decay
+_NON_DECAYING = "integrand does not decay: bisection reached the end of the half line"
+
+
 def integrate_semiinf_exp(
     f: Callable[[float], float],
     lower: float,
@@ -422,7 +428,10 @@ def integrate_semiinf_exp(
 
     def mapped(t: float) -> float:
         onemt = 1.0 - t
-        z = lower + t / onemt
+        try:
+            z = lower + t / onemt
+        except ZeroDivisionError:
+            raise QuadratureError(_NON_DECAYING) from None
         expo = -decay * z
         if expo < _LOG_TINY:
             return 0.0
@@ -464,7 +473,10 @@ class HalfLineTable(dict):
         for t in _gk_nodes(a, b):
             # integrate_semiinf_exp's map at lower = 1, in its operations
             onemt = 1.0 - t
-            z = 1.0 + t / onemt
+            try:
+                z = 1.0 + t / onemt
+            except ZeroDivisionError:
+                raise QuadratureError(_NON_DECAYING) from None
             nodes.append((z, self[z], onemt * onemt))
         seg = self.segments[(a, b)] = tuple(nodes)
         return seg
@@ -633,7 +645,10 @@ def integrate_sqrt_endpoint(
 
     def mapped(t: float) -> float:
         onemt = 1.0 - t
-        u = t / onemt
+        try:
+            u = t / onemt
+        except ZeroDivisionError:
+            raise QuadratureError(_NON_DECAYING) from None
         return 2.0 * u * f(a + u * u) / (onemt * onemt)
 
     t_seeds = tuple(u / (1.0 + u) for u in (math.sqrt(k - a) for k in seeds if k > a))

@@ -147,7 +147,7 @@ class TestKernelDump:
             assert float(r["t_barrier_plus (dimensionless)"]) == pytest.approx(tf, rel=1e-9)
 
     def test_non_finite_arguments_exit_1(self, capsys):
-        # rejected as bad input before any coefficient build or CSV row
+        # rejected as bad input before any kernel evaluation or CSV row
         for argv, named in [
             (("kernel", "--vo", "nan"), "requires a finite v0, got nan"),
             (
@@ -244,8 +244,7 @@ class TestConfig:
 
 
 # Reference outputs in natural units: a refactor must reproduce them byte
-# for byte.  A fresh interpreter per command gives the CLI's own
-# coefficient-cache history, on which the residue-series digits depend.
+# for byte.  Each command runs in a fresh interpreter, as the CLI does.
 GOLDEN = [
     (
         "scan_v0.99_sigma6_steps120.csv",
@@ -285,6 +284,18 @@ def test_import_leaves_numpy_unloaded():
     src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     probe = "import sys, reltoa, reltoa.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, check=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath serves only the 0F1 escalation, which imports it when it runs
+    src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, reltoa, reltoa.cli; print('mpmath' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, check=True, text=True, env={**os.environ, "PYTHONPATH": path},

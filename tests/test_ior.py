@@ -222,6 +222,14 @@ class TestIorMomentum:
             assert abs(a - c) < 1e-7
             assert abs(b - c) < 1e-7
 
+    @pytest.mark.parametrize("k0", [0.5, 2.0])
+    def test_three_routes_agree_at_the_rest_energy_scale(self, k0):
+        # Fig. 5's barrier, v0 = 0.99: each route within the sum of errors
+        momentum = ior_momentum(narrow(k0), 0.99)
+        for route in (ior_direct, ior_series):
+            est = route(narrow(k0), 0.99)
+            assert abs(est.value - momentum.value) <= est.err + momentum.err, route.__name__
+
     def test_rejects_zero_height(self):
         with pytest.raises(ValueError):
             ior_momentum(narrow(2.0), 0.0)

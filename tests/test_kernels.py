@@ -6,6 +6,7 @@ import cmath
 import concurrent.futures
 import functools
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -14,13 +15,13 @@ import random
 import subprocess
 import sys
 import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings as hyp_settings, strategies as st
-from mpmath import libmp
 
 from conftest import branch_integral_oracle
 from reltoa import kernels
@@ -28,10 +29,10 @@ from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
-    _build_fb_coeffs,
     barrier_factor,
     branch_integral,
     barrier_free_gap,
+    fb_moments,
     fb_series,
     free_factor,
     gb_factor,
@@ -51,19 +52,31 @@ from reltoa.numerics import (
 )
 
 
-def _load_fb_build_bench():
-    # the script that writes tests/data/fb_coeffs_pin.json defines its digest
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "fb_build_bench.py"
-    spec = importlib.util.spec_from_file_location("fb_build_bench", path)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _load_by_path(relative: str, name: str):
+    """A module from a file of this checkout that is not on the import path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-FB_BUILD_BENCH = _load_fb_build_bench()
-FB_PINS = json.loads(FB_BUILD_BENCH.PIN_FILE.read_text())["builds"]
+# the script that writes the branch-cut pins defines their digests; the
+# benchmark's oracles share no code with the library's kernels
+FB_BUILD_BENCH = _load_by_path("scripts/fb_build_bench.py", "fb_build_bench")
+ORACLES = _load_by_path("perfbench/oracles.py", "perfbench_oracles")
 BRANCH_PIN = json.loads(FB_BUILD_BENCH.BRANCH_PIN_FILE.read_text())
 FACTOR_PIN = json.loads(FB_BUILD_BENCH.FACTOR_PIN_FILE.read_text())
+
+
+def spectral_kernel(v0: float, zeta: float) -> float:
+    """T_B(-v0, zeta) by the spectral identity, through scipy's quadrature."""
+    with warnings.catch_warnings():
+        # QUADPACK's roundoff notes on single pieces, far below the gate
+        warnings.simplefilter("ignore")
+        return ORACLES.spectral_kernel(v0, zeta)
 
 
 def _run_bench_code(code: str) -> str:
@@ -74,8 +87,7 @@ def _run_bench_code(code: str) -> str:
         "bench = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(bench)\n"
     )
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c", prelude + code, str(FB_BUILD_BENCH.__file__)],
         capture_output=True, check=True, text=True,
@@ -135,42 +147,6 @@ def fb_triple_sum_oracle(v: float, zeta: float, params: PhysicalParams,
             if l > 4 and abs(term) < mp.mpf(10) ** -40 * (1 + abs(total)):
                 break
         return float(total)
-
-
-def exact_mpf(mant: tuple[int, int]):
-    """The mpf man * 2**exp of an _FbCoeffs.mants pair, with every bit kept
-    (mp.mpf((man, exp)) would round it to the current precision)."""
-    return mp.make_mpf(libmp.from_man_exp(*mant))
-
-
-def fb_mpf_sum_oracle(entry, zeta: float, p_stop: int, dps: int,
-                      drop_unity: bool, abs_tol: float) -> tuple[float, float]:
-    """The escalated residue sum in mpf arithmetic at dps digits: the
-    reference whose bits kernels._fb_sum_exact's integer sum must give.
-    Same signature and (value, truncation error) result, so it can stand
-    in for it."""
-    with mp.workdps(dps):
-        total_mp = mp.mpf(0)
-        ratio_mp = mp.mpf(1)  # zeta^(2p) / (2p)!
-        z2_mp = mp.mpf(zeta) ** 2
-        small = 0
-        trunc = 0.0
-        for q in range(p_stop):
-            d_q = exact_mpf(entry.mants[q])
-            if drop_unity and q == 0:
-                d_q = d_q - 1
-            term = d_q * ratio_mp
-            if entry.errs[q]:
-                trunc += entry.errs[q] * float(ratio_mp)
-            total_mp += term
-            if abs(term) <= abs_tol * (1 + abs(total_mp)):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            ratio_mp = ratio_mp * z2_mp / ((2 * q + 1) * (2 * q + 2))
-        return float(total_mp), trunc
 
 
 def contour_kernel_oracle(j: int, k: int, zeta: float,
@@ -280,187 +256,192 @@ class TestFbSeries:
             fb_series(-0.3, -1.0)
 
     def test_strong_barrier_optimal_truncation(self):
-        # near the rest energy the series is asymptotic; the optimally
-        # truncated value must match the original-ordering summation run to
-        # its own floor (l = 251, where its terms bottom out at ~6e-16)
+        # near the rest energy the triple sum is asymptotic: the moment form
+        # must match the original-ordering summation run to its own floor
+        # (l = 251, where its terms bottom out at ~6e-16)
         val = fb_series(-0.9, 1.0).value
         ref = fb_triple_sum_oracle(-0.9, 1.0, NATURAL_UNITS, l_terms=252, dps=60)
         assert val == pytest.approx(ref, abs=1e-9)
         assert barrier_factor(-0.9, 1.0).err < 1e-9
 
-    def test_rest_energy_scale_raises(self):
-        with pytest.raises(SeriesDivergenceError):
-            fb_series(-0.99, 1.0)
+    def test_rest_energy_scale_matches_spectral_oracle(self):
+        # Fig. 5's barrier: the moment form has no convergence limit below
+        # the rest energy, where the triple-sum coefficients stopped at p = 0
+        tb = barrier_factor(-0.99, 1.0)
+        ref = spectral_kernel(0.99, 1.0)
+        assert abs(tb.value - ref) <= tb.err
+        assert abs(tb.value - ref) <= 1e-12
+        assert fb_series(-0.99, 1.0).err < 1e-14
 
 
-class TestFbCoeffBuild:
-    """The coefficient build reproduces its pinned bits and failure messages.
+def fb_moment_oracle(v: float, zeta: float, dps: int = 30):
+    """F_B(v, zeta) as the moment integral of the crossing weight over s,
 
-    The pins are sha256 digests of (v, count, dps) builds written by
-    scripts/fb_build_bench.py; the digits of every residue-series value
-    downstream depend on these bits.
-    """
+        (2/pi) int_0^kappa_c E/sqrt(1 - (E - a)^2) cos(zeta s) ds     (v < 0)
+        (2/pi) int_0^x* E'/sqrt((E' + a)^2 - 1) cosh(zeta x) dx       (v > 0)
 
-    @pytest.mark.parametrize(
-        "pin", FB_PINS, ids=lambda pin: f"v{pin['v']}-count{pin['count']}-dps{pin['dps']}"
-    )
-    def test_bits_match_pin(self, pin):
-        entry = _build_fb_coeffs(
-            pin["v"], NATURAL_UNITS, pin["count"], pin["dps"], DEFAULT_SETTINGS
-        )
-        assert FB_BUILD_BENCH.digest(entry) == pin["sha256"]
-        assert entry.floats == [float(exact_mpf(mant)) for mant in entry.mants]
-        if pin["v"] == -0.9:
-            # this pin covers the optimal-truncation exit of every coefficient
-            assert all(entry.errs)
+    with a = |v|, E = sqrt(1 + s^2) and E' = sqrt(1 - x^2), by tanh-sinh in
+    a private mpmath context at dps digits.  The endpoint's inverse square
+    root is left to tanh-sinh; the radicand is written in factors that stay
+    non-negative up to it.  One piece per half oscillation of cos."""
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    a = ctx.mpf(abs(v))
+    if v < 0:
+        reach = ctx.sqrt(2 * a + a * a)
 
-    def test_bits_ignore_a_concurrent_global_precision(self):
-        # the build computes in a private mpmath context, so a thread that
-        # keeps setting mpmath's global precision changes neither its bits
-        # nor the precision the caller finds afterwards, nor the cache
-        pin = next(pin for pin in FB_PINS if (pin["v"], pin["count"]) == (0.1, 112))
-        cached = dict(kernels._FB_CACHE)
-        prec = mp.mp.prec
-        stop = threading.Event()
+        def f(s):
+            e = ctx.sqrt(1 + s * s)
+            # 1 - (E - a)^2 = (reach - s)(reach + s)(1 + E - a)/(1 + a + E)
+            root = ctx.sqrt((reach - s) * (reach + s) * (1 + e - a) / (1 + a + e))
+            return e / root * ctx.cos(zeta * s)
+    else:
+        reach = ctx.sqrt(2 * a - a * a)
 
-        def meddle():
-            while not stop.is_set():
-                with mp.workdps(8):
-                    pass
+        def f(x):
+            e = ctx.sqrt(1 - x * x)
+            # (E' + a)^2 - 1 = (reach - x)(reach + x)(E' + a + 1)/(E' + 1 - a)
+            root = ctx.sqrt((reach - x) * (reach + x) * (e + a + 1) / (e + 1 - a))
+            return e / root * ctx.cosh(zeta * x)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        meddler = threading.Thread(target=meddle)
-        meddler.start()
-        try:
-            entry = _build_fb_coeffs(
-                pin["v"], NATURAL_UNITS, pin["count"], pin["dps"], DEFAULT_SETTINGS
-            )
-        finally:
-            stop.set()
-            meddler.join()
-            sys.setswitchinterval(interval)
-        assert FB_BUILD_BENCH.digest(entry) == pin["sha256"]
-        assert mp.mp.prec == prec
-        assert kernels._FB_CACHE.keys() == cached.keys()
-        assert all(kernels._FB_CACHE[key] is entry for key, entry in cached.items())
-
-    def test_rest_energy_failure_message(self):
-        with pytest.raises(SeriesDivergenceError) as info:
-            _build_fb_coeffs(-0.99, NATURAL_UNITS, 112, 45, DEFAULT_SETTINGS)
-        assert str(info.value) == (
-            "residue-series coefficient p=0 floors at 6.8e-07 for v=-0.99: "
-            "barrier strength too close to the rest-mass energy"
-        )
-
-    def test_failure_names_the_smallest_failing_p(self):
-        # p = 47 runs out of its 4 * 23 l-terms; the larger p still summing
-        # when it does must not be reported instead
-        with pytest.raises(SeriesDivergenceError) as info:
-            _build_fb_coeffs(-0.6, NATURAL_UNITS, 50, 30, QuadratureSettings(max_series_terms=23))
-        assert str(info.value) == "residue-series coefficient p=47 did not converge for v=-0.6"
-
-    def test_failed_build_is_remembered(self, monkeypatch):
-        # a repeat request re-raises the recorded text without building
-        # again; a different term cap can stop the build elsewhere, so it
-        # builds anew
-        monkeypatch.setattr(kernels, "_FB_FAILURES", {})
-        builds = []
-        original = kernels._build_fb_coeffs
-        monkeypatch.setattr(
-            kernels, "_build_fb_coeffs", lambda *args: builds.append(args[:4]) or original(*args)
-        )
-        messages = []
-        other_cap = QuadratureSettings(max_series_terms=599)
-        for settings in (DEFAULT_SETTINGS, DEFAULT_SETTINGS, other_cap):
-            with pytest.raises(SeriesDivergenceError) as info:
-                fb_series(-0.99, 1.0, NATURAL_UNITS, settings)
-            messages.append(str(info.value))
-        assert builds == [(-0.99, NATURAL_UNITS, 112, 45)] * 2
-        assert messages == [
-            "residue-series coefficient p=0 floors at 6.8e-07 for v=-0.99: "
-            "barrier strength too close to the rest-mass energy"
-        ] * 3
+    pieces = max(1, math.ceil(zeta * float(reach) / math.pi))
+    edges = [reach * i / pieces for i in range(pieces + 1)]
+    return 2 / ctx.pi * ctx.quad(f, edges, method="tanh-sinh")
 
 
-class TestFbExactSum:
-    """The escalated residue sum in integers gives the mpf sum's bits."""
+class TestFbMomentForm:
+    """F_B as a trapezoid rule in theta, against independent oracles."""
 
-    @pytest.mark.parametrize("v, zetas, drop_unity", [
-        # +0.1 never cancels, so it stays in float; 33 at -0.1 is a value
-        # that a truncating float conversion leaves one ulp off
-        (0.1, (20.0, 75.0, 160.0), False),
-        (-0.1, (33.0, 50.0, 71.6, 104.6, 140.2, 160.0), False),
-        (-0.3, (20.0, 30.0, 40.0), False),
-        (-0.1, (60.0, 80.0, 150.0), True),
-        # every coefficient carries a truncation floor: covers the err sum
-        (-0.9, (10.0, 15.0, 20.0), False),
+    @pytest.mark.parametrize("v0, zeta", [
+        *((0.1, zeta) for zeta in (50.0, 71.6, 104.6, 140.2)),
+        *((0.3, zeta) for zeta in (50.0, 100.0, 150.0)),
+        *((v0, zeta) for v0 in (0.6, 0.9, 0.99) for zeta in (5.0, 20.0, 60.0)),
     ])
-    def test_matches_mpf_oracle_bits(self, monkeypatch, v, zetas, drop_unity):
-        key = (v, NATURAL_UNITS.mu, NATURAL_UNITS.c, NATURAL_UNITS.hbar)
-        sums = []
-        exact = kernels._fb_sum_exact
+    def test_barrier_factor_matches_spectral_oracle(self, v0, zeta):
+        # the wide packets' zeta range and barriers up to the rest energy,
+        # where the triple-sum coefficients gave wrong values or none
+        tb = barrier_factor(-v0, zeta)
+        ref = spectral_kernel(v0, zeta)
+        assert abs(tb.value - ref) <= tb.err
+        assert tb.err <= 1e-12
 
-        def evaluate(summer, zeta):
-            monkeypatch.setattr(
-                kernels, "_fb_sum_exact", lambda *args: sums.append(zeta) or summer(*args)
-            )
-            val, err = kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, drop_unity)
-            return val.hex(), err.hex()
-
+    @pytest.mark.parametrize("v, zetas", [
+        (-0.99, (0.0, 1.0, 20.0, 60.0)),
+        (-0.6, (0.5, 9.0)),
+        (-0.1, (1.0, 140.2)),
+        (-1e-6, (3.0,)),
+        (0.1, (1.0, 140.2)),
+        (0.6, (0.5, 20.0)),
+        (0.9, (0.0, 5.0, 60.0)),
+    ])
+    def test_error_covers_moment_integral(self, v, zetas):
         for zeta in zetas:
-            evaluate(exact, zeta)  # settles the coefficient cache for zeta
-            entry = kernels._FB_CACHE[key]
-            assert evaluate(exact, zeta) == evaluate(fb_mpf_sum_oracle, zeta), zeta
-            assert kernels._FB_CACHE[key] is entry
-        # every zeta escalates in all three evaluations, except at v = +0.1
-        assert sums == ([] if v > 0 else [zeta for zeta in zetas for _ in range(3)])
-        if v == -0.9:
-            entry = kernels._FB_CACHE[key]
-            assert all(entry.errs)
+            ref = fb_moment_oracle(v, zeta)
+            est = fb_series(v, zeta)
+            assert abs(est.value - ref) <= est.err, zeta
+            assert est.err <= 2e-13 * max(1.0, abs(est.value)), zeta
+            less, err = kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, True)
+            assert abs(less - (ref - 1)) <= err, zeta
 
-    def test_concurrent_sums_match_serial_bits(self):
-        # the escalated sums take no lock and leave mpmath's precision alone,
-        # so a thread that lowers it around each call changes nobody's bits
-        grid = [(v0, 100.0 + 7.5 * i) for v0 in (-0.1, 0.1) for i in range(9)]
-        units = (NATURAL_UNITS.mu, NATURAL_UNITS.c, NATURAL_UNITS.hbar)
-        prec = mp.mp.prec
-        for point in grid:
-            barrier_factor(*point)  # settles the coefficient cache
-        entries = {v0: kernels._FB_CACHE[(v0, *units)] for v0 in (-0.1, 0.1)}
+    @pytest.mark.parametrize("v", [-0.3, 0.3, -0.6])
+    def test_moments_match_triple_sum(self, v):
+        # the series route's D_p against the (l, m, n) triple sum at 40 digits
+        coeffs = list(itertools.islice(fb_moments(v, NATURAL_UNITS), 40))
+        refs = ORACLES.residue_coeffs(v, 12, 40)
+        for p, ref in enumerate(refs):
+            assert coeffs[p] == pytest.approx(float(ref), rel=1e-14), p
+        # all 40 are moments of a positive weight, with the sign (-1)^p for
+        # v < 0 and none for v > 0
+        if v < 0:
+            assert all((-1) ** p * d > 0 for p, d in enumerate(coeffs))
+        else:
+            assert all(d > 0 for d in coeffs)
 
-        def bits(est):
-            return est.value.hex(), est.err.hex()
+    def test_general_units_against_triple_sum(self):
+        params = PhysicalParams(mu=1.5, c=2.0, hbar=0.7)
+        for v, zeta in [(-0.3, 1.3), (0.3, 0.8)]:
+            est = fb_series(v, zeta, params)
+            ref = fb_triple_sum_oracle(v, zeta, params)
+            assert abs(est.value - ref) <= est.err + 1e-15
 
-        serial = {point: bits(barrier_factor(*point)) for point in grid}
+    def test_overflow_and_rule_cap_raise_typed_errors(self):
+        # F_B(+0.3, 1000) ~ cosh(714) exceeds the largest float
+        with pytest.raises(SeriesDivergenceError, match="overflows"):
+            fb_series(0.3, 1000.0)
+        # ~1e6 oscillations of cos(zeta s) need more than the largest rule
+        with pytest.raises(QuadratureError, match="rule intervals"):
+            fb_series(-0.3, 1e6)
 
-        def sweep(seed, start, low_precision):
+    def test_rest_energy_raises(self):
+        for v in (-1.0, 1.0, 2.5):
+            with pytest.raises(ValueError, match=r"^fb_series requires \|v0\| below"):
+                fb_series(v, 1.0)
+        with pytest.raises(ValueError, match=r"^barrier_factor requires \|v0\| below"):
+            barrier_factor(1.0, 1.0)
+
+    def test_concurrent_threads_on_empty_caches_match_serial_bits(self):
+        # strengths no other test uses, so their rules and moments start empty
+        grid = [(v0, zeta) for v0 in (-0.61, 0.61) for zeta in (0.5, 3.0, 20.0, 90.0)]
+
+        def forget():
+            for key in [key for key in kernels._FB_RULES if abs(key[0]) == 0.61]:
+                del kernels._FB_RULES[key]
+            for key in [key for key in kernels._FB_MOMENTS if abs(key[0]) == 0.61]:
+                del kernels._FB_MOMENTS[key]
+
+        def bits(v0, zeta):
+            est = fb_series(v0, zeta)
+            less, _err = kernels._fb_eval(v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, True)
+            moments = itertools.islice(fb_moments(v0, NATURAL_UNITS), 100)
+            return est.value.hex(), est.err.hex(), less.hex(), [d.hex() for d in moments]
+
+        forget()
+        serial = {point: bits(*point) for point in grid}
+
+        def sweep(seed, start):
             order = grid[:]
             random.Random(seed).shuffle(order)
             start.wait()
-            out = {}
-            for point in order:
-                if low_precision:
-                    with mp.workdps(8):
-                        out[point] = bits(barrier_factor(*point))
-                else:
-                    out[point] = bits(barrier_factor(*point))
-            return out
+            return {point: bits(*point) for point in order}
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
                 for rnd in range(6):
+                    forget()
                     start = threading.Barrier(4, timeout=60)
-                    futures = [pool.submit(sweep, 4 * rnd + i, start, i == rnd % 4)
-                               for i in range(4)]
+                    futures = [pool.submit(sweep, 4 * rnd + i, start) for i in range(4)]
                     for future in futures:
                         assert future.result(timeout=120) == serial, rnd
         finally:
             sys.setswitchinterval(interval)
-        assert mp.mp.prec == prec
-        assert all(kernels._FB_CACHE[(v0, *units)] is entry for v0, entry in entries.items())
+
+    def test_values_do_not_depend_on_earlier_calls(self):
+        code = (
+            "import itertools\n"
+            "from reltoa.kernels import NATURAL_UNITS, barrier_free_gap, fb_moments, fb_series\n"
+            "for v, zeta in [(-0.1, 140.2), (0.3, 20.0), (-0.9, 5.0)]:\n"
+            "    est = fb_series(v, zeta)\n"
+            "    print(est.value.hex(), est.err.hex(), barrier_free_gap(-v, zeta).hex())\n"
+            "    moments = itertools.islice(fb_moments(v, NATURAL_UNITS), 70)\n"
+            "    print(*(d.hex() for d in moments))\n"
+        )
+        fresh = _run_bench_code(code)
+        # other zetas at the same strengths, the neighbouring rule sizes and a
+        # longer moment table come first here
+        for v in (-0.1, 0.3, -0.9):
+            for zeta in (0.2, 9.0, 60.0, 160.0):
+                fb_series(v, zeta)
+                barrier_free_gap(-v, zeta)
+            list(itertools.islice(fb_moments(v, NATURAL_UNITS), 200))
+        lines = []
+        for v, zeta in [(-0.1, 140.2), (0.3, 20.0), (-0.9, 5.0)]:
+            est = fb_series(v, zeta)
+            lines.append(f"{est.value.hex()} {est.err.hex()} {barrier_free_gap(-v, zeta).hex()}")
+            moments = itertools.islice(fb_moments(v, NATURAL_UNITS), 70)
+            lines.append(" ".join(d.hex() for d in moments))
+        assert fresh.splitlines() == lines
 
 
 class TestBranchProfile:
@@ -481,20 +462,18 @@ class TestBranchProfile:
         assert out.strip() == BRANCH_PIN["sha256"]
 
     def test_free_factor_and_gap_match_pins(self):
-        # a fresh process: the residue part of the gap depends on the
-        # coefficient cache's history.  The gap rows at v0 = -0.3 and 0.3
-        # take ~2.5 min of coefficient builds; scripts/fb_build_bench.py
-        # checks them
-        rows = [-0.1, 0.0, 0.1]
+        # a fresh process, so that the pins hold whatever ran before
         out = _run_bench_code(
             "zetas = json.loads(bench.BRANCH_PIN_FILE.read_text())['zeta']\n"
             "print(bench.free_factor_digest(zetas))\n"
-            f"for v0 in {rows!r}:\n"
+            "for v0 in bench.GAP_V0:\n"
             "    print(bench.gap_digest(v0, zetas))\n"
         )
         gap_pins = {row["v0"]: row["sha256"] for row in FACTOR_PIN["barrier_free_gap"]}
         assert sorted(gap_pins) == sorted(FB_BUILD_BENCH.GAP_V0)
-        assert out.split() == [FACTOR_PIN["free_factor"]] + [gap_pins[v0] for v0 in rows]
+        assert out.split() == [FACTOR_PIN["free_factor"]] + [
+            gap_pins[v0] for v0 in FB_BUILD_BENCH.GAP_V0
+        ]
 
     def test_table_holds_the_integrand_and_spares_g_b(self, monkeypatch):
         v0 = 0.27
@@ -515,25 +494,24 @@ class TestBranchProfile:
 
     def test_concurrent_threads_match_serial_bits(self):
         grid = [(v0, 0.25 * i) for v0 in (-0.3, 0.3) for i in range(1, 37)]
-        units = (NATURAL_UNITS.mu, NATURAL_UNITS.c, NATURAL_UNITS.hbar)
 
-        def forget(coefficients: bool, values: bool):
+        def forget(rules: bool, values: bool):
             # empty the profile table's segment cache and, if asked, drop
-            # the table with its values, and the coefficient cache; both
-            # signs share the profile of |v0| = 0.3
+            # the table with its values, and the F_B rules; both signs
+            # share the profile of |v0| = 0.3
             table = kernels._BRANCH_PROFILES.get((0.3, NATURAL_UNITS))
             if table is not None:
                 table.segments.clear()
             if values:
                 kernels._BRANCH_PROFILES.pop((0.3, NATURAL_UNITS), None)
-            if coefficients:
-                for v0 in (-0.3, 0.3):
-                    kernels._FB_CACHE.pop((v0, *units), None)
+            if rules:
+                for key in [key for key in kernels._FB_RULES if abs(key[0]) == 0.3]:
+                    del kernels._FB_RULES[key]
 
         def bits(est):
             return est.value.hex(), est.err.hex()
 
-        forget(coefficients=True, values=True)
+        forget(rules=True, values=True)
         serial = {point: bits(barrier_factor(*point)) for point in grid}
 
         def sweep(seed, start):
@@ -542,7 +520,7 @@ class TestBranchProfile:
             start.wait()
             return {point: bits(barrier_factor(*point)) for point in order}
 
-        # four threads, switched often, race on the coefficient build in the
+        # four threads, switched often, race on the F_B rules in the
         # first round, on filling empty value tables in the even rounds, and
         # on filling empty segment caches from full value tables in the odd
         interval = sys.getswitchinterval()
@@ -550,7 +528,7 @@ class TestBranchProfile:
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
                 for rnd in range(8):
-                    forget(coefficients=rnd == 0, values=rnd % 2 == 0)
+                    forget(rules=rnd == 0, values=rnd % 2 == 0)
                     start = threading.Barrier(4, timeout=60)
                     futures = [pool.submit(sweep, 4 * rnd + i, start) for i in range(4)]
                     for future in futures:
@@ -625,8 +603,8 @@ class TestKernelArguments:
             "region_kernel": lambda zeta: region_kernel("III", -3.0, zeta, barrier),
             "momentum_kernel_g": lambda zeta: momentum_kernel_g(0, 0, zeta),
         }
-        # an infinite zeta must raise too: past the guard, the residue
-        # series would run toward its term cap before failing
+        # an infinite zeta must raise too: past the guard, F_B would size
+        # its rule from it
         for zeta in (math.nan, math.inf, -math.inf):
             for name, call in calls.items():
                 with pytest.raises(ValueError, match=f"^{name} requires zeta"):
@@ -634,9 +612,9 @@ class TestKernelArguments:
 
     def test_non_finite_v0_raises_before_any_build(self, monkeypatch):
         def no_build(*args):
-            raise AssertionError("coefficient build started")
+            raise AssertionError("F_B rule build started")
 
-        monkeypatch.setattr(kernels, "_build_fb_coeffs", no_build)
+        monkeypatch.setattr(kernels, "_FbRule", no_build)
         tables = set(kernels._BRANCH_PROFILES)
         calls = {
             "barrier_factor": lambda v0: barrier_factor(v0, 1.0),
