@@ -405,9 +405,16 @@ def fb_moments(v: float, params: PhysicalParams) -> Iterator[float]:
     Yields D_0, D_1, ... as the caller walks p upward.  D_p is the moment
     (-1)^p (2/pi) int_0^kappa_c s^(2p) W(s) ds of the crossing weight (no
     sign change for v > 0), in the units of params, from the fixed
-    512-interval theta rule and cached per strength.
+    512-interval theta rule and cached per strength.  |v| must lie below
+    the rest energy; that is checked here, before the first D_p.
     """
-    key = (v / params.rest_energy, params.mu * params.c / params.hbar)
+    _require_finite_v0(v, "fb_moments")
+    _require_below_rest(v, params, "fb_moments")
+    return _walk_moments((v / params.rest_energy, params.mu * params.c / params.hbar))
+
+
+def _walk_moments(key: tuple[float, float]) -> Iterator[float]:
+    """D_0, D_1, ... of key, extending its cache entry as p walks past it."""
     for p in itertools.count():
         entry = _FB_MOMENTS.get(key)
         while entry is None or p >= len(entry[0]):

@@ -18,6 +18,7 @@ import threading
 import warnings
 
 import mpmath as mp
+from mpmath import libmp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -264,6 +265,15 @@ class TestFbSeries:
         assert val == pytest.approx(ref, abs=1e-9)
         assert barrier_factor(-0.9, 1.0).err < 1e-9
 
+    def test_rest_energy_scale_raises(self):
+        # below the rest energy F_B is a value (next test); at and above it
+        # the barrier is outside the kernel's domain
+        for v in (-1.0, 1.0, 2.5):
+            with pytest.raises(ValueError, match=r"^fb_series requires \|v0\| below"):
+                fb_series(v, 1.0)
+        with pytest.raises(ValueError, match=r"^barrier_factor requires \|v0\| below"):
+            barrier_factor(1.0, 1.0)
+
     def test_rest_energy_scale_matches_spectral_oracle(self):
         # Fig. 5's barrier: the moment form has no convergence limit below
         # the rest energy, where the triple-sum coefficients stopped at p = 0
@@ -372,13 +382,6 @@ class TestFbMomentForm:
         with pytest.raises(QuadratureError, match="rule intervals"):
             fb_series(-0.3, 1e6)
 
-    def test_rest_energy_raises(self):
-        for v in (-1.0, 1.0, 2.5):
-            with pytest.raises(ValueError, match=r"^fb_series requires \|v0\| below"):
-                fb_series(v, 1.0)
-        with pytest.raises(ValueError, match=r"^barrier_factor requires \|v0\| below"):
-            barrier_factor(1.0, 1.0)
-
     def test_concurrent_threads_on_empty_caches_match_serial_bits(self):
         # strengths no other test uses, so their rules and moments start empty
         grid = [(v0, zeta) for v0 in (-0.61, 0.61) for zeta in (0.5, 3.0, 20.0, 90.0)]
@@ -442,6 +445,166 @@ class TestFbMomentForm:
             moments = itertools.islice(fb_moments(v, NATURAL_UNITS), 70)
             lines.append(" ".join(d.hex() for d in moments))
         assert fresh.splitlines() == lines
+
+
+def mpf_sum_oracle(terms) -> float:
+    """The exact sum of the float terms in mpf arithmetic, rounded to the
+    nearest float: the bits a correctly rounded math.fsum must give.  At
+    2200 bits every partial sum of doubles is exact."""
+    ctx = mp.MPContext()
+    ctx.prec = 2200
+    total = ctx.mpf(0)
+    for term in terms:
+        total += ctx.mpf(term)
+    return libmp.to_float(total._mpf_, rnd=libmp.round_nearest)
+
+
+class _MathWithOracleSums:
+    """The math module, with fsum replaced by mpf_sum_oracle; counts calls."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, terms) -> float:
+        self.calls += 1
+        return mpf_sum_oracle(terms)
+
+
+class TestFbCoeffBuild:
+    """The series route's D_p, built as moments of the crossing weight."""
+
+    def test_bits_ignore_a_concurrent_global_precision(self):
+        # the build uses no mpmath, so a thread that keeps setting mpmath's
+        # global precision changes neither its bits nor the precision the
+        # caller finds afterwards, nor the other cache entries
+        key = (0.57, 1.0)  # a strength no other test uses
+
+        def build():
+            kernels._FB_MOMENTS.pop(key, None)
+            return [d.hex() for d in itertools.islice(fb_moments(0.57, NATURAL_UNITS), 112)]
+
+        serial = build()
+        cached = {k: entry for k, entry in kernels._FB_MOMENTS.items() if k != key}
+        prec = mp.mp.prec
+        stop = threading.Event()
+
+        def meddle():
+            while not stop.is_set():
+                with mp.workdps(8):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        meddler = threading.Thread(target=meddle)
+        meddler.start()
+        try:
+            meddled = build()
+        finally:
+            stop.set()
+            meddler.join()
+            sys.setswitchinterval(interval)
+        assert meddled == serial
+        assert mp.mp.prec == prec
+        assert all(kernels._FB_MOMENTS[k] is entry for k, entry in cached.items())
+
+    def test_rest_energy_failure_message(self):
+        # checked when the moments are asked for, before any node is built:
+        # at v = +1 a node's atanh(1) would otherwise fail as a domain error
+        for v in (-1.0, 1.0, 2.5):
+            with pytest.raises(ValueError) as info:
+                fb_moments(v, NATURAL_UNITS)
+            assert str(info.value) == (
+                f"fb_moments requires |v0| below the rest energy 1.0, got {v}"
+            )
+        with pytest.raises(ValueError, match=r"^fb_moments requires a finite v0"):
+            fb_moments(math.nan, NATURAL_UNITS)
+
+
+class TestFbExactSum:
+    """The trapezoid sums of F_B give the bits of the exact mpf sum."""
+
+    @pytest.mark.parametrize("v, zetas, drop_unity", [
+        # cosh up to its largest rule at zeta = 160
+        (0.1, (20.0, 75.0, 160.0), False),
+        # cos through the deep cancellation at large zeta
+        (-0.1, (33.0, 50.0, 71.6, 104.6, 140.2, 160.0), False),
+        (-0.3, (20.0, 30.0, 40.0), False),
+        # F_B - 1, summed as two pairs of sums
+        (-0.1, (60.0, 80.0, 150.0), True),
+        # near the rest energy, where the analytic strip sets the rule size
+        (-0.9, (10.0, 15.0, 20.0), False),
+    ])
+    def test_matches_mpf_oracle_bits(self, monkeypatch, v, zetas, drop_unity):
+        oracle = _MathWithOracleSums()
+
+        def evaluate(module, zeta):
+            monkeypatch.setattr(kernels, "math", module)
+            val, err = kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, drop_unity)
+            return val.hex(), err.hex()
+
+        for zeta in zetas:
+            evaluate(math, zeta)  # settles the rule cache for zeta
+            rules = dict(kernels._FB_RULES)
+            calls = oracle.calls
+            assert evaluate(math, zeta) == evaluate(oracle, zeta), zeta
+            # two sums (even, odd nodes) per rule, four with drop_unity
+            per_rule = 4 if drop_unity else 2
+            assert oracle.calls > calls and (oracle.calls - calls) % per_rule == 0, zeta
+            assert kernels._FB_RULES == rules
+        # the node sums kept with each rule, built anew with the oracle
+        monkeypatch.setattr(kernels, "math", math)
+        built = {key: rule for key, rule in kernels._FB_RULES.items() if key[0] == v}
+        monkeypatch.setattr(kernels, "math", oracle)
+        for (vn, n), rule in built.items():
+            fresh = kernels._FbRule(vn, n)
+            assert (fresh.c_sum.hex(), fresh.cs_sum.hex()) == (
+                rule.c_sum.hex(), rule.cs_sum.hex()
+            ), n
+
+    def test_concurrent_sums_match_serial_bits(self):
+        # the sums take no lock and leave mpmath's precision alone, so a
+        # thread that lowers it around each call changes nobody's bits
+        grid = [(v0, 100.0 + 7.5 * i) for v0 in (-0.1, 0.1) for i in range(9)]
+        prec = mp.mp.prec
+        for point in grid:
+            barrier_factor(*point)  # settles the rule cache
+        rules = dict(kernels._FB_RULES)
+
+        def bits(est):
+            return est.value.hex(), est.err.hex()
+
+        serial = {point: bits(barrier_factor(*point)) for point in grid}
+
+        def sweep(seed, start, low_precision):
+            order = grid[:]
+            random.Random(seed).shuffle(order)
+            start.wait()
+            out = {}
+            for point in order:
+                if low_precision:
+                    with mp.workdps(8):
+                        out[point] = bits(barrier_factor(*point))
+                else:
+                    out[point] = bits(barrier_factor(*point))
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                for rnd in range(6):
+                    start = threading.Barrier(4, timeout=60)
+                    futures = [pool.submit(sweep, 4 * rnd + i, start, i == rnd % 4)
+                               for i in range(4)]
+                    for future in futures:
+                        assert future.result(timeout=120) == serial, rnd
+        finally:
+            sys.setswitchinterval(interval)
+        assert mp.mp.prec == prec
+        assert all(kernels._FB_RULES[key] is rule for key, rule in rules.items())
 
 
 class TestBranchProfile:
