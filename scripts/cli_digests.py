@@ -11,8 +11,8 @@ process.  Run from anywhere:
 
     python scripts/cli_digests.py
 
-Cold, the whole set takes about half a minute on a 2-core host (table1 is
-the slow one).
+Cold, each command takes 0.25-0.85 s of CPU on a 2-core host, so the whole
+set takes a few seconds.
 """
 
 from __future__ import annotations

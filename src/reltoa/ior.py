@@ -343,13 +343,10 @@ def qc_expectation(
     sqrt(1 + (hbar k0)^2/(mu c)^2) for packets wide in position.  There is
     no barrier dependence by construction.  With T_F's branch integral
     taken outermost this is k0 [J(0) + (2/pi) int_1^inf sqrt(z^2-1)/z J(z) dz],
-    J the closed-form sine transform of _laplace_sine.
+    J from _laplace_sine: the series route's branch transform at G_B = 1.
     """
-    j = _laplace_sine(packet, params)
-    val, _err = integrate_semiinf_exp(
-        lambda z: math.sqrt(z * z - 1.0) / z * j(z), 1.0, 0.0, settings
-    )
-    return packet.k0 * (j(0.0) + (2.0 / math.pi) * val)
+    branch, _err = _branch_transform(packet, 0.0, params, settings)
+    return packet.k0 * (_laplace_sine(packet, params)(0.0) + branch)
 
 
 def traversal_time(

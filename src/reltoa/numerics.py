@@ -5,8 +5,8 @@ produce bit-identical outputs.  hyp0f1_one escalates to arbitrary precision
 in a private mpmath context, and imports mpmath only then, so nothing here
 reads or sets mpmath's global precision.  The semi-infinite integrators map
 onto a finite interval with z = lower + t/(1-t) and refine adaptively with
-an embedded Gauss-Kronrod (G7, K15) pair; a tail that does not decay drives
-bisection to the t = 1 node, where they raise QuadratureError.  The
+an embedded Gauss-Kronrod (G7, K15) pair, and raise QuadratureError when a
+tail that does not decay drives bisection to t = 1 or the width floor.  The
 oscillatory sine transform sums panels between successive zeros of
 sin(k*zeta) with Euler acceleration for slowly decaying envelopes.
 
@@ -192,7 +192,7 @@ def _adaptive_gk(
     HalfLineTable's rule reads tabulated nodes, with f the negated decay.
     Returns (value, error_estimate, max_abs_integrand); raises
     QuadratureError when max_subdivisions segments cannot reach
-    max(abs_tol, rel_tol * |value|).
+    max(abs_tol, rel_tol * |value|) or a segment with error hits width_floor.
     """
     points = [a, b]
     for s_pt in seeds:
@@ -220,11 +220,14 @@ def _adaptive_gk(
                 f"tolerance not met within {settings.max_subdivisions} subdivisions "
                 f"(err={total_err:.3e}, value={total_val:.6e})"
             )
-        neg_err, _, sa, sb, sval, serr = heapq.heappop(heap)
-        if -neg_err <= 0.0 or (sb - sa) < width_floor:
-            # worst segment is unimprovable; accept the current estimate
-            heapq.heappush(heap, (0.0, counter, sa, sb, sval, serr))
-            break
+        _, _, sa, sb, sval, serr = heapq.heappop(heap)
+        if serr <= 0.0:
+            break  # the worst segment reports no error; accept the estimate
+        if (sb - sa) < width_floor:
+            raise QuadratureError(
+                f"bisection reached the width floor at [{sa:.17g}, {sb:.17g}] "
+                f"(err={total_err:.3e}, value={total_val:.6e})"
+            )
         mid = 0.5 * (sa + sb)
         v1, e1, m1 = rule(f, sa, mid)
         v2, e2, m2 = rule(f, mid, sb)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -47,3 +48,26 @@ def sine_integral_oracle(f, k: float, zmax: float, n: int = 2_000_001) -> float:
     z[0] = 1e-300  # keep 1/z-type integrands finite; sin regularizes anyway
     vals = np.sin(k * z) * f(z)
     return simpson(vals, z)
+
+
+def contour_kernel_oracle(j: int, k: int, zeta: float, params) -> float:
+    """Brute-force evaluation of the residue building block f_{j,k}:
+    Gauss-Laguerre in y (exact for the polynomial y-dependence), trapezoid
+    around the circle |z| = mu c / 2 (spectrally accurate)."""
+    mu_c = params.mu * params.c
+    radius = 0.5 * mu_c
+    n_theta = 512
+    y_nodes, y_weights = np.polynomial.laguerre.laggauss(80)
+    acc = 0.0 + 0.0j
+    for y, w in zip(y_nodes, y_weights):
+        ring = 0.0 + 0.0j
+        for i in range(n_theta):
+            z = radius * cmath.exp(2j * math.pi * i / n_theta)
+            val = (1.0 + (z / mu_c) ** 2) ** ((k + 1) / 2.0)
+            val *= (1.0 - 1j * params.hbar * y / (zeta * z)) ** (2 * j)
+            ring += val
+        acc += w * ring / n_theta
+    pref = (1j * zeta / params.hbar) ** (2 * j) / math.factorial(2 * j)
+    out = pref * acc
+    assert abs(out.imag) < 1e-10
+    return out.real

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import concurrent.futures
 import functools
 import importlib.util
@@ -19,12 +18,10 @@ import warnings
 
 import mpmath as mp
 from mpmath import libmp
-import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from conftest import branch_integral_oracle
+from conftest import branch_integral_oracle, contour_kernel_oracle
 from reltoa import kernels
 from reltoa.kernels import (
     NATURAL_UNITS,
@@ -80,6 +77,14 @@ def spectral_kernel(v0: float, zeta: float) -> float:
         return ORACLES.spectral_kernel(v0, zeta)
 
 
+def highdigit_barrier_factor(v: float, zeta: float, count: int) -> float:
+    """T_B(v, zeta) from `count` triple-sum D_p at 40 digits plus QUADPACK's
+    branch integral: the residue series' own ordering, sharing no code with
+    the moment form."""
+    coeffs = ORACLES.residue_coeffs(v, count, 40)
+    return ORACLES.barrier_factor_highdigit(v, [zeta], coeffs, 40)[0]
+
+
 def _run_bench_code(code: str) -> str:
     """stdout of `code` in a fresh interpreter, with the bench script as `bench`."""
     prelude = (
@@ -95,83 +100,6 @@ def _run_bench_code(code: str) -> str:
         env={**os.environ, "PYTHONPATH": path},
     )
     return out.stdout
-
-
-def fb_triple_sum_oracle(v: float, zeta: float, params: PhysicalParams,
-                         l_terms: int = 300, dps: int = 60) -> float:
-    """Direct summation of the residue series in its original (l, m, n)
-    ordering.  Independent of the production reorganization by powers of
-    zeta^2.  Binomials over integers come from exact integer arithmetic;
-    the half-integer binomials from their recurrence."""
-    with mp.workdps(dps):
-        mu, c, hbar = mp.mpf(params.mu), mp.mpf(params.c), mp.mpf(params.hbar)
-        vv = mp.mpf(v)
-        a_fac = mu * vv / (2 * hbar**2)
-        b_fac = vv / (2 * mu * c**2)
-        c_fac = -(hbar**2) / (mu * c) ** 2
-        # z2f[i] = zeta^(2i) / (2i)!, cpow[n] = c_fac^n, half-integer rows
-        z2 = mp.mpf(zeta) ** 2
-        z2f = [mp.mpf(1)]
-        cpow = [mp.mpf(1)]
-        bpow = [mp.mpf(1)]
-        apow = [mp.mpf(1)]
-        gb_rows: dict[int, list] = {}
-
-        def gbin(m, n):
-            row = gb_rows.setdefault(m, [mp.mpf(1)])
-            alpha = mp.mpf(m + 1) / 2
-            while len(row) <= n:
-                k = len(row)
-                row.append(row[-1] * (alpha - (k - 1)) / k)
-            return row[n]
-
-        total = mp.mpf(0)
-        for l in range(l_terms):
-            while len(z2f) <= l:
-                i = len(z2f)
-                z2f.append(z2f[-1] * z2 / ((2 * i - 1) * (2 * i)))
-            while len(cpow) <= l:
-                cpow.append(cpow[-1] * c_fac)
-            while len(bpow) <= l:
-                bpow.append(bpow[-1] * b_fac)
-            while len(apow) <= l:
-                apow.append(apow[-1] * a_fac)
-            outer = mp.mpf(math.comb(2 * l, l)) * apow[l]
-            m_sum = mp.mpf(0)
-            for m in range(l + 1):
-                n_sum = mp.mpf(0)
-                for n in range(l + 1):
-                    n_sum += gbin(m, n) * cpow[n] * z2f[l - n]
-                m_sum += mp.mpf(math.comb(l, m)) * bpow[l - m] * n_sum
-            term = outer * m_sum
-            total += term
-            if l > 4 and abs(term) < mp.mpf(10) ** -40 * (1 + abs(total)):
-                break
-        return float(total)
-
-
-def contour_kernel_oracle(j: int, k: int, zeta: float,
-                          params: PhysicalParams) -> float:
-    """Brute-force evaluation of the residue building block f_{j,k}:
-    Gauss-Laguerre in y (exact for the polynomial y-dependence), trapezoid
-    around the circle |z| = mu c / 2 (spectrally accurate)."""
-    mu_c = params.mu * params.c
-    radius = 0.5 * mu_c
-    n_theta = 512
-    y_nodes, y_weights = np.polynomial.laguerre.laggauss(80)
-    acc = 0.0 + 0.0j
-    for y, w in zip(y_nodes, y_weights):
-        ring = 0.0 + 0.0j
-        for i in range(n_theta):
-            z = radius * cmath.exp(2j * math.pi * i / n_theta)
-            val = (1.0 + (z / mu_c) ** 2) ** ((k + 1) / 2.0)
-            val *= (1.0 - 1j * params.hbar * y / (zeta * z)) ** (2 * j)
-            ring += val
-        acc += w * ring / n_theta
-    pref = (1j * zeta / params.hbar) ** (2 * j) / math.factorial(2 * j)
-    out = pref * acc
-    assert abs(out.imag) < 1e-10
-    return out.real
 
 
 class TestFreeFactor:
@@ -240,30 +168,26 @@ class TestFbSeries:
         assert val == pytest.approx(hyp0f1_one(-0.3 * 4.0 / 2.0), abs=1e-6)
 
     def test_triple_sum_oracle(self):
-        for v, zeta in [(-0.3, 1.0), (0.3, 1.0), (-0.6, 2.5), (-0.3, 8.0)]:
-            val = fb_series(v, zeta).value
-            assert val == pytest.approx(
-                fb_triple_sum_oracle(v, zeta, NATURAL_UNITS), rel=1e-9, abs=1e-11
-            )
-
-    def test_large_zeta_against_oracle(self):
-        # deep cancellation regime: partial terms ~ exp(kappa zeta) >> result
-        val = fb_series(-0.3, 40.0).value
-        ref = fb_triple_sum_oracle(-0.3, 40.0, NATURAL_UNITS, l_terms=400, dps=70)
-        assert val == pytest.approx(ref, rel=1e-8, abs=1e-10)
+        # T_B = F_B + branch term against the (l, m, n) triple sum's D_p at 40
+        # digits plus a QUADPACK branch integral; at +v0 this is the branch
+        # term's only oracle.  Larger zeta is checked against the moment
+        # integral in TestFbMomentForm.
+        for v, zeta in [(-0.3, 1.0), (0.3, 1.0)]:
+            tb = barrier_factor(v, zeta)
+            ref = highdigit_barrier_factor(v, zeta, 14)
+            assert tb.value == pytest.approx(ref, rel=1e-9)
+            assert abs(tb.value - ref) <= tb.err
 
     def test_rejects_negative_zeta(self):
         with pytest.raises(ValueError):
             fb_series(-0.3, -1.0)
 
-    def test_strong_barrier_optimal_truncation(self):
-        # near the rest energy the triple sum is asymptotic: the moment form
-        # must match the original-ordering summation run to its own floor
-        # (l = 251, where its terms bottom out at ~6e-16)
-        val = fb_series(-0.9, 1.0).value
-        ref = fb_triple_sum_oracle(-0.9, 1.0, NATURAL_UNITS, l_terms=252, dps=60)
-        assert val == pytest.approx(ref, abs=1e-9)
-        assert barrier_factor(-0.9, 1.0).err < 1e-9
+    def test_strong_barrier_error_is_tight(self):
+        # F_B(-0.9, 1) is checked against the moment integral in
+        # TestFbMomentForm; the whole kernel keeps a small error there too
+        tb = barrier_factor(-0.9, 1.0)
+        assert abs(tb.value - spectral_kernel(0.9, 1.0)) <= tb.err
+        assert tb.err < 1e-9
 
     def test_rest_energy_scale_raises(self):
         # below the rest energy F_B is a value (next test); at and above it
@@ -337,12 +261,14 @@ class TestFbMomentForm:
 
     @pytest.mark.parametrize("v, zetas", [
         (-0.99, (0.0, 1.0, 20.0, 60.0)),
-        (-0.6, (0.5, 9.0)),
+        (-0.6, (0.5, 2.5, 9.0)),
         (-0.1, (1.0, 140.2)),
         (-1e-6, (3.0,)),
         (0.1, (1.0, 140.2)),
         (0.6, (0.5, 20.0)),
         (0.9, (0.0, 5.0, 60.0)),
+        (-0.3, (8.0, 40.0)),
+        (-0.9, (1.0,)),
     ])
     def test_error_covers_moment_integral(self, v, zetas):
         for zeta in zetas:
@@ -367,11 +293,14 @@ class TestFbMomentForm:
         else:
             assert all(d > 0 for d in coeffs)
 
-    def test_general_units_against_triple_sum(self):
+    def test_general_units_against_moment_integral(self):
+        # F_B(v, zeta; mu, c, hbar) = F_B(v/mu c^2, zeta mu c/hbar); the
+        # general units meet 0F1 independently in the nonrelativistic limit
         params = PhysicalParams(mu=1.5, c=2.0, hbar=0.7)
+        mu_c = params.mu * params.c
         for v, zeta in [(-0.3, 1.3), (0.3, 0.8)]:
             est = fb_series(v, zeta, params)
-            ref = fb_triple_sum_oracle(v, zeta, params)
+            ref = fb_moment_oracle(v / (mu_c * params.c), zeta * mu_c / params.hbar)
             assert abs(est.value - ref) <= est.err + 1e-15
 
     def test_overflow_and_rule_cap_raise_typed_errors(self):
@@ -728,8 +657,8 @@ class TestHalfLineTable:
     )
     def test_matches_generic_integral_bits(self, decays, rng):
         # always decay 0, where the integrals of h and the T_F envelope
-        # diverge and _adaptive_gk stops on unimprovable segments, and 1e3,
-        # where every node of the opening pass underflows to 0.0
+        # diverge and both forms raise the same QuadratureError at the width
+        # floor, and 1e3, where every node of the opening pass underflows
         decays = decays + [0.0, 1e3]
         for name, g in self.INTEGRANDS.items():
             table = HalfLineTable(g)
@@ -803,19 +732,10 @@ class TestBarrierFactor:
 
     def test_oracle_sum_plus_quadrature(self):
         # independently coded: triple-sum oracle + QUADPACK branch integral
-        v, zeta = -0.3, 2.0
-        series = fb_triple_sum_oracle(v, zeta, NATURAL_UNITS)
-        branch, _ = scipy.integrate.quad(
-            lambda z: math.exp(-zeta * z)
-            * math.sqrt(z * z - 1.0)
-            / z
-            * gb_factor(v, z),
-            1.0,
-            np.inf,
-            limit=300,
-        )
-        ref = series + 2.0 / math.pi * branch
-        assert barrier_factor(v, zeta).value == pytest.approx(ref, rel=1e-9)
+        tb = barrier_factor(-0.3, 2.0)
+        ref = highdigit_barrier_factor(-0.3, 2.0, 20)
+        assert tb.value == pytest.approx(ref, rel=1e-9)
+        assert abs(tb.value - ref) <= tb.err
 
     def test_nonrelativistic_limit_monotone(self):
         for v0, zeta in [(0.3, 1.0), (0.5, 0.5)]:

@@ -17,12 +17,14 @@ from reltoa.kernels import NATURAL_UNITS
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
+    HalfLineTable,
     QuadratureError,
     QuadratureSettings,
     faddeeva,
     gen_binomial,
     hyp0f1_one,
     hyp2f1_integral,
+    integrate_half_line,
     integrate_semiinf_exp,
     integrate_sqrt_endpoint,
     sine_transform_decaying,
@@ -204,6 +206,15 @@ class TestSemiInfExp:
         with pytest.raises(ValueError):
             integrate_semiinf_exp(lambda z: 1.0, 0.0, -1.0)
 
+    def test_constant_tail_raises_at_the_width_floor(self):
+        # unseeded, bisection narrows the last segment below 2^-45 before
+        # any node rounds to t = 1; there the diverging sum is ~1.9e16
+        message = "^bisection reached the width floor"
+        with pytest.raises(QuadratureError, match=message):
+            integrate_semiinf_exp(lambda z: 1.0, 1.0, 0.0)
+        with pytest.raises(QuadratureError, match=message):
+            integrate_half_line(HalfLineTable(lambda z: 1.0), 0.0)
+
 
 class TestSineTransform:
     def test_laplace_sine(self):
@@ -302,8 +313,9 @@ def composed_sqrt_endpoint(f, a, settings=DEFAULT_SETTINGS, seeds=()):
 def outcome(integrate, f, a, settings, seeds):
     """float.hex of (value, err), or the type and text of what was raised.
 
-    A tail that does not decay can bisect down to a node at t = 1.0, where
-    both forms raise QuadratureError; the forms must agree on that too.
+    A tail that does not decay, such as a bare 1/sqrt, bisects down to a
+    node at t = 1.0 or to the width floor, where both forms raise the same
+    QuadratureError; the forms must agree on that too.
     """
     try:
         val, err = integrate(f, a, settings, seeds)
