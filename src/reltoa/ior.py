@@ -11,7 +11,9 @@ computed by three independent routes that must agree,
                taken as one z-integral of the G_B profile against the
                closed-form (Faddeeva) sine transform of
                Phi(zeta) exp(-mu c z zeta / hbar),
-  * momentum - the closed half-line momentum integrals above kappa_c.
+  * momentum - the closed half-line momentum integrals above kappa_c, in
+               u = sqrt(k - kappa_c) with the crossing weight's threshold
+               root cancelled in closed form.
 
 Only imaginary parts (sine transforms) are ever formed; the real parts
 carry a logarithmic divergence and no physics.
@@ -269,34 +271,42 @@ def ior_momentum(
 
 
 def _crossing_integrand(
-    packet: GaussianPacket, v0: float, params: PhysicalParams, sign: int
+    packet: GaussianPacket, v0: float, params: PhysicalParams, sign: int, kc: float
 ) -> Callable[[float], float]:
-    """k -> momentum_density(packet, k, sign) * crossing weight, in one frame.
+    """u -> 2u rho(k) w(k) at k = kc + u^2, the threshold root cancelled exactly.
 
-    The weight is sqrt(E_k^2/((E_k - v0)^2 - mu^2 c^4)), and 0.0 where the
-    denominator is not positive.  The closure performs the operations of the
-    two-call product in the same order, with the k-independent factors
-    sqrt(2 sigma^2/pi), -2 sigma^2 and (mu c^2)^2 computed once, so it
-    returns the same bits at a third of the calls.
+    rho = momentum_density(packet, k, sign), w = sqrt(E^2/((E - v0)^2 - R^2)),
+    E = sqrt((hbar k c)^2 + R^2), R = mu c^2.  kappa_c's identity
+    (hbar kappa_c c)^2 + R^2 = (R + v0)^2 factors the denominator:
+
+      (E - v0)^2 - R^2 = (E - R - v0)(E - v0 + R)
+          = (hbar c)^2 (k - kappa_c)(k + kappa_c)(E - v0 + R)/(E + R + v0),
+
+    so sqrt(k - kappa_c) = u cancels against dk = 2u du, leaving
+
+      (2/(hbar c)) rho E sqrt((E + R + v0)/((k + kappa_c)(E - v0 + R))),
+
+    smooth and positive down to u = 0, with no below-threshold branch.
     """
     s2 = packet.sigma * packet.sigma
-    norm = math.sqrt(2.0 * s2 / math.pi)
     neg_two_s2 = -2.0 * s2
     centre = sign * packet.k0
-    hbar, c = params.hbar, params.c
+    hbar_c = params.hbar * params.c
     rest = params.rest_energy
-    rest_sq = rest * rest
+    pref = 2.0 * math.sqrt(2.0 * s2 / math.pi) / hbar_c
+    e_sum = rest + v0
+    e_diff = rest - v0
     exp, hypot, sqrt = math.exp, math.hypot, math.sqrt
 
-    def f(k: float) -> float:
-        e_k = hypot(hbar * k * c, rest)
-        denom = (e_k - v0) ** 2 - rest_sq
-        if not denom > 0.0:
-            return 0.0  # the density is finite, so density * 0.0 is +0.0
+    def h(u: float) -> float:
+        k = kc + u * u
+        e_k = hypot(hbar_c * k, rest)
         d = k - centre
-        return norm * exp(neg_two_s2 * d * d) * sqrt(e_k * e_k / denom)
+        return pref * exp(neg_two_s2 * d * d) * e_k * sqrt(
+            (e_k + e_sum) / ((k + kc) * (e_k + e_diff))
+        )
 
-    return f
+    return h
 
 
 def momentum_split(
@@ -308,9 +318,10 @@ def momentum_split(
     """R_c by the closed momentum-space form, with its +k and -k weights.
 
     Both half-line integrals run from kappa_c upward with the crossing-time
-    weight sqrt(E_k^2/((E_k - v0)^2 - mu^2 c^4)), whose inverse-square-root
-    start is absorbed by the substitution engine; below-threshold momentum
-    components contribute nothing (they cross instantaneously).  Returns
+    weight sqrt(E_k^2/((E_k - v0)^2 - mu^2 c^4)); below-threshold momentum
+    components contribute nothing (they cross instantaneously).  Each is
+    taken in u = sqrt(k - kappa_c), where the weight's inverse-square-root
+    start cancels in closed form (see _crossing_integrand).  Returns
     (R_c, plus, minus), where plus and minus are the above-threshold
     weights of the +k and -k components, each with its own integral's
     error estimate; R_c.value == plus.value - minus.value exactly and
@@ -324,10 +335,10 @@ def momentum_split(
     kc = kappa_c(v0, params)
     seeds = _density_seeds(packet, kc)
     plus, err_p = integrate_sqrt_endpoint(
-        _crossing_integrand(packet, v0, params, +1), kc, settings, seeds
+        _crossing_integrand(packet, v0, params, +1, kc), kc, settings, seeds
     )
     minus, err_m = integrate_sqrt_endpoint(
-        _crossing_integrand(packet, v0, params, -1), kc, settings, seeds
+        _crossing_integrand(packet, v0, params, -1, kc), kc, settings, seeds
     )
     return Estimate(plus - minus, err_p + err_m), Estimate(plus, err_p), Estimate(minus, err_m)
 

@@ -6,8 +6,10 @@ in a private mpmath context, and imports mpmath only then, so nothing here
 reads or sets mpmath's global precision.  The semi-infinite integrators map
 onto a finite interval with z = lower + t/(1-t) and refine adaptively with
 an embedded Gauss-Kronrod (G7, K15) pair, and raise QuadratureError when a
-tail that does not decay drives bisection to t = 1 or the width floor.  The
-oscillatory sine transform sums panels between successive zeros of
+tail that does not decay drives bisection to t = 1 or the width floor.
+integrate_sqrt_endpoint is that integrator over u >= 0 for an integral the
+caller has already written in u = sqrt(k - a), its endpoint root cancelled.
+The oscillatory sine transform sums panels between successive zeros of
 sin(k*zeta) with Euler acceleration for slowly decaying envelopes.
 
 Every pass forms its weighted G7/K15 sums in _gk_sum, in one order.  A
@@ -612,48 +614,22 @@ def _euler_accelerate(partials: list[float]) -> float:
 
 
 def integrate_sqrt_endpoint(
-    f: Callable[[float], float],
+    h: Callable[[float], float],
     a: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
     seeds: tuple[float, ...] = (),
 ) -> tuple[float, float]:
-    """Integral over [a, inf) of an f with a 1/sqrt(k-a) endpoint singularity.
+    """Integral over [a, inf) of f(k) dk, given as the u-integral of h.
 
-    The substitution k = a + u^2 removes the singularity exactly; the
-    remaining semi-infinite u-integral rides on f's own decay (a Gaussian
-    weight in every use here).  `seeds` marks k-locations of narrow
-    features away from the endpoint (a tight momentum density, say), which
-    the substitution squeezes into regions an unseeded opening pass can
-    miss.  A stronger-than-inverse-square-root blowup is detected by
-    probing the substituted integrand toward u = 0.
-
-    The u-integral runs as one map t -> k = a + u^2 with u = t/(1-t), so
-    each node costs one Python call besides f.  It returns, bit for bit,
-    integrate_semiinf_exp(lambda u: 2.0*u*f(a + u*u), 0.0, 0.0, settings,
-    u_seeds), with the same operations in the same order, less two that are
-    exact: the envelope exp(-0.0 * u) is exactly 1.0, and the lower bound
-    adds 0.0 to t/(1-t) >= +0.0.  For the same reason each seed's t is
-    u/(1 + u) with u = sqrt(k - a).
+    Under k = a + u^2 the integral is int_0^inf h(u) du with
+    h(u) = 2u f(a + u^2): h carries dk/du, and a 1/sqrt(k - a) start of f
+    leaves it finite at u = 0.  The caller cancels that root in closed form
+    when it builds h, so nothing here divides by u or probes the endpoint.
+    The u-integral rides on h's own decay (a Gaussian weight in every use
+    here).  `seeds` marks k-locations of narrow features away from the
+    endpoint (a tight momentum density, say), which the substitution
+    squeezes into regions an unseeded opening pass can miss; they are
+    mapped to u = sqrt(k - a).
     """
-
-    def g(u: float) -> float:
-        return 2.0 * u * f(a + u * u)
-
-    probe_big = abs(g(1e-3))
-    probe_small = abs(g(1e-7))
-    if probe_small > 100.0 * probe_big + 1.0:
-        raise QuadratureError(
-            "integrand singularity at the lower endpoint is stronger than 1/sqrt"
-        )
-
-    def mapped(t: float) -> float:
-        onemt = 1.0 - t
-        try:
-            u = t / onemt
-        except ZeroDivisionError:
-            raise QuadratureError(_NON_DECAYING) from None
-        return 2.0 * u * f(a + u * u) / (onemt * onemt)
-
-    t_seeds = tuple(u / (1.0 + u) for u in (math.sqrt(k - a) for k in seeds if k > a))
-    val, err, _ = _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
-    return val, err
+    u_seeds = tuple(math.sqrt(k - a) for k in seeds if k > a)
+    return integrate_semiinf_exp(h, 0.0, 0.0, settings, u_seeds)

@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import hypothesis
 
 hypothesis.settings.register_profile("ci", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("ci")
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_by_path(relative: str, name: str):
+    """A module from a file of this checkout that is not on the import path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def crossing_weight(k: float, v0: float, params) -> float:

@@ -6,12 +6,14 @@ import hashlib
 import json
 import math
 import pathlib
+import sys
 
+import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, strategies as st
 
-from conftest import crossing_weight
+from conftest import crossing_weight, load_by_path
 
 from reltoa.classical import kappa_c, qc_asymptotic, tau_top
 from reltoa.kernels import (
@@ -25,10 +27,11 @@ from reltoa.numerics import (
     DEFAULT_SETTINGS,
     QuadratureSettings,
     SeriesDivergenceError,
-    integrate_sqrt_endpoint,
+    integrate_semiinf_exp,
     sine_transform_decaying,
 )
 from reltoa.wavepacket import GaussianPacket, momentum_density, phi_overlap
+from reltoa.cli import TABLE1_ROWS
 from reltoa.ior import (
     Luminality,
     _branch_transform,
@@ -51,15 +54,18 @@ def tau_plus_consistency(packet: GaussianPacket, barrier: BarrierSpec) -> tuple[
 
     The two numbers are the same integral assembled through different code
     paths: the momentum-route plus weight against direct quadrature of
-    tau_top(k) * |psi(+k)|^2 above kappa_c.
+    tau_top(k) * |psi(+k)|^2 above kappa_c, taken in u = sqrt(k - kappa_c)
+    as 2u times the k-form, whose threshold root is not factored out.
     """
     kc = kappa_c(barrier.v0)
     _, plus, _ = momentum_split(packet, barrier.v0)
 
-    def f(k: float) -> float:
-        return momentum_density(packet, k, +1) * tau_top(k, barrier.v0, barrier.length)
+    def g(u: float) -> float:
+        k = kc + u * u
+        return 2.0 * u * momentum_density(packet, k, +1) * tau_top(k, barrier.v0, barrier.length)
 
-    avg, _err = integrate_sqrt_endpoint(f, kc, seeds=_density_seeds(packet, kc))
+    u_seeds = tuple(math.sqrt(k - kc) for k in _density_seeds(packet, kc))
+    avg, _err = integrate_semiinf_exp(g, 0.0, 0.0, seeds=u_seeds)
     return barrier.length * plus.value, avg  # t_c = L / c with c = 1
 
 
@@ -90,6 +96,8 @@ def nested_qc(packet: GaussianPacket) -> tuple[float, float]:
 
 
 MOMENTUM_PIN = pathlib.Path(__file__).parent / "data" / "momentum_pin.json"
+# the benchmark's scipy oracles share no code with the library's quadrature
+ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
 
 
 def narrow(k0: float) -> GaussianPacket:
@@ -180,17 +188,35 @@ class TestIorMomentum:
         assert h.hexdigest() == pin["sha256"]
 
     def test_split_error_bars_cover_tight_run(self):
-        # each weight's err bounds its distance to a run at 100x tighter
-        # tolerances, for narrow and wide packets on both sides of kappa_c
-        # (rel_tol = 1e-13 is out of reach: some of these cells raise)
-        tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-16)
+        # each weight's err bounds its distance to a run at 1000x tighter
+        # tolerances: narrow and wide packets on both sides of kappa_c, the
+        # Table 1 rows, and Fig. 5's scan (sigma 6, v0 0.99, 120 k0)
+        tight = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16)
         packets = (narrow(0.5), narrow(2.0), wide(0.7, 2.0), wide(1.0, 6.0), wide(0.19), wide(2.0))
-        for packet in packets:
-            for v0 in (0.1, 0.3, 0.99):
-                _, plus, minus = momentum_split(packet, v0)
-                _, plus_t, minus_t = momentum_split(packet, v0, settings=tight)
-                assert abs(plus.value - plus_t.value) <= plus.err, (packet, v0)
-                assert abs(minus.value - minus_t.value) <= minus.err, (packet, v0)
+        cases = [(packet, v0) for packet in packets for v0 in (0.1, 0.3, 0.99)]
+        cases += [(narrow(k0), v0) for k0, v0, _ in TABLE1_ROWS]
+        cases += [(wide(float(k0), 6.0), 0.99) for k0 in np.linspace(0.1, 6.0, 120)]
+        assert len(cases) == 148
+        for packet, v0 in cases:
+            _, plus, minus = momentum_split(packet, v0)
+            _, plus_t, minus_t = momentum_split(packet, v0, settings=tight)
+            assert abs(plus.value - plus_t.value) <= plus.err, (packet, v0)
+            assert abs(minus.value - minus_t.value) <= minus.err, (packet, v0)
+
+    # (v0, sigma, k0): two cells where the root cancelled in floating point
+    # made err undershoot the actual error 10x and 7x, then a grid with k0
+    # at 0.8 and 1.25 times kappa_c
+    ORACLE_CELLS = [(0.755719, 6.0, 1.25091), (0.66194, 3.0, 0.94001)] + [
+        (v0, sigma, round(f * kappa_c(v0), 6))
+        for sigma in (0.5, 2.0, 6.0, 9.0)
+        for v0 in (0.1, 0.3, 0.9, 0.99)
+        for f in (0.8, 1.25)
+    ]
+
+    @pytest.mark.parametrize("v0, sigma, k0", ORACLE_CELLS)
+    def test_error_covers_scipy_oracle(self, v0, sigma, k0):
+        est = ior_momentum(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), v0)
+        assert abs(est.value - ORACLES.momentum_rc(v0, sigma, k0)) <= est.err
 
     @given(
         sigma=st.floats(min_value=0.2, max_value=12.0),
@@ -202,17 +228,45 @@ class TestIorMomentum:
              PhysicalParams(mu=0.7, c=137.0, hbar=1.3)]
         ),
     )
-    def test_fused_integrand_matches_two_call_form(self, sigma, k0, v0_frac, sign, params):
+    def test_u_integrand_matches_k_form(self, sigma, k0, v0_frac, sign, params):
+        # h(u) = 2u rho(k) w(k) at k = kc + u^2, against the k-form weight
+        # sqrt(E^2/D), D = (E - v0)^2 - R^2, which cancels near kappa_c.
+        # The k-form's rounding bounds their relative gap, in units of eps:
+        #  * D: E from hypot(hbar k c, R) is within 3 eps, so E - v0 within
+        #    4 eps E, its square within 9 eps E^2; with R^2's rounding and
+        #    the subtraction, |dD| <= 10 eps E^2 + eps D, and w moves by half
+        #    that relative to D;
+        #  * the threshold: k - kappa_c is u^2 within eps (k + u^2), and the
+        #    float kappa_c sits within 5 eps kappa_c of the root of D; w goes
+        #    as (k - kappa_c)^(-1/2), so it moves by half that over u^2;
+        #  * 16 eps for the remaining roundings of both forms.
+        # rho is the same float in both; where it nears the subnormal range,
+        # rounding is absolute and the cells are skipped.
         packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
         v0 = v0_frac * params.rest_energy
-        fused = _crossing_integrand(packet, v0, params, sign)
         kc = kappa_c(v0, params)
-        grid = [kc * (1.0 + j / 64.0) for j in range(-8, 200)]
-        grid += [kc, math.nextafter(kc, 0.0), math.nextafter(kc, math.inf)]
-        grid += [k0 + j * packet.sigma_k / 4.0 for j in range(-40, 41)]
-        for k in grid:
-            two_call = momentum_density(packet, k, sign) * crossing_weight(k, v0, params)
-            assert fused(k).hex() == two_call.hex(), k
+        h = _crossing_integrand(packet, v0, params, sign, kc)
+        eps = sys.float_info.epsilon
+        rest, hbar_c = params.rest_energy, params.hbar * params.c
+        at_zero = h(0.0)
+        assert math.isfinite(at_zero) and at_zero >= 0.0
+        us = [math.sqrt(math.ulp(kc) * 4.0**j) for j in range(12, 40)]
+        us += [math.sqrt(k - kc) for k in (k0 + j * packet.sigma_k / 4.0 for j in range(-40, 41))
+               if k - kc > 2.0**24 * math.ulp(kc)]
+        for u in us:
+            k = kc + u * u
+            e_k = math.hypot(hbar_c * k, rest)
+            denom = hbar_c**2 * u * u * (k + kc) * (e_k - v0 + rest) / (e_k + rest + v0)
+            bound = eps * (
+                (10.0 * e_k * e_k + denom) / (2.0 * denom)
+                + (k + u * u + 5.0 * kc) / (2.0 * u * u)
+                + 16.0
+            )
+            rho = momentum_density(packet, k, sign)
+            if rho < 1e-300:
+                continue
+            k_form = 2.0 * u * rho * crossing_weight(k, v0, params)
+            assert abs(h(u) - k_form) <= bound * k_form, (u, k)
 
     def test_methods_agree(self):
         for k0, v0 in ((2.0, 0.3), (0.25, 0.3)):

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-import importlib.util
 import itertools
 import json
 import math
 import os
-import pathlib
 import random
 import subprocess
 import sys
@@ -21,7 +19,7 @@ from mpmath import libmp
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from conftest import branch_integral_oracle, contour_kernel_oracle
+from conftest import ROOT, branch_integral_oracle, contour_kernel_oracle, load_by_path
 from reltoa import kernels
 from reltoa.kernels import (
     NATURAL_UNITS,
@@ -50,21 +48,10 @@ from reltoa.numerics import (
 )
 
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def _load_by_path(relative: str, name: str):
-    """A module from a file of this checkout that is not on the import path."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / relative)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # the script that writes the branch-cut pins defines their digests; the
 # benchmark's oracles share no code with the library's kernels
-FB_BUILD_BENCH = _load_by_path("scripts/fb_build_bench.py", "fb_build_bench")
-ORACLES = _load_by_path("perfbench/oracles.py", "perfbench_oracles")
+FB_BUILD_BENCH = load_by_path("scripts/fb_build_bench.py", "fb_build_bench")
+ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
 BRANCH_PIN = json.loads(FB_BUILD_BENCH.BRANCH_PIN_FILE.read_text())
 FACTOR_PIN = json.loads(FB_BUILD_BENCH.FACTOR_PIN_FILE.read_text())
 

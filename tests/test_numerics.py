@@ -11,9 +11,7 @@ import scipy.integrate
 import scipy.special
 from hypothesis import given, strategies as st
 
-from conftest import branch_integral_oracle, crossing_weight, sine_integral_oracle
-from reltoa.classical import kappa_c
-from reltoa.kernels import NATURAL_UNITS
+from conftest import branch_integral_oracle, sine_integral_oracle
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
@@ -29,7 +27,6 @@ from reltoa.numerics import (
     integrate_sqrt_endpoint,
     sine_transform_decaying,
 )
-from reltoa.wavepacket import GaussianPacket, momentum_density
 
 
 def hyp0f1_partial_sum(x: float, terms: int) -> float:
@@ -267,117 +264,59 @@ class TestSineTransform:
 
 
 class TestSqrtEndpoint:
+    """Integrals over k >= a handed over as h(u) = 2u f(a + u^2)."""
+
     def test_shifted_gamma_half(self):
-        val, _ = integrate_sqrt_endpoint(
-            lambda k: math.exp(-k) / math.sqrt(k - 1.0) if k > 1.0 else 0.0, 1.0
-        )
+        # f(k) = exp(-k)/sqrt(k - 1): the root cancels, h(u) = 2 exp(-1 - u^2)
+        val, _ = integrate_sqrt_endpoint(lambda u: 2.0 * math.exp(-1.0 - u * u), 1.0)
         ref = math.sqrt(math.pi) * math.exp(-1.0)
         assert val == pytest.approx(ref, rel=1e-10)
-        # substitution-free adaptive oracle, offset 1e-12 past the endpoint
+        # substitution-free adaptive oracle in k, offset 1e-12 past the endpoint
         brute, _ = scipy.integrate.quad(
             lambda k: math.exp(-k) / math.sqrt(k - 1.0), 1.0 + 1e-12, 60.0, limit=400
         )
         assert val == pytest.approx(brute, abs=1e-6)
 
     def test_gamma_half_at_origin(self):
-        val, _ = integrate_sqrt_endpoint(lambda k: math.exp(-k) / math.sqrt(k), 0.0)
+        val, _ = integrate_sqrt_endpoint(lambda u: 2.0 * math.exp(-u * u), 0.0)
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
     def test_shifted_decay_two(self):
         val, _ = integrate_sqrt_endpoint(
-            lambda k: math.exp(-2.0 * k) / math.sqrt(k - 2.0) if k > 2.0 else 0.0, 2.0
+            lambda u: 2.0 * math.exp(-2.0 * (2.0 + u * u)), 2.0
         )
         ref = math.exp(-4.0) * math.sqrt(math.pi / 2.0)
         assert val == pytest.approx(ref, rel=1e-10)
 
-    def test_stronger_singularity_detected(self):
-        with pytest.raises(QuadratureError):
-            integrate_sqrt_endpoint(lambda k: math.exp(-k) / (k - 1.0) if k > 1.0 else 0.0, 1.0)
-
-
-def composed_sqrt_endpoint(f, a, settings=DEFAULT_SETTINGS, seeds=()):
-    """integrate_sqrt_endpoint as the u-integrand k = a + u^2 handed to
-    integrate_semiinf_exp at lower = 0 and decay = 0, behind the same probes."""
-
-    def g(u):
-        return 2.0 * u * f(a + u * u)
-
-    if abs(g(1e-7)) > 100.0 * abs(g(1e-3)) + 1.0:
-        raise QuadratureError(
-            "integrand singularity at the lower endpoint is stronger than 1/sqrt"
-        )
-    u_seeds = tuple(math.sqrt(k - a) for k in seeds if k > a)
-    return integrate_semiinf_exp(g, 0.0, 0.0, settings, u_seeds)
-
-
-def outcome(integrate, f, a, settings, seeds):
-    """float.hex of (value, err), or the type and text of what was raised.
-
-    A tail that does not decay, such as a bare 1/sqrt, bisects down to a
-    node at t = 1.0 or to the width floor, where both forms raise the same
-    QuadratureError; the forms must agree on that too.
-    """
-    try:
-        val, err = integrate(f, a, settings, seeds)
-    except QuadratureError as exc:
-        return type(exc).__name__, str(exc)
-    return val.hex(), err.hex()
-
 
 class TestSqrtEndpointMap:
-    """integrate_sqrt_endpoint's one-map form against the composed form."""
+    """integrate_sqrt_endpoint's k-seeds and the u-map's tails that do not decay."""
 
-    @given(
-        kind=st.sampled_from(["crossing", "bare", "trips_probe"]),
-        a=st.floats(min_value=-3.0, max_value=3.0),
-        v0=st.floats(min_value=0.01, max_value=0.99),
-        sigma=st.sampled_from([0.5, 2.0, 9.0]),
-        k0=st.floats(min_value=0.05, max_value=4.0),
-        sign=st.sampled_from([+1, -1]),
-        offsets=st.lists(st.floats(min_value=-2.0, max_value=6.0), max_size=8),
-        settings=st.sampled_from([
-            DEFAULT_SETTINGS,
-            QuadratureSettings(rel_tol=1e-6, abs_tol=1e-9, max_subdivisions=40),
-        ]),
-    )
-    def test_bits_match_composed_form(self, kind, a, v0, sigma, k0, sign, offsets, settings):
-        if kind == "crossing":
-            a = kappa_c(v0)
-            packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+    def test_seeds_map_to_u(self):
+        # a k-seed s marks u = sqrt(s - a); one at or below a is dropped.
+        # The seeds bracket a peak of width 0.01 at k = 9 out to 8 widths.
+        def h(u):
+            return 2.0 * u * math.exp(-((1.0 + u * u - 9.0) / 0.01) ** 2)
 
-            def f(k):
-                return momentum_density(packet, k, sign) * crossing_weight(k, v0, NATURAL_UNITS)
-        elif kind == "bare":
-            def f(k):
-                return 1.0 / math.sqrt(k - a) if k > a else 0.0
-        else:
-            def f(k):
-                return 1.0 / (k - a) if k > a else 0.0
-        seeds = tuple(a + x for x in offsets)
-        new = outcome(integrate_sqrt_endpoint, f, a, settings, seeds)
-        assert new == outcome(composed_sqrt_endpoint, f, a, settings, seeds)
-        if kind == "trips_probe":
-            assert new == ("QuadratureError", "integrand singularity at the lower "
-                                              "endpoint is stronger than 1/sqrt")
+        peak = tuple(9.0 + 0.01 * j for j in range(-8, 9, 2))
+        u_seeds = tuple(math.sqrt(k - 1.0) for k in peak)
+        val, err = integrate_sqrt_endpoint(h, 1.0, DEFAULT_SETTINGS, (0.5, 1.0) + peak)
+        assert (val, err) == integrate_semiinf_exp(h, 0.0, 0.0, DEFAULT_SETTINGS, u_seeds)
+        assert val == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-10)
 
     def test_non_decaying_tail_raises(self):
-        # a bare inverse square root is not integrable at infinity
+        # a bare inverse square root in k is the constant h = 2, not
+        # integrable at infinity
         settings = QuadratureSettings(max_subdivisions=40)
         with pytest.raises(QuadratureError, match="tolerance not met"):
-            integrate_sqrt_endpoint(
-                lambda k: 1.0 / math.sqrt(k - 1.0) if k > 1.0 else 0.0, 1.0, settings
-            )
+            integrate_sqrt_endpoint(lambda u: 2.0, 1.0, settings)
 
     def test_tail_reaching_t_one_raises_typed_error(self):
         # with the seed at k = 4.75, bisection of this non-decaying tail
-        # reaches a node at t = 1.0, where the map used to divide by zero;
-        # the composed form is the same integral in u
+        # reaches a node at t = 1.0, where the map would divide by zero
         message = "integrand does not decay: bisection reached the end of the half line"
         with pytest.raises(QuadratureError, match=f"^{message}$"):
-            integrate_sqrt_endpoint(
-                lambda k: 1 / math.sqrt(k) if k > 0 else 0.0, 0.0, DEFAULT_SETTINGS,
-                seeds=(4.75,),
-            )
+            integrate_sqrt_endpoint(lambda u: 2.0, 0.0, DEFAULT_SETTINGS, seeds=(4.75,))
         with pytest.raises(QuadratureError, match=f"^{message}$"):
             integrate_semiinf_exp(lambda u: 2.0, 0.0, 0.0, DEFAULT_SETTINGS, (math.sqrt(4.75),))
 
