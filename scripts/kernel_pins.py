@@ -6,18 +6,17 @@ and log-spaced zeta.  Its (value, err) pairs are hashed and checked against
 tests/data/branch_integral_pin.json.  On the same grid, ``free_factor``'s
 (value, err) per zeta and ``barrier_free_gap``'s value per (v0, zeta) are
 hashed and checked against tests/data/branch_factors_pin.json, which
-tests/test_kernels.py also reads.  Then the node count, segment count and
-bytes of every half-line table the grid leaves behind are printed: the G_B
-profile and the gap table per |v0| (G_B is even in v0, so the two signs
-share them), and the one T_F table.  Last, the residue factor F_B is timed
-per warm call of ``reltoa.kernels._fb_eval`` (its rule cached, best of a
-few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150, with the number
-of rule intervals each call uses.
+tests/test_kernels.py also reads.  Then the number of nodes that the grid
+left in each branch-cut rule is printed, per strength |v0| (G_B is even in
+v0, so the two signs share a rule) and step 2^-m.  Last, the residue factor
+F_B is timed per warm call of ``reltoa.kernels._fb_eval`` (its rule cached,
+best of a few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150, with the
+number of rule intervals each call uses.
 
 Run from the repository root:
 
-    PYTHONPATH=src python scripts/fb_build_bench.py           # time and check
-    PYTHONPATH=src python scripts/fb_build_bench.py --write   # rewrite the pins
+    PYTHONPATH=src python scripts/kernel_pins.py           # time and check
+    PYTHONPATH=src python scripts/kernel_pins.py --write   # rewrite the pins
 """
 
 from __future__ import annotations
@@ -90,27 +89,6 @@ def gap_digest(v0: float, zetas) -> str:
     return h.hexdigest()
 
 
-def table_size(table) -> str:
-    """Nodes, segments and bytes of a HalfLineTable.
-
-    The node bytes count the dict and its z and g floats; the segment bytes
-    count the segment dict, its (a, b) keys, the node tuples and their
-    (1 - t)^2 floats, since z and g are the node table's own objects.
-    """
-    node_bytes = sys.getsizeof(table) + sum(
-        sys.getsizeof(z) + sys.getsizeof(g) for z, g in table.items()
-    )
-    seg_bytes = sys.getsizeof(table.segments) + sum(
-        sys.getsizeof(key) + 2 * sys.getsizeof(key[0]) + sys.getsizeof(seg)
-        + sum(sys.getsizeof(node) + sys.getsizeof(node[2]) for node in seg)
-        for key, seg in table.segments.items()
-    )
-    return (
-        f"{len(table)} nodes, {node_bytes} bytes; "
-        f"{len(table.segments)} segments, {seg_bytes} bytes"
-    )
-
-
 def fb_timing(v: float, zeta: float) -> tuple[int, float]:
     """(rule intervals, best warm CPU seconds per _fb_eval call) at (v, zeta)."""
     kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)  # fills the rule cache
@@ -165,13 +143,8 @@ def main() -> int:
         faults += _report(f"barrier_free_gap v0={v0:+.1f}: cpu {cpu:7.3f} s  ",
                           gap_rows[-1]["sha256"], gap_pins.get(v0))
 
-    # G_B is even in v0, so +v0 and -v0 share one table of each kind
-    for v0 in sorted({abs(v0) for v0 in pin["v0"]}):
-        table = kernels._BRANCH_PROFILES[(v0, NATURAL_UNITS)]
-        print(f"branch profile |v0|={v0:.1f}: {table_size(table)}")
-    print(f"free_factor table: {table_size(kernels._FREE_TABLE)}")
-    for v0 in sorted({abs(v0) for v0 in GAP_V0}):
-        print(f"gap table |v0|={v0:.1f}: {table_size(kernels._GAP_TABLES[(v0, NATURAL_UNITS)])}")
+    for (vn, level), nodes in sorted(kernels._BRANCH_NODES.items()):
+        print(f"branch rule |v0|={vn:.1f} m={level}: {len(nodes[0])} nodes")
 
     for v, zeta in FB_POINTS:
         intervals, cpu = fb_timing(v, zeta)

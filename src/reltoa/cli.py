@@ -106,7 +106,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 _CONFIG_KEYS = (
-    "mu", "c", "hbar", "rel_tol", "abs_tol", "max_subdivisions", "max_series_terms",
+    "mu", "c", "hbar", "rel_tol", "abs_tol", "max_subdivisions",
 )
 
 
@@ -134,13 +134,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     rel_tol = args.tol if args.tol is not None else _config_number(raw, "rel_tol", 1e-10, float)
     abs_tol = _config_number(raw, "abs_tol", 1e-14, float)
     max_sub = _config_number(raw, "max_subdivisions", 2000, int)
-    max_terms = _config_number(raw, "max_series_terms", 600, int)
     params = PhysicalParams(mu=mu, c=c, hbar=hbar)
     settings = QuadratureSettings(
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         max_subdivisions=max_sub,
-        max_series_terms=max_terms,
     )
     return RunConfig(params=params, settings=settings, out=args.out)
 

@@ -8,9 +8,10 @@ computed by three independent routes that must agree,
   * direct   - oscillatory sine transform of T_B(-V_o, zeta) Phi(zeta),
   * series   - term-by-term Gaussian sine moments of the residue series
                plus the sine transform of the kernel's branch-cut term,
-               taken as one z-integral of the G_B profile against the
+               taken as one z-integral (kernels.branch_transform) of the
                closed-form (Faddeeva) sine transform of
-               Phi(zeta) exp(-mu c z zeta / hbar),
+               Phi(zeta) exp(-mu c z zeta / hbar); it runs no oscillatory
+               quadrature,
   * momentum - the closed half-line momentum integrals above kappa_c, in
                u = sqrt(k - kappa_c) with the crossing weight's threshold
                root cancelled in closed form.
@@ -33,17 +34,17 @@ from reltoa.kernels import (
     PhysicalParams,
     barrier_factor,
     barrier_free_gap,
-    branch_profile,
+    branch_transform,
     fb_moments,
 )
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
+    MAX_SERIES_TERMS,
     Estimate,
     QuadratureSettings,
     SeriesDivergenceError,
     faddeeva,
-    integrate_semiinf_exp,
     integrate_sqrt_endpoint,
     sine_transform_decaying,
 )
@@ -138,35 +139,27 @@ def _branch_transform(
     packet: GaussianPacket,
     v0: float,
     params: PhysicalParams,
-    settings: QuadratureSettings,
 ) -> tuple[float, float]:
     # sine transform of the branch-cut term of T_B(-v0, zeta) times Phi,
     # which the series route adds to its residue moments, with the zeta
     # integral taken first in closed form: (2/pi) int_1^inf h(z) J(z) dz.
-    # G_B is even in v0, and the decay-0 map visits the nodes of every
-    # branch_integral, so h comes from the same profile table.  h >= 0 and
-    # J > 0, so the Faddeeva error is at most its relative bound times |val|.
-    h = branch_profile(v0, params)
-    j = _laplace_sine(packet, params)
-    val, err = integrate_semiinf_exp(lambda z: h[z] * j(z), 1.0, 0.0, settings)
-    err += FADDEEVA_IM_REL_ERR * abs(val)
-    return (2.0 / math.pi) * val, (2.0 / math.pi) * err
+    # |sin(k0 zeta)| <= k0 zeta and Phi <= 1 give J(z) <= k0/(mu c z/hbar)^2.
+    # h >= 0 and J > 0, so the Faddeeva error is at most its relative bound
+    # times |val|.
+    scale = params.mu * params.c / params.hbar
+    val, err = branch_transform(v0, _laplace_sine(packet, params), packet.k0 / scale**2, params)
+    return val, err + FADDEEVA_IM_REL_ERR * abs(val)
 
 
-def _gaussian_sine_moments(
-    k: float,
-    sigma: float,
-    settings: QuadratureSettings,
-) -> Iterator[float]:
+def _gaussian_sine_moments(k: float, sigma: float, m: float) -> Iterator[float]:
     """Moments M_2p = int_0^inf sin(k z) z^(2p) exp(-z^2/(8 sigma^2)) dz.
 
     Yields M_0, M_2, ... as the caller walks p upward.  The base moment
-    M_0 comes from quadrature; higher moments follow the two-term
-    recurrence obtained by integrating the Gaussian factor by parts
-    (interleaving the odd cosine moments).
+    M_0 = m is given (J(0) of _laplace_sine, in closed form); higher moments
+    follow the two-term recurrence obtained by integrating the Gaussian
+    factor by parts (interleaving the odd cosine moments).
     """
     alpha = 1.0 / (8.0 * sigma * sigma)
-    m, _ = sine_transform_decaying(lambda z: math.exp(-alpha * z * z), k, settings)
     yield m
     c_odd = (1.0 - k * m) / (2.0 * alpha)  # C_1
     for p in itertools.count(1):
@@ -191,10 +184,10 @@ def ior_series(
     where this representation stops converging.
     """
     _require_subcritical(v0, params)
-    cap = settings.max_series_terms
     scale = params.mu * params.c / params.hbar
 
-    moments = _gaussian_sine_moments(packet.k0, packet.sigma, settings)
+    m0 = _laplace_sine(packet, params)(0.0)
+    moments = _gaussian_sine_moments(packet.k0, packet.sigma, m0)
     coeffs = fb_moments(-v0, params)
 
     total = 0.0
@@ -206,7 +199,7 @@ def ior_series(
     prev_mag = None
     converged = False
     inv_fact = 1.0  # 1/(2p)!
-    for p, moment, d_p in zip(range(cap + 1), moments, coeffs):
+    for p, moment, d_p in zip(range(MAX_SERIES_TERMS + 1), moments, coeffs):
         term = d_p * moment * inv_fact
         y = term - comp
         s = total + y
@@ -237,13 +230,13 @@ def ior_series(
         inv_fact /= (2 * p + 1) * (2 * p + 2)
     if not converged:
         raise SeriesDivergenceError(
-            f"sine-moment series did not converge within {cap} terms"
+            f"sine-moment series did not converge within {MAX_SERIES_TERMS} terms"
         )
     if max_term > 1e12 * max(abs(total), 1e-30):
         raise SeriesDivergenceError(
             "sine-moment series lost all precision to cancellation"
         )
-    br, br_err = _branch_transform(packet, v0, params, settings)
+    br, br_err = _branch_transform(packet, v0, params)
     value = scale * (total + br)
     err = scale * (br_err + max_term * 1e-15 + settings.abs_tol)
     return Estimate(value, err)
@@ -355,8 +348,10 @@ def qc_expectation(
     no barrier dependence by construction.  With T_F's branch integral
     taken outermost this is k0 [J(0) + (2/pi) int_1^inf sqrt(z^2-1)/z J(z) dz],
     J from _laplace_sine: the series route's branch transform at G_B = 1.
+    Nothing here is adaptive, so the settings go unused; they stay for the
+    signature every route shares.
     """
-    branch, _err = _branch_transform(packet, 0.0, params, settings)
+    branch, _err = _branch_transform(packet, 0.0, params)
     return packet.k0 * (_laplace_sine(packet, params)(0.0) + branch)
 
 

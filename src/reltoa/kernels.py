@@ -31,42 +31,33 @@ D_p = (-1)^p (2/pi) int_0^kappa_c s^(2p) W(s) ds of the same weight (no
 sign change for v > 0), summed over one fixed 512-interval rule and cached
 per strength as the series walks p upward.
 
-The branch-cut integral of T_B runs an adaptive Laplace quadrature at every
-node of the direct route's sine transform, and every one of them bisects
-[0, 1] along the same dyadic tree, so only ~1,000 distinct nodes z occur per
-barrier strength.  The zeta-independent factor h(z) = sqrt(z^2-1)/z *
-G_B(v0, z) is therefore kept in a numerics.HalfLineTable per (|v0|, params)
-(G_B is even in v0 bit for bit), filled on first use of each node, together
-with each G7/K15 segment's nodes as (z, h(z), (1-t)^2); integrate_half_line
-then computes only exp(-decay * z) and the weighted sums per integral.
-T_F's envelope sqrt(z^2-1)/z has one such table, and the T_F - T_B gap's
-envelope times (1 - G_B) one per (|v0|, params).  The series route reads the
-profile table (branch_profile) by z at the nodes of its single outer
-z-integral, whose decay-0 map bisects the same tree.  Every entry is a pure
-function of (|v0|, params, z), so a table entry is the float the integrand
-would compute anyway: values, error estimates and adaptive decisions do not
-depend on which call or thread filled it, and the tables need neither a lock
-nor the quadrature settings in their keys.
+The branch-cut integrals int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz (G = 1
+for T_F, G_B for T_B, 1 - G_B for the gap T_F - T_B) and the series route's
+branch transform run on one nested trapezoid rule per strength.  Under
+z = hypot(1, s), s = delta sinh(u), delta = 1 - |v|/(mu c^2), the integrand
+is even in u, analytic in |Im u| < pi/2 at every strength and decays doubly
+exponentially, so the rule at u_k = k 2^-m converges exponentially
+(Trefethen and Weideman, SIAM Rev. 56 (2014) 385).  Its nodes are cached
+per (|v|/(mu c^2), m) and extended lazily; the even ones form the half rule,
+whose difference plus a rounding bound is the error estimate.  A value sums
+only the nodes its arguments select, however far the lists were extended.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     Estimate,
-    HalfLineTable,
     QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
     gen_binomial,
-    integrate_half_line,
     integrate_semiinf_exp,
 )
 
@@ -78,6 +69,7 @@ __all__ = [
     "gb_factor",
     "fb_series",
     "barrier_factor",
+    "branch_transform",
     "barrier_free_gap",
     "region_kernel",
     "momentum_kernel_f",
@@ -158,21 +150,15 @@ def free_factor(
     """
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"free_factor requires zeta > 0, got {zeta}")
-    decay = params.mu * params.c * zeta / params.hbar
-    val, err = integrate_half_line(_FREE_TABLE, decay, settings)
-    return Estimate(1.0 + (2.0 / math.pi) * val, (2.0 / math.pi) * err)
-
-
-def _branch_envelope(z: float) -> float:
-    return math.sqrt(z * z - 1.0) / z if z > 1.0 else 0.0
-
-
-# the units enter T_F only through the decay, so one table serves them all
-_FREE_TABLE = HalfLineTable(_branch_envelope)
+    # G_B(0, z) = 1 exactly, so T_F's branch integral is T_B's at v0 = 0;
+    # the err adds the rounding of the sum
+    br_val, br_err = branch_integral(0.0, zeta, params, settings)
+    value = 1.0 + br_val
+    return Estimate(value, br_err + _UNIT_ROUNDOFF * abs(value))
 
 
 def _require_finite_v0(v0: float, name: str) -> None:
-    # before any F_B rule or profile table: a NaN key matches nothing
+    # before any F_B rule or branch nodes: a NaN key matches nothing
     if not math.isfinite(v0):
         raise ValueError(f"{name} requires a finite v0, got {v0}")
 
@@ -442,42 +428,114 @@ def fb_series(
     return Estimate(*_fb_eval(v0, zeta, params, settings))
 
 
-def _branch_h(v0: float, params: PhysicalParams, z: float) -> float:
-    # z >= 1 on every node of the half-line map
-    return math.sqrt(z * z - 1.0) / z * gb_factor(v0, z, params)
+# --- branch-cut integrals --------------------------------------------------
+
+_BRANCH_CUT = 40.0  # nodes past x (z - 1) = 40 carry < e^-40 of the integral
+_BRANCH_MAX_NODES = 1 << 12  # per Laplace integral
 
 
-def _gap_integrand(v0: float, params: PhysicalParams, z: float) -> float:
-    return _branch_envelope(z) * (1.0 - gb_factor(v0, z, params))
+def _branch_level(x: float) -> int:
+    """Least m with h = 2^-m at most half of pi^2/(37 + pi^2 x/8) for
+    x <= 8*37/pi^2 (~30), and of 0.73/sqrt(x) beyond.
 
-
-_BRANCH_PROFILES: dict[tuple[float, PhysicalParams], HalfLineTable] = {}
-_GAP_TABLES: dict[tuple[float, PhysicalParams], HalfLineTable] = {}
-
-
-def _strength_table(
-    tables: dict, integrand, v0: float, params: PhysicalParams
-) -> HalfLineTable:
-    """The shared table of integrand(|v0|, params, z) for one barrier strength.
-
-    Both integrands reach v0 only through G_B, which is even in v0 bit for
-    bit (the sign flips Im w exactly, and Re w^(-1/2) is even in it), so
-    +v0 and -v0 share one table.
+    The trapezoid error is about the integrand's size on Im u = b times
+    e^(-2 pi b/h), for b below pi/2, where G_B's branch points and the pole
+    of (s/z)^2 sit.  There e^(-x (z - 1)) grows by at most
+    e^(x (1 - cos b)) <= e^(x b^2/2), so the error is e^(-pi^2/h + pi^2 x/8)
+    at b = pi/2 and e^(-2 pi^2/(x h^2)) at b = 2 pi/(x h) (< pi/2 for
+    x h > 4): below e^-37 in each bracket, also for the half rule.  No
+    rule doubled on 20,000 random (v, x) with 1e-12 <= x <= 745.
     """
-    key = (abs(v0), params)
-    table = tables.get(key)
-    if table is None:
-        # setdefault: threads racing here end up sharing one table
-        table = tables.setdefault(
-            key, HalfLineTable(functools.partial(integrand, *key))
-        )
-    return table
+    if x <= 8.0 * 37.0 / math.pi**2:
+        step = 0.5 * math.pi**2 / (37.0 + math.pi**2 * x / 8.0)
+    else:
+        step = 0.5 * 0.73 / math.sqrt(x)
+    return math.ceil(-math.log2(step))
 
 
-def branch_profile(v0: float, params: PhysicalParams) -> HalfLineTable:
-    """The shared table of h(z) = sqrt(z^2-1)/z * G_B(v0, z); index it by z >= 1."""
-    _require_finite_v0(v0, "branch_profile")
-    return _strength_table(_BRANCH_PROFILES, _branch_h, v0, params)
+# per (vn, level): the node columns (w, c, d) over k = 1, 2, ...
+_BRANCH_NODES: dict[tuple[float, int], tuple[tuple[float, ...], ...]] = {}
+
+
+def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...], ...]:
+    """The nodes u_k = k 2^-level of strength vn = |v|/(mu c^2), k = 1 to at
+    least count: w = z - 1 (as s^2/(1 + z)) and the weight h (s/z)^2 delta
+    cosh(u) times G_B (c) and times 1 - G_B (d).
+
+    Node k has the same floats whichever call computed it, and an extension
+    replaces the entry at once, so threads need no lock.
+    """
+    nodes = _BRANCH_NODES.get((vn, level), ((), (), ()))
+    if len(nodes[0]) >= count:
+        return nodes
+    h = 0.5**level
+    delta = 1.0 - vn
+    one_minus_v2 = delta * (1.0 + vn)
+    new = []
+    for k in range(len(nodes[0]) + 1, max(count, 2 * len(nodes[0])) + 1):
+        s = delta * math.sinh(k * h)
+        z = math.hypot(1.0, s)
+        base = h * (s / z) ** 2 * delta * math.cosh(k * h)
+        # gb_factor(vn, z), its z^2 - v^2 + 2i v sqrt(z^2 - 1) written as
+        # 1 - v^2 + s^2 + 2i v s: no cancellation near the rest energy
+        g = z * (complex(one_minus_v2 + s * s, 2.0 * vn * s) ** -0.5).real if vn else 1.0
+        new.append((s * s / (1.0 + z), base * g, base * (1.0 - g)))
+    nodes = _BRANCH_NODES[(vn, level)] = tuple(map(operator.add, nodes, zip(*new)))
+    return nodes
+
+
+def _branch_sums(nodes, x: float, count: int, gap: bool) -> tuple[float, float, float]:
+    """(T_h, |T_h - T_2h|, rounding bound) of sum_{k <= count} c_k e^(-x w_k),
+    or of the gap weights d_k.
+
+    Per unit of a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the gap), the
+    bound allows 12 roundoffs: 8 for a node (6.02 seen against mpmath) and
+    4 for the sums and e^-x; and 8 per unit of x w_k (4.5 seen, and 1.5 for
+    the rounding of x) and 2 per unit of x (that rounding in e^-x).
+    """
+    w, c, d = nodes
+    exp, neg_x = math.exp, -x
+    envelope = [exp(neg_x * w_k) for w_k in itertools.islice(w, count)]
+    branch = list(map(operator.mul, c, envelope))
+    terms = list(map(operator.mul, d, envelope)) if gap else branch
+    odd, even = math.fsum(terms[0::2]), math.fsum(terms[1::2])
+    scales = list(map(operator.add, branch, map(abs, terms))) if gap else branch
+    rounding = _UNIT_ROUNDOFF * (
+        (12.0 + 2.0 * x) * sum(scales) + 8.0 * x * sum(map(operator.mul, scales, w))
+    )
+    return odd + even, abs(odd - even), rounding
+
+
+def _branch_laplace(
+    vn: float, x: float, settings: QuadratureSettings, gap: bool = False
+) -> tuple[float, float]:
+    """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz and its error, G = G_B(vn, z)
+    or, with gap, 1 - G_B; vn = |v|/(mu c^2), x > 0.
+
+    e^-x sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT, with the error
+    |T_h - T_2h| plus the rounding bound.  The rule doubles while the first
+    exceeds the second; past _BRANCH_MAX_NODES (zeta ~ 1e-220) a difference
+    above the settings' tolerance raises QuadratureError.
+    """
+    envelope = math.exp(-x)
+    if envelope == 0.0:
+        return 0.0, 0.0
+    w_cut = _BRANCH_CUT / x
+    # the u at which z - 1 reaches w_cut
+    u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / (1.0 - vn))
+    level = _branch_level(x)
+    while (count := u_cut * 2.0**level) <= _BRANCH_MAX_NODES:
+        nodes = _branch_nodes(vn, level, int(count))
+        value, trunc, rounding = _branch_sums(nodes, x, int(count), gap)
+        if trunc <= rounding or (
+            2.0 * count > _BRANCH_MAX_NODES
+            and trunc <= max(settings.abs_tol, settings.rel_tol * abs(value))
+        ):
+            return envelope * value, envelope * (trunc + rounding)
+        level += 1
+    raise QuadratureError(
+        f"branch-cut integral at x = {x} needs more than {_BRANCH_MAX_NODES} rule nodes"
+    )
 
 
 def branch_integral(
@@ -491,9 +549,43 @@ def branch_integral(
         (2/pi) * int_1^inf exp(-mu c |zeta| z / hbar) sqrt(z^2-1)/z G_B(v0, z) dz
     """
     _require_finite_v0(v0, "branch_integral")
-    decay = params.mu * params.c * abs(zeta) / params.hbar
-    val, err = integrate_half_line(branch_profile(v0, params), decay, settings)
-    return (2.0 / math.pi) * val, (2.0 / math.pi) * err
+    _require_below_rest(v0, params, "branch_integral")
+    if not 0.0 < abs(zeta) < math.inf:
+        raise ValueError(f"branch_integral requires 0 < |zeta| < inf, got {zeta}")
+    x = params.mu * params.c * abs(zeta) / params.hbar
+    val, err = _branch_laplace(abs(v0) / params.rest_energy, x, settings)
+    val *= 2.0 / math.pi
+    # the err also covers the rounding of the factor 2/pi and its product
+    return val, (2.0 / math.pi) * err + 2.0 * _UNIT_ROUNDOFF * abs(val)
+
+
+def branch_transform(
+    v0: float,
+    j: Callable[[float], float],
+    j_bound: float,
+    params: PhysicalParams,
+) -> tuple[float, float]:
+    """(2/pi) int_1^inf sqrt(z^2-1)/z G_B(v0, z) j(z) dz, with its error estimate,
+    for 0 <= j(z) <= j_bound/z^2.
+
+    Summed on the h = 2^-3 rule out to u = 40 + ln(1/delta), where
+    z ~ e^40/2 whatever the strength.  The error is |T_h - T_2h|, 8 units of
+    roundoff per unit of the value, and the tail past the last node,
+    int_Z^inf G_B j dz <= j_bound/(Z sqrt(1 - v^2)) since
+    G_B <= (1 - v^2)^(-1/2); j's own error is the caller's.
+    """
+    _require_finite_v0(v0, "branch_transform")
+    _require_below_rest(v0, params, "branch_transform")
+    vn = abs(v0) / params.rest_energy
+    delta = 1.0 - vn
+    count = int((40.0 - math.log(delta)) * 8)
+    w, c, _d = _branch_nodes(vn, 3, count)
+    terms = [ck * j(1.0 + wk) for wk, ck in zip(itertools.islice(w, count), c)]
+    odd, even = math.fsum(terms[0::2]), math.fsum(terms[1::2])
+    value = odd + even
+    tail = j_bound / ((1.0 + w[count - 1]) * math.sqrt(delta * (1.0 + vn)))
+    err = abs(odd - even) + 8.0 * _UNIT_ROUNDOFF * abs(value) + tail
+    return (2.0 / math.pi) * value, (2.0 / math.pi) * err
 
 
 def barrier_factor(
@@ -513,7 +605,8 @@ def barrier_factor(
         raise ValueError(f"barrier_factor requires zeta > 0, got {zeta}")
     fb_val, fb_err = _fb_eval(v0, zeta, params, settings)
     br_val, br_err = branch_integral(v0, zeta, params, settings)
-    return Estimate(fb_val + br_val, fb_err + br_err)
+    value = fb_val + br_val
+    return Estimate(value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value))
 
 
 def barrier_free_gap(
@@ -534,9 +627,8 @@ def barrier_free_gap(
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"barrier_free_gap requires zeta > 0, got {zeta}")
     residue_part, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
-    decay = params.mu * params.c * zeta / params.hbar
-    table = _strength_table(_GAP_TABLES, _gap_integrand, v0, params)
-    br_val, _br_err = integrate_half_line(table, decay, settings)
+    x = params.mu * params.c * zeta / params.hbar
+    br_val, _br_err = _branch_laplace(abs(v0) / params.rest_energy, x, settings, gap=True)
     return -residue_part + (2.0 / math.pi) * br_val
 
 

@@ -12,12 +12,8 @@ caller has already written in u = sqrt(k - a), its endpoint root cancelled.
 The oscillatory sine transform sums panels between successive zeros of
 sin(k*zeta) with Euler acceleration for slowly decaying envelopes.
 
-Every pass forms its weighted G7/K15 sums in _gk_sum, in one order.  A
-HalfLineTable holds g(z) for the Laplace integrals int_1^inf g(z)
-exp(-decay z) dz, and each bisected segment's 15 nodes; integrate_half_line
-runs _adaptive_gk with a rule that reads them, so it returns
-integrate_semiinf_exp(g, 1.0, decay) bit for bit while computing only the
-exponentials per integral.
+The branch-cut Laplace integrals and the series route's branch transform
+are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ __all__ = [
     "Estimate",
     "QuadratureSettings",
     "DEFAULT_SETTINGS",
+    "MAX_SERIES_TERMS",
     "QuadratureError",
     "SeriesDivergenceError",
     "hyp0f1_one",
@@ -39,8 +36,6 @@ __all__ = [
     "faddeeva",
     "FADDEEVA_IM_REL_ERR",
     "integrate_semiinf_exp",
-    "HalfLineTable",
-    "integrate_half_line",
     "sine_transform_decaying",
     "integrate_sqrt_endpoint",
 ]
@@ -68,14 +63,12 @@ class QuadratureSettings:
 
     rel_tol / abs_tol are the target relative tolerance and absolute floor;
     max_subdivisions caps adaptive refinement per integral (the oscillatory
-    transform may use up to 16x that many half-period panels);
-    max_series_terms caps every power-series summation.
+    transform may use up to 16x that many half-period panels).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    max_series_terms: int = 600
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < math.inf:
@@ -84,11 +77,12 @@ class QuadratureSettings:
             raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.max_series_terms < 1:
-            raise ValueError("max_series_terms must be >= 1")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
+
+# terms allowed to every power-series summation
+MAX_SERIES_TERMS = 600
 
 # below this exponent exp() underflows: the half-line map's nodes give 0.0
 _LOG_TINY = math.log(2.2e-308)
@@ -127,36 +121,6 @@ _WG2, _WG4, _WG6 = _WG
 _X1, _X2, _X3, _X4, _X5, _X6, _X7 = _XGK
 
 
-def _gk_sum(fv, half: float) -> tuple[float, float]:
-    """The weighted G7/K15 sums of one pass: (kronrod_value, error_estimate).
-
-    fv holds the 15 integrand values in node order: the center, then the
-    pair center -/+ half * _XGK[i] for i = 0..6.  Every pass, generic or
-    tabulated, goes through this one summation order.
-    """
-    fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = fv
-    p2 = l2 + r2
-    p4 = l4 + r4
-    p6 = l6 + r6
-    res_k = (
-        _WGK_CENTER * fc + _WK1 * (l1 + r1) + _WK2 * p2 + _WK3 * (l3 + r3)
-        + _WK4 * p4 + _WK5 * (l5 + r5) + _WK6 * p6 + _WK7 * (l7 + r7)
-    )
-    res_g = _WG_CENTER * fc + _WG2 * p2 + _WG4 * p4 + _WG6 * p6
-    return res_k * half, abs(res_k - res_g) * abs(half)
-
-
-def _gk_nodes(a: float, b: float) -> tuple[float, ...]:
-    """The 15 nodes of a pass over [a, b], in _gk_sum's order."""
-    c = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = [c]
-    for x in _XGK:
-        dx = half * x
-        nodes += (c - dx, c + dx)
-    return tuple(nodes)
-
-
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
     """One Gauss-Kronrod (7, 15) pass over [a, b].
 
@@ -173,28 +137,33 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
         f(c - d4), f(c + d4), f(c - d5), f(c + d5), f(c - d6), f(c + d6),
         f(c - d7), f(c + d7),
     )
-    val, err = _gk_sum(fv, half)
-    return val, err, max(map(abs, fv))
+    fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = fv
+    p2 = l2 + r2
+    p4 = l4 + r4
+    p6 = l6 + r6
+    res_k = (
+        _WGK_CENTER * fc + _WK1 * (l1 + r1) + _WK2 * p2 + _WK3 * (l3 + r3)
+        + _WK4 * p4 + _WK5 * (l5 + r5) + _WK6 * p6 + _WK7 * (l7 + r7)
+    )
+    res_g = _WG_CENTER * fc + _WG2 * p2 + _WG4 * p4 + _WG6 * p6
+    return res_k * half, abs(res_k - res_g) * abs(half), max(map(abs, fv))
 
 
 def _adaptive_gk(
-    f,
+    f: Callable[[float], float],
     a: float,
     b: float,
     settings: QuadratureSettings,
     seeds: tuple[float, ...] = (),
-    rule=_gk15,
 ) -> tuple[float, float, float]:
     """Globally adaptive bisection on [a, b] with the embedded G7/K15 pair.
 
     `seeds` lists interior breakpoints that receive their own initial
     segments; callers use them to mark narrow features (sharp peaks) the
-    15-point opening pass would otherwise step over.  `rule(f, a, b)` makes
-    one pass over a segment: _gk15 calls the integrand f at its nodes, and a
-    HalfLineTable's rule reads tabulated nodes, with f the negated decay.
-    Returns (value, error_estimate, max_abs_integrand); raises
-    QuadratureError when max_subdivisions segments cannot reach
-    max(abs_tol, rel_tol * |value|) or a segment with error hits width_floor.
+    15-point opening pass would otherwise step over.  Returns (value,
+    error_estimate, max_abs_integrand); raises QuadratureError when
+    max_subdivisions segments cannot reach max(abs_tol, rel_tol * |value|)
+    or a segment with error hits width_floor.
     """
     points = [a, b]
     for s_pt in seeds:
@@ -208,7 +177,7 @@ def _adaptive_gk(
     counter = 0
     # heap entries: (-err, insertion_id, a, b, val, err); id breaks ties
     for sa, sb in zip(points, points[1:]):
-        val, err, fm = rule(f, sa, sb)
+        val, err, fm = _gk15(f, sa, sb)
         heap.append((-err, counter, sa, sb, val, err))
         counter += 1
         total_val += val
@@ -231,8 +200,8 @@ def _adaptive_gk(
                 f"(err={total_err:.3e}, value={total_val:.6e})"
             )
         mid = 0.5 * (sa + sb)
-        v1, e1, m1 = rule(f, sa, mid)
-        v2, e2, m2 = rule(f, mid, sb)
+        v1, e1, m1 = _gk15(f, sa, mid)
+        v2, e2, m2 = _gk15(f, mid, sb)
         fmax = max(fmax, m1, m2)
         total_val += (v1 + v2) - sval
         total_err += (e1 + e2) - serr
@@ -267,7 +236,7 @@ def hyp0f1_one(x: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> flo
     total = ctx.mpf(1)
     xm = ctx.mpf(x)
     small = 0
-    for m in range(1, settings.max_series_terms + 1):
+    for m in range(1, MAX_SERIES_TERMS + 1):
         term = term * xm / (m * m)
         total += term
         if abs(term) <= settings.rel_tol * abs(total):
@@ -276,7 +245,7 @@ def hyp0f1_one(x: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> flo
                 return float(total)
         else:
             small = 0
-    raise SeriesDivergenceError("hyp0f1_one did not converge within max_series_terms")
+    raise SeriesDivergenceError(f"hyp0f1_one did not converge within {MAX_SERIES_TERMS} terms")
 
 
 def _hyp0f1_float(x: float, settings: QuadratureSettings) -> tuple[float, float, bool]:
@@ -287,7 +256,7 @@ def _hyp0f1_float(x: float, settings: QuadratureSettings) -> tuple[float, float,
     term = 1.0
     max_term = 1.0
     small = 0
-    for m in range(1, settings.max_series_terms + 1):
+    for m in range(1, MAX_SERIES_TERMS + 1):
         term = term * x / (m * m)
         t = abs(term)
         if t > max_term:
@@ -446,74 +415,6 @@ def integrate_semiinf_exp(
         (z - lower) / (1.0 + (z - lower)) for z in seeds if z > lower
     )
     val, err, _ = _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
-    return val, err
-
-
-class HalfLineTable(dict):
-    """g(z) at the nodes of the half-line Laplace integrals over z >= 1.
-
-    Indexing computes and stores g on a miss; a hit is a plain dict lookup,
-    so ``table.__getitem__`` serves as an integrand.  Every such integral
-    bisects [0, 1] in t = (z - 1)/z along the same dyadic tree, so
-    ``segments`` also keeps, per G7/K15 segment (a, b) in t, its 15 nodes as
-    (z, g(z), (1 - t)^2) in pass order; integrate_half_line then computes
-    only exp(-decay * z) and the sums.  Entries are pure functions of z, so
-    threads that fill a table in any order store the same floats.
-    """
-
-    __slots__ = ("g", "segments")
-
-    def __init__(self, g: Callable[[float], float]) -> None:
-        super().__init__()
-        self.g = g
-        self.segments: dict[tuple[float, float], tuple] = {}
-
-    def __missing__(self, z: float) -> float:
-        value = self.g(z)
-        self[z] = value
-        return value
-
-    def _segment(self, a: float, b: float) -> tuple:
-        nodes = []
-        for t in _gk_nodes(a, b):
-            # integrate_semiinf_exp's map at lower = 1, in its operations
-            onemt = 1.0 - t
-            try:
-                z = 1.0 + t / onemt
-            except ZeroDivisionError:
-                raise QuadratureError(_NON_DECAYING) from None
-            nodes.append((z, self[z], onemt * onemt))
-        seg = self.segments[(a, b)] = tuple(nodes)
-        return seg
-
-    def _laplace_pass(self, neg_decay: float, a: float, b: float) -> tuple[float, float, float]:
-        # one G7/K15 pass of mapped() at the tabulated nodes, with mapped's
-        # operations and underflow cut; the max integrand is left at 0.0
-        # because integrate_half_line discards it
-        seg = self.segments.get((a, b)) or self._segment(a, b)
-        fv = [
-            0.0 if (expo := neg_decay * z) < _LOG_TINY else g * math.exp(expo) / w
-            for z, g, w in seg
-        ]
-        val, err = _gk_sum(fv, 0.5 * (b - a))
-        return val, err, 0.0
-
-
-def integrate_half_line(
-    table: HalfLineTable,
-    decay: float,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> tuple[float, float]:
-    """Integral of table.g(z) * exp(-decay * z) over [1, inf), from the table.
-
-    Bit for bit integrate_semiinf_exp(table.g, 1.0, decay, settings):
-    _adaptive_gk bisects the same segments with the same per-node operations
-    and the same summation, but each segment's nodes and g values are
-    computed once per table instead of once per integral.
-    """
-    if decay < 0.0:
-        raise ValueError("decay must be >= 0")
-    val, err, _ = _adaptive_gk(-decay, 0.0, 1.0, settings, rule=table._laplace_pass)
     return val, err
 
 

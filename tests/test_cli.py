@@ -146,6 +146,21 @@ class TestKernelDump:
             assert float(r["t_barrier_minus (dimensionless)"]) == pytest.approx(tf, rel=1e-9)
             assert float(r["t_barrier_plus (dimensionless)"]) == pytest.approx(tf, rel=1e-9)
 
+    def test_small_zeta_tabulates(self, capsys):
+        # the kernel's 2/(pi zeta) regime: both factors near 2/(pi zeta)
+        code, out = run_cli(
+            capsys, "kernel", "--vo", "0.3", "--zeta-min", "1e-12",
+            "--zeta-max", "1e-10", "--grid", "3",
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 3
+        for r in rows:
+            zeta = float(r["zeta (length)"])
+            for column in ("t_free", "t_barrier_minus", "t_barrier_plus"):
+                value = float(r[f"{column} (dimensionless)"])
+                assert value == pytest.approx(2.0 / (math.pi * zeta), rel=1e-9), column
+
     def test_non_finite_arguments_exit_1(self, capsys):
         # rejected as bad input before any kernel evaluation or CSV row
         for argv, named in [
@@ -219,6 +234,7 @@ class TestConfig:
             ("rel_tol: oops\n", (), "want key=value"),
             ("rel-tol = 1e-6\n", (), "unknown config key(s): rel-tol"),
             ("max_series_term = 50\n", (), "unknown config key(s): max_series_term"),
+            ("max_series_terms = 600\n", (), "unknown config key(s): max_series_terms"),
             ("rel_tol = inf\n", (), "rel_tol must be finite"),
             ("abs_tol = inf\n", (), "abs_tol must be finite"),
             ("mu = inf\n", (), "mu must be finite"),

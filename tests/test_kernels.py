@@ -38,22 +38,20 @@ from reltoa.kernels import (
 )
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
-    HalfLineTable,
     QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
     hyp0f1_one,
-    integrate_half_line,
-    integrate_semiinf_exp,
 )
 
 
 # the script that writes the branch-cut pins defines their digests; the
 # benchmark's oracles share no code with the library's kernels
-FB_BUILD_BENCH = load_by_path("scripts/fb_build_bench.py", "fb_build_bench")
+KERNEL_PINS = load_by_path("scripts/kernel_pins.py", "kernel_pins")
 ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
-BRANCH_PIN = json.loads(FB_BUILD_BENCH.BRANCH_PIN_FILE.read_text())
-FACTOR_PIN = json.loads(FB_BUILD_BENCH.FACTOR_PIN_FILE.read_text())
+BRANCH_PIN = json.loads(KERNEL_PINS.BRANCH_PIN_FILE.read_text())
+EPS = 2.0**-53  # unit roundoff
+FACTOR_PIN = json.loads(KERNEL_PINS.FACTOR_PIN_FILE.read_text())
 
 
 def spectral_kernel(v0: float, zeta: float) -> float:
@@ -73,16 +71,16 @@ def highdigit_barrier_factor(v: float, zeta: float, count: int) -> float:
 
 
 def _run_bench_code(code: str) -> str:
-    """stdout of `code` in a fresh interpreter, with the bench script as `bench`."""
+    """stdout of `code` in a fresh interpreter, with the pin script as `bench`."""
     prelude = (
         "import importlib.util, json, sys\n"
-        "spec = importlib.util.spec_from_file_location('fb_build_bench', sys.argv[1])\n"
+        "spec = importlib.util.spec_from_file_location('kernel_pins', sys.argv[1])\n"
         "bench = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(bench)\n"
     )
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", prelude + code, str(FB_BUILD_BENCH.__file__)],
+        [sys.executable, "-c", prelude + code, str(KERNEL_PINS.__file__)],
         capture_output=True, check=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
@@ -363,6 +361,100 @@ class TestFbMomentForm:
         assert fresh.splitlines() == lines
 
 
+@functools.lru_cache(maxsize=None)
+def mp_branch_oracle(v0: float, zeta: float, dps: int = 30):
+    """(2/pi) int_1^inf e^(-zeta z) sqrt(z^2-1)/z G_B(v0, z) dz in natural
+    units, as an mpf, by tanh-sinh in a private mpmath context at dps digits.
+
+    Taken in z = 1 + t^2, not the library's sinh variable, with G_B the
+    half-sum Re[(z^2 - v0^2 + 2i v0 sqrt(z^2-1))/z^2]^(-1/2) of gb_factor's
+    docstring; G_B(0, z) = 1 gives T_F - 1.  The pieces end at t = 16/sqrt(zeta),
+    past which e^(-zeta t^2) < e^-256.
+    """
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    v = ctx.mpf(v0)
+    x = ctx.mpf(zeta)
+
+    def f(t):
+        z = 1 + t * t
+        root = t * ctx.sqrt(2 + t * t)  # sqrt(z^2 - 1)
+        g = ctx.re(((z * z - v * v + 2j * v * root) / (z * z)) ** ctx.mpf(-0.5))
+        return root / z * g * ctx.exp(-x * t * t) * 2 * t
+
+    scale = 1 / ctx.sqrt(x)
+    edges = [0] + [scale * 4**i for i in range(-2, 4)] + [ctx.inf]
+    return 2 / ctx.pi * ctx.exp(-x) * ctx.quad(f, edges)
+
+
+# log-spaced from 1e-12 (the kernel's 2/(pi zeta) regime) to 160 (the wide
+# packets' far end); scipy's forms lose digits of their own below
+# ORACLE_ZETA_FLOOR, so there every factor meets the mpmath integrals alone
+ORACLE_ZETAS = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 4.0, 20.0, 160.0)
+ORACLE_ZETA_FLOOR = {"free_factor_bessel": 1e-2, "spectral_kernel": 1e-4, "branch_integral": 1e-8}
+
+
+class TestKernelFactorOracles:
+    """T_F, T_B(-v0), the branch term and the gap, each within its err of
+    independent oracles from zeta = 1e-12 to 160."""
+
+    def test_free_factor(self):
+        for zeta in ORACLE_ZETAS:
+            tf = free_factor(zeta)
+            assert abs(tf.value - float(1 + mp_branch_oracle(0.0, zeta))) <= tf.err, zeta
+            if zeta >= ORACLE_ZETA_FLOOR["free_factor_bessel"]:
+                with warnings.catch_warnings():
+                    # QUADPACK's roundoff note near the K_1 pole, far below the gate
+                    warnings.simplefilter("ignore")
+                    bessel = ORACLES.free_factor_bessel(zeta)
+                assert abs(tf.value - bessel) <= tf.err, zeta
+
+    @pytest.mark.parametrize("v0", [0.1, 0.3, 0.6, 0.9, 0.99])
+    def test_barrier_factor_branch_term_and_gap(self, v0):
+        for zeta in ORACLE_ZETAS:
+            branch_ref = mp_branch_oracle(v0, zeta)
+            fb_ref = mp.re(fb_moment_oracle(-v0, zeta))  # tanh-sinh may leave 0j
+            # the branch term at both signs, since G_B is even in v0
+            for sign in (-1.0, 1.0):
+                br, br_err = branch_integral(sign * v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+                assert abs(br - float(branch_ref)) <= br_err, (sign, zeta)
+            if zeta >= ORACLE_ZETA_FLOOR["branch_integral"]:
+                assert abs(br - ORACLES.branch_integral(v0, zeta)) <= br_err, zeta
+            tb = barrier_factor(-v0, zeta)
+            assert abs(tb.value - float(fb_ref + branch_ref)) <= tb.err, zeta
+            if zeta >= ORACLE_ZETA_FLOOR["spectral_kernel"]:
+                assert abs(tb.value - spectral_kernel(v0, zeta)) <= tb.err, zeta
+            # the gap returns no err: its parts' errs and the rounding of
+            # their sum bound it
+            gap = barrier_free_gap(v0, zeta)
+            gap_ref = 1 - fb_ref + mp_branch_oracle(0.0, zeta) - branch_ref
+            _less, fb_err = kernels._fb_eval(-v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, True)
+            br_gap, br_gap_err = kernels._branch_laplace(v0, zeta, DEFAULT_SETTINGS, gap=True)
+            bound = fb_err + (2.0 / math.pi) * br_gap_err + 2.0 * EPS * (
+                (2.0 / math.pi) * abs(br_gap) + abs(gap)
+            )
+            assert abs(gap - float(gap_ref)) <= bound, zeta
+
+    def test_general_units_through_the_scaling_identity(self):
+        # T(v0, zeta; mu, c, hbar) = T(v0/(mu c^2), zeta mu c/hbar; 1, 1, 1)
+        params = PhysicalParams(mu=1.5, c=2.0, hbar=0.7)
+        rest, scale = params.rest_energy, params.mu * params.c / params.hbar
+        for vn, x in [(0.3, 1e-10), (0.9, 0.5), (0.6, 20.0), (0.99, 3.0)]:
+            v0, zeta = vn * rest, x / scale
+            tf = free_factor(zeta, params)
+            assert abs(tf.value - float(1 + mp_branch_oracle(0.0, x))) <= tf.err, x
+            br, br_err = branch_integral(-v0, zeta, params, DEFAULT_SETTINGS)
+            assert abs(br - float(mp_branch_oracle(vn, x))) <= br_err, x
+            tb = barrier_factor(-v0, zeta, params)
+            ref = mp.re(fb_moment_oracle(-vn, x)) + mp_branch_oracle(vn, x)
+            assert abs(tb.value - float(ref)) <= tb.err, x
+
+    def test_rule_at_its_node_cap_raises(self):
+        # below zeta ~ 1e-220 the rule would need more than its node cap
+        with pytest.raises(QuadratureError, match="rule nodes"):
+            free_factor(1e-300)
+
+
 def mpf_sum_oracle(terms) -> float:
     """The exact sum of the float terms in mpf arithmetic, rounded to the
     nearest float: the bits a correctly rounded math.fsum must give.  At
@@ -524,14 +616,15 @@ class TestFbExactSum:
 
 
 class TestBranchProfile:
-    """The branch-cut integral reads G_B from a per-strength profile table.
+    """The branch-cut integrals sum one nested trapezoid rule per strength.
 
-    The table may only change how often G_B is evaluated: the pin holds the
-    bits of every (value, err) as they were before the table existed.
+    A rule's weights are G_B's profile sqrt(z^2-1)/z G_B(v0, z) times the
+    Jacobian at its nodes.  The pins hold the bits of every (value, err),
+    written once the oracle tests below passed.
     """
 
     def test_bits_match_pin_in_reversed_order(self):
-        # a fresh process, so the grid fills the tables in reverse
+        # a fresh process, so the grid fills and extends the rules in reverse
         out = _run_bench_code(
             "pin = json.loads(bench.BRANCH_PIN_FILE.read_text())\n"
             "grid = [(v0, zeta) for v0 in pin['v0'] for zeta in pin['zeta']]\n"
@@ -549,126 +642,82 @@ class TestBranchProfile:
             "    print(bench.gap_digest(v0, zetas))\n"
         )
         gap_pins = {row["v0"]: row["sha256"] for row in FACTOR_PIN["barrier_free_gap"]}
-        assert sorted(gap_pins) == sorted(FB_BUILD_BENCH.GAP_V0)
+        assert sorted(gap_pins) == sorted(KERNEL_PINS.GAP_V0)
         assert out.split() == [FACTOR_PIN["free_factor"]] + [
-            gap_pins[v0] for v0 in FB_BUILD_BENCH.GAP_V0
+            gap_pins[v0] for v0 in KERNEL_PINS.GAP_V0
         ]
 
-    def test_table_holds_the_integrand_and_spares_g_b(self, monkeypatch):
-        v0 = 0.27
-        kernels._BRANCH_PROFILES.pop((v0, NATURAL_UNITS), None)
-        first = branch_integral(v0, 2.0, NATURAL_UNITS, DEFAULT_SETTINGS)
-        table = kernels._BRANCH_PROFILES[(v0, NATURAL_UNITS)]
-        assert table
-        for z, h in table.items():
-            assert h == math.sqrt(z * z - 1.0) / z * gb_factor(v0, z)
-        calls = []
-        original = kernels.gb_factor
-        monkeypatch.setattr(
-            kernels, "gb_factor", lambda *args: calls.append(args) or original(*args)
-        )
-        size = len(table)
-        assert branch_integral(v0, 2.0, NATURAL_UNITS, DEFAULT_SETTINGS) == first
-        assert calls == [] and len(table) == size
+    def test_table_holds_the_integrand_and_spares_g_b(self):
+        # the weights are h (s/z)^2 delta cosh(u) times G_B or 1 - G_B at
+        # u = k h, s = delta sinh(u), z = hypot(1, s), and G_B matches
+        # gb_factor; a warm call builds no node again
+        vn = 0.27
+        for key in [key for key in kernels._BRANCH_NODES if key[0] == vn]:
+            del kernels._BRANCH_NODES[key]
+        first = branch_integral(-vn, 2.0, NATURAL_UNITS, DEFAULT_SETTINGS)
+        built = {key: nodes for key, nodes in kernels._BRANCH_NODES.items() if key[0] == vn}
+        assert built
+        delta = 1.0 - vn
+        for (_vn, level), (w, c, d) in built.items():
+            h = 0.5**level
+            assert w
+            for k, (w_k, c_k, d_k) in enumerate(zip(w, c, d), start=1):
+                s = delta * math.sinh(k * h)
+                z = math.hypot(1.0, s)
+                jacobian = h * (s / z) ** 2 * delta * math.cosh(k * h)
+                assert w_k == pytest.approx(math.expm1(0.5 * math.log1p(s * s)), rel=1e-14)
+                assert c_k == pytest.approx(jacobian * gb_factor(vn, z), rel=1e-13)
+                assert c_k + d_k == pytest.approx(jacobian, rel=1e-15)
+        assert branch_integral(vn, 2.0, NATURAL_UNITS, DEFAULT_SETTINGS) == first
+        assert all(kernels._BRANCH_NODES[key] is nodes for key, nodes in built.items())
 
     def test_concurrent_threads_match_serial_bits(self):
-        grid = [(v0, 0.25 * i) for v0 in (-0.3, 0.3) for i in range(1, 37)]
+        # T_B at both signs and the gap share the branch rules of |v0| = 0.3;
+        # zeta from 1e-9 to 160 selects rule sizes and node counts apart
+        zetas = [1e-9, 1e-4, 0.01] + [0.25 * i for i in range(1, 37)] + [40.0, 160.0]
+        grid = [(v0, zeta) for v0 in (-0.3, 0.3) for zeta in zetas]
 
-        def forget(rules: bool, values: bool):
-            # empty the profile table's segment cache and, if asked, drop
-            # the table with its values, and the F_B rules; both signs
-            # share the profile of |v0| = 0.3
-            table = kernels._BRANCH_PROFILES.get((0.3, NATURAL_UNITS))
-            if table is not None:
-                table.segments.clear()
-            if values:
-                kernels._BRANCH_PROFILES.pop((0.3, NATURAL_UNITS), None)
-            if rules:
+        def forget(fb_rules: bool, trim: bool):
+            # drop the branch nodes of |v0| = 0.3, or cut them back to three,
+            # so that the threads race on extending them; with fb_rules,
+            # drop the F_B rules too
+            for key in [key for key in kernels._BRANCH_NODES if key[0] == 0.3]:
+                if trim:
+                    kernels._BRANCH_NODES[key] = tuple(c[:3] for c in kernels._BRANCH_NODES[key])
+                else:
+                    del kernels._BRANCH_NODES[key]
+            if fb_rules:
                 for key in [key for key in kernels._FB_RULES if abs(key[0]) == 0.3]:
                     del kernels._FB_RULES[key]
 
-        def bits(est):
-            return est.value.hex(), est.err.hex()
+        def bits(v0, zeta):
+            tb = barrier_factor(v0, zeta)
+            return tb.value.hex(), tb.err.hex(), barrier_free_gap(abs(v0), zeta).hex()
 
-        forget(rules=True, values=True)
-        serial = {point: bits(barrier_factor(*point)) for point in grid}
+        forget(fb_rules=True, trim=False)
+        serial = {point: bits(*point) for point in grid}
 
         def sweep(seed, start):
             order = grid[:]
             random.Random(seed).shuffle(order)
             start.wait()
-            return {point: bits(barrier_factor(*point)) for point in order}
+            return {point: bits(*point) for point in order}
 
-        # four threads, switched often, race on the F_B rules in the
-        # first round, on filling empty value tables in the even rounds, and
-        # on filling empty segment caches from full value tables in the odd
+        # four threads, switched often, race on the F_B rules in the first
+        # round, on empty branch nodes in the even rounds, and on extending
+        # cut-back node lists in the odd
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
                 for rnd in range(8):
-                    forget(rules=rnd == 0, values=rnd % 2 == 0)
+                    forget(fb_rules=rnd == 0, trim=rnd % 2 == 1)
                     start = threading.Barrier(4, timeout=60)
                     futures = [pool.submit(sweep, 4 * rnd + i, start) for i in range(4)]
                     for future in futures:
                         assert future.result(timeout=120) == serial, rnd
         finally:
             sys.setswitchinterval(interval)
-
-
-def _outcome(integral):
-    """(value, err) as float.hex, or the QuadratureError's text."""
-    try:
-        val, err = integral()
-    except QuadratureError as exc:
-        return "QuadratureError", str(exc)
-    return val.hex(), err.hex()
-
-
-class TestHalfLineTable:
-    """integrate_half_line reproduces integrate_semiinf_exp bit for bit."""
-
-    INTEGRANDS = {
-        **{
-            f"h(v0={v0})": functools.partial(kernels._branch_h, v0, NATURAL_UNITS)
-            for v0 in (-0.9, -0.3, 0.1)
-        },
-        "T_F envelope": kernels._branch_envelope,
-        "gap(v0=0.3)": functools.partial(kernels._gap_integrand, 0.3, NATURAL_UNITS),
-    }
-
-    @hyp_settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=6),
-        st.randoms(use_true_random=False),
-    )
-    def test_matches_generic_integral_bits(self, decays, rng):
-        # always decay 0, where the integrals of h and the T_F envelope
-        # diverge and both forms raise the same QuadratureError at the width
-        # floor, and 1e3, where every node of the opening pass underflows
-        decays = decays + [0.0, 1e3]
-        for name, g in self.INTEGRANDS.items():
-            table = HalfLineTable(g)
-            rng.shuffle(decays)
-            for decay in decays:
-                tabulated = _outcome(lambda: integrate_half_line(table, decay))
-                generic = _outcome(lambda: integrate_semiinf_exp(g, 1.0, decay))
-                assert tabulated == generic, (name, decay)
-
-    def test_every_node_underflows(self):
-        table = HalfLineTable(kernels._branch_envelope)
-        assert integrate_half_line(table, 1e3) == (0.0, 0.0)
-        assert min(table) * -1e3 < math.log(2.2e-308)
-
-    def test_kernels_read_their_tables(self):
-        assert kernels._FREE_TABLE.g is kernels._branch_envelope
-        # G_B is even in v0, so both signs share the table built at |v0|
-        profile = kernels.branch_profile(-0.3, NATURAL_UNITS)
-        assert (profile.g.func, profile.g.args) == (kernels._branch_h, (0.3, NATURAL_UNITS))
-        assert kernels.branch_profile(0.3, NATURAL_UNITS) is profile
-        barrier_free_gap(0.3, 1.0)
-        gap = kernels._GAP_TABLES[(0.3, NATURAL_UNITS)]
-        assert (gap.g.func, gap.g.args) == (kernels._gap_integrand, (0.3, NATURAL_UNITS))
 
 
 class TestKernelArguments:
@@ -694,7 +743,7 @@ class TestKernelArguments:
             raise AssertionError("F_B rule build started")
 
         monkeypatch.setattr(kernels, "_FbRule", no_build)
-        tables = set(kernels._BRANCH_PROFILES)
+        rules = set(kernels._BRANCH_NODES)
         calls = {
             "barrier_factor": lambda v0: barrier_factor(v0, 1.0),
             "fb_series": lambda v0: fb_series(v0, 1.0),
@@ -707,7 +756,7 @@ class TestKernelArguments:
             for name, call in calls.items():
                 with pytest.raises(ValueError, match=f"^{name} requires a finite v0"):
                     call(v0)
-        assert set(kernels._BRANCH_PROFILES) == tables
+        assert set(kernels._BRANCH_NODES) == rules
 
 
 class TestBarrierFactor:

@@ -15,14 +15,12 @@ from conftest import branch_integral_oracle, sine_integral_oracle
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
-    HalfLineTable,
     QuadratureError,
     QuadratureSettings,
     faddeeva,
     gen_binomial,
     hyp0f1_one,
     hyp2f1_integral,
-    integrate_half_line,
     integrate_semiinf_exp,
     integrate_sqrt_endpoint,
     sine_transform_decaying,
@@ -107,8 +105,12 @@ class TestHyp2f1:
 
 
 def faddeeva_oracle(z: complex) -> complex:
-    """w(z) = exp(-z^2) erfc(-i z) in 30-digit arithmetic."""
-    with mp.workdps(30):
+    """w(z) = exp(-z^2) erfc(-i z) to 30 digits.
+
+    exp(-z^2) and erfc(-i z) are huge and tiny when |z| is large, and Im w
+    is a small part of their product, so 2 log10|z| guard digits are added.
+    """
+    with mp.workdps(30 + 2 * math.ceil(math.log10(1.0 + abs(z)))):
         x = mp.mpc(z.real, z.imag)
         return complex(mp.exp(-x * x) * mp.erfc(-1j * x))
 
@@ -132,9 +134,10 @@ class TestFaddeeva:
         assert worst <= FADDEEVA_IM_REL_ERR
 
     def test_asymptotic_region(self):
-        # |z| >> 1, where w ~ i/(sqrt(pi) z) and Im w is the small part
+        # |z| >> 1, where w ~ i/(sqrt(pi) z) and Im w is the small part; the
+        # branch transform's last node, z ~ e^40/2, reaches Im ~ 1e17 sqrt(2) sigma
         for re in (0.05, 1.0, 30.0, 100.0):
-            for im in (1e2, 1e4, 1e6, 1e8):
+            for im in (1e2, 1e4, 1e6, 1e8, 1e11, 1e14, 1e17, 1e19):
                 x = complex(re, im)
                 ref = faddeeva_oracle(x)
                 assert abs(faddeeva(x).imag - ref.imag) <= FADDEEVA_IM_REL_ERR * abs(ref.imag)
@@ -206,11 +209,8 @@ class TestSemiInfExp:
     def test_constant_tail_raises_at_the_width_floor(self):
         # unseeded, bisection narrows the last segment below 2^-45 before
         # any node rounds to t = 1; there the diverging sum is ~1.9e16
-        message = "^bisection reached the width floor"
-        with pytest.raises(QuadratureError, match=message):
+        with pytest.raises(QuadratureError, match="^bisection reached the width floor"):
             integrate_semiinf_exp(lambda z: 1.0, 1.0, 0.0)
-        with pytest.raises(QuadratureError, match=message):
-            integrate_half_line(HalfLineTable(lambda z: 1.0), 0.0)
 
 
 class TestSineTransform:
@@ -329,8 +329,6 @@ class TestSettings:
             QuadratureSettings(abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSettings(max_subdivisions=0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(max_series_terms=0)
 
     def test_deterministic(self):
         vals = {
