@@ -95,10 +95,9 @@ def crtoa_quadrature(
                 f"turning point: (H - V)^2 <= (mu c^2)^2 on [{left}, {right}]"
             )
 
-        def rate(_x: float, kin=kin) -> float:
-            return e_launch / (params.c * math.sqrt(kin * kin - rest * rest))
-
-        val, _err, _ = _adaptive_gk(rate, left, right, settings)
+        # V is constant on the section, so the rate is one float
+        rate = e_launch / (params.c * math.sqrt(kin * kin - rest * rest))
+        val, _err, _ = _adaptive_gk(lambda _x, rate=rate: rate, left, right, settings)
         total += val
     # t = -sgn(p) * int_0^q ... = sgn(p) * int_q^0 ...; for q > 0 the
     # orientation flip and the sgn factor combine the same way

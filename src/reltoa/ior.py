@@ -266,7 +266,7 @@ def ior_momentum(
 def _crossing_integrand(
     packet: GaussianPacket, v0: float, params: PhysicalParams, sign: int, kc: float
 ) -> Callable[[float], float]:
-    """u -> 2u rho(k) w(k) at k = kc + u^2, the threshold root cancelled exactly.
+    """t -> 2u rho(k) w(k) / (1 - t)^2 at u = t/(1 - t), k = kc + u^2.
 
     rho = momentum_density(packet, k, sign), w = sqrt(E^2/((E - v0)^2 - R^2)),
     E = sqrt((hbar k c)^2 + R^2), R = mu c^2.  kappa_c's identity
@@ -280,6 +280,8 @@ def _crossing_integrand(
       (2/(hbar c)) rho E sqrt((E + R + v0)/((k + kappa_c)(E - v0 + R))),
 
     smooth and positive down to u = 0, with no below-threshold branch.
+    It divides by the map's (1 - t)^2 last, and returns 0.0 before forming
+    E where rho's Gaussian underflows.
     """
     s2 = packet.sigma * packet.sigma
     neg_two_s2 = -2.0 * s2
@@ -291,13 +293,18 @@ def _crossing_integrand(
     e_diff = rest - v0
     exp, hypot, sqrt = math.exp, math.hypot, math.sqrt
 
-    def h(u: float) -> float:
+    def h(t: float) -> float:
+        onemt = 1.0 - t
+        u = t / onemt
         k = kc + u * u
-        e_k = hypot(hbar_c * k, rest)
         d = k - centre
-        return pref * exp(neg_two_s2 * d * d) * e_k * sqrt(
+        g = exp(neg_two_s2 * d * d)
+        if g == 0.0:
+            return 0.0  # every other factor is finite and positive
+        e_k = hypot(hbar_c * k, rest)
+        return pref * g * e_k * sqrt(
             (e_k + e_sum) / ((k + kc) * (e_k + e_diff))
-        )
+        ) / (onemt * onemt)
 
     return h
 

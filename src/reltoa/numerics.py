@@ -7,8 +7,9 @@ reads or sets mpmath's global precision.  The semi-infinite integrators map
 onto a finite interval with z = lower + t/(1-t) and refine adaptively with
 an embedded Gauss-Kronrod (G7, K15) pair, and raise QuadratureError when a
 tail that does not decay drives bisection to t = 1 or the width floor.
-integrate_sqrt_endpoint is that integrator over u >= 0 for an integral the
-caller has already written in u = sqrt(k - a), its endpoint root cancelled.
+integrate_sqrt_endpoint runs the same engine on t in [0, 1) for an integral
+the caller has already written in t, through u = sqrt(k - a) (its endpoint
+root cancelled) and u = t/(1-t), both maps' Jacobians in the integrand.
 The oscillatory sine transform sums panels between successive zeros of
 sin(k*zeta) with Euler acceleration for slowly decaying envelopes.
 
@@ -520,17 +521,21 @@ def integrate_sqrt_endpoint(
     settings: QuadratureSettings = DEFAULT_SETTINGS,
     seeds: tuple[float, ...] = (),
 ) -> tuple[float, float]:
-    """Integral over [a, inf) of f(k) dk, given as the u-integral of h.
+    """Integral over [a, inf) of f(k) dk, given as the t-integral of h.
 
-    Under k = a + u^2 the integral is int_0^inf h(u) du with
-    h(u) = 2u f(a + u^2): h carries dk/du, and a 1/sqrt(k - a) start of f
-    leaves it finite at u = 0.  The caller cancels that root in closed form
-    when it builds h, so nothing here divides by u or probes the endpoint.
-    The u-integral rides on h's own decay (a Gaussian weight in every use
-    here).  `seeds` marks k-locations of narrow features away from the
-    endpoint (a tight momentum density, say), which the substitution
-    squeezes into regions an unseeded opening pass can miss; they are
-    mapped to u = sqrt(k - a).
+    Under k = a + u^2, u = t/(1 - t), the integral is int_0^1 h(t) dt with
+    h(t) = 2u f(a + u^2)/(1 - t)^2: h carries both Jacobians, and a
+    1/sqrt(k - a) start of f leaves it finite at u = 0.  The caller cancels
+    that root in closed form, so nothing here probes the endpoint.  h's own
+    decay (a Gaussian weight in every use here) carries the integral; its
+    ZeroDivisionError at t = 1 is read as a tail that does not decay.
+    `seeds` marks k-locations of narrow features away from the endpoint (a
+    tight momentum density, say) that an unseeded opening pass can miss;
+    they are mapped to t = u/(1 + u), u = sqrt(k - a).
     """
-    u_seeds = tuple(math.sqrt(k - a) for k in seeds if k > a)
-    return integrate_semiinf_exp(h, 0.0, 0.0, settings, u_seeds)
+    u_seeds = (math.sqrt(k - a) for k in seeds if k > a)
+    try:
+        val, err, _ = _adaptive_gk(h, 0.0, 1.0, settings, tuple(u / (1.0 + u) for u in u_seeds))
+    except ZeroDivisionError:
+        raise QuadratureError(_NON_DECAYING) from None
+    return val, err

@@ -262,6 +262,7 @@ class TestConfig:
 # Reference outputs in natural units: a refactor must reproduce them byte
 # for byte.  Each command runs in a fresh interpreter, as the CLI does.
 GOLDEN = [
+    ("table1.csv", ["table1"]),
     (
         "scan_v0.99_sigma6_steps120.csv",
         ["scan", "--vo", "0.99", "--sigma", "6", "--ko-min", "0.1", "--ko-max", "6.0",

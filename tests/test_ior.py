@@ -25,6 +25,7 @@ from reltoa.kernels import (
 )
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
+    Estimate,
     QuadratureSettings,
     SeriesDivergenceError,
     integrate_semiinf_exp,
@@ -231,8 +232,9 @@ class TestIorMomentum:
         ),
     )
     def test_u_integrand_matches_k_form(self, sigma, k0, v0_frac, sign, params):
-        # h(u) = 2u rho(k) w(k) at k = kc + u^2, against the k-form weight
-        # sqrt(E^2/D), D = (E - v0)^2 - R^2, which cancels near kappa_c.
+        # h(t) = 2u rho(k) w(k) / (1 - t)^2 at u = t/(1 - t), k = kc + u^2,
+        # against the k-form weight sqrt(E^2/D), D = (E - v0)^2 - R^2, which
+        # cancels near kappa_c, at that u and over the same (1 - t)^2.
         # The k-form's rounding bounds their relative gap, in units of eps:
         #  * D: E from hypot(hbar k c, R) is within 3 eps, so E - v0 within
         #    4 eps E, its square within 9 eps E^2; with R^2's rounding and
@@ -241,7 +243,8 @@ class TestIorMomentum:
         #  * the threshold: k - kappa_c is u^2 within eps (k + u^2), and the
         #    float kappa_c sits within 5 eps kappa_c of the root of D; w goes
         #    as (k - kappa_c)^(-1/2), so it moves by half that over u^2;
-        #  * 16 eps for the remaining roundings of both forms.
+        #  * 16 eps for the remaining roundings of both forms;
+        #  * 1 eps for the division by (1 - t)^2, rounded once in each form.
         # rho is the same float in both; where it nears the subnormal range,
         # rounding is absolute and the cells are skipped.
         packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
@@ -255,20 +258,43 @@ class TestIorMomentum:
         us = [math.sqrt(math.ulp(kc) * 4.0**j) for j in range(12, 40)]
         us += [math.sqrt(k - kc) for k in (k0 + j * packet.sigma_k / 4.0 for j in range(-40, 41))
                if k - kc > 2.0**24 * math.ulp(kc)]
-        for u in us:
+        for t in (u / (1.0 + u) for u in us):
+            onemt = 1.0 - t
+            u = t / onemt  # the u the closure sees
             k = kc + u * u
             e_k = math.hypot(hbar_c * k, rest)
             denom = hbar_c**2 * u * u * (k + kc) * (e_k - v0 + rest) / (e_k + rest + v0)
             bound = eps * (
                 (10.0 * e_k * e_k + denom) / (2.0 * denom)
                 + (k + u * u + 5.0 * kc) / (2.0 * u * u)
-                + 16.0
+                + 17.0
             )
             rho = momentum_density(packet, k, sign)
             if rho < 1e-300:
                 continue
-            k_form = 2.0 * u * rho * crossing_weight(k, v0, params)
-            assert abs(h(u) - k_form) <= bound * k_form, (u, k)
+            k_form = 2.0 * u * rho * crossing_weight(k, v0, params) / (onemt * onemt)
+            assert abs(h(t) - k_form) <= bound * k_form, (t, k)
+
+    def test_underflowed_gaussian_gives_exact_zero(self):
+        # sigma 9, k0 2.5: the -k Gaussian exp(-2 sigma^2 (k + k0)^2) has
+        # underflowed already at kappa_c, so every node returns 0.0 and the
+        # minus weight is exactly zero, with a zero error
+        packet, v0 = GaussianPacket(q0=-360.0, sigma=9.0, k0=2.5), 0.3
+        kc = kappa_c(v0)
+        assert math.exp(-2.0 * 81.0 * (kc + 2.5) ** 2) == 0.0
+        _, _, minus = momentum_split(packet, v0)
+        assert minus == Estimate(0.0, 0.0)
+        assert minus.value.hex() == "0x0.0p+0"
+        # on the +k side the closure is finite and positive up to the
+        # Gaussian's underflow and exactly 0.0 past it
+        h = _crossing_integrand(packet, v0, NATURAL_UNITS, +1, kc)
+        ts = [j / 1000.0 for j in range(1000)]
+        values = [h(t) for t in ts]
+        last = max(i for i, v in enumerate(values) if v != 0.0)
+        assert 0 < last < len(ts) - 1
+        assert all(math.isfinite(v) and v > 0.0 for v in values[: last + 1])
+        assert all(v == 0.0 and v.hex() == "0x0.0p+0" for v in values[last + 1:])
+        assert all(h(t) == 0.0 for t in (0.999, 1.0 - 2.0**-53))
 
     def test_methods_agree(self):
         for k0, v0 in ((2.0, 0.3), (0.25, 0.3)):

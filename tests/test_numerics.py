@@ -263,12 +263,26 @@ class TestSineTransform:
         assert lhs == pytest.approx(alpha * fa + beta * gb, rel=1e-8, abs=1e-11)
 
 
+def in_t(h_u):
+    """The t-integrand integrate_sqrt_endpoint takes for the u-integrand h_u.
+
+    h_u at u = t/(1 - t), times du/dt = 1/(1 - t)^2; at t = 1 the division
+    raises ZeroDivisionError, as a tail that does not decay must.
+    """
+
+    def h(t):
+        onemt = 1.0 - t
+        return h_u(t / onemt) / (onemt * onemt)
+
+    return h
+
+
 class TestSqrtEndpoint:
-    """Integrals over k >= a handed over as h(u) = 2u f(a + u^2)."""
+    """Integrals over k >= a handed over in t, with u = t/(1 - t) and k = a + u^2."""
 
     def test_shifted_gamma_half(self):
-        # f(k) = exp(-k)/sqrt(k - 1): the root cancels, h(u) = 2 exp(-1 - u^2)
-        val, _ = integrate_sqrt_endpoint(lambda u: 2.0 * math.exp(-1.0 - u * u), 1.0)
+        # f(k) = exp(-k)/sqrt(k - 1): the root cancels, 2u f = 2 exp(-1 - u^2)
+        val, _ = integrate_sqrt_endpoint(in_t(lambda u: 2.0 * math.exp(-1.0 - u * u)), 1.0)
         ref = math.sqrt(math.pi) * math.exp(-1.0)
         assert val == pytest.approx(ref, rel=1e-10)
         # substitution-free adaptive oracle in k, offset 1e-12 past the endpoint
@@ -278,45 +292,47 @@ class TestSqrtEndpoint:
         assert val == pytest.approx(brute, abs=1e-6)
 
     def test_gamma_half_at_origin(self):
-        val, _ = integrate_sqrt_endpoint(lambda u: 2.0 * math.exp(-u * u), 0.0)
+        val, _ = integrate_sqrt_endpoint(in_t(lambda u: 2.0 * math.exp(-u * u)), 0.0)
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
     def test_shifted_decay_two(self):
         val, _ = integrate_sqrt_endpoint(
-            lambda u: 2.0 * math.exp(-2.0 * (2.0 + u * u)), 2.0
+            in_t(lambda u: 2.0 * math.exp(-2.0 * (2.0 + u * u))), 2.0
         )
         ref = math.exp(-4.0) * math.sqrt(math.pi / 2.0)
         assert val == pytest.approx(ref, rel=1e-10)
 
 
 class TestSqrtEndpointMap:
-    """integrate_sqrt_endpoint's k-seeds and the u-map's tails that do not decay."""
+    """integrate_sqrt_endpoint's k-seeds and the t-map's tails that do not decay."""
 
     def test_seeds_map_to_u(self):
-        # a k-seed s marks u = sqrt(s - a); one at or below a is dropped.
-        # The seeds bracket a peak of width 0.01 at k = 9 out to 8 widths.
+        # a k-seed s marks t = u/(1 + u), u = sqrt(s - a); one at or below a
+        # is dropped.  The seeds bracket a peak of width 0.01 at k = 9 out to
+        # 8 widths.  integrate_semiinf_exp of the u-form, seeded in u, forms
+        # the same t-nodes and integrand bits.
         def h(u):
             return 2.0 * u * math.exp(-((1.0 + u * u - 9.0) / 0.01) ** 2)
 
         peak = tuple(9.0 + 0.01 * j for j in range(-8, 9, 2))
         u_seeds = tuple(math.sqrt(k - 1.0) for k in peak)
-        val, err = integrate_sqrt_endpoint(h, 1.0, DEFAULT_SETTINGS, (0.5, 1.0) + peak)
+        val, err = integrate_sqrt_endpoint(in_t(h), 1.0, DEFAULT_SETTINGS, (0.5, 1.0) + peak)
         assert (val, err) == integrate_semiinf_exp(h, 0.0, 0.0, DEFAULT_SETTINGS, u_seeds)
         assert val == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-10)
 
     def test_non_decaying_tail_raises(self):
-        # a bare inverse square root in k is the constant h = 2, not
+        # a bare inverse square root in k is the constant 2u f = 2, not
         # integrable at infinity
         settings = QuadratureSettings(max_subdivisions=40)
         with pytest.raises(QuadratureError, match="tolerance not met"):
-            integrate_sqrt_endpoint(lambda u: 2.0, 1.0, settings)
+            integrate_sqrt_endpoint(in_t(lambda u: 2.0), 1.0, settings)
 
     def test_tail_reaching_t_one_raises_typed_error(self):
         # with the seed at k = 4.75, bisection of this non-decaying tail
-        # reaches a node at t = 1.0, where the map would divide by zero
+        # reaches a node at t = 1.0, where the map divides by zero
         message = "integrand does not decay: bisection reached the end of the half line"
         with pytest.raises(QuadratureError, match=f"^{message}$"):
-            integrate_sqrt_endpoint(lambda u: 2.0, 0.0, DEFAULT_SETTINGS, seeds=(4.75,))
+            integrate_sqrt_endpoint(in_t(lambda u: 2.0), 0.0, DEFAULT_SETTINGS, seeds=(4.75,))
         with pytest.raises(QuadratureError, match=f"^{message}$"):
             integrate_semiinf_exp(lambda u: 2.0, 0.0, 0.0, DEFAULT_SETTINGS, (math.sqrt(4.75),))
 
