@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Pin the branch-cut integrals, T_F and the T_F - T_B gap; time F_B warm.
+"""Pin the branch-cut integrals, T_F, T_B and the T_F - T_B gap; time F_B warm.
 
 ``reltoa.kernels.branch_integral`` runs over a grid of barrier strengths
 and log-spaced zeta.  Its (value, err) pairs are hashed and checked against
 tests/data/branch_integral_pin.json.  On the same grid, ``free_factor``'s
 (value, err) per zeta and ``barrier_free_gap``'s value per (v0, zeta) are
 hashed and checked against tests/data/branch_factors_pin.json, which
-tests/test_kernels.py also reads.  Then the number of nodes that the grid
+tests/test_kernels.py also reads; so is ``barrier_factor``'s (value, err)
+on the same zeta at both signs of four strengths up to the rest-energy
+scale, where a point that raises hashes its error type and text.  Then the number of nodes that the grid
 left in each branch-cut rule is printed, per strength |v0| (G_B is even in
 v0, so the two signs share a rule) and step 2^-m.  Last, the residue factor
 F_B is timed per warm call of ``reltoa.kernels._fb_eval`` (its rule cached,
@@ -31,6 +33,7 @@ import time
 from reltoa import kernels
 from reltoa.kernels import (
     NATURAL_UNITS,
+    barrier_factor,
     barrier_free_gap,
     branch_integral,
     free_factor,
@@ -48,6 +51,8 @@ BRANCH_V0 = [-0.9, -0.3, -0.1, 0.0, 0.1, 0.3]
 BRANCH_ZETA = [0.05 * 3200.0 ** (i / 39) for i in range(40)]
 # the T_F and gap pins use the same grid
 GAP_V0 = BRANCH_V0
+# the T_B pin: both signs of four strengths, on the same zeta
+BARRIER_V0 = [sign * a for a in (0.1, 0.3, 0.9, 0.99) for sign in (-1.0, 1.0)]
 # the F_B timing: (v, zeta), timed in this order after every pin
 FB_POINTS = [(v, zeta) for v in (-0.1, 0.1) for zeta in (1.0, 3.0, 9.0, 50.0, 100.0, 150.0)]
 FB_CALLS = 200  # calls per timed round
@@ -86,6 +91,22 @@ def gap_digest(v0: float, zetas) -> str:
     h = hashlib.sha256()
     for zeta in zetas:
         h.update(f"{barrier_free_gap(v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS).hex()}\n".encode())
+    return h.hexdigest()
+
+
+def barrier_factor_digest(zetas) -> str:
+    """sha256 of barrier_factor's (value, err), or its error type and text,
+    at each (v0, zeta), v0-major."""
+    h = hashlib.sha256()
+    for v0 in BARRIER_V0:
+        for zeta in zetas:
+            try:
+                est = barrier_factor(v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+            except (ArithmeticError, RuntimeError, ValueError) as exc:
+                line = f"{type(exc).__name__}: {exc}"
+            else:
+                line = f"{est.value.hex()} {est.err.hex()}"
+            h.update(f"{line}\n".encode())
     return h.hexdigest()
 
 
@@ -142,6 +163,13 @@ def main() -> int:
         cpu = time.process_time() - t0
         faults += _report(f"barrier_free_gap v0={v0:+.1f}: cpu {cpu:7.3f} s  ",
                           gap_rows[-1]["sha256"], gap_pins.get(v0))
+    t0 = time.process_time()
+    barrier_sha = barrier_factor_digest(pin["zeta"])
+    cpu = time.process_time() - t0
+    faults += _report(
+        f"barrier_factor, {len(BARRIER_V0) * len(pin['zeta'])} points: cpu {cpu:7.3f} s  ",
+        barrier_sha, factor_pin.get("barrier_factor", {}).get("sha256"),
+    )
 
     for (vn, level), nodes in sorted(kernels._BRANCH_NODES.items()):
         print(f"branch rule |v0|={vn:.1f} m={level}: {len(nodes[0])} nodes")
@@ -156,7 +184,11 @@ def main() -> int:
     if args.write:
         BRANCH_PIN_FILE.write_text(json.dumps({**pin, "sha256": sha}, indent=2) + "\n")
         FACTOR_PIN_FILE.write_text(
-            json.dumps({"free_factor": free_sha, "barrier_free_gap": gap_rows}, indent=2) + "\n"
+            json.dumps({
+                "free_factor": free_sha,
+                "barrier_free_gap": gap_rows,
+                "barrier_factor": {"v0": BARRIER_V0, "sha256": barrier_sha},
+            }, indent=2) + "\n"
         )
         print(f"wrote {BRANCH_PIN_FILE} and {FACTOR_PIN_FILE}")
     return 0

@@ -647,6 +647,16 @@ class TestBranchProfile:
             gap_pins[v0] for v0 in KERNEL_PINS.GAP_V0
         ]
 
+    def test_barrier_factor_matches_pin(self):
+        # T_B's (value, err) at both signs up to v0 = 0.99, in a fresh
+        # process, so that the pin holds whatever ran before
+        out = _run_bench_code(
+            "zetas = json.loads(bench.BRANCH_PIN_FILE.read_text())['zeta']\n"
+            "print(bench.barrier_factor_digest(zetas))\n"
+        )
+        assert FACTOR_PIN["barrier_factor"]["v0"] == KERNEL_PINS.BARRIER_V0
+        assert out.strip() == FACTOR_PIN["barrier_factor"]["sha256"]
+
     def test_table_holds_the_integrand_and_spares_g_b(self):
         # the weights are h (s/z)^2 delta cosh(u) times G_B or 1 - G_B at
         # u = k h, s = delta sinh(u), z = hypot(1, s), and G_B matches
