@@ -11,9 +11,10 @@ on the same zeta at both signs of four strengths up to the rest-energy
 scale, where a point that raises hashes its error type and text.  Then the number of nodes that the grid
 left in each branch-cut rule is printed, per strength |v0| (G_B is even in
 v0, so the two signs share a rule) and step 2^-m.  Last, the residue factor
-F_B is timed per warm call of ``reltoa.kernels._fb_eval`` (its rule cached,
+F_B and the whole barrier factor T_B are timed per warm call of
+``reltoa.kernels._fb_eval`` and ``barrier_factor`` (their rules cached,
 best of a few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150, with the
-number of rule intervals each call uses.
+number of F_B rule intervals each call uses.
 
 Run from the repository root:
 
@@ -110,18 +111,23 @@ def barrier_factor_digest(zetas) -> str:
     return h.hexdigest()
 
 
-def fb_timing(v: float, zeta: float) -> tuple[int, float]:
-    """(rule intervals, best warm CPU seconds per _fb_eval call) at (v, zeta)."""
-    kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)  # fills the rule cache
-    reach = kernels._fb_reach(v)
-    intervals = kernels._fb_intervals(v, reach, zeta * reach)
-    best = float("inf")
+def fb_timing(v: float, zeta: float) -> tuple[int, float, float]:
+    """(F_B rule intervals, best warm CPU seconds per _fb_eval call, and per
+    barrier_factor call) at (v, zeta)."""
+    # drop the rules of strength v, so that the sizes this call builds show
+    for key in [key for key in kernels._FB_RULES if key[0] == v]:
+        del kernels._FB_RULES[key]
+    kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+    intervals = max(n for vn, n in kernels._FB_RULES if vn == v)
+    barrier_factor(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)  # fills the branch nodes
+    best = [float("inf"), float("inf")]
     for _ in range(FB_ROUNDS):
-        t0 = time.process_time()
-        for _ in range(FB_CALLS):
-            kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
-        best = min(best, (time.process_time() - t0) / FB_CALLS)
-    return intervals, best
+        for i, call in enumerate((kernels._fb_eval, barrier_factor)):
+            t0 = time.process_time()
+            for _ in range(FB_CALLS):
+                call(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+            best[i] = min(best[i], (time.process_time() - t0) / FB_CALLS)
+    return intervals, best[0], best[1]
 
 
 def _report(line: str, sha: str, pinned: str | None) -> int:
@@ -175,9 +181,9 @@ def main() -> int:
         print(f"branch rule |v0|={vn:.1f} m={level}: {len(nodes[0])} nodes")
 
     for v, zeta in FB_POINTS:
-        intervals, cpu = fb_timing(v, zeta)
-        print(f"F_B v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} intervals "
-              f"{1e6 * cpu:8.1f} us/call")
+        intervals, fb_cpu, tb_cpu = fb_timing(v, zeta)
+        print(f"v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} F_B intervals, "
+              f"F_B {1e6 * fb_cpu:6.1f} us/call, T_B {1e6 * tb_cpu:6.1f} us/call")
 
     if faults:
         return 1

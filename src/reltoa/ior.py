@@ -6,6 +6,8 @@ barrier region is t_c * R_c with t_c = L/c the photon crossing time.  R_c is
 computed by three independent routes that must agree,
 
   * direct   - oscillatory sine transform of T_B(-V_o, zeta) Phi(zeta),
+               with T_B from barrier_factor's unchecked core
+               (kernels._barrier) at each node,
   * series   - term-by-term Gaussian sine moments of the residue series
                plus the sine transform of the kernel's branch-cut term,
                taken as one z-integral (kernels.branch_transform) of the
@@ -32,7 +34,7 @@ from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
-    barrier_factor,
+    _barrier,
     barrier_free_gap,
     branch_transform,
     fb_moments,
@@ -103,11 +105,15 @@ def ior_direct(
     """R_c by direct sine transform of the barrier kernel against the packet.
 
     R_c = (mu c / hbar) * int_0^inf sin(k0 zeta) T_B(-v0, zeta) Phi(zeta) dzeta.
+    The cell is checked once; each node takes barrier_factor's value from
+    its unchecked core, at the natural zeta barrier_factor forms.
     """
     _require_subcritical(v0, params)
     scale = params.mu * params.c / params.hbar
+    vn = -v0 / params.rest_energy
+    mu_c, hbar = params.mu * params.c, params.hbar
     val, err = _phi_transform(
-        lambda zeta: barrier_factor(-v0, zeta, params, settings).value,
+        lambda zeta: _barrier(vn, mu_c * zeta / hbar, settings)[0],
         packet, params, settings,
     )
     return Estimate(scale * val, scale * err)

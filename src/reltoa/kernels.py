@@ -20,10 +20,11 @@ E sqrt((E + 1 - a)/(E + 1 + a)) for v > 0, smooth and positive, and C = cos
 or cosh.  The theta-integrand is even and periodic, so the trapezoid rule
 converges spectrally, and its nodes nest under doubling: one pass over the
 n-interval rule gives the n/2-interval sum from its even-indexed nodes, and
-their difference, plus a rounding bound, is the error estimate.  The nodes
-(s_k, w_k g_k) are cached per (v, n), with n sized from zeta, and need
-neither numpy nor mpmath.  Every value is a pure function of its
-arguments, whichever calls or threads came first.
+their difference, plus a rounding bound, is the error estimate.  The node
+pairs (w_k g_k, s_k) are cached per (v, n), and n is sized from zeta and
+from each strength's reach and analytic strip, cached per v; none of it
+needs numpy or mpmath.  Every value is a pure function of its arguments,
+whichever calls or threads came first.
 
 The series route keeps the power series F_B = sum_p D_p zeta^(2p)/(2p)!
 termwise.  Its coefficients are the moments
@@ -41,6 +42,11 @@ exponentially, so the rule at u_k = k 2^-m converges exponentially
 per (|v|/(mu c^2), m) and extended lazily; the even ones form the half rule,
 whose difference plus a rounding bound is the error estimate.  A value sums
 only the nodes its arguments select, however far the lists were extended.
+
+barrier_factor checks its arguments once and hands the strength and zeta,
+in natural units, to _barrier, which sums each rule's nodes in list
+comprehensions within one frame per rule; the direct route calls _barrier
+at every node of its sine transform, after checking the cell once.
 """
 
 from __future__ import annotations
@@ -184,6 +190,7 @@ def gb_factor(
 # --- residue factor F_B ------------------------------------------------------
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+_TWO_OVER_PI = 2.0 / math.pi
 # the rule sizes and the moment rule, in intervals of [0, pi/2]
 _FB_MIN_INTERVALS = 32
 _FB_MAX_INTERVALS = 1 << 15
@@ -198,19 +205,21 @@ def _fb_reach(v: float) -> float:
     return math.sqrt(a * (2.0 + a)) if v < 0.0 else math.sqrt(a * (2.0 - a))
 
 
-def _fb_intervals(v: float, reach: float, y_max: float) -> int:
-    """Least power of two >= 1.2 * y_max + 16 and >= 20 / eta, at least 32.
+def _fb_strength(vn: float) -> tuple[float, float]:
+    """(reach, least rule size) of strength vn, in natural units.
 
-    y_max = zeta * reach counts the oscillations (growth, for v > 0) of
-    C(zeta s) over the rule.  eta is the half-width of the strip about the
-    real theta-axis in which g is analytic, set by the branch point of E:
-    sinh(eta) = 1/kappa_c for v < 0 and cosh(eta) = 1/x* for v > 0, which
-    narrows as v -> +1.  At that size both the n- and the n/2-interval
-    rules reach rounding level on 0 < |v| < 1 and zeta <= 160.
+    The rule at zeta has the least power of two n >= 1.2 * y_max + 16 and
+    >= 20 / eta, at least 32 intervals.  y_max = zeta * reach counts the
+    oscillations (growth, for v > 0) of C(zeta s) over the rule.  eta is
+    the half-width of the strip about the real theta-axis in which g is
+    analytic, set by the branch point of E: sinh(eta) = 1/kappa_c for
+    v < 0 and cosh(eta) = 1/x* for v > 0, which narrows as v -> +1.  At
+    that size both the n- and the n/2-interval rules reach rounding level
+    on 0 < |v| < 1 and zeta <= 160.
     """
-    eta = math.asinh(1.0 / reach) if v < 0.0 else math.acosh(1.0 / reach)
-    need = max(1.2 * y_max + 16.0, 20.0 / eta, _FB_MIN_INTERVALS)
-    return 1 << math.ceil(math.log2(need))
+    reach = _fb_reach(vn)
+    eta = math.asinh(1.0 / reach) if vn < 0.0 else math.acosh(1.0 / reach)
+    return reach, max(20.0 / eta, _FB_MIN_INTERVALS)
 
 
 def _fb_nodes(v: float, n: int) -> list[tuple[float, float, float]]:
@@ -241,10 +250,11 @@ class _FbRule:
     """The n-interval trapezoid rule for F_B(v, .), v in units of mu c^2.
 
     Every node list is kept as its even- and odd-indexed halves: with the
-    n-interval weights, T_n = even + odd and T_(n/2) = 2 * even.
+    n-interval weights, T_n = even + odd and T_(n/2) = 2 * even.  F_B sums
+    the (w_k g_k, s_k) pairs of each half; F_B - 1 the columns s, m, w2.
     """
 
-    __slots__ = ("cosine", "reach", "s", "c", "m", "w2", "c_sum", "cs_sum")
+    __slots__ = ("cosine", "reach", "pairs", "s", "m", "w2", "c_sum", "cs_sum")
 
     def __init__(self, v: float, n: int) -> None:
         nodes = _fb_nodes(v, n)
@@ -254,8 +264,9 @@ class _FbRule:
         w2 = [2.0 * w for _s, _ln_g, w in nodes]
         self.cosine = v < 0.0
         self.reach = s[-1]
-        self.s, self.c, self.m, self.w2 = (
-            (tuple(seq[0::2]), tuple(seq[1::2])) for seq in (s, c, m, w2)
+        self.pairs = tuple(tuple(zip(c[half::2], s[half::2])) for half in (0, 1))
+        self.s, self.m, self.w2 = (
+            (tuple(seq[0::2]), tuple(seq[1::2])) for seq in (s, m, w2)
         )
         self.c_sum = math.fsum(c)
         self.cs_sum = math.fsum(map(operator.mul, c, s))
@@ -269,15 +280,15 @@ class _FbRule:
         summed as (g - 1) C(x s) -+ 2 S(x s / 2)^2 (S = sin or sinh), since
         the weights sum to one.
         """
-        fn = math.cos if self.cosine else math.cosh
-        (s_even, s_odd), (c_even, c_odd) = self.s, self.c
         if drop_unity:
             even, odd = (
                 self._minus_unity(s, m, w2, x) for s, m, w2 in zip(self.s, self.m, self.w2)
             )
         else:
-            even = math.fsum(map(operator.mul, c_even, map(fn, map(x.__mul__, s_even))))
-            odd = math.fsum(map(operator.mul, c_odd, map(fn, map(x.__mul__, s_odd))))
+            fn = math.cos if self.cosine else math.cosh
+            even_pairs, odd_pairs = self.pairs
+            even = math.fsum([c * fn(x * s) for c, s in even_pairs])
+            odd = math.fsum([c * fn(x * s) for c, s in odd_pairs])
         value = even + odd
         y_max = x * self.reach
         if self.cosine:
@@ -323,26 +334,42 @@ def _fb_eval(
     settings: QuadratureSettings,
     drop_unity: bool = False,
 ) -> tuple[float, float]:
-    """F_B(v, zeta), or F_B - 1 with drop_unity, and its error estimate.
+    """F_B(v, zeta), or F_B - 1 with drop_unity, and its error estimate."""
+    return _fb_sum(
+        v / params.rest_energy, params.mu * params.c * zeta / params.hbar, settings, drop_unity
+    )
+
+
+# per strength vn: _fb_strength(vn), a pure function of vn
+_FB_STRENGTHS: dict[float, tuple[float, float]] = {}
+
+
+def _fb_sum(
+    vn: float, x: float, settings: QuadratureSettings, drop_unity: bool = False
+) -> tuple[float, float]:
+    """F_B (or F_B - 1) at strength vn = v/(mu c^2) and natural zeta = x,
+    with its error estimate.
 
     The error is |T_n - T_(n/2)| plus the rounding bound.  The rule doubles
     while the first exceeds the second, which at the starting size does not
     happen on 0 < |v| < 1; past _FB_MAX_INTERVALS a difference above the
     settings' tolerance raises QuadratureError.
     """
-    vn = v / params.rest_energy
     if vn == 0.0:
         return (0.0 if drop_unity else 1.0), 0.0
-    x = params.mu * params.c * zeta / params.hbar
-    reach = _fb_reach(vn)
-    n = _fb_intervals(vn, reach, x * reach)
+    strength = _FB_STRENGTHS.get(vn)
+    if strength is None:
+        strength = _FB_STRENGTHS.setdefault(vn, _fb_strength(vn))
+    reach, least = strength
+    n = 1 << math.ceil(math.log2(max(1.2 * (x * reach) + 16.0, least)))
     while n <= _FB_MAX_INTERVALS:
+        rule = _FB_RULES.get((vn, n)) or _fb_rule(vn, n)
         try:
-            value, trunc, rounding = _fb_rule(vn, n).evaluate(x, drop_unity)
+            value, trunc, rounding = rule.evaluate(x, drop_unity)
         except OverflowError:
             value = math.inf
         if math.isinf(value):
-            raise SeriesDivergenceError(f"F_B({v}, {zeta}) overflows a float")
+            raise SeriesDivergenceError(f"F_B({vn}, {x}) overflows a float")
         if trunc <= rounding or (
             n == _FB_MAX_INTERVALS
             and trunc <= max(settings.abs_tol, settings.rel_tol * abs(value))
@@ -350,7 +377,7 @@ def _fb_eval(
             return value, trunc + rounding
         n *= 2
     raise QuadratureError(
-        f"F_B({v}, {zeta}) needs more than {_FB_MAX_INTERVALS} rule intervals"
+        f"F_B({vn}, {x}) needs more than {_FB_MAX_INTERVALS} rule intervals"
     )
 
 
@@ -434,23 +461,9 @@ _BRANCH_CUT = 40.0  # nodes past x (z - 1) = 40 carry < e^-40 of the integral
 _BRANCH_MAX_NODES = 1 << 12  # per Laplace integral
 
 
-def _branch_level(x: float) -> int:
-    """Least m with h = 2^-m at most half of pi^2/(37 + pi^2 x/8) for
-    x <= 8*37/pi^2 (~30), and of 0.73/sqrt(x) beyond.
-
-    The trapezoid error is about the integrand's size on Im u = b times
-    e^(-2 pi b/h), for b below pi/2, where G_B's branch points and the pole
-    of (s/z)^2 sit.  There e^(-x (z - 1)) grows by at most
-    e^(x (1 - cos b)) <= e^(x b^2/2), so the error is e^(-pi^2/h + pi^2 x/8)
-    at b = pi/2 and e^(-2 pi^2/(x h^2)) at b = 2 pi/(x h) (< pi/2 for
-    x h > 4): below e^-37 in each bracket, also for the half rule.  No
-    rule doubled on 20,000 random (v, x) with 1e-12 <= x <= 745.
-    """
-    if x <= 8.0 * 37.0 / math.pi**2:
-        step = 0.5 * math.pi**2 / (37.0 + math.pi**2 * x / 8.0)
-    else:
-        step = 0.5 * 0.73 / math.sqrt(x)
-    return math.ceil(-math.log2(step))
+# the branch rule's step changes form at x = 8*37/pi^2 (~30); see _branch_laplace
+_PI_SQUARED = math.pi**2
+_STEP_SWITCH = 8.0 * 37.0 / _PI_SQUARED
 
 
 # per (vn, level): the node columns (w, c, d) over k = 1, 2, ...
@@ -484,38 +497,32 @@ def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...],
     return nodes
 
 
-def _branch_sums(nodes, x: float, count: int, gap: bool) -> tuple[float, float, float]:
-    """(T_h, |T_h - T_2h|, rounding bound) of sum_{k <= count} c_k e^(-x w_k),
-    or of the gap weights d_k.
-
-    Per unit of a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the gap), the
-    bound allows 12 roundoffs: 8 for a node (6.02 seen against mpmath) and
-    4 for the sums and e^-x; and 8 per unit of x w_k (4.5 seen, and 1.5 for
-    the rounding of x) and 2 per unit of x (that rounding in e^-x).
-    """
-    w, c, d = nodes
-    exp, neg_x = math.exp, -x
-    envelope = [exp(neg_x * w_k) for w_k in itertools.islice(w, count)]
-    branch = list(map(operator.mul, c, envelope))
-    terms = list(map(operator.mul, d, envelope)) if gap else branch
-    odd, even = math.fsum(terms[0::2]), math.fsum(terms[1::2])
-    scales = list(map(operator.add, branch, map(abs, terms))) if gap else branch
-    rounding = _UNIT_ROUNDOFF * (
-        (12.0 + 2.0 * x) * sum(scales) + 8.0 * x * sum(map(operator.mul, scales, w))
-    )
-    return odd + even, abs(odd - even), rounding
-
-
 def _branch_laplace(
     vn: float, x: float, settings: QuadratureSettings, gap: bool = False
 ) -> tuple[float, float]:
     """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz and its error, G = G_B(vn, z)
     or, with gap, 1 - G_B; vn = |v|/(mu c^2), x > 0.
 
-    e^-x sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT, with the error
-    |T_h - T_2h| plus the rounding bound.  The rule doubles while the first
-    exceeds the second; past _BRANCH_MAX_NODES (zeta ~ 1e-220) a difference
-    above the settings' tolerance raises QuadratureError.
+    e^-x T_h, T_h = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT (the gap
+    weights d_k with gap).  The step h = 2^-m starts at the least m with h
+    at most half of pi^2/(37 + pi^2 x/8) for x <= 8*37/pi^2 (~30), and of
+    0.73/sqrt(x) beyond.  The trapezoid error is about the integrand's size
+    on Im u = b times e^(-2 pi b/h), for b below pi/2, where G_B's branch
+    points and the pole of (s/z)^2 sit.  There e^(-x (z - 1)) grows by at
+    most e^(x (1 - cos b)) <= e^(x b^2/2), so the error is
+    e^(-pi^2/h + pi^2 x/8) at b = pi/2 and e^(-2 pi^2/(x h^2)) at
+    b = 2 pi/(x h) (< pi/2 for x h > 4): below e^-37 in each bracket, also
+    for the half rule.  No rule doubled on 20,000 random (v, x) with
+    1e-12 <= x <= 745.
+
+    The error is |T_h - T_2h| plus a rounding bound.  Per unit of
+    a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the gap), the bound allows
+    12 roundoffs: 8 for a node (6.02 seen against mpmath) and 4 for the
+    sums and e^-x; and 8 per unit of x w_k (4.5 seen, and 1.5 for the
+    rounding of x) and 2 per unit of x (that rounding in e^-x).  The rule
+    doubles while the first exceeds the second; past _BRANCH_MAX_NODES
+    (zeta ~ 1e-220) a difference above the settings' tolerance raises
+    QuadratureError.
     """
     envelope = math.exp(-x)
     if envelope == 0.0:
@@ -523,10 +530,30 @@ def _branch_laplace(
     w_cut = _BRANCH_CUT / x
     # the u at which z - 1 reaches w_cut
     u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / (1.0 - vn))
-    level = _branch_level(x)
+    if x <= _STEP_SWITCH:
+        step = 0.5 * _PI_SQUARED / (37.0 + _PI_SQUARED * x / 8.0)
+    else:
+        step = 0.5 * 0.73 / math.sqrt(x)
+    level = math.ceil(-math.log2(step))
+    exp, neg_x = math.exp, -x
     while (count := u_cut * 2.0**level) <= _BRANCH_MAX_NODES:
-        nodes = _branch_nodes(vn, level, int(count))
-        value, trunc, rounding = _branch_sums(nodes, x, int(count), gap)
+        n = int(count)
+        nodes = _BRANCH_NODES.get((vn, level))
+        if nodes is None or len(nodes[0]) < n:
+            nodes = _branch_nodes(vn, level, n)
+        w, c, d = nodes
+        if gap:
+            decay = [exp(neg_x * w_k) for w_k in w[:n]]
+            branch = list(map(operator.mul, c, decay))
+            terms = list(map(operator.mul, d, decay))
+            scales = list(map(operator.add, branch, map(abs, terms)))
+        else:
+            terms = scales = [c_k * exp(neg_x * w_k) for w_k, c_k in zip(w[:n], c)]
+        odd, even = math.fsum(terms[0::2]), math.fsum(terms[1::2])
+        value, trunc = odd + even, abs(odd - even)
+        rounding = _UNIT_ROUNDOFF * (
+            (12.0 + 2.0 * x) * sum(scales) + 8.0 * x * sum(map(operator.mul, scales, w))
+        )
         if trunc <= rounding or (
             2.0 * count > _BRANCH_MAX_NODES
             and trunc <= max(settings.abs_tol, settings.rel_tol * abs(value))
@@ -554,9 +581,9 @@ def branch_integral(
         raise ValueError(f"branch_integral requires 0 < |zeta| < inf, got {zeta}")
     x = params.mu * params.c * abs(zeta) / params.hbar
     val, err = _branch_laplace(abs(v0) / params.rest_energy, x, settings)
-    val *= 2.0 / math.pi
+    val *= _TWO_OVER_PI
     # the err also covers the rounding of the factor 2/pi and its product
-    return val, (2.0 / math.pi) * err + 2.0 * _UNIT_ROUNDOFF * abs(val)
+    return val, _TWO_OVER_PI * err + 2.0 * _UNIT_ROUNDOFF * abs(val)
 
 
 def branch_transform(
@@ -585,7 +612,7 @@ def branch_transform(
     value = odd + even
     tail = j_bound / ((1.0 + w[count - 1]) * math.sqrt(delta * (1.0 + vn)))
     err = abs(odd - even) + 8.0 * _UNIT_ROUNDOFF * abs(value) + tail
-    return (2.0 / math.pi) * value, (2.0 / math.pi) * err
+    return _TWO_OVER_PI * value, _TWO_OVER_PI * err
 
 
 def barrier_factor(
@@ -603,10 +630,22 @@ def barrier_factor(
     _require_below_rest(v0, params, "barrier_factor")
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"barrier_factor requires zeta > 0, got {zeta}")
-    fb_val, fb_err = _fb_eval(v0, zeta, params, settings)
-    br_val, br_err = branch_integral(v0, zeta, params, settings)
+    x = params.mu * params.c * zeta / params.hbar
+    return Estimate(*_barrier(v0 / params.rest_energy, x, settings))
+
+
+def _barrier(vn: float, x: float, settings: QuadratureSettings) -> tuple[float, float]:
+    """T_B and its error at strength vn = v0/(mu c^2) and natural zeta = x > 0,
+    unchecked: barrier_factor's core, which the direct route calls per node.
+
+    The branch term and its err are branch_integral's, in the same operations.
+    """
+    fb_val, fb_err = _fb_sum(vn, x, settings)
+    br_val, br_err = _branch_laplace(abs(vn), x, settings)
+    br_val *= _TWO_OVER_PI
+    br_err = _TWO_OVER_PI * br_err + 2.0 * _UNIT_ROUNDOFF * abs(br_val)
     value = fb_val + br_val
-    return Estimate(value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value))
+    return value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value)
 
 
 def barrier_free_gap(
@@ -629,7 +668,7 @@ def barrier_free_gap(
     residue_part, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
     x = params.mu * params.c * zeta / params.hbar
     br_val, _br_err = _branch_laplace(abs(v0) / params.rest_energy, x, settings, gap=True)
-    return -residue_part + (2.0 / math.pi) * br_val
+    return -residue_part + _TWO_OVER_PI * br_val
 
 
 _REGIONS = ("I", "II", "III")
@@ -737,4 +776,4 @@ def momentum_kernel_g(
 
     val, _err = integrate_semiinf_exp(integrand, 1.0, decay, settings)
     sign = (-1.0) ** j * (-1.0) ** (k // 2)
-    return sign * (2.0 / math.pi) * val / (params.mu * params.c) ** (2 * j)
+    return sign * _TWO_OVER_PI * val / (params.mu * params.c) ** (2 * j)

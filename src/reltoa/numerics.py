@@ -11,7 +11,8 @@ integrate_sqrt_endpoint runs the same engine on t in [0, 1) for an integral
 the caller has already written in t, through u = sqrt(k - a) (its endpoint
 root cancelled) and u = t/(1-t), both maps' Jacobians in the integrand.
 The oscillatory sine transform sums panels between successive zeros of
-sin(k*zeta) with Euler acceleration for slowly decaying envelopes.
+sin(k*zeta) until the envelope has decayed below abs_tol, and raises
+QuadratureError when the panels stop shrinking or reach the panel cap.
 
 The branch-cut Laplace integrals and the series route's branch transform
 are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
@@ -429,9 +430,8 @@ def sine_transform_decaying(
     Integrates panel by panel between the zeros of sin(k*zeta), stopping
     once the envelope stays below abs_tol.  f may behave like C/zeta at the
     origin (the sine factor regularizes the product) but must decay overall;
-    panels whose magnitudes stop shrinking raise QuadratureError.  When the
-    panel series decays slowly, Euler averaging of the alternating partial
-    sums supplies the tail.
+    panels whose magnitudes stop shrinking raise QuadratureError, and so does
+    a tail that needs more than 16 * max_subdivisions panels (at least 64).
     """
     if k <= 0.0:
         raise ValueError("sine_transform_decaying requires k > 0")
@@ -448,7 +448,6 @@ def sine_transform_decaying(
     total = 0.0
     err = 0.0
     panels: list[float] = []
-    partials: list[float] = []
     small = 0
     peak_mag = 0.0
     peak_at = 0
@@ -459,7 +458,6 @@ def sine_transform_decaying(
         total += v
         err += e
         panels.append(v)
-        partials.append(total)
         if abs(v) > peak_mag:
             peak_mag = abs(v)
             peak_at = n
@@ -483,36 +481,7 @@ def sine_transform_decaying(
                     "sine transform: panel magnitudes are not shrinking "
                     f"(|panel|~{w_hi:.3e} after {n + 1} panels)"
                 )
-            # alternating, slowly decaying tails are summed by Euler
-            # acceleration once enough panels establish the pattern
-            if n >= 512 and w_hi < max(abs(p) for p in panels[-96:-48]):
-                if _alternating(panels):
-                    acc = _euler_accelerate(partials)
-                    tail = abs(acc - total) + 1e-3 * abs(panels[-1])
-                    if tail < 1e3 * max(settings.abs_tol, settings.rel_tol * abs(acc)):
-                        return acc, err + tail
-    if _alternating(panels):
-        acc = _euler_accelerate(partials)
-        tail = abs(acc - total) + abs(panels[-1])
-        if tail < max(settings.abs_tol, settings.rel_tol * abs(acc)) * 1e3:
-            return acc, err + tail
     raise QuadratureError(f"sine transform did not converge within {max_panels} panels")
-
-
-def _alternating(panels: list[float]) -> bool:
-    tail = [p for p in panels[-10:] if p != 0.0]
-    if len(tail) < 4:
-        return False
-    return all(tail[i] * tail[i + 1] < 0.0 for i in range(len(tail) - 1))
-
-
-def _euler_accelerate(partials: list[float]) -> float:
-    # repeated pairwise averaging of the partial-sum sequence; for an
-    # alternating tail each sweep roughly squares the convergence rate
-    seq = list(partials[-12:])
-    while len(seq) > 1:
-        seq = [0.5 * (seq[i] + seq[i + 1]) for i in range(len(seq) - 1)]
-    return seq[0]
 
 
 def integrate_sqrt_endpoint(

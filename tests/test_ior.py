@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from conftest import crossing_weight, load_by_path
 
@@ -20,6 +20,7 @@ from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
+    barrier_factor,
     branch_integral,
     free_factor,
 )
@@ -123,6 +124,32 @@ class TestIorDirect:
     def test_rejects_supercritical(self):
         with pytest.raises(ValueError):
             ior_direct(narrow(2.0), 1.5)
+
+    # at hbar = 0.5 the product (mu c / hbar) zeta rounds as mu c zeta / hbar
+    # does, so a third unit system tells the two forms of natural zeta apart
+    UNITS = [NATURAL_UNITS, PhysicalParams(mu=2.0, c=3.0, hbar=0.5),
+             PhysicalParams(mu=0.7, c=1.3, hbar=1.1)]
+
+    @hyp_settings(max_examples=12)
+    @given(
+        sigma=st.floats(min_value=0.5, max_value=9.0),
+        k0=st.floats(min_value=0.3, max_value=3.0),
+        v0_frac=st.floats(min_value=0.0, max_value=0.99, exclude_min=True, exclude_max=True),
+        params=st.sampled_from(UNITS),
+    )
+    @example(sigma=2.0, k0=1.0, v0_frac=0.5, params=UNITS[2])
+    def test_bits_match_composed_barrier_factor(self, sigma, k0, v0_frac, params):
+        # the route is the sine transform of barrier_factor's value, node by
+        # node, bit for bit, whatever the units
+        packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
+        v0 = v0_frac * params.rest_energy
+        val, err = _phi_transform(
+            lambda zeta: barrier_factor(-v0, zeta, params, DEFAULT_SETTINGS).value,
+            packet, params, DEFAULT_SETTINGS,
+        )
+        scale = params.mu * params.c / params.hbar
+        est = ior_direct(packet, v0, params, DEFAULT_SETTINGS)
+        assert (est.value.hex(), est.err.hex()) == ((scale * val).hex(), (scale * err).hex())
 
 
 class TestIorSeries:
