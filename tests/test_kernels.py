@@ -297,10 +297,13 @@ class TestFbMomentForm:
             fb_series(-0.3, 1e6)
 
     def test_concurrent_threads_on_empty_caches_match_serial_bits(self):
-        # strengths no other test uses, so their rules and moments start empty
+        # strengths no other test uses, so their sizes, rules and moments
+        # start empty
         grid = [(v0, zeta) for v0 in (-0.61, 0.61) for zeta in (0.5, 3.0, 20.0, 90.0)]
 
         def forget():
+            for key in [key for key in kernels._FB_STRENGTHS if abs(key) == 0.61]:
+                del kernels._FB_STRENGTHS[key]
             for key in [key for key in kernels._FB_RULES if abs(key[0]) == 0.61]:
                 del kernels._FB_RULES[key]
             for key in [key for key in kernels._FB_MOMENTS if abs(key[0]) == 0.61]:
