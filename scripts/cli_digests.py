@@ -1,41 +1,34 @@
 #!/usr/bin/env python3
-"""Print the sha256 and CPU time of the stdout of eight reference CLI commands.
+"""Check the sha256 and print the CPU time of the stdout of eight reference CLI commands.
 
-Each command runs in a fresh ``python -m reltoa.cli`` process against the
-library in this checkout's src/, as a user's command does.  The digests are
-what CHANGES.md records when a change claims byte-identical output; compare
-them by eye or with diff.  Beside each digest goes the command's CPU
-seconds (user plus system, from the getrusage(RUSAGE_CHILDREN) delta around
-it): its cold time, start-up included, since every command starts a new
-process.  Run from anywhere:
+The commands and their expected digests are tests/data/cli_digests.json,
+which tests/test_cli.py also reads.  Each command runs in a fresh
+``python -m reltoa.cli`` process against the library in this checkout's
+src/, as a user's command does.  Each line gives the digest, ``ok`` or
+``MISMATCH`` against the file, and the command's CPU seconds (user plus
+system, from the getrusage(RUSAGE_CHILDREN) delta around it): its cold
+time, start-up included, since every command starts a new process.  The
+exit status is 1 if any digest mismatches.  Run from anywhere:
 
     python scripts/cli_digests.py
 
-Cold, each command takes 0.25-0.85 s of CPU on a 2-core host, so the whole
+Cold, each command takes 0.14-0.33 s of CPU on a 2-core host, so the whole
 set takes a few seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pathlib
 import resource
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-
-COMMANDS = (
-    "table1",
-    "table2",
-    "scan --vo 0.99 --sigma 6 --ko-min 0.1 --ko-max 6 --steps 120",
-    "kernel --vo 0.3",
-    "kernel --vo 0.1 --zeta-min 1 --zeta-max 160 --grid 160",
-    "density --vo 0.99 --sigma 4 --ko 1.3 --grid 400",
-    "point --vo 0.2 --sigma 0.5 --ko 2 --barrier-a -21 --barrier-b -20",
-    "limits",
-)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+DIGESTS = ROOT / "tests" / "data" / "cli_digests.json"
 
 
 def _children_cpu_s() -> float:
@@ -44,17 +37,23 @@ def _children_cpu_s() -> float:
 
 
 def main() -> int:
+    expected = json.loads(DIGESTS.read_text())
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
-    for command in COMMANDS:
+    status = 0
+    for command, digest in expected.items():
         before = _children_cpu_s()
         out = subprocess.run(
             [sys.executable, "-m", "reltoa.cli", *command.split()],
             capture_output=True, check=True, env=env,
         ).stdout
         cpu_s = _children_cpu_s() - before
-        print(f"{hashlib.sha256(out).hexdigest()}  {cpu_s:8.2f} s  {command}", flush=True)
-    return 0
+        got = hashlib.sha256(out).hexdigest()
+        mark = "ok" if got == digest else "MISMATCH"
+        if got != digest:
+            status = 1
+        print(f"{got}  {mark:8s}  {cpu_s:5.2f} s  {command}", flush=True)
+    return status
 
 
 if __name__ == "__main__":

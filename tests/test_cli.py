@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 import math
 import os
 import pathlib
@@ -284,15 +286,37 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_csv_bytes_match_reference(name, argv):
+def fresh_stdout(argv: list[str]) -> bytes:
+    """The stdout of `python -m reltoa.cli argv` in a new interpreter."""
     src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "reltoa.cli", *argv],
         capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path},
     ).stdout
-    assert out == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_csv_bytes_match_reference(name, argv):
+    assert fresh_stdout(argv) == (DATA / name).read_bytes()
+
+
+# The sha256 of every reference command's stdout, which
+# scripts/cli_digests.py checks; the commands without a golden CSV above
+# are checked here
+CLI_DIGESTS = json.loads((DATA / "cli_digests.json").read_text())
+DIGEST_ONLY = [
+    "table2",
+    "limits",
+    "kernel --vo 0.3",
+    "kernel --vo 0.1 --zeta-min 1 --zeta-max 160 --grid 160",
+]
+
+
+@pytest.mark.parametrize("command", DIGEST_ONLY)
+def test_stdout_digest_matches_pin(command):
+    out = fresh_stdout(command.split())
+    assert hashlib.sha256(out).hexdigest() == CLI_DIGESTS[command]
 
 
 def test_import_leaves_numpy_unloaded():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +15,8 @@ import scipy.special
 from hypothesis import given, strategies as st
 
 from conftest import branch_integral_oracle, sine_integral_oracle
+from reltoa.classical import crtoa_quadrature
+from reltoa.kernels import BarrierSpec
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
@@ -352,3 +357,81 @@ class TestSettings:
             for _ in range(3)
         }
         assert len(vals) == 1
+
+
+# --- the adaptive G7/K15 engine's callers, bit for bit ----------------------
+
+ENGINE_PIN = pathlib.Path(__file__).parent / "data" / "engine_pin.json"
+FEW_SUBDIVISIONS = QuadratureSettings(max_subdivisions=4)
+LOOSE_FEW = QuadratureSettings(rel_tol=1e-6, max_subdivisions=4)
+TIGHT = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16)
+PIN_BARRIER = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
+
+# (caller, thunk) pairs: each thunk returns (value, err), a bare value, or
+# raises.  The sine transform runs a 1/zeta start, panels that cancel while
+# the integrand does not (sin * cos), a NaN tail, a constant that trips the
+# flat-panel guard and a 1/zeta tail that hits the 64-panel cap.
+ENGINE_CASES = [
+    ("sine_transform_decaying", lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z / 8.0), 2.0, TIGHT)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z) / z, 1.0)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-0.05 * z), 3.7)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.cos(2.0 * z) * math.exp(-0.2 * z), 2.0)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(
+         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, FEW_SUBDIVISIONS
+     )),
+    ("sine_transform_decaying", lambda: sine_transform_decaying(lambda z: 1.0, 1.0)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: 1.0 / (1.0 + z), 0.5, LOOSE_FEW)),
+    ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0)),
+    ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: z * z, 0.7, 1.3, TIGHT)),
+    ("integrate_semiinf_exp",
+     lambda: integrate_semiinf_exp(lambda z: math.sqrt(z * z - 1.0) / z, 1.0, 1.0)),
+    ("integrate_semiinf_exp",
+     lambda: integrate_semiinf_exp(lambda z: 1.0 / (1.0 + z * z), 0.0, 0.0)),
+    ("integrate_semiinf_exp",
+     lambda: integrate_semiinf_exp(
+         lambda z: math.exp(-((z - 5.0) / 0.01) ** 2), 0.0, 0.1, DEFAULT_SETTINGS, (5.0,)
+     )),
+    ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 0.0)),
+    ("integrate_sqrt_endpoint",
+     lambda: integrate_sqrt_endpoint(in_t(lambda u: 2.0 * math.exp(-1.0 - u * u)), 1.0)),
+    ("integrate_sqrt_endpoint",
+     lambda: integrate_sqrt_endpoint(
+         in_t(lambda u: 2.0 * u * math.exp(-((1.0 + u * u - 9.0) / 0.01) ** 2)), 1.0,
+         DEFAULT_SETTINGS, (8.98, 9.0, 9.02),
+     )),
+    ("integrate_sqrt_endpoint",
+     lambda: integrate_sqrt_endpoint(in_t(lambda u: 2.0), 0.0, DEFAULT_SETTINGS, (4.75,))),
+    ("hyp2f1_integral", lambda: hyp2f1_integral(1.0, 0.5, 2.0, -3.0)),
+    ("hyp2f1_integral", lambda: hyp2f1_integral(0.3, 0.7, 1.9, -0.5)),
+    ("hyp2f1_integral", lambda: hyp2f1_integral(2.5, 1.5, 4.0, -10.0, TIGHT)),
+    ("crtoa_quadrature", lambda: crtoa_quadrature(-10.0, 1.0, None)),
+    ("crtoa_quadrature", lambda: crtoa_quadrature(-1.5, 1.0, PIN_BARRIER)),
+    ("crtoa_quadrature", lambda: crtoa_quadrature(-5.0, 2.0, PIN_BARRIER)),
+    ("crtoa_quadrature", lambda: crtoa_quadrature(0.5, -1.0, PIN_BARRIER, settings=TIGHT)),
+]
+
+
+def engine_digests() -> dict[str, str]:
+    """sha256 per caller over each case's float.hex of (value, err), or of
+    the bare value, or the raised error's type and text, one line a case."""
+    hashes: dict[str, hashlib._Hash] = {}
+    for caller, thunk in ENGINE_CASES:
+        try:
+            out = thunk()
+        except (QuadratureError, ValueError) as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        else:
+            line = " ".join(x.hex() for x in (out if isinstance(out, tuple) else (out,)))
+        hashes.setdefault(caller, hashlib.sha256()).update(f"{line}\n".encode())
+    return {caller: h.hexdigest() for caller, h in hashes.items()}
+
+
+def test_engine_callers_match_pin():
+    assert engine_digests() == json.loads(ENGINE_PIN.read_text())
