@@ -49,9 +49,9 @@ def main() -> int:
         ).stdout
         cpu_s = _children_cpu_s() - before
         got = hashlib.sha256(out).hexdigest()
-        mark = "ok" if got == digest else "MISMATCH"
         if got != digest:
             status = 1
+        mark = "ok" if got == digest else "MISMATCH"
         print(f"{got}  {mark:8s}  {cpu_s:5.2f} s  {command}", flush=True)
     return status
 

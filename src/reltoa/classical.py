@@ -97,7 +97,7 @@ def crtoa_quadrature(
 
         # V is constant on the section, so the rate is one float
         rate = e_launch / (params.c * math.sqrt(kin * kin - rest * rest))
-        val, _err, _ = _adaptive_gk(lambda _x, rate=rate: rate, left, right, settings)
+        val, _err = _adaptive_gk(lambda _x, rate=rate: rate, left, right, settings)
         total += val
     # t = -sgn(p) * int_0^q ... = sgn(p) * int_q^0 ...; for q > 0 the
     # orientation flip and the sgn factor combine the same way

@@ -332,6 +332,12 @@ def momentum_split(
     weights of the +k and -k components, each with its own integral's
     error estimate; R_c.value == plus.value - minus.value exactly and
     R_c.err == plus.err + minus.err.
+
+    When the -k Gaussian exp(-2 sigma^2 (kappa_c + k0)^2), formed in the
+    closure's operations, is 0.0 at the endpoint, minus is Estimate(0.0,
+    0.0) without an integral.  That is exact, not a cut-off: every node has
+    k >= kappa_c, and the rounded k + k0, the exponent and exp are monotone
+    in k, so each node would return 0.0 and the engine would sum zeros.
     """
     _require_subcritical(v0, params)
     if v0 == 0.0:
@@ -343,9 +349,14 @@ def momentum_split(
     plus, err_p = integrate_sqrt_endpoint(
         _crossing_integrand(packet, v0, params, +1, kc), kc, settings, seeds
     )
-    minus, err_m = integrate_sqrt_endpoint(
-        _crossing_integrand(packet, v0, params, -1, kc), kc, settings, seeds
-    )
+    s2 = packet.sigma * packet.sigma
+    d = kc + packet.k0  # the closure's k - centre at k = kc, centre = -k0
+    if math.exp(-2.0 * s2 * d * d) == 0.0:
+        minus, err_m = 0.0, 0.0
+    else:
+        minus, err_m = integrate_sqrt_endpoint(
+            _crossing_integrand(packet, v0, params, -1, kc), kc, settings, seeds
+        )
     return Estimate(plus - minus, err_p + err_m), Estimate(plus, err_p), Estimate(minus, err_m)
 
 

@@ -7,12 +7,15 @@ reads or sets mpmath's global precision.  The semi-infinite integrators map
 onto a finite interval with z = lower + t/(1-t) and refine adaptively with
 an embedded Gauss-Kronrod (G7, K15) pair, and raise QuadratureError when a
 tail that does not decay drives bisection to t = 1 or the width floor.
+That engine returns (value, err) and keeps nothing else about its nodes.
 integrate_sqrt_endpoint runs the same engine on t in [0, 1) for an integral
 the caller has already written in t, through u = sqrt(k - a) (its endpoint
 root cancelled) and u = t/(1-t), both maps' Jacobians in the integrand.
 The oscillatory sine transform sums panels between successive zeros of
-sin(k*zeta) until the envelope has decayed below abs_tol, and raises
-QuadratureError when the panels stop shrinking or reach the panel cap.
+sin(k*zeta) until the envelope has decayed below abs_tol, judged from each
+panel's value and the largest integrand magnitude its own integrand
+recorded, and raises QuadratureError when the panels stop shrinking or
+reach the panel cap.
 
 The branch-cut Laplace integrals and the series route's branch transform
 are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
@@ -123,10 +126,13 @@ _WG2, _WG4, _WG6 = _WG
 _X1, _X2, _X3, _X4, _X5, _X6, _X7 = _XGK
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod (7, 15) pass over [a, b].
 
-    Returns (kronrod_value, error_estimate, max_abs_integrand).
+    Returns (kronrod_value, error_estimate), the error being |K15 - G7|.
+    Nothing else about the nodes is kept: a caller that needs more (the
+    sine transform's largest node magnitude per panel) records it in its
+    integrand.
     """
     # the nodes are written out: this is the innermost loop of every
     # generic integral
@@ -134,12 +140,11 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     half = 0.5 * (b - a)
     d1, d2, d3, d4 = half * _X1, half * _X2, half * _X3, half * _X4
     d5, d6, d7 = half * _X5, half * _X6, half * _X7
-    fv = (
+    fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = (
         f(c), f(c - d1), f(c + d1), f(c - d2), f(c + d2), f(c - d3), f(c + d3),
         f(c - d4), f(c + d4), f(c - d5), f(c + d5), f(c - d6), f(c + d6),
         f(c - d7), f(c + d7),
     )
-    fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = fv
     p2 = l2 + r2
     p4 = l4 + r4
     p6 = l6 + r6
@@ -148,7 +153,7 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
         + _WK4 * p4 + _WK5 * (l5 + r5) + _WK6 * p6 + _WK7 * (l7 + r7)
     )
     res_g = _WG_CENTER * fc + _WG2 * p2 + _WG4 * p4 + _WG6 * p6
-    return res_k * half, abs(res_k - res_g) * abs(half), max(map(abs, fv))
+    return res_k * half, abs(res_k - res_g) * abs(half)
 
 
 def _adaptive_gk(
@@ -157,15 +162,16 @@ def _adaptive_gk(
     b: float,
     settings: QuadratureSettings,
     seeds: tuple[float, ...] = (),
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """Globally adaptive bisection on [a, b] with the embedded G7/K15 pair.
 
     `seeds` lists interior breakpoints that receive their own initial
     segments; callers use them to mark narrow features (sharp peaks) the
     15-point opening pass would otherwise step over.  Returns (value,
-    error_estimate, max_abs_integrand); raises QuadratureError when
-    max_subdivisions segments cannot reach max(abs_tol, rel_tol * |value|)
-    or a segment with error hits width_floor.
+    error_estimate), the sums over the final segments; raises
+    QuadratureError when max_subdivisions segments cannot reach
+    max(abs_tol, rel_tol * |value|) or a segment with error hits
+    width_floor.
     """
     points = [a, b]
     for s_pt in seeds:
@@ -175,16 +181,14 @@ def _adaptive_gk(
     heap = []
     total_val = 0.0
     total_err = 0.0
-    fmax = 0.0
     counter = 0
     # heap entries: (-err, insertion_id, a, b, val, err); id breaks ties
     for sa, sb in zip(points, points[1:]):
-        val, err, fm = _gk15(f, sa, sb)
+        val, err = _gk15(f, sa, sb)
         heap.append((-err, counter, sa, sb, val, err))
         counter += 1
         total_val += val
         total_err += err
-        fmax = max(fmax, fm)
     heapq.heapify(heap)
     width_floor = 0.5 ** 45 * max(abs(a), abs(b), 1.0)
     while total_err > max(settings.abs_tol, settings.rel_tol * abs(total_val)):
@@ -202,16 +206,15 @@ def _adaptive_gk(
                 f"(err={total_err:.3e}, value={total_val:.6e})"
             )
         mid = 0.5 * (sa + sb)
-        v1, e1, m1 = _gk15(f, sa, mid)
-        v2, e2, m2 = _gk15(f, mid, sb)
-        fmax = max(fmax, m1, m2)
+        v1, e1 = _gk15(f, sa, mid)
+        v2, e2 = _gk15(f, mid, sb)
         total_val += (v1 + v2) - sval
         total_err += (e1 + e2) - serr
         heapq.heappush(heap, (-e1, counter, sa, mid, v1, e1))
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, sb, v2, e2))
         counter += 1
-    return total_val, total_err, fmax
+    return total_val, total_err
 
 
 def hyp0f1_one(x: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
@@ -320,8 +323,8 @@ def hyp2f1_integral(
             return 0.0
         return core(1.0 / s) / (s * s) * kap1 * w ** (kap1 - 1.0)
 
-    v_low, _e0, _ = _adaptive_gk(piece_low, 0.0, 1.0, settings)
-    v_high, _e1, _ = _adaptive_gk(piece_high, 0.0, 1.0, settings)
+    v_low, _e0 = _adaptive_gk(piece_low, 0.0, 1.0, settings)
+    v_high, _e1 = _adaptive_gk(piece_high, 0.0, 1.0, settings)
     return prefac * (v_low + v_high)
 
 
@@ -416,8 +419,7 @@ def integrate_semiinf_exp(
     t_seeds = tuple(
         (z - lower) / (1.0 + (z - lower)) for z in seeds if z > lower
     )
-    val, err, _ = _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
-    return val, err
+    return _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
 
 
 def sine_transform_decaying(
@@ -428,10 +430,15 @@ def sine_transform_decaying(
     """Integral of sin(k*zeta) * f(zeta) over [0, inf) for decaying f.
 
     Integrates panel by panel between the zeros of sin(k*zeta), stopping
-    once the envelope stays below abs_tol.  f may behave like C/zeta at the
-    origin (the sine factor regularizes the product) but must decay overall;
-    panels whose magnitudes stop shrinking raise QuadratureError, and so does
-    a tail that needs more than 16 * max_subdivisions panels (at least 64).
+    once the envelope stays below abs_tol: three panels in a row must each
+    have both |panel| and its largest |sin(k*zeta) f(zeta)| times the panel
+    width below abs_tol/10.  That largest magnitude is taken over the nodes
+    the panel's adaptive run evaluated, which the integrand records as it
+    goes; with a NaN node the panel value is NaN and the stop fails either
+    way.  f may behave like C/zeta at the origin (the sine factor
+    regularizes the product) but must decay overall; panels whose
+    magnitudes stop shrinking raise QuadratureError, and so does a tail
+    that needs more than 16 * max_subdivisions panels (at least 64).
     """
     if k <= 0.0:
         raise ValueError("sine_transform_decaying requires k > 0")
@@ -440,10 +447,14 @@ def sine_transform_decaying(
     panel_tol = 0.1 * settings.abs_tol
 
     def integrand(z: float) -> float:
+        nonlocal node_max
         s = math.sin(k * z)
         if s == 0.0:
             return 0.0
-        return s * f(z)
+        v = s * f(z)
+        if abs(v) > node_max:
+            node_max = abs(v)
+        return v
 
     total = 0.0
     err = 0.0
@@ -454,14 +465,15 @@ def sine_transform_decaying(
     for n in range(max_panels):
         a = n * period
         b = (n + 1) * period
-        v, e, fmax = _adaptive_gk(integrand, a, b, settings)
+        node_max = 0.0  # this panel's largest |integrand| at a node so far
+        v, e = _adaptive_gk(integrand, a, b, settings)
         total += v
         err += e
         panels.append(v)
         if abs(v) > peak_mag:
             peak_mag = abs(v)
             peak_at = n
-        if fmax * period < panel_tol and abs(v) < panel_tol:
+        if node_max * period < panel_tol and abs(v) < panel_tol:
             small += 1
             if small >= 3:
                 return total, err
@@ -504,7 +516,6 @@ def integrate_sqrt_endpoint(
     """
     u_seeds = (math.sqrt(k - a) for k in seeds if k > a)
     try:
-        val, err, _ = _adaptive_gk(h, 0.0, 1.0, settings, tuple(u / (1.0 + u) for u in u_seeds))
+        return _adaptive_gk(h, 0.0, 1.0, settings, tuple(u / (1.0 + u) for u in u_seeds))
     except ZeroDivisionError:
         raise QuadratureError(_NON_DECAYING) from None
-    return val, err

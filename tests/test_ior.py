@@ -30,6 +30,7 @@ from reltoa.numerics import (
     QuadratureSettings,
     SeriesDivergenceError,
     integrate_semiinf_exp,
+    integrate_sqrt_endpoint,
     sine_transform_decaying,
 )
 from reltoa.wavepacket import GaussianPacket, momentum_density, phi_overlap
@@ -307,8 +308,8 @@ class TestIorMomentum:
 
     def test_underflowed_gaussian_gives_exact_zero(self):
         # sigma 9, k0 2.5: the -k Gaussian exp(-2 sigma^2 (k + k0)^2) has
-        # underflowed already at kappa_c, so every node returns 0.0 and the
-        # minus weight is exactly zero, with a zero error
+        # underflowed already at kappa_c, so every node would return 0.0 and
+        # the minus weight is exactly zero, with a zero error
         packet, v0 = GaussianPacket(q0=-360.0, sigma=9.0, k0=2.5), 0.3
         kc = kappa_c(v0)
         assert math.exp(-2.0 * 81.0 * (kc + 2.5) ** 2) == 0.0
@@ -325,6 +326,31 @@ class TestIorMomentum:
         assert all(math.isfinite(v) and v > 0.0 for v in values[: last + 1])
         assert all(v == 0.0 and v.hex() == "0x0.0p+0" for v in values[last + 1:])
         assert all(h(t) == 0.0 for t in (0.999, 1.0 - 2.0**-53))
+
+    @given(
+        expo=st.floats(min_value=700.0, max_value=760.0),
+        k0=st.floats(min_value=0.05, max_value=6.0),
+        v0_frac=st.floats(min_value=0.01, max_value=0.999),
+        params=st.sampled_from(
+            [NATURAL_UNITS, PhysicalParams(mu=2.0, c=3.0, hbar=0.5),
+             PhysicalParams(mu=0.7, c=137.0, hbar=1.3)]
+        ),
+    )
+    def test_minus_skip_matches_the_integral_at_its_edge(self, expo, k0, v0_frac, params):
+        # sigma puts the -k Gaussian's exponent 2 sigma^2 (kappa_c + k0)^2 at
+        # expo, so exp of it runs from normal through subnormal to 0.0 at
+        # kappa_c.  Where momentum_split skips the -k integral, the engine
+        # must give the same bits: an exact zero with a zero err.
+        v0 = v0_frac * params.rest_energy
+        kc = kappa_c(v0, params)
+        sigma = math.sqrt(0.5 * expo) / (kc + k0)
+        packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+        _, _, minus = momentum_split(packet, v0, params)
+        value, err = integrate_sqrt_endpoint(
+            _crossing_integrand(packet, v0, params, -1, kc), kc, DEFAULT_SETTINGS,
+            _density_seeds(packet, kc),
+        )
+        assert (minus.value.hex(), minus.err.hex()) == (value.hex(), err.hex())
 
     def test_methods_agree(self):
         for k0, v0 in ((2.0, 0.3), (0.25, 0.3)):

@@ -421,7 +421,7 @@ ENGINE_CASES = [
 def engine_digests() -> dict[str, str]:
     """sha256 per caller over each case's float.hex of (value, err), or of
     the bare value, or the raised error's type and text, one line a case."""
-    hashes: dict[str, hashlib._Hash] = {}
+    hashes = {}
     for caller, thunk in ENGINE_CASES:
         try:
             out = thunk()
