@@ -42,7 +42,6 @@ from reltoa.kernels import (
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
-    MAX_SERIES_TERMS,
     Estimate,
     QuadratureSettings,
     SeriesDivergenceError,
@@ -63,6 +62,9 @@ __all__ = [
     "toa_difference",
     "superluminal_classify",
 ]
+
+# terms allowed to ior_series' sine-moment sum
+MAX_SERIES_TERMS = 600
 
 
 def _require_subcritical(v0: float, params: PhysicalParams) -> None:

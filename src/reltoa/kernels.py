@@ -22,8 +22,8 @@ converges spectrally, and its nodes nest under doubling: one pass over the
 n-interval rule gives the n/2-interval sum from its even-indexed nodes, and
 their difference, plus a rounding bound, is the error estimate.  The node
 pairs (w_k g_k, s_k) are cached per (v, n), and n is sized from zeta and
-from each strength's reach and analytic strip, cached per v; none of it
-needs numpy or mpmath.  Every value is a pure function of its arguments,
+from each strength's reach and analytic strip, cached per v, all in the
+standard library.  Every value is a pure function of its arguments,
 whichever calls or threads came first.
 
 The series route keeps the power series F_B = sum_p D_p zeta^(2p)/(2p)!

@@ -22,6 +22,7 @@ from reltoa.numerics import (
     FADDEEVA_IM_REL_ERR,
     QuadratureError,
     QuadratureSettings,
+    SeriesDivergenceError,
     faddeeva,
     gen_binomial,
     hyp0f1_one,
@@ -58,12 +59,20 @@ class TestHyp0f1:
             assert val == pytest.approx(hyp0f1_partial_sum(-t * t, 200), abs=1e-11)
 
     def test_agrees_with_bessel(self):
-        for x in (-100.0, -37.5, -4.0, 2.0, 60.0):
+        for x in (-1e6, -1e5, -1e4, -100.0, -37.5, -4.0, 2.0, 60.0):
             if x < 0:
                 ref = scipy.special.j0(2.0 * math.sqrt(-x))
             else:
                 ref = scipy.special.i0(2.0 * math.sqrt(x))
             assert hyp0f1_one(x) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+    def test_out_of_range_raises_typed_errors(self):
+        # I0(2 sqrt(x)) overflows a float past x ~ 1.26e5; J0's rule has a
+        # node cap past x ~ -4e6
+        with pytest.raises(SeriesDivergenceError, match="overflows a float"):
+            hyp0f1_one(1e6)
+        with pytest.raises(QuadratureError):
+            hyp0f1_one(-1e8)
 
     def test_partial_sum_invariant_sweep(self):
         # 10 * rel_tol agreement with the 200-term compensated sum on |x| <= 100
