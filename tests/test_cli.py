@@ -364,3 +364,27 @@ def test_every_command_runs_without_numpy_or_mpmath():
         capture_output=True, check=True, text=True, env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert json.loads(out.splitlines()[-1]) == {c: 0 for c in commands}
+
+
+def test_import_leaves_numpy_unloaded():
+    # no module of the package imports numpy; it is a test-only dependency
+    src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, reltoa, reltoa.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, check=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_import_leaves_mpmath_unloaded():
+    # no module of the package imports mpmath; it is a test-only dependency
+    src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, reltoa, reltoa.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, check=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "False"
