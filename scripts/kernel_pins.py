@@ -8,7 +8,10 @@ tests/data/branch_integral_pin.json.  On the same grid, ``free_factor``'s
 hashed and checked against tests/data/branch_factors_pin.json, which
 tests/test_kernels.py also reads; so is ``barrier_factor``'s (value, err)
 on the same zeta at both signs of four strengths up to the rest-energy
-scale, where a point that raises hashes its error type and text.  Then the number of nodes that the grid
+scale, where a point that raises hashes its error type and text.  The dense
+pin, tests/data/dense_kernel_pin.json, hashes T_F's and those T_B's (value,
+err) the same way on 1,000 log-spaced zeta from 20 to 750, past the onset of
+the branch-cut skip and exp's underflow at 745.  Then the number of nodes that the grid
 left in each branch-cut rule is printed, per strength |v0| (G_B is even in
 v0, so the two signs share a rule) and step 2^-m.  Last, the residue factor
 F_B and the whole barrier factor T_B are timed per warm call of
@@ -44,6 +47,7 @@ from reltoa.numerics import DEFAULT_SETTINGS
 DATA = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
 BRANCH_PIN_FILE = DATA / "branch_integral_pin.json"
 FACTOR_PIN_FILE = DATA / "branch_factors_pin.json"
+DENSE_PIN_FILE = DATA / "dense_kernel_pin.json"
 
 # the branch-cut pin: both signs the routes use, zero, and a strong barrier,
 # at 40 log-spaced zeta from a wide packet's small-zeta end to the kernel
@@ -54,6 +58,8 @@ BRANCH_ZETA = [0.05 * 3200.0 ** (i / 39) for i in range(40)]
 GAP_V0 = BRANCH_V0
 # the T_B pin: both signs of four strengths, on the same zeta
 BARRIER_V0 = [sign * a for a in (0.1, 0.3, 0.9, 0.99) for sign in (-1.0, 1.0)]
+# the dense pin's zeta: count log-spaced points from first to last
+DENSE_ZETA = {"first": 20.0, "last": 750.0, "count": 1000}
 # the F_B timing: (v, zeta), timed in this order after every pin
 FB_POINTS = [(v, zeta) for v in (-0.1, 0.1) for zeta in (1.0, 3.0, 9.0, 50.0, 100.0, 150.0)]
 FB_CALLS = 200  # calls per timed round
@@ -95,19 +101,41 @@ def gap_digest(v0: float, zetas) -> str:
     return h.hexdigest()
 
 
+def _estimate_line(call, *args) -> str:
+    """call(*args)'s (value, err) in float.hex, or its error type and text."""
+    try:
+        est = call(*args, NATURAL_UNITS, DEFAULT_SETTINGS)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+    return f"{est.value.hex()} {est.err.hex()}\n"
+
+
 def barrier_factor_digest(zetas) -> str:
     """sha256 of barrier_factor's (value, err), or its error type and text,
     at each (v0, zeta), v0-major."""
     h = hashlib.sha256()
     for v0 in BARRIER_V0:
         for zeta in zetas:
-            try:
-                est = barrier_factor(v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
-            except (ArithmeticError, RuntimeError, ValueError) as exc:
-                line = f"{type(exc).__name__}: {exc}"
-            else:
-                line = f"{est.value.hex()} {est.err.hex()}"
-            h.update(f"{line}\n".encode())
+            h.update(_estimate_line(barrier_factor, v0, zeta).encode())
+    return h.hexdigest()
+
+
+def dense_zetas(spec: dict) -> list[float]:
+    """The dense pin's zeta: spec's count log-spaced points, first to last."""
+    first, ratio, count = spec["first"], spec["last"] / spec["first"], spec["count"]
+    return [first * ratio ** (i / (count - 1)) for i in range(count)]
+
+
+def dense_digest(zetas) -> str:
+    """sha256 of free_factor's (value, err) at each zeta, then of
+    barrier_factor's at each (v0, zeta), v0-major; a point that raises
+    hashes its error type and text."""
+    h = hashlib.sha256()
+    for zeta in zetas:
+        h.update(_estimate_line(free_factor, zeta).encode())
+    for v0 in BARRIER_V0:
+        for zeta in zetas:
+            h.update(_estimate_line(barrier_factor, v0, zeta).encode())
     return h.hexdigest()
 
 
@@ -177,6 +205,18 @@ def main() -> int:
         barrier_sha, factor_pin.get("barrier_factor", {}).get("sha256"),
     )
 
+    dense_pin = {"v0": BARRIER_V0, "zeta": DENSE_ZETA} if args.write else json.loads(
+        DENSE_PIN_FILE.read_text()
+    )
+    t0 = time.process_time()
+    dense_sha = dense_digest(dense_zetas(dense_pin["zeta"]))
+    cpu = time.process_time() - t0
+    faults += _report(
+        f"dense T_F and T_B, {(1 + len(BARRIER_V0)) * dense_pin['zeta']['count']} points: "
+        f"cpu {cpu:7.3f} s  ",
+        dense_sha, None if args.write else dense_pin["sha256"],
+    )
+
     for (vn, level), nodes in sorted(kernels._BRANCH_NODES.items()):
         print(f"branch rule |v0|={vn:.1f} m={level}: {len(nodes[0])} nodes")
 
@@ -196,7 +236,8 @@ def main() -> int:
                 "barrier_factor": {"v0": BARRIER_V0, "sha256": barrier_sha},
             }, indent=2) + "\n"
         )
-        print(f"wrote {BRANCH_PIN_FILE} and {FACTOR_PIN_FILE}")
+        DENSE_PIN_FILE.write_text(json.dumps({**dense_pin, "sha256": dense_sha}, indent=2) + "\n")
+        print(f"wrote {BRANCH_PIN_FILE}, {FACTOR_PIN_FILE} and {DENSE_PIN_FILE}")
     return 0
 
 

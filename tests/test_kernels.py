@@ -52,6 +52,7 @@ ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
 BRANCH_PIN = json.loads(KERNEL_PINS.BRANCH_PIN_FILE.read_text())
 EPS = 2.0**-53  # unit roundoff
 FACTOR_PIN = json.loads(KERNEL_PINS.FACTOR_PIN_FILE.read_text())
+DENSE_PIN = json.loads(KERNEL_PINS.DENSE_PIN_FILE.read_text())
 
 
 def spectral_kernel(v0: float, zeta: float) -> float:
@@ -659,6 +660,18 @@ class TestBranchProfile:
         )
         assert FACTOR_PIN["barrier_factor"]["v0"] == KERNEL_PINS.BARRIER_V0
         assert out.strip() == FACTOR_PIN["barrier_factor"]["sha256"]
+
+    def test_dense_factors_match_pin(self):
+        # T_F's and T_B's (value, err) on 1,000 zeta from 20 to 750, across
+        # the onset of the branch-cut skip and exp's underflow at 745, in a
+        # fresh process
+        out = _run_bench_code(
+            "spec = json.loads(bench.DENSE_PIN_FILE.read_text())['zeta']\n"
+            "print(bench.dense_digest(bench.dense_zetas(spec)))\n"
+        )
+        assert DENSE_PIN["v0"] == KERNEL_PINS.BARRIER_V0
+        assert DENSE_PIN["zeta"] == KERNEL_PINS.DENSE_ZETA
+        assert out.strip() == DENSE_PIN["sha256"]
 
     def test_table_holds_the_integrand_and_spares_g_b(self):
         # the weights are h (s/z)^2 delta cosh(u) times G_B or 1 - G_B at
