@@ -167,8 +167,9 @@ def _grid(
 
     The points are np.linspace's, bit for bit: lo + i * step with the last
     set to hi, and lo + (i / (count - 1)) * (hi - lo) where the step
-    underflows to 0.  A non-finite bound is rejected here: it would give
-    NaN points, and the error would then name a value the user never gave.
+    underflows to 0.  A non-finite bound, or finite bounds whose span
+    overflows a float, is rejected here: either would give NaN or infinite
+    points, and the error would then name a value the user never gave.
     """
     if count < 2:
         raise ValueError(f"{command} needs {count_flag} >= 2")
@@ -176,6 +177,10 @@ def _grid(
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError(
+            f"{lo_flag} {lo} and {hi_flag} {hi} span more than the largest float"
+        )
     step = span / (count - 1)
     points = [(i * step if step else i / (count - 1) * span) + lo for i in range(count)]
     points[-1] = hi

@@ -43,6 +43,15 @@ per (|v|/(mu c^2), m) and extended lazily; the even ones form the half rule,
 whose difference plus a rounding bound is the error estimate.  A value sums
 only the nodes its arguments select, however far the lists were extended.
 
+Past natural zeta x = 32, T_F and T_B skip the branch-cut sum where it cannot
+change a bit.  Since sqrt(z^2-1)/z <= 1 and 0 < G_B <= G_max = (1 - v^2)^(-1/2),
+the integral is at most G_max e^-x/x; twice that, times 2/pi, is a bound B
+on the scaled branch value and on its err.  Where B is below a quarter-ulp
+of F_B's value and of its err (T_F: of 1.0 and of its err 2^-53), adding
+the term and its err rounds to the floats without them, so those are
+returned, bit for bit.  At strengths up to 0.999 and the default settings
+the skip first fires near x = 36 for v > 0, 64 for v < 0 and 70 for T_F.
+
 barrier_factor checks its arguments once and hands the strength and zeta,
 in natural units, to _barrier, which sums each rule's nodes in list
 comprehensions within one frame per rule; the direct route calls _barrier
@@ -152,10 +161,16 @@ def free_factor(
     """Free time-kernel factor T_F(zeta) = 1 + (2/pi) * branch-cut integral.
 
     Strictly decreasing in zeta, -> 1 as zeta -> inf, and diverging like
-    2*hbar/(pi*mu*c*zeta) as zeta -> 0+.
+    2*hbar/(pi*mu*c*zeta) as zeta -> 0+.  Past natural zeta x = 32 it
+    returns (1.0, 2^-53) without the branch-cut sum where _branch_bound(0, x)
+    is below a quarter-ulp of 2^-53 (x > ~70): the sum's value and err could
+    not change those floats.
     """
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"free_factor requires zeta > 0, got {zeta}")
+    x = params.mu * params.c * zeta / params.hbar
+    if x > _SKIP_MIN_X and _branch_bound(0.0, x) < _FREE_SKIP_BOUND:
+        return Estimate(1.0, _UNIT_ROUNDOFF)
     # G_B(0, z) = 1 exactly, so T_F's branch integral is T_B's at v0 = 0;
     # the err adds the rounding of the sum
     br_val, br_err = branch_integral(0.0, zeta, params, settings)
@@ -461,6 +476,26 @@ _BRANCH_CUT = 40.0  # nodes past x (z - 1) = 40 carry < e^-40 of the integral
 _BRANCH_MAX_NODES = 1 << 12  # per Laplace integral
 
 
+# the branch-cut sum is skipped only past this natural zeta, a little below
+# where a skip first fires with the default settings (x ~ 36); below it the
+# check costs one comparison
+_SKIP_MIN_X = 32.0
+# a quarter-ulp of T_F's err 2^-53, and so also of its value 1.0
+_FREE_SKIP_BOUND = 0.25 * math.ulp(_UNIT_ROUNDOFF)
+
+
+def _branch_bound(a: float, x: float) -> float:
+    """B = (2/pi) 2 e^-x G_max/x, G_max = (1 - a^2)^(-1/2), at strength
+    a = |v|/(mu c^2) and natural zeta x > 0: a bound on branch_integral's
+    value and on its err.
+
+    int_1^inf sqrt(z^2-1)/z G_B e^(-x z) dz <= G_max e^-x/x, since
+    sqrt(z^2-1)/z <= 1 and G_B <= G_max; the factor 2 covers the rule's
+    e^-37 error, its err (~1e-12 of the value) and the rounding of each.
+    """
+    return _TWO_OVER_PI * 2.0 * math.exp(-x) / (x * math.sqrt((1.0 - a) * (1.0 + a)))
+
+
 # the branch rule's step changes form at x = 8*37/pi^2 (~30); see _branch_laplace
 _PI_SQUARED = math.pi**2
 _STEP_SWITCH = 8.0 * 37.0 / _PI_SQUARED
@@ -639,8 +674,19 @@ def _barrier(vn: float, x: float, settings: QuadratureSettings) -> tuple[float, 
     unchecked: barrier_factor's core, which the direct route calls per node.
 
     The branch term and its err are branch_integral's, in the same operations.
+    Past x = 32 the branch-cut sum is skipped where its bound B
+    (_branch_bound) is below a quarter-ulp of F_B's value and of its err:
+    then fb_val + br_val rounds to fb_val and fb_err + br_err to fb_err, so
+    (fb_val, fb_err + 2^-53 |fb_val|) are the full path's floats.  F_B runs
+    first either way, so its typed errors come as before.  No branch
+    QuadratureError is lost: the rule reaches its node cap only at
+    zeta ~ 1e-220, far below the skip.
     """
     fb_val, fb_err = _fb_sum(vn, x, settings)
+    if x > _SKIP_MIN_X:
+        bound = _branch_bound(abs(vn), x)
+        if bound < 0.25 * math.ulp(fb_val) and bound < 0.25 * math.ulp(fb_err):
+            return fb_val, fb_err + _UNIT_ROUNDOFF * abs(fb_val)
     br_val, br_err = _branch_laplace(abs(vn), x, settings)
     br_val *= _TWO_OVER_PI
     br_err = _TWO_OVER_PI * br_err + 2.0 * _UNIT_ROUNDOFF * abs(br_val)

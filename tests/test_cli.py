@@ -190,6 +190,23 @@ class TestKernelDump:
 
 
 class TestGrid:
+    def test_overflowing_span_exit_1(self, capsys):
+        # finite bounds whose difference overflows are named, not turned
+        # into NaN points
+        for argv in [
+            ("scan", "--vo", "0.3", "--sigma", "6", "--ko-min=-1e308", "--ko-max=1e308",
+             "--steps", "3"),
+            ("kernel", "--vo", "0.1", "--zeta-min=-1.7e308", "--zeta-max=1.7e308",
+             "--grid", "2"),
+        ]:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            lo_flag, hi_flag = (arg.split("=")[0] for arg in argv if "e308" in arg)
+            assert f"{lo_flag} " in captured.err and f"{hi_flag} " in captured.err, captured.err
+            assert "span more than the largest float" in captured.err, captured.err
+            assert captured.out == "", argv
+
     # spans that overflow a float are left out: numpy warns on them
     bounds = st.floats(-1e300, 1e300)
 

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ import warnings
 import mpmath as mp
 from mpmath import libmp
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from conftest import ROOT, branch_integral_oracle, contour_kernel_oracle, load_by_path
 from reltoa import kernels
@@ -457,6 +458,94 @@ class TestKernelFactorOracles:
         # below zeta ~ 1e-220 the rule would need more than its node cap
         with pytest.raises(QuadratureError, match="rule nodes"):
             free_factor(1e-300)
+
+    def test_skipped_range(self):
+        # zeta where T_F and T_B skip the branch-cut sum; F_B(+0.3)'s oracle
+        # takes one tanh-sinh piece per 4.4 units of zeta, so +0.3 stops at 100
+        for zeta in (300.0, 700.0):
+            tf = free_factor(zeta)
+            assert abs(tf.value - float(1 + mp_branch_oracle(0.0, zeta))) <= tf.err, zeta
+        for v0, zeta in [(-0.3, 300.0), (-0.3, 700.0), (0.3, 100.0)]:
+            tb = barrier_factor(v0, zeta)
+            assert kernels._branch_bound(0.3, zeta) < 0.25 * math.ulp(tb.err), (v0, zeta)
+            ref = mp.re(fb_moment_oracle(v0, zeta)) + mp_branch_oracle(0.3, zeta)
+            assert abs(tb.value - float(ref)) <= tb.err, (v0, zeta)
+
+
+def scaled_branch(a: float, x: float) -> tuple[float, float]:
+    """branch_integral's (value, err) at strength a and natural zeta x, in
+    its operations: the branch-cut sum always summed."""
+    br_val, br_err = kernels._branch_laplace(a, x, DEFAULT_SETTINGS)
+    br_val *= 2.0 / math.pi
+    return br_val, (2.0 / math.pi) * br_err + 2.0 * EPS * abs(br_val)
+
+
+def composed_barrier(vn: float, x: float) -> tuple[float, float]:
+    """_barrier's (value, err) as F_B plus the scaled branch-cut sum: the
+    operations of the T_B core before it could skip the sum."""
+    fb_val, fb_err = kernels._fb_sum(vn, x, DEFAULT_SETTINGS)
+    br_val, br_err = scaled_branch(abs(vn), x)
+    value = fb_val + br_val
+    return value, fb_err + br_err + EPS * abs(value)
+
+
+def composed_free(x: float) -> tuple[float, float]:
+    """free_factor's (value, err) in natural units, the branch-cut sum
+    always summed."""
+    br_val, br_err = scaled_branch(0.0, x)
+    value = 1.0 + br_val
+    return value, br_err + EPS * abs(value)
+
+
+class TestBranchSkip:
+    """Past natural zeta 32, T_F and T_B skip the branch-cut sum only where
+    it cannot change a bit of their value or err."""
+
+    @given(
+        vn=st.floats(min_value=-0.999, max_value=0.999, exclude_min=True, exclude_max=True),
+        x=st.floats(min_value=1.0, max_value=745.0),
+    )
+    # near each skip's onset, where the value's quarter-ulp is passed before
+    # the err's (at x = 35, T_F's value is 1.0 and its err still above
+    # 2^-53), and past exp's underflow
+    @example(vn=-0.1, x=35.0)
+    @example(vn=-0.1, x=40.0)
+    @example(vn=-0.3, x=64.0)
+    @example(vn=0.3, x=38.0)
+    @example(vn=0.999, x=37.0)
+    @example(vn=-0.99, x=745.0)
+    def test_bits_match_composed_sum(self, vn, x):
+        try:
+            value, err = composed_barrier(vn, x)
+        except (QuadratureError, SeriesDivergenceError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                kernels._barrier(vn, x, DEFAULT_SETTINGS)
+        else:
+            got = kernels._barrier(vn, x, DEFAULT_SETTINGS)
+            assert [f.hex() for f in got] == [value.hex(), err.hex()]
+        tf = free_factor(x)
+        assert [tf.value.hex(), tf.err.hex()] == [f.hex() for f in composed_free(x)]
+
+    @pytest.mark.parametrize("a", [0.0, 0.1, 0.3, 0.6, 0.9, 0.99, 0.999])
+    def test_bound_covers_branch_value_and_err(self, a):
+        # from the kernel's 2/(pi zeta) regime to exp's underflow
+        for i in range(400):
+            x = 1e-3 * 745e3 ** (i / 399)
+            val, err = branch_integral(a, x, NATURAL_UNITS, DEFAULT_SETTINGS)
+            bound = kernels._branch_bound(a, x)
+            assert abs(val) <= bound and err <= bound, x
+
+    def test_skip_fires_past_the_guard(self, monkeypatch):
+        expected = barrier_factor(-0.3, 100.0), free_factor(100.0)
+
+        def no_sum(*args, **kwargs):
+            raise AssertionError("branch-cut sum called")
+
+        monkeypatch.setattr(kernels, "_branch_laplace", no_sum)
+        assert (barrier_factor(-0.3, 100.0), free_factor(100.0)) == expected
+        for call in (lambda: barrier_factor(-0.3, 5.0), lambda: free_factor(5.0)):
+            with pytest.raises(AssertionError, match="branch-cut sum called"):
+                call()
 
 
 def mpf_sum_oracle(terms) -> float:
