@@ -13,7 +13,10 @@ pin, tests/data/dense_kernel_pin.json, hashes T_F's and those T_B's (value,
 err) the same way on 1,000 log-spaced zeta from 20 to 750, past the onset of
 the branch-cut skip and exp's underflow at 745.  Then the number of nodes that the grid
 left in each branch-cut rule is printed, per strength |v0| (G_B is even in
-v0, so the two signs share a rule) and step 2^-m.  Last, the residue factor
+v0, so the two signs share a rule) and step 2^-m.  The direct pin,
+tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
+on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
+and 9, three barriers up to v0 = 0.99 and three k0.  Last, the residue factor
 F_B and the whole barrier factor T_B are timed per warm call of
 ``reltoa.kernels._fb_eval`` and ``barrier_factor`` (their rules cached,
 best of a few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150, with the
@@ -35,6 +38,7 @@ import sys
 import time
 
 from reltoa import kernels
+from reltoa.ior import ior_direct
 from reltoa.kernels import (
     NATURAL_UNITS,
     barrier_factor,
@@ -43,11 +47,13 @@ from reltoa.kernels import (
     free_factor,
 )
 from reltoa.numerics import DEFAULT_SETTINGS
+from reltoa.wavepacket import GaussianPacket
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
 BRANCH_PIN_FILE = DATA / "branch_integral_pin.json"
 FACTOR_PIN_FILE = DATA / "branch_factors_pin.json"
 DENSE_PIN_FILE = DATA / "dense_kernel_pin.json"
+DIRECT_PIN_FILE = DATA / "direct_pin.json"
 
 # the branch-cut pin: both signs the routes use, zero, and a strong barrier,
 # at 40 log-spaced zeta from a wide packet's small-zeta end to the kernel
@@ -60,6 +66,9 @@ GAP_V0 = BRANCH_V0
 BARRIER_V0 = [sign * a for a in (0.1, 0.3, 0.9, 0.99) for sign in (-1.0, 1.0)]
 # the dense pin's zeta: count log-spaced points from first to last
 DENSE_ZETA = {"first": 20.0, "last": 750.0, "count": 1000}
+# the direct pin's cells: the widest packets, whose transforms reach past
+# natural zeta 36, on barriers up to the rest-energy scale
+DIRECT_GRID = {"sigma": [6.0, 9.0], "v0": [0.1, 0.3, 0.99], "k0": [0.3, 0.65, 2.0]}
 # the F_B timing: (v, zeta), timed in this order after every pin
 FB_POINTS = [(v, zeta) for v in (-0.1, 0.1) for zeta in (1.0, 3.0, 9.0, 50.0, 100.0, 150.0)]
 FB_CALLS = 200  # calls per timed round
@@ -136,6 +145,18 @@ def dense_digest(zetas) -> str:
     for v0 in BARRIER_V0:
         for zeta in zetas:
             h.update(_estimate_line(barrier_factor, v0, zeta).encode())
+    return h.hexdigest()
+
+
+def direct_digest(grid: dict) -> str:
+    """sha256 of ior_direct's (value, err) on grid's cells, sigma-major, then
+    v0, then k0."""
+    h = hashlib.sha256()
+    for sigma in grid["sigma"]:
+        for v0 in grid["v0"]:
+            for k0 in grid["k0"]:
+                est = ior_direct(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
+                h.update(f"{est.value.hex()} {est.err.hex()}\n".encode())
     return h.hexdigest()
 
 
@@ -220,6 +241,14 @@ def main() -> int:
     for (vn, level), nodes in sorted(kernels._BRANCH_NODES.items()):
         print(f"branch rule |v0|={vn:.1f} m={level}: {len(nodes[0])} nodes")
 
+    direct_pin = DIRECT_GRID if args.write else json.loads(DIRECT_PIN_FILE.read_text())
+    t0 = time.process_time()
+    direct_sha = direct_digest(direct_pin)
+    cpu = time.process_time() - t0
+    cells = len(direct_pin["sigma"]) * len(direct_pin["v0"]) * len(direct_pin["k0"])
+    faults += _report(f"ior_direct, {cells} cells: cpu {cpu:7.3f} s  ",
+                      direct_sha, None if args.write else direct_pin["sha256"])
+
     for v, zeta in FB_POINTS:
         intervals, fb_cpu, tb_cpu = fb_timing(v, zeta)
         print(f"v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} F_B intervals, "
@@ -237,7 +266,11 @@ def main() -> int:
             }, indent=2) + "\n"
         )
         DENSE_PIN_FILE.write_text(json.dumps({**dense_pin, "sha256": dense_sha}, indent=2) + "\n")
-        print(f"wrote {BRANCH_PIN_FILE}, {FACTOR_PIN_FILE} and {DENSE_PIN_FILE}")
+        DIRECT_PIN_FILE.write_text(
+            json.dumps({**direct_pin, "sha256": direct_sha}, indent=2) + "\n"
+        )
+        print(f"wrote {BRANCH_PIN_FILE}, {FACTOR_PIN_FILE}, {DENSE_PIN_FILE} "
+              f"and {DIRECT_PIN_FILE}")
     return 0
 
 

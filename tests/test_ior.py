@@ -99,6 +99,8 @@ def nested_qc(packet: GaussianPacket) -> tuple[float, float]:
 
 
 MOMENTUM_PIN = pathlib.Path(__file__).parent / "data" / "momentum_pin.json"
+# the script that writes the direct pin defines its digest
+KERNEL_PINS = load_by_path("scripts/kernel_pins.py", "kernel_pins")
 # the benchmark's scipy oracles share no code with the library's quadrature
 ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
 
@@ -125,6 +127,13 @@ class TestIorDirect:
     def test_rejects_supercritical(self):
         with pytest.raises(ValueError):
             ior_direct(narrow(2.0), 1.5)
+
+    def test_bits_match_pin(self):
+        # sha256 of float.hex of R_c's value and err on the widest cells,
+        # whose transforms reach natural zeta > 36, up to v0 = 0.99
+        pin = json.loads(KERNEL_PINS.DIRECT_PIN_FILE.read_text())
+        assert {key: pin[key] for key in KERNEL_PINS.DIRECT_GRID} == KERNEL_PINS.DIRECT_GRID
+        assert KERNEL_PINS.direct_digest(pin) == pin["sha256"]
 
     # at hbar = 0.5 the product (mu c / hbar) zeta rounds as mu c zeta / hbar
     # does, so a third unit system tells the two forms of natural zeta apart
