@@ -17,10 +17,13 @@ v0, so the two signs share a rule) and step 2^-m.  The direct pin,
 tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
 on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
 and 9, three barriers up to v0 = 0.99 and three k0.  Last, the residue factor
-F_B and the whole barrier factor T_B are timed per warm call of
-``reltoa.kernels._fb_eval`` and ``barrier_factor`` (their rules cached,
-best of a few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150, with the
-number of F_B rule intervals each call uses.
+F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
+call of ``reltoa.kernels._fb_eval``, ``barrier_factor`` and
+``reltoa.kernels._barrier_value``, the direct route's core (their rules
+cached, best of a few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150,
+with the number of F_B rule intervals each call uses.  At v = -0.1 and
+zeta = 50 the value core already skips the branch-cut sum, which
+barrier_factor skips only from zeta ~ 65.
 
 Run from the repository root:
 
@@ -160,23 +163,28 @@ def direct_digest(grid: dict) -> str:
     return h.hexdigest()
 
 
-def fb_timing(v: float, zeta: float) -> tuple[int, float, float]:
-    """(F_B rule intervals, best warm CPU seconds per _fb_eval call, and per
-    barrier_factor call) at (v, zeta)."""
+def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
+    """(F_B rule intervals, best warm CPU seconds per call of _fb_eval,
+    barrier_factor and _barrier_value) at (v, zeta), natural units."""
     # drop the rules of strength v, so that the sizes this call builds show
     for key in [key for key in kernels._FB_RULES if key[0] == v]:
         del kernels._FB_RULES[key]
     kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
     intervals = max(n for vn, n in kernels._FB_RULES if vn == v)
     barrier_factor(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)  # fills the branch nodes
-    best = [float("inf"), float("inf")]
+    calls = (
+        lambda: kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS),
+        lambda: barrier_factor(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS),
+        lambda: kernels._barrier_value(v, zeta, DEFAULT_SETTINGS),
+    )
+    best = [float("inf")] * len(calls)
     for _ in range(FB_ROUNDS):
-        for i, call in enumerate((kernels._fb_eval, barrier_factor)):
+        for i, call in enumerate(calls):
             t0 = time.process_time()
             for _ in range(FB_CALLS):
-                call(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+                call()
             best[i] = min(best[i], (time.process_time() - t0) / FB_CALLS)
-    return intervals, best[0], best[1]
+    return intervals, best
 
 
 def _report(line: str, sha: str, pinned: str | None) -> int:
@@ -250,9 +258,10 @@ def main() -> int:
                       direct_sha, None if args.write else direct_pin["sha256"])
 
     for v, zeta in FB_POINTS:
-        intervals, fb_cpu, tb_cpu = fb_timing(v, zeta)
+        intervals, (fb_cpu, tb_cpu, value_cpu) = fb_timing(v, zeta)
         print(f"v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} F_B intervals, "
-              f"F_B {1e6 * fb_cpu:6.1f} us/call, T_B {1e6 * tb_cpu:6.1f} us/call")
+              f"F_B {1e6 * fb_cpu:6.1f} us/call, T_B {1e6 * tb_cpu:6.1f} us/call, "
+              f"T_B value {1e6 * value_cpu:6.1f} us/call")
 
     if faults:
         return 1

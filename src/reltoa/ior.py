@@ -6,8 +6,8 @@ barrier region is t_c * R_c with t_c = L/c the photon crossing time.  R_c is
 computed by three independent routes that must agree,
 
   * direct   - oscillatory sine transform of T_B(-V_o, zeta) Phi(zeta),
-               with T_B from barrier_factor's unchecked core
-               (kernels._barrier) at each node,
+               with T_B's value from barrier_factor's unchecked value-only
+               core (kernels._barrier_value) at each node,
   * series   - term-by-term Gaussian sine moments of the residue series
                plus the sine transform of the kernel's branch-cut term,
                taken as one z-integral (kernels.branch_transform) of the
@@ -34,7 +34,7 @@ from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
-    _barrier,
+    _barrier_value,
     barrier_free_gap,
     branch_transform,
     fb_moments,
@@ -107,15 +107,18 @@ def ior_direct(
     """R_c by direct sine transform of the barrier kernel against the packet.
 
     R_c = (mu c / hbar) * int_0^inf sin(k0 zeta) T_B(-v0, zeta) Phi(zeta) dzeta.
-    The cell is checked once; each node takes barrier_factor's value from
-    its unchecked core, at the natural zeta barrier_factor forms.
+    The cell is checked once; each node takes barrier_factor's value, bit
+    for bit, from kernels._barrier_value at the natural zeta barrier_factor
+    forms.  That core forms no err, so past natural zeta ~ 36-38 it drops
+    the branch-cut sum wherever the sum cannot move the value, where
+    barrier_factor keeps it up to ~ 65 for its err's bits.
     """
     _require_subcritical(v0, params)
     scale = params.mu * params.c / params.hbar
     vn = -v0 / params.rest_energy
     mu_c, hbar = params.mu * params.c, params.hbar
     val, err = _phi_transform(
-        lambda zeta: _barrier(vn, mu_c * zeta / hbar, settings)[0],
+        lambda zeta: _barrier_value(vn, mu_c * zeta / hbar, settings),
         packet, params, settings,
     )
     return Estimate(scale * val, scale * err)

@@ -51,11 +51,15 @@ of F_B's value and of its err (T_F: of 1.0 and of its err 2^-53), adding
 the term and its err rounds to the floats without them, so those are
 returned, bit for bit.  At strengths up to 0.999 and the default settings
 the skip first fires near x = 36 for v > 0, 64 for v < 0 and 70 for T_F.
+The direct route reads T_B's value alone, so its core skips where B is
+below a quarter-ulp of F_B's value, whatever the err: for v < 0 from
+x ~ 36-38 on.  _branch_negligible holds the quarter-ulp test for all three.
 
 barrier_factor checks its arguments once and hands the strength and zeta,
 in natural units, to _barrier, which sums each rule's nodes in list
-comprehensions within one frame per rule; the direct route calls _barrier
-at every node of its sine transform, after checking the cell once.
+comprehensions within one frame per rule; the direct route calls
+_barrier_value, the same value without the err, at every node of its sine
+transform, after checking the cell once.
 """
 
 from __future__ import annotations
@@ -169,7 +173,7 @@ def free_factor(
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"free_factor requires zeta > 0, got {zeta}")
     x = params.mu * params.c * zeta / params.hbar
-    if x > _SKIP_MIN_X and _branch_bound(0.0, x) < _FREE_SKIP_BOUND:
+    if x > _SKIP_MIN_X and _branch_negligible(0.0, x, _UNIT_ROUNDOFF):
         return Estimate(1.0, _UNIT_ROUNDOFF)
     # G_B(0, z) = 1 exactly, so T_F's branch integral is T_B's at v0 = 0;
     # the err adds the rounding of the sum
@@ -480,8 +484,6 @@ _BRANCH_MAX_NODES = 1 << 12  # per Laplace integral
 # where a skip first fires with the default settings (x ~ 36); below it the
 # check costs one comparison
 _SKIP_MIN_X = 32.0
-# a quarter-ulp of T_F's err 2^-53, and so also of its value 1.0
-_FREE_SKIP_BOUND = 0.25 * math.ulp(_UNIT_ROUNDOFF)
 
 
 def _branch_bound(a: float, x: float) -> float:
@@ -494,6 +496,17 @@ def _branch_bound(a: float, x: float) -> float:
     e^-37 error, its err (~1e-12 of the value) and the rounding of each.
     """
     return _TWO_OVER_PI * 2.0 * math.exp(-x) / (x * math.sqrt((1.0 - a) * (1.0 + a)))
+
+
+def _branch_negligible(a: float, x: float, least: float) -> bool:
+    """True where B = _branch_bound(a, x) is below a quarter-ulp of least.
+
+    Then adding the scaled branch value, or its err, to any float f with
+    |f| >= |least| rounds back to f: the gap to f's neighbours is at least
+    ulp(least)/2.  A caller that keeps several floats passes the least in
+    magnitude, whose ulp is the least of theirs.
+    """
+    return _branch_bound(a, x) < 0.25 * math.ulp(least)
 
 
 # the branch rule's step changes form at x = 8*37/pi^2 (~30); see _branch_laplace
@@ -671,27 +684,42 @@ def barrier_factor(
 
 def _barrier(vn: float, x: float, settings: QuadratureSettings) -> tuple[float, float]:
     """T_B and its error at strength vn = v0/(mu c^2) and natural zeta = x > 0,
-    unchecked: barrier_factor's core, which the direct route calls per node.
+    unchecked: barrier_factor's core.
 
     The branch term and its err are branch_integral's, in the same operations.
     Past x = 32 the branch-cut sum is skipped where its bound B
-    (_branch_bound) is below a quarter-ulp of F_B's value and of its err:
-    then fb_val + br_val rounds to fb_val and fb_err + br_err to fb_err, so
-    (fb_val, fb_err + 2^-53 |fb_val|) are the full path's floats.  F_B runs
-    first either way, so its typed errors come as before.  No branch
-    QuadratureError is lost: the rule reaches its node cap only at
-    zeta ~ 1e-220, far below the skip.
+    (_branch_bound) is below a quarter-ulp of F_B's value and of its err
+    (_branch_negligible): then fb_val + br_val rounds to fb_val and
+    fb_err + br_err to fb_err, so (fb_val, fb_err + 2^-53 |fb_val|) are the
+    full path's floats.  F_B runs first either way, so its typed errors come
+    as before.  No branch QuadratureError is lost: the rule reaches its node
+    cap only at zeta ~ 1e-220, far below the skip.
     """
     fb_val, fb_err = _fb_sum(vn, x, settings)
-    if x > _SKIP_MIN_X:
-        bound = _branch_bound(abs(vn), x)
-        if bound < 0.25 * math.ulp(fb_val) and bound < 0.25 * math.ulp(fb_err):
-            return fb_val, fb_err + _UNIT_ROUNDOFF * abs(fb_val)
+    if x > _SKIP_MIN_X and _branch_negligible(abs(vn), x, min(abs(fb_val), fb_err)):
+        return fb_val, fb_err + _UNIT_ROUNDOFF * abs(fb_val)
     br_val, br_err = _branch_laplace(abs(vn), x, settings)
     br_val *= _TWO_OVER_PI
     br_err = _TWO_OVER_PI * br_err + 2.0 * _UNIT_ROUNDOFF * abs(br_val)
     value = fb_val + br_val
     return value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value)
+
+
+def _barrier_value(vn: float, x: float, settings: QuadratureSettings) -> float:
+    """_barrier(vn, x, settings)[0], bit for bit, without the err: the T_B
+    core of the direct route, which calls it at every node.
+
+    The value is fb_val + br_val in _barrier's operations.  Past x = 32 the
+    branch-cut sum is skipped where B is below a quarter-ulp of F_B's value
+    alone, since then fb_val + br_val rounds to fb_val.  For v < 0 that
+    holds from x ~ 36-38, where _barrier, which must also keep its err's
+    bits, sums the branch cut up to x ~ 65.  Typed errors come as from
+    _barrier, F_B's first.
+    """
+    fb_val, _fb_err = _fb_sum(vn, x, settings)
+    if x > _SKIP_MIN_X and _branch_negligible(abs(vn), x, fb_val):
+        return fb_val
+    return fb_val + _branch_laplace(abs(vn), x, settings)[0] * _TWO_OVER_PI
 
 
 def barrier_free_gap(

@@ -204,7 +204,9 @@ def fb_moment_oracle(v: float, zeta: float, dps: int = 30):
     with a = |v|, E = sqrt(1 + s^2) and E' = sqrt(1 - x^2), by tanh-sinh in
     a private mpmath context at dps digits.  The endpoint's inverse square
     root is left to tanh-sinh; the radicand is written in factors that stay
-    non-negative up to it.  One piece per half oscillation of cos."""
+    non-negative up to it.  One piece per half oscillation of cos; cosh does
+    not oscillate, so its pieces halve their distance to x* until that is
+    below 1/zeta, across which cosh grows by at most e."""
     ctx = mp.MPContext()
     ctx.dps = dps
     a = ctx.mpf(abs(v))
@@ -216,6 +218,9 @@ def fb_moment_oracle(v: float, zeta: float, dps: int = 30):
             # 1 - (E - a)^2 = (reach - s)(reach + s)(1 + E - a)/(1 + a + E)
             root = ctx.sqrt((reach - s) * (reach + s) * (1 + e - a) / (1 + a + e))
             return e / root * ctx.cos(zeta * s)
+
+        pieces = max(1, math.ceil(zeta * float(reach) / math.pi))
+        edges = [reach * i / pieces for i in range(pieces + 1)]
     else:
         reach = ctx.sqrt(2 * a - a * a)
 
@@ -225,8 +230,8 @@ def fb_moment_oracle(v: float, zeta: float, dps: int = 30):
             root = ctx.sqrt((reach - x) * (reach + x) * (e + a + 1) / (e + 1 - a))
             return e / root * ctx.cosh(zeta * x)
 
-    pieces = max(1, math.ceil(zeta * float(reach) / math.pi))
-    edges = [reach * i / pieces for i in range(pieces + 1)]
+        halvings = math.ceil(math.log2(max(1.0, zeta * float(reach))))
+        edges = [reach * (1 - ctx.mpf(2) ** -j) for j in range(halvings + 1)] + [reach]
     return 2 / ctx.pi * ctx.quad(f, edges, method="tanh-sinh")
 
 
@@ -460,12 +465,11 @@ class TestKernelFactorOracles:
             free_factor(1e-300)
 
     def test_skipped_range(self):
-        # zeta where T_F and T_B skip the branch-cut sum; F_B(+0.3)'s oracle
-        # takes one tanh-sinh piece per 4.4 units of zeta, so +0.3 stops at 100
+        # zeta where T_F and T_B skip the branch-cut sum
         for zeta in (300.0, 700.0):
             tf = free_factor(zeta)
             assert abs(tf.value - float(1 + mp_branch_oracle(0.0, zeta))) <= tf.err, zeta
-        for v0, zeta in [(-0.3, 300.0), (-0.3, 700.0), (0.3, 100.0)]:
+        for v0, zeta in [(-0.3, 300.0), (-0.3, 700.0), (0.3, 100.0), (0.3, 300.0), (0.3, 700.0)]:
             tb = barrier_factor(v0, zeta)
             assert kernels._branch_bound(0.3, zeta) < 0.25 * math.ulp(tb.err), (v0, zeta)
             ref = mp.re(fb_moment_oracle(v0, zeta)) + mp_branch_oracle(0.3, zeta)
@@ -497,9 +501,22 @@ def composed_free(x: float) -> tuple[float, float]:
     return value, br_err + EPS * abs(value)
 
 
+def _no_branch_sum(*args, **kwargs):
+    raise AssertionError("branch-cut sum called")
+
+
+def _value_or_error(call) -> str:
+    """call()'s float in float.hex, or its typed error's type and text."""
+    try:
+        return call().hex()
+    except (QuadratureError, SeriesDivergenceError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestBranchSkip:
     """Past natural zeta 32, T_F and T_B skip the branch-cut sum only where
-    it cannot change a bit of their value or err."""
+    it cannot change a bit of their value or err, and the direct route's
+    value-only T_B core only where it cannot change T_B's value."""
 
     @given(
         vn=st.floats(min_value=-0.999, max_value=0.999, exclude_min=True, exclude_max=True),
@@ -537,15 +554,44 @@ class TestBranchSkip:
 
     def test_skip_fires_past_the_guard(self, monkeypatch):
         expected = barrier_factor(-0.3, 100.0), free_factor(100.0)
-
-        def no_sum(*args, **kwargs):
-            raise AssertionError("branch-cut sum called")
-
-        monkeypatch.setattr(kernels, "_branch_laplace", no_sum)
+        monkeypatch.setattr(kernels, "_branch_laplace", _no_branch_sum)
         assert (barrier_factor(-0.3, 100.0), free_factor(100.0)) == expected
         for call in (lambda: barrier_factor(-0.3, 5.0), lambda: free_factor(5.0)):
             with pytest.raises(AssertionError, match="branch-cut sum called"):
                 call()
+
+    @given(
+        vn=st.floats(min_value=-0.999, max_value=0.999, exclude_min=True, exclude_max=True),
+        x=st.floats(min_value=-3.0, max_value=math.log10(760.0)).map(lambda t: 10.0**t),
+    )
+    # at the value-only onset for v < 0 (x ~ 36-38), where B sits within a
+    # few ulps of F_B's value and _barrier still sums the branch cut for its
+    # err; where B is 6 ulps of F_B's value and the branch term moves its
+    # last bit (x ~ 33.8); and past exp's underflow at 745
+    @example(vn=-0.1, x=33.755)
+    @example(vn=-0.3, x=33.795)
+    @example(vn=-0.1, x=36.5)
+    @example(vn=-0.3, x=36.0)
+    @example(vn=-0.3, x=37.0)
+    @example(vn=-0.9, x=37.5)
+    @example(vn=-0.99, x=37.0)
+    @example(vn=-0.99, x=38.0)
+    @example(vn=-0.3, x=750.0)
+    @example(vn=0.5, x=746.0)
+    @example(vn=0.95, x=760.0)
+    def test_value_core_matches_barrier_bits(self, vn, x):
+        expected = _value_or_error(lambda: kernels._barrier(vn, x, DEFAULT_SETTINGS)[0])
+        assert _value_or_error(lambda: composed_barrier(vn, x)[0]) == expected
+        got = _value_or_error(lambda: kernels._barrier_value(vn, x, DEFAULT_SETTINGS))
+        assert got == expected
+
+    def test_value_core_skips_from_the_value_onset(self, monkeypatch):
+        # at (-0.1, 40) B is below a quarter-ulp of F_B's value, not of its err
+        expected = kernels._barrier_value(-0.1, 40.0, DEFAULT_SETTINGS)
+        monkeypatch.setattr(kernels, "_branch_laplace", _no_branch_sum)
+        assert kernels._barrier_value(-0.1, 40.0, DEFAULT_SETTINGS).hex() == expected.hex()
+        with pytest.raises(AssertionError, match="branch-cut sum called"):
+            barrier_factor(-0.1, 40.0)
 
 
 def mpf_sum_oracle(terms) -> float:
