@@ -8,9 +8,12 @@ src/, as a user's command does.  Each line gives the digest, ``ok`` or
 ``MISMATCH`` against the file, and the command's CPU seconds (user plus
 system, from the getrusage(RUSAGE_CHILDREN) delta around it): its cold
 time, start-up included, since every command starts a new process.  The
-exit status is 1 if any digest mismatches.  Run from anywhere:
+exit status is 1 if any digest mismatches.  With --write, the file's
+digests are replaced by the ones just computed, and the status is 0.  Run
+from anywhere:
 
-    python scripts/cli_digests.py
+    python scripts/cli_digests.py           # check
+    python scripts/cli_digests.py --write   # rewrite the digests
 
 Cold, each command takes 0.14-0.33 s of CPU on a 2-core host, so the whole
 set takes a few seconds.
@@ -18,6 +21,7 @@ set takes a few seconds.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -37,7 +41,11 @@ def _children_cpu_s() -> float:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", action="store_true", help="rewrite the digest file")
+    args = parser.parse_args()
     expected = json.loads(DIGESTS.read_text())
+    written = {}
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
     status = 0
@@ -49,10 +57,15 @@ def main() -> int:
         ).stdout
         cpu_s = _children_cpu_s() - before
         got = hashlib.sha256(out).hexdigest()
+        written[command] = got
         if got != digest:
             status = 1
         mark = "ok" if got == digest else "MISMATCH"
         print(f"{got}  {mark:8s}  {cpu_s:5.2f} s  {command}", flush=True)
+    if args.write:
+        DIGESTS.write_text(json.dumps(written, indent=2) + "\n")
+        print(f"wrote {DIGESTS}")
+        return 0
     return status
 
 

@@ -16,7 +16,10 @@ left in each branch-cut rule is printed, per strength |v0| (G_B is even in
 v0, so the two signs share a rule) and step 2^-m.  The direct pin,
 tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
 on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
-and 9, three barriers up to v0 = 0.99 and three k0.  Last, the residue factor
+and 9, three barriers up to v0 = 0.99 and three k0.  The momentum pin,
+tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
++k and -k weights, each value and err, on 80 cells: sigma from 0.5 to 9,
+v0 up to 0.99 and k0 on both sides of kappa_c.  Last, the residue factor
 F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
 call of ``reltoa.kernels._fb_eval``, ``barrier_factor`` and
 ``reltoa.kernels._barrier_value``, the direct route's core (their rules
@@ -41,7 +44,7 @@ import sys
 import time
 
 from reltoa import kernels
-from reltoa.ior import ior_direct
+from reltoa.ior import ior_direct, momentum_split
 from reltoa.kernels import (
     NATURAL_UNITS,
     barrier_factor,
@@ -57,6 +60,7 @@ BRANCH_PIN_FILE = DATA / "branch_integral_pin.json"
 FACTOR_PIN_FILE = DATA / "branch_factors_pin.json"
 DENSE_PIN_FILE = DATA / "dense_kernel_pin.json"
 DIRECT_PIN_FILE = DATA / "direct_pin.json"
+MOMENTUM_PIN_FILE = DATA / "momentum_pin.json"
 
 # the branch-cut pin: both signs the routes use, zero, and a strong barrier,
 # at 40 log-spaced zeta from a wide packet's small-zeta end to the kernel
@@ -72,6 +76,12 @@ DENSE_ZETA = {"first": 20.0, "last": 750.0, "count": 1000}
 # the direct pin's cells: the widest packets, whose transforms reach past
 # natural zeta 36, on barriers up to the rest-energy scale
 DIRECT_GRID = {"sigma": [6.0, 9.0], "v0": [0.1, 0.3, 0.99], "k0": [0.3, 0.65, 2.0]}
+# the momentum pin's cells: every v0 has k0 on both sides of kappa_c
+MOMENTUM_GRID = {
+    "sigma": [0.5, 2.0, 6.0, 9.0],
+    "v0": [0.1, 0.3, 0.5, 0.99],
+    "k0": [0.2, 0.7, 1.0, 1.5, 2.5],
+}
 # the F_B timing: (v, zeta), timed in this order after every pin
 FB_POINTS = [(v, zeta) for v in (-0.1, 0.1) for zeta in (1.0, 3.0, 9.0, 50.0, 100.0, 150.0)]
 FB_CALLS = 200  # calls per timed round
@@ -160,6 +170,21 @@ def direct_digest(grid: dict) -> str:
             for k0 in grid["k0"]:
                 est = ior_direct(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
                 h.update(f"{est.value.hex()} {est.err.hex()}\n".encode())
+    return h.hexdigest()
+
+
+def momentum_digest(grid: dict) -> str:
+    """sha256 of momentum_split's R_c, plus and minus, each value and err, on
+    grid's cells (q0 = -100), sigma-major, then v0, then k0."""
+    h = hashlib.sha256()
+    for sigma in grid["sigma"]:
+        for v0 in grid["v0"]:
+            for k0 in grid["k0"]:
+                packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+                line = " ".join(
+                    f"{est.value.hex()} {est.err.hex()}" for est in momentum_split(packet, v0)
+                )
+                h.update(f"{line}\n".encode())
     return h.hexdigest()
 
 
@@ -257,6 +282,14 @@ def main() -> int:
     faults += _report(f"ior_direct, {cells} cells: cpu {cpu:7.3f} s  ",
                       direct_sha, None if args.write else direct_pin["sha256"])
 
+    momentum_pin = MOMENTUM_GRID if args.write else json.loads(MOMENTUM_PIN_FILE.read_text())
+    t0 = time.process_time()
+    momentum_sha = momentum_digest(momentum_pin)
+    cpu = time.process_time() - t0
+    cells = len(momentum_pin["sigma"]) * len(momentum_pin["v0"]) * len(momentum_pin["k0"])
+    faults += _report(f"momentum_split, {cells} cells: cpu {cpu:7.3f} s  ",
+                      momentum_sha, None if args.write else momentum_pin["sha256"])
+
     for v, zeta in FB_POINTS:
         intervals, (fb_cpu, tb_cpu, value_cpu) = fb_timing(v, zeta)
         print(f"v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} F_B intervals, "
@@ -278,8 +311,11 @@ def main() -> int:
         DIRECT_PIN_FILE.write_text(
             json.dumps({**direct_pin, "sha256": direct_sha}, indent=2) + "\n"
         )
-        print(f"wrote {BRANCH_PIN_FILE}, {FACTOR_PIN_FILE}, {DENSE_PIN_FILE} "
-              f"and {DIRECT_PIN_FILE}")
+        MOMENTUM_PIN_FILE.write_text(
+            json.dumps({**momentum_pin, "sha256": momentum_sha}, indent=2) + "\n"
+        )
+        print(f"wrote {BRANCH_PIN_FILE}, {FACTOR_PIN_FILE}, {DENSE_PIN_FILE}, "
+              f"{DIRECT_PIN_FILE} and {MOMENTUM_PIN_FILE}")
     return 0
 
 

@@ -24,7 +24,6 @@ from reltoa.kernels import (
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     QuadratureSettings,
-    _adaptive_gk,
     gen_binomial,
     hyp2f1_integral,
     integrate_semiinf_exp,
@@ -58,12 +57,14 @@ def crtoa_quadrature(
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
-    """Arrival time at the origin by numerical quadrature of the flight-time
-    integrand over [q, 0], split at the barrier edges.
+    """Arrival time at the origin by quadrature of the flight-time integrand
+    over [q, 0], split at the barrier edges.
 
-    The potential is piecewise constant, so each section is integrated
-    adaptively on its own; a section with (H - V)^2 <= (mu c^2)^2 raises
-    ClassicallyForbiddenError.
+    The potential is piecewise constant, so the rate is one float on each
+    section and its integral is rate * (right - left) in closed form; a
+    section with (H - V)^2 <= (mu c^2)^2 raises ClassicallyForbiddenError.
+    Nothing here is adaptive, so the settings go unused; they stay so that
+    every caller's signature holds.
     """
     if p == 0.0:
         raise ValueError("crtoa_quadrature requires p != 0")
@@ -97,8 +98,7 @@ def crtoa_quadrature(
 
         # V is constant on the section, so the rate is one float
         rate = e_launch / (params.c * math.sqrt(kin * kin - rest * rest))
-        val, _err = _adaptive_gk(lambda _x, rate=rate: rate, left, right, settings)
-        total += val
+        total += rate * (right - left)
     # t = -sgn(p) * int_0^q ... = sgn(p) * int_q^0 ...; for q > 0 the
     # orientation flip and the sgn factor combine the same way
     return math.copysign(1.0, p) * (total if q < 0.0 else -total)

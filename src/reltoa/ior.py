@@ -264,6 +264,13 @@ def _density_seeds(packet: GaussianPacket, kc: float) -> tuple[float, ...]:
     )
 
 
+def _minus_seeds(packet: GaussianPacket, kc: float) -> tuple[float, float]:
+    # the -k density exp(-2 sigma^2 (k + k0)^2) peaks at the kappa_c endpoint
+    # and falls by a factor e per step in k there: mark one step and eight
+    step = 1.0 / (4.0 * packet.sigma * packet.sigma * (kc + packet.k0))
+    return kc + step, kc + 8.0 * step
+
+
 def ior_momentum(
     packet: GaussianPacket,
     v0: float,
@@ -338,6 +345,14 @@ def momentum_split(
     error estimate; R_c.value == plus.value - minus.value exactly and
     R_c.err == plus.err + minus.err.
 
+    Each integral is seeded at its own density's scale.  The +k density
+    peaks at k0, and its integral is seeded at k0 + j sigma_k for j from
+    -12 to 12 (those above kappa_c; see _density_seeds).  The -k density
+    exp(-2 sigma^2 (k + k0)^2) peaks at the endpoint kappa_c and falls by a
+    factor e per step = 1/(4 sigma^2 (kappa_c + k0)) in k there, so its
+    integral is seeded at kappa_c + step and kappa_c + 8 step
+    (_minus_seeds).
+
     When the -k Gaussian exp(-2 sigma^2 (kappa_c + k0)^2), formed in the
     closure's operations, is 0.0 at the endpoint, minus is Estimate(0.0,
     0.0) without an integral.  That is exact, not a cut-off: every node has
@@ -350,9 +365,9 @@ def momentum_split(
         # free-flight weight; treat via a vanishing-height limit instead
         raise ValueError("ior_momentum requires v0 > 0; use qc_expectation for v0 = 0")
     kc = kappa_c(v0, params)
-    seeds = _density_seeds(packet, kc)
     plus, err_p = integrate_sqrt_endpoint(
-        _crossing_integrand(packet, v0, params, +1, kc), kc, settings, seeds
+        _crossing_integrand(packet, v0, params, +1, kc), kc, settings,
+        _density_seeds(packet, kc),
     )
     s2 = packet.sigma * packet.sigma
     d = kc + packet.k0  # the closure's k - centre at k = kc, centre = -k0
@@ -360,7 +375,8 @@ def momentum_split(
         minus, err_m = 0.0, 0.0
     else:
         minus, err_m = integrate_sqrt_endpoint(
-            _crossing_integrand(packet, v0, params, -1, kc), kc, settings, seeds
+            _crossing_integrand(packet, v0, params, -1, kc), kc, settings,
+            _minus_seeds(packet, kc),
         )
     return Estimate(plus - minus, err_p + err_m), Estimate(plus, err_p), Estimate(minus, err_m)
 

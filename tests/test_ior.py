@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import pathlib
 import sys
 
 import numpy as np
@@ -15,6 +13,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 from conftest import crossing_weight, load_by_path
 
+from reltoa import ior
 from reltoa.classical import kappa_c, qc_asymptotic, tau_top
 from reltoa.kernels import (
     NATURAL_UNITS,
@@ -40,6 +39,7 @@ from reltoa.ior import (
     _branch_transform,
     _crossing_integrand,
     _density_seeds,
+    _minus_seeds,
     _phi_transform,
     ior_direct,
     ior_momentum,
@@ -98,11 +98,31 @@ def nested_qc(packet: GaussianPacket) -> tuple[float, float]:
     return packet.k0 * val, packet.k0 * err
 
 
-MOMENTUM_PIN = pathlib.Path(__file__).parent / "data" / "momentum_pin.json"
-# the script that writes the direct pin defines its digest
+# the script that writes the direct and momentum pins defines their digests
 KERNEL_PINS = load_by_path("scripts/kernel_pins.py", "kernel_pins")
 # the benchmark's scipy oracles share no code with the library's quadrature
 ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
+
+
+def minus_weight_reference(v0: float, sigma: float, k0: float) -> float:
+    """The -k weight int_kc^inf |psi(-k)|^2 w(k) dk by scipy's quad, in u
+    (natural units).  The Gaussian falls by a factor e per step in k at
+    kappa_c and faster beyond, so the pieces end at kappa_c + j step,
+    j = 1, 2, 4, 8, 16 and 40; past the last it is below e^-40 of its peak."""
+    kc = ORACLES.kappa(v0)
+    norm = math.sqrt(2.0 * sigma * sigma / math.pi)
+    step = 1.0 / (4.0 * sigma * sigma * (kc + k0))  # one e-fold at kappa_c
+
+    def g(u: float) -> float:
+        k = kc + u * u
+        gauss = math.exp(-2.0 * sigma * sigma * (k + k0) ** 2)
+        return norm * gauss * ORACLES._two_u_weight(u, v0)
+
+    edges = [0.0] + [math.sqrt(j * step) for j in (1, 2, 4, 8, 16, 40)]
+    return math.fsum(
+        scipy.integrate.quad(g, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
 
 
 def narrow(k0: float) -> GaussianPacket:
@@ -217,18 +237,9 @@ class TestIorMomentum:
         # sha256 of float.hex of R_c, plus and minus, each value and err,
         # over the grid, sigma-major, then v0, then k0; k0 lies on both
         # sides of kappa_c
-        pin = json.loads(MOMENTUM_PIN.read_text())
-        h = hashlib.sha256()
-        for sigma in pin["sigma"]:
-            for v0 in pin["v0"]:
-                for k0 in pin["k0"]:
-                    packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
-                    res, plus, minus = momentum_split(packet, v0)
-                    line = " ".join(
-                        f"{est.value.hex()} {est.err.hex()}" for est in (res, plus, minus)
-                    )
-                    h.update(f"{line}\n".encode())
-        assert h.hexdigest() == pin["sha256"]
+        pin = json.loads(KERNEL_PINS.MOMENTUM_PIN_FILE.read_text())
+        assert {key: pin[key] for key in KERNEL_PINS.MOMENTUM_GRID} == KERNEL_PINS.MOMENTUM_GRID
+        assert KERNEL_PINS.momentum_digest(pin) == pin["sha256"]
 
     def test_split_error_bars_cover_tight_run(self):
         # each weight's err bounds its distance to a run at 1000x tighter
@@ -357,9 +368,62 @@ class TestIorMomentum:
         _, _, minus = momentum_split(packet, v0, params)
         value, err = integrate_sqrt_endpoint(
             _crossing_integrand(packet, v0, params, -1, kc), kc, DEFAULT_SETTINGS,
-            _density_seeds(packet, kc),
+            _minus_seeds(packet, kc),
         )
         assert (minus.value.hex(), minus.err.hex()) == (value.hex(), err.hex())
+
+    @given(
+        sigma=st.floats(min_value=0.5, max_value=9.0),
+        v0=st.floats(min_value=0.05, max_value=0.99),
+        k0=st.floats(min_value=0.1, max_value=6.0),
+    )
+    # two sweep cells where an unseeded -k integral's err understates its
+    # gap to the reference 4.6x and 2.2x
+    @example(sigma=6.0, v0=0.407959, k0=0.502279)
+    @example(sigma=3.0, v0=0.847063, k0=4.444005)
+    def test_minus_weight_covers_scipy_reference(self, sigma, v0, k0):
+        # the -k weight, seeded at its own scale, lies within its err of
+        # scipy's quad; below 1e-300 the reference's own digits thin out
+        packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+        _, _, minus = momentum_split(packet, v0)
+        if minus == Estimate(0.0, 0.0):
+            return  # skipped: the -k Gaussian is 0.0 at kappa_c
+        reference = minus_weight_reference(v0, sigma, k0)
+        if reference >= 1e-300:
+            assert abs(minus.value - reference) <= minus.err, (minus, reference)
+
+    def test_minus_seeds_cut_the_minus_evaluations(self, monkeypatch):
+        # the -k closure's calls over a fixed grid, with the -k integral
+        # seeded at its own scale and with the +k density's seeds
+        calls = {}
+        crossing = ior._crossing_integrand
+
+        def counted(packet, v0, params, sign, kc):
+            h = crossing(packet, v0, params, sign, kc)
+            if sign > 0:
+                return h
+
+            def h_counted(t):
+                calls[mode] += 1
+                return h(t)
+
+            return h_counted
+
+        monkeypatch.setattr(ior, "_crossing_integrand", counted)
+        # the benchmark sweep's sigmas, k0 across [0.1, 6] and v0 up to 0.99
+        grid = [
+            (GaussianPacket(q0=-100.0, sigma=sigma, k0=0.1 + 0.59 * j), v0)
+            for sigma in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0)
+            for j in range(11)
+            for v0 in (0.05, 0.3, 0.6, 0.9, 0.99)
+        ]
+        for mode in ("own", "density"):
+            calls[mode] = 0
+            if mode == "density":
+                monkeypatch.setattr(ior, "_minus_seeds", _density_seeds)
+            for packet, v0 in grid:
+                momentum_split(packet, v0)
+        assert 0 < calls["own"] <= 0.6 * calls["density"], calls
 
     def test_methods_agree(self):
         for k0, v0 in ((2.0, 0.3), (0.25, 0.3)):
