@@ -16,7 +16,9 @@ left in each branch-cut rule is printed, per strength |v0| (G_B is even in
 v0, so the two signs share a rule) and step 2^-m.  The direct pin,
 tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
 on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
-and 9, three barriers up to v0 = 0.99 and three k0.  The momentum pin,
+and 9, three barriers up to v0 = 0.99 and three k0; beside its CPU time the
+script prints the grid's T_B calls, counted by wrapping the direct route's
+T_B core (counting_barrier_calls).  The momentum pin,
 tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
 +k and -k weights, each value and err, on 80 cells: sigma from 0.5 to 9,
 v0 up to 0.99 and k0 on both sides of kappa_c.  Last, the residue factor
@@ -37,13 +39,14 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import pathlib
 import sys
 import time
 
-from reltoa import kernels
+from reltoa import ior, kernels
 from reltoa.ior import ior_direct, momentum_split
 from reltoa.kernels import (
     NATURAL_UNITS,
@@ -173,6 +176,28 @@ def direct_digest(grid: dict) -> str:
     return h.hexdigest()
 
 
+@contextlib.contextmanager
+def counting_barrier_calls():
+    """Count the direct route's T_B calls within the block.
+
+    Yields a one-item list that counts each call of ior._barrier_value, the
+    T_B core ior_direct calls at every sine-transform node, while the block
+    runs; the core is restored on exit.
+    """
+    calls = [0]
+    core = ior._barrier_value
+
+    def counted(*args):
+        calls[0] += 1
+        return core(*args)
+
+    ior._barrier_value = counted
+    try:
+        yield calls
+    finally:
+        ior._barrier_value = core
+
+
 def momentum_digest(grid: dict) -> str:
     """sha256 of momentum_split's R_c, plus and minus, each value and err, on
     grid's cells (q0 = -100), sigma-major, then v0, then k0."""
@@ -275,11 +300,12 @@ def main() -> int:
         print(f"branch rule |v0|={vn:.1f} m={level}: {len(nodes[0])} nodes")
 
     direct_pin = DIRECT_GRID if args.write else json.loads(DIRECT_PIN_FILE.read_text())
-    t0 = time.process_time()
-    direct_sha = direct_digest(direct_pin)
-    cpu = time.process_time() - t0
+    with counting_barrier_calls() as calls:
+        t0 = time.process_time()
+        direct_sha = direct_digest(direct_pin)
+        cpu = time.process_time() - t0
     cells = len(direct_pin["sigma"]) * len(direct_pin["v0"]) * len(direct_pin["k0"])
-    faults += _report(f"ior_direct, {cells} cells: cpu {cpu:7.3f} s  ",
+    faults += _report(f"ior_direct, {cells} cells: {calls[0]} T_B calls, cpu {cpu:7.3f} s  ",
                       direct_sha, None if args.write else direct_pin["sha256"])
 
     momentum_pin = MOMENTUM_GRID if args.write else json.loads(MOMENTUM_PIN_FILE.read_text())

@@ -79,12 +79,16 @@ def _phi_transform(
     packet: GaussianPacket,
     params: PhysicalParams,
     settings: QuadratureSettings,
+    bandwidth: float = 0.0,
 ) -> tuple[float, float]:
     """int_0^inf sin(k0 zeta) kernel(zeta) Phi(zeta) dzeta and its error.
 
     Beyond the cut the product cannot contribute above abs_tol: every
     kernel transformed here is bounded by a small multiple of
-    1 + 1/(scale*zeta).
+    1 + 1/(scale*zeta).  bandwidth is the kernel's own largest wavenumber,
+    kappa_c(v0, params) for T_B(-v0) and the gap T_F - T_B(-v0), whose
+    residue terms go as cos(kappa_c zeta); sine_transform_decaying splits
+    each half-period of sin(k0 zeta) into ceil(bandwidth/k0) pieces.
     """
     scale = params.mu * params.c / params.hbar
     cut = 1e-3 * settings.abs_tol
@@ -95,7 +99,7 @@ def _phi_transform(
             return 0.0
         return kernel(zeta) * phi
 
-    return sine_transform_decaying(integrand, packet.k0, settings)
+    return sine_transform_decaying(integrand, packet.k0, settings, bandwidth)
 
 
 def ior_direct(
@@ -111,7 +115,12 @@ def ior_direct(
     for bit, from kernels._barrier_value at the natural zeta barrier_factor
     forms.  That core forms no err, so past natural zeta ~ 36-38 it drops
     the branch-cut sum wherever the sum cannot move the value, where
-    barrier_factor keeps it up to ~ 65 for its err's bits.
+    barrier_factor keeps it up to ~ 65 for its err's bits, and below that
+    it accepts the branch-cut rule without forming its rounding bound.
+    The sine transform's panels start where its adaptive runs end up: split
+    at kappa_c's scale for k0 < kappa_c, and the first one graded toward
+    T_B's 1/zeta start.  A Table 1 cell takes ~240 T_B values (~340 with
+    whole-panel openings).
     """
     _require_subcritical(v0, params)
     scale = params.mu * params.c / params.hbar
@@ -119,7 +128,7 @@ def ior_direct(
     mu_c, hbar = params.mu * params.c, params.hbar
     val, err = _phi_transform(
         lambda zeta: _barrier_value(vn, mu_c * zeta / hbar, settings),
-        packet, params, settings,
+        packet, params, settings, kappa_c(v0, params),
     )
     return Estimate(scale * val, scale * err)
 
@@ -436,7 +445,7 @@ def toa_difference(
     packet.check_support(barrier.a)
     gap, _err = _phi_transform(
         lambda zeta: barrier_free_gap(barrier.v0, zeta, params, settings),
-        packet, params, settings,
+        packet, params, settings, kappa_c(barrier.v0, params),
     )
     # (mu L / p0) * k0 * gap = (mu L / hbar) * gap
     return params.mu * barrier.length / params.hbar * gap

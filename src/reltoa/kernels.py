@@ -54,6 +54,11 @@ the skip first fires near x = 36 for v > 0, 64 for v < 0 and 70 for T_F.
 The direct route reads T_B's value alone, so its core skips where B is
 below a quarter-ulp of F_B's value, whatever the err: for v < 0 from
 x ~ 36-38 on.  _branch_negligible holds the quarter-ulp test for all three.
+Below the skip the value-only core still sums the branch cut, but accepts a
+rule level on |T_h - T_2h| against the value alone, which implies the full
+test because every term is >= 0 (see _branch_laplace); the two sums of its
+rounding bound are formed only where that shortcut fails, and the value's
+bits are the same either way.
 
 barrier_factor checks its arguments once and hands the strength and zeta,
 in natural units, to _barrier, which sums each rule's nodes in list
@@ -209,6 +214,7 @@ def gb_factor(
 # --- residue factor F_B ------------------------------------------------------
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+_HALF_ROUNDOFF = 2.0 ** -54
 _TWO_OVER_PI = 2.0 / math.pi
 # the rule sizes and the moment rule, in intervals of [0, pi/2]
 _FB_MIN_INTERVALS = 32
@@ -546,7 +552,11 @@ def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...],
 
 
 def _branch_laplace(
-    vn: float, x: float, settings: QuadratureSettings, gap: bool = False
+    vn: float,
+    x: float,
+    settings: QuadratureSettings,
+    gap: bool = False,
+    value_only: bool = False,
 ) -> tuple[float, float]:
     """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz and its error, G = G_B(vn, z)
     or, with gap, 1 - G_B; vn = |v|/(mu c^2), x > 0.
@@ -571,6 +581,16 @@ def _branch_laplace(
     doubles while the first exceeds the second; past _BRANCH_MAX_NODES
     (zeta ~ 1e-220) a difference above the settings' tolerance raises
     QuadratureError.
+
+    With value_only (G = G_B, for a caller that reads the value alone) a
+    level is accepted as soon as |T_h - T_2h| <= 2^-54 (12 + 2x) T_h, before
+    the bound's two sums are formed, and the err returned is math.inf.  The
+    full test would accept that level too: every term c_k e^(-x w_k) is
+    >= 0, so the plain sum of the terms is at least half of T_h (their two
+    fsums and one addition), and the bound is at least 2^-53 (12 + 2x) times
+    that sum, each product rounded monotonically and the power-of-two
+    factors exactly.  So the level, and the value's bits, are the full
+    path's; where the shortcut does not hold, the full test runs unchanged.
     """
     envelope = math.exp(-x)
     if envelope == 0.0:
@@ -599,6 +619,8 @@ def _branch_laplace(
             terms = scales = [c_k * exp(neg_x * w_k) for w_k, c_k in zip(w[:n], c)]
         odd, even = math.fsum(terms[0::2]), math.fsum(terms[1::2])
         value, trunc = odd + even, abs(odd - even)
+        if value_only and trunc <= _HALF_ROUNDOFF * (12.0 + 2.0 * x) * value:
+            return envelope * value, math.inf
         rounding = _UNIT_ROUNDOFF * (
             (12.0 + 2.0 * x) * sum(scales) + 8.0 * x * sum(map(operator.mul, scales, w))
         )
@@ -714,12 +736,13 @@ def _barrier_value(vn: float, x: float, settings: QuadratureSettings) -> float:
     alone, since then fb_val + br_val rounds to fb_val.  For v < 0 that
     holds from x ~ 36-38, where _barrier, which must also keep its err's
     bits, sums the branch cut up to x ~ 65.  Typed errors come as from
-    _barrier, F_B's first.
+    _barrier, F_B's first.  The branch-cut sum runs value_only, so it
+    mostly accepts its level without forming its rounding bound.
     """
     fb_val, _fb_err = _fb_sum(vn, x, settings)
     if x > _SKIP_MIN_X and _branch_negligible(abs(vn), x, fb_val):
         return fb_val
-    return fb_val + _branch_laplace(abs(vn), x, settings)[0] * _TWO_OVER_PI
+    return fb_val + _branch_laplace(abs(vn), x, settings, value_only=True)[0] * _TWO_OVER_PI
 
 
 def barrier_free_gap(

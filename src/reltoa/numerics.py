@@ -15,7 +15,8 @@ The oscillatory sine transform sums panels between successive zeros of
 sin(k*zeta) until the envelope has decayed below abs_tol, judged from each
 panel's value and the largest integrand magnitude its own integrand
 recorded, and raises QuadratureError when the panels stop shrinking or
-reach the panel cap.
+reach the panel cap.  Each panel's adaptive run is seeded: at f's own
+bandwidth, when the caller gives one, and toward zeta = 0 in the first.
 
 The branch-cut Laplace integrals and the series route's branch transform
 are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
@@ -394,10 +395,17 @@ def integrate_semiinf_exp(
     return _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
 
 
+# the sine transform's first panel is seeded at this many halvings of its
+# first piece toward zeta = 0, where a 1/zeta start of f makes the driver
+# bisect
+_FIRST_PANEL_HALVINGS = 6
+
+
 def sine_transform_decaying(
     f: Callable[[float], float],
     k: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
+    bandwidth: float = 0.0,
 ) -> tuple[float, float]:
     """Integral of sin(k*zeta) * f(zeta) over [0, inf) for decaying f.
 
@@ -411,10 +419,24 @@ def sine_transform_decaying(
     regularizes the product) but must decay overall; panels whose
     magnitudes stop shrinking raise QuadratureError, and so does a tail
     that needs more than 16 * max_subdivisions panels (at least 64).
+
+    Each panel's adaptive run starts from the segments it would otherwise
+    reach by bisection.  bandwidth is the largest wavenumber at which f
+    itself oscillates (0 for f that does not): each panel of width pi/k
+    starts as ceil(bandwidth/k) equal pieces, at most max_subdivisions/4,
+    so that no opening pass spans more than half a period of f.  The first
+    piece is also seeded at its width times 2^-j, j = 1 to
+    _FIRST_PANEL_HALVINGS, toward f's 1/zeta start.
     """
     if k <= 0.0:
         raise ValueError("sine_transform_decaying requires k > 0")
     period = math.pi / k
+    pieces = max(1, min(math.ceil(bandwidth / k), settings.max_subdivisions // 4))
+    width = period / pieces
+    offsets = [i * width for i in range(1, pieces)]
+    first_seeds = tuple(offsets) + tuple(
+        width * 0.5**j for j in range(1, _FIRST_PANEL_HALVINGS + 1)
+    )
     max_panels = max(64, 16 * settings.max_subdivisions)
     panel_tol = 0.1 * settings.abs_tol
 
@@ -438,7 +460,8 @@ def sine_transform_decaying(
         a = n * period
         b = (n + 1) * period
         node_max = 0.0  # this panel's largest |integrand| at a node so far
-        v, e = _adaptive_gk(integrand, a, b, settings)
+        seeds = first_seeds if n == 0 else tuple(a + o for o in offsets)
+        v, e = _adaptive_gk(integrand, a, b, settings, seeds)
         total += v
         err += e
         panels.append(v)
@@ -484,10 +507,15 @@ def integrate_sqrt_endpoint(
     ZeroDivisionError at t = 1 is read as a tail that does not decay.
     `seeds` marks k-locations of narrow features away from the endpoint (a
     tight momentum density, say) that an unseeded opening pass can miss;
-    they are mapped to t = u/(1 + u), u = sqrt(k - a).
+    they are mapped to t = u/(1 + u), u = sqrt(k - a).  A nonzero value's
+    err is at least its ulp, the rounding of the value itself: for a
+    subnormal integral |K15 - G7| underflows to 0.0.
     """
     u_seeds = (math.sqrt(k - a) for k in seeds if k > a)
     try:
-        return _adaptive_gk(h, 0.0, 1.0, settings, tuple(u / (1.0 + u) for u in u_seeds))
+        value, err = _adaptive_gk(
+            h, 0.0, 1.0, settings, tuple(u / (1.0 + u) for u in u_seeds)
+        )
     except ZeroDivisionError:
         raise QuadratureError(_NON_DECAYING) from None
+    return value, (max(err, math.ulp(value)) if value else err)

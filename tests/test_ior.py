@@ -148,6 +148,31 @@ class TestIorDirect:
         with pytest.raises(ValueError):
             ior_direct(narrow(2.0), 1.5)
 
+    def test_agrees_with_momentum_across_widths(self):
+        # the direct route against the independent momentum route, run
+        # 1000x tighter, at three widths, on both sides of kappa_c and up to
+        # the rest-energy scale: each value within the sum of the two errs
+        tight = QuadratureSettings(rel_tol=1e-13)
+        for sigma in (0.5, 2.0, 6.0):
+            for v0 in (0.1, 0.3, 0.99):
+                kc = kappa_c(v0)
+                for k0 in (0.5 * kc, 1.1 * kc, 2.0):
+                    packet = wide(k0, sigma)
+                    direct = ior_direct(packet, v0)
+                    momentum = ior_momentum(packet, v0, settings=tight)
+                    gap = abs(direct.value - momentum.value)
+                    assert gap <= direct.err + momentum.err, (sigma, v0, k0, direct, momentum)
+
+    def test_seeded_panels_cut_the_barrier_calls(self):
+        # T_B calls over Table 1's seven v0 = 0.3 direct cells.  With every
+        # panel opened as one segment, bisected toward T_B's 1/zeta start and
+        # at kappa_c's scale, they made 2,391
+        with KERNEL_PINS.counting_barrier_calls() as calls:
+            for k0, v0, has_integral in TABLE1_ROWS:
+                if has_integral and v0 == 0.3:
+                    ior_direct(narrow(k0), v0)
+        assert 0 < calls[0] <= 0.8 * 2391, calls
+
     def test_bits_match_pin(self):
         # sha256 of float.hex of R_c's value and err on the widest cells,
         # whose transforms reach natural zeta > 36, up to v0 = 0.99
@@ -170,12 +195,13 @@ class TestIorDirect:
     @example(sigma=2.0, k0=1.0, v0_frac=0.5, params=UNITS[2])
     def test_bits_match_composed_barrier_factor(self, sigma, k0, v0_frac, params):
         # the route is the sine transform of barrier_factor's value, node by
-        # node, bit for bit, whatever the units
+        # node, bit for bit, whatever the units, with its panels split at
+        # T_B's own wavenumber kappa_c
         packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
         v0 = v0_frac * params.rest_energy
         val, err = _phi_transform(
             lambda zeta: barrier_factor(-v0, zeta, params, DEFAULT_SETTINGS).value,
-            packet, params, DEFAULT_SETTINGS,
+            packet, params, DEFAULT_SETTINGS, kappa_c(v0, params),
         )
         scale = params.mu * params.c / params.hbar
         est = ior_direct(packet, v0, params, DEFAULT_SETTINGS)
@@ -391,6 +417,17 @@ class TestIorMomentum:
         reference = minus_weight_reference(v0, sigma, k0)
         if reference >= 1e-300:
             assert abs(minus.value - reference) <= minus.err, (minus, reference)
+
+    # two sweep cells whose -k weights are subnormal, where |K15 - G7|
+    # underflows to 0.0 and the err is the value's ulp
+    @pytest.mark.parametrize(
+        "sigma, v0, k0", [(6.0, 0.973889, 1.506871), (6.0, 0.542374, 2.021232)]
+    )
+    def test_subnormal_minus_weight_covers_scipy_reference(self, sigma, v0, k0):
+        _, _, minus = momentum_split(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), v0)
+        assert 0.0 < minus.value < sys.float_info.min
+        reference = minus_weight_reference(v0, sigma, k0)
+        assert abs(minus.value - reference) <= minus.err, (minus, reference)
 
     def test_minus_seeds_cut_the_minus_evaluations(self, monkeypatch):
         # the -k closure's calls over a fixed grid, with the -k integral

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import threading
+import unittest.mock
 import warnings
 
 import mpmath as mp
@@ -592,6 +593,59 @@ class TestBranchSkip:
         assert kernels._barrier_value(-0.1, 40.0, DEFAULT_SETTINGS).hex() == expected.hex()
         with pytest.raises(AssertionError, match="branch-cut sum called"):
             barrier_factor(-0.1, 40.0)
+
+
+class _LevelLog(dict):
+    """A branch-node cache that records the rule level of every lookup."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.levels = []
+
+    def get(self, key, default=None):
+        self.levels.append(key[1])
+        return super().get(key, default)
+
+
+def _branch_rule_run(vn: float, x: float, value_only: bool):
+    """_branch_laplace's (value, err) at (vn, x) in float.hex, and the last
+    rule level it looked up (None if it looked up none)."""
+    log = _LevelLog(kernels._BRANCH_NODES)
+    with unittest.mock.patch.object(kernels, "_BRANCH_NODES", log):
+        value, err = kernels._branch_laplace(vn, x, DEFAULT_SETTINGS, value_only=value_only)
+    return (value.hex(), err.hex()), (log.levels[-1] if log.levels else None)
+
+
+class TestBranchEarlyAccept:
+    """The value-only branch rule accepts a level early where
+    |T_h - T_2h| <= 2^-54 (12 + 2x) T_h.  Every term is >= 0, so the
+    rounding bound is at least twice that and the full test passes there:
+    the early accept may change neither the level nor the value."""
+
+    @given(
+        vn=st.floats(min_value=-0.999, max_value=0.999, exclude_min=True, exclude_max=True),
+        x=st.floats(min_value=-3.0, max_value=math.log10(760.0)).map(lambda t: 10.0**t),
+    )
+    # the smallest x, strengths at both ends, and past exp's underflow at
+    # 745, where neither path sums
+    @example(vn=0.0, x=1e-3)
+    @example(vn=-0.999, x=1e-3)
+    @example(vn=0.999, x=30.0)
+    @example(vn=-0.5, x=750.0)
+    def test_matches_the_full_rule(self, vn, x):
+        early, early_level = _branch_rule_run(abs(vn), x, value_only=True)
+        full, full_level = _branch_rule_run(abs(vn), x, value_only=False)
+        if early[1] == math.inf.hex():
+            assert (early_level, early[0]) == (full_level, full[0])
+        else:
+            # the shortcut did not fire: the full path ran unchanged
+            assert (early_level, early) == (full_level, full)
+
+    def test_fires_on_the_direct_route(self):
+        # at the value-only core's zeta, below its branch-cut skip
+        for vn, x in [(0.3, 0.01), (0.3, 1.0), (0.1, 20.0), (0.99, 35.0)]:
+            _value, err = kernels._branch_laplace(vn, x, DEFAULT_SETTINGS, value_only=True)
+            assert err == math.inf, (vn, x)
 
 
 def mpf_sum_oracle(terms) -> float:

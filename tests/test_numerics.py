@@ -252,6 +252,18 @@ class TestSineTransform:
         val, _ = sine_transform_decaying(lambda z: math.exp(-0.05 * z), 1.0)
         assert val == pytest.approx(1.0 / (1.0 + 0.05**2), rel=1e-9)
 
+    def test_bandwidth_pieces_keep_the_closed_form(self):
+        # f = cos(3 z) e^(-z/2) has six half-periods in each half-period of
+        # sin(z/2); split into ceil(3/0.5) = 6 pieces a panel, the transform
+        # keeps its closed form within its err
+        k, b, a = 0.5, 3.0, 0.5
+        ref = 0.5 * ((k + b) / (a * a + (k + b) ** 2) + (k - b) / (a * a + (k - b) ** 2))
+        val, err = sine_transform_decaying(
+            lambda z: math.cos(b * z) * math.exp(-a * z), k, bandwidth=b
+        )
+        assert abs(val - ref) <= err
+        assert val == pytest.approx(ref, rel=1e-11)
+
     def test_non_decaying_detected(self):
         with pytest.raises(QuadratureError):
             sine_transform_decaying(lambda z: 1.0, 1.0)
