@@ -79,16 +79,18 @@ def _phi_transform(
     packet: GaussianPacket,
     params: PhysicalParams,
     settings: QuadratureSettings,
-    bandwidth: float = 0.0,
+    bandwidth: float,
 ) -> tuple[float, float]:
     """int_0^inf sin(k0 zeta) kernel(zeta) Phi(zeta) dzeta and its error.
 
     Beyond the cut the product cannot contribute above abs_tol: every
     kernel transformed here is bounded by a small multiple of
-    1 + 1/(scale*zeta).  bandwidth is the kernel's own largest wavenumber,
+    1 + 1/(scale*zeta).  bandwidth is the kernel's own largest wavenumber:
     kappa_c(v0, params) for T_B(-v0) and the gap T_F - T_B(-v0), whose
-    residue terms go as cos(kappa_c zeta); sine_transform_decaying splits
-    each half-period of sin(k0 zeta) into ceil(bandwidth/k0) pieces.
+    residue terms go as cos(kappa_c zeta), and 0 for T_F.  Passed on to
+    sine_transform_decaying with the kernel's 1/zeta start, it splits each
+    half-period of sin(k0 zeta) into ceil(bandwidth/k0) pieces and grades
+    the first piece toward zeta = 0.
     """
     scale = params.mu * params.c / params.hbar
     cut = 1e-3 * settings.abs_tol
@@ -99,7 +101,7 @@ def _phi_transform(
             return 0.0
         return kernel(zeta) * phi
 
-    return sine_transform_decaying(integrand, packet.k0, settings, bandwidth)
+    return sine_transform_decaying(integrand, packet.k0, settings, bandwidth=bandwidth)
 
 
 def ior_direct(
@@ -118,8 +120,9 @@ def ior_direct(
     barrier_factor keeps it up to ~ 65 for its err's bits, and below that
     it accepts the branch-cut rule without forming its rounding bound.
     The sine transform's panels start where its adaptive runs end up: split
-    at kappa_c's scale for k0 < kappa_c, and the first one graded toward
-    T_B's 1/zeta start.  A Table 1 cell takes ~240 T_B values (~340 with
+    at kappa_c's scale for k0 < kappa_c (at v0 = 0, T_B = T_F has no
+    cos(kappa_c zeta) terms, so its bandwidth is 0), and the first one
+    graded toward T_B's 1/zeta start.  A Table 1 cell takes ~240 T_B values (~340 with
     whole-panel openings).
     """
     _require_subcritical(v0, params)
@@ -128,7 +131,7 @@ def ior_direct(
     mu_c, hbar = params.mu * params.c, params.hbar
     val, err = _phi_transform(
         lambda zeta: _barrier_value(vn, mu_c * zeta / hbar, settings),
-        packet, params, settings, kappa_c(v0, params),
+        packet, params, settings, kappa_c(v0, params) if v0 > 0.0 else 0.0,
     )
     return Estimate(scale * val, scale * err)
 

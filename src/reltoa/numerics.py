@@ -15,8 +15,8 @@ The oscillatory sine transform sums panels between successive zeros of
 sin(k*zeta) until the envelope has decayed below abs_tol, judged from each
 panel's value and the largest integrand magnitude its own integrand
 recorded, and raises QuadratureError when the panels stop shrinking or
-reach the panel cap.  Each panel's adaptive run is seeded: at f's own
-bandwidth, when the caller gives one, and toward zeta = 0 in the first.
+reach the panel cap.  Given a kernel's bandwidth, each panel's adaptive
+run is seeded at it, and the first panel toward zeta = 0.
 
 The branch-cut Laplace integrals and the series route's branch transform
 are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
@@ -156,6 +156,11 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return res_k * half, abs(res_k - res_g) * abs(half)
 
 
+# the subnormal range, where floats round on an absolute grid
+_MIN_NORMAL = 2.0 ** -1022
+_MIN_SUBNORMAL = 2.0 ** -1074
+
+
 def _adaptive_gk(
     f: Callable[[float], float],
     a: float,
@@ -171,7 +176,9 @@ def _adaptive_gk(
     error_estimate), the sums over the final segments; raises
     QuadratureError when max_subdivisions segments cannot reach
     max(abs_tol, rel_tol * |value|) or a segment with error hits
-    width_floor.
+    width_floor.  A subnormal value is summed on the absolute grid 2^-1074,
+    where every node's product and sum rounds and |K15 - G7| can underflow
+    to 0.0, so its err is at least one step of that grid per node.
     """
     points = [a, b]
     for s_pt in seeds:
@@ -214,6 +221,8 @@ def _adaptive_gk(
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, sb, v2, e2))
         counter += 1
+    if 0.0 < abs(total_val) < _MIN_NORMAL:
+        total_err = max(total_err, 15 * counter * _MIN_SUBNORMAL)
     return total_val, total_err
 
 
@@ -395,9 +404,8 @@ def integrate_semiinf_exp(
     return _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
 
 
-# the sine transform's first panel is seeded at this many halvings of its
-# first piece toward zeta = 0, where a 1/zeta start of f makes the driver
-# bisect
+# a kernel's first panel is seeded at this many halvings of its first piece
+# toward zeta = 0, where a 1/zeta start of f makes the driver bisect
 _FIRST_PANEL_HALVINGS = 6
 
 
@@ -405,7 +413,8 @@ def sine_transform_decaying(
     f: Callable[[float], float],
     k: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-    bandwidth: float = 0.0,
+    *,
+    bandwidth: float | None = None,
 ) -> tuple[float, float]:
     """Integral of sin(k*zeta) * f(zeta) over [0, inf) for decaying f.
 
@@ -420,23 +429,28 @@ def sine_transform_decaying(
     magnitudes stop shrinking raise QuadratureError, and so does a tail
     that needs more than 16 * max_subdivisions panels (at least 64).
 
-    Each panel's adaptive run starts from the segments it would otherwise
-    reach by bisection.  bandwidth is the largest wavenumber at which f
-    itself oscillates (0 for f that does not): each panel of width pi/k
-    starts as ceil(bandwidth/k) equal pieces, at most max_subdivisions/4,
-    so that no opening pass spans more than half a period of f.  The first
-    piece is also seeded at its width times 2^-j, j = 1 to
-    _FIRST_PANEL_HALVINGS, toward f's 1/zeta start.
+    A bandwidth declares f a kernel of that shape, as reltoa.ior transforms
+    them: C/zeta at the origin, oscillating at wavenumbers up to bandwidth
+    (0 for none).  Each panel's adaptive run then starts from the segments
+    it would otherwise reach by bisection: a panel of width pi/k starts as
+    ceil(bandwidth/k) equal pieces, so that no opening pass spans more than
+    half a period of f, and the first piece is also seeded at its width
+    times 2^-j, j = 1 to _FIRST_PANEL_HALVINGS, toward the 1/zeta start.  A
+    panel opens on at most max_subdivisions/4 segments.  Without a
+    bandwidth every panel opens on one segment.
     """
     if k <= 0.0:
         raise ValueError("sine_transform_decaying requires k > 0")
     period = math.pi / k
-    pieces = max(1, min(math.ceil(bandwidth / k), settings.max_subdivisions // 4))
-    width = period / pieces
-    offsets = [i * width for i in range(1, pieces)]
-    first_seeds = tuple(offsets) + tuple(
-        width * 0.5**j for j in range(1, _FIRST_PANEL_HALVINGS + 1)
-    )
+    offsets: tuple[float, ...] = ()
+    first_seeds: tuple[float, ...] = ()
+    if bandwidth is not None:
+        most = max(1, settings.max_subdivisions // 4)
+        pieces = min(max(1, math.ceil(bandwidth / k)), most)
+        width = period / pieces
+        offsets = tuple(i * width for i in range(1, pieces))
+        halvings = min(_FIRST_PANEL_HALVINGS, most - pieces)
+        first_seeds = offsets + tuple(width * 0.5**j for j in range(1, halvings + 1))
     max_panels = max(64, 16 * settings.max_subdivisions)
     panel_tol = 0.1 * settings.abs_tol
 
@@ -507,15 +521,10 @@ def integrate_sqrt_endpoint(
     ZeroDivisionError at t = 1 is read as a tail that does not decay.
     `seeds` marks k-locations of narrow features away from the endpoint (a
     tight momentum density, say) that an unseeded opening pass can miss;
-    they are mapped to t = u/(1 + u), u = sqrt(k - a).  A nonzero value's
-    err is at least its ulp, the rounding of the value itself: for a
-    subnormal integral |K15 - G7| underflows to 0.0.
+    they are mapped to t = u/(1 + u), u = sqrt(k - a).
     """
     u_seeds = (math.sqrt(k - a) for k in seeds if k > a)
     try:
-        value, err = _adaptive_gk(
-            h, 0.0, 1.0, settings, tuple(u / (1.0 + u) for u in u_seeds)
-        )
+        return _adaptive_gk(h, 0.0, 1.0, settings, tuple(u / (1.0 + u) for u in u_seeds))
     except ZeroDivisionError:
         raise QuadratureError(_NON_DECAYING) from None
-    return value, (max(err, math.ulp(value)) if value else err)

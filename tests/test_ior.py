@@ -93,7 +93,7 @@ def nested_branch_transform(packet: GaussianPacket, v0: float) -> tuple[float, f
 def nested_qc(packet: GaussianPacket) -> tuple[float, float]:
     """Q_c and its error as k0 times the sine transform of T_F Phi, zeta outermost."""
     val, err = _phi_transform(
-        lambda zeta: free_factor(zeta).value, packet, NATURAL_UNITS, DEFAULT_SETTINGS
+        lambda zeta: free_factor(zeta).value, packet, NATURAL_UNITS, DEFAULT_SETTINGS, 0.0
     )
     return packet.k0 * val, packet.k0 * err
 
@@ -162,6 +162,18 @@ class TestIorDirect:
                     momentum = ior_momentum(packet, v0, settings=tight)
                     gap = abs(direct.value - momentum.value)
                     assert gap <= direct.err + momentum.err, (sigma, v0, k0, direct, momentum)
+
+    @pytest.mark.parametrize("sigma, k0", [(0.5, 2.0), (0.5, 0.3), (2.0, 1.0)])
+    def test_zero_height_is_the_free_transform(self, sigma, k0):
+        # at v0 = 0, T_B = T_F has no kappa_c: the route transforms T_F at
+        # bandwidth 0, bit for bit, and agrees with Q_c / k0 within its err
+        packet = wide(k0, sigma)
+        est = ior_direct(packet, 0.0)
+        val, err = _phi_transform(
+            lambda zeta: free_factor(zeta).value, packet, NATURAL_UNITS, DEFAULT_SETTINGS, 0.0
+        )
+        assert (est.value.hex(), est.err.hex()) == (val.hex(), err.hex())
+        assert abs(est.value - qc_expectation(packet) / k0) <= est.err
 
     def test_seeded_panels_cut_the_barrier_calls(self):
         # T_B calls over Table 1's seven v0 = 0.3 direct cells.  With every
@@ -418,10 +430,12 @@ class TestIorMomentum:
         if reference >= 1e-300:
             assert abs(minus.value - reference) <= minus.err, (minus, reference)
 
-    # two sweep cells whose -k weights are subnormal, where |K15 - G7|
-    # underflows to 0.0 and the err is the value's ulp
+    # -k weights in the subnormal range, where |K15 - G7| underflows to 0.0
+    # and the err is one step of the grid 2^-1074 per node: two sweep cells,
+    # and a cell 2 steps from the reference, which one step would not cover
     @pytest.mark.parametrize(
-        "sigma, v0, k0", [(6.0, 0.973889, 1.506871), (6.0, 0.542374, 2.021232)]
+        "sigma, v0, k0",
+        [(6.0, 0.973889, 1.506871), (6.0, 0.542374, 2.021232), (3.893754, 0.600255, 3.6857)],
     )
     def test_subnormal_minus_weight_covers_scipy_reference(self, sigma, v0, k0):
         _, _, minus = momentum_split(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), v0)

@@ -15,6 +15,7 @@ import scipy.special
 from hypothesis import given, strategies as st
 
 from conftest import branch_integral_oracle, sine_integral_oracle
+from reltoa import numerics
 from reltoa.classical import crtoa_quadrature
 from reltoa.kernels import BarrierSpec
 from reltoa.numerics import (
@@ -264,6 +265,36 @@ class TestSineTransform:
         assert abs(val - ref) <= err
         assert val == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("max_subdivisions", [1, 4, 8, 28, 2000])
+    @pytest.mark.parametrize("bandwidth", [None, 0.0, 2.9, 40.0])
+    def test_opening_segments(self, monkeypatch, max_subdivisions, bandwidth):
+        # a generic f opens every panel on one segment; a kernel's panel on
+        # ceil(bandwidth/k) pieces, the first graded toward zeta = 0, and no
+        # panel on more than max_subdivisions/4 segments
+        openings = []
+        adaptive_gk = numerics._adaptive_gk
+
+        def recording_gk(f, a, b, settings, seeds=()):
+            openings.append(len(seeds) + 1)
+            return adaptive_gk(f, a, b, settings, seeds)
+
+        monkeypatch.setattr(numerics, "_adaptive_gk", recording_gk)
+        settings = QuadratureSettings(rel_tol=1e-6, max_subdivisions=max_subdivisions)
+        try:
+            sine_transform_decaying(
+                lambda z: math.exp(-z * z) / z, 1.0, settings, bandwidth=bandwidth
+            )
+        except QuadratureError:
+            pass  # a panel cap this low need not converge
+        most = max(1, max_subdivisions // 4)
+        if bandwidth is None:
+            assert set(openings) == {1}
+            return
+        pieces = min(max(1, math.ceil(bandwidth)), most)
+        first = min(pieces + numerics._FIRST_PANEL_HALVINGS, most)
+        assert openings[0] == first
+        assert set(openings[1:]) <= {pieces}
+
     def test_non_decaying_detected(self):
         with pytest.raises(QuadratureError):
             sine_transform_decaying(lambda z: 1.0, 1.0)
@@ -385,13 +416,16 @@ class TestSettings:
 ENGINE_PIN = pathlib.Path(__file__).parent / "data" / "engine_pin.json"
 FEW_SUBDIVISIONS = QuadratureSettings(max_subdivisions=4)
 LOOSE_FEW = QuadratureSettings(rel_tol=1e-6, max_subdivisions=4)
+EIGHT_SUBDIVISIONS = QuadratureSettings(max_subdivisions=8)
 TIGHT = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16)
 PIN_BARRIER = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
 
 # (caller, thunk) pairs: each thunk returns (value, err), a bare value, or
 # raises.  The sine transform runs a 1/zeta start, panels that cancel while
 # the integrand does not (sin * cos), a NaN tail, a constant that trips the
-# flat-panel guard and a 1/zeta tail that hits the 64-panel cap.
+# flat-panel guard and a 1/zeta tail that hits the 64-panel cap; then, with
+# a bandwidth, the 1/zeta start graded, sin * cos split into four pieces a
+# panel, and the grading cut to one halving by a cap of 8 subdivisions.
 ENGINE_CASES = [
     ("sine_transform_decaying", lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0)),
     ("sine_transform_decaying",
@@ -409,6 +443,16 @@ ENGINE_CASES = [
     ("sine_transform_decaying", lambda: sine_transform_decaying(lambda z: 1.0, 1.0)),
     ("sine_transform_decaying",
      lambda: sine_transform_decaying(lambda z: 1.0 / (1.0 + z), 0.5, LOOSE_FEW)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z) / z, 1.0, bandwidth=0.0)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(
+         lambda z: math.cos(2.0 * z) * math.exp(-0.2 * z), 0.5, bandwidth=2.0
+     )),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(
+         lambda z: math.exp(-z * z) / z, 1.0, EIGHT_SUBDIVISIONS, bandwidth=0.0
+     )),
     ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0)),
     ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: z * z, 0.7, 1.3, TIGHT)),
     ("integrate_semiinf_exp",
