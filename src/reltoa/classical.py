@@ -9,25 +9,23 @@ integrand used here carries the launch kinetic energy in its numerator,
 with H the conserved total energy.  That convention is what the closed
 per-region formulas and the above-barrier crossing time tau_top realize,
 and it is what the quantized kernels reproduce in their classical limit.
+Nothing here runs a quadrature engine: the potential is piecewise
+constant, the resummation of R_c's double series is finite arithmetic, and
+its branch-cut term is kernels.branch_transform's fixed rule.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
-    gb_factor,
+    branch_transform,
 )
-from reltoa.numerics import (
-    DEFAULT_SETTINGS,
-    QuadratureSettings,
-    gen_binomial,
-    hyp2f1_integral,
-    integrate_semiinf_exp,
-)
+from reltoa.numerics import SeriesDivergenceError
 
 __all__ = [
     "ClassicallyForbiddenError",
@@ -55,7 +53,6 @@ def crtoa_quadrature(
     p: float,
     barrier: BarrierSpec | None,
     params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Arrival time at the origin by quadrature of the flight-time integrand
     over [q, 0], split at the barrier edges.
@@ -63,8 +60,6 @@ def crtoa_quadrature(
     The potential is piecewise constant, so the rate is one float on each
     section and its integral is rate * (right - left) in closed form; a
     section with (H - V)^2 <= (mu c^2)^2 raises ClassicallyForbiddenError.
-    Nothing here is adaptive, so the settings go unused; they stay so that
-    every caller's signature holds.
     """
     if p == 0.0:
         raise ValueError("crtoa_quadrature requires p != 0")
@@ -209,45 +204,42 @@ def rc_series_resummation(
     v0: float,
     j_max: int,
     params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Partial resummation of the refraction-index double series.
 
-    Each j-term pairs gamma^(k+1) against a Gauss-hypergeometric integral;
-    the branch-cut contribution is added on top of the partial sum.  As
-    j_max grows the result approaches rc_asymptotic whenever p0 sits well
-    above the barrier threshold; below the barrier the terms grow and a
-    SeriesDivergenceError propagates up from the inner machinery once the
-    partial sums blow past floating range (the series has left its regime).
+    Each (j, k) term pairs gamma^(k+1) = (1 + x)^alpha, alpha = (k+1)/2 and
+    x = (p0/mu c)^2, against x^(j+1) C(alpha, j+1) 2F1(1, j+1-alpha; j+2; -x),
+    its binomial Taylor remainder after x^j.  Their difference is the
+    partial sum sum_{n<=j} C(alpha, n) x^n, so each k's bracket grows by one
+    term per j and the whole call is O(j_max^2) arithmetic.  The branch-cut
+    term, (2/pi) int_1^inf sqrt(z^2-1)/z G_B(v0, z) x/(z^2 + x) dz, is
+    kernels.branch_transform's.  As j_max grows the result approaches
+    rc_asymptotic whenever p0 sits well above the barrier threshold.  A
+    term or sum that leaves the float range raises SeriesDivergenceError.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     x = (p0 / (params.mu * params.c)) ** 2
-    gamma = math.sqrt(1.0 + x)
-    rest = params.rest_energy
+    ratio = -v0 / (2.0 * params.rest_energy)
+    step = params.mu * v0 / (2.0 * p0 * p0)
+    alphas = [(k + 1) / 2.0 for k in range(j_max + 1)]
+    powers = [1.0] * (j_max + 1)  # C(alpha_k, j) x^j
+    brackets = [1.0] * (j_max + 1)  # sum_{n<=j} C(alpha_k, n) x^n
+    weights = [1.0]  # C(j, k) ratio^(j-k), k = 0 to j
+    outer = 1.0  # (2j)!/(j!)^2 step^j
     series = 0.0
     for j in range(j_max + 1):
-        outer = (
-            math.factorial(2 * j)
-            / (math.factorial(j) ** 2)
-            * (params.mu * v0 / (2.0 * p0 * p0)) ** j
-        )
-        inner = 0.0
-        for k in range(j + 1):
-            bracket = gamma ** (k + 1) - x ** (j + 1) * gen_binomial(
-                (k + 1) / 2.0, j + 1
-            ) * hyp2f1_integral(1.0, 0.5 + j - 0.5 * k, j + 2.0, -x, settings)
-            inner += (
-                math.comb(j, k) * (-v0 / (2.0 * rest)) ** (j - k) * bracket
+        if j:
+            outer *= 2.0 * (2 * j - 1) / j * step
+            weights = [a + ratio * b for a, b in zip([0.0, *weights], [*weights, 0.0])]
+            for k, alpha in enumerate(alphas):
+                powers[k] *= (alpha - (j - 1)) / j * x
+                brackets[k] += powers[k]
+        series += outer * sum(map(operator.mul, weights, brackets))
+        if not math.isfinite(series):
+            raise SeriesDivergenceError(
+                f"R_c resummation leaves the float range at j = {j} "
+                f"(p0={p0!r}, v0={v0!r}, j_max={j_max})"
             )
-        series += outer * inner
-
-    def branch(z: float) -> float:
-        return (
-            x / (z * z + x)
-            * math.sqrt(z * z - 1.0) / z
-            * gb_factor(v0, z, params)
-        )
-
-    br, _err = integrate_semiinf_exp(branch, 1.0, 0.0, settings)
-    return series + (2.0 / math.pi) * br
+    br, _err = branch_transform(v0, lambda z: x / (z * z + x), x, params)
+    return series + br

@@ -43,6 +43,7 @@ from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
     Estimate,
+    QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
     faddeeva,
@@ -91,6 +92,10 @@ def _phi_transform(
     sine_transform_decaying with the kernel's 1/zeta start, it splits each
     half-period of sin(k0 zeta) into ceil(bandwidth/k0) pieces and grades
     the first piece toward zeta = 0.
+
+    An exact (0.0, 0.0) means that no node fell inside Phi's support: at
+    k0 far below 1/sigma the first panel is so wide that its opening
+    segments step over Phi.  That raises QuadratureError.
     """
     scale = params.mu * params.c / params.hbar
     cut = 1e-3 * settings.abs_tol
@@ -101,7 +106,13 @@ def _phi_transform(
             return 0.0
         return kernel(zeta) * phi
 
-    return sine_transform_decaying(integrand, packet.k0, settings, bandwidth=bandwidth)
+    val, err = sine_transform_decaying(integrand, packet.k0, settings, bandwidth=bandwidth)
+    if val == 0.0 and err == 0.0:
+        raise QuadratureError(
+            f"sine transform at k0 = {packet.k0!r}: no node fell inside the "
+            f"packet's overlap (sigma = {packet.sigma!r})"
+        )
+    return val, err
 
 
 def ior_direct(
@@ -396,7 +407,6 @@ def momentum_split(
 def qc_expectation(
     packet: GaussianPacket,
     params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Free-flight relativistic correction factor for the packet.
 
@@ -405,8 +415,8 @@ def qc_expectation(
     no barrier dependence by construction.  With T_F's branch integral
     taken outermost this is k0 [J(0) + (2/pi) int_1^inf sqrt(z^2-1)/z J(z) dz],
     J from _laplace_sine: the series route's branch transform at G_B = 1.
-    Nothing here is adaptive, so the settings go unused; they stay for the
-    signature every route shares.
+    J(0) is closed and the branch transform a fixed rule, so it takes no
+    settings.
     """
     branch, _err = _branch_transform(packet, 0.0, params)
     return packet.k0 * (_laplace_sine(packet, params)(0.0) + branch)

@@ -20,6 +20,9 @@ run is seeded at it, and the first panel toward zeta = 0.
 
 The branch-cut Laplace integrals and the series route's branch transform
 are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
+No Gauss hypergeometric function is needed either: the R_c resummation's
+brackets are binomial partial sums, formed in reltoa.classical;
+gen_binomial serves the momentum kernel's residue sums.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "QuadratureError",
     "SeriesDivergenceError",
     "hyp0f1_one",
-    "hyp2f1_integral",
     "gen_binomial",
     "faddeeva",
     "FADDEEVA_IM_REL_ERR",
@@ -226,7 +228,7 @@ def _adaptive_gk(
     return total_val, total_err
 
 
-def hyp0f1_one(x: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def hyp0f1_one(x: float) -> float:
     """Confluent limit function 0F1(;1;x) = sum_m x^m / (m!)^2.
 
     Taken from 0F1(;1;x) = (1/pi) int_0^pi C(2 sqrt|x| cos(theta)) dtheta,
@@ -240,8 +242,8 @@ def hyp0f1_one(x: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> flo
     about eps * 2 sqrt(x) from the rounding of cosh's argument.
     Raises SeriesDivergenceError where cosh overflows a float (x above
     about 1.26e5) and QuadratureError where x < 0 needs more than
-    _HYP0F1_MAX_NODES nodes (x below about -4e6).  `settings` is kept for
-    the signature and is not read: the rule has no tolerance to meet.
+    _HYP0F1_MAX_NODES nodes (x below about -4e6).  The rule has no
+    tolerance to meet, so it takes no settings.
     """
     if not math.isfinite(x):
         raise ValueError("hyp0f1_one requires finite x")
@@ -259,55 +261,6 @@ def hyp0f1_one(x: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> flo
         return math.fsum(terms) / nodes
     except OverflowError:
         raise SeriesDivergenceError(f"0F1(;1;{x!r}) overflows a float") from None
-
-
-def hyp2f1_integral(
-    a: float,
-    b: float,
-    c: float,
-    z: float,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Gauss hypergeometric 2F1(a,b;c;z) by its real-line integral form.
-
-    Uses Gamma(c)/(Gamma(b) Gamma(c-b)) * int_0^inf t^(c-b-1) (1+t)^(a-c)
-    (t + 1 - z)^(-a) dt, valid for c > b > 0; only z <= 0 is accepted, which
-    is the regime the resummation of the effective refraction index needs.
-    """
-    if not (c > b > 0.0):
-        raise ValueError("hyp2f1_integral requires c > b > 0")
-    if z > 0.0:
-        raise ValueError("hyp2f1_integral requires z <= 0")
-    if z == 0.0:
-        return 1.0
-    prefac = math.gamma(c) / (math.gamma(b) * math.gamma(c - b))
-    one_minus_z = 1.0 - z
-
-    def core(t: float) -> float:
-        return t ** (c - b - 1.0) * (1.0 + t) ** (a - c) * (t + one_minus_z) ** (-a)
-
-    # split at t = 1; both endpoint powers (t^(c-b-1) at 0, the s^(b-1)
-    # tail after t = 1/s) are flattened by power substitutions so the
-    # mapped integrands vanish or stay bounded at the interval ends
-    kap0 = 1.0 if c - b >= 1.0 else 2.0 / (c - b)
-
-    def piece_low(w: float) -> float:
-        t = w**kap0
-        if t <= 0.0:
-            return 0.0
-        return core(t) * kap0 * w ** (kap0 - 1.0)
-
-    kap1 = 1.0 if b >= 1.0 else 2.0 / b
-
-    def piece_high(w: float) -> float:
-        s = w**kap1
-        if s <= 0.0:
-            return 0.0
-        return core(1.0 / s) / (s * s) * kap1 * w ** (kap1 - 1.0)
-
-    v_low, _e0 = _adaptive_gk(piece_low, 0.0, 1.0, settings)
-    v_high, _e1 = _adaptive_gk(piece_high, 0.0, 1.0, settings)
-    return prefac * (v_low + v_high)
 
 
 def gen_binomial(alpha: float, n: int) -> float:

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+import scipy.special
 
 from reltoa.classical import (
     ClassicallyForbiddenError,
@@ -17,7 +18,8 @@ from reltoa.classical import (
     rc_series_resummation,
     tau_top,
 )
-from reltoa.kernels import NATURAL_UNITS, BarrierSpec, PhysicalParams
+from reltoa.kernels import NATURAL_UNITS, BarrierSpec, PhysicalParams, branch_transform
+from reltoa.numerics import SeriesDivergenceError
 
 BARRIER = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
 
@@ -208,3 +210,46 @@ class TestRcResummation:
         gaps = [abs(rc_series_resummation(2.0, 0.3, j) - target) for j in range(0, 13, 3)]
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-6
+
+    # (p0, v0) from below the threshold's scale to far above it
+    RESUM_POINTS = ((0.5, 0.05), (1.0, 0.1), (2.0, 0.3), (3.0, 0.5), (8.0, 0.3))
+
+    @staticmethod
+    def hypergeometric_form(p0: float, v0: float, j_max: int) -> float:
+        """The paper's double series, each (j, k) bracket
+        gamma^(k+1) - x^(j+1) C(alpha, j+1) 2F1(1, j+1-alpha; j+2; -x) with
+        alpha = (k+1)/2, by scipy's 2F1, plus the branch-cut term."""
+        x = p0 * p0
+        total = 0.0
+        for j in range(j_max + 1):
+            outer = math.comb(2 * j, j) * (v0 / (2.0 * p0 * p0)) ** j
+            for k in range(j + 1):
+                alpha = (k + 1) / 2.0
+                bracket = (1.0 + x) ** alpha - x ** (j + 1) * scipy.special.binom(
+                    alpha, j + 1
+                ) * scipy.special.hyp2f1(1.0, j + 1 - alpha, j + 2.0, -x)
+                total += outer * math.comb(j, k) * (-v0 / 2.0) ** (j - k) * bracket
+        return total + branch_transform(v0, lambda z: x / (z * z + x), x, NATURAL_UNITS)[0]
+
+    @pytest.mark.parametrize("p0, v0", RESUM_POINTS)
+    def test_partial_sums_match_the_hypergeometric_form(self, p0, v0):
+        for j_max in range(13):
+            assert rc_series_resummation(p0, v0, j_max) == pytest.approx(
+                self.hypergeometric_form(p0, v0, j_max), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("p0, v0", RESUM_POINTS)
+    def test_reaches_asymptotic_to_rounding(self, p0, v0):
+        target = rc_asymptotic(p0, v0)
+        assert abs(rc_series_resummation(p0, v0, 40) - target) <= 1e-14 * abs(target)
+
+    def test_long_series_converges_or_raises_typed_error(self):
+        # at j_max = 200 the brackets reach 4^200 at p0 = 2, and 64^200
+        # overflows a float at p0 = 8: a typed error, never NaN or a bare
+        # OverflowError
+        assert rc_series_resummation(2.0, 0.3, 200) == pytest.approx(
+            rc_asymptotic(2.0, 0.3), abs=1e-14
+        )
+        with pytest.raises(SeriesDivergenceError, match="float range"):
+            rc_series_resummation(8.0, 0.3, 200)
+

@@ -26,6 +26,7 @@ from reltoa.kernels import (
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     Estimate,
+    QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
     integrate_semiinf_exp,
@@ -162,6 +163,20 @@ class TestIorDirect:
                     momentum = ior_momentum(packet, v0, settings=tight)
                     gap = abs(direct.value - momentum.value)
                     assert gap <= direct.err + momentum.err, (sigma, v0, k0, direct, momentum)
+
+    @pytest.mark.parametrize("k0", [1e-6, 1e-8])
+    def test_tiny_k0_raises_where_no_node_meets_the_packet(self, k0):
+        # the first panel, pi/k0 wide, opens on segments whose nodes all lie
+        # past Phi's support: a typed error, not Estimate(0.0, 0.0).  The
+        # momentum route still answers, linear in k0 as at k0 = 1e-4, where
+        # the direct route answers too
+        packet = GaussianPacket(q0=-50.0, sigma=0.5, k0=k0)
+        with pytest.raises(QuadratureError, match="no node"):
+            ior_direct(packet, 0.3)
+        with pytest.raises(QuadratureError, match="no node"):
+            toa_difference(packet, BarrierSpec(v0=0.3, a=-2.0, b=-1.0))
+        slope = ior_direct(GaussianPacket(q0=-50.0, sigma=0.5, k0=1e-4), 0.3).value / 1e-4
+        assert ior_momentum(packet, 0.3).value / k0 == pytest.approx(slope, rel=1e-6)
 
     @pytest.mark.parametrize("sigma, k0", [(0.5, 2.0), (0.5, 0.3), (2.0, 1.0)])
     def test_zero_height_is_the_free_transform(self, sigma, k0):
