@@ -23,7 +23,7 @@ tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
 +k and -k weights, each value and err, on 80 cells: sigma from 0.5 to 9,
 v0 up to 0.99 and k0 on both sides of kappa_c.  Last, the residue factor
 F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
-call of ``reltoa.kernels._fb_eval``, ``barrier_factor`` and
+call of ``reltoa.kernels._fb_sum``, ``barrier_factor`` and
 ``reltoa.kernels._barrier_value``, the direct route's core (their rules
 cached, best of a few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150,
 with the number of F_B rule intervals each call uses.  At v = -0.1 and
@@ -214,16 +214,16 @@ def momentum_digest(grid: dict) -> str:
 
 
 def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
-    """(F_B rule intervals, best warm CPU seconds per call of _fb_eval,
+    """(F_B rule intervals, best warm CPU seconds per call of _fb_sum,
     barrier_factor and _barrier_value) at (v, zeta), natural units."""
     # drop the rules of strength v, so that the sizes this call builds show
     for key in [key for key in kernels._FB_RULES if key[0] == v]:
         del kernels._FB_RULES[key]
-    kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+    kernels._fb_sum(v, zeta, DEFAULT_SETTINGS)
     intervals = max(n for vn, n in kernels._FB_RULES if vn == v)
     barrier_factor(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)  # fills the branch nodes
     calls = (
-        lambda: kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS),
+        lambda: kernels._fb_sum(v, zeta, DEFAULT_SETTINGS),
         lambda: barrier_factor(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS),
         lambda: kernels._barrier_value(v, zeta, DEFAULT_SETTINGS),
     )

@@ -211,8 +211,11 @@ def rc_series_resummation(
     x = (p0/mu c)^2, against x^(j+1) C(alpha, j+1) 2F1(1, j+1-alpha; j+2; -x),
     its binomial Taylor remainder after x^j.  Their difference is the
     partial sum sum_{n<=j} C(alpha, n) x^n, so each k's bracket grows by one
-    term per j and the whole call is O(j_max^2) arithmetic.  The branch-cut
-    term, (2/pi) int_1^inf sqrt(z^2-1)/z G_B(v0, z) x/(z^2 + x) dz, is
+    term per j and the whole call is O(j_max^2) arithmetic.  Each bracket
+    carries the outer factor (2j)!/(j!)^2 step^j, step x = v0/(2 mu c^2),
+    in its own recurrence, so its terms stay in the float range where x^j
+    alone would overflow.  The branch-cut term,
+    (2/pi) int_1^inf sqrt(z^2-1)/z G_B(v0, z) x/(z^2 + x) dz, is
     kernels.branch_transform's.  As j_max grows the result approaches
     rc_asymptotic whenever p0 sits well above the barrier threshold.  A
     term or sum that leaves the float range raises SeriesDivergenceError.
@@ -223,19 +226,19 @@ def rc_series_resummation(
     ratio = -v0 / (2.0 * params.rest_energy)
     step = params.mu * v0 / (2.0 * p0 * p0)
     alphas = [(k + 1) / 2.0 for k in range(j_max + 1)]
+    # powers and brackets both carry the outer factor (2j)!/(j!)^2 step^j
     powers = [1.0] * (j_max + 1)  # C(alpha_k, j) x^j
     brackets = [1.0] * (j_max + 1)  # sum_{n<=j} C(alpha_k, n) x^n
     weights = [1.0]  # C(j, k) ratio^(j-k), k = 0 to j
-    outer = 1.0  # (2j)!/(j!)^2 step^j
     series = 0.0
     for j in range(j_max + 1):
         if j:
-            outer *= 2.0 * (2 * j - 1) / j * step
+            growth = 2.0 * (2 * j - 1) / j * step  # the outer factor's ratio
             weights = [a + ratio * b for a, b in zip([0.0, *weights], [*weights, 0.0])]
             for k, alpha in enumerate(alphas):
-                powers[k] *= (alpha - (j - 1)) / j * x
-                brackets[k] += powers[k]
-        series += outer * sum(map(operator.mul, weights, brackets))
+                powers[k] *= (alpha - (j - 1)) / j * x * growth
+                brackets[k] = growth * brackets[k] + powers[k]
+        series += sum(map(operator.mul, weights, brackets))
         if not math.isfinite(series):
             raise SeriesDivergenceError(
                 f"R_c resummation leaves the float range at j = {j} "

@@ -34,6 +34,7 @@ from reltoa.kernels import (
     momentum_kernel_g,
 )
 from reltoa.numerics import (
+    Estimate,
     QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
@@ -374,7 +375,11 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
     put("tau_trav", "momentum", t_c * rc.value, t_c * rc.err, "time")
     put("tau_plus", "momentum", t_c * plus.value, t_c * plus.err, "time")
     put("tau_minus", "momentum", t_c * minus.value, t_c * minus.err, "time")
-    put("toa_difference", "direct", toa_difference(packet, barrier, cfg.params, cfg.settings), 0.0, "time")
+    # toa_difference reports no err of its own; a failed transform prints ---
+    rows.append(["toa_difference", "direct"]
+                + _safe_ior(lambda: Estimate(
+                    toa_difference(packet, barrier, cfg.params, cfg.settings), 0.0))
+                + ["time"])
     margin = packet.k0 - (kc - packet.sigma_k)
     rows.append(["classification", "momentum", Luminality.of(rc.value).value, fmt(margin),
                  "margin: 1/length"])

@@ -43,25 +43,28 @@ per (|v|/(mu c^2), m) and extended lazily; the even ones form the half rule,
 whose difference plus a rounding bound is the error estimate.  A value sums
 only the nodes its arguments select, however far the lists were extended.
 
-Past natural zeta x = 32, T_F and T_B skip the branch-cut sum where it cannot
-change a bit.  Since sqrt(z^2-1)/z <= 1 and 0 < G_B <= G_max = (1 - v^2)^(-1/2),
-the integral is at most G_max e^-x/x; twice that, times 2/pi, is a bound B
-on the scaled branch value and on its err.  Where B is below a quarter-ulp
-of F_B's value and of its err (T_F: of 1.0 and of its err 2^-53), adding
-the term and its err rounds to the floats without them, so those are
+T_F is T_B at v = 0: there F_B = 1 and G_B = 1 exactly, so free_factor
+is the T_B core at zero height.  Past natural zeta x = 32 that core skips
+the branch-cut sum where it cannot change a bit.  Since sqrt(z^2-1)/z <= 1
+and 0 < G_B <= G_max = (1 - v^2)^(-1/2), the integral is at most
+G_max e^-x/x; twice that, times 2/pi, is a bound B on the scaled branch
+value and on its err.  Where B is below a quarter-ulp of F_B's value and of
+its err (at v = 0, where F_B is exactly (1.0, 0.0): of 1.0 and of 2^-53),
+adding the term and its err rounds to the floats without them, so those are
 returned, bit for bit.  At strengths up to 0.999 and the default settings
-the skip first fires near x = 36 for v > 0, 64 for v < 0 and 70 for T_F.
+the skip first fires near x = 36 for v > 0, 64 for v < 0 and 70 at v = 0.
 The direct route reads T_B's value alone, so its core skips where B is
 below a quarter-ulp of F_B's value, whatever the err: for v < 0 from
-x ~ 36-38 on.  _branch_negligible holds the quarter-ulp test for all three.
+x ~ 36-38 on.  _branch_negligible holds the quarter-ulp test for both cores.
 Below the skip the value-only core still sums the branch cut, but accepts a
 rule level on |T_h - T_2h| against the value alone, which implies the full
 test because every term is >= 0 (see _branch_laplace); the two sums of its
 rounding bound are formed only where that shortcut fails, and the value's
 bits are the same either way.
 
-barrier_factor checks its arguments once and hands the strength and zeta,
-in natural units, to _barrier, which sums each rule's nodes in list
+The kernel-factor entries check each argument once (_strength,
+_natural_zeta) and hand the strength and zeta, in natural units, to their
+core: T_F and T_B to _barrier, which sums each rule's nodes in list
 comprehensions within one frame per rule; the direct route calls
 _barrier_value, the same value without the err, at every node of its sine
 transform, after checking the cell once.
@@ -170,27 +173,30 @@ def free_factor(
     """Free time-kernel factor T_F(zeta) = 1 + (2/pi) * branch-cut integral.
 
     Strictly decreasing in zeta, -> 1 as zeta -> inf, and diverging like
-    2*hbar/(pi*mu*c*zeta) as zeta -> 0+.  Past natural zeta x = 32 it
-    returns (1.0, 2^-53) without the branch-cut sum where _branch_bound(0, x)
-    is below a quarter-ulp of 2^-53 (x > ~70): the sum's value and err could
-    not change those floats.
+    2*hbar/(pi*mu*c*zeta) as zeta -> 0+.  It is T_B(0, zeta), bit for bit:
+    _barrier at zero height, where F_B = (1.0, 0.0) and G_B = 1, so it
+    skips the branch-cut sum from x ~ 70 on.
     """
-    if not 0.0 < zeta < math.inf:
-        raise ValueError(f"free_factor requires zeta > 0, got {zeta}")
-    x = params.mu * params.c * zeta / params.hbar
-    if x > _SKIP_MIN_X and _branch_negligible(0.0, x, _UNIT_ROUNDOFF):
-        return Estimate(1.0, _UNIT_ROUNDOFF)
-    # G_B(0, z) = 1 exactly, so T_F's branch integral is T_B's at v0 = 0;
-    # the err adds the rounding of the sum
-    br_val, br_err = branch_integral(0.0, zeta, params, settings)
-    value = 1.0 + br_val
-    return Estimate(value, br_err + _UNIT_ROUNDOFF * abs(value))
+    return Estimate(*_barrier(0.0, _natural_zeta(zeta, params, "free_factor"), settings))
 
 
-def _require_finite_v0(v0: float, name: str) -> None:
+def _strength(v0: float, params: PhysicalParams, name: str) -> float:
+    """v0/(mu c^2), once v0 is finite and |v0| below the rest energy."""
     # before any F_B rule or branch nodes: a NaN key matches nothing
     if not math.isfinite(v0):
         raise ValueError(f"{name} requires a finite v0, got {v0}")
+    if not abs(v0) < params.rest_energy:
+        raise ValueError(
+            f"{name} requires |v0| below the rest energy {params.rest_energy}, got {v0}"
+        )
+    return v0 / params.rest_energy
+
+
+def _natural_zeta(zeta: float, params: PhysicalParams, name: str) -> float:
+    """mu c zeta/hbar, once 0 < zeta < inf."""
+    if not 0.0 < zeta < math.inf:
+        raise ValueError(f"{name} requires zeta > 0, got {zeta}")
+    return params.mu * params.c * zeta / params.hbar
 
 
 def gb_factor(
@@ -345,26 +351,6 @@ def _fb_rule(v: float, n: int) -> _FbRule:
     return rule
 
 
-def _require_below_rest(v0: float, params: PhysicalParams, name: str) -> None:
-    if not abs(v0) < params.rest_energy:
-        raise ValueError(
-            f"{name} requires |v0| below the rest energy {params.rest_energy}, got {v0}"
-        )
-
-
-def _fb_eval(
-    v: float,
-    zeta: float,
-    params: PhysicalParams,
-    settings: QuadratureSettings,
-    drop_unity: bool = False,
-) -> tuple[float, float]:
-    """F_B(v, zeta), or F_B - 1 with drop_unity, and its error estimate."""
-    return _fb_sum(
-        v / params.rest_energy, params.mu * params.c * zeta / params.hbar, settings, drop_unity
-    )
-
-
 # per strength vn: _fb_strength(vn), a pure function of vn
 _FB_STRENGTHS: dict[float, tuple[float, float]] = {}
 
@@ -446,9 +432,8 @@ def fb_moments(v: float, params: PhysicalParams) -> Iterator[float]:
     512-interval theta rule and cached per strength.  |v| must lie below
     the rest energy; that is checked here, before the first D_p.
     """
-    _require_finite_v0(v, "fb_moments")
-    _require_below_rest(v, params, "fb_moments")
-    return _walk_moments((v / params.rest_energy, params.mu * params.c / params.hbar))
+    vn = _strength(v, params, "fb_moments")
+    return _walk_moments((vn, params.mu * params.c / params.hbar))
 
 
 def _walk_moments(key: tuple[float, float]) -> Iterator[float]:
@@ -473,11 +458,10 @@ def fb_series(
     entering T_B(+V_o, zeta).  |v0| must lie below the rest energy.  The
     settings only decide whether a rule at its size cap is accepted.
     """
-    _require_finite_v0(v0, "fb_series")
-    _require_below_rest(v0, params, "fb_series")
+    vn = _strength(v0, params, "fb_series")
     if not 0.0 <= zeta < math.inf:
         raise ValueError(f"fb_series requires zeta >= 0, got {zeta}")
-    return Estimate(*_fb_eval(v0, zeta, params, settings))
+    return Estimate(*_fb_sum(vn, params.mu * params.c * zeta / params.hbar, settings))
 
 
 # --- branch-cut integrals --------------------------------------------------
@@ -645,14 +629,17 @@ def branch_integral(
 
         (2/pi) * int_1^inf exp(-mu c |zeta| z / hbar) sqrt(z^2-1)/z G_B(v0, z) dz
     """
-    _require_finite_v0(v0, "branch_integral")
-    _require_below_rest(v0, params, "branch_integral")
+    vn = _strength(v0, params, "branch_integral")
     if not 0.0 < abs(zeta) < math.inf:
         raise ValueError(f"branch_integral requires 0 < |zeta| < inf, got {zeta}")
-    x = params.mu * params.c * abs(zeta) / params.hbar
-    val, err = _branch_laplace(abs(v0) / params.rest_energy, x, settings)
+    return _scaled_branch(abs(vn), params.mu * params.c * abs(zeta) / params.hbar, settings)
+
+
+def _scaled_branch(a: float, x: float, settings: QuadratureSettings) -> tuple[float, float]:
+    """(2/pi) _branch_laplace(a, x) and its err, which also covers the
+    rounding of the factor 2/pi and its product: the branch term of T_B."""
+    val, err = _branch_laplace(a, x, settings)
     val *= _TWO_OVER_PI
-    # the err also covers the rounding of the factor 2/pi and its product
     return val, _TWO_OVER_PI * err + 2.0 * _UNIT_ROUNDOFF * abs(val)
 
 
@@ -671,9 +658,7 @@ def branch_transform(
     int_Z^inf G_B j dz <= j_bound/(Z sqrt(1 - v^2)) since
     G_B <= (1 - v^2)^(-1/2); j's own error is the caller's.
     """
-    _require_finite_v0(v0, "branch_transform")
-    _require_below_rest(v0, params, "branch_transform")
-    vn = abs(v0) / params.rest_energy
+    vn = abs(_strength(v0, params, "branch_transform"))
     delta = 1.0 - vn
     count = int((40.0 - math.log(delta)) * 8)
     w, c, _d = _branch_nodes(vn, 3, count)
@@ -693,36 +678,34 @@ def barrier_factor(
 ) -> Estimate:
     """Barrier time-kernel factor T_B(v0, zeta) = F_B + branch-cut term.
 
-    v0 is signed exactly as in fb_series; T_B(0, zeta) reduces to the free
-    factor.
+    v0 is signed exactly as in fb_series; T_B(0, zeta) is the free factor,
+    bit for bit.
     """
-    _require_finite_v0(v0, "barrier_factor")
-    _require_below_rest(v0, params, "barrier_factor")
-    if not 0.0 < zeta < math.inf:
-        raise ValueError(f"barrier_factor requires zeta > 0, got {zeta}")
-    x = params.mu * params.c * zeta / params.hbar
-    return Estimate(*_barrier(v0 / params.rest_energy, x, settings))
+    vn = _strength(v0, params, "barrier_factor")
+    return Estimate(*_barrier(vn, _natural_zeta(zeta, params, "barrier_factor"), settings))
 
 
 def _barrier(vn: float, x: float, settings: QuadratureSettings) -> tuple[float, float]:
     """T_B and its error at strength vn = v0/(mu c^2) and natural zeta = x > 0,
-    unchecked: barrier_factor's core.
+    unchecked: the core of barrier_factor and, at vn = 0, of free_factor.
 
-    The branch term and its err are branch_integral's, in the same operations.
+    The branch term and its err are branch_integral's (_scaled_branch).
     Past x = 32 the branch-cut sum is skipped where its bound B
-    (_branch_bound) is below a quarter-ulp of F_B's value and of its err
-    (_branch_negligible): then fb_val + br_val rounds to fb_val and
-    fb_err + br_err to fb_err, so (fb_val, fb_err + 2^-53 |fb_val|) are the
-    full path's floats.  F_B runs first either way, so its typed errors come
-    as before.  No branch QuadratureError is lost: the rule reaches its node
-    cap only at zeta ~ 1e-220, far below the skip.
+    (_branch_bound) is below a quarter-ulp of F_B's value and of its err, or
+    of 2^-53 where that err is 0 (_branch_negligible): then fb_val + br_val
+    rounds to fb_val and fb_err + br_err + 2^-53 |value| to
+    fb_err + 2^-53 |fb_val|, which are returned.  The err is 0 only at
+    vn = 0, where F_B is exactly (1.0, 0.0); elsewhere it is at least F_B's
+    rounding bound, 6 2^-53 |fb_val|.  F_B runs first either way, so its
+    typed errors come as before.  No branch QuadratureError is lost: the
+    rule reaches its node cap only at zeta ~ 1e-220, far below the skip.
     """
     fb_val, fb_err = _fb_sum(vn, x, settings)
-    if x > _SKIP_MIN_X and _branch_negligible(abs(vn), x, min(abs(fb_val), fb_err)):
+    if x > _SKIP_MIN_X and _branch_negligible(
+        abs(vn), x, min(abs(fb_val), fb_err or _UNIT_ROUNDOFF)
+    ):
         return fb_val, fb_err + _UNIT_ROUNDOFF * abs(fb_val)
-    br_val, br_err = _branch_laplace(abs(vn), x, settings)
-    br_val *= _TWO_OVER_PI
-    br_err = _TWO_OVER_PI * br_err + 2.0 * _UNIT_ROUNDOFF * abs(br_val)
+    br_val, br_err = _scaled_branch(abs(vn), x, settings)
     value = fb_val + br_val
     return value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value)
 
@@ -758,13 +741,10 @@ def barrier_free_gap(
     accurate down to O(v0) and vanishes identically at v0 = 0.  This is
     what the arrival-time difference integrates against.
     """
-    _require_finite_v0(v0, "barrier_free_gap")
-    _require_below_rest(v0, params, "barrier_free_gap")
-    if not 0.0 < zeta < math.inf:
-        raise ValueError(f"barrier_free_gap requires zeta > 0, got {zeta}")
-    residue_part, _err = _fb_eval(-v0, zeta, params, settings, drop_unity=True)
-    x = params.mu * params.c * zeta / params.hbar
-    br_val, _br_err = _branch_laplace(abs(v0) / params.rest_energy, x, settings, gap=True)
+    vn = _strength(v0, params, "barrier_free_gap")
+    x = _natural_zeta(zeta, params, "barrier_free_gap")
+    residue_part, _err = _fb_sum(-vn, x, settings, drop_unity=True)
+    br_val, _br_err = _branch_laplace(abs(vn), x, settings, gap=True)
     return -residue_part + _TWO_OVER_PI * br_val
 
 
@@ -791,20 +771,13 @@ def region_kernel(
     """
     if region not in _REGIONS:
         raise ValueError(f"region must be one of {_REGIONS}")
-    if not 0.0 < zeta < math.inf:
-        raise ValueError(f"region_kernel requires zeta > 0, got {zeta}")
-    tf = free_factor(zeta, params, settings)
+    tf_val, tf_err = _barrier(0.0, _natural_zeta(zeta, params, "region_kernel"), settings)
     if region == "I":
-        return Estimate(0.5 * eta * tf.value, 0.5 * abs(eta) * tf.err)
-    if region == "II":
-        tb = barrier_factor(barrier.v0, zeta, params, settings)
-        val = 0.5 * (eta + barrier.b) * tf.value - 0.5 * barrier.b * tb.value
-        err = 0.5 * abs(eta + barrier.b) * tf.err + 0.5 * abs(barrier.b) * tb.err
-        return Estimate(val, err)
-    length = barrier.length
-    tb = barrier_factor(-barrier.v0, zeta, params, settings)
-    val = 0.5 * (eta + length) * tf.value - 0.5 * length * tb.value
-    err = 0.5 * abs(eta + length) * tf.err + 0.5 * length * tb.err
+        return Estimate(0.5 * eta * tf_val, 0.5 * abs(eta) * tf_err)
+    d, v0 = (barrier.b, barrier.v0) if region == "II" else (barrier.length, -barrier.v0)
+    tb = barrier_factor(v0, zeta, params, settings)
+    val = 0.5 * (eta + d) * tf_val - 0.5 * d * tb.value
+    err = 0.5 * abs(eta + d) * tf_err + 0.5 * abs(d) * tb.err
     return Estimate(val, err)
 
 
@@ -859,11 +832,9 @@ def momentum_kernel_g(
     """
     if j < 0 or k < 0:
         raise ValueError("momentum_kernel_g requires j >= 0 and k >= 0")
-    if not 0.0 < zeta < math.inf:
-        raise ValueError(f"momentum_kernel_g requires zeta > 0, got {zeta}")
+    decay = _natural_zeta(zeta, params, "momentum_kernel_g")
     if k % 2 == 1:
         return 0.0
-    decay = params.mu * params.c * zeta / params.hbar
     half_k = (k + 1) / 2.0
 
     def integrand(y: float) -> float:

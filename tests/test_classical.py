@@ -244,12 +244,16 @@ class TestRcResummation:
         assert abs(rc_series_resummation(p0, v0, 40) - target) <= 1e-14 * abs(target)
 
     def test_long_series_converges_or_raises_typed_error(self):
-        # at j_max = 200 the brackets reach 4^200 at p0 = 2, and 64^200
-        # overflows a float at p0 = 8: a typed error, never NaN or a bare
+        # at j_max = 200 x^j reaches 4^200 at p0 = 2 and 64^200 at p0 = 8,
+        # past the float range, but each bracket carries the outer factor
+        # step^j that cancels it; at p0 = 0.3, below kappa_c = 0.83, the
+        # series itself diverges: a typed error, never NaN or a bare
         # OverflowError
         assert rc_series_resummation(2.0, 0.3, 200) == pytest.approx(
             rc_asymptotic(2.0, 0.3), abs=1e-14
         )
+        target = rc_asymptotic(8.0, 0.3)
+        assert abs(rc_series_resummation(8.0, 0.3, 200) - target) <= 1e-14 * abs(target)
         with pytest.raises(SeriesDivergenceError, match="float range"):
-            rc_series_resummation(8.0, 0.3, 200)
+            rc_series_resummation(0.3, 0.3, 600)
 

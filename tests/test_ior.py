@@ -266,6 +266,23 @@ class TestIorSeries:
             ref = ior_series(narrow(k0), v0, settings=tight)
             assert abs(res.value - ref.value) <= res.err, (k0, v0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9: the series route's moment recurrence loses its "
+        "digits at sigma >= 1 while its err stays near 1e-12",
+    )
+    @pytest.mark.parametrize("sigma, v0, k0", [(1.0, 0.3, 6.0), (2.0, 0.99, 2.2)])
+    def test_err_covers_momentum_route_at_wider_packets(self, sigma, v0, k0):
+        # the momentum route is independent of the series route's moments;
+        # a typed error instead of an answer meets item 9's gate too
+        packet = wide(k0, sigma)
+        try:
+            series = ior_series(packet, v0)
+        except SeriesDivergenceError:
+            return
+        momentum = ior_momentum(packet, v0, settings=QuadratureSettings(rel_tol=1e-13))
+        assert abs(series.value - momentum.value) <= series.err + momentum.err
+
 
 class TestIorMomentum:
     def test_reference_values(self):

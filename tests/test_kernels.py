@@ -269,7 +269,7 @@ class TestFbMomentForm:
             est = fb_series(v, zeta)
             assert abs(est.value - ref) <= est.err, zeta
             assert est.err <= 2e-13 * max(1.0, abs(est.value)), zeta
-            less, err = kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, True)
+            less, err = kernels._fb_sum(v, zeta, DEFAULT_SETTINGS, True)
             assert abs(less - (ref - 1)) <= err, zeta
 
     @pytest.mark.parametrize("v", [-0.3, 0.3, -0.6])
@@ -319,7 +319,7 @@ class TestFbMomentForm:
 
         def bits(v0, zeta):
             est = fb_series(v0, zeta)
-            less, _err = kernels._fb_eval(v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, True)
+            less, _err = kernels._fb_sum(v0, zeta, DEFAULT_SETTINGS, True)
             moments = itertools.islice(fb_moments(v0, NATURAL_UNITS), 100)
             return est.value.hex(), est.err.hex(), less.hex(), [d.hex() for d in moments]
 
@@ -439,7 +439,7 @@ class TestKernelFactorOracles:
             # their sum bound it
             gap = barrier_free_gap(v0, zeta)
             gap_ref = 1 - fb_ref + mp_branch_oracle(0.0, zeta) - branch_ref
-            _less, fb_err = kernels._fb_eval(-v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, True)
+            _less, fb_err = kernels._fb_sum(-v0, zeta, DEFAULT_SETTINGS, True)
             br_gap, br_gap_err = kernels._branch_laplace(v0, zeta, DEFAULT_SETTINGS, gap=True)
             bound = fb_err + (2.0 / math.pi) * br_gap_err + 2.0 * EPS * (
                 (2.0 / math.pi) * abs(br_gap) + abs(gap)
@@ -554,12 +554,31 @@ class TestBranchSkip:
             assert abs(val) <= bound and err <= bound, x
 
     def test_skip_fires_past_the_guard(self, monkeypatch):
-        expected = barrier_factor(-0.3, 100.0), free_factor(100.0)
+        expected = barrier_factor(-0.3, 100.0), free_factor(100.0), barrier_factor(0.0, 100.0)
         monkeypatch.setattr(kernels, "_branch_laplace", _no_branch_sum)
-        assert (barrier_factor(-0.3, 100.0), free_factor(100.0)) == expected
+        got = barrier_factor(-0.3, 100.0), free_factor(100.0), barrier_factor(0.0, 100.0)
+        assert got == expected
         for call in (lambda: barrier_factor(-0.3, 5.0), lambda: free_factor(5.0)):
             with pytest.raises(AssertionError, match="branch-cut sum called"):
                 call()
+
+    @given(
+        x=st.floats(min_value=1e-6, max_value=750.0),
+        params=st.sampled_from([NATURAL_UNITS, PhysicalParams(mu=1.5, c=2.0, hbar=0.7)]),
+    )
+    # below the skip, where T_F's value is 1.0 and its err still above
+    # 2^-53, at the skip's onset, and past exp's underflow
+    @example(x=35.0, params=NATURAL_UNITS)
+    @example(x=70.0, params=NATURAL_UNITS)
+    @example(x=745.0, params=NATURAL_UNITS)
+    def test_free_factor_is_the_barrier_factor_at_zero_height(self, x, params):
+        # x is natural zeta; T_F(zeta) = T_B(+-0, zeta), value and err
+        zeta = x * params.hbar / (params.mu * params.c)
+        tf = free_factor(zeta, params)
+        expected = [tf.value.hex(), tf.err.hex()]
+        for v0 in (0.0, -0.0):
+            tb = barrier_factor(v0, zeta, params)
+            assert [tb.value.hex(), tb.err.hex()] == expected, v0
 
     @given(
         vn=st.floats(min_value=-0.999, max_value=0.999, exclude_min=True, exclude_max=True),
@@ -743,7 +762,7 @@ class TestFbExactSum:
 
         def evaluate(module, zeta):
             monkeypatch.setattr(kernels, "math", module)
-            val, err = kernels._fb_eval(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS, drop_unity)
+            val, err = kernels._fb_sum(v, zeta, DEFAULT_SETTINGS, drop_unity)
             return val.hex(), err.hex()
 
         for zeta in zetas:
