@@ -18,7 +18,8 @@ tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
 on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
 and 9, three barriers up to v0 = 0.99 and three k0; beside its CPU time the
 script prints the grid's T_B calls, counted by wrapping the direct route's
-T_B core (counting_barrier_calls).  The momentum pin,
+T_B core (counting_barrier_calls), and beside them those of the two direct
+cells of the wide_packets benchmark (WIDE_DIRECT_CELLS).  The momentum pin,
 tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
 +k and -k weights, each value and err, on 80 cells: sigma from 0.5 to 9,
 v0 up to 0.99 and k0 on both sides of kappa_c.  Last, the residue factor
@@ -79,6 +80,8 @@ DENSE_ZETA = {"first": 20.0, "last": 750.0, "count": 1000}
 # the direct pin's cells: the widest packets, whose transforms reach past
 # natural zeta 36, on barriers up to the rest-energy scale
 DIRECT_GRID = {"sigma": [6.0, 9.0], "v0": [0.1, 0.3, 0.99], "k0": [0.3, 0.65, 2.0]}
+# the wide_packets benchmark's direct cells, (sigma, v0, k0)
+WIDE_DIRECT_CELLS = [(9.0, 0.1, 0.3), (9.0, 0.1, 0.65)]
 # the momentum pin's cells: every v0 has k0 on both sides of kappa_c
 MOMENTUM_GRID = {
     "sigma": [0.5, 2.0, 6.0, 9.0],
@@ -198,6 +201,14 @@ def counting_barrier_calls():
         ior._barrier_value = core
 
 
+def wide_direct_calls() -> int:
+    """T_B calls of ior_direct over WIDE_DIRECT_CELLS."""
+    with counting_barrier_calls() as calls:
+        for sigma, v0, k0 in WIDE_DIRECT_CELLS:
+            ior_direct(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
+    return calls[0]
+
+
 def momentum_digest(grid: dict) -> str:
     """sha256 of momentum_split's R_c, plus and minus, each value and err, on
     grid's cells (q0 = -100), sigma-major, then v0, then k0."""
@@ -305,8 +316,11 @@ def main() -> int:
         direct_sha = direct_digest(direct_pin)
         cpu = time.process_time() - t0
     cells = len(direct_pin["sigma"]) * len(direct_pin["v0"]) * len(direct_pin["k0"])
-    faults += _report(f"ior_direct, {cells} cells: {calls[0]} T_B calls, cpu {cpu:7.3f} s  ",
-                      direct_sha, None if args.write else direct_pin["sha256"])
+    faults += _report(
+        f"ior_direct, {cells} cells: {calls[0]} T_B calls "
+        f"({wide_direct_calls()} on wide_packets' {len(WIDE_DIRECT_CELLS)}), cpu {cpu:7.3f} s  ",
+        direct_sha, None if args.write else direct_pin["sha256"],
+    )
 
     momentum_pin = MOMENTUM_GRID if args.write else json.loads(MOMENTUM_PIN_FILE.read_text())
     t0 = time.process_time()

@@ -89,12 +89,13 @@ def _phi_transform(
     1 + 1/(scale*zeta).  bandwidth is the kernel's own largest wavenumber:
     kappa_c(v0, params) for T_B(-v0) and the gap T_F - T_B(-v0), whose
     residue terms go as cos(kappa_c zeta), and 0 for T_F.  Passed on to
-    sine_transform_decaying with the kernel's 1/zeta start, it splits each
-    half-period of sin(k0 zeta) into ceil(bandwidth/k0) pieces and grades
-    the first piece toward zeta = 0.
+    sine_transform_decaying with the kernel's 1/zeta start, it makes each
+    panel one period of the faster of sin(k0 zeta) and the kernel, on the
+    G10/K21 pair, and grades the first panel toward zeta = 0.
 
-    An exact (0.0, 0.0) means that no node fell inside Phi's support: at
-    k0 far below 1/sigma the first panel is so wide that its opening
+    An exact (0.0, 0.0) means that no node fell inside Phi's support: with
+    k0 and the bandwidth both far below 1/sigma (at v0 = 0, say) the first
+    panel, 2 pi/max(k0, bandwidth) wide, is so wide that its opening
     segments step over Phi.  That raises QuadratureError.
     """
     scale = params.mu * params.c / params.hbar
@@ -130,11 +131,12 @@ def ior_direct(
     the branch-cut sum wherever the sum cannot move the value, where
     barrier_factor keeps it up to ~ 65 for its err's bits, and below that
     it accepts the branch-cut rule without forming its rounding bound.
-    The sine transform's panels start where its adaptive runs end up: split
-    at kappa_c's scale for k0 < kappa_c (at v0 = 0, T_B = T_F has no
-    cos(kappa_c zeta) terms, so its bandwidth is 0), and the first one
-    graded toward T_B's 1/zeta start.  A Table 1 cell takes ~240 T_B values (~340 with
-    whole-panel openings).
+    The sine transform's panels are one period of the faster of
+    sin(k0 zeta) and T_B's cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F
+    has none, so its bandwidth is 0), each on the G10/K21 pair, and the
+    first is graded toward T_B's 1/zeta start.  A Table 1 cell takes ~230
+    T_B values (~240 on seeded G7/K15 half-period panels, ~340 on unseeded
+    ones).
     """
     _require_subcritical(v0, params)
     scale = params.mu * params.c / params.hbar

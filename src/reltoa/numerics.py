@@ -7,7 +7,8 @@ integrators map onto a finite interval with z = lower + t/(1-t) and refine
 adaptively with an embedded Gauss-Kronrod (G7, K15) pair, and raise
 QuadratureError when a tail that does not decay drives bisection to t = 1
 or the width floor.
-That engine returns (value, err) and keeps nothing else about its nodes.
+That engine returns (value, err) and keeps nothing else about its nodes;
+it runs the nested (G10, K21) pair instead where its caller asks.
 integrate_sqrt_endpoint runs the same engine on t in [0, 1) for an integral
 the caller has already written in t, through u = sqrt(k - a) (its endpoint
 root cancelled) and u = t/(1-t), both maps' Jacobians in the integrand.
@@ -15,8 +16,9 @@ The oscillatory sine transform sums panels between successive zeros of
 sin(k*zeta) until the envelope has decayed below abs_tol, judged from each
 panel's value and the largest integrand magnitude its own integrand
 recorded, and raises QuadratureError when the panels stop shrinking or
-reach the panel cap.  Given a kernel's bandwidth, each panel's adaptive
-run is seeded at it, and the first panel toward zeta = 0.
+reach the panel cap.  Given a kernel's bandwidth, each panel is instead
+one period of the faster of sin(k*zeta) and the kernel, opened on one
+G10/K21 segment, and the first is graded toward zeta = 0.
 
 The branch-cut Laplace integrals and the series route's branch transform
 are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
@@ -70,7 +72,7 @@ class QuadratureSettings:
 
     rel_tol / abs_tol are the target relative tolerance and absolute floor;
     max_subdivisions caps adaptive refinement per integral (the oscillatory
-    transform may use up to 16x that many half-period panels).
+    transform may use up to 16x that many panels).
     """
 
     rel_tol: float = 1e-10
@@ -158,6 +160,80 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return res_k * half, abs(res_k - res_g) * abs(half)
 
 
+# 21-point Kronrod extension of 10-point Gauss-Legendre (QUADPACK's qk21):
+# the nodes _Y2, _Y4, ..., _Y10 are G10's
+_XGK21 = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+)
+_WGK21 = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+)
+_WGK21_CENTER = 0.149445554002916905664936468389821
+_WG10 = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+_VK1, _VK2, _VK3, _VK4, _VK5, _VK6, _VK7, _VK8, _VK9, _VK10 = _WGK21
+_VG2, _VG4, _VG6, _VG8, _VG10 = _WG10
+_Y1, _Y2, _Y3, _Y4, _Y5, _Y6, _Y7, _Y8, _Y9, _Y10 = _XGK21
+
+
+def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod (10, 21) pass over [a, b], written out as _gk15 is.
+
+    Returns (kronrod_value, error_estimate), the error being |K21 - G10|.
+    """
+    c = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    d1, d2, d3, d4, d5 = half * _Y1, half * _Y2, half * _Y3, half * _Y4, half * _Y5
+    d6, d7, d8, d9, d10 = half * _Y6, half * _Y7, half * _Y8, half * _Y9, half * _Y10
+    (fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7, l8, r8, l9, r9,
+     l10, r10) = (
+        f(c), f(c - d1), f(c + d1), f(c - d2), f(c + d2), f(c - d3), f(c + d3),
+        f(c - d4), f(c + d4), f(c - d5), f(c + d5), f(c - d6), f(c + d6),
+        f(c - d7), f(c + d7), f(c - d8), f(c + d8), f(c - d9), f(c + d9),
+        f(c - d10), f(c + d10),
+    )
+    p2 = l2 + r2
+    p4 = l4 + r4
+    p6 = l6 + r6
+    p8 = l8 + r8
+    p10 = l10 + r10
+    res_k = (
+        _WGK21_CENTER * fc + _VK1 * (l1 + r1) + _VK2 * p2 + _VK3 * (l3 + r3)
+        + _VK4 * p4 + _VK5 * (l5 + r5) + _VK6 * p6 + _VK7 * (l7 + r7)
+        + _VK8 * p8 + _VK9 * (l9 + r9) + _VK10 * p10
+    )
+    res_g = _VG2 * p2 + _VG4 * p4 + _VG6 * p6 + _VG8 * p8 + _VG10 * p10
+    return res_k * half, abs(res_k - res_g) * abs(half)
+
+
+# nodes per pass, for the driver's subnormal floor
+_RULE_NODES = {_gk15: 15, _gk21: 21}
+
+
 # the subnormal range, where floats round on an absolute grid
 _MIN_NORMAL = 2.0 ** -1022
 _MIN_SUBNORMAL = 2.0 ** -1074
@@ -169,18 +245,20 @@ def _adaptive_gk(
     b: float,
     settings: QuadratureSettings,
     seeds: tuple[float, ...] = (),
+    rule: Callable[..., tuple[float, float]] = _gk15,
 ) -> tuple[float, float]:
-    """Globally adaptive bisection on [a, b] with the embedded G7/K15 pair.
+    """Globally adaptive bisection on [a, b] with an embedded pair.
 
-    `seeds` lists interior breakpoints that receive their own initial
-    segments; callers use them to mark narrow features (sharp peaks) the
-    15-point opening pass would otherwise step over.  Returns (value,
-    error_estimate), the sums over the final segments; raises
-    QuadratureError when max_subdivisions segments cannot reach
-    max(abs_tol, rel_tol * |value|) or a segment with error hits
+    `rule` is the pass run on each segment: the G7/K15 pair by default, or
+    the sine transform's G10/K21 pair.  `seeds` lists interior breakpoints
+    that receive their own initial segments; callers use them to mark
+    narrow features (sharp peaks) the opening pass would otherwise step
+    over.  Returns (value, error_estimate), the sums over the final
+    segments; raises QuadratureError when max_subdivisions segments cannot
+    reach max(abs_tol, rel_tol * |value|) or a segment with error hits
     width_floor.  A subnormal value is summed on the absolute grid 2^-1074,
-    where every node's product and sum rounds and |K15 - G7| can underflow
-    to 0.0, so its err is at least one step of that grid per node.
+    where every node's product and sum rounds and the pair's difference can
+    underflow to 0.0, so its err is at least one step of that grid per node.
     """
     points = [a, b]
     for s_pt in seeds:
@@ -193,7 +271,7 @@ def _adaptive_gk(
     counter = 0
     # heap entries: (-err, insertion_id, a, b, val, err); id breaks ties
     for sa, sb in zip(points, points[1:]):
-        val, err = _gk15(f, sa, sb)
+        val, err = rule(f, sa, sb)
         heap.append((-err, counter, sa, sb, val, err))
         counter += 1
         total_val += val
@@ -215,8 +293,8 @@ def _adaptive_gk(
                 f"(err={total_err:.3e}, value={total_val:.6e})"
             )
         mid = 0.5 * (sa + sb)
-        v1, e1 = _gk15(f, sa, mid)
-        v2, e2 = _gk15(f, mid, sb)
+        v1, e1 = rule(f, sa, mid)
+        v2, e2 = rule(f, mid, sb)
         total_val += (v1 + v2) - sval
         total_err += (e1 + e2) - serr
         heapq.heappush(heap, (-e1, counter, sa, mid, v1, e1))
@@ -224,7 +302,7 @@ def _adaptive_gk(
         heapq.heappush(heap, (-e2, counter, mid, sb, v2, e2))
         counter += 1
     if 0.0 < abs(total_val) < _MIN_NORMAL:
-        total_err = max(total_err, 15 * counter * _MIN_SUBNORMAL)
+        total_err = max(total_err, _RULE_NODES[rule] * counter * _MIN_SUBNORMAL)
     return total_val, total_err
 
 
@@ -357,7 +435,7 @@ def integrate_semiinf_exp(
     return _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
 
 
-# a kernel's first panel is seeded at this many halvings of its first piece
+# a kernel's first panel is seeded at this many halvings of its width
 # toward zeta = 0, where a 1/zeta start of f makes the driver bisect
 _FIRST_PANEL_HALVINGS = 6
 
@@ -371,39 +449,47 @@ def sine_transform_decaying(
 ) -> tuple[float, float]:
     """Integral of sin(k*zeta) * f(zeta) over [0, inf) for decaying f.
 
-    Integrates panel by panel between the zeros of sin(k*zeta), stopping
-    once the envelope stays below abs_tol: three panels in a row must each
-    have both |panel| and its largest |sin(k*zeta) f(zeta)| times the panel
-    width below abs_tol/10.  That largest magnitude is taken over the nodes
-    the panel's adaptive run evaluated, which the integrand records as it
-    goes; with a NaN node the panel value is NaN and the stop fails either
-    way.  f may behave like C/zeta at the origin (the sine factor
-    regularizes the product) but must decay overall; panels whose
-    magnitudes stop shrinking raise QuadratureError, and so does a tail
-    that needs more than 16 * max_subdivisions panels (at least 64).
+    Without a bandwidth, integrates panel by panel between the zeros of
+    sin(k*zeta), each on the adaptive G7/K15 driver, stopping once the
+    envelope stays below abs_tol:
+    three panels in a row must each have both |panel| and its largest
+    |sin(k*zeta) f(zeta)| times the panel width below abs_tol/10.  That
+    largest magnitude is taken over the nodes the panel's adaptive run
+    evaluated, which the integrand records as it goes; with a NaN node the
+    panel value is NaN and the stop fails either way.  f may behave like
+    C/zeta at the origin (the sine factor regularizes the product) but must
+    decay overall; panels whose magnitudes stop shrinking raise
+    QuadratureError, and so does a tail that needs more than
+    16 * max_subdivisions panels (at least 64).
 
     A bandwidth declares f a kernel of that shape, as reltoa.ior transforms
     them: C/zeta at the origin, oscillating at wavenumbers up to bandwidth
-    (0 for none).  Each panel's adaptive run then starts from the segments
-    it would otherwise reach by bisection: a panel of width pi/k starts as
-    ceil(bandwidth/k) equal pieces, so that no opening pass spans more than
-    half a period of f, and the first piece is also seeded at its width
-    times 2^-j, j = 1 to _FIRST_PANEL_HALVINGS, toward the 1/zeta start.  A
-    panel opens on at most max_subdivisions/4 segments.  Without a
-    bandwidth every panel opens on one segment.
+    (0 for none).  Each panel is then one period of the faster wave,
+    2 pi/max(k, bandwidth), opened on one segment of the nested G10/K21
+    pair (QUADPACK's qk21), which the same driver bisects where the pair
+    disagrees; the first panel is also seeded at its width times 2^-j,
+    j = 1 to _FIRST_PANEL_HALVINGS, toward the 1/zeta start, on at most
+    max_subdivisions/4 opening segments.  A whole period cancels down to
+    the envelope's slope, so the flat-panel guard judges these panels by
+    their largest node magnitude times their width.  The decay stop still
+    spans at least 3 pi/k: while the small panels in a row fall short of it, each
+    next one covers as many periods as the run so far (or as it still
+    lacks), so a k far below the bandwidth reaches it in a few dozen panels.
     """
     if k <= 0.0:
         raise ValueError("sine_transform_decaying requires k > 0")
-    period = math.pi / k
-    offsets: tuple[float, ...] = ()
+    rule = _gk15
+    width = math.pi / k
+    reach = 3  # panel widths the decay stop spans
     first_seeds: tuple[float, ...] = ()
     if bandwidth is not None:
+        rule = _gk21
+        fastest = max(k, bandwidth)
+        width = 2.0 * math.pi / fastest
+        reach = max(3, math.ceil(1.5 * fastest / k))
         most = max(1, settings.max_subdivisions // 4)
-        pieces = min(max(1, math.ceil(bandwidth / k)), most)
-        width = period / pieces
-        offsets = tuple(i * width for i in range(1, pieces))
-        halvings = min(_FIRST_PANEL_HALVINGS, most - pieces)
-        first_seeds = offsets + tuple(width * 0.5**j for j in range(1, halvings + 1))
+        halvings = min(_FIRST_PANEL_HALVINGS, most - 1)
+        first_seeds = tuple(width * 0.5**j for j in range(1, halvings + 1))
     max_panels = max(64, 16 * settings.max_subdivisions)
     panel_tol = 0.1 * settings.abs_tol
 
@@ -419,30 +505,39 @@ def sine_transform_decaying(
 
     total = 0.0
     err = 0.0
-    panels: list[float] = []
+    mags: list[float] = []  # each panel's magnitude, for the flat-panel guard
     small = 0
+    spanned = 0  # panel widths covered by the current run of small panels
+    start = 0  # the next panel's first edge, in panel widths
     peak_mag = 0.0
     peak_at = 0
     for n in range(max_panels):
-        a = n * period
-        b = (n + 1) * period
+        step = max(1, min(spanned, reach - spanned))
+        a = start * width
+        b = (start + step) * width
+        start += step
         node_max = 0.0  # this panel's largest |integrand| at a node so far
-        seeds = first_seeds if n == 0 else tuple(a + o for o in offsets)
-        v, e = _adaptive_gk(integrand, a, b, settings, seeds)
+        v, e = _adaptive_gk(integrand, a, b, settings, first_seeds if n == 0 else (), rule)
         total += v
         err += e
-        panels.append(v)
-        if abs(v) > peak_mag:
-            peak_mag = abs(v)
+        bound = node_max * (step * width)
+        # a whole period of sin(k*zeta) cancels down to the envelope's slope,
+        # so a kernel's panels are judged by their bound instead
+        mag = abs(v) if bandwidth is None else bound
+        mags.append(mag)
+        if mag > peak_mag:
+            peak_mag = mag
             peak_at = n
-        if node_max * period < panel_tol and abs(v) < panel_tol:
+        if bound < panel_tol and abs(v) < panel_tol:
             small += 1
-            if small >= 3:
+            spanned += step
+            if small >= 3 and spanned >= reach:
                 return total, err
         else:
             small = 0
+            spanned = 0
         if n >= 64 and n % 16 == 0:
-            window = [abs(p) for p in panels[-48:]]
+            window = mags[-48:]
             w_hi, w_lo = max(window), min(window)
             # flat magnitudes long after their peak mean the envelope is not
             # decaying (legitimate humps keep their maximum recent)

@@ -248,17 +248,19 @@ class TestPoint:
         assert code == 1
 
     def test_failed_transform_cells_print_unavailable(self, capsys):
-        # at k0 far below 1/sigma no sine-transform node meets the packet:
-        # the direct rows print --- and the other rows still print
+        # at k0 and kappa_c both far below 1/sigma no sine-transform node
+        # meets the packet: the panels are 2 pi/kappa_c ~ 4.4e6 wide, and
+        # their graded openings step over Phi.  The direct rows print ---
+        # and the other rows still print
         code, out = run_cli(
-            capsys, "point", "--vo", "0.3", "--sigma", "0.5", "--ko", "1e-6",
+            capsys, "point", "--vo", "1e-12", "--sigma", "0.5", "--ko", "1e-6",
             "--barrier-a", "-21", "--barrier-b", "-20",
         )
         assert code == 0
         by_key = {(r["quantity"], r["method"]): r for r in parse_csv(out)}
         for key in (("rc", "direct"), ("toa_difference", "direct")):
             assert (by_key[key]["value"], by_key[key]["err"]) == ("---", "---")
-        assert by_key[("rc", "momentum")]["value"] == "1.27125379834e-06"
+        assert by_key[("rc", "momentum")]["value"] == "1.35453080752e-06"
 
 
 class TestLimits:

@@ -219,8 +219,8 @@ class TestSineTransform:
 
     def test_bandwidth_pieces_keep_the_closed_form(self):
         # f = cos(3 z) e^(-z/2) has six half-periods in each half-period of
-        # sin(z/2); split into ceil(3/0.5) = 6 pieces a panel, the transform
-        # keeps its closed form within its err
+        # sin(z/2); on G10/K21 panels one period of cos(3 z) wide, the
+        # transform keeps its closed form within its err
         k, b, a = 0.5, 3.0, 0.5
         ref = 0.5 * ((k + b) / (a * a + (k + b) ** 2) + (k - b) / (a * a + (k - b) ** 2))
         val, err = sine_transform_decaying(
@@ -232,15 +232,16 @@ class TestSineTransform:
     @pytest.mark.parametrize("max_subdivisions", [1, 4, 8, 28, 2000])
     @pytest.mark.parametrize("bandwidth", [None, 0.0, 2.9, 40.0])
     def test_opening_segments(self, monkeypatch, max_subdivisions, bandwidth):
-        # a generic f opens every panel on one segment; a kernel's panel on
-        # ceil(bandwidth/k) pieces, the first graded toward zeta = 0, and no
-        # panel on more than max_subdivisions/4 segments
+        # every panel opens on one segment: of G7/K15, pi/k wide, for a
+        # generic f; of G10/K21, 2 pi/max(k, bandwidth) wide, for a kernel,
+        # whose first panel is also graded toward zeta = 0 on no more than
+        # max_subdivisions/4 segments
         openings = []
         adaptive_gk = numerics._adaptive_gk
 
-        def recording_gk(f, a, b, settings, seeds=()):
-            openings.append(len(seeds) + 1)
-            return adaptive_gk(f, a, b, settings, seeds)
+        def recording_gk(f, a, b, settings, seeds=(), rule=numerics._gk15):
+            openings.append((len(seeds) + 1, rule, b - a))
+            return adaptive_gk(f, a, b, settings, seeds, rule)
 
         monkeypatch.setattr(numerics, "_adaptive_gk", recording_gk)
         settings = QuadratureSettings(rel_tol=1e-6, max_subdivisions=max_subdivisions)
@@ -250,14 +251,46 @@ class TestSineTransform:
             )
         except QuadratureError:
             pass  # a panel cap this low need not converge
-        most = max(1, max_subdivisions // 4)
         if bandwidth is None:
-            assert set(openings) == {1}
+            assert {(n, rule) for n, rule, _ in openings} == {(1, numerics._gk15)}
+            assert openings[0][2] == math.pi
             return
-        pieces = min(max(1, math.ceil(bandwidth)), most)
-        first = min(pieces + numerics._FIRST_PANEL_HALVINGS, most)
-        assert openings[0] == first
-        assert set(openings[1:]) <= {pieces}
+        most = max(1, max_subdivisions // 4)
+        first = min(1 + numerics._FIRST_PANEL_HALVINGS, most)
+        assert openings[0] == (first, numerics._gk21, 2.0 * math.pi / max(1.0, bandwidth))
+        assert {(n, rule) for n, rule, _ in openings[1:]} <= {(1, numerics._gk21)}
+
+    def test_small_k_stop_spans_three_half_periods(self, monkeypatch):
+        # at k far below the bandwidth the panels follow the bandwidth, and
+        # the small panels of the decay stop grow until they span 3 pi/k:
+        # a few dozen panels, not 3 pi/k over 2 pi/bandwidth of them
+        k = 1e-6
+        edges = []
+        adaptive_gk = numerics._adaptive_gk
+
+        def recording_gk(f, a, b, settings, seeds=(), rule=numerics._gk15):
+            edges.append((a, b))
+            return adaptive_gk(f, a, b, settings, seeds, rule)
+
+        monkeypatch.setattr(numerics, "_adaptive_gk", recording_gk)
+        val, err = sine_transform_decaying(lambda z: math.exp(-z * z), k, bandwidth=1.0)
+        assert len(edges) < 40
+        assert edges[-1][1] >= 3.0 * math.pi / k
+        # int_0^inf sin(k z) e^(-z^2) dz = D(k/2), Dawson's integral, ~ k/2
+        ref = float(scipy.special.dawsn(k / 2.0))
+        assert abs(val - ref) <= err + 1e-300
+        assert val == pytest.approx(ref, rel=1e-12)
+
+    def test_kernel_panels_judge_flatness_by_their_bound(self):
+        # a period of sin(200 z) cancels down to the Gaussian's slope, whose
+        # broad hump long after the slope's first one must not read as a
+        # flat envelope; a constant kernel still does
+        a, k = 1.0 / 32.0, 200.0
+        val, err = sine_transform_decaying(lambda z: math.exp(-a * z * z), k, bandwidth=0.0)
+        ref = float(scipy.special.dawsn(k / (2.0 * math.sqrt(a)))) / math.sqrt(a)
+        assert abs(val - ref) <= err
+        with pytest.raises(QuadratureError, match="not shrinking"):
+            sine_transform_decaying(lambda z: 1.0, 1.0, bandwidth=0.5)
 
     def test_non_decaying_detected(self):
         with pytest.raises(QuadratureError):
@@ -296,6 +329,55 @@ def in_t(h_u):
         return h_u(t / onemt) / (onemt * onemt)
 
     return h
+
+
+class TestGk21:
+    # QUADPACK's qk21 constants, rounded to floats, against 30-digit mpmath
+
+    @staticmethod
+    def moment_gap(nodes, weights, center, j):
+        """|sum of the rule's weights times x^j - int_-1^1 x^j dx| at 30 digits."""
+        with mp.workdps(30):
+            total = mp.mpf(center) if j == 0 else mp.mpf(0)
+            for x, w in zip(nodes, weights):
+                total += mp.mpf(w) * (mp.mpf(x) ** j + mp.mpf(-x) ** j)
+            return abs(total - (mp.mpf(2) / (j + 1) if j % 2 == 0 else 0))
+
+    def test_g10_nodes_are_the_roots_of_p10(self):
+        with mp.workdps(30):
+            for x in numerics._XGK21[1::2]:
+                root = mp.findroot(lambda t: mp.legendre(10, t), mp.mpf(x))
+                assert float(root) == x
+
+    def test_k21_is_exact_through_degree_31(self):
+        nodes, weights = numerics._XGK21, numerics._WGK21
+        for j in range(32):
+            assert self.moment_gap(nodes, weights, numerics._WGK21_CENTER, j) < 1e-15, j
+        assert self.moment_gap(nodes, weights, numerics._WGK21_CENTER, 32) > 1e-13
+
+    def test_g10_is_exact_through_degree_19(self):
+        nodes, weights = numerics._XGK21[1::2], numerics._WG10
+        for j in range(20):
+            assert self.moment_gap(nodes, weights, 0.0, j) < 1e-15, j
+        assert self.moment_gap(nodes, weights, 0.0, 20) > 1e-8
+
+    def test_err_is_the_pair_gap(self):
+        # a degree-20 polynomial: K21 exact, G10 off by its leading term's
+        # quadrature error, scaled by the half-width of [1, 3]
+        val, err = numerics._gk21(lambda z: (z - 2.0) ** 20, 1.0, 3.0)
+        assert val == pytest.approx(2.0 / 21.0, rel=1e-14)
+        g10 = sum(
+            w * ((-x) ** 20 + x ** 20)
+            for x, w in zip(numerics._XGK21[1::2], numerics._WG10)
+        )
+        assert err == pytest.approx(abs(2.0 / 21.0 - g10), rel=1e-10)
+
+    def test_subnormal_floor_counts_21_nodes(self):
+        # a subnormal value gets at least one grid step 2^-1074 per node
+        _, err = numerics._adaptive_gk(
+            lambda z: 1e-310 * z, 0.0, 1.0, DEFAULT_SETTINGS, (), numerics._gk21
+        )
+        assert err >= 21 * 2.0 ** -1074
 
 
 class TestSqrtEndpoint:
@@ -388,8 +470,11 @@ PIN_BARRIER = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
 # raises.  The sine transform runs a 1/zeta start, panels that cancel while
 # the integrand does not (sin * cos), a NaN tail, a constant that trips the
 # flat-panel guard and a 1/zeta tail that hits the 64-panel cap; then, with
-# a bandwidth, the 1/zeta start graded, sin * cos split into four pieces a
-# panel, and the grading cut to one halving by a cap of 8 subdivisions.
+# a bandwidth, on G10/K21 panels, the 1/zeta start graded, sin * cos on
+# panels one period of cos wide, and the grading cut to one halving by a cap
+# of 8 subdivisions.  The G10/K21 cases run the pass alone, the driver on it
+# (a sqrt start, a subnormal value, a 1/z start that reaches the width
+# floor), and the sine transform's stop grown to 3 pi/k and a NaN tail.
 ENGINE_CASES = [
     ("sine_transform_decaying", lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0)),
     ("sine_transform_decaying",
@@ -416,6 +501,24 @@ ENGINE_CASES = [
     ("sine_transform_decaying",
      lambda: sine_transform_decaying(
          lambda z: math.exp(-z * z) / z, 1.0, EIGHT_SUBDIVISIONS, bandwidth=0.0
+     )),
+    ("gk21", lambda: numerics._gk21(math.exp, 0.0, 1.0)),
+    ("gk21", lambda: numerics._gk21(math.sqrt, 0.0, 2.0)),
+    ("gk21",
+     lambda: numerics._adaptive_gk(math.sqrt, 0.0, 1.0, DEFAULT_SETTINGS, (), numerics._gk21)),
+    ("gk21",
+     lambda: numerics._adaptive_gk(
+         lambda z: 1e-310 * z, 0.0, 1.0, DEFAULT_SETTINGS, (), numerics._gk21
+     )),
+    ("gk21",
+     lambda: numerics._adaptive_gk(
+         lambda z: 1.0 / z, 0.0, 1.0, DEFAULT_SETTINGS, (), numerics._gk21
+     )),
+    ("gk21",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z), 1e-6, bandwidth=1.0)),
+    ("gk21",
+     lambda: sine_transform_decaying(
+         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, FEW_SUBDIVISIONS, bandwidth=2.0
      )),
     ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0)),
     ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: z * z, 0.7, 1.3, TIGHT)),
