@@ -22,7 +22,10 @@ T_B core (counting_barrier_calls), and beside them those of the two direct
 cells of the wide_packets benchmark (WIDE_DIRECT_CELLS).  The momentum pin,
 tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
 +k and -k weights, each value and err, on 80 cells: sigma from 0.5 to 9,
-v0 up to 0.99 and k0 on both sides of kappa_c.  Last, the residue factor
+v0 up to 0.99 and k0 on both sides of kappa_c; beside its CPU time the
+script prints the integrand evaluations of ``reltoa.ior.ior_momentum`` on
+the same cells, counted by wrapping the route's closure factories
+(counting_momentum_evals).  Last, the residue factor
 F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
 call of ``reltoa.kernels._fb_sum``, ``barrier_factor`` and
 ``reltoa.kernels._barrier_value``, the direct route's core (their rules
@@ -209,6 +212,54 @@ def wide_direct_calls() -> int:
     return calls[0]
 
 
+# the closure factories of ior_momentum's integrals: the adaptive integrals'
+# u-form, and the Gauss-Hermite core's k-form (absent from a checkout that
+# predates that core, where the first alone counts every evaluation)
+MOMENTUM_FACTORIES = ("_crossing_integrand", "_crossing_weight")
+
+
+@contextlib.contextmanager
+def counting_momentum_evals():
+    """Count the momentum route's integrand evaluations within the block.
+
+    Yields a one-item list that counts each call of every closure that the
+    MOMENTUM_FACTORIES of reltoa.ior return while the block runs; the
+    factories are restored on exit.
+    """
+    calls = [0]
+    factories = {name: getattr(ior, name) for name in MOMENTUM_FACTORIES if hasattr(ior, name)}
+
+    def counting(factory):
+        def make(*args):
+            f = factory(*args)
+
+            def counted(x):
+                calls[0] += 1
+                return f(x)
+
+            return counted
+
+        return make
+
+    for name, factory in factories.items():
+        setattr(ior, name, counting(factory))
+    try:
+        yield calls
+    finally:
+        for name, factory in factories.items():
+            setattr(ior, name, factory)
+
+
+def momentum_evals(grid: dict) -> int:
+    """ior_momentum's integrand evaluations over the momentum pin's cells."""
+    with counting_momentum_evals() as calls:
+        for sigma in grid["sigma"]:
+            for v0 in grid["v0"]:
+                for k0 in grid["k0"]:
+                    ior.ior_momentum(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), v0)
+    return calls[0]
+
+
 def momentum_digest(grid: dict) -> str:
     """sha256 of momentum_split's R_c, plus and minus, each value and err, on
     grid's cells (q0 = -100), sigma-major, then v0, then k0."""
@@ -327,8 +378,11 @@ def main() -> int:
     momentum_sha = momentum_digest(momentum_pin)
     cpu = time.process_time() - t0
     cells = len(momentum_pin["sigma"]) * len(momentum_pin["v0"]) * len(momentum_pin["k0"])
-    faults += _report(f"momentum_split, {cells} cells: cpu {cpu:7.3f} s  ",
-                      momentum_sha, None if args.write else momentum_pin["sha256"])
+    faults += _report(
+        f"momentum_split, {cells} cells: cpu {cpu:7.3f} s "
+        f"(ior_momentum: {momentum_evals(momentum_pin)} integrand evaluations)  ",
+        momentum_sha, None if args.write else momentum_pin["sha256"],
+    )
 
     for v, zeta in FB_POINTS:
         intervals, (fb_cpu, tb_cpu, value_cpu) = fb_timing(v, zeta)

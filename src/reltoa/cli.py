@@ -371,7 +371,8 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows.append(["rc", "series"]
                 + _safe_ior(lambda: ior_series(packet, args.vo, cfg.params, cfg.settings))
                 + ["dimensionless"])
-    put("qc", "direct", qc_expectation(packet, cfg.params), 0.0, "dimensionless")
+    qc = qc_expectation(packet, cfg.params)
+    put("qc", "direct", qc.value, qc.err, "dimensionless")
     put("tau_trav", "momentum", t_c * rc.value, t_c * rc.err, "time")
     put("tau_plus", "momentum", t_c * plus.value, t_c * plus.err, "time")
     put("tau_minus", "momentum", t_c * minus.value, t_c * minus.err, "time")
@@ -465,7 +466,7 @@ def _limit_checks(cfg: RunConfig):
         )
 
     wide = GaussianPacket(q0=-300.0, sigma=6.0, k0=2.0)
-    qc = qc_expectation(wide, params)
+    qc = qc_expectation(wide, params).value
     yield "free-flight factor vs asymptote (sigma=6, k0=2)", abs(
         qc - qc_asymptotic(2.0 * params.hbar, params)
     ) / qc_asymptotic(2.0 * params.hbar, params), 1e-2

@@ -16,7 +16,11 @@ computed by three independent routes that must agree,
                quadrature,
   * momentum - the closed half-line momentum integrals above kappa_c, in
                u = sqrt(k - kappa_c) with the crossing weight's threshold
-               root cancelled in closed form.
+               root cancelled in closed form (momentum_split).  The value
+               path ior_momentum takes the +k integral on a Gauss-Hermite
+               pair in k where k0 sits 12 sigma_k above kappa_c, and skips
+               the -k integral where a closed-form bound shows it cannot
+               move a bit of the result.
 
 Only imaginary parts (sine transforms) are ever formed; the real parts
 carry a logarithmic divergence and no physics.
@@ -296,14 +300,186 @@ def _minus_seeds(packet: GaussianPacket, kc: float) -> tuple[float, float]:
     return kc + step, kc + 8.0 * step
 
 
+# Gauss-Hermite rules for int e^(-x^2) f(x) dx: the positive roots of H_8 and
+# H_16 and their weights 2^(n-1) n! sqrt(pi)/(n^2 H_(n-1)(x)^2) (Golub and
+# Welsch, Math. Comp. 23 (1969) 221); each rule is symmetric about x = 0
+_XGH8 = (
+    0.381186990207322116854718885583691,
+    1.157193712446780194720765779063100,
+    1.981656756695842925854630639769310,
+    2.930637420257244019223502705243600,
+)
+_WGH8 = (
+    0.661147012558241291030415974495882,
+    0.207802325814891879543258620285701,
+    0.017077983007413475456203056436446,
+    0.000199604072211367619206090452544,
+)
+_XGH16 = (
+    0.273481046138152452158280401965015,
+    0.822951449144655892582454496733943,
+    1.380258539198880796372089669694580,
+    1.951787990916253977434655414959890,
+    2.546202157847481362159328705445890,
+    3.176999161979956026813994559263700,
+    3.869447904860122698719424098014810,
+    4.688738939305818364688498648745610,
+)
+_WGH16 = (
+    0.507929479016613741913517341790521,
+    0.280647458528533675369463335379653,
+    0.083810041398985829415420734900116,
+    0.012880311535509973683464299931172,
+    0.000932284008624180529914277305537,
+    0.000027118600925378815120189143224,
+    0.000000232098084486521065338749423,
+    0.000000000265480747401118224470926,
+)
+# the +k core goes on the Gauss-Hermite pair where k0 - kappa_c is at least
+# this many sigma_k: the weight is analytic in a disk of that radius about
+# k0, the largest node sits 6.6 sigma_k from k0, and below kappa_c the
+# density is under e^(-72) of its peak
+_HERMITE_MARGIN = 12.0
+# 32 eps: a bound on the rounding of the pair's 16-point sum
+_HERMITE_ROUNDING = 2.0 ** -47
+# the least -k bound ior_momentum compares with ulps: below the smallest
+# normal float, 2^-1022, the engine sums on the absolute grid 2^-1074 and
+# floors its err at one step of it per node, which no bound on the integral
+# covers; 2^-1000 is 2^22 times that float
+_SKIP_FLOOR = 2.0 ** -1000
+
+
+def _momentum_threshold(v0: float, params: PhysicalParams) -> float:
+    """kappa_c of a momentum-route barrier, after checking its height."""
+    _require_subcritical(v0, params)
+    if v0 == 0.0:
+        # no barrier: the threshold collapses and R_c degenerates to the
+        # free-flight weight; treat via a vanishing-height limit instead
+        raise ValueError("ior_momentum requires v0 > 0; use qc_expectation for v0 = 0")
+    return kappa_c(v0, params)
+
+
 def ior_momentum(
     packet: GaussianPacket,
     v0: float,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> Estimate:
-    """R_c by the closed momentum-space form (see momentum_split)."""
-    return momentum_split(packet, v0, params, settings)[0]
+    """R_c by the closed momentum-space form (see momentum_split), cheaper.
+
+    Off the Gauss-Hermite path below, the result is momentum_split's R_c
+    bit for bit.  Two integrals are run only where they can matter:
+
+      * Where k0 - kappa_c >= 12 sigma_k, the +k weight is taken on the
+        8- and 16-point Gauss-Hermite pair centred at k0 (_hermite_plus):
+        24 evaluations instead of the adaptive integral's ~200.  Its value
+        is G16 and its err |G8 - G16| plus G16's rounding; it is accepted
+        where that err is within max(abs_tol, rel_tol |G16|), and elsewhere
+        the adaptive integral runs as in momentum_split.
+      * The -k integral is skipped where its closed-form bound
+        (_minus_bound) is at most a quarter ulp of plus and of plus's err,
+        so that neither R_c's value nor its err can change by a bit.  On a
+        Gauss-Hermite cell, whose err is the pair's own, a bound within a
+        quarter ulp of plus is skipped too and added to the err.
+
+    A bound under 2^-1000 counts as 2^-1000 (_SKIP_FLOOR), where the
+    engine's subnormal sums cannot reach.
+    """
+    kc = _momentum_threshold(v0, params)
+    hermite = packet.k0 - kc >= _HERMITE_MARGIN * packet.sigma_k
+    if hermite:
+        plus, err_p = _hermite_plus(packet, v0, params, kc)
+        hermite = err_p <= max(settings.abs_tol, settings.rel_tol * abs(plus))
+    if not hermite:
+        plus, err_p = _plus_integral(packet, v0, params, settings, kc)
+    bound = max(_minus_bound(packet, v0, params, kc), _SKIP_FLOOR)
+    if bound <= 0.25 * math.ulp(plus):
+        if hermite:
+            return Estimate(plus, err_p + bound)
+        if bound <= 0.25 * math.ulp(err_p):
+            return Estimate(plus, err_p)
+    minus, err_m = _minus_integral(packet, v0, params, settings, kc)
+    return Estimate(plus - minus, err_p + err_m)
+
+
+def _crossing_weight(
+    v0: float, params: PhysicalParams, kc: float, k0: float
+) -> Callable[[float], float]:
+    """dk -> w(k0 + dk) / sqrt(pi), w the crossing weight of _crossing_integrand in k.
+
+    w(k) = E sqrt((E + R + v0)/((k + kc)(E - v0 + R)(k - kc))) / (hbar c), the
+    weight sqrt(E^2/((E - v0)^2 - R^2)) factored as in _crossing_integrand;
+    above kappa_c only.  k - kappa_c is formed as (k0 - kappa_c) + dk, so
+    that it carries no cancellation where kappa_c is large.
+    """
+    hbar_c = params.hbar * params.c
+    rest = params.rest_energy
+    pref = 1.0 / (math.sqrt(math.pi) * hbar_c)
+    e_sum = rest + v0
+    e_diff = rest - v0
+    gap = k0 - kc
+    hypot, sqrt = math.hypot, math.sqrt
+
+    def w(dk: float) -> float:
+        k = k0 + dk
+        e_k = hypot(hbar_c * k, rest)
+        return pref * e_k * sqrt((e_k + e_sum) / ((k + kc) * (e_k + e_diff) * (gap + dk)))
+
+    return w
+
+
+def _hermite_plus(
+    packet: GaussianPacket, v0: float, params: PhysicalParams, kc: float
+) -> tuple[float, float]:
+    """The +k weight on the Gauss-Hermite pair: (G16, |G8 - G16| + 32 eps G16).
+
+    In x = sqrt(2) sigma (k - k0) the +k density times dk is
+    e^(-x^2) dx/sqrt(pi), so the weight is int e^(-x^2) w(k) dx/sqrt(pi)
+    with w from _crossing_weight, taken over the whole line.  That needs
+    every node above kappa_c, which k0 - kappa_c >= 12 sigma_k gives.  Far
+    above the margin G8 and G16 agree to their last bits, so the err adds
+    32 eps of G16 for the rounding of its 16 positive terms, about 8 eps
+    each and the sum's 15 additions.
+    """
+    w = _crossing_weight(v0, params, kc, packet.k0)
+    step = math.sqrt(2.0) * packet.sigma_k  # dk/dx
+
+    def rule(nodes: tuple[float, ...], weights: tuple[float, ...]) -> float:
+        return sum(a * (w(-x * step) + w(x * step)) for x, a in zip(nodes, weights))
+
+    g8 = rule(_XGH8, _WGH8)
+    g16 = rule(_XGH16, _WGH16)
+    return g16, abs(g8 - g16) + _HERMITE_ROUNDING * g16
+
+
+def _minus_bound(packet: GaussianPacket, v0: float, params: PhysicalParams, kc: float) -> float:
+    """A closed-form upper bound on the -k weight int_kc^inf rho_-(k) w(k) dk.
+
+    With s = k - kappa_c, d = kappa_c + k0 and lam = 4 sigma^2 d,
+    (k + k0)^2 >= d^2 + 2 d s gives rho_-(k) <= rho_-(kappa_c) e^(-lam s).
+    In w = E sqrt((E + R + v0)/((k + kappa_c)(E - v0 + R)(k - kappa_c)))
+    / (hbar c): E <= E(kappa_c) + hbar c s = R + v0 + hbar c s, the ratio
+    (E + R + v0)/(E - v0 + R) falls with E from (R + v0)/R, and
+    k + kappa_c >= 2 kappa_c.  So
+
+      minus <= rho_-(kappa_c) sqrt((R + v0)/(2 R kappa_c))
+               [(R + v0)/(hbar c) Gamma(1/2) lam^(-1/2) + Gamma(3/2) lam^(-3/2)],
+
+    formed under one exp, so that only the last rounding can underflow.
+    Dropping e^(-2 sigma^2 s^2) alone keeps it well above the integral:
+    over 3,282 cells in three unit systems whose -k weight is a normal
+    float, the weight was at most 0.99953 of it and its err 6e-5 of it.
+    """
+    s2 = packet.sigma * packet.sigma
+    d = kc + packet.k0
+    lam = 4.0 * s2 * d
+    rest = params.rest_energy
+    top = rest + v0
+    factor = math.sqrt(2.0 * s2 / math.pi) * math.sqrt(top / (2.0 * rest * kc)) * (
+        top / (params.hbar * params.c) * math.sqrt(math.pi / lam)
+        + 0.5 * math.sqrt(math.pi) / (lam * math.sqrt(lam))
+    )
+    return math.exp(math.log(factor) - 2.0 * s2 * d * d)
 
 
 def _crossing_integrand(
@@ -352,6 +528,33 @@ def _crossing_integrand(
     return h
 
 
+def _plus_integral(
+    packet: GaussianPacket, v0: float, params: PhysicalParams,
+    settings: QuadratureSettings, kc: float,
+) -> tuple[float, float]:
+    """The +k weight on the seeded adaptive integral of momentum_split."""
+    return integrate_sqrt_endpoint(
+        _crossing_integrand(packet, v0, params, +1, kc), kc, settings,
+        _density_seeds(packet, kc),
+    )
+
+
+def _minus_integral(
+    packet: GaussianPacket, v0: float, params: PhysicalParams,
+    settings: QuadratureSettings, kc: float,
+) -> tuple[float, float]:
+    """The -k weight of momentum_split: exactly (0.0, 0.0) where the
+    closure's Gaussian is 0.0 at kappa_c, else its seeded adaptive integral."""
+    s2 = packet.sigma * packet.sigma
+    d = kc + packet.k0  # the closure's k - centre at k = kc, centre = -k0
+    if math.exp(-2.0 * s2 * d * d) == 0.0:
+        return 0.0, 0.0
+    return integrate_sqrt_endpoint(
+        _crossing_integrand(packet, v0, params, -1, kc), kc, settings,
+        _minus_seeds(packet, kc),
+    )
+
+
 def momentum_split(
     packet: GaussianPacket,
     v0: float,
@@ -370,6 +573,10 @@ def momentum_split(
     error estimate; R_c.value == plus.value - minus.value exactly and
     R_c.err == plus.err + minus.err.
 
+    This is the momentum route's reference form: ior_momentum returns its
+    first element bit for bit, except where it takes the +k integral on the
+    Gauss-Hermite pair.
+
     Each integral is seeded at its own density's scale.  The +k density
     peaks at k0, and its integral is seeded at k0 + j sigma_k for j from
     -12 to 12 (those above kappa_c; see _density_seeds).  The -k density
@@ -384,32 +591,16 @@ def momentum_split(
     k >= kappa_c, and the rounded k + k0, the exponent and exp are monotone
     in k, so each node would return 0.0 and the engine would sum zeros.
     """
-    _require_subcritical(v0, params)
-    if v0 == 0.0:
-        # no barrier: the threshold collapses and R_c degenerates to the
-        # free-flight weight; treat via a vanishing-height limit instead
-        raise ValueError("ior_momentum requires v0 > 0; use qc_expectation for v0 = 0")
-    kc = kappa_c(v0, params)
-    plus, err_p = integrate_sqrt_endpoint(
-        _crossing_integrand(packet, v0, params, +1, kc), kc, settings,
-        _density_seeds(packet, kc),
-    )
-    s2 = packet.sigma * packet.sigma
-    d = kc + packet.k0  # the closure's k - centre at k = kc, centre = -k0
-    if math.exp(-2.0 * s2 * d * d) == 0.0:
-        minus, err_m = 0.0, 0.0
-    else:
-        minus, err_m = integrate_sqrt_endpoint(
-            _crossing_integrand(packet, v0, params, -1, kc), kc, settings,
-            _minus_seeds(packet, kc),
-        )
+    kc = _momentum_threshold(v0, params)
+    plus, err_p = _plus_integral(packet, v0, params, settings, kc)
+    minus, err_m = _minus_integral(packet, v0, params, settings, kc)
     return Estimate(plus - minus, err_p + err_m), Estimate(plus, err_p), Estimate(minus, err_m)
 
 
 def qc_expectation(
     packet: GaussianPacket,
     params: PhysicalParams = NATURAL_UNITS,
-) -> float:
+) -> Estimate:
     """Free-flight relativistic correction factor for the packet.
 
     Q_c = k0 * int_0^inf sin(k0 zeta) T_F(zeta) Phi(zeta) dzeta; tends to
@@ -418,10 +609,15 @@ def qc_expectation(
     taken outermost this is k0 [J(0) + (2/pi) int_1^inf sqrt(z^2-1)/z J(z) dz],
     J from _laplace_sine: the series route's branch transform at G_B = 1.
     J(0) is closed and the branch transform a fixed rule, so it takes no
-    settings.
+    settings.  The err is k0 times the branch transform's err plus the
+    Faddeeva bound on J(0).
     """
-    branch, _err = _branch_transform(packet, 0.0, params)
-    return packet.k0 * (_laplace_sine(packet, params)(0.0) + branch)
+    branch, branch_err = _branch_transform(packet, 0.0, params)
+    j0 = _laplace_sine(packet, params)(0.0)
+    return Estimate(
+        packet.k0 * (j0 + branch),
+        packet.k0 * (branch_err + FADDEEVA_IM_REL_ERR * abs(j0)),
+    )
 
 
 def traversal_time(

@@ -6,10 +6,11 @@ import json
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import example, given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 
 from conftest import crossing_weight, load_by_path
 
@@ -36,10 +37,17 @@ from reltoa.numerics import (
 from reltoa.wavepacket import GaussianPacket, momentum_density, phi_overlap
 from reltoa.cli import TABLE1_ROWS
 from reltoa.ior import (
+    _HERMITE_MARGIN,
+    _WGH16,
+    _WGH8,
+    _XGH16,
+    _XGH8,
     Luminality,
     _branch_transform,
     _crossing_integrand,
     _density_seeds,
+    _hermite_plus,
+    _minus_bound,
     _minus_seeds,
     _phi_transform,
     ior_direct,
@@ -104,6 +112,11 @@ KERNEL_PINS = load_by_path("scripts/kernel_pins.py", "kernel_pins")
 ROUTE_SWEEP = load_by_path("scripts/route_sweep.py", "route_sweep")
 # the benchmark's scipy oracles share no code with the library's quadrature
 ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
+
+
+# the three unit systems of the momentum tests
+UNIT_SYSTEMS = [NATURAL_UNITS, PhysicalParams(mu=2.0, c=3.0, hbar=0.5),
+                PhysicalParams(mu=0.7, c=137.0, hbar=1.3)]
 
 
 def minus_weight_reference(v0: float, sigma: float, k0: float) -> float:
@@ -176,7 +189,7 @@ class TestIorDirect:
         momentum = ior_momentum(packet, 0.3, settings=QuadratureSettings(rel_tol=1e-13))
         assert abs(direct.value - momentum.value) <= direct.err + momentum.err
         barrier = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
-        gap = qc_expectation(packet) / k0 - direct.value
+        gap = qc_expectation(packet).value / k0 - direct.value
         assert toa_difference(packet, barrier) == pytest.approx(barrier.length * gap, rel=1e-10)
         slope = ior_direct(GaussianPacket(q0=-50.0, sigma=0.5, k0=1e-4), 0.3).value / 1e-4
         assert ior_momentum(packet, 0.3).value / k0 == pytest.approx(slope, rel=1e-6)
@@ -201,7 +214,7 @@ class TestIorDirect:
             lambda zeta: free_factor(zeta).value, packet, NATURAL_UNITS, DEFAULT_SETTINGS, 0.0
         )
         assert (est.value.hex(), est.err.hex()) == (val.hex(), err.hex())
-        assert abs(est.value - qc_expectation(packet) / k0) <= est.err
+        assert abs(est.value - qc_expectation(packet).value / k0) <= est.err
 
     def test_seeded_panels_cut_the_barrier_calls(self):
         # T_B calls over Table 1's seven v0 = 0.3 direct cells.  With every
@@ -410,6 +423,15 @@ class TestIorMomentum:
         for v0 in (0.1, 0.3, 0.9, 0.99)
         for f in (0.8, 1.25)
     ]
+    # the Gauss-Hermite core's cells: k0 at 12 and 24 sigma_k above kappa_c,
+    # rounded up to six decimals so that the first meets the margin
+    HERMITE_CELLS = [
+        (v0, sigma, math.ceil((kappa_c(v0) + m * 0.5 / sigma) * 1e6) / 1e6)
+        for sigma in (2.0, 6.0, 9.0)
+        for v0 in (0.1, 0.99)
+        for m in (12, 24)
+    ]
+    ORACLE_CELLS += HERMITE_CELLS
 
     @pytest.mark.parametrize("v0, sigma, k0", ORACLE_CELLS)
     def test_error_covers_scipy_oracle(self, v0, sigma, k0):
@@ -582,6 +604,120 @@ class TestIorMomentum:
                 momentum_split(packet, v0)
         assert 0 < calls["own"] <= 0.6 * calls["density"], calls
 
+    @pytest.mark.parametrize("v0, sigma, k0", HERMITE_CELLS)
+    def test_hermite_cells_take_the_pair(self, v0, sigma, k0):
+        # the oracle cells above the margin run the Gauss-Hermite core: their
+        # err is the pair's, far below the adaptive integral's
+        packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+        kc = kappa_c(v0)
+        assert k0 - kc >= _HERMITE_MARGIN * packet.sigma_k
+        plus, err_p = _hermite_plus(packet, v0, NATURAL_UNITS, kc)
+        assert err_p <= DEFAULT_SETTINGS.rel_tol * plus
+        _, split_plus, split_minus = momentum_split(packet, v0)
+        est = ior_momentum(packet, v0)
+        assert est.value in (plus, plus - split_minus.value)
+        assert est.err < 1e-3 * split_plus.err
+
+    @given(
+        sigma=st.floats(min_value=0.2, max_value=12.0),
+        margin=st.floats(min_value=0.5, max_value=40.0),
+        v0_frac=st.floats(min_value=0.001, max_value=0.999),
+        params=st.sampled_from(UNIT_SYSTEMS),
+    )
+    @example(sigma=12.0, margin=12.0, v0_frac=0.999, params=UNIT_SYSTEMS[2])
+    @example(sigma=0.2, margin=12.0, v0_frac=0.001, params=NATURAL_UNITS)
+    def test_value_path_lies_within_err_of_the_split(self, sigma, margin, v0_frac, params):
+        # k0 = kappa_c + margin sigma_k, on both sides of the Gauss-Hermite
+        # margin of 12: ior_momentum within err + err_ref of momentum_split
+        # at rel_tol 1e-13
+        v0 = v0_frac * params.rest_energy
+        packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=kappa_c(v0, params) + margin * 0.5 / sigma)
+        est = ior_momentum(packet, v0, params)
+        ref = momentum_split(packet, v0, params, QuadratureSettings(rel_tol=1e-13))[0]
+        assert abs(est.value - ref.value) <= est.err + ref.err, (est, ref)
+
+    def test_scan_column_lies_within_err_of_the_split(self):
+        # Fig. 5's column, whose k0 >= 2.7277 take the Gauss-Hermite core
+        hermite = 0
+        for k0 in np.linspace(0.1, 6.0, 120):
+            packet = wide(float(k0), 6.0)
+            est = ior_momentum(packet, 0.99)
+            ref = momentum_split(packet, 0.99, settings=QuadratureSettings(rel_tol=1e-13))[0]
+            assert abs(est.value - ref.value) <= est.err + ref.err, (k0, est, ref)
+            hermite += packet.k0 - kappa_c(0.99) >= _HERMITE_MARGIN * packet.sigma_k
+        assert hermite == 67
+
+    @given(
+        sigma=st.floats(min_value=0.2, max_value=12.0),
+        k0=st.floats(min_value=0.01, max_value=6.0),
+        v0_frac=st.floats(min_value=0.001, max_value=0.999),
+        params=st.sampled_from(UNIT_SYSTEMS),
+    )
+    # the subnormal -k weights below, and a -k weight near a quarter ulp of plus
+    @example(sigma=6.0, k0=1.506871, v0_frac=0.973889, params=NATURAL_UNITS)
+    @example(sigma=6.0, k0=2.021232, v0_frac=0.542374, params=NATURAL_UNITS)
+    @example(sigma=3.893754, k0=3.6857, v0_frac=0.600255, params=NATURAL_UNITS)
+    @example(sigma=2.0, k0=3.0, v0_frac=0.3, params=NATURAL_UNITS)
+    def test_value_path_keeps_the_split_bits_off_the_hermite_path(self, sigma, k0, v0_frac, params):
+        # the -k skip changes no bit of R_c's value or err
+        v0 = v0_frac * params.rest_energy
+        packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+        assume(k0 - kappa_c(v0, params) < _HERMITE_MARGIN * packet.sigma_k)
+        est = ior_momentum(packet, v0, params)
+        ref = momentum_split(packet, v0, params)[0]
+        assert (est.value.hex(), est.err.hex()) == (ref.value.hex(), ref.err.hex())
+
+    @given(
+        sigma=st.floats(min_value=0.2, max_value=12.0),
+        k0=st.floats(min_value=0.01, max_value=6.0),
+        v0_frac=st.floats(min_value=0.001, max_value=0.999),
+        params=st.sampled_from(UNIT_SYSTEMS),
+    )
+    @example(sigma=6.0, k0=1.506871, v0_frac=0.973889, params=NATURAL_UNITS)
+    @example(sigma=0.2, k0=0.01, v0_frac=0.001, params=NATURAL_UNITS)
+    def test_minus_bound_holds_where_the_integral_runs(self, sigma, k0, v0_frac, params):
+        # the closed-form bound is above the -k weight wherever momentum_split
+        # runs its integral.  Below the smallest normal float the engine sums
+        # on the absolute grid 2^-1074, and its value may sit a few steps
+        # above the integral, within its err
+        v0 = v0_frac * params.rest_energy
+        packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+        _, _, minus = momentum_split(packet, v0, params)
+        assume(minus != Estimate(0.0, 0.0))
+        bound = _minus_bound(packet, v0, params, kappa_c(v0, params))
+        if minus.value >= sys.float_info.min:
+            assert minus.value <= bound, (minus, bound)
+        else:
+            assert minus.value - minus.err <= bound, (minus, bound)
+
+    def test_value_path_cuts_the_evaluations(self):
+        # integrand evaluations over the grid of
+        # test_minus_seeds_cut_the_minus_evaluations, plus its sigma 12 column
+        grid = [
+            (GaussianPacket(q0=-100.0, sigma=sigma, k0=0.1 + 0.59 * j), v0)
+            for sigma in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 12.0)
+            for j in range(11)
+            for v0 in (0.05, 0.3, 0.6, 0.9, 0.99)
+        ]
+        counts = {}
+        for route in (ior_momentum, momentum_split):
+            with KERNEL_PINS.counting_momentum_evals() as calls:
+                for packet, v0 in grid:
+                    route(packet, v0)
+            counts[route.__name__] = calls[0]
+        assert 0 < counts["ior_momentum"] <= 0.7 * counts["momentum_split"], counts
+
+    def test_pair_falls_back_where_it_misses_the_tolerance(self):
+        # at 12 sigma_k the pair's err is ~5e-14 relative: at rel_tol 1e-14
+        # it is refused, and the adaptive integral gives momentum_split's bits
+        tight = QuadratureSettings(rel_tol=1e-14)
+        packet = GaussianPacket(q0=-100.0, sigma=6.0, k0=kappa_c(0.99) + 12.5 / 12.0)
+        plus, err_p = _hermite_plus(packet, 0.99, NATURAL_UNITS, kappa_c(0.99))
+        assert err_p > tight.rel_tol * plus
+        est = ior_momentum(packet, 0.99, settings=tight)
+        ref = momentum_split(packet, 0.99, settings=tight)[0]
+        assert (est.value.hex(), est.err.hex()) == (ref.value.hex(), ref.err.hex())
+
     def test_methods_agree(self):
         for k0, v0 in ((2.0, 0.3), (0.25, 0.3)):
             a = ior_direct(narrow(k0), v0).value
@@ -603,21 +739,72 @@ class TestIorMomentum:
             ior_momentum(narrow(2.0), 0.0)
 
 
+class TestHermiteConstants:
+    # the Gauss-Hermite pair's constants, rounded to floats, against 30-digit
+    # mpmath: the rules for int e^(-x^2) f(x) dx with n = 8 and 16 nodes
+
+    RULES = {8: (_XGH8, _WGH8), 16: (_XGH16, _WGH16)}
+
+    @staticmethod
+    def moment_gap(nodes, weights, j):
+        """|rule(x^2j) - Gamma(j + 1/2)| relative, at 30 digits."""
+        with mp.workdps(30):
+            total = mp.fsum(2 * mp.mpf(w) * mp.mpf(x) ** (2 * j) for x, w in zip(nodes, weights))
+            return abs(total / mp.gamma(j + mp.mpf(0.5)) - 1)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_nodes_are_the_roots_of_h_n(self, n):
+        nodes, _ = self.RULES[n]
+        assert len(nodes) == n // 2 and list(nodes) == sorted(nodes) and nodes[0] > 0.0
+        with mp.workdps(30):
+            for x in nodes:
+                root = mp.findroot(lambda t: mp.hermite(n, t), mp.mpf(x))
+                assert float(root) == x
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_weights_follow_from_h_n_minus_1(self, n):
+        # w_i = 2^(n-1) n! sqrt(pi) / (n^2 H_(n-1)(x_i)^2)
+        nodes, weights = self.RULES[n]
+        with mp.workdps(30):
+            for x, w in zip(nodes, weights):
+                root = mp.findroot(lambda t: mp.hermite(n, t), mp.mpf(x))
+                ref = 2 ** (n - 1) * mp.factorial(n) * mp.sqrt(mp.pi) / (
+                    n * n * mp.hermite(n - 1, root) ** 2
+                )
+                assert abs(w - float(ref)) <= 0.5 * math.ulp(w), (x, w, ref)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_weights_sum_to_sqrt_pi(self, n):
+        _, weights = self.RULES[n]
+        with mp.workdps(30):
+            assert abs(2 * mp.fsum(mp.mpf(w) for w in weights) / mp.sqrt(mp.pi) - 1) < 1e-15
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_rule_is_exact_through_degree_2n_minus_1(self, n):
+        # odd moments vanish by symmetry; even ones up to x^(2n-2) are exact
+        nodes, weights = self.RULES[n]
+        for j in range(n):
+            assert self.moment_gap(nodes, weights, j) < 1e-14, j
+        assert self.moment_gap(nodes, weights, n) > 1e-6
+
+
 class TestQcExpectation:
     def test_wide_packet_reaches_gamma(self):
         packet = GaussianPacket(q0=-300.0, sigma=6.0, k0=2.0)
-        assert qc_expectation(packet) == pytest.approx(math.sqrt(5.0), rel=1e-2)
+        assert qc_expectation(packet).value == pytest.approx(math.sqrt(5.0), rel=1e-2)
 
     def test_slow_packet(self):
         packet = GaussianPacket(q0=-600.0, sigma=12.0, k0=0.5)
-        assert qc_expectation(packet) == pytest.approx(math.sqrt(1.25), rel=1e-2)
+        assert qc_expectation(packet).value == pytest.approx(math.sqrt(1.25), rel=1e-2)
         # no barrier argument exists: barrier independence holds by signature
 
     def test_matches_nested_oracle(self):
         packet = GaussianPacket(q0=-300.0, sigma=6.0, k0=2.0)
         nested, nested_err = nested_qc(packet)
-        gap = abs(qc_expectation(packet) - nested)
+        qc = qc_expectation(packet)
+        gap = abs(qc.value - nested)
         assert gap <= nested_err
+        assert gap <= qc.err  # the err is carried, not a 0.0 placeholder
         assert gap <= 5e-13
 
 
@@ -687,7 +874,7 @@ class TestToaDifference:
         barrier = BarrierSpec(v0=0.3, a=-400.0, b=-399.0)
         packet = GaussianPacket(q0=-500.0, sigma=9.0, k0=0.19)
         delta = toa_difference(packet, barrier)
-        q_c = qc_expectation(packet)
+        q_c = qc_expectation(packet).value
         ref = barrier.length / packet.k0 * q_c  # mu L / p0 * Q_c
         assert delta == pytest.approx(ref, rel=1e-6)
 
