@@ -47,7 +47,6 @@ from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
     Estimate,
-    QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
     faddeeva,
@@ -79,6 +78,17 @@ def _require_subcritical(v0: float, params: PhysicalParams) -> None:
         )
 
 
+# Phi(zeta) = exp(-zeta^2/(8 sigma^2)) is below the smallest float past
+# this exponent
+_PHI_UNDERFLOW = 745.0
+
+
+def _phi_reach(sigma: float, bound: float, cut: float) -> float:
+    """The zeta where bound * Phi(zeta) = cut, or where Phi underflows."""
+    log_ratio = min(math.log(bound / cut), _PHI_UNDERFLOW) if cut > 0.0 else _PHI_UNDERFLOW
+    return sigma * math.sqrt(8.0 * log_ratio)
+
+
 def _phi_transform(
     kernel: Callable[[float], float],
     packet: GaussianPacket,
@@ -88,36 +98,27 @@ def _phi_transform(
 ) -> tuple[float, float]:
     """int_0^inf sin(k0 zeta) kernel(zeta) Phi(zeta) dzeta and its error.
 
-    Beyond the cut the product cannot contribute above abs_tol: every
-    kernel transformed here is bounded by a small multiple of
-    1 + 1/(scale*zeta).  bandwidth is the kernel's own largest wavenumber:
+    Every kernel transformed here is bounded by a small multiple of
+    1 + 1/(scale*zeta), so the product is dropped past the window's end,
+    taken in closed form where Phi(zeta) (4 + 1/(scale*zeta)) meets
+    cut = 1e-3 abs_tol: zeta_4 where 4 Phi meets the cut, then end where
+    (4 + 1/(scale*zeta_4)) Phi does, which lies past the crossing because
+    the factor falls with zeta.  At abs_tol = 0 the window ends where Phi
+    underflows.  bandwidth is the kernel's own largest wavenumber:
     kappa_c(v0, params) for T_B(-v0) and the gap T_F - T_B(-v0), whose
-    residue terms go as cos(kappa_c zeta), and 0 for T_F.  Passed on to
-    sine_transform_decaying with the kernel's 1/zeta start, it makes each
-    panel one period of the faster of sin(k0 zeta) and the kernel, on the
-    G10/K21 pair, and grades the first panel toward zeta = 0.
-
-    An exact (0.0, 0.0) means that no node fell inside Phi's support: with
-    k0 and the bandwidth both far below 1/sigma (at v0 = 0, say) the first
-    panel, 2 pi/max(k0, bandwidth) wide, is so wide that its opening
-    segments step over Phi.  That raises QuadratureError.
+    residue terms go as cos(kappa_c zeta), and 0 for T_F.
+    sine_transform_decaying takes [0, end] in one adaptive G10/K21 run,
+    seeded at each period of the faster of sin(k0 zeta) and the kernel and
+    graded toward the kernel's 1/zeta start.
     """
     scale = params.mu * params.c / params.hbar
     cut = 1e-3 * settings.abs_tol
-
-    def integrand(zeta: float) -> float:
-        phi = phi_overlap(packet, zeta)
-        if phi * (4.0 + 1.0 / (scale * zeta)) < cut:
-            return 0.0
-        return kernel(zeta) * phi
-
-    val, err = sine_transform_decaying(integrand, packet.k0, settings, bandwidth=bandwidth)
-    if val == 0.0 and err == 0.0:
-        raise QuadratureError(
-            f"sine transform at k0 = {packet.k0!r}: no node fell inside the "
-            f"packet's overlap (sigma = {packet.sigma!r})"
-        )
-    return val, err
+    zeta_4 = _phi_reach(packet.sigma, 4.0, cut)
+    end = _phi_reach(packet.sigma, 4.0 + 1.0 / (scale * zeta_4), cut)
+    return sine_transform_decaying(
+        lambda zeta: kernel(zeta) * phi_overlap(packet, zeta),
+        packet.k0, end, bandwidth, settings,
+    )
 
 
 def ior_direct(
@@ -135,12 +136,11 @@ def ior_direct(
     the branch-cut sum wherever the sum cannot move the value, where
     barrier_factor keeps it up to ~ 65 for its err's bits, and below that
     it accepts the branch-cut rule without forming its rounding bound.
-    The sine transform's panels are one period of the faster of
-    sin(k0 zeta) and T_B's cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F
-    has none, so its bandwidth is 0), each on the G10/K21 pair, and the
-    first is graded toward T_B's 1/zeta start.  A Table 1 cell takes ~230
-    T_B values (~240 on seeded G7/K15 half-period panels, ~340 on unseeded
-    ones).
+    The sine transform is one adaptive G10/K21 run over Phi's closed-form
+    window, seeded at each period of the faster of sin(k0 zeta) and T_B's
+    cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F has none, so its
+    bandwidth is 0) and graded toward T_B's 1/zeta start; its err is judged
+    against the total.  A Table 1 cell takes ~220 T_B values.
     """
     _require_subcritical(v0, params)
     scale = params.mu * params.c / params.hbar

@@ -12,13 +12,10 @@ it runs the nested (G10, K21) pair instead where its caller asks.
 integrate_sqrt_endpoint runs the same engine on t in [0, 1) for an integral
 the caller has already written in t, through u = sqrt(k - a) (its endpoint
 root cancelled) and u = t/(1-t), both maps' Jacobians in the integrand.
-The oscillatory sine transform sums panels between successive zeros of
-sin(k*zeta) until the envelope has decayed below abs_tol, judged from each
-panel's value and the largest integrand magnitude its own integrand
-recorded, and raises QuadratureError when the panels stop shrinking or
-reach the panel cap.  Given a kernel's bandwidth, each panel is instead
-one period of the faster of sin(k*zeta) and the kernel, opened on one
-G10/K21 segment, and the first is graded toward zeta = 0.
+The oscillatory sine transform is one run of that engine on the G10/K21
+pair over a window [0, end] its caller closes in closed form, seeded at
+each period of the faster of sin(k*zeta) and the kernel and graded toward
+zeta = 0.
 
 The branch-cut Laplace integrals and the series route's branch transform
 are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 __all__ = [
@@ -51,7 +48,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Requested tolerance could not be met (subdivision/panel cap hit)."""
+    """Requested tolerance could not be met, or the result is not finite."""
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -71,8 +68,10 @@ class QuadratureSettings:
     """Tolerances and resource caps shared by all numerical operations.
 
     rel_tol / abs_tol are the target relative tolerance and absolute floor;
-    max_subdivisions caps adaptive refinement per integral (the oscillatory
-    transform may use up to 16x that many panels).
+    max_subdivisions caps the segments of each adaptive integral, its
+    opening segments included, but for the sine transform: there it caps
+    the bisected segments on top of one opening per period, and the
+    periods at 16 times max_subdivisions.
     """
 
     rel_tol: float = 1e-10
@@ -134,9 +133,6 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     """One Gauss-Kronrod (7, 15) pass over [a, b].
 
     Returns (kronrod_value, error_estimate), the error being |K15 - G7|.
-    Nothing else about the nodes is kept: a caller that needs more (the
-    sine transform's largest node magnitude per panel) records it in its
-    integrand.
     """
     # the nodes are written out: this is the innermost loop of every
     # generic integral
@@ -435,122 +431,54 @@ def integrate_semiinf_exp(
     return _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
 
 
-# a kernel's first panel is seeded at this many halvings of its width
-# toward zeta = 0, where a 1/zeta start of f makes the driver bisect
-_FIRST_PANEL_HALVINGS = 6
+# the first period is seeded at this many halvings of its width toward
+# zeta = 0, where a 1/zeta start of f makes _adaptive_gk bisect
+_FIRST_PERIOD_HALVINGS = 6
 
 
 def sine_transform_decaying(
     f: Callable[[float], float],
     k: float,
+    end: float,
+    bandwidth: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-    *,
-    bandwidth: float | None = None,
 ) -> tuple[float, float]:
-    """Integral of sin(k*zeta) * f(zeta) over [0, inf) for decaying f.
+    """Integral of sin(k*zeta) * f(zeta) over [0, end], f a decaying kernel.
 
-    Without a bandwidth, integrates panel by panel between the zeros of
-    sin(k*zeta), each on the adaptive G7/K15 driver, stopping once the
-    envelope stays below abs_tol:
-    three panels in a row must each have both |panel| and its largest
-    |sin(k*zeta) f(zeta)| times the panel width below abs_tol/10.  That
-    largest magnitude is taken over the nodes the panel's adaptive run
-    evaluated, which the integrand records as it goes; with a NaN node the
-    panel value is NaN and the stop fails either way.  f may behave like
-    C/zeta at the origin (the sine factor regularizes the product) but must
-    decay overall; panels whose magnitudes stop shrinking raise
-    QuadratureError, and so does a tail that needs more than
-    16 * max_subdivisions panels (at least 64).
-
-    A bandwidth declares f a kernel of that shape, as reltoa.ior transforms
-    them: C/zeta at the origin, oscillating at wavenumbers up to bandwidth
-    (0 for none).  Each panel is then one period of the faster wave,
-    2 pi/max(k, bandwidth), opened on one segment of the nested G10/K21
-    pair (QUADPACK's qk21), which the same driver bisects where the pair
-    disagrees; the first panel is also seeded at its width times 2^-j,
-    j = 1 to _FIRST_PANEL_HALVINGS, toward the 1/zeta start, on at most
-    max_subdivisions/4 opening segments.  A whole period cancels down to
-    the envelope's slope, so the flat-panel guard judges these panels by
-    their largest node magnitude times their width.  The decay stop still
-    spans at least 3 pi/k: while the small panels in a row fall short of it, each
-    next one covers as many periods as the run so far (or as it still
-    lacks), so a k far below the bandwidth reaches it in a few dozen panels.
+    f is a kernel as reltoa.ior transforms them: C/zeta at the origin (the
+    sine factor regularizes the product), oscillating at wavenumbers up to
+    bandwidth (0 for none), and negligible past end, which the caller knows
+    in closed form.  The integral is one run of _adaptive_gk on the
+    nested G10/K21 pair (QUADPACK's qk21), seeded at every period edge
+    n 2 pi/max(k, bandwidth) below end and at the first period's width
+    times 2^-j, j = 1 to _FIRST_PERIOD_HALVINGS (fewer where
+    max_subdivisions/4 segments cannot hold them), toward the 1/zeta start.
+    These openings come on top of max_subdivisions bisected segments, and
+    a window of more than 16 x max_subdivisions periods raises
+    QuadratureError before any node is taken.  Its err is judged once,
+    against the total: max(abs_tol, rel_tol * |value|).  A result that is
+    not finite (a NaN node, say) raises QuadratureError.
     """
     if k <= 0.0:
         raise ValueError("sine_transform_decaying requires k > 0")
-    rule = _gk15
-    width = math.pi / k
-    reach = 3  # panel widths the decay stop spans
-    first_seeds: tuple[float, ...] = ()
-    if bandwidth is not None:
-        rule = _gk21
-        fastest = max(k, bandwidth)
-        width = 2.0 * math.pi / fastest
-        reach = max(3, math.ceil(1.5 * fastest / k))
-        most = max(1, settings.max_subdivisions // 4)
-        halvings = min(_FIRST_PANEL_HALVINGS, most - 1)
-        first_seeds = tuple(width * 0.5**j for j in range(1, halvings + 1))
-    max_panels = max(64, 16 * settings.max_subdivisions)
-    panel_tol = 0.1 * settings.abs_tol
-
-    def integrand(z: float) -> float:
-        nonlocal node_max
-        s = math.sin(k * z)
-        if s == 0.0:
-            return 0.0
-        v = s * f(z)
-        if abs(v) > node_max:
-            node_max = abs(v)
-        return v
-
-    total = 0.0
-    err = 0.0
-    mags: list[float] = []  # each panel's magnitude, for the flat-panel guard
-    small = 0
-    spanned = 0  # panel widths covered by the current run of small panels
-    start = 0  # the next panel's first edge, in panel widths
-    peak_mag = 0.0
-    peak_at = 0
-    for n in range(max_panels):
-        step = max(1, min(spanned, reach - spanned))
-        a = start * width
-        b = (start + step) * width
-        start += step
-        node_max = 0.0  # this panel's largest |integrand| at a node so far
-        v, e = _adaptive_gk(integrand, a, b, settings, first_seeds if n == 0 else (), rule)
-        total += v
-        err += e
-        bound = node_max * (step * width)
-        # a whole period of sin(k*zeta) cancels down to the envelope's slope,
-        # so a kernel's panels are judged by their bound instead
-        mag = abs(v) if bandwidth is None else bound
-        mags.append(mag)
-        if mag > peak_mag:
-            peak_mag = mag
-            peak_at = n
-        if bound < panel_tol and abs(v) < panel_tol:
-            small += 1
-            spanned += step
-            if small >= 3 and spanned >= reach:
-                return total, err
-        else:
-            small = 0
-            spanned = 0
-        if n >= 64 and n % 16 == 0:
-            window = mags[-48:]
-            w_hi, w_lo = max(window), min(window)
-            # flat magnitudes long after their peak mean the envelope is not
-            # decaying (legitimate humps keep their maximum recent)
-            if (
-                n - peak_at >= 96
-                and w_lo > 1e3 * panel_tol
-                and w_hi < 1.1 * w_lo
-            ):
-                raise QuadratureError(
-                    "sine transform: panel magnitudes are not shrinking "
-                    f"(|panel|~{w_hi:.3e} after {n + 1} panels)"
-                )
-    raise QuadratureError(f"sine transform did not converge within {max_panels} panels")
+    width = 2.0 * math.pi / max(k, bandwidth)
+    periods = math.ceil(end / width)
+    if periods > 16 * settings.max_subdivisions:
+        raise QuadratureError(
+            f"sine transform at k = {k!r}: {periods} periods exceed 16 x max_subdivisions"
+        )
+    halvings = min(_FIRST_PERIOD_HALVINGS, max(1, settings.max_subdivisions // 4) - 1)
+    seeds = [width * 0.5**j for j in range(1, halvings + 1)]
+    seeds += [n * width for n in range(1, periods)]
+    budget = replace(settings, max_subdivisions=settings.max_subdivisions + len(seeds))
+    val, err = _adaptive_gk(
+        lambda z: math.sin(k * z) * f(z), 0.0, end, budget, tuple(seeds), _gk21
+    )
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise QuadratureError(
+            f"sine transform at k = {k!r} is not finite (value={val!r}, err={err!r})"
+        )
+    return val, err
 
 
 def integrate_sqrt_endpoint(

@@ -247,15 +247,25 @@ class TestPoint:
         )
         assert code == 1
 
-    def test_failed_transform_cells_print_unavailable(self, capsys):
-        # at k0 and kappa_c both far below 1/sigma no sine-transform node
-        # meets the packet: the panels are 2 pi/kappa_c ~ 4.4e6 wide, and
-        # their graded openings step over Phi.  The direct rows print ---
-        # and the other rows still print
-        code, out = run_cli(
-            capsys, "point", "--vo", "1e-12", "--sigma", "0.5", "--ko", "1e-6",
-            "--barrier-a", "-21", "--barrier-b", "-20",
-        )
+    def test_failed_transform_cells_print_unavailable(self, capsys, monkeypatch):
+        # at k0 and kappa_c both far below 1/sigma the direct rows answer,
+        # rc,direct within the summed errs of rc,momentum.  Where the sine
+        # transform raises, the direct rows print --- and the other rows
+        # still print
+        argv = ("point", "--vo", "1e-12", "--sigma", "0.5", "--ko", "1e-6",
+                "--barrier-a", "-21", "--barrier-b", "-20")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        by_key = {(r["quantity"], r["method"]): r for r in parse_csv(out)}
+        direct, momentum = by_key[("rc", "direct")], by_key[("rc", "momentum")]
+        gap = abs(float(direct["value"]) - float(momentum["value"]))
+        assert gap <= float(direct["err"]) + float(momentum["err"])
+
+        def fail(*args):
+            raise reltoa.QuadratureError("sine transform failed")
+
+        monkeypatch.setattr(reltoa.ior, "sine_transform_decaying", fail)
+        code, out = run_cli(capsys, *argv)
         assert code == 0
         by_key = {(r["quantity"], r["method"]): r for r in parse_csv(out)}
         for key in (("rc", "direct"), ("toa_difference", "direct")):

@@ -194,11 +194,11 @@ class TestSemiInfExp:
 
 class TestSineTransform:
     def test_laplace_sine(self):
-        val, _ = sine_transform_decaying(lambda z: math.exp(-z), 1.0)
+        val, _ = sine_transform_decaying(lambda z: math.exp(-z), 1.0, 40.0, 0.0)
         assert val == pytest.approx(0.5, rel=1e-11)
 
     def test_gaussian_oracle(self):
-        val, _ = sine_transform_decaying(lambda z: math.exp(-z * z / 8.0), 2.0)
+        val, _ = sine_transform_decaying(lambda z: math.exp(-z * z / 8.0), 2.0, 20.0, 0.0)
         oracle = sine_integral_oracle(lambda z: np.exp(-z * z / 8.0), 2.0, 60.0)
         assert val == pytest.approx(oracle, abs=1e-11)
         # Dawson-function closed form as a second, independent reference
@@ -207,98 +207,113 @@ class TestSineTransform:
         assert val == pytest.approx(ref, rel=1e-11)
 
     def test_one_over_zeta_regularization(self):
-        val, _ = sine_transform_decaying(lambda z: math.exp(-z * z) / z, 1.0)
+        val, _ = sine_transform_decaying(lambda z: math.exp(-z * z) / z, 1.0, 8.0, 0.0)
         oracle = sine_integral_oracle(lambda z: np.exp(-z * z) / z, 1.0, 30.0)
         assert val == pytest.approx(oracle, abs=1e-10)
         # known closed form: (pi/2) erf(1/2)
         assert val == pytest.approx(0.5 * math.pi * math.erf(0.5), rel=1e-10)
 
     def test_slow_exponential(self):
-        val, _ = sine_transform_decaying(lambda z: math.exp(-0.05 * z), 1.0)
+        # e^(-0.05 z) falls below 1e-17 only past z = 790: 127 periods
+        val, _ = sine_transform_decaying(lambda z: math.exp(-0.05 * z), 1.0, 800.0, 0.0)
         assert val == pytest.approx(1.0 / (1.0 + 0.05**2), rel=1e-9)
 
     def test_bandwidth_pieces_keep_the_closed_form(self):
         # f = cos(3 z) e^(-z/2) has six half-periods in each half-period of
-        # sin(z/2); on G10/K21 panels one period of cos(3 z) wide, the
-        # transform keeps its closed form within its err
+        # sin(z/2); seeded at each period of cos(3 z), the transform keeps
+        # its closed form within its err
         k, b, a = 0.5, 3.0, 0.5
         ref = 0.5 * ((k + b) / (a * a + (k + b) ** 2) + (k - b) / (a * a + (k - b) ** 2))
         val, err = sine_transform_decaying(
-            lambda z: math.cos(b * z) * math.exp(-a * z), k, bandwidth=b
+            lambda z: math.cos(b * z) * math.exp(-a * z), k, 80.0, b
         )
         assert abs(val - ref) <= err
         assert val == pytest.approx(ref, rel=1e-11)
 
     @pytest.mark.parametrize("max_subdivisions", [1, 4, 8, 28, 2000])
-    @pytest.mark.parametrize("bandwidth", [None, 0.0, 2.9, 40.0])
+    @pytest.mark.parametrize("bandwidth", [0.0, 2.9, 40.0])
     def test_opening_segments(self, monkeypatch, max_subdivisions, bandwidth):
-        # every panel opens on one segment: of G7/K15, pi/k wide, for a
-        # generic f; of G10/K21, 2 pi/max(k, bandwidth) wide, for a kernel,
-        # whose first panel is also graded toward zeta = 0 on no more than
-        # max_subdivisions/4 segments
-        openings = []
+        # the window [0, end] is one G10/K21 run, seeded at every period
+        # edge 2 pi n/max(k, bandwidth) below end, and the first period
+        # graded toward zeta = 0 on no more than max_subdivisions/4 segments;
+        # a window of more than 16 x max_subdivisions periods raises first
+        runs = []
         adaptive_gk = numerics._adaptive_gk
 
         def recording_gk(f, a, b, settings, seeds=(), rule=numerics._gk15):
-            openings.append((len(seeds) + 1, rule, b - a))
+            runs.append((a, b, sorted(seeds), rule))
             return adaptive_gk(f, a, b, settings, seeds, rule)
 
         monkeypatch.setattr(numerics, "_adaptive_gk", recording_gk)
         settings = QuadratureSettings(rel_tol=1e-6, max_subdivisions=max_subdivisions)
-        try:
-            sine_transform_decaying(
-                lambda z: math.exp(-z * z) / z, 1.0, settings, bandwidth=bandwidth
-            )
-        except QuadratureError:
-            pass  # a panel cap this low need not converge
-        if bandwidth is None:
-            assert {(n, rule) for n, rule, _ in openings} == {(1, numerics._gk15)}
-            assert openings[0][2] == math.pi
-            return
-        most = max(1, max_subdivisions // 4)
-        first = min(1 + numerics._FIRST_PANEL_HALVINGS, most)
-        assert openings[0] == (first, numerics._gk21, 2.0 * math.pi / max(1.0, bandwidth))
-        assert {(n, rule) for n, rule, _ in openings[1:]} <= {(1, numerics._gk21)}
+        end = 8.0
+        width = 2.0 * math.pi / max(1.0, bandwidth)
 
-    def test_small_k_stop_spans_three_half_periods(self, monkeypatch):
-        # at k far below the bandwidth the panels follow the bandwidth, and
-        # the small panels of the decay stop grow until they span 3 pi/k:
-        # a few dozen panels, not 3 pi/k over 2 pi/bandwidth of them
+        def transform():
+            return sine_transform_decaying(
+                lambda z: math.exp(-z * z) / z, 1.0, end, bandwidth, settings
+            )
+
+        if math.ceil(end / width) > 16 * max_subdivisions:
+            with pytest.raises(QuadratureError, match="periods exceed"):
+                transform()
+            assert runs == []
+            return
+        try:
+            transform()
+        except QuadratureError:
+            pass  # a segment cap this low need not converge
+        [(a, b, seeds, rule)] = runs
+        assert (a, b, rule) == (0.0, end, numerics._gk21)
+        halvings = min(numerics._FIRST_PERIOD_HALVINGS, max(1, max_subdivisions // 4) - 1)
+        graded = [s for s in seeds if s < width]
+        assert graded == [width * 0.5**j for j in range(halvings, 0, -1)]
+        edges = seeds[len(graded):]
+        assert edges == [n * width for n in range(1, len(edges) + 1)]
+        assert len(edges) * width < end <= (len(edges) + 1) * width
+
+    def test_small_k_takes_the_window_in_one_run(self, monkeypatch):
+        # at k far below the bandwidth the seeds follow the bandwidth and
+        # the window, not 3 pi/k: one run over a few dozen periods
         k = 1e-6
-        edges = []
+        runs = []
         adaptive_gk = numerics._adaptive_gk
 
         def recording_gk(f, a, b, settings, seeds=(), rule=numerics._gk15):
-            edges.append((a, b))
+            runs.append(len(seeds))
             return adaptive_gk(f, a, b, settings, seeds, rule)
 
         monkeypatch.setattr(numerics, "_adaptive_gk", recording_gk)
-        val, err = sine_transform_decaying(lambda z: math.exp(-z * z), k, bandwidth=1.0)
-        assert len(edges) < 40
-        assert edges[-1][1] >= 3.0 * math.pi / k
+        val, err = sine_transform_decaying(lambda z: math.exp(-z * z), k, 40.0, 1.0)
+        assert len(runs) == 1 and runs[0] < 40
         # int_0^inf sin(k z) e^(-z^2) dz = D(k/2), Dawson's integral, ~ k/2
         ref = float(scipy.special.dawsn(k / 2.0))
         assert abs(val - ref) <= err + 1e-300
         assert val == pytest.approx(ref, rel=1e-12)
 
-    def test_kernel_panels_judge_flatness_by_their_bound(self):
-        # a period of sin(200 z) cancels down to the Gaussian's slope, whose
-        # broad hump long after the slope's first one must not read as a
-        # flat envelope; a constant kernel still does
+    def test_fast_wave_keeps_the_closed_form(self):
+        # 1,273 periods of sin(200 z) under a broad Gaussian, each cancelling
+        # down to the Gaussian's slope, still meet Dawson's closed form
         a, k = 1.0 / 32.0, 200.0
-        val, err = sine_transform_decaying(lambda z: math.exp(-a * z * z), k, bandwidth=0.0)
+        val, err = sine_transform_decaying(lambda z: math.exp(-a * z * z), k, 40.0, 0.0)
         ref = float(scipy.special.dawsn(k / (2.0 * math.sqrt(a)))) / math.sqrt(a)
         assert abs(val - ref) <= err
-        with pytest.raises(QuadratureError, match="not shrinking"):
-            sine_transform_decaying(lambda z: 1.0, 1.0, bandwidth=0.5)
 
-    def test_non_decaying_detected(self):
-        with pytest.raises(QuadratureError):
-            sine_transform_decaying(lambda z: 1.0, 1.0)
+    def test_non_finite_result_raises(self):
+        # a bare _adaptive_gk run sums a NaN node into (nan, nan); the transform
+        # raises a typed error instead
+        def nan_tail(z):
+            return math.nan if z > 3.0 else math.exp(-z)
+
+        assert all(map(math.isnan, numerics._adaptive_gk(
+            nan_tail, 0.0, 40.0, DEFAULT_SETTINGS, (), numerics._gk21
+        )))
+        with pytest.raises(QuadratureError, match="not finite"):
+            sine_transform_decaying(nan_tail, 1.0, 40.0, 0.0)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            sine_transform_decaying(lambda z: math.exp(-z), 0.0)
+            sine_transform_decaying(lambda z: math.exp(-z), 0.0, 40.0, 0.0)
 
     @given(
         st.floats(min_value=-3.0, max_value=3.0),
@@ -311,9 +326,9 @@ class TestSineTransform:
         def g(z):
             return math.exp(-z * z / 4.0)
 
-        lhs, _ = sine_transform_decaying(lambda z: alpha * f(z) + beta * g(z), 1.5)
-        fa, _ = sine_transform_decaying(f, 1.5)
-        gb, _ = sine_transform_decaying(g, 1.5)
+        lhs, _ = sine_transform_decaying(lambda z: alpha * f(z) + beta * g(z), 1.5, 40.0, 0.0)
+        fa, _ = sine_transform_decaying(f, 1.5, 40.0, 0.0)
+        gb, _ = sine_transform_decaying(g, 1.5, 40.0, 0.0)
         assert lhs == pytest.approx(alpha * fa + beta * gb, rel=1e-8, abs=1e-11)
 
 
@@ -451,7 +466,7 @@ class TestSettings:
 
     def test_deterministic(self):
         vals = {
-            sine_transform_decaying(lambda z: math.exp(-z * z / 2.0), 1.7)[0]
+            sine_transform_decaying(lambda z: math.exp(-z * z / 2.0), 1.7, 20.0, 0.0)[0]
             for _ in range(3)
         }
         assert len(vals) == 1
@@ -461,47 +476,49 @@ class TestSettings:
 
 ENGINE_PIN = pathlib.Path(__file__).parent / "data" / "engine_pin.json"
 FEW_SUBDIVISIONS = QuadratureSettings(max_subdivisions=4)
-LOOSE_FEW = QuadratureSettings(rel_tol=1e-6, max_subdivisions=4)
+TIGHT_FEW = QuadratureSettings(rel_tol=1e-12, max_subdivisions=4)
 EIGHT_SUBDIVISIONS = QuadratureSettings(max_subdivisions=8)
 TIGHT = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16)
 PIN_BARRIER = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
 
 # (caller, thunk) pairs: each thunk returns (value, err), a bare value, or
-# raises.  The sine transform runs a 1/zeta start, panels that cancel while
-# the integrand does not (sin * cos), a NaN tail, a constant that trips the
-# flat-panel guard and a 1/zeta tail that hits the 64-panel cap; then, with
-# a bandwidth, on G10/K21 panels, the 1/zeta start graded, sin * cos on
-# panels one period of cos wide, and the grading cut to one halving by a cap
-# of 8 subdivisions.  The G10/K21 cases run the pass alone, the driver on it
-# (a sqrt start, a subnormal value, a 1/z start that reaches the width
-# floor), and the sine transform's stop grown to 3 pi/k and a NaN tail.
+# raises.  The sine transform runs a decaying exponential, a Gaussian at
+# tight settings, a 1/zeta start graded toward 0 (and its grading cut to one
+# halving by a cap of 8 subdivisions), sin * cos seeded at each period of
+# cos, k far below the bandwidth, two NaN tails, a 1/(1 + z) tail that
+# misses the tolerance with 4 bisected segments past its 32 openings, and a window
+# of 160 periods, more than 16 x 4.  The G10/K21 cases run the
+# pass alone and _adaptive_gk on it (a sqrt start, a subnormal value, a 1/z
+# start that reaches the width floor).
 ENGINE_CASES = [
-    ("sine_transform_decaying", lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0)),
     ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.exp(-z * z / 8.0), 2.0, TIGHT)),
+     lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, 40.0, 0.0)),
     ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.exp(-z * z) / z, 1.0)),
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z / 8.0), 2.0, 20.0, 0.0, TIGHT)),
     ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.exp(-0.05 * z), 3.7)),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.cos(2.0 * z) * math.exp(-0.2 * z), 2.0)),
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z) / z, 1.0, 8.0, 0.0)),
     ("sine_transform_decaying",
      lambda: sine_transform_decaying(
-         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, FEW_SUBDIVISIONS
-     )),
-    ("sine_transform_decaying", lambda: sine_transform_decaying(lambda z: 1.0, 1.0)),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: 1.0 / (1.0 + z), 0.5, LOOSE_FEW)),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.exp(-z * z) / z, 1.0, bandwidth=0.0)),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(
-         lambda z: math.cos(2.0 * z) * math.exp(-0.2 * z), 0.5, bandwidth=2.0
+         lambda z: math.exp(-z * z) / z, 1.0, 8.0, 0.0, EIGHT_SUBDIVISIONS
      )),
     ("sine_transform_decaying",
      lambda: sine_transform_decaying(
-         lambda z: math.exp(-z * z) / z, 1.0, EIGHT_SUBDIVISIONS, bandwidth=0.0
+         lambda z: math.cos(2.0 * z) * math.exp(-0.2 * z), 0.5, 200.0, 2.0
      )),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z), 1e-6, 40.0, 1.0)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(
+         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, 40.0, 0.0, FEW_SUBDIVISIONS
+     )),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(
+         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, 40.0, 2.0, FEW_SUBDIVISIONS
+     )),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: 1.0 / (1.0 + z), 0.5, 400.0, 0.0, TIGHT_FEW)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, 1000.0, 0.0, FEW_SUBDIVISIONS)),
     ("gk21", lambda: numerics._gk21(math.exp, 0.0, 1.0)),
     ("gk21", lambda: numerics._gk21(math.sqrt, 0.0, 2.0)),
     ("gk21",
@@ -513,12 +530,6 @@ ENGINE_CASES = [
     ("gk21",
      lambda: numerics._adaptive_gk(
          lambda z: 1.0 / z, 0.0, 1.0, DEFAULT_SETTINGS, (), numerics._gk21
-     )),
-    ("gk21",
-     lambda: sine_transform_decaying(lambda z: math.exp(-z * z), 1e-6, bandwidth=1.0)),
-    ("gk21",
-     lambda: sine_transform_decaying(
-         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, FEW_SUBDIVISIONS, bandwidth=2.0
      )),
     ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0)),
     ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: z * z, 0.7, 1.3, TIGHT)),
