@@ -24,7 +24,7 @@ tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
 +k and -k weights, each value and err, on 80 cells: sigma from 0.5 to 9,
 v0 up to 0.99 and k0 on both sides of kappa_c; beside its CPU time the
 script prints the integrand evaluations of ``reltoa.ior.ior_momentum`` on
-the same cells, counted by wrapping the route's closure factories
+the same cells, counted by wrapping the route's integrand factory
 (counting_momentum_evals).  Last, the residue factor
 F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
 call of ``reltoa.kernels._fb_sum``, ``barrier_factor`` and
@@ -212,42 +212,31 @@ def wide_direct_calls() -> int:
     return calls[0]
 
 
-# the closure factories of ior_momentum's integrals: the adaptive integrals'
-# u-form, and the Gauss-Hermite core's k-form (absent from a checkout that
-# predates that core, where the first alone counts every evaluation)
-MOMENTUM_FACTORIES = ("_crossing_integrand", "_crossing_weight")
-
-
 @contextlib.contextmanager
 def counting_momentum_evals():
     """Count the momentum route's integrand evaluations within the block.
 
-    Yields a one-item list that counts each call of every closure that the
-    MOMENTUM_FACTORIES of reltoa.ior return while the block runs; the
-    factories are restored on exit.
+    Yields a one-item list that counts each call of every w that
+    reltoa.ior._crossing_integrand returns while the block runs: the tau
+    rule calls w once per node.  The factory is restored on exit.
     """
     calls = [0]
-    factories = {name: getattr(ior, name) for name in MOMENTUM_FACTORIES if hasattr(ior, name)}
+    factory = ior._crossing_integrand
 
-    def counting(factory):
-        def make(*args):
-            f = factory(*args)
+    def make(*args):
+        w = factory(*args)
 
-            def counted(x):
-                calls[0] += 1
-                return f(x)
+        def counted(k):
+            calls[0] += 1
+            return w(k)
 
-            return counted
+        return counted
 
-        return make
-
-    for name, factory in factories.items():
-        setattr(ior, name, counting(factory))
+    ior._crossing_integrand = make
     try:
         yield calls
     finally:
-        for name, factory in factories.items():
-            setattr(ior, name, factory)
+        ior._crossing_integrand = factory
 
 
 def momentum_evals(grid: dict) -> int:

@@ -3,10 +3,8 @@
 
 Each cell runs ``reltoa.ior``'s ior_direct, ior_series and ior_momentum at
 the default settings.  The reference is momentum_split's R_c at
-rel_tol = 1e-13, which shares no code with the direct and series routes.
-Nor does it share any with ior_momentum's Gauss-Hermite core, which takes
-the +k weight where k0 sits 12 sigma_k above kappa_c; on the other cells
-ior_momentum runs the reference's own integrals at the default tolerance.
+rel_tol = 1e-13, which shares no code with the direct and series routes;
+ior_momentum runs the reference's own tau rule at the default tolerance.
 One CSV row a cell gives sigma, v0, k0, the reference's value and err, and
 for each route its value and err, or its typed error's class name
 (QuadratureError or SeriesDivergenceError) and no err, and the ratio

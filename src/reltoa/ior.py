@@ -15,12 +15,11 @@ computed by three independent routes that must agree,
                Phi(zeta) exp(-mu c z zeta / hbar); it runs no oscillatory
                quadrature,
   * momentum - the closed half-line momentum integrals above kappa_c, in
-               u = sqrt(k - kappa_c) with the crossing weight's threshold
-               root cancelled in closed form (momentum_split).  The value
-               path ior_momentum takes the +k integral on a Gauss-Hermite
-               pair in k where k0 sits 12 sigma_k above kappa_c, and skips
-               the -k integral where a closed-form bound shows it cannot
-               move a bit of the result.
+               k = kappa_c cosh(tau), where the crossing weight's threshold
+               root cancels exactly, each on one nested trapezoid rule
+               (momentum_split).  The value path ior_momentum skips the -k
+               integral where a closed-form bound shows it cannot move a
+               bit of the result.
 
 Only imaginary parts (sine transforms) are ever formed; the real parts
 carry a logarithmic divergence and no physics.
@@ -282,70 +281,10 @@ def ior_series(
     return Estimate(value, err)
 
 
-def _density_seeds(packet: GaussianPacket, kc: float) -> tuple[float, ...]:
-    # bracket the +k density core so the substitution engine resolves it
-    # even when it sits far from the kappa_c endpoint
-    offsets = (-12.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 12.0)
-    return tuple(
-        k
-        for k in (packet.k0 + j * packet.sigma_k for j in offsets)
-        if k > kc
-    )
-
-
-def _minus_seeds(packet: GaussianPacket, kc: float) -> tuple[float, float]:
-    # the -k density exp(-2 sigma^2 (k + k0)^2) peaks at the kappa_c endpoint
-    # and falls by a factor e per step in k there: mark one step and eight
-    step = 1.0 / (4.0 * packet.sigma * packet.sigma * (kc + packet.k0))
-    return kc + step, kc + 8.0 * step
-
-
-# Gauss-Hermite rules for int e^(-x^2) f(x) dx: the positive roots of H_8 and
-# H_16 and their weights 2^(n-1) n! sqrt(pi)/(n^2 H_(n-1)(x)^2) (Golub and
-# Welsch, Math. Comp. 23 (1969) 221); each rule is symmetric about x = 0
-_XGH8 = (
-    0.381186990207322116854718885583691,
-    1.157193712446780194720765779063100,
-    1.981656756695842925854630639769310,
-    2.930637420257244019223502705243600,
-)
-_WGH8 = (
-    0.661147012558241291030415974495882,
-    0.207802325814891879543258620285701,
-    0.017077983007413475456203056436446,
-    0.000199604072211367619206090452544,
-)
-_XGH16 = (
-    0.273481046138152452158280401965015,
-    0.822951449144655892582454496733943,
-    1.380258539198880796372089669694580,
-    1.951787990916253977434655414959890,
-    2.546202157847481362159328705445890,
-    3.176999161979956026813994559263700,
-    3.869447904860122698719424098014810,
-    4.688738939305818364688498648745610,
-)
-_WGH16 = (
-    0.507929479016613741913517341790521,
-    0.280647458528533675369463335379653,
-    0.083810041398985829415420734900116,
-    0.012880311535509973683464299931172,
-    0.000932284008624180529914277305537,
-    0.000027118600925378815120189143224,
-    0.000000232098084486521065338749423,
-    0.000000000265480747401118224470926,
-)
-# the +k core goes on the Gauss-Hermite pair where k0 - kappa_c is at least
-# this many sigma_k: the weight is analytic in a disk of that radius about
-# k0, the largest node sits 6.6 sigma_k from k0, and below kappa_c the
-# density is under e^(-72) of its peak
-_HERMITE_MARGIN = 12.0
-# 32 eps: a bound on the rounding of the pair's 16-point sum
-_HERMITE_ROUNDING = 2.0 ** -47
 # the least -k bound ior_momentum compares with ulps: below the smallest
-# normal float, 2^-1022, the engine sums on the absolute grid 2^-1074 and
-# floors its err at one step of it per node, which no bound on the integral
-# covers; 2^-1000 is 2^22 times that float
+# normal float, 2^-1022, the tau rule sums on the absolute grid 2^-1074 and
+# adds steps of it to its err, which no bound on the integral covers;
+# 2^-1000 is 2^22 times that float
 _SKIP_FLOOR = 2.0 ** -1000
 
 
@@ -367,89 +306,19 @@ def ior_momentum(
 ) -> Estimate:
     """R_c by the closed momentum-space form (see momentum_split), cheaper.
 
-    Off the Gauss-Hermite path below, the result is momentum_split's R_c
-    bit for bit.  Two integrals are run only where they can matter:
-
-      * Where k0 - kappa_c >= 12 sigma_k, the +k weight is taken on the
-        8- and 16-point Gauss-Hermite pair centred at k0 (_hermite_plus):
-        24 evaluations instead of the adaptive integral's ~200.  Its value
-        is G16 and its err |G8 - G16| plus G16's rounding; it is accepted
-        where that err is within max(abs_tol, rel_tol |G16|), and elsewhere
-        the adaptive integral runs as in momentum_split.
-      * The -k integral is skipped where its closed-form bound
-        (_minus_bound) is at most a quarter ulp of plus and of plus's err,
-        so that neither R_c's value nor its err can change by a bit.  On a
-        Gauss-Hermite cell, whose err is the pair's own, a bound within a
-        quarter ulp of plus is skipped too and added to the err.
-
-    A bound under 2^-1000 counts as 2^-1000 (_SKIP_FLOOR), where the
-    engine's subnormal sums cannot reach.
+    The result is momentum_split's R_c bit for bit.  The -k integral is
+    skipped where its closed-form bound (_minus_bound) is at most a quarter
+    ulp of plus and of plus's err, so that neither R_c's value nor its err
+    can change by a bit.  A bound under 2^-1000 counts as 2^-1000
+    (_SKIP_FLOOR), where the tau rule's subnormal sums cannot reach.
     """
     kc = _momentum_threshold(v0, params)
-    hermite = packet.k0 - kc >= _HERMITE_MARGIN * packet.sigma_k
-    if hermite:
-        plus, err_p = _hermite_plus(packet, v0, params, kc)
-        hermite = err_p <= max(settings.abs_tol, settings.rel_tol * abs(plus))
-    if not hermite:
-        plus, err_p = _plus_integral(packet, v0, params, settings, kc)
+    plus, err_p = _weight(packet, v0, params, settings, kc, +1)
     bound = max(_minus_bound(packet, v0, params, kc), _SKIP_FLOOR)
-    if bound <= 0.25 * math.ulp(plus):
-        if hermite:
-            return Estimate(plus, err_p + bound)
-        if bound <= 0.25 * math.ulp(err_p):
-            return Estimate(plus, err_p)
-    minus, err_m = _minus_integral(packet, v0, params, settings, kc)
+    if bound <= 0.25 * math.ulp(plus) and bound <= 0.25 * math.ulp(err_p):
+        return Estimate(plus, err_p)
+    minus, err_m = _weight(packet, v0, params, settings, kc, -1)
     return Estimate(plus - minus, err_p + err_m)
-
-
-def _crossing_weight(
-    v0: float, params: PhysicalParams, kc: float, k0: float
-) -> Callable[[float], float]:
-    """dk -> w(k0 + dk) / sqrt(pi), w the crossing weight of _crossing_integrand in k.
-
-    w(k) = E sqrt((E + R + v0)/((k + kc)(E - v0 + R)(k - kc))) / (hbar c), the
-    weight sqrt(E^2/((E - v0)^2 - R^2)) factored as in _crossing_integrand;
-    above kappa_c only.  k - kappa_c is formed as (k0 - kappa_c) + dk, so
-    that it carries no cancellation where kappa_c is large.
-    """
-    hbar_c = params.hbar * params.c
-    rest = params.rest_energy
-    pref = 1.0 / (math.sqrt(math.pi) * hbar_c)
-    e_sum = rest + v0
-    e_diff = rest - v0
-    gap = k0 - kc
-    hypot, sqrt = math.hypot, math.sqrt
-
-    def w(dk: float) -> float:
-        k = k0 + dk
-        e_k = hypot(hbar_c * k, rest)
-        return pref * e_k * sqrt((e_k + e_sum) / ((k + kc) * (e_k + e_diff) * (gap + dk)))
-
-    return w
-
-
-def _hermite_plus(
-    packet: GaussianPacket, v0: float, params: PhysicalParams, kc: float
-) -> tuple[float, float]:
-    """The +k weight on the Gauss-Hermite pair: (G16, |G8 - G16| + 32 eps G16).
-
-    In x = sqrt(2) sigma (k - k0) the +k density times dk is
-    e^(-x^2) dx/sqrt(pi), so the weight is int e^(-x^2) w(k) dx/sqrt(pi)
-    with w from _crossing_weight, taken over the whole line.  That needs
-    every node above kappa_c, which k0 - kappa_c >= 12 sigma_k gives.  Far
-    above the margin G8 and G16 agree to their last bits, so the err adds
-    32 eps of G16 for the rounding of its 16 positive terms, about 8 eps
-    each and the sum's 15 additions.
-    """
-    w = _crossing_weight(v0, params, kc, packet.k0)
-    step = math.sqrt(2.0) * packet.sigma_k  # dk/dx
-
-    def rule(nodes: tuple[float, ...], weights: tuple[float, ...]) -> float:
-        return sum(a * (w(-x * step) + w(x * step)) for x, a in zip(nodes, weights))
-
-    g8 = rule(_XGH8, _WGH8)
-    g16 = rule(_XGH16, _WGH16)
-    return g16, abs(g8 - g16) + _HERMITE_ROUNDING * g16
 
 
 def _minus_bound(packet: GaussianPacket, v0: float, params: PhysicalParams, kc: float) -> float:
@@ -483,75 +352,46 @@ def _minus_bound(packet: GaussianPacket, v0: float, params: PhysicalParams, kc: 
 
 
 def _crossing_integrand(
-    packet: GaussianPacket, v0: float, params: PhysicalParams, sign: int, kc: float
+    packet: GaussianPacket, v0: float, params: PhysicalParams
 ) -> Callable[[float], float]:
-    """t -> 2u rho(k) w(k) / (1 - t)^2 at u = t/(1 - t), k = kc + u^2.
+    """k -> sqrt(2 sigma^2/pi) E sqrt((E + R + v0)/(E - v0 + R)) / (hbar c).
 
-    rho = momentum_density(packet, k, sign), w = sqrt(E^2/((E - v0)^2 - R^2)),
-    E = sqrt((hbar k c)^2 + R^2), R = mu c^2.  kappa_c's identity
-    (hbar kappa_c c)^2 + R^2 = (R + v0)^2 factors the denominator:
+    This is the tau-integrand of both weights over their Gaussian: at
+    k = kappa_c cosh(tau), rho(k) w(k) dk = exp(-2 sigma^2 (k -+ k0)^2)
+    times it, dtau.  Here rho = momentum_density(packet, k, sign),
+    w = sqrt(E^2/((E - v0)^2 - R^2)), E = sqrt((hbar k c)^2 + R^2) and
+    R = mu c^2.  kappa_c's identity (hbar kappa_c c)^2 + R^2 = (R + v0)^2
+    factors the denominator:
 
       (E - v0)^2 - R^2 = (E - R - v0)(E - v0 + R)
           = (hbar c)^2 (k - kappa_c)(k + kappa_c)(E - v0 + R)/(E + R + v0),
 
-    so sqrt(k - kappa_c) = u cancels against dk = 2u du, leaving
-
-      (2/(hbar c)) rho E sqrt((E + R + v0)/((k + kappa_c)(E - v0 + R))),
-
-    smooth and positive down to u = 0, with no below-threshold branch.
-    It divides by the map's (1 - t)^2 last, and returns 0.0 before forming
-    E where rho's Gaussian underflows.
+    and dk/sqrt(k^2 - kappa_c^2) = dtau takes both threshold roots, so
+    what is left is smooth and positive down to k = kappa_c, with no
+    below-threshold branch.
     """
-    s2 = packet.sigma * packet.sigma
-    neg_two_s2 = -2.0 * s2
-    centre = sign * packet.k0
     hbar_c = params.hbar * params.c
     rest = params.rest_energy
-    pref = 2.0 * math.sqrt(2.0 * s2 / math.pi) / hbar_c
+    pref = packet.sigma * math.sqrt(2.0 / math.pi) / hbar_c
     e_sum = rest + v0
     e_diff = rest - v0
-    exp, hypot, sqrt = math.exp, math.hypot, math.sqrt
+    hypot, sqrt = math.hypot, math.sqrt
 
-    def h(t: float) -> float:
-        onemt = 1.0 - t
-        u = t / onemt
-        k = kc + u * u
-        d = k - centre
-        g = exp(neg_two_s2 * d * d)
-        if g == 0.0:
-            return 0.0  # every other factor is finite and positive
+    def w(k: float) -> float:
         e_k = hypot(hbar_c * k, rest)
-        return pref * g * e_k * sqrt(
-            (e_k + e_sum) / ((k + kc) * (e_k + e_diff))
-        ) / (onemt * onemt)
+        return pref * e_k * sqrt((e_k + e_sum) / (e_k + e_diff))
 
-    return h
+    return w
 
 
-def _plus_integral(
+def _weight(
     packet: GaussianPacket, v0: float, params: PhysicalParams,
-    settings: QuadratureSettings, kc: float,
+    settings: QuadratureSettings, kc: float, sign: int,
 ) -> tuple[float, float]:
-    """The +k weight on the seeded adaptive integral of momentum_split."""
+    """The +k (sign 1) or -k (sign -1) weight, on the tau rule."""
     return integrate_sqrt_endpoint(
-        _crossing_integrand(packet, v0, params, +1, kc), kc, settings,
-        _density_seeds(packet, kc),
-    )
-
-
-def _minus_integral(
-    packet: GaussianPacket, v0: float, params: PhysicalParams,
-    settings: QuadratureSettings, kc: float,
-) -> tuple[float, float]:
-    """The -k weight of momentum_split: exactly (0.0, 0.0) where the
-    closure's Gaussian is 0.0 at kappa_c, else its seeded adaptive integral."""
-    s2 = packet.sigma * packet.sigma
-    d = kc + packet.k0  # the closure's k - centre at k = kc, centre = -k0
-    if math.exp(-2.0 * s2 * d * d) == 0.0:
-        return 0.0, 0.0
-    return integrate_sqrt_endpoint(
-        _crossing_integrand(packet, v0, params, -1, kc), kc, settings,
-        _minus_seeds(packet, kc),
+        _crossing_integrand(packet, v0, params), kc, sign * packet.k0,
+        2.0 * packet.sigma * packet.sigma, settings,
     )
 
 
@@ -566,34 +406,33 @@ def momentum_split(
     Both half-line integrals run from kappa_c upward with the crossing-time
     weight sqrt(E_k^2/((E_k - v0)^2 - mu^2 c^4)); below-threshold momentum
     components contribute nothing (they cross instantaneously).  Each is
-    taken in u = sqrt(k - kappa_c), where the weight's inverse-square-root
-    start cancels in closed form (see _crossing_integrand).  Returns
-    (R_c, plus, minus), where plus and minus are the above-threshold
-    weights of the +k and -k components, each with its own integral's
-    error estimate; R_c.value == plus.value - minus.value exactly and
-    R_c.err == plus.err + minus.err.
+    taken in k = kappa_c cosh(tau), where the weight's inverse-square-root
+    start cancels exactly against dk (see _crossing_integrand), on
+    numerics.integrate_sqrt_endpoint's nested trapezoid rule, over a
+    window closed from each weight's own Gaussian.  On the benchmark's
+    momentum_sweep cells a +k weight takes 59 integrand evaluations and a
+    -k weight 28, on average; where kappa_c lies far below the packet
+    (v0 = 1e-12 mu c^2) the window runs ~15 wide in tau and a cell takes
+    a few hundred.
+    Returns (R_c, plus, minus), where plus and minus are the
+    above-threshold weights of the +k and -k components, each with its own
+    integral's error estimate, relative to it: abs_tol is not read.
+    R_c.value == plus.value - minus.value exactly and R_c.err == plus.err +
+    minus.err.
 
     This is the momentum route's reference form: ior_momentum returns its
-    first element bit for bit, except where it takes the +k integral on the
-    Gauss-Hermite pair.
+    first element bit for bit.
 
-    Each integral is seeded at its own density's scale.  The +k density
-    peaks at k0, and its integral is seeded at k0 + j sigma_k for j from
-    -12 to 12 (those above kappa_c; see _density_seeds).  The -k density
-    exp(-2 sigma^2 (k + k0)^2) peaks at the endpoint kappa_c and falls by a
-    factor e per step = 1/(4 sigma^2 (kappa_c + k0)) in k there, so its
-    integral is seeded at kappa_c + step and kappa_c + 8 step
-    (_minus_seeds).
-
-    When the -k Gaussian exp(-2 sigma^2 (kappa_c + k0)^2), formed in the
-    closure's operations, is 0.0 at the endpoint, minus is Estimate(0.0,
-    0.0) without an integral.  That is exact, not a cut-off: every node has
-    k >= kappa_c, and the rounded k + k0, the exponent and exp are monotone
-    in k, so each node would return 0.0 and the engine would sum zeros.
+    Where the -k exponent 2 sigma^2 (kappa_c + k0)^2 is 800 or more, minus
+    is Estimate(0.0, 0.0) with no integrand evaluation: the weight lies
+    below half the smallest subnormal float.  Between exp's underflow
+    (~745) and 800 the rule scales its Gaussian by e^(exponent), so that a
+    weight of a few steps of 2^-1074 keeps its value and an err of at
+    least one step.
     """
     kc = _momentum_threshold(v0, params)
-    plus, err_p = _plus_integral(packet, v0, params, settings, kc)
-    minus, err_m = _minus_integral(packet, v0, params, settings, kc)
+    plus, err_p = _weight(packet, v0, params, settings, kc, +1)
+    minus, err_m = _weight(packet, v0, params, settings, kc, -1)
     return Estimate(plus - minus, err_p + err_m), Estimate(plus, err_p), Estimate(minus, err_m)
 
 

@@ -9,9 +9,9 @@ QuadratureError when a tail that does not decay drives bisection to t = 1
 or the width floor.
 That engine returns (value, err) and keeps nothing else about its nodes;
 it runs the nested (G10, K21) pair instead where its caller asks.
-integrate_sqrt_endpoint runs the same engine on t in [0, 1) for an integral
-the caller has already written in t, through u = sqrt(k - a) (its endpoint
-root cancelled) and u = t/(1-t), both maps' Jacobians in the integrand.
+integrate_sqrt_endpoint is not adaptive: it takes a Gaussian-weighted
+integral over k >= a against dk/sqrt(k^2 - a^2) in k = a cosh(tau), where
+that measure is dtau, on one nested trapezoid rule over a closed-form window.
 The oscillatory sine transform is one run of that engine on the G10/K21
 pair over a window [0, end] its caller closes in closed form, seeded at
 each period of the faster of sin(k*zeta) and the kernel and graded toward
@@ -71,7 +71,10 @@ class QuadratureSettings:
     max_subdivisions caps the segments of each adaptive integral, its
     opening segments included, but for the sine transform: there it caps
     the bisected segments on top of one opening per period, and the
-    periods at 16 times max_subdivisions.
+    periods at 16 times max_subdivisions.  The momentum route's weights
+    (integrate_sqrt_endpoint) read rel_tol alone: abs_tol no longer floors
+    them, so a weight of 1e-80 is judged relative to itself, and the tau
+    rule's node cap stands in for max_subdivisions.
     """
 
     rel_tol: float = 1e-10
@@ -233,6 +236,7 @@ _RULE_NODES = {_gk15: 15, _gk21: 21}
 # the subnormal range, where floats round on an absolute grid
 _MIN_NORMAL = 2.0 ** -1022
 _MIN_SUBNORMAL = 2.0 ** -1074
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _adaptive_gk(
@@ -481,26 +485,165 @@ def sine_transform_decaying(
     return val, err
 
 
-def integrate_sqrt_endpoint(
-    h: Callable[[float], float],
-    a: float,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-    seeds: tuple[float, ...] = (),
-) -> tuple[float, float]:
-    """Integral over [a, inf) of f(k) dk, given as the t-integral of h.
+# the tau rule's window: a node whose Gaussian exponent lies more than this
+# above its least value on k >= a is dropped (cf. kernels._BRANCH_CUT)
+_TAU_CUT = 40.0
+# the tau rule's first step: _TAU_WIDTH of the Gaussian's width in tau,
+# where the rule on a Gaussian errs by e^(-2 pi^2/0.64) ~ 4e-14, and at most
+# _TAU_STEP_CAP for the strip the integrand is analytic in
+_TAU_WIDTH = 0.8
+_TAU_STEP_CAP = 0.25
+# nodes allowed to one tau rule
+_TAU_MAX_NODES = 1 << 14
+# the least window in k and first step in tau, relative to their ends: the
+# nodes resolve k, and their indexes stay below 2^45, so every j h is exact
+_TAU_MIN_STEP = 2.0 ** -30
+# from this least exponent on, the integral is exactly 0.0 in floats: below
+# e^-800 times a tau-integral of w under e^54, under half of 2^-1074
+_TAU_ZERO = 800.0
 
-    Under k = a + u^2, u = t/(1 - t), the integral is int_0^1 h(t) dt with
-    h(t) = 2u f(a + u^2)/(1 - t)^2: h carries both Jacobians, and a
-    1/sqrt(k - a) start of f leaves it finite at u = 0.  The caller cancels
-    that root in closed form, so nothing here probes the endpoint.  h's own
-    decay (a Gaussian weight in every use here) carries the integral; its
-    ZeroDivisionError at t = 1 is read as a tail that does not decay.
-    `seeds` marks k-locations of narrow features away from the endpoint (a
-    tight momentum density, say) that an unseeded opening pass can miss;
-    they are mapped to t = u/(1 + u), u = sqrt(k - a).
+
+def _scaled(x: float, shift: float) -> float:
+    """x e^-shift for x >= 0, formed under one exp so that only its last
+    rounding is subnormal."""
+    return math.exp(math.log(x) - shift) if x > 0.0 else 0.0
+
+
+def integrate_sqrt_endpoint(
+    w: Callable[[float], float],
+    a: float,
+    centre: float,
+    lam: float,
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+) -> tuple[float, float]:
+    """int_a^inf exp(-lam (k - centre)^2) w(k) dk / sqrt(k^2 - a^2), a, lam > 0.
+
+    Under k = a cosh(tau), dk/sqrt(k^2 - a^2) = dtau exactly, so the
+    integral is int_0^inf f(tau) dtau with f = exp(-lam (k - centre)^2) w(k),
+    even in tau.  For the momentum route's w, smooth and positive with its
+    nearest singularities at Im tau = pi/2, f is analytic in the strip
+    |Im tau| < pi/4, where the Gaussian stays bounded, and the trapezoid
+    rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014)
+    385), as kernels' branch-cut rule does.  The nodes are tau = j h,
+    j >= 0, the j = 0 node at half weight.  w is called once per node, at
+    k, and not where the Gaussian is 0.0.
+
+    Window: the tau where the exponent x = lam (k - centre)^2 is at most
+    _TAU_CUT = 40 above x_min, its least value on k >= a, widened to whole
+    steps.  Past its end k_hi = centre + r, x >= x_min + 40 + 2 lam r
+    (k - k_hi), and k grows by at least s_hi = sqrt(k_hi^2 - a^2) per unit
+    tau, so for a w that grows at most like k the dropped nodes sum to at
+    most e^(-x_min - 40) w(k_hi) (h + 1/(2 lam r s_hi)) (1 + 1/(2 lam r
+    k_hi)); below a start k_lo > a the same holds with k_lo's slope.  That
+    is about e^-40 ~ 4e-18 of the integral.  The first step is 0.8 of the
+    Gaussian's width in tau, 1/sqrt(x''), x'' the exponent's second
+    derivative in tau where it is least: 2 lam (centre^2 - a^2) for
+    centre > a, 2 lam a (a - centre) below, plus sqrt(lam) a for the
+    quartic rise that takes over as centre nears a.  It is at most
+    _TAU_STEP_CAP = 1/4 for the strip, where the first level errs by about
+    e^(-2 pi (pi/4)/h) ~ e^-20 and each halving squares that, and it is
+    rounded down to three significant bits, so that every node j h is
+    exact.
+
+    The step halves, each level adding the odd nodes, until
+    |T_h - T_2h| plus a rounding bound is within rel_tol |T_h|, or, where
+    the rounding bound alone exceeds that, until |T_h - T_2h| is below the
+    bound, which no smaller step can improve; the err is their sum.
+    abs_tol is not read: f > 0, so its integral is judged relative to itself
+    down to the subnormal range.  Per unit of a node's value the bound
+    allows 16 roundoffs for the node (w, exp and the level sums), 4 per
+    unit of its exponent x (exp amplifies the rounding of its argument) and
+    8 per unit of lam |k - centre| k (the rounding of k = a cosh(tau),
+    which the exponent magnifies away from the centre), with cosh and exp
+    taken as correct to one ulp.  A node whose value is below the smallest
+    normal float rounds on the absolute grid 2^-1074 and adds 1 + w(k) steps
+    of it to the err, and to the tolerance, as _adaptive_gk's floor does.
+    Where exp(-x_min) underflows, the nodes take exp(x_min - x) and the
+    result and err are scaled back by e^-x_min, the err by one more step of
+    2^-1074 for the final rounding.  From x_min = _TAU_ZERO = 800 on, the
+    integral is below e^-800 times a tau-integral of w, which for a w
+    under e^50 is below half of 2^-1074: the result is exactly (0.0, 0.0),
+    with no call of w.
+    QuadratureError is raised past _TAU_MAX_NODES nodes, where the sum is
+    not finite, and where the window spans under 2^-30 of its end in k, or
+    the first step under 2^-30 of it in tau (packets some 1e8 times wider
+    than 1/k0).
     """
-    u_seeds = (math.sqrt(k - a) for k in seeds if k > a)
-    try:
-        return _adaptive_gk(h, 0.0, 1.0, settings, tuple(u / (1.0 + u) for u in u_seeds))
-    except ZeroDivisionError:
-        raise QuadratureError(_NON_DECAYING) from None
+    # the tau = 0 node's exponent, in the nodes' own operations
+    x_min = lam * (a - centre) * (a - centre) if centre < a else 0.0
+    if x_min >= _TAU_ZERO:
+        return 0.0, 0.0
+    # where exp(-x_min) underflows, the nodes take exp(shift - x) instead
+    shift = x_min if math.exp(-x_min) == 0.0 else 0.0
+    reach = math.sqrt((x_min + _TAU_CUT) / lam)
+    k_hi, k_lo = centre + reach, centre - reach
+    k_start = max(a, k_lo)
+    # 0.0 where the window in k is too narrow, which raises below
+    tau_hi = math.acosh(k_hi / a) if k_hi - k_start > _TAU_MIN_STEP * k_hi else 0.0
+    tau_lo = math.acosh(k_lo / a) if k_lo > a else 0.0
+    # the exponent's curvature in tau where it is least, and the quartic
+    # term's scale, which takes over as centre nears a
+    curv = 2.0 * lam * abs(centre - a) * max(centre + a, a) + math.sqrt(lam) * a
+    mant, expo = math.frexp(min(_TAU_WIDTH / math.sqrt(curv), _TAU_STEP_CAP))
+    step = math.ldexp(math.floor(8.0 * mant), expo - 3)
+    if not (tau_hi > 0.0 and step > _TAU_MIN_STEP * tau_hi):
+        raise QuadratureError(f"window [{k_start!r}, {k_hi!r}] is too narrow for exact nodes")
+    j_lo = math.floor(tau_lo / step)
+    count = math.ceil(tau_hi / step) - j_lo
+    cosh, exp, two_lam, tiny_v = math.cosh, math.exp, 2.0 * lam, _MIN_NORMAL
+
+    def level(first: float, spacing: float, n: int) -> tuple[float, float, float]:
+        # the n nodes first + i spacing: the sum of their values, of their
+        # charges (x + 2 lam |d| k) v, and of their steps of 2^-1074
+        values, charge, tiny = [], 0.0, 0.0
+        append = values.append
+        for i in range(n):
+            k = a * cosh(first + i * spacing)
+            d = k - centre
+            x = lam * d * d
+            g = exp(shift - x)
+            if g:
+                wk = w(k)
+                v = g * wk
+                append(v)
+                charge += v * (x + two_lam * abs(d) * k)
+                if v < tiny_v:
+                    tiny += 1.0 + wk
+        return math.fsum(values), charge, tiny
+
+    if j_lo == 0:
+        # tau = 0 takes half weight: the rule covers the even extension
+        edge, edge_charge, edge_tiny = level(0.0, step, 1)
+        total, charge, tiny = level(step, step, count)
+        total += 0.5 * edge
+        charge += 0.5 * edge_charge
+        tiny += edge_tiny
+    else:
+        total, charge, tiny = level(j_lo * step, step, count + 1)
+    value = step * total
+    while True:
+        step *= 0.5
+        j_lo *= 2
+        new, more, more_tiny = level((j_lo + 1) * step, 2.0 * step, count)
+        count *= 2
+        total += new
+        charge += more
+        tiny += more_tiny
+        prev, value = value, step * total
+        trunc = abs(value - prev)
+        rounding = step * (16.0 * total + 4.0 * charge) * _UNIT_ROUNDOFF
+        grid = tiny * _MIN_SUBNORMAL
+        if not (math.isfinite(value) and math.isfinite(rounding)):
+            raise QuadratureError(
+                f"tau rule over [{tau_lo!r}, {tau_hi!r}] is not finite (value={value!r})"
+            )
+        if trunc + rounding <= settings.rel_tol * abs(value) + grid or trunc <= rounding:
+            if shift:
+                # the scaled sum back on the grid 2^-1074: one more step
+                return _scaled(value, shift), _scaled(trunc + rounding, shift) + _MIN_SUBNORMAL
+            return value, trunc + rounding + grid
+        if 2 * count > _TAU_MAX_NODES:
+            raise QuadratureError(
+                f"tau rule needs more than {_TAU_MAX_NODES} nodes "
+                f"(err={trunc + rounding:.3e}, value={value:.6e})"
+            )

@@ -7,6 +7,7 @@ import importlib.util
 import math
 import pathlib
 
+import mpmath as mp
 import numpy as np
 import hypothesis
 
@@ -31,6 +32,49 @@ def crossing_weight(k: float, v0: float, params) -> float:
     e_k = math.hypot(params.hbar * k * params.c, rest)
     denom = (e_k - v0) ** 2 - rest * rest
     return math.sqrt(e_k * e_k / denom) if denom > 0.0 else 0.0
+
+
+def momentum_weight_reference(v0: float, sigma: float, k0: float, sign: int,
+                              params) -> tuple[float, float]:
+    """The +k (sign 1) or -k (sign -1) momentum weight
+    int_kc^inf |psi(+-k)|^2 sqrt(E^2/((E - v0)^2 - R^2)) dk and its error,
+    by mpmath's tanh-sinh quadrature at 40 digits, in u = sqrt(k - kappa_c).
+
+    The weight's threshold root is cancelled analytically, in mpmath:
+    (E - v0)^2 - R^2 = (hbar c)^2 (k - kc)(k + kc)(E - v0 + R)/(E + R + v0),
+    so 2u dk/du leaves 2 rho E sqrt((E + R + v0)/((k + kc)(E - v0 + R)))/(hbar c).
+    The Gaussian's least value on k >= kappa_c is scaled out while
+    integrating, so that mpmath's error estimate is relative to the weight
+    even where it is 1e-300.  The pieces break at half sigma_k steps about
+    the centre, and at the e-folds of the Gaussian at kappa_c where the
+    centre lies below it.
+    """
+    with mp.workdps(40):
+        v0, sigma, k0 = mp.mpf(v0), mp.mpf(sigma), mp.mpf(k0)
+        rest = mp.mpf(params.mu) * mp.mpf(params.c) ** 2
+        hbar_c = mp.mpf(params.hbar) * mp.mpf(params.c)
+        kc = mp.sqrt((rest + v0) ** 2 - rest * rest) / hbar_c
+        s2 = sigma * sigma
+        centre = sign * k0
+        least = 2 * s2 * max(kc - centre, 0) ** 2
+        norm = 2 * mp.sqrt(2 * s2 / mp.pi) / hbar_c
+
+        def f(u):
+            k = kc + u * u
+            e_k = mp.sqrt((hbar_c * k) ** 2 + rest * rest)
+            return norm * mp.exp(least - 2 * s2 * (k - centre) ** 2) * e_k * mp.sqrt(
+                (e_k + rest + v0) / ((k + kc) * (e_k - v0 + rest))
+            )
+
+        sigma_k = 1 / (2 * sigma)
+        ks = [centre + j * sigma_k / 2 for j in range(-30, 31)]
+        if centre < kc + sigma_k:
+            step = 1 / (4 * s2 * max(kc - centre, sigma_k))
+            ks += [kc + j * step for j in (0.25, 0.5, 1, 2, 4, 8, 16, 40, 100)]
+        edges = [mp.mpf(0)] + sorted(mp.sqrt(k - kc) for k in ks if k > kc) + [mp.inf]
+        value, err = mp.quad(f, edges, error=True, maxdegree=12)
+        scale = mp.exp(-least)
+        return float(value * scale), float(err * scale)
 
 
 def simpson(y: np.ndarray, x: np.ndarray) -> float:

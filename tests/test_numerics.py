@@ -332,20 +332,6 @@ class TestSineTransform:
         assert lhs == pytest.approx(alpha * fa + beta * gb, rel=1e-8, abs=1e-11)
 
 
-def in_t(h_u):
-    """The t-integrand integrate_sqrt_endpoint takes for the u-integrand h_u.
-
-    h_u at u = t/(1 - t), times du/dt = 1/(1 - t)^2; at t = 1 the division
-    raises ZeroDivisionError, as a tail that does not decay must.
-    """
-
-    def h(t):
-        onemt = 1.0 - t
-        return h_u(t / onemt) / (onemt * onemt)
-
-    return h
-
-
 class TestGk21:
     # QUADPACK's qk21 constants, rounded to floats, against 30-digit mpmath
 
@@ -396,63 +382,105 @@ class TestGk21:
 
 
 class TestSqrtEndpoint:
-    """Integrals over k >= a handed over in t, with u = t/(1 - t) and k = a + u^2."""
+    """int_a^inf exp(-lam (k - centre)^2) w(k) dk/sqrt(k^2 - a^2), on the tau rule.
+
+    With w(k) = k and centre 0, s = k^2 - a^2 gives the closed form
+    int_0^inf exp(-lam (s + a^2)) ds/(2 sqrt(s)) = sqrt(pi/lam) exp(-lam a^2)/2.
+    """
 
     def test_shifted_gamma_half(self):
-        # f(k) = exp(-k)/sqrt(k - 1): the root cancels, 2u f = 2 exp(-1 - u^2)
-        val, _ = integrate_sqrt_endpoint(in_t(lambda u: 2.0 * math.exp(-1.0 - u * u)), 1.0)
-        ref = math.sqrt(math.pi) * math.exp(-1.0)
-        assert val == pytest.approx(ref, rel=1e-10)
+        val, err = integrate_sqrt_endpoint(lambda k: k, 1.0, 0.0, 1.0)
+        ref = 0.5 * math.sqrt(math.pi) * math.exp(-1.0)
+        assert abs(val - ref) <= err <= 1e-10 * ref
         # substitution-free adaptive oracle in k, offset 1e-12 past the endpoint
         brute, _ = scipy.integrate.quad(
-            lambda k: math.exp(-k) / math.sqrt(k - 1.0), 1.0 + 1e-12, 60.0, limit=400
+            lambda k: math.exp(-k * k) * k / math.sqrt(k * k - 1.0), 1.0 + 1e-12, 60.0, limit=400
         )
         assert val == pytest.approx(brute, abs=1e-6)
 
     def test_gamma_half_at_origin(self):
-        val, _ = integrate_sqrt_endpoint(in_t(lambda u: 2.0 * math.exp(-u * u)), 0.0)
-        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+        # the endpoint near the origin, as at a barrier of 1e-16 mu c^2: in
+        # tau the integrand runs flat from 0 to the Gaussian's reach
+        val, err = integrate_sqrt_endpoint(lambda k: k, 1e-8, 0.0, 1.0)
+        ref = 0.5 * math.sqrt(math.pi) * math.exp(-1e-16)
+        assert abs(val - ref) <= err <= 1e-10 * ref
 
     def test_shifted_decay_two(self):
-        val, _ = integrate_sqrt_endpoint(
-            in_t(lambda u: 2.0 * math.exp(-2.0 * (2.0 + u * u))), 2.0
-        )
-        ref = math.exp(-4.0) * math.sqrt(math.pi / 2.0)
-        assert val == pytest.approx(ref, rel=1e-10)
+        val, err = integrate_sqrt_endpoint(lambda k: k, 2.0, 0.0, 2.0)
+        ref = 0.5 * math.sqrt(math.pi / 2.0) * math.exp(-8.0)
+        assert abs(val - ref) <= err <= 1e-10 * ref
 
 
 class TestSqrtEndpointMap:
-    """integrate_sqrt_endpoint's k-seeds and the t-map's tails that do not decay."""
+    """The tau rule's window, a narrow core far from the endpoint, and its typed failures.
+
+    Against it, the same integrals in u = sqrt(k - a), k = a + u^2, on
+    integrate_semiinf_exp: dk/sqrt(k^2 - a^2) = 2 du/sqrt(k + a), and its map
+    t = u/(1 + u) takes the half line onto [0, 1).
+    """
 
     def test_seeds_map_to_u(self):
-        # a k-seed s marks t = u/(1 + u), u = sqrt(s - a); one at or below a
-        # is dropped.  The seeds bracket a peak of width 0.01 at k = 9 out to
-        # 8 widths.  integrate_semiinf_exp of the u-form, seeded in u, forms
-        # the same t-nodes and integrand bits.
+        # k-seeds s bracket a peak of width 0.01 at k = 9 out to 8 widths and
+        # mark u = sqrt(s - a) for the u-form; one at or below a is dropped.
+        # The u-form and the tau rule agree within their errs.
         def h(u):
-            return 2.0 * u * math.exp(-((1.0 + u * u - 9.0) / 0.01) ** 2)
+            k = 1.0 + u * u
+            return 2.0 * math.exp(-1e4 * (k - 9.0) ** 2) / math.sqrt(k + 1.0)
 
-        peak = tuple(9.0 + 0.01 * j for j in range(-8, 9, 2))
-        u_seeds = tuple(math.sqrt(k - 1.0) for k in peak)
-        val, err = integrate_sqrt_endpoint(in_t(h), 1.0, DEFAULT_SETTINGS, (0.5, 1.0) + peak)
-        assert (val, err) == integrate_semiinf_exp(h, 0.0, 0.0, DEFAULT_SETTINGS, u_seeds)
-        assert val == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-10)
+        peak = (0.5, 1.0) + tuple(9.0 + 0.01 * j for j in range(-8, 9, 2))
+        u_seeds = tuple(math.sqrt(k - 1.0) for k in peak if k > 1.0)
+        val_u, err_u = integrate_semiinf_exp(h, 0.0, 0.0, DEFAULT_SETTINGS, u_seeds)
+        val, err = integrate_sqrt_endpoint(lambda k: 1.0, 1.0, 9.0, 1e4)
+        assert abs(val - val_u) <= err + err_u, (val, val_u)
+        assert val_u == pytest.approx(0.01 * math.sqrt(math.pi / 80.0), rel=1e-5)
+
+    def test_narrow_core_far_from_the_endpoint(self):
+        # a core of width 0.01 at k = 9: exp(-(100 (k - 9))^2) dk/sqrt(k^2 - 1)
+        # is within 1e-7 relative the Gaussian's 0.01 sqrt(pi) over sqrt(80),
+        # and scipy's quad in k around the core checks the rest
+        val, err = integrate_sqrt_endpoint(lambda k: 1.0, 1.0, 9.0, 1e4)
+        brute, _ = scipy.integrate.quad(
+            lambda k: math.exp(-1e4 * (k - 9.0) ** 2) / math.sqrt(k * k - 1.0),
+            8.8, 9.2, epsabs=0.0, epsrel=1e-13, limit=400,
+        )
+        assert abs(val - brute) <= err + 1e-13 * brute
+        assert val == pytest.approx(0.01 * math.sqrt(math.pi / 80.0), rel=1e-5)
+
+    def test_wider_window_moves_the_value_within_its_err(self, monkeypatch):
+        # nodes past the cut weigh below e^-40 of the largest: doubling the
+        # cut moves the value by less than the err
+        cases = [(lambda k: k, 1.0, 0.0, 1.0), (lambda k: 1.0 + k * k, 0.5, 3.0, 8.0)]
+        for w, a, centre, lam in cases:
+            val, err = integrate_sqrt_endpoint(w, a, centre, lam)
+            monkeypatch.setattr(numerics, "_TAU_CUT", 80.0)
+            wide, _ = integrate_sqrt_endpoint(w, a, centre, lam)
+            monkeypatch.setattr(numerics, "_TAU_CUT", 40.0)
+            assert abs(wide - val) <= err
 
     def test_non_decaying_tail_raises(self):
-        # a bare inverse square root in k is the constant 2u f = 2, not
-        # integrable at infinity
-        settings = QuadratureSettings(max_subdivisions=40)
-        with pytest.raises(QuadratureError, match="tolerance not met"):
-            integrate_sqrt_endpoint(in_t(lambda u: 2.0), 1.0, settings)
+        # a w that is infinite past k = 3 leaves no finite sum
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_sqrt_endpoint(lambda k: math.inf if k > 3.0 else 1.0, 1.0, 2.0, 0.5)
 
     def test_tail_reaching_t_one_raises_typed_error(self):
-        # with the seed at k = 4.75, bisection of this non-decaying tail
-        # reaches a node at t = 1.0, where the map divides by zero
+        # a bare inverse square root in k is the constant 2 in u, which does
+        # not decay: with the seed at k = 4.75, bisection reaches a node at
+        # t = 1.0, where the map divides by zero
         message = "integrand does not decay: bisection reached the end of the half line"
         with pytest.raises(QuadratureError, match=f"^{message}$"):
-            integrate_sqrt_endpoint(in_t(lambda u: 2.0), 0.0, DEFAULT_SETTINGS, seeds=(4.75,))
-        with pytest.raises(QuadratureError, match=f"^{message}$"):
             integrate_semiinf_exp(lambda u: 2.0, 0.0, 0.0, DEFAULT_SETTINGS, (math.sqrt(4.75),))
+
+    def test_window_too_narrow_for_exact_nodes_raises(self):
+        # a Gaussian of width 1e-20 at k = 2 spans less than 2^-30 of its
+        # tau: a typed error, where a zero step would divide by zero
+        with pytest.raises(QuadratureError, match="too narrow for exact nodes"):
+            integrate_sqrt_endpoint(lambda k: 1.0, 1.0, 2.0, 1e40)
+
+    def test_jump_reaches_the_node_cap(self):
+        # a jump in w leaves the trapezoid rule first order: the steps halve
+        # until the node cap raises
+        with pytest.raises(QuadratureError, match="tau rule needs more than 16384 nodes"):
+            integrate_sqrt_endpoint(lambda k: 2.0 if k > 2.0 else 1.0, 1.0, 2.0, 1.0)
 
 
 class TestSettings:
@@ -489,7 +517,10 @@ PIN_BARRIER = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
 # misses the tolerance with 4 bisected segments past its 32 openings, and a window
 # of 160 periods, more than 16 x 4.  The G10/K21 cases run the
 # pass alone and _adaptive_gk on it (a sqrt start, a subnormal value, a 1/z
-# start that reaches the width floor).
+# start that reaches the width floor).  The tau rule runs the closed form
+# of TestSqrtEndpoint with the endpoint at 1 and near the origin, a narrow
+# core at tight settings, a subnormal -k-like weight, a NaN past k = 3 and a
+# jump that reaches the node cap.
 ENGINE_CASES = [
     ("sine_transform_decaying",
      lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, 40.0, 0.0)),
@@ -542,15 +573,16 @@ ENGINE_CASES = [
          lambda z: math.exp(-((z - 5.0) / 0.01) ** 2), 0.0, 0.1, DEFAULT_SETTINGS, (5.0,)
      )),
     ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 0.0)),
+    ("integrate_sqrt_endpoint", lambda: integrate_sqrt_endpoint(lambda k: k, 1.0, 0.0, 1.0)),
+    ("integrate_sqrt_endpoint", lambda: integrate_sqrt_endpoint(lambda k: k, 1e-8, 0.0, 1.0)),
     ("integrate_sqrt_endpoint",
-     lambda: integrate_sqrt_endpoint(in_t(lambda u: 2.0 * math.exp(-1.0 - u * u)), 1.0)),
+     lambda: integrate_sqrt_endpoint(lambda k: 1.0, 1.0, 9.0, 1e4, TIGHT)),
     ("integrate_sqrt_endpoint",
-     lambda: integrate_sqrt_endpoint(
-         in_t(lambda u: 2.0 * u * math.exp(-((1.0 + u * u - 9.0) / 0.01) ** 2)), 1.0,
-         DEFAULT_SETTINGS, (8.98, 9.0, 9.02),
-     )),
+     lambda: integrate_sqrt_endpoint(lambda k: 1.0, 1.0, -0.5, 320.0)),
     ("integrate_sqrt_endpoint",
-     lambda: integrate_sqrt_endpoint(in_t(lambda u: 2.0), 0.0, DEFAULT_SETTINGS, (4.75,))),
+     lambda: integrate_sqrt_endpoint(lambda k: math.nan if k > 3.0 else 1.0, 1.0, 2.0, 0.5)),
+    ("integrate_sqrt_endpoint",
+     lambda: integrate_sqrt_endpoint(lambda k: 2.0 if k > 2.0 else 1.0, 1.0, 2.0, 1.0)),
     ("crtoa_quadrature", lambda: crtoa_quadrature(-10.0, 1.0, None)),
     ("crtoa_quadrature", lambda: crtoa_quadrature(-1.5, 1.0, PIN_BARRIER)),
     ("crtoa_quadrature", lambda: crtoa_quadrature(-5.0, 2.0, PIN_BARRIER)),
