@@ -222,6 +222,8 @@ def rc_series_resummation(
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
+    if p0 == 0.0:
+        raise ValueError("rc_series_resummation requires p0 != 0")
     x = (p0 / (params.mu * params.c)) ** 2
     ratio = -v0 / (2.0 * params.rest_energy)
     step = params.mu * v0 / (2.0 * p0 * p0)

@@ -209,9 +209,9 @@ def gb_factor(
     Equals Re[1 - (v0/mu c^2)^2/z^2 + 2i sqrt(z^2-1) (v0/mu c^2)/z^2]^(-1/2);
     real, finite, and even in v0 for |v0| below the rest-mass energy.
     """
-    if z < 1.0:
-        raise ValueError("gb_factor requires z >= 1")
-    vt = v0 / params.rest_energy
+    vt = _strength(v0, params, "gb_factor")
+    if not 1.0 <= z < math.inf:
+        raise ValueError(f"gb_factor requires 1 <= z < inf, got {z}")
     z2 = z * z
     w = complex(1.0 - vt * vt / z2, 2.0 * vt * math.sqrt(z2 - 1.0) / z2)
     return (w ** -0.5).real
@@ -791,31 +791,34 @@ def momentum_kernel_f(
 
     The pole contribution at zero momentum reduces to a finite sum: the
     z^0 coefficient of (1 + z^2/(mu c)^2)^((k+1)/2) (1 - i hbar y/(zeta z))^(2j)
-    pairs even powers, and each y-moment integrates to (2a)!:
+    pairs even powers, and each y-moment integrates to (2a)!, which cancels
+    against C(2j, 2a)/(2j)! to leave 1/(2(j-a))!:
 
-        f_{j,k} = (-1)^j zeta^(2j) / (hbar^(2j) (2j)!)
-                  * sum_a C((k+1)/2, a) C(2j, 2a) (2a)! (-1)^a (hbar/(mu c zeta))^(2a)
+        f_{j,k} = (-1)^j sum_a C((k+1)/2, a) (-1)^a (mu c)^(-2a)
+                  * (zeta/hbar)^(2(j-a)) / (2(j-a))!
 
-    Exact up to floating-point rounding.
+    Each power is carried by its own recurrence, so no factor leaves the
+    float range where the value does not; a sum that leaves it raises
+    SeriesDivergenceError.  Exact up to floating-point rounding.
     """
     if j < 0 or k < 0:
         raise ValueError("momentum_kernel_f requires j >= 0 and k >= 0")
-    if j == 0:
-        return 1.0
-    if zeta == 0.0:
+    if j and zeta == 0.0:
         raise ValueError("momentum_kernel_f requires zeta != 0 when j > 0")
-    scale = params.hbar / (params.mu * params.c * zeta)
+    x2 = (zeta / params.hbar) ** 2
+    damp = -1.0 / (params.mu * params.c) ** 2
+    alpha = (k + 1) / 2.0
+    tails = [1.0]  # (zeta/hbar)^(2m) / (2m)!, m = 0 to j
+    for m in range(1, j + 1):
+        tails.append(tails[-1] * x2 / ((2 * m - 1) * 2 * m))
     acc = 0.0
+    power = 1.0  # (-1)^a (mu c)^(-2a)
     for a in range(j + 1):
-        acc += (
-            gen_binomial((k + 1) / 2.0, a)
-            * math.comb(2 * j, 2 * a)
-            * math.factorial(2 * a)
-            * (-1.0) ** a
-            * scale ** (2 * a)
-        )
-    pref = (-1.0) ** j * zeta ** (2 * j) / (params.hbar ** (2 * j) * math.factorial(2 * j))
-    return pref * acc
+        acc += gen_binomial(alpha, a) * power * tails[j - a]
+        power *= damp
+    if not math.isfinite(acc):
+        raise SeriesDivergenceError(f"f_({j},{k})({zeta!r}) overflows a float")
+    return (-1.0) ** j * acc
 
 
 def momentum_kernel_g(
@@ -829,6 +832,8 @@ def momentum_kernel_g(
 
     Vanishes for odd k; for even k it is the damped half-line integral of
     (y^2-1)^((k+1)/2) / y^(2j+1) times (-1)^j i^k (mu c)^(-2j) (2/pi).
+    Where the integrand or the value (~Gamma(k - 2j + 1) at zeta = 1)
+    leaves the float range, SeriesDivergenceError is raised.
     """
     if j < 0 or k < 0:
         raise ValueError("momentum_kernel_g requires j >= 0 and k >= 0")
@@ -842,6 +847,11 @@ def momentum_kernel_g(
             return 0.0
         return (y * y - 1.0) ** half_k / y ** (2 * j + 1)
 
-    val, _err = integrate_semiinf_exp(integrand, 1.0, decay, settings)
+    try:
+        val, _err = integrate_semiinf_exp(integrand, 1.0, decay, settings)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise SeriesDivergenceError(f"g_({j},{k})({zeta!r}) overflows a float")
     sign = (-1.0) ** j * (-1.0) ** (k // 2)
     return sign * _TWO_OVER_PI * val / (params.mu * params.c) ** (2 * j)

@@ -2,20 +2,19 @@
 
 Everything here is deterministic and pure: identical inputs and settings
 produce bit-identical outputs, from the standard library alone.
-hyp0f1_one is one trapezoid rule on Bessel's integral.  The semi-infinite
-integrators map onto a finite interval with z = lower + t/(1-t) and refine
-adaptively with an embedded Gauss-Kronrod (G7, K15) pair, and raise
+hyp0f1_one is one trapezoid rule on Bessel's integral.  Every adaptive
+integral is one run of _adaptive_gk, globally adaptive bisection on the
+nested Gauss-Kronrod (G10, K21) pair (QUADPACK's qk21), which returns
+(value, err) and keeps nothing else about its nodes.  The semi-infinite
+integrator maps onto a finite interval with z = lower + t/(1-t) and raises
 QuadratureError when a tail that does not decay drives bisection to t = 1
 or the width floor.
-That engine returns (value, err) and keeps nothing else about its nodes;
-it runs the nested (G10, K21) pair instead where its caller asks.
 integrate_sqrt_endpoint is not adaptive: it takes a Gaussian-weighted
 integral over k >= a against dk/sqrt(k^2 - a^2) in k = a cosh(tau), where
 that measure is dtau, on one nested trapezoid rule over a closed-form window.
-The oscillatory sine transform is one run of that engine on the G10/K21
-pair over a window [0, end] its caller closes in closed form, seeded at
-each period of the faster of sin(k*zeta) and the kernel and graded toward
-zeta = 0.
+The oscillatory sine transform is one _adaptive_gk run over a window
+[0, end] its caller closes in closed form, seeded at each period of the
+faster of sin(k*zeta) and the kernel and graded toward zeta = 0.
 
 The branch-cut Laplace integrals and the series route's branch transform
 are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
@@ -68,13 +67,12 @@ class QuadratureSettings:
     """Tolerances and resource caps shared by all numerical operations.
 
     rel_tol / abs_tol are the target relative tolerance and absolute floor;
-    max_subdivisions caps the segments of each adaptive integral, its
-    opening segments included, but for the sine transform: there it caps
-    the bisected segments on top of one opening per period, and the
-    periods at 16 times max_subdivisions.  The momentum route's weights
-    (integrate_sqrt_endpoint) read rel_tol alone: abs_tol no longer floors
-    them, so a weight of 1e-80 is judged relative to itself, and the tau
-    rule's node cap stands in for max_subdivisions.
+    max_subdivisions caps the bisected segments of each adaptive integral,
+    on top of its opening segments (one, plus one per interior seed), and
+    the sine transform's periods at 16 times max_subdivisions.  The
+    momentum route's weights (integrate_sqrt_endpoint) read rel_tol alone:
+    abs_tol no longer floors them, so a weight of 1e-80 is judged relative
+    to itself, and the tau rule's node cap stands in for max_subdivisions.
     """
 
     rel_tol: float = 1e-10
@@ -97,66 +95,6 @@ _HYP0F1_MAX_NODES = 4096
 
 # below this exponent exp() underflows: the half-line map's nodes give 0.0
 _LOG_TINY = math.log(2.2e-308)
-
-
-# 15-point Kronrod extension of 7-point Gauss-Legendre (QUADPACK constants).
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-)
-_WGK_CENTER = 0.209482141084727828012999174891714
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-)
-_WG_CENTER = 0.417959183673469387755102040816327
-
-
-_WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7 = _WGK
-_WG2, _WG4, _WG6 = _WG
-_X1, _X2, _X3, _X4, _X5, _X6, _X7 = _XGK
-
-
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod (7, 15) pass over [a, b].
-
-    Returns (kronrod_value, error_estimate), the error being |K15 - G7|.
-    """
-    # the nodes are written out: this is the innermost loop of every
-    # generic integral
-    c = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    d1, d2, d3, d4 = half * _X1, half * _X2, half * _X3, half * _X4
-    d5, d6, d7 = half * _X5, half * _X6, half * _X7
-    fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = (
-        f(c), f(c - d1), f(c + d1), f(c - d2), f(c + d2), f(c - d3), f(c + d3),
-        f(c - d4), f(c + d4), f(c - d5), f(c + d5), f(c - d6), f(c + d6),
-        f(c - d7), f(c + d7),
-    )
-    p2 = l2 + r2
-    p4 = l4 + r4
-    p6 = l6 + r6
-    res_k = (
-        _WGK_CENTER * fc + _WK1 * (l1 + r1) + _WK2 * p2 + _WK3 * (l3 + r3)
-        + _WK4 * p4 + _WK5 * (l5 + r5) + _WK6 * p6 + _WK7 * (l7 + r7)
-    )
-    res_g = _WG_CENTER * fc + _WG2 * p2 + _WG4 * p4 + _WG6 * p6
-    return res_k * half, abs(res_k - res_g) * abs(half)
 
 
 # 21-point Kronrod extension of 10-point Gauss-Legendre (QUADPACK's qk21):
@@ -200,10 +138,12 @@ _Y1, _Y2, _Y3, _Y4, _Y5, _Y6, _Y7, _Y8, _Y9, _Y10 = _XGK21
 
 
 def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod (10, 21) pass over [a, b], written out as _gk15 is.
+    """One Gauss-Kronrod (10, 21) pass over [a, b].
 
     Returns (kronrod_value, error_estimate), the error being |K21 - G10|.
     """
+    # the nodes are written out: this is the innermost loop of every
+    # adaptive integral
     c = 0.5 * (a + b)
     half = 0.5 * (b - a)
     d1, d2, d3, d4, d5 = half * _Y1, half * _Y2, half * _Y3, half * _Y4, half * _Y5
@@ -229,10 +169,6 @@ def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return res_k * half, abs(res_k - res_g) * abs(half)
 
 
-# nodes per pass, for the driver's subnormal floor
-_RULE_NODES = {_gk15: 15, _gk21: 21}
-
-
 # the subnormal range, where floats round on an absolute grid
 _MIN_NORMAL = 2.0 ** -1022
 _MIN_SUBNORMAL = 2.0 ** -1074
@@ -245,43 +181,40 @@ def _adaptive_gk(
     b: float,
     settings: QuadratureSettings,
     seeds: tuple[float, ...] = (),
-    rule: Callable[..., tuple[float, float]] = _gk15,
 ) -> tuple[float, float]:
-    """Globally adaptive bisection on [a, b] with an embedded pair.
+    """Globally adaptive bisection on [a, b] with the G10/K21 pair.
 
-    `rule` is the pass run on each segment: the G7/K15 pair by default, or
-    the sine transform's G10/K21 pair.  `seeds` lists interior breakpoints
-    that receive their own initial segments; callers use them to mark
-    narrow features (sharp peaks) the opening pass would otherwise step
-    over.  Returns (value, error_estimate), the sums over the final
-    segments; raises QuadratureError when max_subdivisions segments cannot
-    reach max(abs_tol, rel_tol * |value|) or a segment with error hits
-    width_floor.  A subnormal value is summed on the absolute grid 2^-1074,
-    where every node's product and sum rounds and the pair's difference can
-    underflow to 0.0, so its err is at least one step of that grid per node.
+    `seeds` lists interior breakpoints that receive their own opening
+    segments; callers use them to mark narrow features (sharp peaks) or
+    periods the opening pass would otherwise step over.  Returns
+    (value, error_estimate), the sums over the final segments; raises
+    QuadratureError when max_subdivisions bisected segments, on top of the
+    openings, cannot reach max(abs_tol, rel_tol * |value|), or a segment
+    with error hits width_floor.  A subnormal value is summed on the
+    absolute grid 2^-1074, where every node's product and sum rounds and
+    the pair's difference can underflow to 0.0, so its err is at least one
+    step of that grid per node.
     """
-    points = [a, b]
-    for s_pt in seeds:
-        if a < s_pt < b:
-            points.append(s_pt)
-    points = sorted(set(points))
+    points = sorted({a, b, *(s for s in seeds if a < s < b)})
     heap = []
     total_val = 0.0
     total_err = 0.0
     counter = 0
     # heap entries: (-err, insertion_id, a, b, val, err); id breaks ties
     for sa, sb in zip(points, points[1:]):
-        val, err = rule(f, sa, sb)
+        val, err = _gk21(f, sa, sb)
         heap.append((-err, counter, sa, sb, val, err))
         counter += 1
         total_val += val
         total_err += err
     heapq.heapify(heap)
+    # counter counts the openings and two segments per bisection
+    cap = settings.max_subdivisions + len(points) - 2
     width_floor = 0.5 ** 45 * max(abs(a), abs(b), 1.0)
     while total_err > max(settings.abs_tol, settings.rel_tol * abs(total_val)):
-        if counter >= settings.max_subdivisions:
+        if counter >= cap:
             raise QuadratureError(
-                f"tolerance not met within {settings.max_subdivisions} subdivisions "
+                f"tolerance not met within {cap} subdivisions "
                 f"(err={total_err:.3e}, value={total_val:.6e})"
             )
         _, _, sa, sb, sval, serr = heapq.heappop(heap)
@@ -293,8 +226,8 @@ def _adaptive_gk(
                 f"(err={total_err:.3e}, value={total_val:.6e})"
             )
         mid = 0.5 * (sa + sb)
-        v1, e1 = rule(f, sa, mid)
-        v2, e2 = rule(f, mid, sb)
+        v1, e1 = _gk21(f, sa, mid)
+        v2, e2 = _gk21(f, mid, sb)
         total_val += (v1 + v2) - sval
         total_err += (e1 + e2) - serr
         heapq.heappush(heap, (-e1, counter, sa, mid, v1, e1))
@@ -302,7 +235,7 @@ def _adaptive_gk(
         heapq.heappush(heap, (-e2, counter, mid, sb, v2, e2))
         counter += 1
     if 0.0 < abs(total_val) < _MIN_NORMAL:
-        total_err = max(total_err, _RULE_NODES[rule] * counter * _MIN_SUBNORMAL)
+        total_err = max(total_err, 21 * counter * _MIN_SUBNORMAL)
     return total_val, total_err
 
 
@@ -452,8 +385,8 @@ def sine_transform_decaying(
     f is a kernel as reltoa.ior transforms them: C/zeta at the origin (the
     sine factor regularizes the product), oscillating at wavenumbers up to
     bandwidth (0 for none), and negligible past end, which the caller knows
-    in closed form.  The integral is one run of _adaptive_gk on the
-    nested G10/K21 pair (QUADPACK's qk21), seeded at every period edge
+    in closed form.  The integral is one run of _adaptive_gk, seeded at
+    every period edge
     n 2 pi/max(k, bandwidth) below end and at the first period's width
     times 2^-j, j = 1 to _FIRST_PERIOD_HALVINGS (fewer where
     max_subdivisions/4 segments cannot hold them), toward the 1/zeta start.
@@ -474,10 +407,7 @@ def sine_transform_decaying(
     halvings = min(_FIRST_PERIOD_HALVINGS, max(1, settings.max_subdivisions // 4) - 1)
     seeds = [width * 0.5**j for j in range(1, halvings + 1)]
     seeds += [n * width for n in range(1, periods)]
-    budget = replace(settings, max_subdivisions=settings.max_subdivisions + len(seeds))
-    val, err = _adaptive_gk(
-        lambda z: math.sin(k * z) * f(z), 0.0, end, budget, tuple(seeds), _gk21
-    )
+    val, err = _adaptive_gk(lambda z: math.sin(k * z) * f(z), 0.0, end, settings, tuple(seeds))
     if not (math.isfinite(val) and math.isfinite(err)):
         raise QuadratureError(
             f"sine transform at k = {k!r} is not finite (value={val!r}, err={err!r})"

@@ -176,6 +176,10 @@ class TestAsymptotics:
 
 
 class TestRcResummation:
+    def test_rejects_zero_p0(self):
+        with pytest.raises(ValueError, match="requires p0 != 0"):
+            rc_series_resummation(0.0, 0.3, 5)
+
     def test_zero_height_gives_gamma(self):
         for j_max in (0, 3, 8):
             val = rc_series_resummation(2.0, 0.0, j_max)

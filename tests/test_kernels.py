@@ -144,6 +144,21 @@ class TestGbFactor:
         with pytest.raises(ValueError):
             gb_factor(0.3, 0.5)
 
+    @pytest.mark.parametrize(
+        "v0, z, message",
+        [
+            (0.3, math.nan, "requires 1 <= z < inf"),
+            (0.3, math.inf, "requires 1 <= z < inf"),
+            (1.5, 2.0, "requires [|]v0[|] below the rest energy"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, v0, z, message):
+        # the checks of the other kernel entries: a NaN or infinite z and a
+        # strength at or above the rest energy raise instead of returning
+        # a number
+        with pytest.raises(ValueError, match=message):
+            gb_factor(v0, z)
+
 
 class TestFbSeries:
     def test_zero_height_is_one(self):
@@ -1080,6 +1095,31 @@ class TestMomentumKernels:
             ref = contour_kernel_oracle(j, k, zeta, NATURAL_UNITS)
             assert val == pytest.approx(ref, abs=1e-8)
 
+    @staticmethod
+    def f_reference(j: int, k: int, zeta: float) -> float:
+        """f_{j,k} in natural units at 50 digits, from its factorial form."""
+        with mp.workdps(50):
+            z = mp.mpf(zeta)
+            acc = mp.fsum(
+                mp.binomial(mp.mpf(k + 1) / 2, a) * mp.binomial(2 * j, 2 * a)
+                * mp.factorial(2 * a) * (-1) ** a * z ** (-2 * a)
+                for a in range(j + 1)
+            )
+            return float((-1) ** j * z ** (2 * j) / mp.factorial(2 * j) * acc)
+
+    def test_f_large_j_stays_in_the_float_range(self):
+        # (2j)! leaves the float range from j = 86 on and (1/zeta)^(2a) at
+        # zeta = 1e-3 and a = 52; the value does not
+        val = momentum_kernel_f(200, 0, 1.0)
+        assert val == pytest.approx(-1.5463347164903472e-4, rel=1e-14)
+        assert val == pytest.approx(self.f_reference(200, 0, 1.0), rel=1e-14)
+        assert momentum_kernel_f(100, 3, 1e-3) == pytest.approx(
+            self.f_reference(100, 3, 1e-3), rel=1e-14, abs=1e-300
+        )
+        # at zeta = 1000 the value itself, ~1e331, does not fit a float
+        with pytest.raises(SeriesDivergenceError, match="overflows a float"):
+            momentum_kernel_f(200, 0, 1000.0)
+
     def test_f_requires_nonzero_zeta(self):
         with pytest.raises(ValueError):
             momentum_kernel_f(1, 0, 0.0)
@@ -1093,6 +1133,12 @@ class TestMomentumKernels:
         for zeta in (0.1, 1.0, 10.0):
             g = momentum_kernel_g(0, 0, zeta)
             assert g == pytest.approx(free_factor(zeta).value - 1.0, rel=1e-9, abs=1e-12)
+
+    def test_g_overflow_raises_typed_error(self):
+        # g_{0,400}(1) ~ Gamma(401) lies past the float range, and so does
+        # its integrand from y ~ 34 on
+        with pytest.raises(SeriesDivergenceError, match="overflows a float"):
+            momentum_kernel_g(0, 400, 1.0)
 
     def test_g_oracle(self):
         val = momentum_kernel_g(1, 0, 1.0)

@@ -185,11 +185,44 @@ class TestSemiInfExp:
         with pytest.raises(ValueError):
             integrate_semiinf_exp(lambda z: 1.0, 0.0, -1.0)
 
-    def test_constant_tail_raises_at_the_width_floor(self):
-        # unseeded, bisection narrows the last segment below 2^-45 before
-        # any node rounds to t = 1; there the diverging sum is ~1.9e16
-        with pytest.raises(QuadratureError, match="^bisection reached the width floor"):
+    def test_constant_tail_raises_at_the_end_of_the_half_line(self):
+        # unseeded, bisection of the last segment takes a node that rounds
+        # to t = 1 before the segment narrows below the width floor
+        with pytest.raises(QuadratureError, match=f"^{numerics._NON_DECAYING}$"):
             integrate_semiinf_exp(lambda z: 1.0, 1.0, 0.0)
+
+    # the sine transform's openings: six period edges and the graded seeds
+    # that max_subdivisions/4 segments can hold
+    @pytest.mark.parametrize("max_subdivisions, sine_openings", [(2, 7), (8, 8), (16, 10)])
+    def test_one_cap_counts_bisected_segments_past_the_openings(
+        self, monkeypatch, max_subdivisions, sine_openings
+    ):
+        # on a tolerance neither run can meet, a seeded half-line integral
+        # (four openings) and a sine transform each bisect max_subdivisions
+        # segments past their openings, then raise
+        passes = []
+        gk21 = numerics._gk21
+
+        def counting_gk21(f, a, b):
+            passes.append((a, b))
+            return gk21(f, a, b)
+
+        monkeypatch.setattr(numerics, "_gk21", counting_gk21)
+        settings = QuadratureSettings(
+            rel_tol=1e-300, abs_tol=0.0, max_subdivisions=max_subdivisions
+        )
+        runs = [
+            (4, lambda: integrate_semiinf_exp(
+                lambda z: 1.0 / (1.0 + z * z), 0.0, 0.5, settings, (1.0, 2.0, 5.0)
+            )),
+            (sine_openings, lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, 40.0, 0.0, settings)),
+        ]
+        for openings, run in runs:
+            passes.clear()
+            cap = openings + max_subdivisions - 1
+            with pytest.raises(QuadratureError, match=f"^tolerance not met within {cap} "):
+                run()
+            assert len(passes) == openings + max_subdivisions
 
 
 class TestSineTransform:
@@ -240,9 +273,9 @@ class TestSineTransform:
         runs = []
         adaptive_gk = numerics._adaptive_gk
 
-        def recording_gk(f, a, b, settings, seeds=(), rule=numerics._gk15):
-            runs.append((a, b, sorted(seeds), rule))
-            return adaptive_gk(f, a, b, settings, seeds, rule)
+        def recording_gk(f, a, b, settings, seeds=()):
+            runs.append((a, b, sorted(seeds)))
+            return adaptive_gk(f, a, b, settings, seeds)
 
         monkeypatch.setattr(numerics, "_adaptive_gk", recording_gk)
         settings = QuadratureSettings(rel_tol=1e-6, max_subdivisions=max_subdivisions)
@@ -263,8 +296,8 @@ class TestSineTransform:
             transform()
         except QuadratureError:
             pass  # a segment cap this low need not converge
-        [(a, b, seeds, rule)] = runs
-        assert (a, b, rule) == (0.0, end, numerics._gk21)
+        [(a, b, seeds)] = runs
+        assert (a, b) == (0.0, end)
         halvings = min(numerics._FIRST_PERIOD_HALVINGS, max(1, max_subdivisions // 4) - 1)
         graded = [s for s in seeds if s < width]
         assert graded == [width * 0.5**j for j in range(halvings, 0, -1)]
@@ -279,9 +312,9 @@ class TestSineTransform:
         runs = []
         adaptive_gk = numerics._adaptive_gk
 
-        def recording_gk(f, a, b, settings, seeds=(), rule=numerics._gk15):
+        def recording_gk(f, a, b, settings, seeds=()):
             runs.append(len(seeds))
-            return adaptive_gk(f, a, b, settings, seeds, rule)
+            return adaptive_gk(f, a, b, settings, seeds)
 
         monkeypatch.setattr(numerics, "_adaptive_gk", recording_gk)
         val, err = sine_transform_decaying(lambda z: math.exp(-z * z), k, 40.0, 1.0)
@@ -305,9 +338,7 @@ class TestSineTransform:
         def nan_tail(z):
             return math.nan if z > 3.0 else math.exp(-z)
 
-        assert all(map(math.isnan, numerics._adaptive_gk(
-            nan_tail, 0.0, 40.0, DEFAULT_SETTINGS, (), numerics._gk21
-        )))
+        assert all(map(math.isnan, numerics._adaptive_gk(nan_tail, 0.0, 40.0, DEFAULT_SETTINGS)))
         with pytest.raises(QuadratureError, match="not finite"):
             sine_transform_decaying(nan_tail, 1.0, 40.0, 0.0)
 
@@ -373,11 +404,15 @@ class TestGk21:
         )
         assert err == pytest.approx(abs(2.0 / 21.0 - g10), rel=1e-10)
 
+    def test_width_floor_raises(self):
+        # 1/z is not integrable at 0: bisection narrows the first segment
+        # below 2^-45 without meeting the tolerance
+        with pytest.raises(QuadratureError, match="^bisection reached the width floor at "):
+            numerics._adaptive_gk(lambda z: 1.0 / z, 0.0, 1.0, DEFAULT_SETTINGS)
+
     def test_subnormal_floor_counts_21_nodes(self):
         # a subnormal value gets at least one grid step 2^-1074 per node
-        _, err = numerics._adaptive_gk(
-            lambda z: 1e-310 * z, 0.0, 1.0, DEFAULT_SETTINGS, (), numerics._gk21
-        )
+        _, err = numerics._adaptive_gk(lambda z: 1e-310 * z, 0.0, 1.0, DEFAULT_SETTINGS)
         assert err >= 21 * 2.0 ** -1074
 
 
@@ -500,7 +535,7 @@ class TestSettings:
         assert len(vals) == 1
 
 
-# --- the adaptive G7/K15 engine's callers, bit for bit ----------------------
+# --- the adaptive G10/K21 engine's callers, bit for bit ---------------------
 
 ENGINE_PIN = pathlib.Path(__file__).parent / "data" / "engine_pin.json"
 FEW_SUBDIVISIONS = QuadratureSettings(max_subdivisions=4)
@@ -553,15 +588,9 @@ ENGINE_CASES = [
     ("gk21", lambda: numerics._gk21(math.exp, 0.0, 1.0)),
     ("gk21", lambda: numerics._gk21(math.sqrt, 0.0, 2.0)),
     ("gk21",
-     lambda: numerics._adaptive_gk(math.sqrt, 0.0, 1.0, DEFAULT_SETTINGS, (), numerics._gk21)),
-    ("gk21",
-     lambda: numerics._adaptive_gk(
-         lambda z: 1e-310 * z, 0.0, 1.0, DEFAULT_SETTINGS, (), numerics._gk21
-     )),
-    ("gk21",
-     lambda: numerics._adaptive_gk(
-         lambda z: 1.0 / z, 0.0, 1.0, DEFAULT_SETTINGS, (), numerics._gk21
-     )),
+     lambda: numerics._adaptive_gk(math.sqrt, 0.0, 1.0, DEFAULT_SETTINGS)),
+    ("gk21", lambda: numerics._adaptive_gk(lambda z: 1e-310 * z, 0.0, 1.0, DEFAULT_SETTINGS)),
+    ("gk21", lambda: numerics._adaptive_gk(lambda z: 1.0 / z, 0.0, 1.0, DEFAULT_SETTINGS)),
     ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0)),
     ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: z * z, 0.7, 1.3, TIGHT)),
     ("integrate_semiinf_exp",
