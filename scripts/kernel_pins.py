@@ -18,7 +18,8 @@ tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
 on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
 and 9, three barriers up to v0 = 0.99 and three k0; beside its CPU time the
 script prints the grid's T_B calls, counted by wrapping the direct route's
-T_B core (counting_barrier_calls), and beside them those of the two direct
+T_B core (counting_barrier_calls), and beside them those of Table 1's
+seven v0 = 0.3 direct cells (TABLE1_DIRECT_CELLS) and of the two direct
 cells of the wide_packets benchmark (WIDE_DIRECT_CELLS).  The momentum pin,
 tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
 +k and -k weights, each value and err, on 80 cells: sigma from 0.5 to 9,
@@ -51,6 +52,7 @@ import sys
 import time
 
 from reltoa import ior, kernels
+from reltoa.cli import TABLE1_ROWS, TABLE1_SIGMA
 from reltoa.ior import ior_direct, momentum_split
 from reltoa.kernels import (
     NATURAL_UNITS,
@@ -83,7 +85,11 @@ DENSE_ZETA = {"first": 20.0, "last": 750.0, "count": 1000}
 # the direct pin's cells: the widest packets, whose transforms reach past
 # natural zeta 36, on barriers up to the rest-energy scale
 DIRECT_GRID = {"sigma": [6.0, 9.0], "v0": [0.1, 0.3, 0.99], "k0": [0.3, 0.65, 2.0]}
-# the wide_packets benchmark's direct cells, (sigma, v0, k0)
+# Table 1's v0 = 0.3 direct cells and the wide_packets benchmark's direct
+# cells, (sigma, v0, k0)
+TABLE1_DIRECT_CELLS = [
+    (TABLE1_SIGMA, v0, k0) for k0, v0, has_integral in TABLE1_ROWS if has_integral and v0 == 0.3
+]
 WIDE_DIRECT_CELLS = [(9.0, 0.1, 0.3), (9.0, 0.1, 0.65)]
 # the momentum pin's cells: every v0 has k0 on both sides of kappa_c
 MOMENTUM_GRID = {
@@ -204,10 +210,10 @@ def counting_barrier_calls():
         ior._barrier_value = core
 
 
-def wide_direct_calls() -> int:
-    """T_B calls of ior_direct over WIDE_DIRECT_CELLS."""
+def direct_calls(cells) -> int:
+    """T_B calls of ior_direct over cells, each (sigma, v0, k0)."""
     with counting_barrier_calls() as calls:
-        for sigma, v0, k0 in WIDE_DIRECT_CELLS:
+        for sigma, v0, k0 in cells:
             ior_direct(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
     return calls[0]
 
@@ -358,7 +364,9 @@ def main() -> int:
     cells = len(direct_pin["sigma"]) * len(direct_pin["v0"]) * len(direct_pin["k0"])
     faults += _report(
         f"ior_direct, {cells} cells: {calls[0]} T_B calls "
-        f"({wide_direct_calls()} on wide_packets' {len(WIDE_DIRECT_CELLS)}), cpu {cpu:7.3f} s  ",
+        f"({direct_calls(TABLE1_DIRECT_CELLS)} on Table 1's {len(TABLE1_DIRECT_CELLS)} at v0 = 0.3, "
+        f"{direct_calls(WIDE_DIRECT_CELLS)} on wide_packets' {len(WIDE_DIRECT_CELLS)}), "
+        f"cpu {cpu:7.3f} s  ",
         direct_sha, None if args.write else direct_pin["sha256"],
     )
 

@@ -222,12 +222,15 @@ def cmd_table1(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _safe_ior(thunk) -> list[str]:
-    # one failed cell must not abort the table
+    # one failed cell must not abort the table; a value within its err of
+    # zero is quadrature noise, whose digits would move with any change to
+    # the rule, so it prints as unavailable beside its err
     try:
         res = thunk()
-        return [fmt(res.value), fmt(res.err)]
     except (QuadratureError, SeriesDivergenceError):
         return [UNAVAILABLE, UNAVAILABLE]
+    value = UNAVAILABLE if abs(res.value) <= res.err else fmt(res.value)
+    return [value, fmt(res.err)]
 
 
 def cmd_table2(cfg: RunConfig, args: argparse.Namespace) -> int:

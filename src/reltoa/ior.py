@@ -107,8 +107,9 @@ def _phi_transform(
     kappa_c(v0, params) for T_B(-v0) and the gap T_F - T_B(-v0), whose
     residue terms go as cos(kappa_c zeta), and 0 for T_F.
     sine_transform_decaying takes [0, end] in one adaptive G10/K21 run,
-    seeded at each period of the faster of sin(k0 zeta) and the kernel and
-    graded toward the kernel's 1/zeta start.
+    seeded at each period of the faster of sin(k0 zeta) and the kernel,
+    with the first period under zeta = w u^3, which flattens the kernel's
+    1/zeta start.
     """
     scale = params.mu * params.c / params.hbar
     cut = 1e-3 * settings.abs_tol
@@ -138,8 +139,9 @@ def ior_direct(
     The sine transform is one adaptive G10/K21 run over Phi's closed-form
     window, seeded at each period of the faster of sin(k0 zeta) and T_B's
     cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F has none, so its
-    bandwidth is 0) and graded toward T_B's 1/zeta start; its err is judged
-    against the total.  A Table 1 cell takes ~220 T_B values.
+    bandwidth is 0), with the first period under zeta = w u^3, which
+    flattens T_B's 2/(pi zeta) start; its err is judged against the total.
+    A Table 1 cell takes ~135 T_B values.
     """
     _require_subcritical(v0, params)
     scale = params.mu * params.c / params.hbar

@@ -13,8 +13,10 @@ integrate_sqrt_endpoint is not adaptive: it takes a Gaussian-weighted
 integral over k >= a against dk/sqrt(k^2 - a^2) in k = a cosh(tau), where
 that measure is dtau, on one nested trapezoid rule over a closed-form window.
 The oscillatory sine transform is one _adaptive_gk run over a window
-[0, end] its caller closes in closed form, seeded at each period of the
-faster of sin(k*zeta) and the kernel and graded toward zeta = 0.
+[0, end] its caller closes in closed form, taken in u under zeta = w u^3
+over the first period w of the faster of sin(k*zeta) and the kernel,
+which flattens the kernel's 1/zeta start, and affine beyond, seeded at
+each period.
 
 The branch-cut Laplace integrals and the series route's branch transform
 are not taken here: reltoa.kernels sums them on trapezoid rules of its own.
@@ -68,11 +70,12 @@ class QuadratureSettings:
 
     rel_tol / abs_tol are the target relative tolerance and absolute floor;
     max_subdivisions caps the bisected segments of each adaptive integral,
-    on top of its opening segments (one, plus one per interior seed), and
-    the sine transform's periods at 16 times max_subdivisions.  The
-    momentum route's weights (integrate_sqrt_endpoint) read rel_tol alone:
-    abs_tol no longer floors them, so a weight of 1e-80 is judged relative
-    to itself, and the tau rule's node cap stands in for max_subdivisions.
+    on top of its opening segments (one, plus one per interior seed, which
+    it does not limit), and the sine transform's periods at 16 times
+    max_subdivisions.  The momentum route's weights (integrate_sqrt_endpoint)
+    read rel_tol alone: abs_tol no longer floors them, so a weight of 1e-80
+    is judged relative to itself, and the tau rule's node cap stands in for
+    max_subdivisions.
     """
 
     rel_tol: float = 1e-10
@@ -368,11 +371,6 @@ def integrate_semiinf_exp(
     return _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
 
 
-# the first period is seeded at this many halvings of its width toward
-# zeta = 0, where a 1/zeta start of f makes _adaptive_gk bisect
-_FIRST_PERIOD_HALVINGS = 6
-
-
 def sine_transform_decaying(
     f: Callable[[float], float],
     k: float,
@@ -385,11 +383,14 @@ def sine_transform_decaying(
     f is a kernel as reltoa.ior transforms them: C/zeta at the origin (the
     sine factor regularizes the product), oscillating at wavenumbers up to
     bandwidth (0 for none), and negligible past end, which the caller knows
-    in closed form.  The integral is one run of _adaptive_gk, seeded at
-    every period edge
-    n 2 pi/max(k, bandwidth) below end and at the first period's width
-    times 2^-j, j = 1 to _FIRST_PERIOD_HALVINGS (fewer where
-    max_subdivisions/4 segments cannot hold them), toward the 1/zeta start.
+    in closed form.  With w = 2 pi/max(k, bandwidth), the integral is taken
+    in u under zeta = w u^3 for u <= 1 and zeta = w (1 + 3 (u - 1)) beyond,
+    whose value and slope meet at u = 1: the cube flattens the kernel's
+    start, 2/(pi zeta) + c + O(zeta log zeta) for T_B, into a product
+    smooth to a u^8 log u term, which one segment resolves.  The window is
+    one run of _adaptive_gk in u, seeded at u = 1/2 and at the image
+    1 + (n - 1)/3 of every period edge n w below end; where end <= w it
+    ends at u = (end/w)^(1/3).  f is called once per node, at zeta(u).
     These openings come on top of max_subdivisions bisected segments, and
     a window of more than 16 x max_subdivisions periods raises
     QuadratureError before any node is taken.  Its err is judged once,
@@ -404,10 +405,20 @@ def sine_transform_decaying(
         raise QuadratureError(
             f"sine transform at k = {k!r}: {periods} periods exceed 16 x max_subdivisions"
         )
-    halvings = min(_FIRST_PERIOD_HALVINGS, max(1, settings.max_subdivisions // 4) - 1)
-    seeds = [width * 0.5**j for j in range(1, halvings + 1)]
-    seeds += [n * width for n in range(1, periods)]
-    val, err = _adaptive_gk(lambda z: math.sin(k * z) * f(z), 0.0, end, settings, tuple(seeds))
+    slope = 3.0 * width
+    sin = math.sin
+
+    def mapped(u: float) -> float:
+        if u <= 1.0:
+            zeta = width * u * u * u
+            return sin(k * zeta) * f(zeta) * (slope * u * u)
+        zeta = width * (1.0 + 3.0 * (u - 1.0))
+        return sin(k * zeta) * f(zeta) * slope
+
+    ratio = end / width
+    u_end = ratio ** (1.0 / 3.0) if ratio <= 1.0 else 1.0 + (ratio - 1.0) / 3.0
+    seeds = (0.5, *(1.0 + (n - 1) / 3.0 for n in range(1, periods)))
+    val, err = _adaptive_gk(mapped, 0.0, u_end, settings, seeds)
     if not (math.isfinite(val) and math.isfinite(err)):
         raise QuadratureError(
             f"sine transform at k = {k!r} is not finite (value={val!r}, err={err!r})"

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import reltoa
-from reltoa.cli import _grid, main
+from reltoa.cli import _grid, _safe_ior, fmt, main
 from reltoa.classical import kappa_c
+from reltoa.numerics import Estimate, QuadratureError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -69,13 +70,36 @@ class TestTable1:
 
 class TestTable2:
     def test_numerically_zero_rows(self, capsys):
+        # the direct integral is zero within its err on every row, so its
+        # value prints as --- beside an err below 1e-10
         code, out = run_cli(capsys, "table2")
         assert code == 0
         rows = parse_csv(out)
         assert [r["k0 (1/length)"] for r in rows] == ["0.19", "0.25", "0.28"]
         for r in rows:
             assert abs(float(r["rc_momentum (dimensionless)"])) < 1e-20
-            assert abs(float(r["rc_integral (dimensionless)"])) < 1e-10
+            assert r["rc_integral (dimensionless)"] == "---"
+            assert 0.0 < float(r["rc_integral_err (dimensionless)"]) < 1e-10
+
+
+class TestSafeIor:
+    @pytest.mark.parametrize("value, err, printed", [
+        (1.0915e-15, 3.6e-15, "---"),
+        (-2.3e-16, 6.0e-15, "---"),
+        (5e-15, 5e-15, "---"),
+        (0.0, 0.0, "---"),
+        (1.32442070109, 2.4e-11, "1.32442070109e+00"),
+        (-6e-15, 5e-15, "-6.00000000000e-15"),
+    ])
+    def test_value_within_its_err_of_zero_prints_unavailable(self, value, err, printed):
+        # a cell whose |value| <= err prints --- as its value and keeps its err
+        assert _safe_ior(lambda: Estimate(value, err)) == [printed, fmt(err)]
+
+    def test_failed_cell_prints_unavailable_twice(self):
+        def fail():
+            raise QuadratureError("no")
+
+        assert _safe_ior(fail) == ["---", "---"]
 
 
 class TestScan:

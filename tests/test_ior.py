@@ -247,20 +247,20 @@ class TestIorDirect:
         # T_B calls over Table 1's seven v0 = 0.3 direct cells.  With every
         # panel opened as one segment, bisected toward T_B's 1/zeta start and
         # at kappa_c's scale, they made 2,391; on one-period panels that each
-        # met the tolerance, 1,589
-        with KERNEL_PINS.counting_barrier_calls() as calls:
-            for k0, v0, has_integral in TABLE1_ROWS:
-                if has_integral and v0 == 0.3:
-                    ior_direct(narrow(k0), v0)
-        assert 0 < calls[0] <= 1589, calls
+        # met the tolerance, 1,589; in one run over the window with the first
+        # period graded six halvings toward zeta = 0, 1,554; with the first
+        # period under zeta = w u^3 instead, 945
+        calls = KERNEL_PINS.direct_calls(KERNEL_PINS.TABLE1_DIRECT_CELLS)
+        assert 0 < calls <= 1000, calls
 
     def test_bandwidth_panels_cut_the_wide_calls(self):
         # T_B calls over the wide_packets benchmark's two direct cells
         # (sigma 9, v0 0.1).  On adaptive G7/K15 panels, pi/k0 wide and split
         # at kappa_c's scale, they made 1,716; on one-period panels that each
-        # met the tolerance, 1,310
-        calls = KERNEL_PINS.wide_direct_calls()
-        assert 0 < calls <= 1310, calls
+        # met the tolerance, 1,310; in one run with the first period graded
+        # six halvings toward zeta = 0, 1,197; with it under zeta = w u^3, 945
+        calls = KERNEL_PINS.direct_calls(KERNEL_PINS.WIDE_DIRECT_CELLS)
+        assert 0 < calls <= 1000, calls
 
     def test_bits_match_pin(self):
         # sha256 of float.hex of R_c's value and err on the widest cells,

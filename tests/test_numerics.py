@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import branch_integral_oracle, sine_integral_oracle
 from reltoa import numerics
@@ -191,8 +191,9 @@ class TestSemiInfExp:
         with pytest.raises(QuadratureError, match=f"^{numerics._NON_DECAYING}$"):
             integrate_semiinf_exp(lambda z: 1.0, 1.0, 0.0)
 
-    # the sine transform's openings: six period edges and the graded seeds
-    # that max_subdivisions/4 segments can hold
+    # the sine transform's openings: periods + 1, one segment per period
+    # and the first period's two halves in u, on a window of
+    # sine_openings - 1 periods of sin(zeta)
     @pytest.mark.parametrize("max_subdivisions, sine_openings", [(2, 7), (8, 8), (16, 10)])
     def test_one_cap_counts_bisected_segments_past_the_openings(
         self, monkeypatch, max_subdivisions, sine_openings
@@ -200,6 +201,7 @@ class TestSemiInfExp:
         # on a tolerance neither run can meet, a seeded half-line integral
         # (four openings) and a sine transform each bisect max_subdivisions
         # segments past their openings, then raise
+        end = (sine_openings - 1.5) * 2.0 * math.pi
         passes = []
         gk21 = numerics._gk21
 
@@ -215,7 +217,7 @@ class TestSemiInfExp:
             (4, lambda: integrate_semiinf_exp(
                 lambda z: 1.0 / (1.0 + z * z), 0.0, 0.5, settings, (1.0, 2.0, 5.0)
             )),
-            (sine_openings, lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, 40.0, 0.0, settings)),
+            (sine_openings, lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, end, 0.0, settings)),
         ]
         for openings, run in runs:
             passes.clear()
@@ -266,10 +268,11 @@ class TestSineTransform:
     @pytest.mark.parametrize("max_subdivisions", [1, 4, 8, 28, 2000])
     @pytest.mark.parametrize("bandwidth", [0.0, 2.9, 40.0])
     def test_opening_segments(self, monkeypatch, max_subdivisions, bandwidth):
-        # the window [0, end] is one G10/K21 run, seeded at every period
-        # edge 2 pi n/max(k, bandwidth) below end, and the first period
-        # graded toward zeta = 0 on no more than max_subdivisions/4 segments;
-        # a window of more than 16 x max_subdivisions periods raises first
+        # the window [0, end] is one G10/K21 run in u, zeta = w u^3 up to
+        # u = 1 and affine beyond, w = 2 pi/max(k, bandwidth): seeded at
+        # u = 1/2 and at the image 1 + (n - 1)/3 of every period edge n w
+        # below end, whatever max_subdivisions is; a window of more than
+        # 16 x max_subdivisions periods raises first
         runs = []
         adaptive_gk = numerics._adaptive_gk
 
@@ -297,13 +300,33 @@ class TestSineTransform:
         except QuadratureError:
             pass  # a segment cap this low need not converge
         [(a, b, seeds)] = runs
-        assert (a, b) == (0.0, end)
-        halvings = min(numerics._FIRST_PERIOD_HALVINGS, max(1, max_subdivisions // 4) - 1)
-        graded = [s for s in seeds if s < width]
-        assert graded == [width * 0.5**j for j in range(halvings, 0, -1)]
-        edges = seeds[len(graded):]
-        assert edges == [n * width for n in range(1, len(edges) + 1)]
-        assert len(edges) * width < end <= (len(edges) + 1) * width
+        periods = math.ceil(end / width)
+        assert a == 0.0
+        assert b == pytest.approx(1.0 + (end / width - 1.0) / 3.0, rel=1e-15)
+        assert seeds == [0.5] + [1.0 + (n - 1) / 3.0 for n in range(1, periods)]
+        # the map takes each seed past u = 1 back onto its period edge
+        assert all(
+            width * (1.0 + 3.0 * (u - 1.0)) == pytest.approx(n * width, rel=1e-14)
+            for n, u in enumerate(seeds[1:], start=1)
+        )
+
+    def test_short_window_ends_inside_the_cube(self, monkeypatch):
+        # a window shorter than one period ends at u = (end/w)^(1/3), and
+        # its seed at u = 1/2 stays where it lies inside the window
+        runs = []
+        adaptive_gk = numerics._adaptive_gk
+
+        def recording_gk(f, a, b, settings, seeds=()):
+            runs.append((a, b, seeds))
+            return adaptive_gk(f, a, b, settings, seeds)
+
+        monkeypatch.setattr(numerics, "_adaptive_gk", recording_gk)
+        val, err = sine_transform_decaying(lambda z: 1.0, 1.0, math.pi, 0.0)
+        [(a, b, seeds)] = runs
+        assert (a, seeds) == (0.0, (0.5,))
+        assert b == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
+        # int_0^pi sin(zeta) dzeta = 2
+        assert abs(val - 2.0) <= err + 1e-15
 
     def test_small_k_takes_the_window_in_one_run(self, monkeypatch):
         # at k far below the bandwidth the seeds follow the bandwidth and
@@ -331,6 +354,41 @@ class TestSineTransform:
         val, err = sine_transform_decaying(lambda z: math.exp(-a * z * z), k, 40.0, 0.0)
         ref = float(scipy.special.dawsn(k / (2.0 * math.sqrt(a)))) / math.sqrt(a)
         assert abs(val - ref) <= err
+
+    @given(
+        log_k=st.floats(min_value=-6.0, max_value=math.log10(2e3)),
+        log_b_over_k=st.floats(min_value=-2.0, max_value=2.0),
+        sigma=st.floats(min_value=0.5, max_value=9.0),
+        frac=st.floats(min_value=0.05, max_value=1.0),
+    )
+    @example(log_k=0.0, log_b_over_k=1.0, sigma=2.0, frac=1.0)
+    @example(log_k=0.0, log_b_over_k=-1.0, sigma=2.0, frac=1.0)
+    @example(log_k=math.log10(2e3), log_b_over_k=-2.0, sigma=9.0, frac=0.5)
+    @example(log_k=-6.0, log_b_over_k=2.0, sigma=0.5, frac=1.0)
+    def test_cube_map_meets_the_oracle_within_one_period(self, log_k, log_b_over_k, sigma, frac):
+        # T_B's start, 2/(pi zeta) + zeta log zeta, under a Gaussian with a
+        # cos(b zeta) term at b above or below k, over a window inside the
+        # first period (and at most 60 sigma): all of it lies under the cube
+        # zeta = w u^3.  The value lies within its err, plus a few roundings
+        # the err does not count, of a 30-digit mpmath tanh-sinh integral.
+        # The Simpson oracle's own rounding, about 1e-16 of the sum over its
+        # 2e6 nodes, lies above most of these errs, so mpmath is the oracle
+        k = 10.0**log_k
+        b = k * 10.0**log_b_over_k
+        a = 1.0 / (8.0 * sigma * sigma)
+        end = frac * min(2.0 * math.pi / max(k, b), 60.0 * sigma)
+
+        def f(z):
+            return math.exp(-a * z * z) * (2.0 / (math.pi * z) + z * math.log(z) + math.cos(b * z))
+
+        val, err = sine_transform_decaying(f, k, end, b)
+        with mp.workdps(30):
+            ref = float(mp.quad(
+                lambda z: mp.sin(k * z) * mp.exp(-a * z * z)
+                * (2 / (mp.pi * z) + z * mp.log(z) + mp.cos(b * z)),
+                [0, end / 2, end],
+            ))
+        assert abs(val - ref) <= err + 4 * 2.0**-52 * abs(ref)
 
     def test_non_finite_result_raises(self):
         # a bare _adaptive_gk run sums a NaN node into (nan, nan); the transform
@@ -546,10 +604,10 @@ PIN_BARRIER = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
 
 # (caller, thunk) pairs: each thunk returns (value, err), a bare value, or
 # raises.  The sine transform runs a decaying exponential, a Gaussian at
-# tight settings, a 1/zeta start graded toward 0 (and its grading cut to one
-# halving by a cap of 8 subdivisions), sin * cos seeded at each period of
-# cos, k far below the bandwidth, two NaN tails, a 1/(1 + z) tail that
-# misses the tolerance with 4 bisected segments past its 32 openings, and a window
+# tight settings, a 1/zeta start under the cubic map (and again under a cap
+# of 8 subdivisions), sin * cos seeded at each period of cos, k far below
+# the bandwidth, two NaN tails, a 1/(1 + z) tail over 32 periods at
+# rel_tol 1e-12 on 4 bisected segments past its 33 openings, and a window
 # of 160 periods, more than 16 x 4.  The G10/K21 cases run the
 # pass alone and _adaptive_gk on it (a sqrt start, a subnormal value, a 1/z
 # start that reaches the width floor).  The tau rule runs the closed form
