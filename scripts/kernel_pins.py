@@ -18,8 +18,10 @@ tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
 on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
 and 9, three barriers up to v0 = 0.99 and three k0; beside its CPU time the
 script prints the grid's T_B calls, counted by wrapping the direct route's
-T_B core (counting_barrier_calls), and beside them those of Table 1's
-seven v0 = 0.3 direct cells (TABLE1_DIRECT_CELLS) and of the two direct
+T_B core (counting_barrier_calls), and the F_B and branch-cut nodes each
+T_B value sums, counted by wrapping the two value cores under it
+(counting_kernel_nodes); beside them come the same counts for Table 1's
+seven v0 = 0.3 direct cells (TABLE1_DIRECT_CELLS) and for the two direct
 cells of the wide_packets benchmark (WIDE_DIRECT_CELLS).  The momentum pin,
 tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
 +k and -k weights, each value and err, on 80 cells: sigma from 0.5 to 9,
@@ -210,12 +212,54 @@ def counting_barrier_calls():
         ior._barrier_value = core
 
 
-def direct_calls(cells) -> int:
-    """T_B calls of ior_direct over cells, each (sigma, v0, k0)."""
-    with counting_barrier_calls() as calls:
+@contextlib.contextmanager
+def counting_kernel_nodes():
+    """Count the F_B and branch-cut nodes that T_B values sum within the block.
+
+    Yields a two-item list: each call of reltoa.kernels._fb_value adds the
+    n/2 + 1 nodes of its half rule, n its a-priori size (kernels._fb_size),
+    and each call of _branch_value the nodes of its half rule, one level
+    below its a-priori level (kernels._branch_size).  The cores are
+    restored on exit.
+    """
+    counts = [0, 0]
+    fb_value, branch_value = kernels._fb_value, kernels._branch_value
+
+    def fb_counted(vn, x, *args):
+        counts[0] += kernels._fb_size(vn, x) // 2 + 1 if vn else 0
+        return fb_value(vn, x, *args)
+
+    def branch_counted(vn, x, *args):
+        level, u_cut = kernels._branch_size(vn, x)
+        counts[1] += int(u_cut * 2.0 ** (level - 1))
+        return branch_value(vn, x, *args)
+
+    kernels._fb_value, kernels._branch_value = fb_counted, branch_counted
+    try:
+        yield counts
+    finally:
+        kernels._fb_value, kernels._branch_value = fb_value, branch_value
+
+
+def direct_counts(cells) -> tuple[int, int, int]:
+    """(T_B calls, F_B nodes, branch-cut nodes) of ior_direct over cells,
+    each (sigma, v0, k0)."""
+    with counting_barrier_calls() as calls, counting_kernel_nodes() as nodes:
         for sigma, v0, k0 in cells:
             ior_direct(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
-    return calls[0]
+    return calls[0], *nodes
+
+
+def direct_calls(cells) -> int:
+    """T_B calls of ior_direct over cells, each (sigma, v0, k0)."""
+    return direct_counts(cells)[0]
+
+
+def _per_value(counts) -> str:
+    """T_B calls and the F_B and branch-cut nodes summed per T_B value."""
+    calls, fb_nodes, branch_nodes = counts
+    return (f"{calls} T_B calls, {fb_nodes / calls:.1f} F_B + "
+            f"{branch_nodes / calls:.1f} branch-cut nodes a value")
 
 
 @contextlib.contextmanager
@@ -357,16 +401,17 @@ def main() -> int:
         print(f"branch rule |v0|={vn:.1f} m={level}: {len(nodes[0])} nodes")
 
     direct_pin = DIRECT_GRID if args.write else json.loads(DIRECT_PIN_FILE.read_text())
-    with counting_barrier_calls() as calls:
+    with counting_barrier_calls() as calls, counting_kernel_nodes() as nodes:
         t0 = time.process_time()
         direct_sha = direct_digest(direct_pin)
         cpu = time.process_time() - t0
     cells = len(direct_pin["sigma"]) * len(direct_pin["v0"]) * len(direct_pin["k0"])
     faults += _report(
-        f"ior_direct, {cells} cells: {calls[0]} T_B calls "
-        f"({direct_calls(TABLE1_DIRECT_CELLS)} on Table 1's {len(TABLE1_DIRECT_CELLS)} at v0 = 0.3, "
-        f"{direct_calls(WIDE_DIRECT_CELLS)} on wide_packets' {len(WIDE_DIRECT_CELLS)}), "
-        f"cpu {cpu:7.3f} s  ",
+        f"ior_direct, {cells} cells: {_per_value((calls[0], *nodes))} "
+        f"({_per_value(direct_counts(TABLE1_DIRECT_CELLS))} on Table 1's "
+        f"{len(TABLE1_DIRECT_CELLS)} at v0 = 0.3; "
+        f"{_per_value(direct_counts(WIDE_DIRECT_CELLS))} on wide_packets' "
+        f"{len(WIDE_DIRECT_CELLS)}), cpu {cpu:7.3f} s  ",
         direct_sha, None if args.write else direct_pin["sha256"],
     )
 

@@ -6,7 +6,7 @@ barrier region is t_c * R_c with t_c = L/c the photon crossing time.  R_c is
 computed by three independent routes that must agree,
 
   * direct   - oscillatory sine transform of T_B(-V_o, zeta) Phi(zeta),
-               with T_B's value from barrier_factor's unchecked value-only
+               with T_B's value from barrier_factor's unchecked value
                core (kernels._barrier_value) at each node,
   * series   - term-by-term Gaussian sine moments of the residue series
                plus the sine transform of the kernel's branch-cut term,
@@ -132,10 +132,10 @@ def ior_direct(
     R_c = (mu c / hbar) * int_0^inf sin(k0 zeta) T_B(-v0, zeta) Phi(zeta) dzeta.
     The cell is checked once; each node takes barrier_factor's value, bit
     for bit, from kernels._barrier_value at the natural zeta barrier_factor
-    forms.  That core forms no err, so past natural zeta ~ 36-38 it drops
-    the branch-cut sum wherever the sum cannot move the value, where
-    barrier_factor keeps it up to ~ 65 for its err's bits, and below that
-    it accepts the branch-cut rule without forming its rounding bound.
+    forms.  That core forms no err: it sums only the half of each kernel
+    rule that is the value, and past natural zeta ~ 36-38 it drops the
+    branch-cut sum wherever the sum cannot move the value, where
+    barrier_factor keeps it up to ~ 65 for its err's bits.
     The sine transform is one adaptive G10/K21 run over Phi's closed-form
     window, seeded at each period of the faster of sin(k0 zeta) and T_B's
     cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F has none, so its

@@ -18,13 +18,14 @@ F_B = (2/pi) int_0^(pi/2) g(theta) C(zeta s) dtheta
 with g = E sqrt((E + 1 + a)/(E + 1 - a)) for v < 0 and
 E sqrt((E + 1 - a)/(E + 1 + a)) for v > 0, smooth and positive, and C = cos
 or cosh.  The theta-integrand is even and periodic, so the trapezoid rule
-converges spectrally, and its nodes nest under doubling: one pass over the
-n-interval rule gives the n/2-interval sum from its even-indexed nodes, and
-their difference, plus a rounding bound, is the error estimate.  The node
-pairs (w_k g_k, s_k) are cached per (v, n), and n is sized from zeta and
-from each strength's reach and analytic strip, cached per v, all in the
-standard library.  Every value is a pure function of its arguments,
-whichever calls or threads came first.
+converges spectrally, and its nodes nest under doubling: the n/2-interval
+sum is twice the n-interval rule's even-indexed half.  n is sized a priori
+from zeta and from each strength's reach and analytic strip, cached per v,
+so that the n/2-interval sum is already exact to rounding: that half sum
+is the value, and the odd half only feeds the err, |T_n - T_(n/2)| plus
+T_n's rounding bound.  The node pairs (w_k g_k, s_k) are cached per
+(v, n), all in the standard library.  Every value is a pure function of
+its arguments, whichever calls or threads came first.
 
 The series route keeps the power series F_B = sum_p D_p zeta^(2p)/(2p)!
 termwise.  Its coefficients are the moments
@@ -39,9 +40,17 @@ z = hypot(1, s), s = delta sinh(u), delta = 1 - |v|/(mu c^2), the integrand
 is even in u, analytic in |Im u| < pi/2 at every strength and decays doubly
 exponentially, so the rule at u_k = k 2^-m converges exponentially
 (Trefethen and Weideman, SIAM Rev. 56 (2014) 385).  Its nodes are cached
-per (|v|/(mu c^2), m) and extended lazily; the even ones form the half rule,
-whose difference plus a rounding bound is the error estimate.  A value sums
-only the nodes its arguments select, however far the lists were extended.
+per (|v|/(mu c^2), m) and extended lazily.  m is sized a priori so that the
+half rule, step 2^(1-m), is already exact to rounding: its sum, twice the
+even-k nodes of level m, is the value, and the odd ones only feed the err,
+|T_h - T_2h| plus T_h's rounding bound.  A value sums only the nodes its
+arguments select, however far the lists were extended.
+
+Either err bounds the half value's error: by the identity
+fl(T_2h) - I = [fl(T_2h) - fl(T_h)] + [fl(T_h) - T_h] + [T_h - I], the
+computed difference already carries the half sum's own rounding, T_h's
+bound covers the second term, and the third is far below rounding at the
+a-priori sizes.
 
 T_F is T_B at v = 0: there F_B = 1 and G_B = 1 exactly, so free_factor
 is the T_B core at zero height.  Past natural zeta x = 32 that core skips
@@ -56,18 +65,20 @@ the skip first fires near x = 36 for v > 0, 64 for v < 0 and 70 at v = 0.
 The direct route reads T_B's value alone, so its core skips where B is
 below a quarter-ulp of F_B's value, whatever the err: for v < 0 from
 x ~ 36-38 on.  _branch_negligible holds the quarter-ulp test for both cores.
-Below the skip the value-only core still sums the branch cut, but accepts a
-rule level on |T_h - T_2h| against the value alone, which implies the full
-test because every term is >= 0 (see _branch_laplace); the two sums of its
-rounding bound are formed only where that shortcut fails, and the value's
-bits are the same either way.
 
+Each rule has an err path and a value core.  The err paths (_fb_sum,
+_branch_laplace) sum both halves of the a-priori rule, return the half sum
+with its err, and double the rule while the difference exceeds the
+rounding bound, which no cell below the caps has shown.  The value cores
+(_fb_value, _branch_value) sum the even half alone, with no level test, so
+half the nodes; where the a-priori rule sits at or next to its cap they
+take the err path's value or its typed error.  Both return the same bits.
 The kernel-factor entries check each argument once (_strength,
 _natural_zeta) and hand the strength and zeta, in natural units, to their
-core: T_F and T_B to _barrier, which sums each rule's nodes in list
-comprehensions within one frame per rule; the direct route calls
-_barrier_value, the same value without the err, at every node of its sine
-transform, after checking the cell once.
+core: T_F and T_B to _barrier, on the err paths; the direct route calls
+_barrier_value, the same value on the value cores, at every node of its
+sine transform, after checking the cell once, and toa_difference calls
+barrier_free_gap, on the value cores too.
 """
 
 from __future__ import annotations
@@ -220,7 +231,6 @@ def gb_factor(
 # --- residue factor F_B ------------------------------------------------------
 
 _UNIT_ROUNDOFF = 2.0 ** -53
-_HALF_ROUNDOFF = 2.0 ** -54
 _TWO_OVER_PI = 2.0 / math.pi
 # the rule sizes and the moment rule, in intervals of [0, pi/2]
 _FB_MIN_INTERVALS = 32
@@ -234,23 +244,6 @@ def _fb_reach(v: float) -> float:
     v < 0, x* for v > 0."""
     a = abs(v)
     return math.sqrt(a * (2.0 + a)) if v < 0.0 else math.sqrt(a * (2.0 - a))
-
-
-def _fb_strength(vn: float) -> tuple[float, float]:
-    """(reach, least rule size) of strength vn, in natural units.
-
-    The rule at zeta has the least power of two n >= 1.2 * y_max + 16 and
-    >= 20 / eta, at least 32 intervals.  y_max = zeta * reach counts the
-    oscillations (growth, for v > 0) of C(zeta s) over the rule.  eta is
-    the half-width of the strip about the real theta-axis in which g is
-    analytic, set by the branch point of E: sinh(eta) = 1/kappa_c for
-    v < 0 and cosh(eta) = 1/x* for v > 0, which narrows as v -> +1.  At
-    that size both the n- and the n/2-interval rules reach rounding level
-    on 0 < |v| < 1 and zeta <= 160.
-    """
-    reach = _fb_reach(vn)
-    eta = math.asinh(1.0 / reach) if vn < 0.0 else math.acosh(1.0 / reach)
-    return reach, max(20.0 / eta, _FB_MIN_INTERVALS)
 
 
 def _fb_nodes(v: float, n: int) -> list[tuple[float, float, float]]:
@@ -281,11 +274,12 @@ class _FbRule:
     """The n-interval trapezoid rule for F_B(v, .), v in units of mu c^2.
 
     Every node list is kept as its even- and odd-indexed halves: with the
-    n-interval weights, T_n = even + odd and T_(n/2) = 2 * even.  F_B sums
-    the (w_k g_k, s_k) pairs of each half; F_B - 1 the columns s, m, w2.
+    n-interval weights, T_(n/2) = 2 * even and T_n = even + odd.  The value
+    is T_(n/2), the half sum; the odd half only feeds the err.  F_B sums the
+    (w_k g_k, s_k) pairs of each half; F_B - 1 the columns s, m, w2.
     """
 
-    __slots__ = ("cosine", "reach", "pairs", "s", "m", "w2", "c_sum", "cs_sum")
+    __slots__ = ("v", "cosine", "reach", "pairs", "s", "m", "w2", "c_sum", "cs_sum")
 
     def __init__(self, v: float, n: int) -> None:
         nodes = _fb_nodes(v, n)
@@ -293,50 +287,56 @@ class _FbRule:
         c = [w * math.exp(ln_g) for _s, ln_g, w in nodes]  # w g
         m = [w * math.expm1(ln_g) for _s, ln_g, w in nodes]  # w (g - 1)
         w2 = [2.0 * w for _s, _ln_g, w in nodes]
-        self.cosine = v < 0.0
-        self.reach = s[-1]
+        self.v, self.cosine, self.reach = v, v < 0.0, s[-1]
         self.pairs = tuple(tuple(zip(c[half::2], s[half::2])) for half in (0, 1))
-        self.s, self.m, self.w2 = (
-            (tuple(seq[0::2]), tuple(seq[1::2])) for seq in (s, m, w2)
-        )
+        self.s, self.m, self.w2 = ((tuple(q[0::2]), tuple(q[1::2])) for q in (s, m, w2))
         self.c_sum = math.fsum(c)
         self.cs_sum = math.fsum(map(operator.mul, c, s))
 
-    def evaluate(self, x: float, drop_unity: bool) -> tuple[float, float, float]:
-        """(T_n, |T_n - T_(n/2)|, rounding bound) at natural zeta = x.
+    def half_sum(self, x: float, drop_unity: bool, half: int = 0) -> float:
+        """Twice the fsum of the even (half 0) or odd (half 1) nodes' terms
+        at natural zeta x: the n/2-interval rule's sum on those nodes.
 
-        C is cos for v < 0 and cosh for v > 0.  The bound allows 6 units of
-        roundoff per node value and 6 per unit of x * s in C's argument,
-        whose rounding C amplifies.  With drop_unity, T_n is F_B - 1,
-        summed as (g - 1) C(x s) -+ 2 S(x s / 2)^2 (S = sin or sinh), since
-        the weights sum to one.
+        C is cos for v < 0 and cosh for v > 0.  With drop_unity the terms
+        are those of F_B - 1, summed as (g - 1) C(x s) -+ 2 S(x s / 2)^2
+        (S = sin or sinh), since the weights sum to one.  A sum that leaves
+        the float range raises SeriesDivergenceError.
         """
-        if drop_unity:
-            even, odd = (
-                self._minus_unity(s, m, w2, x) for s, m, w2 in zip(self.s, self.m, self.w2)
-            )
-        else:
-            fn = math.cos if self.cosine else math.cosh
-            even_pairs, odd_pairs = self.pairs
-            even = math.fsum([c * fn(x * s) for c, s in even_pairs])
-            odd = math.fsum([c * fn(x * s) for c, s in odd_pairs])
-        value = even + odd
+        fn, half_fn = (math.cos, math.sin) if self.cosine else (math.cosh, math.sinh)
+        try:
+            if drop_unity:
+                s, m, w2 = self.s[half], self.m[half], self.w2[half]
+                scaled = math.fsum(map(operator.mul, m, map(fn, map(x.__mul__, s))))
+                halves = [t * t for t in map(half_fn, map((0.5 * x).__mul__, s))]
+                unity = math.fsum(map(operator.mul, w2, halves))
+                total = 2.0 * (scaled - unity if self.cosine else scaled + unity)
+            else:
+                total = 2.0 * math.fsum([c * fn(x * s) for c, s in self.pairs[half]])
+        except OverflowError:
+            total = math.inf
+        if math.isinf(total):
+            raise SeriesDivergenceError(f"F_B({self.v}, {x}) overflows a float")
+        return total
+
+    def evaluate(self, x: float, drop_unity: bool) -> tuple[float, float, float]:
+        """(T_(n/2), |T_n - T_(n/2)|, T_n's rounding bound) at natural zeta x.
+
+        The bound allows 6 units of roundoff per node value and 6 per unit
+        of x * s in C's argument, whose rounding C amplifies.  The even half
+        goes first: it holds the node of largest s, so past it no term and
+        no cosh(x reach) overflows.
+        """
+        even, odd = self.half_sum(x, drop_unity), self.half_sum(x, drop_unity, 1)
         y_max = x * self.reach
         if self.cosine:
             scale = 6.0 * self.c_sum + 6.0 * x * self.cs_sum
             if drop_unity:
                 scale += 12.0 + 6.0 * y_max
         else:
-            # positive terms, each at most its weight times cosh(y_max)
-            scale = (6.0 + 6.0 * y_max) * (2.0 * math.cosh(y_max) if drop_unity else value)
-        return value, abs(odd - even), _UNIT_ROUNDOFF * scale
-
-    def _minus_unity(self, s, m, w2, x: float) -> float:
-        fn, half_fn = (math.cos, math.sin) if self.cosine else (math.cosh, math.sinh)
-        scaled = math.fsum(map(operator.mul, m, map(fn, map(x.__mul__, s))))
-        halves = [t * t for t in map(half_fn, map((0.5 * x).__mul__, s))]
-        unity = math.fsum(map(operator.mul, w2, halves))
-        return scaled - unity if self.cosine else scaled + unity
+            # positive terms, each at most its weight times cosh(y_max);
+            # 6 (1 + y_max) per unit of T_n = (even + odd)/2
+            scale = (3.0 + 3.0 * y_max) * (4.0 * math.cosh(y_max) if drop_unity else even + odd)
+        return even, 0.5 * abs(odd - even), _UNIT_ROUNDOFF * scale
 
 
 _FB_RULES: dict[tuple[float, int], _FbRule] = {}
@@ -351,45 +351,79 @@ def _fb_rule(v: float, n: int) -> _FbRule:
     return rule
 
 
-# per strength vn: _fb_strength(vn), a pure function of vn
+# per strength vn: (reach, least rule size), a pure function of vn
 _FB_STRENGTHS: dict[float, tuple[float, float]] = {}
+
+
+def _fb_size(vn: float, x: float) -> int:
+    """The a-priori rule size at strength vn != 0 and natural zeta x.
+
+    The rule has the least power of two n >= 1.2 * y_max + 16 and
+    >= 20 / eta, at least 32 intervals.  y_max = x * reach counts the
+    oscillations (growth, for v > 0) of C(x s) over the rule.  eta is the
+    half-width of the strip about the real theta-axis in which g is
+    analytic, set by the branch point of E: sinh(eta) = 1/kappa_c for
+    v < 0 and cosh(eta) = 1/x* for v > 0, which narrows as v -> +1.  At
+    that size the n/2-interval half rule already reaches rounding level, so
+    its sum is F_B's value and the n-interval rule only feeds the err; the
+    half values are tested within err of the n-interval sum and of an
+    mpmath oracle over |v| < 1 and zeta up to 750.  Where x* rounds to 1
+    (v within a few ulps of +1), eta is 0 and the least size is past the
+    cap, so F_B raises QuadratureError.  reach and the least size are
+    cached per strength.
+    """
+    strength = _FB_STRENGTHS.get(vn)
+    if strength is None:
+        reach = _fb_reach(vn)
+        eta = math.asinh(1.0 / reach) if vn < 0.0 else math.acosh(1.0 / reach)
+        least = 20.0 / eta if eta else 2.0 * _FB_MAX_INTERVALS
+        strength = _FB_STRENGTHS.setdefault(vn, (reach, max(least, _FB_MIN_INTERVALS)))
+    reach, least = strength
+    return 1 << math.ceil(math.log2(max(1.2 * (x * reach) + 16.0, least)))
 
 
 def _fb_sum(
     vn: float, x: float, settings: QuadratureSettings, drop_unity: bool = False
 ) -> tuple[float, float]:
     """F_B (or F_B - 1) at strength vn = v/(mu c^2) and natural zeta = x,
-    with its error estimate.
+    with its error estimate: the err path.
 
-    The error is |T_n - T_(n/2)| plus the rounding bound.  The rule doubles
-    while the first exceeds the second, which at the starting size does not
-    happen on 0 < |v| < 1; past _FB_MAX_INTERVALS a difference above the
-    settings' tolerance raises QuadratureError.
+    The value is the half sum T_(n/2); the error is |T_n - T_(n/2)| plus
+    T_n's rounding bound, which bounds the half sum's error: the computed
+    difference carries the half sum's own rounding (see the module
+    docstring).  The rule doubles while the difference exceeds the bound,
+    which at the a-priori size does not happen on 0 < |v| < 1 below the
+    cap; at _FB_MAX_INTERVALS a difference above the settings' tolerance
+    raises QuadratureError.
     """
     if vn == 0.0:
         return (0.0 if drop_unity else 1.0), 0.0
-    strength = _FB_STRENGTHS.get(vn)
-    if strength is None:
-        strength = _FB_STRENGTHS.setdefault(vn, _fb_strength(vn))
-    reach, least = strength
-    n = 1 << math.ceil(math.log2(max(1.2 * (x * reach) + 16.0, least)))
+    n = _fb_size(vn, x)
     while n <= _FB_MAX_INTERVALS:
-        rule = _FB_RULES.get((vn, n)) or _fb_rule(vn, n)
-        try:
-            value, trunc, rounding = rule.evaluate(x, drop_unity)
-        except OverflowError:
-            value = math.inf
-        if math.isinf(value):
-            raise SeriesDivergenceError(f"F_B({vn}, {x}) overflows a float")
+        value, trunc, rounding = _fb_rule(vn, n).evaluate(x, drop_unity)
         if trunc <= rounding or (
             n == _FB_MAX_INTERVALS
             and trunc <= max(settings.abs_tol, settings.rel_tol * abs(value))
         ):
             return value, trunc + rounding
         n *= 2
-    raise QuadratureError(
-        f"F_B({vn}, {x}) needs more than {_FB_MAX_INTERVALS} rule intervals"
-    )
+    raise QuadratureError(f"F_B({vn}, {x}) needs more than {_FB_MAX_INTERVALS} rule intervals")
+
+
+def _fb_value(
+    vn: float, x: float, settings: QuadratureSettings, drop_unity: bool = False
+) -> float:
+    """_fb_sum(vn, x, settings, drop_unity)[0], bit for bit, without the err:
+    2 x the even half of the a-priori rule, with no level test.
+
+    Where the a-priori size is the cap, _fb_sum decides, since there its
+    acceptance or its QuadratureError depends on the settings.  Below it the
+    rule size alone makes the half sum exact to rounding (tested over
+    |v| < 1 and zeta up to 750 in three unit systems).
+    """
+    if vn == 0.0 or (n := _fb_size(vn, x)) >= _FB_MAX_INTERVALS:
+        return _fb_sum(vn, x, settings, drop_unity)[0]
+    return _fb_rule(vn, n).half_sum(x, drop_unity)
 
 
 # D_p per (v in units of mu c^2, mu c / hbar): the D_p so far, the weights
@@ -499,7 +533,7 @@ def _branch_negligible(a: float, x: float, least: float) -> bool:
     return _branch_bound(a, x) < 0.25 * math.ulp(least)
 
 
-# the branch rule's step changes form at x = 8*37/pi^2 (~30); see _branch_laplace
+# the branch rule's step changes form at x = 8*37/pi^2 (~30); see _branch_size
 _PI_SQUARED = math.pi**2
 _STEP_SWITCH = 8.0 * 37.0 / _PI_SQUARED
 
@@ -535,65 +569,54 @@ def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...],
     return nodes
 
 
+def _branch_size(vn: float, x: float) -> tuple[int, float]:
+    """(m, u_cut): the a-priori level of the branch-cut rule at strength vn
+    = |v|/(mu c^2) and natural zeta x > 0, and the u at which x (z - 1)
+    reaches _BRANCH_CUT; level m sums the u_cut 2^m nodes below it.
+
+    The step h = 2^-m is the least with h at most half of
+    pi^2/(37 + pi^2 x/8) for x <= 8*37/pi^2 (~30), and of 0.73/sqrt(x)
+    beyond.  The trapezoid error is about the integrand's size on Im u = b
+    times e^(-2 pi b/h), for b below pi/2, where G_B's branch points and the
+    pole of (s/z)^2 sit.  There e^(-x (z - 1)) grows by at most
+    e^(x (1 - cos b)) <= e^(x b^2/2), so the error is e^(-pi^2/h + pi^2 x/8)
+    at b = pi/2 and e^(-2 pi^2/(x h^2)) at b = 2 pi/(x h) (< pi/2 for
+    x h > 4): below e^-37 in each bracket, also for the half rule 2h.
+    """
+    w_cut = _BRANCH_CUT / x
+    u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / (1.0 - vn))
+    step = _PI_SQUARED / (37.0 + x * _PI_SQUARED / 8) if x <= _STEP_SWITCH else 0.73 / math.sqrt(x)
+    return math.ceil(-math.log2(0.5 * step)), u_cut
+
+
 def _branch_laplace(
-    vn: float,
-    x: float,
-    settings: QuadratureSettings,
-    gap: bool = False,
-    value_only: bool = False,
+    vn: float, x: float, settings: QuadratureSettings, gap: bool = False
 ) -> tuple[float, float]:
     """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz and its error, G = G_B(vn, z)
-    or, with gap, 1 - G_B; vn = |v|/(mu c^2), x > 0.
+    or, with gap, 1 - G_B; vn = |v|/(mu c^2), x > 0: the err path.
 
-    e^-x T_h, T_h = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT (the gap
-    weights d_k with gap).  The step h = 2^-m starts at the least m with h
-    at most half of pi^2/(37 + pi^2 x/8) for x <= 8*37/pi^2 (~30), and of
-    0.73/sqrt(x) beyond.  The trapezoid error is about the integrand's size
-    on Im u = b times e^(-2 pi b/h), for b below pi/2, where G_B's branch
-    points and the pole of (s/z)^2 sit.  There e^(-x (z - 1)) grows by at
-    most e^(x (1 - cos b)) <= e^(x b^2/2), so the error is
-    e^(-pi^2/h + pi^2 x/8) at b = pi/2 and e^(-2 pi^2/(x h^2)) at
-    b = 2 pi/(x h) (< pi/2 for x h > 4): below e^-37 in each bracket, also
-    for the half rule.  No rule doubled on 20,000 random (v, x) with
-    1e-12 <= x <= 745.
-
-    The error is |T_h - T_2h| plus a rounding bound.  Per unit of
-    a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the gap), the bound allows
-    12 roundoffs: 8 for a node (6.02 seen against mpmath) and 4 for the
-    sums and e^-x; and 8 per unit of x w_k (4.5 seen, and 1.5 for the
-    rounding of x) and 2 per unit of x (that rounding in e^-x).  The rule
-    doubles while the first exceeds the second; past _BRANCH_MAX_NODES
-    (zeta ~ 1e-220) a difference above the settings' tolerance raises
-    QuadratureError.
-
-    With value_only (G = G_B, for a caller that reads the value alone) a
-    level is accepted as soon as |T_h - T_2h| <= 2^-54 (12 + 2x) T_h, before
-    the bound's two sums are formed, and the err returned is math.inf.  The
-    full test would accept that level too: every term c_k e^(-x w_k) is
-    >= 0, so the plain sum of the terms is at least half of T_h (their two
-    fsums and one addition), and the bound is at least 2^-53 (12 + 2x) times
-    that sum, each product rounded monotonically and the power-of-two
-    factors exactly.  So the level, and the value's bits, are the full
-    path's; where the shortcut does not hold, the full test runs unchanged.
+    e^-x T_2h, with T_h = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT
+    (the gap weights d_k with gap) at the a-priori level (_branch_size), and
+    the half rule T_2h = 2 x its even k.  The error is |T_h - T_2h| plus
+    T_h's rounding bound, which bounds the half sum's error (see the module
+    docstring).  Per unit of a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the
+    gap), the bound allows 12 roundoffs: 8 for a node (6.02 seen against
+    mpmath) and 4 for the sums and e^-x; and 8 per unit of x w_k (4.5
+    seen, and 1.5 for the rounding of x) and 2 per unit of x (that rounding
+    in e^-x).  The rule doubles while the difference exceeds the bound,
+    which no cell above x ~ 1.7e-153 has shown; where the next level
+    would pass _BRANCH_MAX_NODES (x below ~5e-110) a difference above the
+    settings' tolerance raises QuadratureError.  Below x ~ 1.7e-153 the
+    nodes past u ~ 355 overflow w_k, the bound is NaN and the rule raises.
     """
     envelope = math.exp(-x)
     if envelope == 0.0:
         return 0.0, 0.0
-    w_cut = _BRANCH_CUT / x
-    # the u at which z - 1 reaches w_cut
-    u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / (1.0 - vn))
-    if x <= _STEP_SWITCH:
-        step = 0.5 * _PI_SQUARED / (37.0 + _PI_SQUARED * x / 8.0)
-    else:
-        step = 0.5 * 0.73 / math.sqrt(x)
-    level = math.ceil(-math.log2(step))
+    level, u_cut = _branch_size(vn, x)
     exp, neg_x = math.exp, -x
     while (count := u_cut * 2.0**level) <= _BRANCH_MAX_NODES:
         n = int(count)
-        nodes = _BRANCH_NODES.get((vn, level))
-        if nodes is None or len(nodes[0]) < n:
-            nodes = _branch_nodes(vn, level, n)
-        w, c, d = nodes
+        w, c, d = _branch_nodes(vn, level, n)
         if gap:
             decay = [exp(neg_x * w_k) for w_k in w[:n]]
             branch = list(map(operator.mul, c, decay))
@@ -602,9 +625,7 @@ def _branch_laplace(
         else:
             terms = scales = [c_k * exp(neg_x * w_k) for w_k, c_k in zip(w[:n], c)]
         odd, even = math.fsum(terms[0::2]), math.fsum(terms[1::2])
-        value, trunc = odd + even, abs(odd - even)
-        if value_only and trunc <= _HALF_ROUNDOFF * (12.0 + 2.0 * x) * value:
-            return envelope * value, math.inf
+        value, trunc = 2.0 * even, abs(odd - even)
         rounding = _UNIT_ROUNDOFF * (
             (12.0 + 2.0 * x) * sum(scales) + 8.0 * x * sum(map(operator.mul, scales, w))
         )
@@ -617,6 +638,23 @@ def _branch_laplace(
     raise QuadratureError(
         f"branch-cut integral at x = {x} needs more than {_BRANCH_MAX_NODES} rule nodes"
     )
+
+
+def _branch_value(vn: float, x: float, settings: QuadratureSettings, gap: bool = False) -> float:
+    """_branch_laplace(vn, x, settings, gap)[0], bit for bit, without the err:
+    e^-x times 2 x the even-k sum of the a-priori level, with no level test.
+
+    Where exp(-x) underflows or the next level would pass the node cap,
+    _branch_laplace decides, since there its acceptance or its
+    QuadratureError depends on the settings.
+    """
+    envelope, (level, u_cut) = math.exp(-x), _branch_size(vn, x)
+    if envelope == 0.0 or 2.0 * (count := u_cut * 2.0**level) > _BRANCH_MAX_NODES:
+        return _branch_laplace(vn, x, settings, gap)[0]
+    w, c, d = _branch_nodes(vn, level, n := int(count))
+    exp, neg_x = math.exp, -x
+    terms = [a * exp(neg_x * w_k) for w_k, a in zip(w[1:n:2], (d if gap else c)[1:n:2])]
+    return envelope * (2.0 * math.fsum(terms))
 
 
 def branch_integral(
@@ -636,8 +674,9 @@ def branch_integral(
 
 
 def _scaled_branch(a: float, x: float, settings: QuadratureSettings) -> tuple[float, float]:
-    """(2/pi) _branch_laplace(a, x) and its err, which also covers the
-    rounding of the factor 2/pi and its product: the branch term of T_B."""
+    """(2/pi) _branch_laplace(a, x), the half rule's sum, and its err, which
+    also covers the rounding of the factor 2/pi and its product: the branch
+    term of T_B."""
     val, err = _branch_laplace(a, x, settings)
     val *= _TWO_OVER_PI
     return val, _TWO_OVER_PI * err + 2.0 * _UNIT_ROUNDOFF * abs(val)
@@ -689,16 +728,18 @@ def _barrier(vn: float, x: float, settings: QuadratureSettings) -> tuple[float, 
     """T_B and its error at strength vn = v0/(mu c^2) and natural zeta = x > 0,
     unchecked: the core of barrier_factor and, at vn = 0, of free_factor.
 
-    The branch term and its err are branch_integral's (_scaled_branch).
-    Past x = 32 the branch-cut sum is skipped where its bound B
-    (_branch_bound) is below a quarter-ulp of F_B's value and of its err, or
-    of 2^-53 where that err is 0 (_branch_negligible): then fb_val + br_val
-    rounds to fb_val and fb_err + br_err + 2^-53 |value| to
+    The err path: F_B and the branch term are each their half rule's sum,
+    and their errs are |T_h - T_2h| plus T_h's rounding bound (_fb_sum,
+    _branch_laplace); the branch term and its err are branch_integral's
+    (_scaled_branch).  Past x = 32 the branch-cut sum is skipped where its
+    bound B (_branch_bound) is below a quarter-ulp of F_B's value and of its
+    err, or of 2^-53 where that err is 0 (_branch_negligible): then
+    fb_val + br_val rounds to fb_val and fb_err + br_err + 2^-53 |value| to
     fb_err + 2^-53 |fb_val|, which are returned.  The err is 0 only at
     vn = 0, where F_B is exactly (1.0, 0.0); elsewhere it is at least F_B's
     rounding bound, 6 2^-53 |fb_val|.  F_B runs first either way, so its
     typed errors come as before.  No branch QuadratureError is lost: the
-    rule reaches its node cap only at zeta ~ 1e-220, far below the skip.
+    rule raises only at zeta below ~1e-153, far below the skip.
     """
     fb_val, fb_err = _fb_sum(vn, x, settings)
     if x > _SKIP_MIN_X and _branch_negligible(
@@ -714,18 +755,19 @@ def _barrier_value(vn: float, x: float, settings: QuadratureSettings) -> float:
     """_barrier(vn, x, settings)[0], bit for bit, without the err: the T_B
     core of the direct route, which calls it at every node.
 
-    The value is fb_val + br_val in _barrier's operations.  Past x = 32 the
+    The value is fb_val + br_val in _barrier's operations, each the half sum
+    of its rule at the a-priori size (_fb_value, _branch_value), with no
+    level test; the finer sums only feed _barrier's err.  Past x = 32 the
     branch-cut sum is skipped where B is below a quarter-ulp of F_B's value
     alone, since then fb_val + br_val rounds to fb_val.  For v < 0 that
     holds from x ~ 36-38, where _barrier, which must also keep its err's
     bits, sums the branch cut up to x ~ 65.  Typed errors come as from
-    _barrier, F_B's first.  The branch-cut sum runs value_only, so it
-    mostly accepts its level without forming its rounding bound.
+    _barrier, F_B's first.
     """
-    fb_val, _fb_err = _fb_sum(vn, x, settings)
+    fb_val = _fb_value(vn, x, settings)
     if x > _SKIP_MIN_X and _branch_negligible(abs(vn), x, fb_val):
         return fb_val
-    return fb_val + _branch_laplace(abs(vn), x, settings, value_only=True)[0] * _TWO_OVER_PI
+    return fb_val + _branch_value(abs(vn), x, settings) * _TWO_OVER_PI
 
 
 def barrier_free_gap(
@@ -739,13 +781,14 @@ def barrier_free_gap(
     Both the residue part (1 - F_B) and the branch part (quadrature of
     1 - G_B) are assembled from small differences, so the result stays
     accurate down to O(v0) and vanishes identically at v0 = 0.  This is
-    what the arrival-time difference integrates against.
+    what the arrival-time difference integrates against.  Each part is the
+    half sum of its rule at the a-priori size, as in _barrier_value, so it
+    is the value of the err paths _fb_sum and _branch_laplace, bit for bit.
     """
     vn = _strength(v0, params, "barrier_free_gap")
     x = _natural_zeta(zeta, params, "barrier_free_gap")
-    residue_part, _err = _fb_sum(-vn, x, settings, drop_unity=True)
-    br_val, _br_err = _branch_laplace(abs(vn), x, settings, gap=True)
-    return -residue_part + _TWO_OVER_PI * br_val
+    residue_part = _fb_value(-vn, x, settings, drop_unity=True)
+    return -residue_part + _TWO_OVER_PI * _branch_value(abs(vn), x, settings, gap=True)
 
 
 _REGIONS = ("I", "II", "III")
@@ -831,9 +874,11 @@ def momentum_kernel_g(
     """Branch-cut building block g_{j,k}(zeta) of the momentum kernel.
 
     Vanishes for odd k; for even k it is the damped half-line integral of
-    (y^2-1)^((k+1)/2) / y^(2j+1) times (-1)^j i^k (mu c)^(-2j) (2/pi).
-    Where the integrand or the value (~Gamma(k - 2j + 1) at zeta = 1)
-    leaves the float range, SeriesDivergenceError is raised.
+    (y^2-1)^((k+1)/2) / y^(2j+1) e^(-zeta y) (natural zeta) times
+    (-1)^j i^k (mu c)^(-2j) (2/pi).  The integrand is formed under one exp
+    with its damping, so no factor leaves the float range where the
+    product does not; where the product or the value (~Gamma(k - 2j + 1)
+    at zeta = 1) does, SeriesDivergenceError is raised.
     """
     if j < 0 or k < 0:
         raise ValueError("momentum_kernel_g requires j >= 0 and k >= 0")
@@ -845,10 +890,10 @@ def momentum_kernel_g(
     def integrand(y: float) -> float:
         if y <= 1.0:
             return 0.0
-        return (y * y - 1.0) ** half_k / y ** (2 * j + 1)
+        return math.exp(half_k * math.log(y * y - 1.0) - (2 * j + 1) * math.log(y) - decay * y)
 
     try:
-        val, _err = integrate_semiinf_exp(integrand, 1.0, decay, settings)
+        val, _err = integrate_semiinf_exp(integrand, 1.0, 0.0, settings)
     except OverflowError:
         val = math.inf
     if not math.isfinite(val):

@@ -492,20 +492,65 @@ class TestKernelFactorOracles:
             assert abs(tb.value - float(ref)) <= tb.err, (v0, zeta)
 
 
+TWO_OVER_PI = 2.0 / math.pi
+
+
+def fb_rule_sum(vn: float, x: float, n: int, drop_unity: bool = False) -> float:
+    """F_B(vn, x) (or F_B - 1) on the n-interval theta rule, summed here from
+    kernels._fb_nodes: the fsum of w g C(x s), or that of w (g - 1) C(x s)
+    -+ the fsum of 2 w S(x s/2)^2 (C, S = cos, sin for vn < 0, else cosh,
+    sinh).  F_B(0, x) is 1 exactly."""
+    if vn == 0.0:
+        return 0.0 if drop_unity else 1.0
+    fn, half_fn = (math.cos, math.sin) if vn < 0.0 else (math.cosh, math.sinh)
+    nodes = kernels._fb_nodes(vn, n)
+    if not drop_unity:
+        return math.fsum([w * math.exp(ln_g) * fn(x * s) for s, ln_g, w in nodes])
+    scaled = math.fsum([w * math.expm1(ln_g) * fn(x * s) for s, ln_g, w in nodes])
+    halves = [(w, half_fn(0.5 * x * s)) for s, _ln_g, w in nodes]
+    unity = math.fsum([2.0 * w * (t * t) for w, t in halves])
+    return scaled - unity if vn < 0.0 else scaled + unity
+
+
+def branch_rule_sum(a: float, x: float, level: int, gap: bool = False) -> float:
+    """e^-x sum_k c_k e^(-x w_k) (d_k with gap) over the level's nodes below
+    the branch cut, the integral int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz on
+    the step 2^-level, summed here from kernels._branch_nodes."""
+    envelope = math.exp(-x)
+    if envelope == 0.0:
+        return 0.0
+    _level, u_cut = kernels._branch_size(a, x)
+    n = int(u_cut * 2.0**level)
+    w, c, d = kernels._branch_nodes(a, level, n)
+    terms = [b * math.exp(-x * w_k) for w_k, b in zip(w[:n], d if gap else c)]
+    return envelope * math.fsum(terms)
+
+
+def rule_sizes(vn: float, x: float) -> tuple[int, int]:
+    """The a-priori F_B rule intervals (0 at vn = 0, where F_B is 1 with no
+    rule) and branch-cut level at (vn, x); the half rules are n/2 and
+    level - 1."""
+    n = kernels._fb_size(vn, x) if vn else 0
+    return n, kernels._branch_size(abs(vn), x)[0]
+
+
 def scaled_branch(a: float, x: float) -> tuple[float, float]:
     """branch_integral's (value, err) at strength a and natural zeta x, in
-    its operations: the branch-cut sum always summed."""
-    br_val, br_err = kernels._branch_laplace(a, x, DEFAULT_SETTINGS)
-    br_val *= 2.0 / math.pi
-    return br_val, (2.0 / math.pi) * br_err + 2.0 * EPS * abs(br_val)
+    its operations, the branch-cut sum always summed: the value on the half
+    rule, one level below the a-priori one, the err the err path's."""
+    _br_val, br_err = kernels._branch_laplace(a, x, DEFAULT_SETTINGS)
+    br_val = TWO_OVER_PI * branch_rule_sum(a, x, kernels._branch_size(a, x)[0] - 1)
+    return br_val, TWO_OVER_PI * br_err + 2.0 * EPS * abs(br_val)
 
 
 def composed_barrier(vn: float, x: float) -> tuple[float, float]:
-    """_barrier's (value, err) as F_B plus the scaled branch-cut sum: the
-    operations of the T_B core before it could skip the sum."""
-    fb_val, fb_err = kernels._fb_sum(vn, x, DEFAULT_SETTINGS)
+    """_barrier's (value, err) as F_B plus the scaled branch-cut sum, in the
+    operations of the T_B core before it could skip the sum: each value is
+    its half rule's sum (the n/2-interval theta rule, the branch-cut level
+    below the a-priori one) and each err the err path's."""
+    _fb_val, fb_err = kernels._fb_sum(vn, x, DEFAULT_SETTINGS)
     br_val, br_err = scaled_branch(abs(vn), x)
-    value = fb_val + br_val
+    value = fb_rule_sum(vn, x, rule_sizes(vn, x)[0] // 2) + br_val
     return value, fb_err + br_err + EPS * abs(value)
 
 
@@ -641,45 +686,146 @@ class _LevelLog(dict):
         return super().get(key, default)
 
 
-def _branch_rule_run(vn: float, x: float, value_only: bool):
-    """_branch_laplace's (value, err) at (vn, x) in float.hex, and the last
-    rule level it looked up (None if it looked up none)."""
+def _branch_rule_run(call, vn: float, x: float, gap: bool):
+    """call(vn, x, DEFAULT_SETTINGS, gap)'s value in float.hex, and the rule
+    levels it looked up."""
     log = _LevelLog(kernels._BRANCH_NODES)
     with unittest.mock.patch.object(kernels, "_BRANCH_NODES", log):
-        value, err = kernels._branch_laplace(vn, x, DEFAULT_SETTINGS, value_only=value_only)
-    return (value.hex(), err.hex()), (log.levels[-1] if log.levels else None)
+        value = call(vn, x, DEFAULT_SETTINGS, gap)
+    return (value[0] if isinstance(value, tuple) else value).hex(), set(log.levels)
 
 
-class TestBranchEarlyAccept:
-    """The value-only branch rule accepts a level early where
-    |T_h - T_2h| <= 2^-54 (12 + 2x) T_h.  Every term is >= 0, so the
-    rounding bound is at least twice that and the full test passes there:
-    the early accept may change neither the level nor the value."""
+# the unit systems of the kernel and route tests
+UNITS = [NATURAL_UNITS, PhysicalParams(mu=1.5, c=2.0, hbar=0.7),
+         PhysicalParams(mu=0.7, c=1.3, hbar=1.1)]
+
+
+def _half_and_full(v0: float, zeta: float, params: PhysicalParams):
+    """At (v0, zeta) in params: barrier_factor, the value core's T_B and
+    barrier_free_gap(-v0) = T_F - T_B(v0), each with the full rules' sum
+    (the a-priori n-interval theta rule and branch-cut level, summed here)
+    and the err that bounds both; None where barrier_factor raises a typed
+    error, after checking that both value cores raise it too."""
+    vn = kernels._strength(v0, params, "barrier_factor")
+    x = kernels._natural_zeta(zeta, params, "barrier_factor")
+    try:
+        tb = barrier_factor(v0, zeta, params)
+    except (QuadratureError, SeriesDivergenceError) as exc:
+        for call in (lambda: kernels._barrier_value(vn, x, DEFAULT_SETTINGS),
+                     lambda: barrier_free_gap(-v0, zeta, params)):
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                call()
+        return None
+    n, level = rule_sizes(vn, x)
+    a = abs(vn)
+    full = fb_rule_sum(vn, x, n) + TWO_OVER_PI * branch_rule_sum(a, x, level)
+    gap = barrier_free_gap(-v0, zeta, params)
+    _less, fb_err = kernels._fb_sum(vn, x, DEFAULT_SETTINGS, True)
+    br_gap, br_gap_err = kernels._branch_laplace(a, x, DEFAULT_SETTINGS, gap=True)
+    gap_full = -fb_rule_sum(vn, x, n, True) + TWO_OVER_PI * branch_rule_sum(a, x, level, True)
+    gap_err = fb_err + TWO_OVER_PI * br_gap_err + 2.0 * EPS * (
+        TWO_OVER_PI * abs(br_gap) + abs(gap)
+    )
+    half = kernels._barrier_value(vn, x, DEFAULT_SETTINGS)
+    return (vn, x), (half, full, tb), (gap, gap_full, gap_err)
+
+
+class TestHalfRuleValue:
+    """Each kernel value is its rules' half sum at their a-priori sizes, with
+    no level test: the value cores (_barrier_value, barrier_free_gap) rest
+    on the sizing alone, and the err paths (_barrier, _fb_sum,
+    _branch_laplace) return the same bits with |T_h - T_2h| plus T_h's
+    rounding bound as the err."""
 
     @given(
         vn=st.floats(min_value=-0.999, max_value=0.999, exclude_min=True, exclude_max=True),
         x=st.floats(min_value=-3.0, max_value=math.log10(760.0)).map(lambda t: 10.0**t),
+        gap=st.booleans(),
     )
     # the smallest x, strengths at both ends, and past exp's underflow at
     # 745, where neither path sums
-    @example(vn=0.0, x=1e-3)
-    @example(vn=-0.999, x=1e-3)
-    @example(vn=0.999, x=30.0)
-    @example(vn=-0.5, x=750.0)
-    def test_matches_the_full_rule(self, vn, x):
-        early, early_level = _branch_rule_run(abs(vn), x, value_only=True)
-        full, full_level = _branch_rule_run(abs(vn), x, value_only=False)
-        if early[1] == math.inf.hex():
-            assert (early_level, early[0]) == (full_level, full[0])
-        else:
-            # the shortcut did not fire: the full path ran unchanged
-            assert (early_level, early) == (full_level, full)
+    @example(vn=0.0, x=1e-3, gap=False)
+    @example(vn=-0.999, x=1e-3, gap=True)
+    @example(vn=0.999, x=30.0, gap=False)
+    @example(vn=-0.5, x=750.0, gap=True)
+    def test_branch_value_matches_the_err_path(self, vn, x, gap):
+        # the same bits from the a-priori level alone, whose even k it sums
+        value, levels = _branch_rule_run(kernels._branch_value, abs(vn), x, gap)
+        expected, expected_levels = _branch_rule_run(kernels._branch_laplace, abs(vn), x, gap)
+        assert value == expected
+        assert levels == expected_levels and len(levels) <= 1
 
-    def test_fires_on_the_direct_route(self):
-        # at the value-only core's zeta, below its branch-cut skip
-        for vn, x in [(0.3, 0.01), (0.3, 1.0), (0.1, 20.0), (0.99, 35.0)]:
-            _value, err = kernels._branch_laplace(vn, x, DEFAULT_SETTINGS, value_only=True)
-            assert err == math.inf, (vn, x)
+    @given(
+        v=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        x=st.floats(min_value=-6.0, max_value=math.log10(750.0)).map(lambda t: 10.0**t),
+        params=st.sampled_from(UNITS),
+    )
+    @example(v=0.0, x=2.0, params=NATURAL_UNITS)
+    @example(v=-0.999999, x=750.0, params=UNITS[1])
+    @example(v=0.999, x=1.0, params=UNITS[2])
+    def test_half_values_lie_within_err_of_the_full_rules(self, v, x, params):
+        # x is natural zeta; the a-priori sizes make the half sums exact to
+        # rounding, so each lies within the err of the finer rule's sum
+        found = _half_and_full(v * params.rest_energy, x * params.hbar / (params.mu * params.c),
+                               params)
+        if found is None:
+            return
+        _point, (half, full, tb), (gap, gap_full, gap_err) = found
+        assert half == tb.value
+        assert abs(half - full) <= tb.err
+        assert abs(gap - gap_full) <= gap_err
+
+    @hyp_settings(max_examples=6)
+    @given(
+        v=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        x=st.floats(min_value=-6.0, max_value=math.log10(750.0)).map(lambda t: 10.0**t),
+        params=st.sampled_from(UNITS),
+    )
+    @example(v=-0.3, x=2.0, params=UNITS[1])
+    def test_half_values_lie_within_err_of_the_mpmath_oracles(self, v, x, params):
+        found = _half_and_full(v * params.rest_energy, x * params.hbar / (params.mu * params.c),
+                               params)
+        if found is None:
+            return
+        (vn, xn), (half, _full, tb), (gap, _gap_full, gap_err) = found
+        # tanh-sinh may leave 0j; F_B(0, x) is 1 exactly
+        fb_ref = mp.re(fb_moment_oracle(vn, xn)) if vn else mp.mpf(1)
+        branch_ref = mp_branch_oracle(abs(vn), xn)
+        assert abs(half - float(fb_ref + branch_ref)) <= tb.err
+        gap_ref = 1 - fb_ref + mp_branch_oracle(0.0, xn) - branch_ref
+        assert abs(gap - float(gap_ref)) <= gap_err
+
+    @pytest.mark.parametrize("vn, x, outcome", [
+        # F_B's strength cap for v > 0: the a-priori rule is the cap, then past it
+        (0.99938, 1.0, None),
+        (0.9994, 1.0, QuadratureError),
+        # x* rounds to 1 a few ulps below v = 1: F_B's strip is gone
+        (1.0 - 2.0**-52, 1.0, QuadratureError),
+        # zeta kappa_c ~ 27,300 for v < 0, on both sides
+        (-0.3, 32853.0, None),
+        (-0.3, 32866.0, QuadratureError),
+        # zeta x* ~ 710.5 for v > 0, where F_B leaves the float range
+        (0.3, 994.86, None),
+        (0.3, 994.87, SeriesDivergenceError),
+        # where the branch-cut rule raises at small zeta, and where its next
+        # level would pass the node cap
+        (0.0, 8e-154, QuadratureError),
+        (-0.3, 8e-154, QuadratureError),
+        (0.0, 3.4e-153, None),
+        (-0.3, 5.2e-110, None),
+        (-0.3, 5.4e-110, None),
+    ])
+    def test_value_cores_match_the_err_paths_at_the_caps(self, vn, x, outcome):
+        # where the err path's rule may double or raise, the value cores take
+        # its value or raise its error
+        expected = _value_or_error(lambda: kernels._barrier(vn, x, DEFAULT_SETTINGS)[0])
+        assert _value_or_error(lambda: kernels._barrier_value(vn, x, DEFAULT_SETTINGS)) == expected
+        assert expected.startswith(outcome.__name__) if outcome else "Error" not in expected
+        expected_gap = _value_or_error(
+            lambda: -kernels._fb_sum(vn, x, DEFAULT_SETTINGS, True)[0]
+            + TWO_OVER_PI * kernels._branch_laplace(abs(vn), x, DEFAULT_SETTINGS, gap=True)[0]
+        )
+        assert _value_or_error(lambda: barrier_free_gap(-vn, x)) == expected_gap
 
 
 def mpf_sum_oracle(terms) -> float:
@@ -1139,6 +1285,31 @@ class TestMomentumKernels:
         # its integrand from y ~ 34 on
         with pytest.raises(SeriesDivergenceError, match="overflows a float"):
             momentum_kernel_g(0, 400, 1.0)
+
+    @staticmethod
+    def g_reference(j: int, k: int, zeta: float) -> float:
+        """g_{j,k} in natural units at 30 digits, for even k: (-1)^j i^k (2/pi)
+        times int_1^inf (y^2-1)^((k+1)/2) y^-(2j+1) e^(-zeta y) dy, by
+        tanh-sinh in y = 1 + t^2, broken about the peak y = (k - 2j)/zeta."""
+        ctx = mp.MPContext()
+        ctx.dps = 30
+        z, power = ctx.mpf(zeta), ctx.mpf(k + 1) / 2
+
+        def f(t):
+            y = 1 + t * t
+            return (t * t * (2 + t * t)) ** power / y ** (2 * j + 1) * ctx.exp(-z * y) * 2 * t
+
+        peak = ctx.sqrt(max(1, (k - 2 * j) / zeta))
+        edges = [0] + [peak * 2**i for i in range(-3, 4)] + [ctx.inf]
+        return float((-1) ** (j + k // 2) * 2 / ctx.pi * ctx.quad(f, edges))
+
+    def test_g_answers_where_its_integrand_alone_would_overflow(self):
+        # (y^2 - 1)^((k+1)/2) leaves the float range near y ~ 34, where
+        # e^(-zeta y) keeps the product, and the value, finite
+        for j, k, zeta in [(0, 200, 10.0), (0, 300, 50.0)]:
+            ref = self.g_reference(j, k, zeta)
+            assert momentum_kernel_g(j, k, zeta) == pytest.approx(ref, rel=1e-12), (k, zeta)
+        assert self.g_reference(0, 200, 10.0) == pytest.approx(3.9016178777122e173, rel=1e-13)
 
     def test_g_oracle(self):
         val = momentum_kernel_g(1, 0, 1.0)
