@@ -63,7 +63,6 @@ from reltoa.kernels import (
     branch_integral,
     free_factor,
 )
-from reltoa.numerics import DEFAULT_SETTINGS
 from reltoa.wavepacket import GaussianPacket
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
@@ -108,7 +107,7 @@ FB_ROUNDS = 5
 def branch_values(grid) -> dict:
     """branch_integral's (value, err) at each (v0, zeta), computed in grid order."""
     return {
-        (v0, zeta): branch_integral(v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+        (v0, zeta): branch_integral(v0, zeta, NATURAL_UNITS)
         for v0, zeta in grid
     }
 
@@ -127,7 +126,7 @@ def free_factor_digest(zetas) -> str:
     """sha256 of free_factor's (value, err) at each zeta, in order."""
     h = hashlib.sha256()
     for zeta in zetas:
-        est = free_factor(zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+        est = free_factor(zeta, NATURAL_UNITS)
         h.update(f"{est.value.hex()} {est.err.hex()}\n".encode())
     return h.hexdigest()
 
@@ -136,14 +135,14 @@ def gap_digest(v0: float, zetas) -> str:
     """sha256 of barrier_free_gap(v0, zeta)'s value at each zeta, in order."""
     h = hashlib.sha256()
     for zeta in zetas:
-        h.update(f"{barrier_free_gap(v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS).hex()}\n".encode())
+        h.update(f"{barrier_free_gap(v0, zeta, NATURAL_UNITS).hex()}\n".encode())
     return h.hexdigest()
 
 
 def _estimate_line(call, *args) -> str:
     """call(*args)'s (value, err) in float.hex, or its error type and text."""
     try:
-        est = call(*args, NATURAL_UNITS, DEFAULT_SETTINGS)
+        est = call(*args, NATURAL_UNITS)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}\n"
     return f"{est.value.hex()} {est.err.hex()}\n"
@@ -218,21 +217,19 @@ def counting_kernel_nodes():
 
     Yields a two-item list: each call of reltoa.kernels._fb_value adds the
     n/2 + 1 nodes of its half rule, n its a-priori size (kernels._fb_size),
-    and each call of _branch_value the nodes of its half rule, one level
-    below its a-priori level (kernels._branch_size).  The cores are
-    restored on exit.
+    and each call of _branch_value the n // 2 even nodes of its a-priori
+    level's n (kernels._branch_size).  The cores are restored on exit.
     """
     counts = [0, 0]
     fb_value, branch_value = kernels._fb_value, kernels._branch_value
 
-    def fb_counted(vn, x, *args):
+    def fb_counted(vn, x, drop_unity=False):
         counts[0] += kernels._fb_size(vn, x) // 2 + 1 if vn else 0
-        return fb_value(vn, x, *args)
+        return fb_value(vn, x, drop_unity)
 
-    def branch_counted(vn, x, *args):
-        level, u_cut = kernels._branch_size(vn, x)
-        counts[1] += int(u_cut * 2.0 ** (level - 1))
-        return branch_value(vn, x, *args)
+    def branch_counted(vn, x, gap=False):
+        counts[1] += kernels._branch_size(vn, x)[1] // 2
+        return branch_value(vn, x, gap)
 
     kernels._fb_value, kernels._branch_value = fb_counted, branch_counted
     try:
@@ -320,13 +317,13 @@ def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
     # drop the rules of strength v, so that the sizes this call builds show
     for key in [key for key in kernels._FB_RULES if key[0] == v]:
         del kernels._FB_RULES[key]
-    kernels._fb_sum(v, zeta, DEFAULT_SETTINGS)
+    kernels._fb_sum(v, zeta)
     intervals = max(n for vn, n in kernels._FB_RULES if vn == v)
-    barrier_factor(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)  # fills the branch nodes
+    barrier_factor(v, zeta, NATURAL_UNITS)  # fills the branch nodes
     calls = (
-        lambda: kernels._fb_sum(v, zeta, DEFAULT_SETTINGS),
-        lambda: barrier_factor(v, zeta, NATURAL_UNITS, DEFAULT_SETTINGS),
-        lambda: kernels._barrier_value(v, zeta, DEFAULT_SETTINGS),
+        lambda: kernels._fb_sum(v, zeta),
+        lambda: barrier_factor(v, zeta, NATURAL_UNITS),
+        lambda: kernels._barrier_value(v, zeta),
     )
     best = [float("inf")] * len(calls)
     for _ in range(FB_ROUNDS):

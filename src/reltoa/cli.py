@@ -329,9 +329,9 @@ def cmd_kernel(cfg: RunConfig, args: argparse.Namespace) -> int:
     ]
     rows = []
     for z in zeta_grid:
-        tf = free_factor(z, cfg.params, cfg.settings)
-        tm = barrier_factor(-args.vo, z, cfg.params, cfg.settings)
-        tp = barrier_factor(+args.vo, z, cfg.params, cfg.settings)
+        tf = free_factor(z, cfg.params)
+        tm = barrier_factor(-args.vo, z, cfg.params)
+        tp = barrier_factor(+args.vo, z, cfg.params)
         rows.append(
             [
                 fmt(z),
@@ -413,15 +413,15 @@ def _limit_checks(cfg: RunConfig):
         yield f"kappa_c threshold identity (v0={v0})", abs(lhs - rhs) / rhs, 1e-13
 
     for zeta in (0.1, 1.0, 10.0):
-        tb = barrier_factor(0.0, zeta, params, settings).value
-        tf = free_factor(zeta, params, settings).value
+        tb = barrier_factor(0.0, zeta, params).value
+        tf = free_factor(zeta, params).value
         yield f"zero-height kernel (zeta={zeta})", abs(tb - tf) / abs(tf), 1e-9
 
     for zeta in (0.1, 1.0, 10.0):
         combo = momentum_kernel_f(0, 0, zeta, params) + momentum_kernel_g(
             0, 0, zeta, params, settings
         )
-        tf = free_factor(zeta, params, settings).value
+        tf = free_factor(zeta, params).value
         yield f"f00+g00 vs free factor (zeta={zeta})", abs(combo - tf) / abs(tf), 1e-9
 
     for v0, zeta in ((0.3, 1.0), (0.5, 0.5)):
@@ -429,13 +429,13 @@ def _limit_checks(cfg: RunConfig):
         errs = []
         for c_val in (1e2, 1e3, 1e4):
             pp = PhysicalParams(mu=params.mu, c=c_val, hbar=params.hbar)
-            errs.append(abs(barrier_factor(-v0, zeta, pp, settings).value - ref))
+            errs.append(abs(barrier_factor(-v0, zeta, pp).value - ref))
         monotone = 0.0 if errs[0] > errs[1] > errs[2] else 1.0
         yield f"nonrelativistic kernel limit (v0={v0}, zeta={zeta})", monotone, 0.5
         pp = PhysicalParams(mu=params.mu, c=1e4, hbar=params.hbar)
         yield (
             f"free factor -> 1 (zeta={zeta}, c=1e4)",
-            abs(free_factor(zeta, pp, settings).value - 1.0),
+            abs(free_factor(zeta, pp).value - 1.0),
             1e-8,
         )
 

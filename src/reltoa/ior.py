@@ -148,7 +148,7 @@ def ior_direct(
     vn = -v0 / params.rest_energy
     mu_c, hbar = params.mu * params.c, params.hbar
     val, err = _phi_transform(
-        lambda zeta: _barrier_value(vn, mu_c * zeta / hbar, settings),
+        lambda zeta: _barrier_value(vn, mu_c * zeta / hbar),
         packet, params, settings, kappa_c(v0, params) if v0 > 0.0 else 0.0,
     )
     return Estimate(scale * val, scale * err)
@@ -496,7 +496,7 @@ def toa_difference(
     barrier.require_subcritical(params)
     packet.check_support(barrier.a)
     gap, _err = _phi_transform(
-        lambda zeta: barrier_free_gap(barrier.v0, zeta, params, settings),
+        lambda zeta: barrier_free_gap(barrier.v0, zeta, params),
         packet, params, settings, kappa_c(barrier.v0, params),
     )
     # (mu L / p0) * k0 * gap = (mu L / hbar) * gap

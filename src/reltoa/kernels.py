@@ -60,25 +60,29 @@ G_max e^-x/x; twice that, times 2/pi, is a bound B on the scaled branch
 value and on its err.  Where B is below a quarter-ulp of F_B's value and of
 its err (at v = 0, where F_B is exactly (1.0, 0.0): of 1.0 and of 2^-53),
 adding the term and its err rounds to the floats without them, so those are
-returned, bit for bit.  At strengths up to 0.999 and the default settings
-the skip first fires near x = 36 for v > 0, 64 for v < 0 and 70 at v = 0.
+returned, bit for bit.  At strengths up to 0.999 the skip first fires
+near x = 36 for v > 0, 64 for v < 0 and 70 at v = 0.
 The direct route reads T_B's value alone, so its core skips where B is
 below a quarter-ulp of F_B's value, whatever the err: for v < 0 from
 x ~ 36-38 on.  _branch_negligible holds the quarter-ulp test for both cores.
 
-Each rule has an err path and a value core.  The err paths (_fb_sum,
-_branch_laplace) sum both halves of the a-priori rule, return the half sum
-with its err, and double the rule while the difference exceeds the
-rounding bound, which no cell below the caps has shown.  The value cores
-(_fb_value, _branch_value) sum the even half alone, with no level test, so
-half the nodes; where the a-priori rule sits at or next to its cap they
-take the err path's value or its typed error.  Both return the same bits.
+Each rule has one size: _fb_size and _branch_size pick it and check its
+reach, and raise QuadratureError past the cap, more than 32,768 F_B
+intervals or 4,096 branch-cut nodes, or where the branch rule's last node
+would overflow s^2 (natural zeta below 2.6e-153 to 3.0e-153, by strength).  Each rule then has an
+err path and a value core, each one pass at that size.  The err paths
+(_fb_sum, _branch_laplace) sum both halves and return the half sum with
+its err; the value cores (_fb_value, _branch_value) sum the even half
+alone, so half the nodes, and return the same bits.  No level test runs:
+at the a-priori sizes |T_h - T_2h| is within T_h's rounding bound, which
+the tests check over |v| < 1 and zeta up to 750.
 The kernel-factor entries check each argument once (_strength,
 _natural_zeta) and hand the strength and zeta, in natural units, to their
 core: T_F and T_B to _barrier, on the err paths; the direct route calls
 _barrier_value, the same value on the value cores, at every node of its
 sine transform, after checking the cell once, and toa_difference calls
-barrier_free_gap, on the value cores too.
+barrier_free_gap, on the value cores too.  No kernel factor reads a
+quadrature setting.
 """
 
 from __future__ import annotations
@@ -176,11 +180,7 @@ class BarrierSpec:
             )
 
 
-def free_factor(
-    zeta: float,
-    params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> Estimate:
+def free_factor(zeta: float, params: PhysicalParams = NATURAL_UNITS) -> Estimate:
     """Free time-kernel factor T_F(zeta) = 1 + (2/pi) * branch-cut integral.
 
     Strictly decreasing in zeta, -> 1 as zeta -> inf, and diverging like
@@ -188,7 +188,7 @@ def free_factor(
     _barrier at zero height, where F_B = (1.0, 0.0) and G_B = 1, so it
     skips the branch-cut sum from x ~ 70 on.
     """
-    return Estimate(*_barrier(0.0, _natural_zeta(zeta, params, "free_factor"), settings))
+    return Estimate(*_barrier(0.0, _natural_zeta(zeta, params, "free_factor")))
 
 
 def _strength(v0: float, params: PhysicalParams, name: str) -> float:
@@ -218,14 +218,22 @@ def gb_factor(
     """Branch-cut factor G_B(v0, z): the half-sum with its i -> -i partner.
 
     Equals Re[1 - (v0/mu c^2)^2/z^2 + 2i sqrt(z^2-1) (v0/mu c^2)/z^2]^(-1/2);
-    real, finite, and even in v0 for |v0| below the rest-mass energy.
+    real, finite, and even in v0 for |v0| below the rest-mass energy.  It
+    is the branch-cut nodes' form (_gb) at s = sqrt((z - 1)(z + 1)), which
+    keeps its digits as z -> 1 and |v0| -> mu c^2.
     """
-    vt = _strength(v0, params, "gb_factor")
+    a = abs(_strength(v0, params, "gb_factor"))
     if not 1.0 <= z < math.inf:
         raise ValueError(f"gb_factor requires 1 <= z < inf, got {z}")
-    z2 = z * z
-    w = complex(1.0 - vt * vt / z2, 2.0 * vt * math.sqrt(z2 - 1.0) / z2)
-    return (w ** -0.5).real
+    return _gb(a, (1.0 - a) * (1.0 + a), math.sqrt((z - 1.0) * (z + 1.0)), z)
+
+
+def _gb(a: float, one_minus_a2: float, s: float, z: float) -> float:
+    """G_B at strength a = |v|/(mu c^2) and z = hypot(1, s), given
+    one_minus_a2 = (1 - a)(1 + a): z Re[(1 - a^2 + s^2 + 2i a s)^(-1/2)],
+    gb_factor's bracket times z^2 with z^2 - 1 written as s^2, so that
+    nothing cancels near z = 1 or the rest energy; 1.0 at a = 0."""
+    return z * (complex(one_minus_a2 + s * s, 2.0 * a * s) ** -0.5).real if a else 1.0
 
 
 # --- residue factor F_B ------------------------------------------------------
@@ -356,7 +364,8 @@ _FB_STRENGTHS: dict[float, tuple[float, float]] = {}
 
 
 def _fb_size(vn: float, x: float) -> int:
-    """The a-priori rule size at strength vn != 0 and natural zeta x.
+    """The a-priori rule size at strength vn != 0 and natural zeta x, or
+    QuadratureError where it passes _FB_MAX_INTERVALS.
 
     The rule has the least power of two n >= 1.2 * y_max + 16 and
     >= 20 / eta, at least 32 intervals.  y_max = x * reach counts the
@@ -367,63 +376,46 @@ def _fb_size(vn: float, x: float) -> int:
     that size the n/2-interval half rule already reaches rounding level, so
     its sum is F_B's value and the n-interval rule only feeds the err; the
     half values are tested within err of the n-interval sum and of an
-    mpmath oracle over |v| < 1 and zeta up to 750.  Where x* rounds to 1
-    (v within a few ulps of +1), eta is 0 and the least size is past the
-    cap, so F_B raises QuadratureError.  reach and the least size are
-    cached per strength.
+    mpmath oracle over |v| < 1 and zeta up to 750.  The cap is passed for
+    v > 0 from v ~ 0.9994 and for v < 0 from zeta kappa_c ~ 27,300.  reach
+    and the least size are cached per strength.
     """
     strength = _FB_STRENGTHS.get(vn)
     if strength is None:
         reach = _fb_reach(vn)
         eta = math.asinh(1.0 / reach) if vn < 0.0 else math.acosh(1.0 / reach)
-        least = 20.0 / eta if eta else 2.0 * _FB_MAX_INTERVALS
+        least = 20.0 / eta if eta else math.inf  # x* rounds to 1 near v = 1
         strength = _FB_STRENGTHS.setdefault(vn, (reach, max(least, _FB_MIN_INTERVALS)))
     reach, least = strength
-    return 1 << math.ceil(math.log2(max(1.2 * (x * reach) + 16.0, least)))
+    # capped before the log, so that an infinite size raises as the cap does
+    need = min(max(1.2 * (x * reach) + 16.0, least), 2.0 * _FB_MAX_INTERVALS)
+    n = 1 << math.ceil(math.log2(need))
+    if n > _FB_MAX_INTERVALS:
+        raise QuadratureError(f"F_B({vn}, {x}) needs more than {_FB_MAX_INTERVALS} rule intervals")
+    return n
 
 
-def _fb_sum(
-    vn: float, x: float, settings: QuadratureSettings, drop_unity: bool = False
-) -> tuple[float, float]:
+def _fb_sum(vn: float, x: float, drop_unity: bool = False) -> tuple[float, float]:
     """F_B (or F_B - 1) at strength vn = v/(mu c^2) and natural zeta = x,
     with its error estimate: the err path.
 
-    The value is the half sum T_(n/2); the error is |T_n - T_(n/2)| plus
-    T_n's rounding bound, which bounds the half sum's error: the computed
-    difference carries the half sum's own rounding (see the module
-    docstring).  The rule doubles while the difference exceeds the bound,
-    which at the a-priori size does not happen on 0 < |v| < 1 below the
-    cap; at _FB_MAX_INTERVALS a difference above the settings' tolerance
-    raises QuadratureError.
+    One pass of the a-priori rule (_fb_size): the value is the half sum
+    T_(n/2); the error is |T_n - T_(n/2)| plus T_n's rounding bound, which
+    bounds the half sum's error: the computed difference carries the half
+    sum's own rounding (see the module docstring).
     """
     if vn == 0.0:
         return (0.0 if drop_unity else 1.0), 0.0
-    n = _fb_size(vn, x)
-    while n <= _FB_MAX_INTERVALS:
-        value, trunc, rounding = _fb_rule(vn, n).evaluate(x, drop_unity)
-        if trunc <= rounding or (
-            n == _FB_MAX_INTERVALS
-            and trunc <= max(settings.abs_tol, settings.rel_tol * abs(value))
-        ):
-            return value, trunc + rounding
-        n *= 2
-    raise QuadratureError(f"F_B({vn}, {x}) needs more than {_FB_MAX_INTERVALS} rule intervals")
+    value, trunc, rounding = _fb_rule(vn, _fb_size(vn, x)).evaluate(x, drop_unity)
+    return value, trunc + rounding
 
 
-def _fb_value(
-    vn: float, x: float, settings: QuadratureSettings, drop_unity: bool = False
-) -> float:
-    """_fb_sum(vn, x, settings, drop_unity)[0], bit for bit, without the err:
-    2 x the even half of the a-priori rule, with no level test.
-
-    Where the a-priori size is the cap, _fb_sum decides, since there its
-    acceptance or its QuadratureError depends on the settings.  Below it the
-    rule size alone makes the half sum exact to rounding (tested over
-    |v| < 1 and zeta up to 750 in three unit systems).
-    """
-    if vn == 0.0 or (n := _fb_size(vn, x)) >= _FB_MAX_INTERVALS:
-        return _fb_sum(vn, x, settings, drop_unity)[0]
-    return _fb_rule(vn, n).half_sum(x, drop_unity)
+def _fb_value(vn: float, x: float, drop_unity: bool = False) -> float:
+    """_fb_sum(vn, x, drop_unity)[0], bit for bit, without the err: 2 x the
+    even half of the a-priori rule."""
+    if vn == 0.0:
+        return 0.0 if drop_unity else 1.0
+    return _fb_rule(vn, _fb_size(vn, x)).half_sum(x, drop_unity)
 
 
 # D_p per (v in units of mu c^2, mu c / hbar): the D_p so far, the weights
@@ -479,23 +471,17 @@ def _walk_moments(key: tuple[float, float]) -> Iterator[float]:
         yield entry[0][p]
 
 
-def fb_series(
-    v0: float,
-    zeta: float,
-    params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> Estimate:
+def fb_series(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNITS) -> Estimate:
     """Residue factor F_B(v0, zeta) as its moment integral, with signed v0.
 
     The physics callers pass v0 = -V_o for a barrier of height V_o (the
     kernel is stated for T_B(-V_o, zeta)); passing +V_o yields the F_B
-    entering T_B(+V_o, zeta).  |v0| must lie below the rest energy.  The
-    settings only decide whether a rule at its size cap is accepted.
+    entering T_B(+V_o, zeta).  |v0| must lie below the rest energy.
     """
     vn = _strength(v0, params, "fb_series")
     if not 0.0 <= zeta < math.inf:
         raise ValueError(f"fb_series requires zeta >= 0, got {zeta}")
-    return Estimate(*_fb_sum(vn, params.mu * params.c * zeta / params.hbar, settings))
+    return Estimate(*_fb_sum(vn, params.mu * params.c * zeta / params.hbar))
 
 
 # --- branch-cut integrals --------------------------------------------------
@@ -505,8 +491,8 @@ _BRANCH_MAX_NODES = 1 << 12  # per Laplace integral
 
 
 # the branch-cut sum is skipped only past this natural zeta, a little below
-# where a skip first fires with the default settings (x ~ 36); below it the
-# check costs one comparison
+# where a skip first fires (x ~ 36); below it the check costs one
+# comparison
 _SKIP_MIN_X = 32.0
 
 
@@ -544,8 +530,8 @@ _BRANCH_NODES: dict[tuple[float, int], tuple[tuple[float, ...], ...]] = {}
 
 def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...], ...]:
     """The nodes u_k = k 2^-level of strength vn = |v|/(mu c^2), k = 1 to at
-    least count: w = z - 1 (as s^2/(1 + z)) and the weight h (s/z)^2 delta
-    cosh(u) times G_B (c) and times 1 - G_B (d).
+    least count <= _BRANCH_MAX_NODES: w = z - 1 (as s^2/(1 + z)) and the
+    weight h (s/z)^2 delta cosh(u) times G_B (c) and times 1 - G_B (d).
 
     Node k has the same floats whichever call computed it, and an extension
     replaces the entry at once, so threads need no lock.
@@ -556,23 +542,24 @@ def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...],
     h = 0.5**level
     delta = 1.0 - vn
     one_minus_v2 = delta * (1.0 + vn)
+    # an extension doubles the list but stops at the node cap, u <= 512 at
+    # level 3 and finer, where sinh and cosh stay finite
+    end = min(max(count, 2 * len(nodes[0])), _BRANCH_MAX_NODES)
     new = []
-    for k in range(len(nodes[0]) + 1, max(count, 2 * len(nodes[0])) + 1):
+    for k in range(len(nodes[0]) + 1, end + 1):
         s = delta * math.sinh(k * h)
         z = math.hypot(1.0, s)
         base = h * (s / z) ** 2 * delta * math.cosh(k * h)
-        # gb_factor(vn, z), its z^2 - v^2 + 2i v sqrt(z^2 - 1) written as
-        # 1 - v^2 + s^2 + 2i v s: no cancellation near the rest energy
-        g = z * (complex(one_minus_v2 + s * s, 2.0 * vn * s) ** -0.5).real if vn else 1.0
+        g = _gb(vn, one_minus_v2, s, z)
         new.append((s * s / (1.0 + z), base * g, base * (1.0 - g)))
     nodes = _BRANCH_NODES[(vn, level)] = tuple(map(operator.add, nodes, zip(*new)))
     return nodes
 
 
-def _branch_size(vn: float, x: float) -> tuple[int, float]:
-    """(m, u_cut): the a-priori level of the branch-cut rule at strength vn
-    = |v|/(mu c^2) and natural zeta x > 0, and the u at which x (z - 1)
-    reaches _BRANCH_CUT; level m sums the u_cut 2^m nodes below it.
+def _branch_size(vn: float, x: float) -> tuple[int, int]:
+    """(m, n): the a-priori level of the branch-cut rule at strength vn
+    = |v|/(mu c^2) and natural zeta x > 0, and its node count, the nodes
+    u_k = k 2^-m below the u at which x (z - 1) reaches _BRANCH_CUT.
 
     The step h = 2^-m is the least with h at most half of
     pi^2/(37 + pi^2 x/8) for x <= 8*37/pi^2 (~30), and of 0.73/sqrt(x)
@@ -582,87 +569,79 @@ def _branch_size(vn: float, x: float) -> tuple[int, float]:
     e^(x (1 - cos b)) <= e^(x b^2/2), so the error is e^(-pi^2/h + pi^2 x/8)
     at b = pi/2 and e^(-2 pi^2/(x h^2)) at b = 2 pi/(x h) (< pi/2 for
     x h > 4): below e^-37 in each bracket, also for the half rule 2h.
+
+    The rule reaches down to x between 2.6e-153 and 3.0e-153, by strength
+    (2.87e-153 at v = 0): below, the last node's s = delta sinh(u) passes
+    the square root of the largest float, so its w = s^2/(1 + z) would be
+    inf and the rounding bound NaN, and QuadratureError is raised.  So is
+    it where n passes _BRANCH_MAX_NODES, for x below ~4e-221.
     """
     w_cut = _BRANCH_CUT / x
     u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / (1.0 - vn))
     step = _PI_SQUARED / (37.0 + x * _PI_SQUARED / 8) if x <= _STEP_SWITCH else 0.73 / math.sqrt(x)
-    return math.ceil(-math.log2(0.5 * step)), u_cut
+    level = math.ceil(-math.log2(0.5 * step))
+    count = u_cut * 2.0**level
+    if not count <= _BRANCH_MAX_NODES:
+        raise QuadratureError(
+            f"branch-cut integral at x = {x} needs more than {_BRANCH_MAX_NODES} rule nodes"
+        )
+    n = int(count)
+    last = (1.0 - vn) * math.sinh(n * 0.5**level)  # as _branch_nodes forms s
+    if math.isinf(last * last):
+        raise QuadratureError(
+            f"branch-cut integral at x = {x} needs rule nodes whose s^2 overflows a float"
+        )
+    return level, n
 
 
-def _branch_laplace(
-    vn: float, x: float, settings: QuadratureSettings, gap: bool = False
-) -> tuple[float, float]:
+def _branch_laplace(vn: float, x: float, gap: bool = False) -> tuple[float, float]:
     """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz and its error, G = G_B(vn, z)
     or, with gap, 1 - G_B; vn = |v|/(mu c^2), x > 0: the err path.
 
-    e^-x T_2h, with T_h = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT
-    (the gap weights d_k with gap) at the a-priori level (_branch_size), and
-    the half rule T_2h = 2 x its even k.  The error is |T_h - T_2h| plus
-    T_h's rounding bound, which bounds the half sum's error (see the module
-    docstring).  Per unit of a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the
-    gap), the bound allows 12 roundoffs: 8 for a node (6.02 seen against
-    mpmath) and 4 for the sums and e^-x; and 8 per unit of x w_k (4.5
-    seen, and 1.5 for the rounding of x) and 2 per unit of x (that rounding
-    in e^-x).  The rule doubles while the difference exceeds the bound,
-    which no cell above x ~ 1.7e-153 has shown; where the next level
-    would pass _BRANCH_MAX_NODES (x below ~5e-110) a difference above the
-    settings' tolerance raises QuadratureError.  Below x ~ 1.7e-153 the
-    nodes past u ~ 355 overflow w_k, the bound is NaN and the rule raises.
+    One pass of the a-priori rule (_branch_size): e^-x T_2h, with
+    T_h = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT (the gap weights
+    d_k with gap) and the half rule T_2h = 2 x its even k.  The error is
+    |T_h - T_2h| plus T_h's rounding bound, which bounds the half sum's
+    error (see the module docstring).  Per unit of a_k e^(-x w_k),
+    a_k = c_k (|d_k| + c_k for the gap), the bound allows 12 roundoffs: 8
+    for a node (6.02 seen against mpmath) and 4 for the sums and e^-x; and
+    8 per unit of x w_k (4.5 seen, and 1.5 for the rounding of x) and 2 per
+    unit of x (that rounding in e^-x).
     """
     envelope = math.exp(-x)
     if envelope == 0.0:
         return 0.0, 0.0
-    level, u_cut = _branch_size(vn, x)
+    level, n = _branch_size(vn, x)
+    w, c, d = _branch_nodes(vn, level, n)
     exp, neg_x = math.exp, -x
-    while (count := u_cut * 2.0**level) <= _BRANCH_MAX_NODES:
-        n = int(count)
-        w, c, d = _branch_nodes(vn, level, n)
-        if gap:
-            decay = [exp(neg_x * w_k) for w_k in w[:n]]
-            branch = list(map(operator.mul, c, decay))
-            terms = list(map(operator.mul, d, decay))
-            scales = list(map(operator.add, branch, map(abs, terms)))
-        else:
-            terms = scales = [c_k * exp(neg_x * w_k) for w_k, c_k in zip(w[:n], c)]
-        odd, even = math.fsum(terms[0::2]), math.fsum(terms[1::2])
-        value, trunc = 2.0 * even, abs(odd - even)
-        rounding = _UNIT_ROUNDOFF * (
-            (12.0 + 2.0 * x) * sum(scales) + 8.0 * x * sum(map(operator.mul, scales, w))
-        )
-        if trunc <= rounding or (
-            2.0 * count > _BRANCH_MAX_NODES
-            and trunc <= max(settings.abs_tol, settings.rel_tol * abs(value))
-        ):
-            return envelope * value, envelope * (trunc + rounding)
-        level += 1
-    raise QuadratureError(
-        f"branch-cut integral at x = {x} needs more than {_BRANCH_MAX_NODES} rule nodes"
+    if gap:
+        decay = [exp(neg_x * w_k) for w_k in w[:n]]
+        branch = list(map(operator.mul, c, decay))
+        terms = list(map(operator.mul, d, decay))
+        scales = list(map(operator.add, branch, map(abs, terms)))
+    else:
+        terms = scales = [c_k * exp(neg_x * w_k) for w_k, c_k in zip(w[:n], c)]
+    odd, even = math.fsum(terms[0::2]), math.fsum(terms[1::2])
+    rounding = _UNIT_ROUNDOFF * (
+        (12.0 + 2.0 * x) * sum(scales) + 8.0 * x * sum(map(operator.mul, scales, w))
     )
+    return envelope * (2.0 * even), envelope * (abs(odd - even) + rounding)
 
 
-def _branch_value(vn: float, x: float, settings: QuadratureSettings, gap: bool = False) -> float:
-    """_branch_laplace(vn, x, settings, gap)[0], bit for bit, without the err:
-    e^-x times 2 x the even-k sum of the a-priori level, with no level test.
-
-    Where exp(-x) underflows or the next level would pass the node cap,
-    _branch_laplace decides, since there its acceptance or its
-    QuadratureError depends on the settings.
-    """
-    envelope, (level, u_cut) = math.exp(-x), _branch_size(vn, x)
-    if envelope == 0.0 or 2.0 * (count := u_cut * 2.0**level) > _BRANCH_MAX_NODES:
-        return _branch_laplace(vn, x, settings, gap)[0]
-    w, c, d = _branch_nodes(vn, level, n := int(count))
+def _branch_value(vn: float, x: float, gap: bool = False) -> float:
+    """_branch_laplace(vn, x, gap)[0], bit for bit, without the err: e^-x
+    times 2 x the even-k sum of the a-priori level."""
+    envelope = math.exp(-x)
+    if envelope == 0.0:
+        return 0.0
+    level, n = _branch_size(vn, x)
+    w, c, d = _branch_nodes(vn, level, n)
     exp, neg_x = math.exp, -x
     terms = [a * exp(neg_x * w_k) for w_k, a in zip(w[1:n:2], (d if gap else c)[1:n:2])]
     return envelope * (2.0 * math.fsum(terms))
 
 
-def branch_integral(
-    v0: float,
-    zeta: float,
-    params: PhysicalParams,
-    settings: QuadratureSettings,
-) -> tuple[float, float]:
+def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> tuple[float, float]:
     """Branch-cut term of T_B(v0, zeta), with its error estimate:
 
         (2/pi) * int_1^inf exp(-mu c |zeta| z / hbar) sqrt(z^2-1)/z G_B(v0, z) dz
@@ -670,14 +649,14 @@ def branch_integral(
     vn = _strength(v0, params, "branch_integral")
     if not 0.0 < abs(zeta) < math.inf:
         raise ValueError(f"branch_integral requires 0 < |zeta| < inf, got {zeta}")
-    return _scaled_branch(abs(vn), params.mu * params.c * abs(zeta) / params.hbar, settings)
+    return _scaled_branch(abs(vn), params.mu * params.c * abs(zeta) / params.hbar)
 
 
-def _scaled_branch(a: float, x: float, settings: QuadratureSettings) -> tuple[float, float]:
+def _scaled_branch(a: float, x: float) -> tuple[float, float]:
     """(2/pi) _branch_laplace(a, x), the half rule's sum, and its err, which
     also covers the rounding of the factor 2/pi and its product: the branch
     term of T_B."""
-    val, err = _branch_laplace(a, x, settings)
+    val, err = _branch_laplace(a, x)
     val *= _TWO_OVER_PI
     return val, _TWO_OVER_PI * err + 2.0 * _UNIT_ROUNDOFF * abs(val)
 
@@ -709,22 +688,17 @@ def branch_transform(
     return _TWO_OVER_PI * value, _TWO_OVER_PI * err
 
 
-def barrier_factor(
-    v0: float,
-    zeta: float,
-    params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> Estimate:
+def barrier_factor(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNITS) -> Estimate:
     """Barrier time-kernel factor T_B(v0, zeta) = F_B + branch-cut term.
 
     v0 is signed exactly as in fb_series; T_B(0, zeta) is the free factor,
     bit for bit.
     """
     vn = _strength(v0, params, "barrier_factor")
-    return Estimate(*_barrier(vn, _natural_zeta(zeta, params, "barrier_factor"), settings))
+    return Estimate(*_barrier(vn, _natural_zeta(zeta, params, "barrier_factor")))
 
 
-def _barrier(vn: float, x: float, settings: QuadratureSettings) -> tuple[float, float]:
+def _barrier(vn: float, x: float) -> tuple[float, float]:
     """T_B and its error at strength vn = v0/(mu c^2) and natural zeta = x > 0,
     unchecked: the core of barrier_factor and, at vn = 0, of free_factor.
 
@@ -739,43 +713,38 @@ def _barrier(vn: float, x: float, settings: QuadratureSettings) -> tuple[float, 
     vn = 0, where F_B is exactly (1.0, 0.0); elsewhere it is at least F_B's
     rounding bound, 6 2^-53 |fb_val|.  F_B runs first either way, so its
     typed errors come as before.  No branch QuadratureError is lost: the
-    rule raises only at zeta below ~1e-153, far below the skip.
+    rule raises only at x below ~3e-153, far below the skip.
     """
-    fb_val, fb_err = _fb_sum(vn, x, settings)
+    fb_val, fb_err = _fb_sum(vn, x)
     if x > _SKIP_MIN_X and _branch_negligible(
         abs(vn), x, min(abs(fb_val), fb_err or _UNIT_ROUNDOFF)
     ):
         return fb_val, fb_err + _UNIT_ROUNDOFF * abs(fb_val)
-    br_val, br_err = _scaled_branch(abs(vn), x, settings)
+    br_val, br_err = _scaled_branch(abs(vn), x)
     value = fb_val + br_val
     return value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value)
 
 
-def _barrier_value(vn: float, x: float, settings: QuadratureSettings) -> float:
-    """_barrier(vn, x, settings)[0], bit for bit, without the err: the T_B
-    core of the direct route, which calls it at every node.
+def _barrier_value(vn: float, x: float) -> float:
+    """_barrier(vn, x)[0], bit for bit, without the err: the T_B core of the
+    direct route, which calls it at every node.
 
     The value is fb_val + br_val in _barrier's operations, each the half sum
-    of its rule at the a-priori size (_fb_value, _branch_value), with no
-    level test; the finer sums only feed _barrier's err.  Past x = 32 the
+    of its rule at the a-priori size (_fb_value, _branch_value); the finer
+    sums only feed _barrier's err.  Past x = 32 the
     branch-cut sum is skipped where B is below a quarter-ulp of F_B's value
     alone, since then fb_val + br_val rounds to fb_val.  For v < 0 that
     holds from x ~ 36-38, where _barrier, which must also keep its err's
     bits, sums the branch cut up to x ~ 65.  Typed errors come as from
     _barrier, F_B's first.
     """
-    fb_val = _fb_value(vn, x, settings)
+    fb_val = _fb_value(vn, x)
     if x > _SKIP_MIN_X and _branch_negligible(abs(vn), x, fb_val):
         return fb_val
-    return fb_val + _branch_value(abs(vn), x, settings) * _TWO_OVER_PI
+    return fb_val + _branch_value(abs(vn), x) * _TWO_OVER_PI
 
 
-def barrier_free_gap(
-    v0: float,
-    zeta: float,
-    params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
+def barrier_free_gap(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNITS) -> float:
     """Difference T_F(zeta) - T_B(-v0, zeta) without forming either side.
 
     Both the residue part (1 - F_B) and the branch part (quadrature of
@@ -787,8 +756,8 @@ def barrier_free_gap(
     """
     vn = _strength(v0, params, "barrier_free_gap")
     x = _natural_zeta(zeta, params, "barrier_free_gap")
-    residue_part = _fb_value(-vn, x, settings, drop_unity=True)
-    return -residue_part + _TWO_OVER_PI * _branch_value(abs(vn), x, settings, gap=True)
+    residue_part = _fb_value(-vn, x, drop_unity=True)
+    return -residue_part + _TWO_OVER_PI * _branch_value(abs(vn), x, gap=True)
 
 
 _REGIONS = ("I", "II", "III")
@@ -800,7 +769,6 @@ def region_kernel(
     zeta: float,
     barrier: BarrierSpec,
     params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> Estimate:
     """Region kernels of the barrier arrival-time operator.
 
@@ -814,11 +782,11 @@ def region_kernel(
     """
     if region not in _REGIONS:
         raise ValueError(f"region must be one of {_REGIONS}")
-    tf_val, tf_err = _barrier(0.0, _natural_zeta(zeta, params, "region_kernel"), settings)
+    tf_val, tf_err = _barrier(0.0, _natural_zeta(zeta, params, "region_kernel"))
     if region == "I":
         return Estimate(0.5 * eta * tf_val, 0.5 * abs(eta) * tf_err)
     d, v0 = (barrier.b, barrier.v0) if region == "II" else (barrier.length, -barrier.v0)
-    tb = barrier_factor(v0, zeta, params, settings)
+    tb = barrier_factor(v0, zeta, params)
     val = 0.5 * (eta + d) * tf_val - 0.5 * d * tb.value
     err = 0.5 * abs(eta + d) * tf_err + 0.5 * abs(d) * tb.err
     return Estimate(val, err)

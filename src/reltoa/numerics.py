@@ -66,7 +66,8 @@ class Estimate:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and resource caps shared by all numerical operations.
+    """Tolerances and resource caps of the adaptive integrals, the sine
+    transform and the momentum route's weights.
 
     rel_tol / abs_tol are the target relative tolerance and absolute floor;
     max_subdivisions caps the bisected segments of each adaptive integral,
@@ -75,7 +76,9 @@ class QuadratureSettings:
     max_subdivisions.  The momentum route's weights (integrate_sqrt_endpoint)
     read rel_tol alone: abs_tol no longer floors them, so a weight of 1e-80
     is judged relative to itself, and the tau rule's node cap stands in for
-    max_subdivisions.
+    max_subdivisions.  The kernel factors (T_F, F_B, the branch-cut term,
+    T_B and the T_F - T_B gap) read none of them: their trapezoid rules are
+    sized a priori and capped in reltoa.kernels.
     """
 
     rel_tol: float = 1e-10

@@ -85,7 +85,7 @@ def nested_branch_transform(packet: GaussianPacket, v0: float) -> tuple[float, f
         phi = phi_overlap(packet, zeta)
         if phi < cut * zeta:
             return 0.0
-        br, _ = branch_integral(v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+        br, _ = branch_integral(v0, zeta, NATURAL_UNITS)
         return br * phi
 
     end = packet.sigma * math.sqrt(8.0 * 745.0)  # Phi underflows past here
@@ -289,7 +289,7 @@ class TestIorDirect:
         packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
         v0 = v0_frac * params.rest_energy
         val, err = _phi_transform(
-            lambda zeta: barrier_factor(-v0, zeta, params, DEFAULT_SETTINGS).value,
+            lambda zeta: barrier_factor(-v0, zeta, params).value,
             packet, params, DEFAULT_SETTINGS, kappa_c(v0, params),
         )
         scale = params.mu * params.c / params.hbar

@@ -39,9 +39,7 @@ from reltoa.kernels import (
     region_kernel,
 )
 from reltoa.numerics import (
-    DEFAULT_SETTINGS,
     QuadratureError,
-    QuadratureSettings,
     SeriesDivergenceError,
     hyp0f1_one,
 )
@@ -139,6 +137,18 @@ class TestGbFactor:
         ref = 0.5 * (bracket**-0.5 + bracket.conjugate() ** -0.5)
         assert abs(ref.imag) < 1e-16
         assert gb_factor(v, z) == pytest.approx(ref.real, abs=1e-14)
+
+    @pytest.mark.parametrize("v0, z", [
+        (0.99999, 1.0 + 1e-8), (0.999, 1.0 + 1e-8), (-0.999, 1.0 + 1e-8), (0.99999, 1.0 + 1e-4),
+    ])
+    def test_keeps_its_digits_near_z_one_and_the_rest_energy(self, v0, z):
+        # 1 - v^2/z^2 cancels as z -> 1 and v -> 1; Re[bracket^(-1/2)] of the
+        # docstring at 40 digits, at the float z, is the reference
+        with mp.workdps(40):
+            zz, v = mp.mpf(z), mp.mpf(v0)
+            bracket = 1 - v * v / (zz * zz) + 2j * v * mp.sqrt(zz * zz - 1) / (zz * zz)
+            ref = float(mp.re(bracket ** mp.mpf(-0.5)))
+        assert gb_factor(v0, z) == pytest.approx(ref, rel=1e-15)
 
     def test_rejects_z_below_one(self):
         with pytest.raises(ValueError):
@@ -284,7 +294,7 @@ class TestFbMomentForm:
             est = fb_series(v, zeta)
             assert abs(est.value - ref) <= est.err, zeta
             assert est.err <= 2e-13 * max(1.0, abs(est.value)), zeta
-            less, err = kernels._fb_sum(v, zeta, DEFAULT_SETTINGS, True)
+            less, err = kernels._fb_sum(v, zeta, True)
             assert abs(less - (ref - 1)) <= err, zeta
 
     @pytest.mark.parametrize("v", [-0.3, 0.3, -0.6])
@@ -318,6 +328,9 @@ class TestFbMomentForm:
         # ~1e6 oscillations of cos(zeta s) need more than the largest rule
         with pytest.raises(QuadratureError, match="rule intervals"):
             fb_series(-0.3, 1e6)
+        # so does a size past the float range (1.2 zeta kappa_c > 1.8e308)
+        with pytest.raises(QuadratureError, match="rule intervals"):
+            fb_series(-0.999999, 1e308)
 
     def test_concurrent_threads_on_empty_caches_match_serial_bits(self):
         # strengths no other test uses, so their sizes, rules and moments
@@ -334,7 +347,7 @@ class TestFbMomentForm:
 
         def bits(v0, zeta):
             est = fb_series(v0, zeta)
-            less, _err = kernels._fb_sum(v0, zeta, DEFAULT_SETTINGS, True)
+            less, _err = kernels._fb_sum(v0, zeta, True)
             moments = itertools.islice(fb_moments(v0, NATURAL_UNITS), 100)
             return est.value.hex(), est.err.hex(), less.hex(), [d.hex() for d in moments]
 
@@ -442,7 +455,7 @@ class TestKernelFactorOracles:
             fb_ref = mp.re(fb_moment_oracle(-v0, zeta))  # tanh-sinh may leave 0j
             # the branch term at both signs, since G_B is even in v0
             for sign in (-1.0, 1.0):
-                br, br_err = branch_integral(sign * v0, zeta, NATURAL_UNITS, DEFAULT_SETTINGS)
+                br, br_err = branch_integral(sign * v0, zeta, NATURAL_UNITS)
                 assert abs(br - float(branch_ref)) <= br_err, (sign, zeta)
             if zeta >= ORACLE_ZETA_FLOOR["branch_integral"]:
                 assert abs(br - ORACLES.branch_integral(v0, zeta)) <= br_err, zeta
@@ -454,8 +467,8 @@ class TestKernelFactorOracles:
             # their sum bound it
             gap = barrier_free_gap(v0, zeta)
             gap_ref = 1 - fb_ref + mp_branch_oracle(0.0, zeta) - branch_ref
-            _less, fb_err = kernels._fb_sum(-v0, zeta, DEFAULT_SETTINGS, True)
-            br_gap, br_gap_err = kernels._branch_laplace(v0, zeta, DEFAULT_SETTINGS, gap=True)
+            _less, fb_err = kernels._fb_sum(-v0, zeta, True)
+            br_gap, br_gap_err = kernels._branch_laplace(v0, zeta, gap=True)
             bound = fb_err + (2.0 / math.pi) * br_gap_err + 2.0 * EPS * (
                 (2.0 / math.pi) * abs(br_gap) + abs(gap)
             )
@@ -469,16 +482,50 @@ class TestKernelFactorOracles:
             v0, zeta = vn * rest, x / scale
             tf = free_factor(zeta, params)
             assert abs(tf.value - float(1 + mp_branch_oracle(0.0, x))) <= tf.err, x
-            br, br_err = branch_integral(-v0, zeta, params, DEFAULT_SETTINGS)
+            br, br_err = branch_integral(-v0, zeta, params)
             assert abs(br - float(mp_branch_oracle(vn, x))) <= br_err, x
             tb = barrier_factor(-v0, zeta, params)
             ref = mp.re(fb_moment_oracle(-vn, x)) + mp_branch_oracle(vn, x)
             assert abs(tb.value - float(ref)) <= tb.err, x
 
     def test_rule_at_its_node_cap_raises(self):
-        # below zeta ~ 1e-220 the rule would need more than its node cap
-        with pytest.raises(QuadratureError, match="rule nodes"):
+        # below zeta ~ 4e-221 the rule would need more than its node cap (and
+        # its last node's s^2 would overflow from ~3e-153 down)
+        with pytest.raises(QuadratureError, match="needs more than 4096 rule nodes"):
             free_factor(1e-300)
+
+    @pytest.mark.parametrize("v0", [0.0, 0.3, 0.99])
+    def test_rule_reaches_down_to_its_overflow_edge(self, v0):
+        # the branch rule answers down to natural zeta 2.81e-153 (v0 = 0.3
+        # and 0.99) or 2.87e-153 (v0 = 0), where its last node's s^2 would
+        # overflow
+        above, below = 2.9e-153, 2.75e-153
+        br, br_err = branch_integral(v0, above, NATURAL_UNITS)
+        assert math.isfinite(br_err)
+        assert abs(br - float(mp_branch_oracle(v0, above))) <= br_err
+        calls = (lambda: kernels._barrier(-v0, below)[0],
+                 lambda: kernels._barrier_value(-v0, below),
+                 lambda: barrier_free_gap(v0, below))
+        outcomes = {_value_or_error(call) for call in calls}
+        assert outcomes == {
+            f"QuadratureError: branch-cut integral at x = {below} needs rule nodes whose s^2 "
+            "overflows a float"
+        }
+
+    def test_values_near_the_edge_do_not_depend_on_earlier_calls(self):
+        # a node list extended to twice its length near the edge would reach
+        # u ~ 711, where sinh overflows; a strength no other test uses
+        for key in [key for key in kernels._BRANCH_NODES if key[0] == 0.37]:
+            del kernels._BRANCH_NODES[key]
+        later = branch_integral(0.37, 3.6e-153, NATURAL_UNITS)
+        assert kernels._branch_size(0.37, 3.6e-153)[1] < kernels._branch_size(0.37, 2.9e-153)[1]
+        out = _run_bench_code(
+            "from reltoa.kernels import NATURAL_UNITS, branch_integral\n"
+            "print(*(f.hex() for z in (2.9e-153, 3.6e-153)"
+            " for f in branch_integral(0.37, z, NATURAL_UNITS)))\n"
+        )
+        first = branch_integral(0.37, 2.9e-153, NATURAL_UNITS)
+        assert out.split() == [f.hex() for f in first + later]
 
     def test_skipped_range(self):
         # zeta where T_F and T_B skip the branch-cut sum
@@ -519,8 +566,8 @@ def branch_rule_sum(a: float, x: float, level: int, gap: bool = False) -> float:
     envelope = math.exp(-x)
     if envelope == 0.0:
         return 0.0
-    _level, u_cut = kernels._branch_size(a, x)
-    n = int(u_cut * 2.0**level)
+    top, n = kernels._branch_size(a, x)
+    n >>= top - level  # level top - 1 holds the even nodes of level top
     w, c, d = kernels._branch_nodes(a, level, n)
     terms = [b * math.exp(-x * w_k) for w_k, b in zip(w[:n], d if gap else c)]
     return envelope * math.fsum(terms)
@@ -538,7 +585,7 @@ def scaled_branch(a: float, x: float) -> tuple[float, float]:
     """branch_integral's (value, err) at strength a and natural zeta x, in
     its operations, the branch-cut sum always summed: the value on the half
     rule, one level below the a-priori one, the err the err path's."""
-    _br_val, br_err = kernels._branch_laplace(a, x, DEFAULT_SETTINGS)
+    _br_val, br_err = kernels._branch_laplace(a, x)
     br_val = TWO_OVER_PI * branch_rule_sum(a, x, kernels._branch_size(a, x)[0] - 1)
     return br_val, TWO_OVER_PI * br_err + 2.0 * EPS * abs(br_val)
 
@@ -548,7 +595,7 @@ def composed_barrier(vn: float, x: float) -> tuple[float, float]:
     operations of the T_B core before it could skip the sum: each value is
     its half rule's sum (the n/2-interval theta rule, the branch-cut level
     below the a-priori one) and each err the err path's."""
-    _fb_val, fb_err = kernels._fb_sum(vn, x, DEFAULT_SETTINGS)
+    _fb_val, fb_err = kernels._fb_sum(vn, x)
     br_val, br_err = scaled_branch(abs(vn), x)
     value = fb_rule_sum(vn, x, rule_sizes(vn, x)[0] // 2) + br_val
     return value, fb_err + br_err + EPS * abs(value)
@@ -597,9 +644,9 @@ class TestBranchSkip:
             value, err = composed_barrier(vn, x)
         except (QuadratureError, SeriesDivergenceError) as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                kernels._barrier(vn, x, DEFAULT_SETTINGS)
+                kernels._barrier(vn, x)
         else:
-            got = kernels._barrier(vn, x, DEFAULT_SETTINGS)
+            got = kernels._barrier(vn, x)
             assert [f.hex() for f in got] == [value.hex(), err.hex()]
         tf = free_factor(x)
         assert [tf.value.hex(), tf.err.hex()] == [f.hex() for f in composed_free(x)]
@@ -609,7 +656,7 @@ class TestBranchSkip:
         # from the kernel's 2/(pi zeta) regime to exp's underflow
         for i in range(400):
             x = 1e-3 * 745e3 ** (i / 399)
-            val, err = branch_integral(a, x, NATURAL_UNITS, DEFAULT_SETTINGS)
+            val, err = branch_integral(a, x, NATURAL_UNITS)
             bound = kernels._branch_bound(a, x)
             assert abs(val) <= bound and err <= bound, x
 
@@ -660,16 +707,16 @@ class TestBranchSkip:
     @example(vn=0.5, x=746.0)
     @example(vn=0.95, x=760.0)
     def test_value_core_matches_barrier_bits(self, vn, x):
-        expected = _value_or_error(lambda: kernels._barrier(vn, x, DEFAULT_SETTINGS)[0])
+        expected = _value_or_error(lambda: kernels._barrier(vn, x)[0])
         assert _value_or_error(lambda: composed_barrier(vn, x)[0]) == expected
-        got = _value_or_error(lambda: kernels._barrier_value(vn, x, DEFAULT_SETTINGS))
+        got = _value_or_error(lambda: kernels._barrier_value(vn, x))
         assert got == expected
 
     def test_value_core_skips_from_the_value_onset(self, monkeypatch):
         # at (-0.1, 40) B is below a quarter-ulp of F_B's value, not of its err
-        expected = kernels._barrier_value(-0.1, 40.0, DEFAULT_SETTINGS)
+        expected = kernels._barrier_value(-0.1, 40.0)
         monkeypatch.setattr(kernels, "_branch_laplace", _no_branch_sum)
-        assert kernels._barrier_value(-0.1, 40.0, DEFAULT_SETTINGS).hex() == expected.hex()
+        assert kernels._barrier_value(-0.1, 40.0).hex() == expected.hex()
         with pytest.raises(AssertionError, match="branch-cut sum called"):
             barrier_factor(-0.1, 40.0)
 
@@ -687,11 +734,11 @@ class _LevelLog(dict):
 
 
 def _branch_rule_run(call, vn: float, x: float, gap: bool):
-    """call(vn, x, DEFAULT_SETTINGS, gap)'s value in float.hex, and the rule
+    """call(vn, x, gap)'s value in float.hex, and the rule
     levels it looked up."""
     log = _LevelLog(kernels._BRANCH_NODES)
     with unittest.mock.patch.object(kernels, "_BRANCH_NODES", log):
-        value = call(vn, x, DEFAULT_SETTINGS, gap)
+        value = call(vn, x, gap)
     return (value[0] if isinstance(value, tuple) else value).hex(), set(log.levels)
 
 
@@ -711,7 +758,7 @@ def _half_and_full(v0: float, zeta: float, params: PhysicalParams):
     try:
         tb = barrier_factor(v0, zeta, params)
     except (QuadratureError, SeriesDivergenceError) as exc:
-        for call in (lambda: kernels._barrier_value(vn, x, DEFAULT_SETTINGS),
+        for call in (lambda: kernels._barrier_value(vn, x),
                      lambda: barrier_free_gap(-v0, zeta, params)):
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 call()
@@ -720,22 +767,61 @@ def _half_and_full(v0: float, zeta: float, params: PhysicalParams):
     a = abs(vn)
     full = fb_rule_sum(vn, x, n) + TWO_OVER_PI * branch_rule_sum(a, x, level)
     gap = barrier_free_gap(-v0, zeta, params)
-    _less, fb_err = kernels._fb_sum(vn, x, DEFAULT_SETTINGS, True)
-    br_gap, br_gap_err = kernels._branch_laplace(a, x, DEFAULT_SETTINGS, gap=True)
+    _less, fb_err = kernels._fb_sum(vn, x, True)
+    br_gap, br_gap_err = kernels._branch_laplace(a, x, gap=True)
     gap_full = -fb_rule_sum(vn, x, n, True) + TWO_OVER_PI * branch_rule_sum(a, x, level, True)
     gap_err = fb_err + TWO_OVER_PI * br_gap_err + 2.0 * EPS * (
         TWO_OVER_PI * abs(br_gap) + abs(gap)
     )
-    half = kernels._barrier_value(vn, x, DEFAULT_SETTINGS)
+    half = kernels._barrier_value(vn, x)
     return (vn, x), (half, full, tb), (gap, gap_full, gap_err)
 
 
+def branch_rule_parts(a: float, x: float, gap: bool) -> tuple[float, float]:
+    """(|T_h - T_2h|, T_h's rounding bound) of the branch-cut rule at its
+    a-priori level, in _branch_laplace's operations before the factor e^-x,
+    which must give its err bit for bit as e^-x times their sum."""
+    level, n = kernels._branch_size(a, x)
+    w, c, d = kernels._branch_nodes(a, level, n)
+    decay = [math.exp(-x * w_k) for w_k in w[:n]]
+    terms = [b * e for b, e in zip(d if gap else c, decay)]
+    scales = [c_k * e + abs(t) for c_k, e, t in zip(c, decay, terms)] if gap else terms
+    trunc = abs(math.fsum(terms[0::2]) - math.fsum(terms[1::2]))
+    rounding = EPS * ((12.0 + 2.0 * x) * sum(scales)
+                      + 8.0 * x * sum(s * w_k for s, w_k in zip(scales, w)))
+    assert math.exp(-x) * (trunc + rounding) == kernels._branch_laplace(a, x, gap)[1]
+    return trunc, rounding
+
+
+def assert_rules_settled(vn: float, x: float) -> None:
+    """At (vn, x), natural units, both rules at their a-priori sizes, for T_B
+    and for the gap, have |T_h - T_2h| within T_h's rounding bound: the
+    invariant that lets each err path make one pass and each value core
+    sum only the half.  A rule that raises a typed error is not checked."""
+    for drop_unity in (False, True) if vn else ():
+        try:
+            rule = kernels._fb_rule(vn, kernels._fb_size(vn, x))
+            _half, trunc, rounding = rule.evaluate(x, drop_unity)
+        except (QuadratureError, SeriesDivergenceError):
+            continue
+        assert trunc <= rounding, ("F_B", drop_unity)
+    if math.exp(-x) == 0.0:
+        return
+    for gap in (False, True):
+        try:
+            trunc, rounding = branch_rule_parts(abs(vn), x, gap)
+        except QuadratureError:
+            continue
+        assert trunc <= rounding, ("branch", gap)
+
+
 class TestHalfRuleValue:
-    """Each kernel value is its rules' half sum at their a-priori sizes, with
-    no level test: the value cores (_barrier_value, barrier_free_gap) rest
-    on the sizing alone, and the err paths (_barrier, _fb_sum,
-    _branch_laplace) return the same bits with |T_h - T_2h| plus T_h's
-    rounding bound as the err."""
+    """Each kernel value is its rules' half sum at their a-priori sizes, in
+    one pass: the value cores (_barrier_value, barrier_free_gap) rest on the
+    sizing alone, and the err paths (_barrier, _fb_sum, _branch_laplace)
+    return the same bits with |T_h - T_2h| plus T_h's rounding bound as the
+    err.  At those sizes |T_h - T_2h| is within that bound
+    (assert_rules_settled)."""
 
     @given(
         vn=st.floats(min_value=-0.999, max_value=0.999, exclude_min=True, exclude_max=True),
@@ -754,6 +840,7 @@ class TestHalfRuleValue:
         expected, expected_levels = _branch_rule_run(kernels._branch_laplace, abs(vn), x, gap)
         assert value == expected
         assert levels == expected_levels and len(levels) <= 1
+        assert_rules_settled(vn, x)
 
     @given(
         v=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
@@ -770,7 +857,8 @@ class TestHalfRuleValue:
                                params)
         if found is None:
             return
-        _point, (half, full, tb), (gap, gap_full, gap_err) = found
+        (vn, xn), (half, full, tb), (gap, gap_full, gap_err) = found
+        assert_rules_settled(vn, xn)
         assert half == tb.value
         assert abs(half - full) <= tb.err
         assert abs(gap - gap_full) <= gap_err
@@ -788,6 +876,7 @@ class TestHalfRuleValue:
         if found is None:
             return
         (vn, xn), (half, _full, tb), (gap, _gap_full, gap_err) = found
+        assert_rules_settled(vn, xn)
         # tanh-sinh may leave 0j; F_B(0, x) is 1 exactly
         fb_ref = mp.re(fb_moment_oracle(vn, xn)) if vn else mp.mpf(1)
         branch_ref = mp_branch_oracle(abs(vn), xn)
@@ -807,8 +896,8 @@ class TestHalfRuleValue:
         # zeta x* ~ 710.5 for v > 0, where F_B leaves the float range
         (0.3, 994.86, None),
         (0.3, 994.87, SeriesDivergenceError),
-        # where the branch-cut rule raises at small zeta, and where its next
-        # level would pass the node cap
+        # where the branch-cut rule's last node would overflow s^2 at small
+        # zeta, and on both sides of where its level's nodes pass half the cap
         (0.0, 8e-154, QuadratureError),
         (-0.3, 8e-154, QuadratureError),
         (0.0, 3.4e-153, None),
@@ -816,16 +905,17 @@ class TestHalfRuleValue:
         (-0.3, 5.4e-110, None),
     ])
     def test_value_cores_match_the_err_paths_at_the_caps(self, vn, x, outcome):
-        # where the err path's rule may double or raise, the value cores take
-        # its value or raise its error
-        expected = _value_or_error(lambda: kernels._barrier(vn, x, DEFAULT_SETTINGS)[0])
-        assert _value_or_error(lambda: kernels._barrier_value(vn, x, DEFAULT_SETTINGS)) == expected
+        # both paths take the rule sizes, and their typed errors, from
+        # _fb_size and _branch_size, and one pass of the rules settles there
+        expected = _value_or_error(lambda: kernels._barrier(vn, x)[0])
+        assert _value_or_error(lambda: kernels._barrier_value(vn, x)) == expected
         assert expected.startswith(outcome.__name__) if outcome else "Error" not in expected
         expected_gap = _value_or_error(
-            lambda: -kernels._fb_sum(vn, x, DEFAULT_SETTINGS, True)[0]
-            + TWO_OVER_PI * kernels._branch_laplace(abs(vn), x, DEFAULT_SETTINGS, gap=True)[0]
+            lambda: -kernels._fb_sum(vn, x, True)[0]
+            + TWO_OVER_PI * kernels._branch_laplace(abs(vn), x, gap=True)[0]
         )
         assert _value_or_error(lambda: barrier_free_gap(-vn, x)) == expected_gap
+        assert_rules_settled(vn, x)
 
 
 def mpf_sum_oracle(terms) -> float:
@@ -923,7 +1013,7 @@ class TestFbExactSum:
 
         def evaluate(module, zeta):
             monkeypatch.setattr(kernels, "math", module)
-            val, err = kernels._fb_sum(v, zeta, DEFAULT_SETTINGS, drop_unity)
+            val, err = kernels._fb_sum(v, zeta, drop_unity)
             return val.hex(), err.hex()
 
         for zeta in zetas:
@@ -1049,7 +1139,7 @@ class TestBranchProfile:
         vn = 0.27
         for key in [key for key in kernels._BRANCH_NODES if key[0] == vn]:
             del kernels._BRANCH_NODES[key]
-        first = branch_integral(-vn, 2.0, NATURAL_UNITS, DEFAULT_SETTINGS)
+        first = branch_integral(-vn, 2.0, NATURAL_UNITS)
         built = {key: nodes for key, nodes in kernels._BRANCH_NODES.items() if key[0] == vn}
         assert built
         delta = 1.0 - vn
@@ -1063,7 +1153,7 @@ class TestBranchProfile:
                 assert w_k == pytest.approx(math.expm1(0.5 * math.log1p(s * s)), rel=1e-14)
                 assert c_k == pytest.approx(jacobian * gb_factor(vn, z), rel=1e-13)
                 assert c_k + d_k == pytest.approx(jacobian, rel=1e-15)
-        assert branch_integral(vn, 2.0, NATURAL_UNITS, DEFAULT_SETTINGS) == first
+        assert branch_integral(vn, 2.0, NATURAL_UNITS) == first
         assert all(kernels._BRANCH_NODES[key] is nodes for key, nodes in built.items())
 
     def test_concurrent_threads_match_serial_bits(self):
@@ -1143,7 +1233,7 @@ class TestKernelArguments:
             "barrier_factor": lambda v0: barrier_factor(v0, 1.0),
             "fb_series": lambda v0: fb_series(v0, 1.0),
             "branch_integral": lambda v0: branch_integral(
-                v0, 1.0, NATURAL_UNITS, DEFAULT_SETTINGS
+                v0, 1.0, NATURAL_UNITS
             ),
             "barrier_free_gap": lambda v0: barrier_free_gap(v0, 1.0),
         }
