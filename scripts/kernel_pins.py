@@ -19,7 +19,7 @@ on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
 and 9, three barriers up to v0 = 0.99 and three k0; beside its CPU time the
 script prints the grid's T_B calls, counted by wrapping the direct route's
 T_B core (counting_barrier_calls), and the F_B and branch-cut nodes each
-T_B value sums, counted by wrapping the two value cores under it
+T_B value sums, counted by wrapping the two rule sums under it
 (counting_kernel_nodes); beside them come the same counts for Table 1's
 seven v0 = 0.3 direct cells (TABLE1_DIRECT_CELLS) and for the two direct
 cells of the wide_packets benchmark (WIDE_DIRECT_CELLS).  The momentum pin,
@@ -33,9 +33,9 @@ F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
 call of ``reltoa.kernels._fb_sum``, ``barrier_factor`` and
 ``reltoa.kernels._barrier_value``, the direct route's core (their rules
 cached, best of a few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150,
-with the number of F_B rule intervals each call uses.  At v = -0.1 and
-zeta = 50 the value core already skips the branch-cut sum, which
-barrier_factor skips only from zeta ~ 65.
+with the number of intervals of the F_B rule each call sums.  From zeta
+~ 36 at v = -0.1, and at every zeta past 32 at v = +0.1, barrier_factor and
+the value core both skip the branch-cut sum.
 
 Run from the repository root:
 
@@ -215,27 +215,27 @@ def counting_barrier_calls():
 def counting_kernel_nodes():
     """Count the F_B and branch-cut nodes that T_B values sum within the block.
 
-    Yields a two-item list: each call of reltoa.kernels._fb_value adds the
-    n/2 + 1 nodes of its half rule, n its a-priori size (kernels._fb_size),
-    and each call of _branch_value the n // 2 even nodes of its a-priori
-    level's n (kernels._branch_size).  The cores are restored on exit.
+    Yields a two-item list: each call of reltoa.kernels._fb_sum adds the
+    n + 1 nodes of its rule, n its a-priori intervals (kernels._fb_size),
+    and each call of _branch_value the n nodes of its a-priori rule
+    (kernels._branch_size).  The sums are restored on exit.
     """
     counts = [0, 0]
-    fb_value, branch_value = kernels._fb_value, kernels._branch_value
+    fb_sum, branch_value = kernels._fb_sum, kernels._branch_value
 
     def fb_counted(vn, x, drop_unity=False):
-        counts[0] += kernels._fb_size(vn, x) // 2 + 1 if vn else 0
-        return fb_value(vn, x, drop_unity)
+        counts[0] += kernels._fb_size(vn, x) + 1 if vn else 0
+        return fb_sum(vn, x, drop_unity)
 
     def branch_counted(vn, x, gap=False):
-        counts[1] += kernels._branch_size(vn, x)[1] // 2
+        counts[1] += kernels._branch_size(vn, x)[1]
         return branch_value(vn, x, gap)
 
-    kernels._fb_value, kernels._branch_value = fb_counted, branch_counted
+    kernels._fb_sum, kernels._branch_value = fb_counted, branch_counted
     try:
         yield counts
     finally:
-        kernels._fb_value, kernels._branch_value = fb_value, branch_value
+        kernels._fb_sum, kernels._branch_value = fb_sum, branch_value
 
 
 def direct_counts(cells) -> tuple[int, int, int]:
@@ -312,8 +312,9 @@ def momentum_digest(grid: dict) -> str:
 
 
 def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
-    """(F_B rule intervals, best warm CPU seconds per call of _fb_sum,
-    barrier_factor and _barrier_value) at (v, zeta), natural units."""
+    """(intervals of the F_B rule summed, best warm CPU seconds per call of
+    _fb_sum, barrier_factor and _barrier_value) at (v, zeta), natural
+    units."""
     # drop the rules of strength v, so that the sizes this call builds show
     for key in [key for key in kernels._FB_RULES if key[0] == v]:
         del kernels._FB_RULES[key]

@@ -132,10 +132,9 @@ def ior_direct(
     R_c = (mu c / hbar) * int_0^inf sin(k0 zeta) T_B(-v0, zeta) Phi(zeta) dzeta.
     The cell is checked once; each node takes barrier_factor's value, bit
     for bit, from kernels._barrier_value at the natural zeta barrier_factor
-    forms.  That core forms no err: it sums only the half of each kernel
-    rule that is the value, and past natural zeta ~ 36-38 it drops the
-    branch-cut sum wherever the sum cannot move the value, where
-    barrier_factor keeps it up to ~ 65 for its err's bits.
+    forms.  That core forms no branch-cut err, and past natural zeta
+    ~ 34-39 it drops the branch-cut sum wherever the sum cannot move the
+    value, as barrier_factor does.
     The sine transform is one adaptive G10/K21 run over Phi's closed-form
     window, seeded at each period of the faster of sin(k0 zeta) and T_B's
     cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F has none, so its

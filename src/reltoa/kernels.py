@@ -18,14 +18,11 @@ F_B = (2/pi) int_0^(pi/2) g(theta) C(zeta s) dtheta
 with g = E sqrt((E + 1 + a)/(E + 1 - a)) for v < 0 and
 E sqrt((E + 1 - a)/(E + 1 + a)) for v > 0, smooth and positive, and C = cos
 or cosh.  The theta-integrand is even and periodic, so the trapezoid rule
-converges spectrally, and its nodes nest under doubling: the n/2-interval
-sum is twice the n-interval rule's even-indexed half.  n is sized a priori
-from zeta and from each strength's reach and analytic strip, cached per v,
-so that the n/2-interval sum is already exact to rounding: that half sum
-is the value, and the odd half only feeds the err, |T_n - T_(n/2)| plus
-T_n's rounding bound.  The node pairs (w_k g_k, s_k) are cached per
-(v, n), all in the standard library.  Every value is a pure function of
-its arguments, whichever calls or threads came first.
+converges spectrally (Trefethen and Weideman, SIAM Rev. 56 (2014) 385).
+Its size is set a priori from zeta and from each strength's reach and
+analytic strip (_fb_size), and its node pairs (w_k g_k, s_k) are cached
+per (v, n), all in the standard library.  Every value is a pure function
+of its arguments, whichever calls or threads came first.
 
 The series route keeps the power series F_B = sum_p D_p zeta^(2p)/(2p)!
 termwise.  Its coefficients are the moments
@@ -38,51 +35,39 @@ for T_F, G_B for T_B, 1 - G_B for the gap T_F - T_B) and the series route's
 branch transform run on one nested trapezoid rule per strength.  Under
 z = hypot(1, s), s = delta sinh(u), delta = 1 - |v|/(mu c^2), the integrand
 is even in u, analytic in |Im u| < pi/2 at every strength and decays doubly
-exponentially, so the rule at u_k = k 2^-m converges exponentially
-(Trefethen and Weideman, SIAM Rev. 56 (2014) 385).  Its nodes are cached
-per (|v|/(mu c^2), m) and extended lazily.  m is sized a priori so that the
-half rule, step 2^(1-m), is already exact to rounding: its sum, twice the
-even-k nodes of level m, is the value, and the odd ones only feed the err,
-|T_h - T_2h| plus T_h's rounding bound.  A value sums only the nodes its
-arguments select, however far the lists were extended.
+exponentially, so the rule at u_k = k 2^-m converges exponentially.  Its
+nodes are cached per (|v|/(mu c^2), m) and extended lazily; m is sized a
+priori (_branch_size).  A value sums only the nodes its arguments select,
+however far the lists were extended.
 
-Either err bounds the half value's error: by the identity
-fl(T_2h) - I = [fl(T_2h) - fl(T_h)] + [fl(T_h) - T_h] + [T_h - I], the
-computed difference already carries the half sum's own rounding, T_h's
-bound covers the second term, and the third is far below rounding at the
-a-priori sizes.
+Each err is its value rule's rounding bound, plus B where T_B skips the
+branch-cut sum (below).  That rounding bound bounds the error because
+of the a-priori sizing: each rule is exact to rounding, its sum within its
+own rounding bound of the rule with twice the nodes, which the tests check
+over |v| < 1 and zeta up to 750 (assert_rules_settled in the kernel tests).
+No level test runs: _fb_size and _branch_size pick each rule's one size,
+and raise QuadratureError past the cap, more than 32,768 F_B intervals or
+4,096 branch-cut nodes in the rule of twice the nodes, or where that
+rule's last node would overflow s^2 (natural zeta below 2.6e-153 to
+3.0e-153, by strength).
 
 T_F is T_B at v = 0: there F_B = 1 and G_B = 1 exactly, so free_factor
 is the T_B core at zero height.  Past natural zeta x = 32 that core skips
-the branch-cut sum where it cannot change a bit.  Since sqrt(z^2-1)/z <= 1
-and 0 < G_B <= G_max = (1 - v^2)^(-1/2), the integral is at most
-G_max e^-x/x; twice that, times 2/pi, is a bound B on the scaled branch
-value and on its err.  Where B is below a quarter-ulp of F_B's value and of
-its err (at v = 0, where F_B is exactly (1.0, 0.0): of 1.0 and of 2^-53),
-adding the term and its err rounds to the floats without them, so those are
-returned, bit for bit.  At strengths up to 0.999 the skip first fires
-near x = 36 for v > 0, 64 for v < 0 and 70 at v = 0.
-The direct route reads T_B's value alone, so its core skips where B is
-below a quarter-ulp of F_B's value, whatever the err: for v < 0 from
-x ~ 36-38 on.  _branch_negligible holds the quarter-ulp test for both cores.
+the branch-cut sum where it cannot change the value's bits.  Since
+sqrt(z^2-1)/z <= 1 and 0 < G_B <= G_max = (1 - v^2)^(-1/2), the integral is
+at most G_max e^-x/x; twice that, times 2/pi, is a bound B on the scaled
+branch value and on its err.  Where B is below a quarter-ulp of F_B's
+value, adding the term rounds back to F_B's value, which is returned, and
+B joins the err in place of the branch term's (_branch_negligible).  The
+skip first fires near x = 34 at v = 0, 35-39 for v < 0 up to -0.999 and
+at x = 32 for v > 0.
 
-Each rule has one size: _fb_size and _branch_size pick it and check its
-reach, and raise QuadratureError past the cap, more than 32,768 F_B
-intervals or 4,096 branch-cut nodes, or where the branch rule's last node
-would overflow s^2 (natural zeta below 2.6e-153 to 3.0e-153, by strength).  Each rule then has an
-err path and a value core, each one pass at that size.  The err paths
-(_fb_sum, _branch_laplace) sum both halves and return the half sum with
-its err; the value cores (_fb_value, _branch_value) sum the even half
-alone, so half the nodes, and return the same bits.  No level test runs:
-at the a-priori sizes |T_h - T_2h| is within T_h's rounding bound, which
-the tests check over |v| < 1 and zeta up to 750.
 The kernel-factor entries check each argument once (_strength,
 _natural_zeta) and hand the strength and zeta, in natural units, to their
-core: T_F and T_B to _barrier, on the err paths; the direct route calls
-_barrier_value, the same value on the value cores, at every node of its
-sine transform, after checking the cell once, and toa_difference calls
-barrier_free_gap, on the value cores too.  No kernel factor reads a
-quadrature setting.
+core: T_F and T_B to _barrier; the direct route calls _barrier_value, the
+same value without the branch term's err, at every node of its sine
+transform, after checking the cell once, and toa_difference calls
+barrier_free_gap.  No kernel factor reads a quadrature setting.
 """
 
 from __future__ import annotations
@@ -186,7 +171,7 @@ def free_factor(zeta: float, params: PhysicalParams = NATURAL_UNITS) -> Estimate
     Strictly decreasing in zeta, -> 1 as zeta -> inf, and diverging like
     2*hbar/(pi*mu*c*zeta) as zeta -> 0+.  It is T_B(0, zeta), bit for bit:
     _barrier at zero height, where F_B = (1.0, 0.0) and G_B = 1, so it
-    skips the branch-cut sum from x ~ 70 on.
+    skips the branch-cut sum from natural zeta x ~ 34 on.
     """
     return Estimate(*_barrier(0.0, _natural_zeta(zeta, params, "free_factor")))
 
@@ -204,10 +189,15 @@ def _strength(v0: float, params: PhysicalParams, name: str) -> float:
 
 
 def _natural_zeta(zeta: float, params: PhysicalParams, name: str) -> float:
-    """mu c zeta/hbar, once 0 < zeta < inf."""
+    """mu c zeta/hbar, once 0 < zeta < inf and that product is > 0: it
+    underflows to 0 where zeta is below the smallest float times
+    hbar/(mu c), and the kernels diverge at zeta = 0."""
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"{name} requires zeta > 0, got {zeta}")
-    return params.mu * params.c * zeta / params.hbar
+    x = params.mu * params.c * zeta / params.hbar
+    if not x > 0.0:
+        raise ValueError(f"{name} requires mu c zeta/hbar > 0, got {zeta} in {params}")
+    return x
 
 
 def gb_factor(
@@ -279,72 +269,56 @@ def _fb_nodes(v: float, n: int) -> list[tuple[float, float, float]]:
 
 
 class _FbRule:
-    """The n-interval trapezoid rule for F_B(v, .), v in units of mu c^2.
-
-    Every node list is kept as its even- and odd-indexed halves: with the
-    n-interval weights, T_(n/2) = 2 * even and T_n = even + odd.  The value
-    is T_(n/2), the half sum; the odd half only feeds the err.  F_B sums the
-    (w_k g_k, s_k) pairs of each half; F_B - 1 the columns s, m, w2.
-    """
+    """The n-interval trapezoid rule for F_B(v, .), v in units of mu c^2:
+    F_B sums its (w_k g_k, s_k) pairs, F_B - 1 its columns s, m, w2."""
 
     __slots__ = ("v", "cosine", "reach", "pairs", "s", "m", "w2", "c_sum", "cs_sum")
 
     def __init__(self, v: float, n: int) -> None:
         nodes = _fb_nodes(v, n)
-        s = [node[0] for node in nodes]
+        s = tuple(node[0] for node in nodes)
         c = [w * math.exp(ln_g) for _s, ln_g, w in nodes]  # w g
-        m = [w * math.expm1(ln_g) for _s, ln_g, w in nodes]  # w (g - 1)
-        w2 = [2.0 * w for _s, _ln_g, w in nodes]
         self.v, self.cosine, self.reach = v, v < 0.0, s[-1]
-        self.pairs = tuple(tuple(zip(c[half::2], s[half::2])) for half in (0, 1))
-        self.s, self.m, self.w2 = ((tuple(q[0::2]), tuple(q[1::2])) for q in (s, m, w2))
+        self.pairs = tuple(zip(c, s))
+        self.s = s
+        self.m = tuple(w * math.expm1(ln_g) for _s, ln_g, w in nodes)  # w (g - 1)
+        self.w2 = tuple(2.0 * w for _s, _ln_g, w in nodes)
         self.c_sum = math.fsum(c)
         self.cs_sum = math.fsum(map(operator.mul, c, s))
 
-    def half_sum(self, x: float, drop_unity: bool, half: int = 0) -> float:
-        """Twice the fsum of the even (half 0) or odd (half 1) nodes' terms
-        at natural zeta x: the n/2-interval rule's sum on those nodes.
+    def evaluate(self, x: float, drop_unity: bool) -> tuple[float, float]:
+        """The rule's sum at natural zeta x and its rounding bound.
 
         C is cos for v < 0 and cosh for v > 0.  With drop_unity the terms
         are those of F_B - 1, summed as (g - 1) C(x s) -+ 2 S(x s / 2)^2
         (S = sin or sinh), since the weights sum to one.  A sum that leaves
-        the float range raises SeriesDivergenceError.
+        the float range raises SeriesDivergenceError; past it no cosh(x
+        reach) overflows, since the last node is s = reach.  The bound
+        allows 6 units of roundoff per node value and 6 per unit of x * s
+        in C's argument, whose rounding C amplifies.
         """
         fn, half_fn = (math.cos, math.sin) if self.cosine else (math.cosh, math.sinh)
         try:
             if drop_unity:
-                s, m, w2 = self.s[half], self.m[half], self.w2[half]
-                scaled = math.fsum(map(operator.mul, m, map(fn, map(x.__mul__, s))))
-                halves = [t * t for t in map(half_fn, map((0.5 * x).__mul__, s))]
-                unity = math.fsum(map(operator.mul, w2, halves))
-                total = 2.0 * (scaled - unity if self.cosine else scaled + unity)
+                scaled = math.fsum(map(operator.mul, self.m, map(fn, map(x.__mul__, self.s))))
+                halves = [t * t for t in map(half_fn, map((0.5 * x).__mul__, self.s))]
+                unity = math.fsum(map(operator.mul, self.w2, halves))
+                total = scaled - unity if self.cosine else scaled + unity
             else:
-                total = 2.0 * math.fsum([c * fn(x * s) for c, s in self.pairs[half]])
+                total = math.fsum([c * fn(x * s) for c, s in self.pairs])
         except OverflowError:
             total = math.inf
         if math.isinf(total):
             raise SeriesDivergenceError(f"F_B({self.v}, {x}) overflows a float")
-        return total
-
-    def evaluate(self, x: float, drop_unity: bool) -> tuple[float, float, float]:
-        """(T_(n/2), |T_n - T_(n/2)|, T_n's rounding bound) at natural zeta x.
-
-        The bound allows 6 units of roundoff per node value and 6 per unit
-        of x * s in C's argument, whose rounding C amplifies.  The even half
-        goes first: it holds the node of largest s, so past it no term and
-        no cosh(x reach) overflows.
-        """
-        even, odd = self.half_sum(x, drop_unity), self.half_sum(x, drop_unity, 1)
         y_max = x * self.reach
         if self.cosine:
             scale = 6.0 * self.c_sum + 6.0 * x * self.cs_sum
             if drop_unity:
                 scale += 12.0 + 6.0 * y_max
         else:
-            # positive terms, each at most its weight times cosh(y_max);
-            # 6 (1 + y_max) per unit of T_n = (even + odd)/2
-            scale = (3.0 + 3.0 * y_max) * (4.0 * math.cosh(y_max) if drop_unity else even + odd)
-        return even, 0.5 * abs(odd - even), _UNIT_ROUNDOFF * scale
+            # positive terms, each at most its weight times cosh(y_max)
+            scale = (6.0 + 6.0 * y_max) * (2.0 * math.cosh(y_max) if drop_unity else total)
+        return total, _UNIT_ROUNDOFF * scale
 
 
 _FB_RULES: dict[tuple[float, int], _FbRule] = {}
@@ -365,20 +339,21 @@ _FB_STRENGTHS: dict[float, tuple[float, float]] = {}
 
 def _fb_size(vn: float, x: float) -> int:
     """The a-priori rule size at strength vn != 0 and natural zeta x, or
-    QuadratureError where it passes _FB_MAX_INTERVALS.
+    QuadratureError where n passes _FB_MAX_INTERVALS.
 
-    The rule has the least power of two n >= 1.2 * y_max + 16 and
-    >= 20 / eta, at least 32 intervals.  y_max = x * reach counts the
+    The rule has n/2 intervals, n the least power of two >= 1.2 * y_max
+    + 16 and >= 20 / eta, at least 32.  y_max = x * reach counts the
     oscillations (growth, for v > 0) of C(x s) over the rule.  eta is the
     half-width of the strip about the real theta-axis in which g is
     analytic, set by the branch point of E: sinh(eta) = 1/kappa_c for
-    v < 0 and cosh(eta) = 1/x* for v > 0, which narrows as v -> +1.  At
-    that size the n/2-interval half rule already reaches rounding level, so
-    its sum is F_B's value and the n-interval rule only feeds the err; the
-    half values are tested within err of the n-interval sum and of an
-    mpmath oracle over |v| < 1 and zeta up to 750.  The cap is passed for
-    v > 0 from v ~ 0.9994 and for v < 0 from zeta kappa_c ~ 27,300.  reach
-    and the least size are cached per strength.
+    v < 0 and cosh(eta) = 1/x* for v > 0, which narrows as v -> +1.  The
+    trapezoid error falls geometrically in n at a rate set by eta, so at
+    that size the n/2-interval rule is exact to rounding: it differs from
+    the n-interval rule by less than its own rounding bound, which the
+    tests check over |v| < 1 and zeta up to 750, and its sum is F_B with
+    that bound as the err.  The cap is passed for v > 0 from v ~ 0.9994
+    and for v < 0 from zeta kappa_c ~ 27,300.  reach and the least size
+    are cached per strength.
     """
     strength = _FB_STRENGTHS.get(vn)
     if strength is None:
@@ -392,30 +367,16 @@ def _fb_size(vn: float, x: float) -> int:
     n = 1 << math.ceil(math.log2(need))
     if n > _FB_MAX_INTERVALS:
         raise QuadratureError(f"F_B({vn}, {x}) needs more than {_FB_MAX_INTERVALS} rule intervals")
-    return n
+    return n >> 1
 
 
 def _fb_sum(vn: float, x: float, drop_unity: bool = False) -> tuple[float, float]:
     """F_B (or F_B - 1) at strength vn = v/(mu c^2) and natural zeta = x,
-    with its error estimate: the err path.
-
-    One pass of the a-priori rule (_fb_size): the value is the half sum
-    T_(n/2); the error is |T_n - T_(n/2)| plus T_n's rounding bound, which
-    bounds the half sum's error: the computed difference carries the half
-    sum's own rounding (see the module docstring).
-    """
+    with its error estimate: one pass of the a-priori rule (_fb_size), whose
+    err is the rule's rounding bound, a few operations beside the sum."""
     if vn == 0.0:
         return (0.0 if drop_unity else 1.0), 0.0
-    value, trunc, rounding = _fb_rule(vn, _fb_size(vn, x)).evaluate(x, drop_unity)
-    return value, trunc + rounding
-
-
-def _fb_value(vn: float, x: float, drop_unity: bool = False) -> float:
-    """_fb_sum(vn, x, drop_unity)[0], bit for bit, without the err: 2 x the
-    even half of the a-priori rule."""
-    if vn == 0.0:
-        return 0.0 if drop_unity else 1.0
-    return _fb_rule(vn, _fb_size(vn, x)).half_sum(x, drop_unity)
+    return _fb_rule(vn, _fb_size(vn, x)).evaluate(x, drop_unity)
 
 
 # D_p per (v in units of mu c^2, mu c / hbar): the D_p so far, the weights
@@ -476,7 +437,10 @@ def fb_series(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNITS) ->
 
     The physics callers pass v0 = -V_o for a barrier of height V_o (the
     kernel is stated for T_B(-V_o, zeta)); passing +V_o yields the F_B
-    entering T_B(+V_o, zeta).  |v0| must lie below the rest energy.
+    entering T_B(+V_o, zeta).  |v0| must lie below the rest energy.  F_B
+    is finite at zeta = 0, so zeta = 0, and a zeta whose natural value
+    underflows to 0, give F_B(v0, 0).  The err is the theta rule's
+    rounding bound (see _fb_size).
     """
     vn = _strength(v0, params, "fb_series")
     if not 0.0 <= zeta < math.inf:
@@ -491,8 +455,8 @@ _BRANCH_MAX_NODES = 1 << 12  # per Laplace integral
 
 
 # the branch-cut sum is skipped only past this natural zeta, a little below
-# where a skip first fires (x ~ 36); below it the check costs one
-# comparison
+# where a skip first fires for |F_B| < 2 (x ~ 34); below it the check costs
+# one comparison
 _SKIP_MIN_X = 32.0
 
 
@@ -508,15 +472,12 @@ def _branch_bound(a: float, x: float) -> float:
     return _TWO_OVER_PI * 2.0 * math.exp(-x) / (x * math.sqrt((1.0 - a) * (1.0 + a)))
 
 
-def _branch_negligible(a: float, x: float, least: float) -> bool:
-    """True where B = _branch_bound(a, x) is below a quarter-ulp of least.
-
-    Then adding the scaled branch value, or its err, to any float f with
-    |f| >= |least| rounds back to f: the gap to f's neighbours is at least
-    ulp(least)/2.  A caller that keeps several floats passes the least in
-    magnitude, whose ulp is the least of theirs.
-    """
-    return _branch_bound(a, x) < 0.25 * math.ulp(least)
+def _branch_negligible(a: float, x: float, fb_val: float) -> bool:
+    """True past x = _SKIP_MIN_X where B = _branch_bound(a, x) is below a
+    quarter-ulp of fb_val: then fb_val plus the scaled branch value rounds
+    back to fb_val, since the gap to fb_val's neighbours is at least
+    ulp(fb_val)/2.  The skip test of both T_B cores."""
+    return x > _SKIP_MIN_X and _branch_bound(a, x) < 0.25 * math.ulp(fb_val)
 
 
 # the branch rule's step changes form at x = 8*37/pi^2 (~30); see _branch_size
@@ -530,8 +491,9 @@ _BRANCH_NODES: dict[tuple[float, int], tuple[tuple[float, ...], ...]] = {}
 
 def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...], ...]:
     """The nodes u_k = k 2^-level of strength vn = |v|/(mu c^2), k = 1 to at
-    least count <= _BRANCH_MAX_NODES: w = z - 1 (as s^2/(1 + z)) and the
-    weight h (s/z)^2 delta cosh(u) times G_B (c) and times 1 - G_B (d).
+    least count (at most _BRANCH_MAX_NODES, and u_count <= 512): w = z - 1
+    (as s^2/(1 + z)) and the weight h (s/z)^2 delta cosh(u) times G_B (c)
+    and times 1 - G_B (d).
 
     Node k has the same floats whichever call computed it, and an extension
     replaces the entry at once, so threads need no lock.
@@ -542,9 +504,9 @@ def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...],
     h = 0.5**level
     delta = 1.0 - vn
     one_minus_v2 = delta * (1.0 + vn)
-    # an extension doubles the list but stops at the node cap, u <= 512 at
-    # level 3 and finer, where sinh and cosh stay finite
-    end = min(max(count, 2 * len(nodes[0])), _BRANCH_MAX_NODES)
+    # an extension doubles the list but stops at the node cap and at
+    # u = 512, where sinh and cosh stay finite
+    end = min(max(count, 2 * len(nodes[0])), _BRANCH_MAX_NODES, 512 << level)
     new = []
     for k in range(len(nodes[0]) + 1, end + 1):
         s = delta * math.sinh(k * h)
@@ -561,52 +523,53 @@ def _branch_size(vn: float, x: float) -> tuple[int, int]:
     = |v|/(mu c^2) and natural zeta x > 0, and its node count, the nodes
     u_k = k 2^-m below the u at which x (z - 1) reaches _BRANCH_CUT.
 
-    The step h = 2^-m is the least with h at most half of
-    pi^2/(37 + pi^2 x/8) for x <= 8*37/pi^2 (~30), and of 0.73/sqrt(x)
-    beyond.  The trapezoid error is about the integrand's size on Im u = b
-    times e^(-2 pi b/h), for b below pi/2, where G_B's branch points and the
-    pole of (s/z)^2 sit.  There e^(-x (z - 1)) grows by at most
-    e^(x (1 - cos b)) <= e^(x b^2/2), so the error is e^(-pi^2/h + pi^2 x/8)
-    at b = pi/2 and e^(-2 pi^2/(x h^2)) at b = 2 pi/(x h) (< pi/2 for
-    x h > 4): below e^-37 in each bracket, also for the half rule 2h.
+    The step h = 2^-m is the least at most pi^2/(37 + pi^2 x/8) for
+    x <= 8*37/pi^2 (~30), and 0.73/sqrt(x) beyond.  The trapezoid error is
+    about the integrand's size on Im u = b times e^(-2 pi b/h), for b below
+    pi/2, where G_B's branch points and the pole of (s/z)^2 sit.  There
+    e^(-x (z - 1)) grows by at most e^(x (1 - cos b)) <= e^(x b^2/2), so the
+    error is e^(-pi^2/h + pi^2 x/8) at b = pi/2 and e^(-2 pi^2/(x h^2)) at
+    b = 2 pi/(x h) (< pi/2 for x h > 4): below e^-37 in each bracket.  So
+    the rule is exact to rounding: it differs from the step-h/2 rule by
+    less than its own rounding bound, which the tests check over |v| < 1
+    and zeta up to 750.
 
-    The rule reaches down to x between 2.6e-153 and 3.0e-153, by strength
-    (2.87e-153 at v = 0): below, the last node's s = delta sinh(u) passes
-    the square root of the largest float, so its w = s^2/(1 + z) would be
-    inf and the rounding bound NaN, and QuadratureError is raised.  So is
-    it where n passes _BRANCH_MAX_NODES, for x below ~4e-221.
+    QuadratureError is raised where that step-h/2 rule could not be
+    built: where its nodes pass _BRANCH_MAX_NODES, for x below ~4e-221,
+    and where its last node's s = delta sinh(u) passes the square root of
+    the largest float, so that w = s^2/(1 + z) would be inf.  So the rule
+    reaches down to x between 2.6e-153 and 3.0e-153, by strength
+    (2.87e-153 at v = 0).
     """
     w_cut = _BRANCH_CUT / x
     u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / (1.0 - vn))
     step = _PI_SQUARED / (37.0 + x * _PI_SQUARED / 8) if x <= _STEP_SWITCH else 0.73 / math.sqrt(x)
-    level = math.ceil(-math.log2(0.5 * step))
-    count = u_cut * 2.0**level
+    fine = math.ceil(-math.log2(0.5 * step))  # the level of step h/2
+    count = u_cut * 2.0**fine
     if not count <= _BRANCH_MAX_NODES:
         raise QuadratureError(
             f"branch-cut integral at x = {x} needs more than {_BRANCH_MAX_NODES} rule nodes"
         )
     n = int(count)
-    last = (1.0 - vn) * math.sinh(n * 0.5**level)  # as _branch_nodes forms s
+    last = (1.0 - vn) * math.sinh(n * 0.5**fine)  # as _branch_nodes forms s
     if math.isinf(last * last):
         raise QuadratureError(
             f"branch-cut integral at x = {x} needs rule nodes whose s^2 overflows a float"
         )
-    return level, n
+    return fine - 1, n >> 1
 
 
 def _branch_laplace(vn: float, x: float, gap: bool = False) -> tuple[float, float]:
     """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz and its error, G = G_B(vn, z)
-    or, with gap, 1 - G_B; vn = |v|/(mu c^2), x > 0: the err path.
+    or, with gap, 1 - G_B; vn = |v|/(mu c^2), x > 0.
 
-    One pass of the a-priori rule (_branch_size): e^-x T_2h, with
-    T_h = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT (the gap weights
-    d_k with gap) and the half rule T_2h = 2 x its even k.  The error is
-    |T_h - T_2h| plus T_h's rounding bound, which bounds the half sum's
-    error (see the module docstring).  Per unit of a_k e^(-x w_k),
-    a_k = c_k (|d_k| + c_k for the gap), the bound allows 12 roundoffs: 8
-    for a node (6.02 seen against mpmath) and 4 for the sums and e^-x; and
-    8 per unit of x w_k (4.5 seen, and 1.5 for the rounding of x) and 2 per
-    unit of x (that rounding in e^-x).
+    One pass of the a-priori rule (_branch_size): e^-x T, with
+    T = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT (the gap weights
+    d_k with gap).  The error is e^-x times T's rounding bound.  Per unit of
+    a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the gap), it allows 12
+    roundoffs: 8 for a node (6.02 seen against mpmath) and 4 for the sum
+    and e^-x; and 8 per unit of x w_k (4.5 seen, and 1.5 for the rounding
+    of x) and 2 per unit of x (that rounding in e^-x).
     """
     envelope = math.exp(-x)
     if envelope == 0.0:
@@ -621,24 +584,23 @@ def _branch_laplace(vn: float, x: float, gap: bool = False) -> tuple[float, floa
         scales = list(map(operator.add, branch, map(abs, terms)))
     else:
         terms = scales = [c_k * exp(neg_x * w_k) for w_k, c_k in zip(w[:n], c)]
-    odd, even = math.fsum(terms[0::2]), math.fsum(terms[1::2])
     rounding = _UNIT_ROUNDOFF * (
         (12.0 + 2.0 * x) * sum(scales) + 8.0 * x * sum(map(operator.mul, scales, w))
     )
-    return envelope * (2.0 * even), envelope * (abs(odd - even) + rounding)
+    return envelope * math.fsum(terms), envelope * rounding
 
 
 def _branch_value(vn: float, x: float, gap: bool = False) -> float:
-    """_branch_laplace(vn, x, gap)[0], bit for bit, without the err: e^-x
-    times 2 x the even-k sum of the a-priori level."""
+    """_branch_laplace(vn, x, gap)[0], bit for bit, on the same nodes,
+    without the err's two weighted sums: the value entry of the direct
+    route and the gap."""
     envelope = math.exp(-x)
     if envelope == 0.0:
         return 0.0
     level, n = _branch_size(vn, x)
     w, c, d = _branch_nodes(vn, level, n)
     exp, neg_x = math.exp, -x
-    terms = [a * exp(neg_x * w_k) for w_k, a in zip(w[1:n:2], (d if gap else c)[1:n:2])]
-    return envelope * (2.0 * math.fsum(terms))
+    return envelope * math.fsum([a * exp(neg_x * w_k) for w_k, a in zip(w[:n], d if gap else c)])
 
 
 def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> tuple[float, float]:
@@ -649,13 +611,12 @@ def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> tuple[flo
     vn = _strength(v0, params, "branch_integral")
     if not 0.0 < abs(zeta) < math.inf:
         raise ValueError(f"branch_integral requires 0 < |zeta| < inf, got {zeta}")
-    return _scaled_branch(abs(vn), params.mu * params.c * abs(zeta) / params.hbar)
+    return _scaled_branch(abs(vn), _natural_zeta(abs(zeta), params, "branch_integral"))
 
 
 def _scaled_branch(a: float, x: float) -> tuple[float, float]:
-    """(2/pi) _branch_laplace(a, x), the half rule's sum, and its err, which
-    also covers the rounding of the factor 2/pi and its product: the branch
-    term of T_B."""
+    """(2/pi) _branch_laplace(a, x) and its err, which also covers the
+    rounding of the factor 2/pi and its product: the branch term of T_B."""
     val, err = _branch_laplace(a, x)
     val *= _TWO_OVER_PI
     return val, _TWO_OVER_PI * err + 2.0 * _UNIT_ROUNDOFF * abs(val)
@@ -702,44 +663,37 @@ def _barrier(vn: float, x: float) -> tuple[float, float]:
     """T_B and its error at strength vn = v0/(mu c^2) and natural zeta = x > 0,
     unchecked: the core of barrier_factor and, at vn = 0, of free_factor.
 
-    The err path: F_B and the branch term are each their half rule's sum,
-    and their errs are |T_h - T_2h| plus T_h's rounding bound (_fb_sum,
-    _branch_laplace); the branch term and its err are branch_integral's
-    (_scaled_branch).  Past x = 32 the branch-cut sum is skipped where its
-    bound B (_branch_bound) is below a quarter-ulp of F_B's value and of its
-    err, or of 2^-53 where that err is 0 (_branch_negligible): then
-    fb_val + br_val rounds to fb_val and fb_err + br_err + 2^-53 |value| to
-    fb_err + 2^-53 |fb_val|, which are returned.  The err is 0 only at
-    vn = 0, where F_B is exactly (1.0, 0.0); elsewhere it is at least F_B's
-    rounding bound, 6 2^-53 |fb_val|.  F_B runs first either way, so its
-    typed errors come as before.  No branch QuadratureError is lost: the
-    rule raises only at x below ~3e-153, far below the skip.
+    F_B and the branch term are each their rule's sum, with that rule's
+    rounding bound as the err (_fb_sum, _scaled_branch), plus 2^-53 of the
+    total for their addition.  Where _branch_negligible holds, past x = 32
+    with the branch bound B (_branch_bound) below a quarter-ulp of F_B's
+    value, fb_val + br_val rounds to fb_val: the branch-cut sum is skipped
+    and B, which bounds the branch value, takes the place of its err.  The
+    err is then at least B + 2^-53 |fb_val|, also at vn = 0, where F_B is
+    exactly (1.0, 0.0).  F_B runs first either way, so its typed errors
+    come as before.  No branch QuadratureError is lost: the rule raises
+    only at x below ~3e-153, far below the skip.
     """
+    a = abs(vn)
     fb_val, fb_err = _fb_sum(vn, x)
-    if x > _SKIP_MIN_X and _branch_negligible(
-        abs(vn), x, min(abs(fb_val), fb_err or _UNIT_ROUNDOFF)
-    ):
-        return fb_val, fb_err + _UNIT_ROUNDOFF * abs(fb_val)
-    br_val, br_err = _scaled_branch(abs(vn), x)
+    if _branch_negligible(a, x, fb_val):
+        return fb_val, fb_err + _branch_bound(a, x) + _UNIT_ROUNDOFF * abs(fb_val)
+    br_val, br_err = _scaled_branch(a, x)
     value = fb_val + br_val
     return value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value)
 
 
 def _barrier_value(vn: float, x: float) -> float:
-    """_barrier(vn, x)[0], bit for bit, without the err: the T_B core of the
-    direct route, which calls it at every node.
+    """_barrier(vn, x)[0], bit for bit, without the branch term's err: the
+    T_B core of the direct route, which calls it at every node.
 
-    The value is fb_val + br_val in _barrier's operations, each the half sum
-    of its rule at the a-priori size (_fb_value, _branch_value); the finer
-    sums only feed _barrier's err.  Past x = 32 the
-    branch-cut sum is skipped where B is below a quarter-ulp of F_B's value
-    alone, since then fb_val + br_val rounds to fb_val.  For v < 0 that
-    holds from x ~ 36-38, where _barrier, which must also keep its err's
-    bits, sums the branch cut up to x ~ 65.  Typed errors come as from
+    The value is fb_val + br_val in _barrier's operations, and the branch
+    cut is skipped on _barrier's test (see the module docstring).  The branch sum is _branch_value's, which leaves out the two
+    weighted sums of _branch_laplace's err.  Typed errors come as from
     _barrier, F_B's first.
     """
-    fb_val = _fb_value(vn, x)
-    if x > _SKIP_MIN_X and _branch_negligible(abs(vn), x, fb_val):
+    fb_val = _fb_sum(vn, x)[0]
+    if _branch_negligible(abs(vn), x, fb_val):
         return fb_val
     return fb_val + _branch_value(abs(vn), x) * _TWO_OVER_PI
 
@@ -750,13 +704,13 @@ def barrier_free_gap(v0: float, zeta: float, params: PhysicalParams = NATURAL_UN
     Both the residue part (1 - F_B) and the branch part (quadrature of
     1 - G_B) are assembled from small differences, so the result stays
     accurate down to O(v0) and vanishes identically at v0 = 0.  This is
-    what the arrival-time difference integrates against.  Each part is the
-    half sum of its rule at the a-priori size, as in _barrier_value, so it
-    is the value of the err paths _fb_sum and _branch_laplace, bit for bit.
+    what the arrival-time difference integrates against.  Each part is its
+    rule's sum at the a-priori size, the value of _fb_sum and
+    _branch_laplace, bit for bit.
     """
     vn = _strength(v0, params, "barrier_free_gap")
     x = _natural_zeta(zeta, params, "barrier_free_gap")
-    residue_part = _fb_value(-vn, x, drop_unity=True)
+    residue_part = _fb_sum(-vn, x, drop_unity=True)[0]
     return -residue_part + _TWO_OVER_PI * _branch_value(abs(vn), x, gap=True)
 
 
