@@ -40,11 +40,15 @@ nodes are cached per (|v|/(mu c^2), m) and extended lazily; m is sized a
 priori (_branch_size).  A value sums only the nodes its arguments select,
 however far the lists were extended.
 
-Each err is its value rule's rounding bound, plus B where T_B skips the
-branch-cut sum (below).  That rounding bound bounds the error because
-of the a-priori sizing: each rule is exact to rounding, its sum within its
-own rounding bound of the rule with twice the nodes, which the tests check
-over |v| < 1 and zeta up to 750 (assert_rules_settled in the kernel tests).
+Each err is a closed form of the value pieces: F_B's is its rule's
+rounding bound, a few operations on the rule's cached weight sums; the
+branch term's is a fixed multiple of its value, the rule's rounding bound
+at the Laplace mean of x (z - 1), which stays below 3/2 (_scaled_branch);
+and where T_B skips the branch-cut sum it is B (below).  That rounding
+bound bounds the error because of the a-priori sizing: each rule is exact
+to rounding, its sum within its own rounding bound of the rule with twice
+the nodes, which the tests check over |v| < 1 and zeta up to 750
+(assert_rules_settled in the kernel tests).
 No level test runs: _fb_size and _branch_size pick each rule's one size,
 and raise QuadratureError past the cap, more than 32,768 F_B intervals or
 4,096 branch-cut nodes in the rule of twice the nodes, or where that
@@ -65,9 +69,10 @@ at x = 32 for v > 0.
 The kernel-factor entries check each argument once (_strength,
 _natural_zeta) and hand the strength and zeta, in natural units, to their
 core: T_F and T_B to _barrier; the direct route calls _barrier_value, the
-same value without the branch term's err, at every node of its sine
-transform, after checking the cell once, and toa_difference calls
-barrier_free_gap.  No kernel factor reads a quadrature setting.
+same value without the errs, at every node of its sine transform, after
+checking the cell once, and toa_difference calls barrier_free_gap.  The
+branch cut has one Laplace sum, _branch_value, which T_F, T_B, the direct
+route and the gap all read.  No kernel factor reads a quadrature setting.
 """
 
 from __future__ import annotations
@@ -230,6 +235,9 @@ def _gb(a: float, one_minus_a2: float, s: float, z: float) -> float:
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 _TWO_OVER_PI = 2.0 / math.pi
+# below the normal range floats round on the absolute grid 2^-1074
+_MIN_NORMAL = 2.0 ** -1022
+_MIN_SUBNORMAL = 2.0 ** -1074
 # the rule sizes and the moment rule, in intervals of [0, pi/2]
 _FB_MIN_INTERVALS = 32
 _FB_MAX_INTERVALS = 1 << 15
@@ -315,10 +323,11 @@ class _FbRule:
             scale = 6.0 * self.c_sum + 6.0 * x * self.cs_sum
             if drop_unity:
                 scale += 12.0 + 6.0 * y_max
-        else:
-            # positive terms, each at most its weight times cosh(y_max)
-            scale = (6.0 + 6.0 * y_max) * (2.0 * math.cosh(y_max) if drop_unity else total)
-        return total, _UNIT_ROUNDOFF * scale
+            return total, _UNIT_ROUNDOFF * scale
+        # positive terms, each at most its weight times cosh(y_max); scaled
+        # by 2^-53 first, so that the bound stays finite where the sum does
+        size = 2.0 * _UNIT_ROUNDOFF * math.cosh(y_max) if drop_unity else _UNIT_ROUNDOFF * total
+        return total, (6.0 + 6.0 * y_max) * size
 
 
 _FB_RULES: dict[tuple[float, int], _FbRule] = {}
@@ -468,8 +477,12 @@ def _branch_bound(a: float, x: float) -> float:
     int_1^inf sqrt(z^2-1)/z G_B e^(-x z) dz <= G_max e^-x/x, since
     sqrt(z^2-1)/z <= 1 and G_B <= G_max; the factor 2 covers the rule's
     e^-37 error, its err (~1e-12 of the value) and the rounding of each.
+    A subnormal B gains the branch err's two steps of 2^-1074
+    (_scaled_branch), so that it still bounds that err where its own
+    rounding on that grid is coarse.
     """
-    return _TWO_OVER_PI * 2.0 * math.exp(-x) / (x * math.sqrt((1.0 - a) * (1.0 + a)))
+    bound = _TWO_OVER_PI * 2.0 * math.exp(-x) / (x * math.sqrt((1.0 - a) * (1.0 + a)))
+    return bound + 2.0 * _MIN_SUBNORMAL if bound < _MIN_NORMAL else bound
 
 
 def _branch_negligible(a: float, x: float, fb_val: float) -> bool:
@@ -531,8 +544,9 @@ def _branch_size(vn: float, x: float) -> tuple[int, int]:
     error is e^(-pi^2/h + pi^2 x/8) at b = pi/2 and e^(-2 pi^2/(x h^2)) at
     b = 2 pi/(x h) (< pi/2 for x h > 4): below e^-37 in each bracket.  So
     the rule is exact to rounding: it differs from the step-h/2 rule by
-    less than its own rounding bound, which the tests check over |v| < 1
-    and zeta up to 750.
+    less than its own rounding bound, e^-x times 2^-53 times
+    (12 + 2x) T + 8x sum_k t_k w_k (_scaled_branch), which the tests check
+    over |v| < 1 and zeta up to 750.
 
     QuadratureError is raised where that step-h/2 rule could not be
     built: where its nodes pass _BRANCH_MAX_NODES, for x below ~4e-221,
@@ -559,41 +573,15 @@ def _branch_size(vn: float, x: float) -> tuple[int, int]:
     return fine - 1, n >> 1
 
 
-def _branch_laplace(vn: float, x: float, gap: bool = False) -> tuple[float, float]:
-    """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz and its error, G = G_B(vn, z)
-    or, with gap, 1 - G_B; vn = |v|/(mu c^2), x > 0.
+def _branch_value(vn: float, x: float, gap: bool = False) -> float:
+    """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz, G = G_B(vn, z) or, with
+    gap, 1 - G_B; vn = |v|/(mu c^2), x > 0: the one branch-cut Laplace sum.
 
     One pass of the a-priori rule (_branch_size): e^-x T, with
     T = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT (the gap weights
-    d_k with gap).  The error is e^-x times T's rounding bound.  Per unit of
-    a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the gap), it allows 12
-    roundoffs: 8 for a node (6.02 seen against mpmath) and 4 for the sum
-    and e^-x; and 8 per unit of x w_k (4.5 seen, and 1.5 for the rounding
-    of x) and 2 per unit of x (that rounding in e^-x).
+    d_k with gap).  The err of the branch term (_scaled_branch) is taken
+    from this value alone.
     """
-    envelope = math.exp(-x)
-    if envelope == 0.0:
-        return 0.0, 0.0
-    level, n = _branch_size(vn, x)
-    w, c, d = _branch_nodes(vn, level, n)
-    exp, neg_x = math.exp, -x
-    if gap:
-        decay = [exp(neg_x * w_k) for w_k in w[:n]]
-        branch = list(map(operator.mul, c, decay))
-        terms = list(map(operator.mul, d, decay))
-        scales = list(map(operator.add, branch, map(abs, terms)))
-    else:
-        terms = scales = [c_k * exp(neg_x * w_k) for w_k, c_k in zip(w[:n], c)]
-    rounding = _UNIT_ROUNDOFF * (
-        (12.0 + 2.0 * x) * sum(scales) + 8.0 * x * sum(map(operator.mul, scales, w))
-    )
-    return envelope * math.fsum(terms), envelope * rounding
-
-
-def _branch_value(vn: float, x: float, gap: bool = False) -> float:
-    """_branch_laplace(vn, x, gap)[0], bit for bit, on the same nodes,
-    without the err's two weighted sums: the value entry of the direct
-    route and the gap."""
     envelope = math.exp(-x)
     if envelope == 0.0:
         return 0.0
@@ -607,6 +595,9 @@ def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> tuple[flo
     """Branch-cut term of T_B(v0, zeta), with its error estimate:
 
         (2/pi) * int_1^inf exp(-mu c |zeta| z / hbar) sqrt(z^2-1)/z G_B(v0, z) dz
+
+    The err is a fixed multiple of the value, at least two steps of 2^-1074
+    where the value is subnormal (_scaled_branch).
     """
     vn = _strength(v0, params, "branch_integral")
     if not 0.0 < abs(zeta) < math.inf:
@@ -615,11 +606,28 @@ def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> tuple[flo
 
 
 def _scaled_branch(a: float, x: float) -> tuple[float, float]:
-    """(2/pi) _branch_laplace(a, x) and its err, which also covers the
-    rounding of the factor 2/pi and its product: the branch term of T_B."""
-    val, err = _branch_laplace(a, x)
-    val *= _TWO_OVER_PI
-    return val, _TWO_OVER_PI * err + 2.0 * _UNIT_ROUNDOFF * abs(val)
+    """(2/pi) _branch_value(a, x), the branch term of T_B, and its err:
+    (2/pi) 2^-53 (24 + 2x) times the value, plus 2^-53 twice the term for
+    the factor 2/pi and its product.
+
+    The value is e^-x T, T = sum_k t_k, t_k = c_k e^(-x w_k) > 0, and the
+    err is e^-x times T's rounding bound.  Per unit of t_k that allows 12
+    roundoffs, 8 for a node (6.02 seen against mpmath) and 4 for the sum
+    and e^-x, and 2 per unit of x (the rounding of x in e^-x); and 8 per
+    unit of x w_k (4.5 seen, and 1.5 for the rounding of x), which is at
+    most 12 T, since x sum_k t_k w_k <= (3/2) T.  That is the Laplace mean
+    of x (z - 1) under the weight sqrt(z^2-1)/z G_B, which starts as
+    sqrt(2 (z - 1)) G_B(1) at z = 1: by Watson's lemma (Olver, Asymptotics
+    and Special Functions, 1974, ch. 3) it tends to Gamma(5/2)/Gamma(3/2)
+    = 3/2 as x grows, from below (1.4985 at v = 0, x = 740, the most seen),
+    which the tests check on the rule's own nodes over |v| < 1 and x up to
+    760.  Where the term is subnormal, it, e^-x and their product round on
+    the grid 2^-1074, less than a step in all, and the err gains two steps.
+    """
+    value = _branch_value(a, x)
+    val = value * _TWO_OVER_PI
+    err = _TWO_OVER_PI * (_UNIT_ROUNDOFF * (24.0 + 2.0 * x) * value) + 2.0 * _UNIT_ROUNDOFF * val
+    return val, err + 2.0 * _MIN_SUBNORMAL if val < _MIN_NORMAL else err
 
 
 def branch_transform(
@@ -664,8 +672,9 @@ def _barrier(vn: float, x: float) -> tuple[float, float]:
     unchecked: the core of barrier_factor and, at vn = 0, of free_factor.
 
     F_B and the branch term are each their rule's sum, with that rule's
-    rounding bound as the err (_fb_sum, _scaled_branch), plus 2^-53 of the
-    total for their addition.  Where _branch_negligible holds, past x = 32
+    rounding bound as the err, F_B's from its cached weight sums (_fb_sum)
+    and the branch term's from its value (_scaled_branch), plus 2^-53 of
+    the total for their addition.  Where _branch_negligible holds, past x = 32
     with the branch bound B (_branch_bound) below a quarter-ulp of F_B's
     value, fb_val + br_val rounds to fb_val: the branch-cut sum is skipped
     and B, which bounds the branch value, takes the place of its err.  The
@@ -688,9 +697,8 @@ def _barrier_value(vn: float, x: float) -> float:
     T_B core of the direct route, which calls it at every node.
 
     The value is fb_val + br_val in _barrier's operations, and the branch
-    cut is skipped on _barrier's test (see the module docstring).  The branch sum is _branch_value's, which leaves out the two
-    weighted sums of _branch_laplace's err.  Typed errors come as from
-    _barrier, F_B's first.
+    cut is skipped on _barrier's test (see the module docstring).  Typed
+    errors come as from _barrier, F_B's first.
     """
     fb_val = _fb_sum(vn, x)[0]
     if _branch_negligible(abs(vn), x, fb_val):
@@ -705,8 +713,8 @@ def barrier_free_gap(v0: float, zeta: float, params: PhysicalParams = NATURAL_UN
     1 - G_B) are assembled from small differences, so the result stays
     accurate down to O(v0) and vanishes identically at v0 = 0.  This is
     what the arrival-time difference integrates against.  Each part is its
-    rule's sum at the a-priori size, the value of _fb_sum and
-    _branch_laplace, bit for bit.
+    rule's sum at the a-priori size: _fb_sum's F_B - 1 and _branch_value's
+    1 - G_B column.
     """
     vn = _strength(v0, params, "barrier_free_gap")
     x = _natural_zeta(zeta, params, "barrier_free_gap")

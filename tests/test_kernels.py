@@ -7,13 +7,13 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
 import subprocess
 import sys
 import threading
-import unittest.mock
 import warnings
 
 import mpmath as mp
@@ -232,7 +232,9 @@ def fb_moment_oracle(v: float, zeta: float, dps: int = 30):
     root is left to tanh-sinh; the radicand is written in factors that stay
     non-negative up to it.  One piece per half oscillation of cos; cosh does
     not oscillate, so its pieces halve their distance to x* until that is
-    below 1/zeta, across which cosh grows by at most e."""
+    below 1/zeta, across which cosh grows by at most e.  The real part is
+    taken in that context (tanh-sinh may leave 0j), so sums with the other
+    oracles stay at dps digits until a test converts them to a float."""
     ctx = mp.MPContext()
     ctx.dps = dps
     a = ctx.mpf(abs(v))
@@ -258,7 +260,7 @@ def fb_moment_oracle(v: float, zeta: float, dps: int = 30):
 
         halvings = math.ceil(math.log2(max(1.0, zeta * float(reach))))
         edges = [reach * (1 - ctx.mpf(2) ** -j) for j in range(halvings + 1)] + [reach]
-    return 2 / ctx.pi * ctx.quad(f, edges, method="tanh-sinh")
+    return ctx.re(2 / ctx.pi * ctx.quad(f, edges, method="tanh-sinh"))
 
 
 class TestFbMomentForm:
@@ -452,7 +454,7 @@ class TestKernelFactorOracles:
     def test_barrier_factor_branch_term_and_gap(self, v0):
         for zeta in ORACLE_ZETAS:
             branch_ref = mp_branch_oracle(v0, zeta)
-            fb_ref = mp.re(fb_moment_oracle(-v0, zeta))  # tanh-sinh may leave 0j
+            fb_ref = fb_moment_oracle(-v0, zeta)
             # the branch term at both signs, since G_B is even in v0
             for sign in (-1.0, 1.0):
                 br, br_err = branch_integral(sign * v0, zeta, NATURAL_UNITS)
@@ -467,12 +469,7 @@ class TestKernelFactorOracles:
             # their sum bound it
             gap = barrier_free_gap(v0, zeta)
             gap_ref = 1 - fb_ref + mp_branch_oracle(0.0, zeta) - branch_ref
-            _less, fb_err = kernels._fb_sum(-v0, zeta, True)
-            br_gap, br_gap_err = kernels._branch_laplace(v0, zeta, gap=True)
-            bound = fb_err + (2.0 / math.pi) * br_gap_err + 2.0 * EPS * (
-                (2.0 / math.pi) * abs(br_gap) + abs(gap)
-            )
-            assert abs(gap - float(gap_ref)) <= bound, zeta
+            assert abs(gap - float(gap_ref)) <= gap_bound(-v0, zeta, gap), zeta
 
     @pytest.mark.parametrize("v0", [0.3, 0.9, 0.99])
     def test_barrier_factor_at_plus_v0(self, v0):
@@ -480,8 +477,29 @@ class TestKernelFactorOracles:
         # column): F_B's cosh rule plus the branch term, whose G_B is even
         for zeta in (1e-8, 1e-2, 4.0, 160.0):
             tb = barrier_factor(v0, zeta)
-            ref = mp.re(fb_moment_oracle(v0, zeta)) + mp_branch_oracle(v0, zeta)
+            ref = fb_moment_oracle(v0, zeta) + mp_branch_oracle(v0, zeta)
             assert abs(tb.value - float(ref)) <= tb.err, zeta
+
+    def test_barrier_factor_at_plus_v0_up_to_overflow(self):
+        # F_B's cosh rule up to the largest zeta whose sum is a float (it
+        # raises from 994.87), where its rounding bound, scaled last, overflowed
+        for zeta in (990.0, 993.5, 994.86):
+            fb_ref = fb_moment_oracle(0.3, zeta)
+            tb = barrier_factor(0.3, zeta)
+            assert math.isfinite(tb.err), zeta
+            assert abs(tb.value - float(fb_ref + mp_branch_oracle(0.3, zeta))) <= tb.err, zeta
+            less, err = kernels._fb_sum(0.3, zeta, True)
+            assert math.isfinite(err), zeta
+            assert abs(less - float(fb_ref - 1)) <= err, zeta
+
+    @pytest.mark.parametrize("v0", [0.0, 0.3, 0.99])
+    def test_branch_term_where_exp_is_subnormal(self, v0):
+        # from e^-x's underflow into the subnormal range (x ~ 708) to the
+        # last x where it is not 0.0 (745.13), the term rounds on the grid
+        # 2^-1074 and its err must cover that; compared at 30 digits
+        for zeta in (*(700.0 + 5.0 * i for i in range(10)), 724.16, 735.18):
+            br, br_err = branch_integral(v0, zeta, NATURAL_UNITS)
+            assert abs(mp_branch_oracle(v0, zeta) - br) <= br_err, zeta
 
     def test_general_units_through_the_scaling_identity(self):
         # T(v0, zeta; mu, c, hbar) = T(v0/(mu c^2), zeta mu c/hbar; 1, 1, 1)
@@ -494,7 +512,7 @@ class TestKernelFactorOracles:
             br, br_err = branch_integral(-v0, zeta, params)
             assert abs(br - float(mp_branch_oracle(vn, x))) <= br_err, x
             tb = barrier_factor(-v0, zeta, params)
-            ref = mp.re(fb_moment_oracle(-vn, x)) + mp_branch_oracle(vn, x)
+            ref = fb_moment_oracle(-vn, x) + mp_branch_oracle(vn, x)
             assert abs(tb.value - float(ref)) <= tb.err, x
 
     def test_rule_at_its_node_cap_raises(self):
@@ -544,11 +562,12 @@ class TestKernelFactorOracles:
         for v0, zeta in [(-0.3, 300.0), (-0.3, 700.0), (0.3, 100.0), (0.3, 300.0), (0.3, 700.0)]:
             tb = barrier_factor(v0, zeta)
             assert kernels._branch_bound(0.3, zeta) < 0.25 * math.ulp(tb.err), (v0, zeta)
-            ref = mp.re(fb_moment_oracle(v0, zeta)) + mp_branch_oracle(0.3, zeta)
+            ref = fb_moment_oracle(v0, zeta) + mp_branch_oracle(0.3, zeta)
             assert abs(tb.value - float(ref)) <= tb.err, (v0, zeta)
 
 
 TWO_OVER_PI = 2.0 / math.pi
+MIN_NORMAL, MIN_SUBNORMAL = 2.0**-1022, 2.0**-1074
 
 
 def fb_rule_sum(vn: float, x: float, n: int, drop_unity: bool = False) -> float:
@@ -613,10 +632,12 @@ def rule_sizes(vn: float, x: float) -> tuple[int, int]:
 def scaled_branch(a: float, x: float) -> tuple[float, float]:
     """branch_integral's (value, err) at strength a and natural zeta x, in
     its operations, the branch-cut sum always summed: the a-priori rule's
-    sum and e^-x times its rounding bound (branch_rule_parts)."""
-    br_val = TWO_OVER_PI * branch_rule_sum(a, x, kernels._branch_size(a, x)[0])
-    rounding = math.exp(-x) * branch_rule_parts(a, x, False)[1]
-    return br_val, TWO_OVER_PI * rounding + 2.0 * EPS * abs(br_val)
+    sum, and an err of 2^-53 (24 + 2x) times the sum and 2^-53 twice its
+    2/pi multiple, with two steps of 2^-1074 more where that is subnormal."""
+    value = branch_rule_sum(a, x, kernels._branch_size(a, x)[0])
+    br_val = value * TWO_OVER_PI
+    err = TWO_OVER_PI * (EPS * (24.0 + 2.0 * x) * value) + 2.0 * EPS * br_val
+    return br_val, err + 2.0 * MIN_SUBNORMAL if br_val < MIN_NORMAL else err
 
 
 def composed_barrier(vn: float, x: float) -> tuple[float, float]:
@@ -691,7 +712,7 @@ class TestBranchSkip:
 
     def test_skip_fires_past_the_guard(self, monkeypatch):
         expected = barrier_factor(-0.3, 100.0), free_factor(100.0), barrier_factor(0.0, 100.0)
-        monkeypatch.setattr(kernels, "_branch_laplace", _no_branch_sum)
+        monkeypatch.setattr(kernels, "_branch_value", _no_branch_sum)
         got = barrier_factor(-0.3, 100.0), free_factor(100.0), barrier_factor(0.0, 100.0)
         assert got == expected
         for call in (lambda: barrier_factor(-0.3, 5.0), lambda: free_factor(5.0)):
@@ -744,8 +765,7 @@ class TestBranchSkip:
         # at (-0.1, 40) B is below a quarter-ulp of F_B's value, not of its
         # err; at (-0.1, 33.755) it is 6 ulps of the value
         expected = kernels._barrier_value(-0.1, 40.0), barrier_factor(-0.1, 40.0)
-        for name in ("_branch_laplace", "_branch_value"):
-            monkeypatch.setattr(kernels, name, _no_branch_sum)
+        monkeypatch.setattr(kernels, "_branch_value", _no_branch_sum)
         got = kernels._barrier_value(-0.1, 40.0), barrier_factor(-0.1, 40.0)
         assert got == expected
         assert got[0] == got[1].value
@@ -754,27 +774,6 @@ class TestBranchSkip:
                      lambda: barrier_factor(-0.1, 33.755)):
             with pytest.raises(AssertionError, match="branch-cut sum called"):
                 call()
-
-
-class _LevelLog(dict):
-    """A branch-node cache that records the rule level of every lookup."""
-
-    def __init__(self, nodes):
-        super().__init__(nodes)
-        self.levels = []
-
-    def get(self, key, default=None):
-        self.levels.append(key[1])
-        return super().get(key, default)
-
-
-def _branch_rule_run(call, vn: float, x: float, gap: bool):
-    """call(vn, x, gap)'s value in float.hex, and the rule
-    levels it looked up."""
-    log = _LevelLog(kernels._BRANCH_NODES)
-    with unittest.mock.patch.object(kernels, "_BRANCH_NODES", log):
-        value = call(vn, x, gap)
-    return (value[0] if isinstance(value, tuple) else value).hex(), set(log.levels)
 
 
 # the unit systems of the kernel and route tests
@@ -803,24 +802,34 @@ def _half_and_full(v0: float, zeta: float, params: PhysicalParams):
     a = abs(vn)
     full = fb_rule_sum(vn, x, 2 * n) + TWO_OVER_PI * branch_rule_sum(a, x, level + 1)
     gap = barrier_free_gap(-v0, zeta, params)
-    _less, fb_err = kernels._fb_sum(vn, x, True)
-    br_gap, br_gap_err = kernels._branch_laplace(a, x, gap=True)
     gap_full = (-fb_rule_sum(vn, x, 2 * n, True)
                 + TWO_OVER_PI * branch_rule_sum(a, x, level + 1, True))
-    gap_err = fb_err + TWO_OVER_PI * br_gap_err + 2.0 * EPS * (
-        TWO_OVER_PI * abs(br_gap) + abs(gap)
-    )
     half = kernels._barrier_value(vn, x)
-    return (vn, x), (half, full, tb), (gap, gap_full, gap_err)
+    return (vn, x), (half, full, tb), (gap, gap_full, gap_bound(vn, x, gap))
 
 
-def branch_rule_parts(a: float, x: float, gap: bool) -> tuple[float, float]:
-    """(|T_h - T_2h|, T_2h's rounding bound) of the branch-cut rule T_2h at
-    its a-priori level and the rule T_h one level finer, on its nodes up to
-    half a step of T_2h past T_2h's last (branch_rule_sum), before the
-    factor e^-x.  T_2h and its bound are formed in
-    _branch_laplace's operations, which must give its value and err bit for
-    bit as e^-x times them."""
+def gap_bound(vn: float, x: float, gap: float) -> float:
+    """A bound on the error of gap = barrier_free_gap(-vn) at natural zeta x:
+    F_B - 1's rounding bound (_fb_sum), 2/pi times e^-x times the 1 - G_B
+    rule's rounding bound (branch_rule_parts), and 2^-53 twice the scaled
+    branch part and the gap, for the rounding of their 2/pi product and sum."""
+    fb_err = kernels._fb_sum(vn, x, True)[1]
+    envelope = math.exp(-x)
+    if envelope == 0.0:
+        return fb_err + 2.0 * EPS * abs(gap)
+    value, _trunc, rounding = branch_rule_parts(abs(vn), x, True)
+    br_gap, br_gap_err = envelope * value, envelope * rounding
+    return fb_err + TWO_OVER_PI * br_gap_err + 2.0 * EPS * (TWO_OVER_PI * abs(br_gap) + abs(gap))
+
+
+def branch_rule_parts(a: float, x: float, gap: bool) -> tuple[float, float, float]:
+    """(T_2h, |T_h - T_2h|, T_2h's rounding bound) of the branch-cut rule
+    T_2h at its a-priori level and the rule T_h one level finer, on its
+    nodes up to half a step of T_2h past T_2h's last (branch_rule_sum),
+    before the factor e^-x.  T_2h is formed in _branch_value's operations,
+    which must give its bits as e^-x T_2h.  The bound is summed term by
+    term: per unit of a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the gap),
+    12 + 2x roundoffs, and 8 per unit of x w_k (see _scaled_branch)."""
     level, n = kernels._branch_size(a, x)
 
     def terms_of(level, n):
@@ -834,10 +843,9 @@ def branch_rule_parts(a: float, x: float, gap: bool) -> tuple[float, float]:
     value = math.fsum(terms)
     rounding = EPS * ((12.0 + 2.0 * x) * sum(scales)
                       + 8.0 * x * sum(s * w_k for s, w_k in zip(scales, w)))
-    envelope = math.exp(-x)
-    assert (envelope * value, envelope * rounding) == kernels._branch_laplace(a, x, gap)
+    assert math.exp(-x) * value == kernels._branch_value(a, x, gap)
     finer = math.fsum(terms_of(level + 1, 2 * n + 1)[1])
-    return abs(finer - value), rounding
+    return value, abs(finer - value), rounding
 
 
 def assert_rules_settled(vn: float, x: float) -> None:
@@ -861,7 +869,7 @@ def assert_rules_settled(vn: float, x: float) -> None:
         return
     for gap in (False, True):
         try:
-            trunc, rounding = branch_rule_parts(abs(vn), x, gap)
+            _value, trunc, rounding = branch_rule_parts(abs(vn), x, gap)
         except QuadratureError:
             continue
         assert trunc <= rounding, ("branch", gap)
@@ -869,29 +877,44 @@ def assert_rules_settled(vn: float, x: float) -> None:
 
 class TestHalfRuleValue:
     """Each kernel value is its rules' sum at their a-priori sizes, in one
-    pass, with the rules' rounding bounds as the err: _barrier_value and
-    barrier_free_gap give _barrier's and _branch_laplace's value bits.  At
-    those sizes each rule lies within its rounding bound of the rule with
-    twice the nodes (assert_rules_settled)."""
+    pass, with the rules' rounding bounds as the err: _barrier_value gives
+    _barrier's value bits, and barrier_free_gap the sum of its two rules.
+    At those sizes each rule lies within its rounding bound of the rule
+    with twice the nodes (assert_rules_settled)."""
 
     @given(
-        vn=st.floats(min_value=-0.999, max_value=0.999, exclude_min=True, exclude_max=True),
-        x=st.floats(min_value=-3.0, max_value=math.log10(760.0)).map(lambda t: 10.0**t),
-        gap=st.booleans(),
+        v=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        x=st.floats(min_value=-6.0, max_value=math.log10(760.0)).map(lambda t: 10.0**t),
     )
-    # the smallest x, strengths at both ends, and past exp's underflow at
-    # 745, where neither path sums
-    @example(vn=0.0, x=1e-3, gap=False)
-    @example(vn=-0.999, x=1e-3, gap=True)
-    @example(vn=0.999, x=30.0, gap=False)
-    @example(vn=-0.5, x=750.0, gap=True)
-    def test_branch_value_matches_the_err_path(self, vn, x, gap):
-        # the same bits from the a-priori level alone
-        value, levels = _branch_rule_run(kernels._branch_value, abs(vn), x, gap)
-        expected, expected_levels = _branch_rule_run(kernels._branch_laplace, abs(vn), x, gap)
-        assert value == expected
-        assert levels == expected_levels and len(levels) <= 1
-        assert_rules_settled(vn, x)
+    # strengths at zero and next to the rest energy, and x up to and past
+    # exp's underflow at 745, where the mean comes nearest 3/2
+    @example(v=0.0, x=740.0)
+    @example(v=0.0, x=745.0)
+    @example(v=0.999999, x=745.0)
+    @example(v=-0.999999, x=1e-6)
+    @example(v=-0.999999, x=745.0)
+    def test_laplace_mean_stays_below_three_halves(self, v, x):
+        """x sum_k t_k w_k <= (3/2) sum_k t_k, t_k = c_k e^(-x w_k), on the
+        a-priori rule's nodes: the bound that lets the branch term's err be
+        a fixed multiple of its value.  The ratio is the Laplace mean of
+        x (z - 1) under the weight sqrt(z^2-1)/z G_B, which starts as
+        sqrt(2 (z - 1)) G_B(1) at z = 1, so by Watson's lemma it tends to
+        Gamma(5/2)/Gamma(3/2) = 3/2 as x grows: from below, at v = 0 as
+        1.5 (1 - 15/(8x))/(1 - 9/(8x)), and lower where |v| -> 1 stretches
+        G_B's rise.  So the err is at least the rule's rounding bound
+        summed term by term (branch_rule_parts), and that bound settles the
+        rule (assert_rules_settled)."""
+        a = abs(v)
+        level, n = kernels._branch_size(a, x)
+        w, c, _d = kernels._branch_nodes(a, level, n)
+        terms = [c_k * math.exp(-x * w_k) for w_k, c_k in zip(w[:n], c)]
+        assert x * math.fsum(map(operator.mul, terms, w)) <= 1.5 * math.fsum(terms)
+        br_val, br_err = branch_integral(v, x, NATURAL_UNITS)
+        envelope = math.exp(-x)
+        if envelope:
+            rounding = branch_rule_parts(a, x, False)[2]
+            assert br_err >= TWO_OVER_PI * (envelope * rounding) + 2.0 * EPS * br_val
+        assert_rules_settled(v, x)
 
     @given(
         v=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
@@ -928,8 +951,8 @@ class TestHalfRuleValue:
             return
         (vn, xn), (half, _full, tb), (gap, _gap_full, gap_err) = found
         assert_rules_settled(vn, xn)
-        # tanh-sinh may leave 0j; F_B(0, x) is 1 exactly
-        fb_ref = mp.re(fb_moment_oracle(vn, xn)) if vn else mp.mpf(1)
+        # F_B(0, x) is 1 exactly; an int keeps the sums in the oracles' context
+        fb_ref = fb_moment_oracle(vn, xn) if vn else 1
         branch_ref = mp_branch_oracle(abs(vn), xn)
         assert abs(half - float(fb_ref + branch_ref)) <= tb.err
         gap_ref = 1 - fb_ref + mp_branch_oracle(0.0, xn) - branch_ref
@@ -963,7 +986,7 @@ class TestHalfRuleValue:
         assert expected.startswith(outcome.__name__) if outcome else "Error" not in expected
         expected_gap = _value_or_error(
             lambda: -kernels._fb_sum(vn, x, True)[0]
-            + TWO_OVER_PI * kernels._branch_laplace(abs(vn), x, gap=True)[0]
+            + TWO_OVER_PI * branch_rule_sum(abs(vn), x, kernels._branch_size(abs(vn), x)[0], True)
         )
         assert _value_or_error(lambda: barrier_free_gap(-vn, x)) == expected_gap
         assert_rules_settled(vn, x)
