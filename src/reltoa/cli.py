@@ -34,7 +34,6 @@ from reltoa.kernels import (
     momentum_kernel_g,
 )
 from reltoa.numerics import (
-    Estimate,
     QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
@@ -379,10 +378,8 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
     put("tau_trav", "momentum", t_c * rc.value, t_c * rc.err, "time")
     put("tau_plus", "momentum", t_c * plus.value, t_c * plus.err, "time")
     put("tau_minus", "momentum", t_c * minus.value, t_c * minus.err, "time")
-    # toa_difference reports no err of its own; a failed transform prints ---
     rows.append(["toa_difference", "direct"]
-                + _safe_ior(lambda: Estimate(
-                    toa_difference(packet, barrier, cfg.params, cfg.settings), 0.0))
+                + _safe_ior(lambda: toa_difference(packet, barrier, cfg.params, cfg.settings))
                 + ["time"])
     margin = packet.k0 - (kc - packet.sigma_k)
     rows.append(["classification", "momentum", Luminality.of(rc.value).value, fmt(margin),
@@ -391,10 +388,24 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _limit_checks(cfg: RunConfig):
-    """Yield (name, residual, threshold) for every limit/oracle property."""
-    params = cfg.params
-    settings = cfg.settings
+def limit_checks(params: PhysicalParams, settings: QuadratureSettings):
+    """Yield (name, residual, threshold) for every limit/oracle property.
+
+    The one table of the paper's limits: `reltoa limits` prints it, and the
+    acceptance gate (tests/test_acceptance.py) reads its rows in natural
+    units.  Each row is stated in natural units and scaled to params:
+    energies by mu c^2, lengths by hbar/(mu c), momenta by mu c,
+    wavenumbers by mu c/hbar, and time residuals are divided by
+    hbar/(mu c^2).  So every residual is dimensionless, every row holds in
+    any unit system, and in natural units every scale factor is 1.0.  The
+    nonrelativistic limit raises c from the configured c, keeping the
+    scaled v0 and zeta, toward 0F1(;1; -mu v0 zeta^2/(2 hbar^2)).
+    """
+    energy = params.rest_energy
+    length = params.hbar / (params.mu * params.c)
+    momentum = params.mu * params.c
+    wavenumber = momentum / params.hbar
+    time = length / params.c
 
     for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
         # int_1^inf sqrt(z^2-1)/z a^2/(a^2 + b^2 z^2) dz, by the branch
@@ -407,55 +418,52 @@ def _limit_checks(cfg: RunConfig):
         yield f"residue identity (a={a}, b={b})", abs(val - ref), 1e-8
 
     for v0 in (0.1, 0.3, 0.99):
-        kc = kappa_c(v0, params)
-        lhs = (params.hbar * kc * params.c) ** 2 + params.rest_energy**2
-        rhs = (params.rest_energy + v0) ** 2
-        yield f"kappa_c threshold identity (v0={v0})", abs(lhs - rhs) / rhs, 1e-13
+        kc = kappa_c(v0 * energy, params)
+        lhs = (params.hbar * kc * params.c) ** 2 + energy**2
+        rhs = (energy + v0 * energy) ** 2
+        yield f"kappa_c threshold identity (v0={v0})", abs(lhs - rhs) / rhs, 1e-14
 
     for zeta in (0.1, 1.0, 10.0):
-        tb = barrier_factor(0.0, zeta, params).value
-        tf = free_factor(zeta, params).value
+        tb = barrier_factor(0.0, zeta * length, params).value
+        tf = free_factor(zeta * length, params).value
         yield f"zero-height kernel (zeta={zeta})", abs(tb - tf) / abs(tf), 1e-9
 
     for zeta in (0.1, 1.0, 10.0):
-        combo = momentum_kernel_f(0, 0, zeta, params) + momentum_kernel_g(
-            0, 0, zeta, params, settings
+        combo = momentum_kernel_f(0, 0, zeta * length, params) + momentum_kernel_g(
+            0, 0, zeta * length, params, settings
         )
-        tf = free_factor(zeta, params).value
+        tf = free_factor(zeta * length, params).value
         yield f"f00+g00 vs free factor (zeta={zeta})", abs(combo - tf) / abs(tf), 1e-9
 
     for v0, zeta in ((0.3, 1.0), (0.5, 0.5)):
-        ref = hyp0f1_one(-v0 * zeta * zeta / 2.0)
+        vo, z = v0 * energy, zeta * length
+        ref = hyp0f1_one(-params.mu * vo * z * z / (2.0 * params.hbar**2))
         errs = []
         for c_val in (1e2, 1e3, 1e4):
-            pp = PhysicalParams(mu=params.mu, c=c_val, hbar=params.hbar)
-            errs.append(abs(barrier_factor(-v0, zeta, pp).value - ref))
+            pp = PhysicalParams(mu=params.mu, c=c_val * params.c, hbar=params.hbar)
+            errs.append(abs(barrier_factor(-vo, z, pp).value - ref))
         monotone = 0.0 if errs[0] > errs[1] > errs[2] else 1.0
         yield f"nonrelativistic kernel limit (v0={v0}, zeta={zeta})", monotone, 0.5
-        pp = PhysicalParams(mu=params.mu, c=1e4, hbar=params.hbar)
-        yield (
-            f"free factor -> 1 (zeta={zeta}, c=1e4)",
-            abs(free_factor(zeta, pp).value - 1.0),
-            1e-8,
-        )
+        yield f"free factor -> 1 (zeta={zeta}, c=1e4)", abs(free_factor(z, pp).value - 1.0), 1e-8
 
-    target = rc_asymptotic(2.0, 0.3, params)
-    val = rc_series_resummation(2.0, 0.3, 12, params)
+    target = rc_asymptotic(2.0 * momentum, 0.3 * energy, params)
+    val = rc_series_resummation(2.0 * momentum, 0.3 * energy, 12, params)
     yield "refraction-index resummation (p0=2, v0=0.3, j_max=12)", abs(val - target), 1e-6
 
-    barrier = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
+    barrier = BarrierSpec(v0=0.3 * energy, a=-2.0 * length, b=-1.0 * length)
     for region, q0, p0 in (("I", -0.5, 1.0), ("II", -1.5, 1.0), ("III", -5.0, 2.0)):
-        quad = crtoa_quadrature(q0, p0, barrier, params)
-        closed = classical_toa_closed(region, q0, p0, barrier, params)
-        yield f"classical arrival time region {region}", abs(quad - closed), 1e-8
+        quad = crtoa_quadrature(q0 * length, p0 * momentum, barrier, params)
+        closed = classical_toa_closed(region, q0 * length, p0 * momentum, barrier, params)
+        yield f"classical arrival time region {region}", abs(quad - closed) / time, 1e-8
 
-    packet = GaussianPacket(q0=-3.0, sigma=0.5, k0=2.0)
+    packet = GaussianPacket(q0=-3.0 * length, sigma=0.5 * length, k0=2.0 * wavenumber)
     amp = (0.5 * math.sqrt(2.0 * math.pi)) ** -0.5
     h = 32.0 / 400
     nodes = [i * h - 16.0 for i in range(401)]
     for zeta in (0.5, 1.0, 5.0):
-        # trapezoid rule on [-16, 16]: the Gaussian product decays far
-        # inside both ends, so the rule's error is its summation's rounding
+        # trapezoid rule on [-16, 16] in natural units: the Gaussian product
+        # decays far inside both ends, so the rule's error is its
+        # summation's rounding
         vals = [
             amp * math.exp(-((z + 3.0 - 0.5 * zeta) ** 2) / (4.0 * 0.25))
             * amp * math.exp(-((z + 3.0 + 0.5 * zeta) ** 2) / (4.0 * 0.25))
@@ -464,20 +472,21 @@ def _limit_checks(cfg: RunConfig):
         overlap = h * (math.fsum(vals) - 0.5 * (vals[0] + vals[-1]))
         yield (
             f"overlap closed form vs quadrature (zeta={zeta})",
-            abs(phi_overlap(packet, zeta) - overlap),
+            abs(phi_overlap(packet, zeta * length) - overlap),
             1e-10,
         )
 
-    wide = GaussianPacket(q0=-300.0, sigma=6.0, k0=2.0)
+    wide = GaussianPacket(q0=-300.0 * length, sigma=6.0 * length, k0=2.0 * wavenumber)
     qc = qc_expectation(wide, params).value
-    yield "free-flight factor vs asymptote (sigma=6, k0=2)", abs(
-        qc - qc_asymptotic(2.0 * params.hbar, params)
-    ) / qc_asymptotic(2.0 * params.hbar, params), 1e-2
+    asymptote = qc_asymptotic(2.0 * momentum, params)
+    yield "free-flight factor vs asymptote (sigma=6, k0=2)", abs(qc - asymptote) / asymptote, 1e-2
 
 
 def cmd_limits(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """Print each row of limit_checks in the configured units, PASS where its
+    residual is within its threshold; exit 3 if any row fails."""
     failures = 0
-    for name, residual, threshold in _limit_checks(cfg):
+    for name, residual, threshold in limit_checks(cfg.params, cfg.settings):
         ok = residual <= threshold
         if not ok:
             failures += 1

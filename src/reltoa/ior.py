@@ -484,22 +484,24 @@ def toa_difference(
     barrier: BarrierSpec,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
+) -> Estimate:
     """Difference of mean arrival times without and with the barrier.
 
     Delta tau = (mu L / p0) (Q_c - R_c), with both factors taken from the
     same sine-transform machinery so the barrier-free limit cancels
     exactly: the integrand is the single difference kernel
-    [T_F - T_B(-V_o)] Phi, which vanishes identically at V_o = 0.
+    [T_F - T_B(-V_o)] Phi, which vanishes identically at V_o = 0.  The
+    err is the sine transform's, scaled as the value is, as in ior_direct.
     """
     barrier.require_subcritical(params)
     packet.check_support(barrier.a)
-    gap, _err = _phi_transform(
+    gap, err = _phi_transform(
         lambda zeta: barrier_free_gap(barrier.v0, zeta, params),
         packet, params, settings, kappa_c(barrier.v0, params),
     )
     # (mu L / p0) * k0 * gap = (mu L / hbar) * gap
-    return params.mu * barrier.length / params.hbar * gap
+    scale = params.mu * barrier.length / params.hbar
+    return Estimate(scale * gap, scale * err)
 
 
 class Luminality(enum.Enum):

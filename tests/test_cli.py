@@ -305,6 +305,23 @@ class TestLimits:
         assert "residue identity" in out
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("mu, c, hbar", [
+        (2.0, 3.0, 0.5),
+        (0.5, 1.2, 1.0),
+        (3.7, 0.21, 17.0),
+        (1e-3, 300.0, 1e-2),
+        (9.1093837015e-31, 299792458.0, 1.054571817e-34),  # the electron, in SI
+    ])
+    def test_passes_in_every_unit_system(self, capsys, tmp_path, mu, c, hbar):
+        # each row is stated in natural units and scaled to the configured
+        # ones, so every row holds whatever mu, c and hbar are
+        cfg = tmp_path / "units.cfg"
+        cfg.write_text(f"mu = {mu!r}\nc = {c!r}\nhbar = {hbar!r}\n")
+        code, out = run_cli(capsys, "--config", str(cfg), "limits")
+        assert code == 0
+        assert "FAIL" not in out
+        assert "all checks passed" in out
+
 
 class TestConfig:
     def test_config_file_and_tol(self, capsys, tmp_path):
@@ -346,31 +363,6 @@ class TestConfig:
         assert len(rows) == 3
 
 
-# Reference outputs in natural units: a refactor must reproduce them byte
-# for byte.  Each command runs in a fresh interpreter, as the CLI does.
-GOLDEN = [
-    ("table1.csv", ["table1"]),
-    (
-        "scan_v0.99_sigma6_steps120.csv",
-        ["scan", "--vo", "0.99", "--sigma", "6", "--ko-min", "0.1", "--ko-max", "6.0",
-         "--steps", "120"],
-    ),
-    (
-        "density_v0.99_sigma4_k1.3_grid400.csv",
-        ["density", "--vo", "0.99", "--sigma", "4", "--ko", "1.3", "--grid", "400"],
-    ),
-    (
-        "kernel_v0.1_zeta0.5-10_grid20.csv",
-        ["kernel", "--vo", "0.1", "--zeta-min", "0.5", "--zeta-max", "10", "--grid", "20"],
-    ),
-    (
-        "point_readme.csv",
-        ["point", "--vo", "0.2", "--sigma", "0.5", "--ko", "2", "--barrier-a", "-21",
-         "--barrier-b", "-20"],
-    ),
-]
-
-
 def fresh_stdout(argv: list[str]) -> bytes:
     """The stdout of `python -m reltoa.cli argv` in a new interpreter."""
     src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
@@ -381,27 +373,24 @@ def fresh_stdout(argv: list[str]) -> bytes:
     ).stdout
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_csv_bytes_match_reference(name, argv):
-    assert fresh_stdout(argv) == (DATA / name).read_bytes()
+# Reference outputs in natural units, which a refactor must reproduce byte
+# for byte: each command maps to its golden CSV in tests/data or to the
+# sha256 of its stdout.  scripts/cli_digests.py checks the same list.  Each
+# command runs in a fresh interpreter, as the CLI does.
+REFERENCES = json.loads((DATA / "cli_digests.json").read_text())
+GOLDEN = {pin: command for command, pin in REFERENCES.items() if pin.endswith(".csv")}
+DIGESTS = {command: pin for command, pin in REFERENCES.items() if not pin.endswith(".csv")}
 
 
-# The sha256 of every reference command's stdout, which
-# scripts/cli_digests.py checks; the commands without a golden CSV above
-# are checked here
-CLI_DIGESTS = json.loads((DATA / "cli_digests.json").read_text())
-DIGEST_ONLY = [
-    "table2",
-    "limits",
-    "kernel --vo 0.3",
-    "kernel --vo 0.1 --zeta-min 1 --zeta-max 160 --grid 160",
-]
+@pytest.mark.parametrize("name", GOLDEN)
+def test_csv_bytes_match_reference(name):
+    assert fresh_stdout(GOLDEN[name].split()) == (DATA / name).read_bytes()
 
 
-@pytest.mark.parametrize("command", DIGEST_ONLY)
+@pytest.mark.parametrize("command", DIGESTS)
 def test_stdout_digest_matches_pin(command):
     out = fresh_stdout(command.split())
-    assert hashlib.sha256(out).hexdigest() == CLI_DIGESTS[command]
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
 
 
 def test_every_command_runs_without_numpy_or_mpmath():

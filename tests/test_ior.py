@@ -183,7 +183,8 @@ class TestIorDirect:
         assert abs(direct.value - momentum.value) <= direct.err + momentum.err
         barrier = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
         gap = qc_expectation(packet).value / k0 - direct.value
-        assert toa_difference(packet, barrier) == pytest.approx(barrier.length * gap, rel=1e-10)
+        delta = toa_difference(packet, barrier).value
+        assert delta == pytest.approx(barrier.length * gap, rel=1e-10)
         slope = ior_direct(GaussianPacket(q0=-50.0, sigma=0.5, k0=1e-4), 0.3).value / 1e-4
         assert ior_momentum(packet, 0.3).value / k0 == pytest.approx(slope, rel=1e-6)
         assert direct.value / k0 == pytest.approx(slope, rel=1e-6)
@@ -845,12 +846,12 @@ class TestToaDifference:
     def test_vanishing_barrier(self):
         barrier = BarrierSpec(v0=1e-12, a=-30.0, b=-29.0)
         packet = GaussianPacket(q0=-60.0, sigma=0.5, k0=2.0)
-        assert abs(toa_difference(packet, barrier)) < 1e-8 * barrier.length
+        assert abs(toa_difference(packet, barrier).value) < 1e-8 * barrier.length
 
     def test_linear_in_v0(self):
         packet = GaussianPacket(q0=-60.0, sigma=0.5, k0=2.0)
-        d6 = toa_difference(packet, BarrierSpec(v0=1e-6, a=-30.0, b=-29.0))
-        d5 = toa_difference(packet, BarrierSpec(v0=1e-5, a=-30.0, b=-29.0))
+        d6 = toa_difference(packet, BarrierSpec(v0=1e-6, a=-30.0, b=-29.0)).value
+        d5 = toa_difference(packet, BarrierSpec(v0=1e-5, a=-30.0, b=-29.0)).value
         assert d5 / d6 == pytest.approx(10.0, rel=1e-3)
 
     def test_wide_packet_asymptotic_assembly(self):
@@ -858,7 +859,7 @@ class TestToaDifference:
         # minus the tau_top average
         barrier = BarrierSpec(v0=0.3, a=-400.0, b=-399.0)
         packet = GaussianPacket(q0=-500.0, sigma=6.0, k0=2.0)
-        delta = toa_difference(packet, barrier)
+        delta = toa_difference(packet, barrier).value
         gamma = qc_asymptotic(packet.k0)
         _, tau_avg = tau_plus_consistency(packet, barrier)
         ref = barrier.length / packet.k0 * gamma - tau_avg
@@ -868,7 +869,7 @@ class TestToaDifference:
         # the barrier is crossed in zero time; the free flight is not
         barrier = BarrierSpec(v0=0.3, a=-400.0, b=-399.0)
         packet = GaussianPacket(q0=-500.0, sigma=9.0, k0=0.19)
-        delta = toa_difference(packet, barrier)
+        delta = toa_difference(packet, barrier).value
         q_c = qc_expectation(packet).value
         ref = barrier.length / packet.k0 * q_c  # mu L / p0 * Q_c
         assert delta == pytest.approx(ref, rel=1e-6)
