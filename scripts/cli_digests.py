@@ -5,7 +5,9 @@ The commands are tests/data/cli_digests.json, which tests/test_cli.py also
 reads.  Each maps either to its golden CSV in tests/data (a name ending in
 ``.csv``), which its stdout must equal byte for byte, or to the sha256 of
 its stdout.  Each command runs in a fresh ``python -m reltoa.cli`` process
-against the library in this checkout's src/, as a user's command does.
+against the library in this checkout's src/, as a user's command does,
+with the repository root as its working directory, so that a command's
+``--config tests/data/...`` resolves.
 Each line gives the stdout's digest, ``ok`` or ``MISMATCH`` against its
 pin, and the command's CPU seconds (user plus system, from the
 getrusage(RUSAGE_CHILDREN) delta around it): its cold time, start-up
@@ -58,7 +60,7 @@ def main() -> int:
         before = _children_cpu_s()
         out = subprocess.run(
             [sys.executable, "-m", "reltoa.cli", *command.split()],
-            capture_output=True, check=True, env=env,
+            capture_output=True, check=True, env=env, cwd=ROOT,
         ).stdout
         cpu_s = _children_cpu_s() - before
         got = hashlib.sha256(out).hexdigest()

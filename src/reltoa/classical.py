@@ -246,5 +246,5 @@ def rc_series_resummation(
                 f"R_c resummation leaves the float range at j = {j} "
                 f"(p0={p0!r}, v0={v0!r}, j_max={j_max})"
             )
-    br, _err = branch_transform(v0, lambda z: x / (z * z + x), x, params)
+    br, _err = branch_transform(v0 / params.rest_energy, lambda z: x / (z * z + x), x)
     return series + br

@@ -411,7 +411,7 @@ def limit_checks(params: PhysicalParams, settings: QuadratureSettings):
         # int_1^inf sqrt(z^2-1)/z a^2/(a^2 + b^2 z^2) dz, by the branch
         # rule at G_B = 1, which carries a factor 2/pi
         val, _ = branch_transform(
-            0.0, lambda z, a=a, b=b: a * a / (a * a + b * b * z * z), (a / b) ** 2, params
+            0.0, lambda z, a=a, b=b: a * a / (a * a + b * b * z * z), (a / b) ** 2
         )
         val *= 0.5 * math.pi
         ref = 0.5 * math.pi * (-1.0 + math.sqrt(1.0 + (a / b) ** 2))

@@ -12,8 +12,7 @@ computed by three independent routes that must agree,
                plus the sine transform of the kernel's branch-cut term,
                taken as one z-integral (kernels.branch_transform) of the
                closed-form (Faddeeva) sine transform of
-               Phi(zeta) exp(-mu c z zeta / hbar); it runs no oscillatory
-               quadrature,
+               Phi(zeta) exp(-z zeta); it runs no oscillatory quadrature,
   * momentum - the closed half-line momentum integrals above kappa_c, in
                k = kappa_c cosh(tau), where the crossing weight's threshold
                root cancels exactly, each on one nested trapezoid rule
@@ -23,6 +22,11 @@ computed by three independent routes that must agree,
 
 Only imaginary parts (sine transforms) are ever formed; the real parts
 carry a logarithmic divergence and no physics.
+
+Every route runs in natural units: each public entry checks its arguments
+and converts them once, v0 to its strength v0/(mu c^2) and the packet to
+sigma mu c/hbar and k0 hbar/(mu c) (_natural_packet).  R_c, its weights and
+Q_c are dimensionless; the times are t_c = L/c times a natural number.
 """
 
 from __future__ import annotations
@@ -70,11 +74,19 @@ __all__ = [
 MAX_SERIES_TERMS = 600
 
 
-def _require_subcritical(v0: float, params: PhysicalParams) -> None:
+def _require_subcritical(v0: float, params: PhysicalParams) -> float:
+    """The strength v0/(mu c^2), once 0 <= v0 < mu c^2."""
     if not 0.0 <= v0 < params.rest_energy:
         raise ValueError(
             f"barrier height {v0} must lie in [0, mu c^2) = [0, {params.rest_energy})"
         )
+    return v0 / params.rest_energy
+
+
+def _natural_packet(packet: GaussianPacket, params: PhysicalParams) -> GaussianPacket:
+    """packet in natural units, sigma mu c/hbar and k0 hbar/(mu c); no route reads q0."""
+    wavenumber = params.mu * params.c / params.hbar
+    return GaussianPacket(q0=0.0, sigma=packet.sigma * wavenumber, k0=packet.k0 / wavenumber)
 
 
 # Phi(zeta) = exp(-zeta^2/(8 sigma^2)) is below the smallest float past
@@ -91,30 +103,29 @@ def _phi_reach(sigma: float, bound: float, cut: float) -> float:
 def _phi_transform(
     kernel: Callable[[float], float],
     packet: GaussianPacket,
-    params: PhysicalParams,
     settings: QuadratureSettings,
     bandwidth: float,
 ) -> tuple[float, float]:
-    """int_0^inf sin(k0 zeta) kernel(zeta) Phi(zeta) dzeta and its error.
+    """int_0^inf sin(k0 zeta) kernel(zeta) Phi(zeta) dzeta and its error, for
+    a natural packet and a kernel of natural zeta.
 
     Every kernel transformed here is bounded by a small multiple of
-    1 + 1/(scale*zeta), so the product is dropped past the window's end,
-    taken in closed form where Phi(zeta) (4 + 1/(scale*zeta)) meets
-    cut = 1e-3 abs_tol: zeta_4 where 4 Phi meets the cut, then end where
-    (4 + 1/(scale*zeta_4)) Phi does, which lies past the crossing because
-    the factor falls with zeta.  At abs_tol = 0 the window ends where Phi
-    underflows.  bandwidth is the kernel's own largest wavenumber:
-    kappa_c(v0, params) for T_B(-v0) and the gap T_F - T_B(-v0), whose
-    residue terms go as cos(kappa_c zeta), and 0 for T_F.
+    1 + 1/zeta, so the product is dropped past the window's end, taken in
+    closed form where Phi(zeta) (4 + 1/zeta) meets cut = 1e-3 abs_tol:
+    zeta_4 where 4 Phi meets the cut, then end where (4 + 1/zeta_4) Phi
+    does, which lies past the crossing because the factor falls with zeta.
+    At abs_tol = 0 the window ends where Phi underflows.  bandwidth is the
+    kernel's own largest wavenumber: kappa_c at the strength for T_B(-v0)
+    and the gap T_F - T_B(-v0), whose residue terms go as
+    cos(kappa_c zeta), and 0 for T_F.
     sine_transform_decaying takes [0, end] in one adaptive G10/K21 run,
     seeded at each period of the faster of sin(k0 zeta) and the kernel,
     with the first period under zeta = w u^3, which flattens the kernel's
     1/zeta start.
     """
-    scale = params.mu * params.c / params.hbar
     cut = 1e-3 * settings.abs_tol
     zeta_4 = _phi_reach(packet.sigma, 4.0, cut)
-    end = _phi_reach(packet.sigma, 4.0 + 1.0 / (scale * zeta_4), cut)
+    end = _phi_reach(packet.sigma, 4.0 + 1.0 / zeta_4, cut)
     return sine_transform_decaying(
         lambda zeta: kernel(zeta) * phi_overlap(packet, zeta),
         packet.k0, end, bandwidth, settings,
@@ -129,12 +140,12 @@ def ior_direct(
 ) -> Estimate:
     """R_c by direct sine transform of the barrier kernel against the packet.
 
-    R_c = (mu c / hbar) * int_0^inf sin(k0 zeta) T_B(-v0, zeta) Phi(zeta) dzeta.
-    The cell is checked once; each node takes barrier_factor's value, bit
-    for bit, from kernels._barrier_value at the natural zeta barrier_factor
-    forms.  That core forms no branch-cut err, and past natural zeta
-    ~ 34-39 it drops the branch-cut sum wherever the sum cannot move the
-    value, as barrier_factor does.
+    R_c = (mu c / hbar) * int_0^inf sin(k0 zeta) T_B(-v0, zeta) Phi(zeta) dzeta,
+    which in natural units is the transform itself.  The cell is checked
+    and converted once; each node takes barrier_factor's natural-unit
+    value, bit for bit, from kernels._barrier_value.  That core forms no
+    branch-cut err, and past zeta ~ 34-39 it drops the branch-cut sum
+    wherever the sum cannot move the value, as barrier_factor does.
     The sine transform is one adaptive G10/K21 run over Phi's closed-form
     window, seeded at each period of the faster of sin(k0 zeta) and T_B's
     cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F has none, so its
@@ -142,52 +153,41 @@ def ior_direct(
     flattens T_B's 2/(pi zeta) start; its err is judged against the total.
     A Table 1 cell takes ~135 T_B values.
     """
-    _require_subcritical(v0, params)
-    scale = params.mu * params.c / params.hbar
-    vn = -v0 / params.rest_energy
-    mu_c, hbar = params.mu * params.c, params.hbar
-    val, err = _phi_transform(
-        lambda zeta: _barrier_value(vn, mu_c * zeta / hbar),
-        packet, params, settings, kappa_c(v0, params) if v0 > 0.0 else 0.0,
-    )
-    return Estimate(scale * val, scale * err)
+    vn = _require_subcritical(v0, params)
+    packet = _natural_packet(packet, params)
+    return Estimate(*_phi_transform(
+        lambda zeta: _barrier_value(-vn, zeta),
+        packet, settings, kappa_c(vn) if vn > 0.0 else 0.0,
+    ))
 
 
-def _laplace_sine(
-    packet: GaussianPacket,
-    params: PhysicalParams,
-) -> Callable[[float], float]:
-    """J(z) = int_0^inf sin(k0 zeta) Phi(zeta) exp(-mu c z zeta / hbar) dzeta.
+def _laplace_sine(packet: GaussianPacket) -> Callable[[float], float]:
+    """J(z) = int_0^inf sin(k0 zeta) Phi(zeta) exp(-z zeta) dzeta, for a
+    natural packet.
 
     With Phi = exp(-a zeta^2), a = 1/(8 sigma^2), this closes to
-    Im[(1/2) sqrt(pi/a) w((k0 + i mu c z / hbar) / (2 sqrt(a)))], w the
-    Faddeeva function.  J > 0 for every z >= 0: a decreasing weight under
+    Im[(1/2) sqrt(pi/a) w((k0 + i z) / (2 sqrt(a)))], w the Faddeeva
+    function.  J > 0 for every z >= 0: a decreasing weight under
     sin(k0 zeta) leaves each positive half-period ahead of the next.
     """
     root = math.sqrt(2.0) * packet.sigma  # 1/(2 sqrt(a))
     pref = math.sqrt(2.0 * math.pi) * packet.sigma  # (1/2) sqrt(pi/a)
     re_arg = packet.k0 * root
-    im_scale = params.mu * params.c / params.hbar * root
 
     def j(z: float) -> float:
-        return pref * faddeeva(complex(re_arg, im_scale * z)).imag
+        return pref * faddeeva(complex(re_arg, root * z)).imag
 
     return j
 
 
-def _branch_transform(
-    packet: GaussianPacket,
-    v0: float,
-    params: PhysicalParams,
-) -> tuple[float, float]:
-    # sine transform of the branch-cut term of T_B(-v0, zeta) times Phi,
-    # which the series route adds to its residue moments, with the zeta
-    # integral taken first in closed form: (2/pi) int_1^inf h(z) J(z) dz.
-    # |sin(k0 zeta)| <= k0 zeta and Phi <= 1 give J(z) <= k0/(mu c z/hbar)^2.
+def _branch_transform(packet: GaussianPacket, vn: float) -> tuple[float, float]:
+    # sine transform of the branch-cut term of T_B(-v0, zeta) times Phi, at
+    # strength vn, which the series route adds to its residue moments, with
+    # the zeta integral taken first in closed form: (2/pi) int_1^inf h(z)
+    # J(z) dz.  |sin(k0 zeta)| <= k0 zeta and Phi <= 1 give J(z) <= k0/z^2.
     # h >= 0 and J > 0, so the Faddeeva error is at most its relative bound
     # times |val|.
-    scale = params.mu * params.c / params.hbar
-    val, err = branch_transform(v0, _laplace_sine(packet, params), packet.k0 / scale**2, params)
+    val, err = branch_transform(vn, _laplace_sine(packet), packet.k0)
     return val, err + FADDEEVA_IM_REL_ERR * abs(val)
 
 
@@ -223,12 +223,12 @@ def ior_series(
     blows up and SeriesDivergenceError is raised, mirroring the regime
     where this representation stops converging.
     """
-    _require_subcritical(v0, params)
-    scale = params.mu * params.c / params.hbar
+    vn = _require_subcritical(v0, params)
+    packet = _natural_packet(packet, params)
 
-    m0 = _laplace_sine(packet, params)(0.0)
+    m0 = _laplace_sine(packet)(0.0)
     moments = _gaussian_sine_moments(packet.k0, packet.sigma, m0)
-    coeffs = fb_moments(-v0, params)
+    coeffs = fb_moments(-vn)
 
     total = 0.0
     comp = 0.0
@@ -276,10 +276,8 @@ def ior_series(
         raise SeriesDivergenceError(
             "sine-moment series lost all precision to cancellation"
         )
-    br, br_err = _branch_transform(packet, v0, params)
-    value = scale * (total + br)
-    err = scale * (br_err + max_term * 1e-15 + settings.abs_tol)
-    return Estimate(value, err)
+    br, br_err = _branch_transform(packet, vn)
+    return Estimate(total + br, br_err + max_term * 1e-15 + settings.abs_tol)
 
 
 # the least -k bound ior_momentum compares with ulps: below the smallest
@@ -289,14 +287,14 @@ def ior_series(
 _SKIP_FLOOR = 2.0 ** -1000
 
 
-def _momentum_threshold(v0: float, params: PhysicalParams) -> float:
-    """kappa_c of a momentum-route barrier, after checking its height."""
-    _require_subcritical(v0, params)
-    if v0 == 0.0:
+def _momentum_threshold(v0: float, params: PhysicalParams) -> tuple[float, float]:
+    """The strength and natural kappa_c of a checked momentum-route barrier."""
+    vn = _require_subcritical(v0, params)
+    if vn == 0.0:
         # no barrier: the threshold collapses and R_c degenerates to the
         # free-flight weight; treat via a vanishing-height limit instead
         raise ValueError("ior_momentum requires v0 > 0; use qc_expectation for v0 = 0")
-    return kappa_c(v0, params)
+    return vn, kappa_c(vn)
 
 
 def ior_momentum(
@@ -313,27 +311,28 @@ def ior_momentum(
     can change by a bit.  A bound under 2^-1000 counts as 2^-1000
     (_SKIP_FLOOR), where the tau rule's subnormal sums cannot reach.
     """
-    kc = _momentum_threshold(v0, params)
-    plus, err_p = _weight(packet, v0, params, settings, kc, +1)
-    bound = max(_minus_bound(packet, v0, params, kc), _SKIP_FLOOR)
+    vn, kc = _momentum_threshold(v0, params)
+    packet = _natural_packet(packet, params)
+    plus, err_p = _weight(packet, vn, settings, kc, +1)
+    bound = max(_minus_bound(packet, vn, kc), _SKIP_FLOOR)
     if bound <= 0.25 * math.ulp(plus) and bound <= 0.25 * math.ulp(err_p):
         return Estimate(plus, err_p)
-    minus, err_m = _weight(packet, v0, params, settings, kc, -1)
+    minus, err_m = _weight(packet, vn, settings, kc, -1)
     return Estimate(plus - minus, err_p + err_m)
 
 
-def _minus_bound(packet: GaussianPacket, v0: float, params: PhysicalParams, kc: float) -> float:
-    """A closed-form upper bound on the -k weight int_kc^inf rho_-(k) w(k) dk.
+def _minus_bound(packet: GaussianPacket, vn: float, kc: float) -> float:
+    """A closed-form upper bound on the -k weight int_kc^inf rho_-(k) w(k) dk,
+    for a natural packet, strength vn and natural kappa_c.
 
     With s = k - kappa_c, d = kappa_c + k0 and lam = 4 sigma^2 d,
     (k + k0)^2 >= d^2 + 2 d s gives rho_-(k) <= rho_-(kappa_c) e^(-lam s).
-    In w = E sqrt((E + R + v0)/((k + kappa_c)(E - v0 + R)(k - kappa_c)))
-    / (hbar c): E <= E(kappa_c) + hbar c s = R + v0 + hbar c s, the ratio
-    (E + R + v0)/(E - v0 + R) falls with E from (R + v0)/R, and
-    k + kappa_c >= 2 kappa_c.  So
+    In w = E sqrt((E + 1 + vn)/((k + kappa_c)(E - vn + 1)(k - kappa_c))):
+    E <= E(kappa_c) + s = 1 + vn + s, the ratio (E + 1 + vn)/(E - vn + 1)
+    falls with E from 1 + vn, and k + kappa_c >= 2 kappa_c.  So
 
-      minus <= rho_-(kappa_c) sqrt((R + v0)/(2 R kappa_c))
-               [(R + v0)/(hbar c) Gamma(1/2) lam^(-1/2) + Gamma(3/2) lam^(-3/2)],
+      minus <= rho_-(kappa_c) sqrt((1 + vn)/(2 kappa_c))
+               [(1 + vn) Gamma(1/2) lam^(-1/2) + Gamma(3/2) lam^(-3/2)],
 
     formed under one exp, so that only the last rounding can underflow.
     Dropping e^(-2 sigma^2 s^2) alone keeps it well above the integral:
@@ -343,55 +342,49 @@ def _minus_bound(packet: GaussianPacket, v0: float, params: PhysicalParams, kc: 
     s2 = packet.sigma * packet.sigma
     d = kc + packet.k0
     lam = 4.0 * s2 * d
-    rest = params.rest_energy
-    top = rest + v0
-    factor = math.sqrt(2.0 * s2 / math.pi) * math.sqrt(top / (2.0 * rest * kc)) * (
-        top / (params.hbar * params.c) * math.sqrt(math.pi / lam)
+    top = 1.0 + vn
+    factor = math.sqrt(2.0 * s2 / math.pi) * math.sqrt(top / (2.0 * kc)) * (
+        top * math.sqrt(math.pi / lam)
         + 0.5 * math.sqrt(math.pi) / (lam * math.sqrt(lam))
     )
     return math.exp(math.log(factor) - 2.0 * s2 * d * d)
 
 
-def _crossing_integrand(
-    packet: GaussianPacket, v0: float, params: PhysicalParams
-) -> Callable[[float], float]:
-    """k -> sqrt(2 sigma^2/pi) E sqrt((E + R + v0)/(E - v0 + R)) / (hbar c).
+def _crossing_integrand(packet: GaussianPacket, vn: float) -> Callable[[float], float]:
+    """k -> sqrt(2 sigma^2/pi) E sqrt((E + 1 + vn)/(E - vn + 1)), for a
+    natural packet and strength vn.
 
     This is the tau-integrand of both weights over their Gaussian: at
     k = kappa_c cosh(tau), rho(k) w(k) dk = exp(-2 sigma^2 (k -+ k0)^2)
     times it, dtau.  Here rho = momentum_density(packet, k, sign),
-    w = sqrt(E^2/((E - v0)^2 - R^2)), E = sqrt((hbar k c)^2 + R^2) and
-    R = mu c^2.  kappa_c's identity (hbar kappa_c c)^2 + R^2 = (R + v0)^2
-    factors the denominator:
+    w = sqrt(E^2/((E - vn)^2 - 1)) and E = sqrt(k^2 + 1).  kappa_c's
+    identity kappa_c^2 + 1 = (1 + vn)^2 factors the denominator:
 
-      (E - v0)^2 - R^2 = (E - R - v0)(E - v0 + R)
-          = (hbar c)^2 (k - kappa_c)(k + kappa_c)(E - v0 + R)/(E + R + v0),
+      (E - vn)^2 - 1 = (E - 1 - vn)(E - vn + 1)
+          = (k - kappa_c)(k + kappa_c)(E - vn + 1)/(E + 1 + vn),
 
     and dk/sqrt(k^2 - kappa_c^2) = dtau takes both threshold roots, so
     what is left is smooth and positive down to k = kappa_c, with no
     below-threshold branch.
     """
-    hbar_c = params.hbar * params.c
-    rest = params.rest_energy
-    pref = packet.sigma * math.sqrt(2.0 / math.pi) / hbar_c
-    e_sum = rest + v0
-    e_diff = rest - v0
+    pref = packet.sigma * math.sqrt(2.0 / math.pi)
+    e_sum = 1.0 + vn
+    e_diff = 1.0 - vn
     hypot, sqrt = math.hypot, math.sqrt
 
     def w(k: float) -> float:
-        e_k = hypot(hbar_c * k, rest)
+        e_k = hypot(k, 1.0)
         return pref * e_k * sqrt((e_k + e_sum) / (e_k + e_diff))
 
     return w
 
 
 def _weight(
-    packet: GaussianPacket, v0: float, params: PhysicalParams,
-    settings: QuadratureSettings, kc: float, sign: int,
+    packet: GaussianPacket, vn: float, settings: QuadratureSettings, kc: float, sign: int,
 ) -> tuple[float, float]:
-    """The +k (sign 1) or -k (sign -1) weight, on the tau rule."""
+    """The +k (sign 1) or -k (sign -1) weight of a natural packet, on the tau rule."""
     return integrate_sqrt_endpoint(
-        _crossing_integrand(packet, v0, params), kc, sign * packet.k0,
+        _crossing_integrand(packet, vn), kc, sign * packet.k0,
         2.0 * packet.sigma * packet.sigma, settings,
     )
 
@@ -431,9 +424,10 @@ def momentum_split(
     weight of a few steps of 2^-1074 keeps its value and an err of at
     least one step.
     """
-    kc = _momentum_threshold(v0, params)
-    plus, err_p = _weight(packet, v0, params, settings, kc, +1)
-    minus, err_m = _weight(packet, v0, params, settings, kc, -1)
+    vn, kc = _momentum_threshold(v0, params)
+    packet = _natural_packet(packet, params)
+    plus, err_p = _weight(packet, vn, settings, kc, +1)
+    minus, err_m = _weight(packet, vn, settings, kc, -1)
     return Estimate(plus - minus, err_p + err_m), Estimate(plus, err_p), Estimate(minus, err_m)
 
 
@@ -452,8 +446,9 @@ def qc_expectation(
     settings.  The err is k0 times the branch transform's err plus the
     Faddeeva bound on J(0).
     """
-    branch, branch_err = _branch_transform(packet, 0.0, params)
-    j0 = _laplace_sine(packet, params)(0.0)
+    packet = _natural_packet(packet, params)
+    branch, branch_err = _branch_transform(packet, 0.0)
+    j0 = _laplace_sine(packet)(0.0)
     return Estimate(
         packet.k0 * (j0 + branch),
         packet.k0 * (branch_err + FADDEEVA_IM_REL_ERR * abs(j0)),
@@ -487,21 +482,22 @@ def toa_difference(
 ) -> Estimate:
     """Difference of mean arrival times without and with the barrier.
 
-    Delta tau = (mu L / p0) (Q_c - R_c), with both factors taken from the
-    same sine-transform machinery so the barrier-free limit cancels
-    exactly: the integrand is the single difference kernel
-    [T_F - T_B(-V_o)] Phi, which vanishes identically at V_o = 0.  The
-    err is the sine transform's, scaled as the value is, as in ior_direct.
+    Delta tau = (mu L / p0) Q_c - t_c R_c, p0 = hbar k0 and t_c = L/c,
+    which is t_c times the natural-unit sine transform of the single
+    difference kernel [T_F - T_B(-V_o)] Phi: Q_c/k0 - R_c in natural
+    units.  Taking the difference inside one transform lets the
+    barrier-free limit cancel exactly, since the kernel vanishes
+    identically at V_o = 0.  The err is the sine transform's, times t_c.
     """
     barrier.require_subcritical(params)
     packet.check_support(barrier.a)
+    vn = barrier.v0 / params.rest_energy
     gap, err = _phi_transform(
-        lambda zeta: barrier_free_gap(barrier.v0, zeta, params),
-        packet, params, settings, kappa_c(barrier.v0, params),
+        lambda zeta: barrier_free_gap(vn, zeta),
+        _natural_packet(packet, params), settings, kappa_c(vn),
     )
-    # (mu L / p0) * k0 * gap = (mu L / hbar) * gap
-    scale = params.mu * barrier.length / params.hbar
-    return Estimate(scale * gap, scale * err)
+    t_c = barrier.length / params.c
+    return Estimate(t_c * gap, t_c * err)
 
 
 class Luminality(enum.Enum):

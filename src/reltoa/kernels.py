@@ -388,25 +388,24 @@ def _fb_sum(vn: float, x: float, drop_unity: bool = False) -> tuple[float, float
     return _fb_rule(vn, _fb_size(vn, x)).evaluate(x, drop_unity)
 
 
-# D_p per (v in units of mu c^2, mu c / hbar): the D_p so far, the weights
+# D_p per strength v (in units of mu c^2): the D_p so far, the weights
 # times s^(2p) that continue them, and the nodes' s^2
-_FB_MOMENTS: dict[tuple[float, float], tuple[tuple[float, ...], ...]] = {}
+_FB_MOMENTS: dict[float, tuple[tuple[float, ...], ...]] = {}
 
 
-def _more_moments(key: tuple[float, float]) -> tuple[tuple[float, ...], ...]:
-    """The cached moments of key, extended by _MOMENT_CHUNK coefficients.
+def _more_moments(vn: float) -> tuple[tuple[float, ...], ...]:
+    """The cached moments of strength vn, extended by _MOMENT_CHUNK coefficients.
 
     D_p is the same sum of the same products whichever call extends the
-    entry, so an entry is a pure function of key and its length, and
+    entry, so an entry is a pure function of vn and its length, and
     threads racing here store equal entries.
     """
-    vn, scale = key
-    entry = _FB_MOMENTS.get(key)
+    entry = _FB_MOMENTS.get(vn)
     if entry is None:
         nodes = _fb_nodes(vn, _MOMENT_INTERVALS)
         coeffs: tuple[float, ...] = ()
         powers = tuple(w * math.exp(ln_g) for _s, ln_g, w in nodes)
-        squares = tuple((scale * s) ** 2 for s, _ln_g, _w in nodes)
+        squares = tuple(s**2 for s, _ln_g, _w in nodes)
     else:
         coeffs, powers, squares = entry
     sign = -1.0 if vn < 0.0 else 1.0
@@ -415,29 +414,29 @@ def _more_moments(key: tuple[float, float]) -> tuple[tuple[float, ...], ...]:
         new.append(sign**p * math.fsum(powers))
         powers = tuple(map(operator.mul, powers, squares))
     entry = (coeffs + tuple(new), powers, squares)
-    _FB_MOMENTS[key] = entry
+    _FB_MOMENTS[vn] = entry
     return entry
 
 
-def fb_moments(v: float, params: PhysicalParams) -> Iterator[float]:
-    """Power-series coefficients D_p of F_B(v, zeta) = sum_p D_p zeta^(2p)/(2p)!.
+def fb_moments(v: float) -> Iterator[float]:
+    """Power-series coefficients D_p of F_B(v, zeta) = sum_p D_p zeta^(2p)/(2p)!,
+    at strength v in units of mu c^2 and natural zeta.
 
     Yields D_0, D_1, ... as the caller walks p upward.  D_p is the moment
     (-1)^p (2/pi) int_0^kappa_c s^(2p) W(s) ds of the crossing weight (no
-    sign change for v > 0), in the units of params, from the fixed
-    512-interval theta rule and cached per strength.  |v| must lie below
-    the rest energy; that is checked here, before the first D_p.
+    sign change for v > 0), from the fixed 512-interval theta rule and
+    cached per strength.  |v| must lie below 1; that is checked here,
+    before the first D_p.
     """
-    vn = _strength(v, params, "fb_moments")
-    return _walk_moments((vn, params.mu * params.c / params.hbar))
+    return _walk_moments(_strength(v, NATURAL_UNITS, "fb_moments"))
 
 
-def _walk_moments(key: tuple[float, float]) -> Iterator[float]:
-    """D_0, D_1, ... of key, extending its cache entry as p walks past it."""
+def _walk_moments(vn: float) -> Iterator[float]:
+    """D_0, D_1, ... of strength vn, extending its cache entry as p walks past it."""
     for p in itertools.count():
-        entry = _FB_MOMENTS.get(key)
+        entry = _FB_MOMENTS.get(vn)
         while entry is None or p >= len(entry[0]):
-            entry = _more_moments(key)
+            entry = _more_moments(vn)
         yield entry[0][p]
 
 
@@ -631,13 +630,12 @@ def _scaled_branch(a: float, x: float) -> tuple[float, float]:
 
 
 def branch_transform(
-    v0: float,
+    v: float,
     j: Callable[[float], float],
     j_bound: float,
-    params: PhysicalParams,
 ) -> tuple[float, float]:
-    """(2/pi) int_1^inf sqrt(z^2-1)/z G_B(v0, z) j(z) dz, with its error estimate,
-    for 0 <= j(z) <= j_bound/z^2.
+    """(2/pi) int_1^inf sqrt(z^2-1)/z G_B(v, z) j(z) dz, with its error estimate,
+    for 0 <= j(z) <= j_bound/z^2 and a strength v in units of mu c^2.
 
     Summed on the h = 2^-3 rule out to u = 40 + ln(1/delta), where
     z ~ e^40/2 whatever the strength.  The error is |T_h - T_2h|, 8 units of
@@ -645,7 +643,7 @@ def branch_transform(
     int_Z^inf G_B j dz <= j_bound/(Z sqrt(1 - v^2)) since
     G_B <= (1 - v^2)^(-1/2); j's own error is the caller's.
     """
-    vn = abs(_strength(v0, params, "branch_transform"))
+    vn = abs(_strength(v, NATURAL_UNITS, "branch_transform"))
     delta = 1.0 - vn
     count = int((40.0 - math.log(delta)) * 8)
     w, c, _d = _branch_nodes(vn, 3, count)

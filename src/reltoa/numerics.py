@@ -69,7 +69,10 @@ class QuadratureSettings:
     """Tolerances and resource caps of the adaptive integrals, the sine
     transform and the momentum route's weights.
 
-    rel_tol / abs_tol are the target relative tolerance and absolute floor;
+    rel_tol / abs_tol are the target relative tolerance and absolute floor.
+    The routes run in natural units, so on every route that reads abs_tol
+    (direct, series, and the Delta tau gap transform) it bounds an err of
+    R_c itself, a dimensionless number, whatever mu, c and hbar are.
     max_subdivisions caps the bisected segments of each adaptive integral,
     on top of its opening segments (one, plus one per interior seed, which
     it does not limit), and the sine transform's periods at 16 times

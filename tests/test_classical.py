@@ -233,7 +233,7 @@ class TestRcResummation:
                     alpha, j + 1
                 ) * scipy.special.hyp2f1(1.0, j + 1 - alpha, j + 2.0, -x)
                 total += outer * math.comb(j, k) * (-v0 / 2.0) ** (j - k) * bracket
-        return total + branch_transform(v0, lambda z: x / (z * z + x), x, NATURAL_UNITS)[0]
+        return total + branch_transform(v0, lambda z: x / (z * z + x), x)[0]
 
     @pytest.mark.parametrize("p0, v0", RESUM_POINTS)
     def test_partial_sums_match_the_hypergeometric_form(self, p0, v0):

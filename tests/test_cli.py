@@ -314,13 +314,23 @@ class TestLimits:
     ])
     def test_passes_in_every_unit_system(self, capsys, tmp_path, mu, c, hbar):
         # each row is stated in natural units and scaled to the configured
-        # ones, so every row holds whatever mu, c and hbar are
+        # ones, so every row holds whatever mu, c and hbar are.  `point` at
+        # the README's cell, scaled to the same units, answers too: the
+        # routes run in natural units inside
         cfg = tmp_path / "units.cfg"
         cfg.write_text(f"mu = {mu!r}\nc = {c!r}\nhbar = {hbar!r}\n")
         code, out = run_cli(capsys, "--config", str(cfg), "limits")
         assert code == 0
         assert "FAIL" not in out
         assert "all checks passed" in out
+        length = hbar / (mu * c)
+        code, out = run_cli(
+            capsys, "--config", str(cfg), "point", "--vo", repr(0.2 * mu * c * c),
+            "--sigma", repr(0.5 * length), "--ko", repr(2.0 / length),
+            f"--barrier-a={-21.0 * length!r}", f"--barrier-b={-20.0 * length!r}",
+        )
+        assert code == 0
+        assert len(parse_csv(out)) == 13
 
 
 class TestConfig:
@@ -364,19 +374,22 @@ class TestConfig:
 
 
 def fresh_stdout(argv: list[str]) -> bytes:
-    """The stdout of `python -m reltoa.cli argv` in a new interpreter."""
+    """The stdout of `python -m reltoa.cli argv` in a new interpreter, run
+    from the repository root, against which the commands' paths resolve."""
     src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "reltoa.cli", *argv],
         capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path},
+        cwd=DATA.parent.parent,
     ).stdout
 
 
-# Reference outputs in natural units, which a refactor must reproduce byte
-# for byte: each command maps to its golden CSV in tests/data or to the
-# sha256 of its stdout.  scripts/cli_digests.py checks the same list.  Each
-# command runs in a fresh interpreter, as the CLI does.
+# Reference outputs, which a refactor must reproduce byte for byte: each
+# command maps to its golden CSV in tests/data or to the sha256 of its
+# stdout.  All run in natural units but one `point`, which runs under
+# tests/data/si_electron.cfg.  scripts/cli_digests.py checks the same list.
+# Each command runs in a fresh interpreter, as the CLI does.
 REFERENCES = json.loads((DATA / "cli_digests.json").read_text())
 GOLDEN = {pin: command for command, pin in REFERENCES.items() if pin.endswith(".csv")}
 DIGESTS = {command: pin for command, pin in REFERENCES.items() if not pin.endswith(".csv")}

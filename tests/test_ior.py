@@ -94,9 +94,7 @@ def nested_branch_transform(packet: GaussianPacket, v0: float) -> tuple[float, f
 
 def nested_qc(packet: GaussianPacket) -> tuple[float, float]:
     """Q_c and its error as k0 times the sine transform of T_F Phi, zeta outermost."""
-    val, err = _phi_transform(
-        lambda zeta: free_factor(zeta).value, packet, NATURAL_UNITS, DEFAULT_SETTINGS, 0.0
-    )
+    val, err = _phi_transform(lambda zeta: free_factor(zeta).value, packet, DEFAULT_SETTINGS, 0.0)
     return packet.k0 * val, packet.k0 * err
 
 
@@ -110,6 +108,15 @@ ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
 # the three unit systems of the momentum tests
 UNIT_SYSTEMS = [NATURAL_UNITS, PhysicalParams(mu=2.0, c=3.0, hbar=0.5),
                 PhysicalParams(mu=0.7, c=137.0, hbar=1.3)]
+
+
+def natural(packet: GaussianPacket, v0: float, params) -> tuple[GaussianPacket, float]:
+    """The packet and barrier height as every route runs them: sigma in
+    units of hbar/(mu c), k0 in units of mu c/hbar and v0 in units of
+    mu c^2, each by one product or quotient."""
+    wavenumber = params.mu * params.c / params.hbar
+    return (GaussianPacket(q0=0.0, sigma=packet.sigma * wavenumber, k0=packet.k0 / wavenumber),
+            v0 / params.rest_energy)
 
 
 def minus_weight_reference(v0: float, sigma: float, k0: float) -> float:
@@ -200,7 +207,7 @@ class TestIorDirect:
         packet = wide(k0, sigma)
         est = ior_direct(packet, 0.0)
         val, err = _phi_transform(
-            lambda zeta: free_factor(zeta).value, packet, NATURAL_UNITS, DEFAULT_SETTINGS, 0.0
+            lambda zeta: free_factor(zeta).value, packet, DEFAULT_SETTINGS, 0.0
         )
         assert (est.value.hex(), est.err.hex()) == (val.hex(), err.hex())
         assert abs(est.value - qc_expectation(packet).value / k0) <= est.err
@@ -270,8 +277,9 @@ class TestIorDirect:
         assert {key: pin[key] for key in KERNEL_PINS.DIRECT_GRID} == KERNEL_PINS.DIRECT_GRID
         assert KERNEL_PINS.direct_digest(pin) == pin["sha256"]
 
-    # at hbar = 0.5 the product (mu c / hbar) zeta rounds as mu c zeta / hbar
-    # does, so a third unit system tells the two forms of natural zeta apart
+    # at hbar = 0.5 a product or quotient by mu c/hbar rounds the same
+    # whichever order its factors take, so a third unit system tells the
+    # orders of the natural packet's conversion apart
     UNITS = [NATURAL_UNITS, PhysicalParams(mu=2.0, c=3.0, hbar=0.5),
              PhysicalParams(mu=0.7, c=1.3, hbar=1.1)]
 
@@ -284,18 +292,28 @@ class TestIorDirect:
     )
     @example(sigma=2.0, k0=1.0, v0_frac=0.5, params=UNITS[2])
     def test_bits_match_composed_barrier_factor(self, sigma, k0, v0_frac, params):
-        # the route is the sine transform of barrier_factor's value, node by
-        # node, bit for bit, whatever the units, seeded at T_B's own
-        # wavenumber kappa_c
+        # whatever the units, the route is the sine transform of
+        # barrier_factor's natural-unit value at the natural packet, node by
+        # node, bit for bit, seeded at T_B's own wavenumber kappa_c.  At
+        # hbar = 0.5 the natural sigma reaches 108, where a cell whose R_c
+        # is near 0 can miss abs_tol within the cap: both forms then raise
+        # the same QuadratureError
         packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
         v0 = v0_frac * params.rest_energy
-        val, err = _phi_transform(
-            lambda zeta: barrier_factor(-v0, zeta, params).value,
-            packet, params, DEFAULT_SETTINGS, kappa_c(v0, params),
-        )
-        scale = params.mu * params.c / params.hbar
-        est = ior_direct(packet, v0, params, DEFAULT_SETTINGS)
-        assert (est.value.hex(), est.err.hex()) == ((scale * val).hex(), (scale * err).hex())
+        packet_n, vn = natural(packet, v0, params)
+
+        def bits(run):
+            try:
+                est = run()
+            except QuadratureError as exc:
+                return str(exc)
+            return est.value.hex(), est.err.hex()
+
+        composed = bits(lambda: Estimate(*_phi_transform(
+            lambda zeta: barrier_factor(-vn, zeta).value,
+            packet_n, DEFAULT_SETTINGS, kappa_c(vn),
+        )))
+        assert bits(lambda: ior_direct(packet, v0, params, DEFAULT_SETTINGS)) == composed
 
 
 class TestIorSeries:
@@ -311,7 +329,7 @@ class TestIorSeries:
     @pytest.mark.parametrize("k0", [0.15, 2.0, 5.0])
     @pytest.mark.parametrize("v0", [0.3, 0.6])
     def test_branch_transform_matches_nested_oracle(self, k0, v0):
-        swapped, swapped_err = _branch_transform(narrow(k0), v0, NATURAL_UNITS)
+        swapped, swapped_err = _branch_transform(narrow(k0), v0)
         nested, nested_err = nested_branch_transform(narrow(k0), v0)
         gap = abs(swapped - nested)
         # the nested form sums the same branch rule per zeta, so the swapped
@@ -478,39 +496,42 @@ class TestIorMomentum:
         # the tau rule's w from _crossing_integrand, which times the Gaussian
         # exp(-2 sigma^2 (k -+ k0)^2) is the node at k = kappa_c cosh(tau),
         # against the k-form sqrt(2 sigma^2/pi) sqrt(E^2/D) dk/dtau, with
-        # D = (E - v0)^2 - R^2 and dk/dtau = sqrt(k^2 - kappa_c^2), which
-        # cancels near kappa_c.  The k-form's rounding bounds their relative
-        # gap, in units of eps:
-        #  * D: E from hypot(hbar k c, R) is within 3 eps, so E - v0 within
-        #    4 eps E, its square within 9 eps E^2; with R^2's rounding and
-        #    the subtraction, |dD| <= 10 eps E^2 + eps D, and sqrt(E^2/D)
-        #    moves by half that relative to D;
+        # D = (E - v0)^2 - 1 and dk/dtau = sqrt(k^2 - kappa_c^2), which
+        # cancels near kappa_c, all in natural units.  The k-form's rounding
+        # bounds their relative gap, in units of eps:
+        #  * D: E from hypot(k, 1) is within 3 eps, so E - v0 within
+        #    4 eps E, its square within 9 eps E^2; with the subtraction,
+        #    |dD| <= 10 eps E^2 + eps D, and sqrt(E^2/D) moves by half that
+        #    relative to D;
         #  * the threshold: k - kappa_c is within eps k, and the float
         #    kappa_c sits within 5 eps kappa_c of the root of D; the k-form
         #    goes as (k - kappa_c)^(+-1/2), so each moves it by half that
         #    over k - kappa_c;
         #  * 17 eps for the remaining roundings of both forms.
-        packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
+        # The unit system is drawn for the public entry, which runs the
+        # integrand bit for bit at the natural packet and strength
+        drawn = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
         v0 = v0_frac * params.rest_energy
-        kc = kappa_c(v0, params)
-        w = _crossing_integrand(packet, v0, params)
+        packet, vn = natural(drawn, v0, params)
+        assert momentum_split(drawn, v0, params) == momentum_split(packet, vn)
+        kc = kappa_c(vn)
+        w = _crossing_integrand(packet, vn)
         eps = sys.float_info.epsilon
-        rest, hbar_c = params.rest_energy, params.hbar * params.c
-        norm = math.sqrt(2.0 * sigma * sigma / math.pi)
+        norm = math.sqrt(2.0 * packet.sigma * packet.sigma / math.pi)
         at_threshold = w(kc)
         assert math.isfinite(at_threshold) and at_threshold > 0.0
         ks = [kc * math.cosh(math.sqrt(2.0**-j)) for j in range(0, 80)]
-        ks += [k0 + j * packet.sigma_k / 4.0 for j in range(-40, 41)]
+        ks += [packet.k0 + j * packet.sigma_k / 4.0 for j in range(-40, 41)]
         for k in ks:
             gap = k - kc
             if gap <= 2.0**24 * math.ulp(kc):
                 continue
-            e_k = math.hypot(hbar_c * k, rest)
-            denom = hbar_c**2 * gap * (k + kc) * (e_k - v0 + rest) / (e_k + rest + v0)
+            e_k = math.hypot(k, 1.0)
+            denom = gap * (k + kc) * (e_k - vn + 1.0) / (e_k + 1.0 + vn)
             bound = eps * (
                 (10.0 * e_k * e_k + denom) / (2.0 * denom) + (2.0 * k + 5.0 * kc) / gap + 17.0
             )
-            k_form = norm * crossing_weight(k, v0, params) * math.sqrt(gap * (k + kc))
+            k_form = norm * crossing_weight(k, vn, NATURAL_UNITS) * math.sqrt(gap * (k + kc))
             assert abs(w(k) - k_form) <= bound * k_form, (k, w(k), k_form)
 
     def test_underflowed_gaussian_gives_exact_zero(self, monkeypatch):
@@ -529,7 +550,7 @@ class TestIorMomentum:
             return lambda k: calls.append(k) or w(k)
 
         monkeypatch.setattr(ior, "_crossing_integrand", counted)
-        minus = ior._weight(packet, v0, NATURAL_UNITS, DEFAULT_SETTINGS, kc, -1)
+        minus = ior._weight(packet, v0, DEFAULT_SETTINGS, kc, -1)
         assert calls == []
         assert minus == (0.0, 0.0)
         assert minus[0].hex() == "0x0.0p+0"
@@ -537,7 +558,7 @@ class TestIorMomentum:
         assert split_minus == Estimate(0.0, 0.0)
         # on the +k side w is finite and positive from kappa_c to far past
         # the Gaussian's reach
-        w = crossing(packet, v0, NATURAL_UNITS)
+        w = crossing(packet, v0)
         assert all(math.isfinite(w(k)) and w(k) > 0.0 for k in (kc, 1.0, 1e3, 1e150))
 
     @given(
@@ -725,12 +746,14 @@ class TestIorMomentum:
         # the closed-form bound is above the -k weight wherever momentum_split
         # runs its integral.  Below the smallest normal float the rule sums
         # on the absolute grid 2^-1074, and its value may sit a few steps
-        # above the integral, within its err
+        # above the integral, within its err.  The split runs in the drawn
+        # units, and the bound at the natural packet and strength it runs
         v0 = v0_frac * params.rest_energy
         packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
         _, _, minus = momentum_split(packet, v0, params)
         assume(minus != Estimate(0.0, 0.0))
-        bound = _minus_bound(packet, v0, params, kappa_c(v0, params))
+        packet_n, vn = natural(packet, v0, params)
+        bound = _minus_bound(packet_n, vn, kappa_c(vn))
         if minus.value >= sys.float_info.min:
             assert minus.value <= bound, (minus, bound)
         else:
@@ -753,7 +776,7 @@ class TestIorMomentum:
             for run in (
                 lambda: ior_momentum(packet, v0),
                 lambda: momentum_split(packet, v0),
-                lambda: ior._weight(packet, v0, NATURAL_UNITS, DEFAULT_SETTINGS, kappa_c(v0), -1),
+                lambda: ior._weight(packet, v0, DEFAULT_SETTINGS, kappa_c(v0), -1),
             ):
                 with KERNEL_PINS.counting_momentum_evals() as calls:
                     run()
@@ -893,3 +916,77 @@ class TestSuperluminalClassify:
         packet = GaussianPacket(q0=-300.0, sigma=6.0, k0=2.0)
         label, _ = superluminal_classify(packet, 1e-6)
         assert label is Luminality.SUBLUMINAL
+
+
+def _qc(packet: GaussianPacket, v0: float, params) -> Estimate:
+    return qc_expectation(packet, params)
+
+
+def _toa(packet: GaussianPacket, v0: float, params) -> Estimate:
+    """Delta tau across the barrier on (-2, -1) in natural units, in units of
+    hbar/(mu c^2)."""
+    length = params.hbar / (params.mu * params.c)
+    est = toa_difference(packet, BarrierSpec(v0=v0, a=-2.0 * length, b=-length), params)
+    time = length / params.c
+    return Estimate(est.value / time, est.err / time)
+
+
+# the natural cells (sigma, k0, v0) of the unit-system test; Q_c takes one
+# v0, and Delta tau, which costs what the direct route does, half the sigmas
+# and v0s
+UNIT_GRID = [(sigma, k0, v0) for sigma in (0.5, 1.0, 2.0, 9.0)
+             for k0 in (0.25, 1.2, 2.0, 5.0) for v0 in (0.1, 0.3, 0.9, 0.99)]
+UNIT_ROUTES = {
+    ior_direct: UNIT_GRID,
+    ior_series: UNIT_GRID,
+    ior_momentum: UNIT_GRID,
+    _qc: [cell for cell in UNIT_GRID if cell[2] == 0.1],
+    _toa: [cell for cell in UNIT_GRID if cell[0] in (0.5, 2.0) and cell[2] in (0.3, 0.99)],
+}
+
+
+def in_units(route, sigma: float, k0: float, v0: float, params):
+    """route at the natural cell (sigma, k0, v0), run in params' units: its
+    Estimate, or the type of the typed error it raised; any other error
+    propagates."""
+    length = params.hbar / (params.mu * params.c)
+    packet = GaussianPacket(
+        q0=-(2.0 + 20.0 * sigma) * length, sigma=sigma * length, k0=k0 / length
+    )
+    try:
+        return route(packet, v0 * params.rest_energy, params)
+    except (ValueError, QuadratureError, SeriesDivergenceError) as exc:
+        return type(exc)
+
+
+class TestUnitSystems:
+    @pytest.fixture(scope="class")
+    def natural_outcomes(self):
+        return {(route, cell): in_units(route, *cell, NATURAL_UNITS)
+                for route, cells in UNIT_ROUTES.items() for cell in cells}
+
+    @pytest.mark.parametrize("params", [
+        PhysicalParams(mu=2.0, c=3.0, hbar=0.5),
+        PhysicalParams(mu=0.5, c=1.2, hbar=1.0),
+        PhysicalParams(mu=3.7, c=0.21, hbar=17.0),
+        PhysicalParams(mu=1e-3, c=300.0, hbar=1e-2),
+        PhysicalParams(mu=9.1093837e-31, c=2.99792458e8, hbar=1.054571817e-34),  # SI electron
+    ], ids=["2-3-0.5", "0.5-1.2-1", "3.7-0.21-17", "1e-3-300-1e-2", "si-electron"])
+    def test_routes_answer_as_in_natural_units(self, params, natural_outcomes):
+        # R_c on the three routes, Q_c and Delta tau are dimensionless or
+        # scaled back, and every route runs in natural units inside: each
+        # cell gives the natural run's typed error, or a value within its err
+        # of the natural value, with an err within 2x of the natural err
+        # wherever the value is above its err
+        broken = []
+        for (route, cell), want in natural_outcomes.items():
+            got = in_units(route, *cell, params)
+            if isinstance(want, type) or isinstance(got, type):
+                ok = got is want
+            else:
+                ok = abs(got.value - want.value) <= got.err and (
+                    abs(got.value) <= got.err or want.err <= 2.0 * got.err <= 4.0 * want.err
+                )
+            if not ok:
+                broken.append((route.__name__, cell, want, got))
+        assert broken == []

@@ -302,7 +302,7 @@ class TestFbMomentForm:
     @pytest.mark.parametrize("v", [-0.3, 0.3, -0.6])
     def test_moments_match_triple_sum(self, v):
         # the series route's D_p against the (l, m, n) triple sum at 40 digits
-        coeffs = list(itertools.islice(fb_moments(v, NATURAL_UNITS), 40))
+        coeffs = list(itertools.islice(fb_moments(v), 40))
         refs = ORACLES.residue_coeffs(v, 12, 40)
         for p, ref in enumerate(refs):
             assert coeffs[p] == pytest.approx(float(ref), rel=1e-14), p
@@ -344,13 +344,13 @@ class TestFbMomentForm:
                 del kernels._FB_STRENGTHS[key]
             for key in [key for key in kernels._FB_RULES if abs(key[0]) == 0.61]:
                 del kernels._FB_RULES[key]
-            for key in [key for key in kernels._FB_MOMENTS if abs(key[0]) == 0.61]:
+            for key in [key for key in kernels._FB_MOMENTS if abs(key) == 0.61]:
                 del kernels._FB_MOMENTS[key]
 
         def bits(v0, zeta):
             est = fb_series(v0, zeta)
             less, _err = kernels._fb_sum(v0, zeta, True)
-            moments = itertools.islice(fb_moments(v0, NATURAL_UNITS), 100)
+            moments = itertools.islice(fb_moments(v0), 100)
             return est.value.hex(), est.err.hex(), less.hex(), [d.hex() for d in moments]
 
         forget()
@@ -378,11 +378,11 @@ class TestFbMomentForm:
     def test_values_do_not_depend_on_earlier_calls(self):
         code = (
             "import itertools\n"
-            "from reltoa.kernels import NATURAL_UNITS, barrier_free_gap, fb_moments, fb_series\n"
+            "from reltoa.kernels import barrier_free_gap, fb_moments, fb_series\n"
             "for v, zeta in [(-0.1, 140.2), (0.3, 20.0), (-0.9, 5.0)]:\n"
             "    est = fb_series(v, zeta)\n"
             "    print(est.value.hex(), est.err.hex(), barrier_free_gap(-v, zeta).hex())\n"
-            "    moments = itertools.islice(fb_moments(v, NATURAL_UNITS), 70)\n"
+            "    moments = itertools.islice(fb_moments(v), 70)\n"
             "    print(*(d.hex() for d in moments))\n"
         )
         fresh = _run_bench_code(code)
@@ -392,12 +392,12 @@ class TestFbMomentForm:
             for zeta in (0.2, 9.0, 60.0, 160.0):
                 fb_series(v, zeta)
                 barrier_free_gap(-v, zeta)
-            list(itertools.islice(fb_moments(v, NATURAL_UNITS), 200))
+            list(itertools.islice(fb_moments(v), 200))
         lines = []
         for v, zeta in [(-0.1, 140.2), (0.3, 20.0), (-0.9, 5.0)]:
             est = fb_series(v, zeta)
             lines.append(f"{est.value.hex()} {est.err.hex()} {barrier_free_gap(-v, zeta).hex()}")
-            moments = itertools.islice(fb_moments(v, NATURAL_UNITS), 70)
+            moments = itertools.islice(fb_moments(v), 70)
             lines.append(" ".join(d.hex() for d in moments))
         assert fresh.splitlines() == lines
 
@@ -1025,11 +1025,11 @@ class TestFbCoeffBuild:
         # the build uses no mpmath, so a thread that keeps setting mpmath's
         # global precision changes neither its bits nor the precision the
         # caller finds afterwards, nor the other cache entries
-        key = (0.57, 1.0)  # a strength no other test uses
+        key = 0.57  # a strength no other test uses
 
         def build():
             kernels._FB_MOMENTS.pop(key, None)
-            return [d.hex() for d in itertools.islice(fb_moments(0.57, NATURAL_UNITS), 112)]
+            return [d.hex() for d in itertools.islice(fb_moments(0.57), 112)]
 
         serial = build()
         cached = {k: entry for k, entry in kernels._FB_MOMENTS.items() if k != key}
@@ -1060,12 +1060,12 @@ class TestFbCoeffBuild:
         # at v = +1 a node's atanh(1) would otherwise fail as a domain error
         for v in (-1.0, 1.0, 2.5):
             with pytest.raises(ValueError) as info:
-                fb_moments(v, NATURAL_UNITS)
+                fb_moments(v)
             assert str(info.value) == (
                 f"fb_moments requires |v0| below the rest energy 1.0, got {v}"
             )
         with pytest.raises(ValueError, match=r"^fb_moments requires a finite v0"):
-            fb_moments(math.nan, NATURAL_UNITS)
+            fb_moments(math.nan)
 
 
 class TestFbExactSum:
