@@ -28,7 +28,14 @@ tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
 v0 up to 0.99 and k0 on both sides of kappa_c; beside its CPU time the
 script prints the integrand evaluations of ``reltoa.ior.ior_momentum`` on
 the same cells, counted by wrapping the route's integrand factory
-(counting_momentum_evals).  Last, the residue factor
+(counting_momentum_evals).  The series pin, tests/data/series_pin.json,
+hashes ``reltoa.ior.ior_series``'s (value, err), or its error type and
+text, on 18 cells, sigma 0.5 and 1, v0 on both sides of the branch
+transform's switch of rule at 0.1 and k0 from 0.5 to 5, and
+``qc_expectation``'s on the six (sigma, k0); beside its CPU time the script
+prints the J calls of Table 1's seven v0 = 0.3 series cells
+(TABLE1_SERIES_CELLS), counted by wrapping the route's Laplace-sine
+factory (series_calls).  Last, the residue factor
 F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
 call of ``reltoa.kernels._fb_sum``, ``barrier_factor`` and
 ``reltoa.kernels._barrier_value``, the direct route's core (their rules
@@ -55,7 +62,7 @@ import time
 
 from reltoa import ior, kernels
 from reltoa.cli import TABLE1_ROWS, TABLE1_SIGMA
-from reltoa.ior import ior_direct, momentum_split
+from reltoa.ior import ior_direct, ior_series, momentum_split, qc_expectation
 from reltoa.kernels import (
     NATURAL_UNITS,
     barrier_factor,
@@ -71,6 +78,7 @@ FACTOR_PIN_FILE = DATA / "branch_factors_pin.json"
 DENSE_PIN_FILE = DATA / "dense_kernel_pin.json"
 DIRECT_PIN_FILE = DATA / "direct_pin.json"
 MOMENTUM_PIN_FILE = DATA / "momentum_pin.json"
+SERIES_PIN_FILE = DATA / "series_pin.json"
 
 # the branch-cut pin: both signs the routes use, zero, and a strong barrier,
 # at 40 log-spaced zeta from a wide packet's small-zeta end to the kernel
@@ -98,6 +106,12 @@ MOMENTUM_GRID = {
     "v0": [0.1, 0.3, 0.5, 0.99],
     "k0": [0.2, 0.7, 1.0, 1.5, 2.5],
 }
+# the series pin's cells: v0 on both sides of the branch transform's switch
+# from the h = 2^-3 rule to the h = 2^-2 rule at 0.1, and up to the rest
+# energy; qc_expectation runs on each (sigma, k0)
+SERIES_GRID = {"sigma": [0.5, 1.0], "v0": [0.05, 0.3, 0.99], "k0": [0.5, 2.0, 5.0]}
+# Table 1's v0 = 0.3 series cells, (sigma, v0, k0)
+TABLE1_SERIES_CELLS = [(TABLE1_SIGMA, v0, k0) for k0, v0, _ in TABLE1_ROWS if v0 == 0.3]
 # the F_B timing: (v, zeta), timed in this order after every pin
 FB_POINTS = [(v, zeta) for v in (-0.1, 0.1) for zeta in (1.0, 3.0, 9.0, 50.0, 100.0, 150.0)]
 FB_CALLS = 200  # calls per timed round
@@ -260,30 +274,34 @@ def _per_value(counts) -> str:
 
 
 @contextlib.contextmanager
-def counting_momentum_evals():
-    """Count the momentum route's integrand evaluations within the block.
-
-    Yields a one-item list that counts each call of every w that
-    reltoa.ior._crossing_integrand returns while the block runs: the tau
-    rule calls w once per node.  The factory is restored on exit.
-    """
+def _counting_closure_calls(name: str):
+    """Yield a one-item list that counts each call of every function that
+    the factory reltoa.ior.<name> returns within the block; the factory is
+    restored on exit."""
     calls = [0]
-    factory = ior._crossing_integrand
+    factory = getattr(ior, name)
 
     def make(*args):
-        w = factory(*args)
+        f = factory(*args)
 
-        def counted(k):
+        def counted(x):
             calls[0] += 1
-            return w(k)
+            return f(x)
 
         return counted
 
-    ior._crossing_integrand = make
+    setattr(ior, name, make)
     try:
         yield calls
     finally:
-        ior._crossing_integrand = factory
+        setattr(ior, name, factory)
+
+
+def counting_momentum_evals():
+    """Count the momentum route's integrand evaluations within the block:
+    each call of every w that reltoa.ior._crossing_integrand returns, which
+    the tau rule calls once per node."""
+    return _counting_closure_calls("_crossing_integrand")
 
 
 def momentum_evals(grid: dict) -> int:
@@ -309,6 +327,33 @@ def momentum_digest(grid: dict) -> str:
                 )
                 h.update(f"{line}\n".encode())
     return h.hexdigest()
+
+
+def series_digest(grid: dict) -> str:
+    """sha256 of ior_series' (value, err), or its error type and text, on
+    grid's cells, sigma-major, then v0, then k0; then of qc_expectation's
+    (value, err) on each (sigma, k0), sigma-major."""
+    h = hashlib.sha256()
+    for sigma in grid["sigma"]:
+        for v0 in grid["v0"]:
+            for k0 in grid["k0"]:
+                packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
+                h.update(_estimate_line(ior_series, packet, v0).encode())
+    for sigma in grid["sigma"]:
+        for k0 in grid["k0"]:
+            packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
+            h.update(_estimate_line(qc_expectation, packet).encode())
+    return h.hexdigest()
+
+
+def series_calls(cells) -> int:
+    """J calls of ior_series over cells, each (sigma, v0, k0): each call of
+    every J that reltoa.ior._laplace_sine returns, once for M_0 and once per
+    node of the branch transform's rule."""
+    with _counting_closure_calls("_laplace_sine") as calls:
+        for sigma, v0, k0 in cells:
+            ior_series(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
+    return calls[0]
 
 
 def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
@@ -424,6 +469,18 @@ def main() -> int:
         momentum_sha, None if args.write else momentum_pin["sha256"],
     )
 
+    series_pin = SERIES_GRID if args.write else json.loads(SERIES_PIN_FILE.read_text())
+    t0 = time.process_time()
+    series_sha = series_digest(series_pin)
+    cpu = time.process_time() - t0
+    cells = len(series_pin["sigma"]) * len(series_pin["v0"]) * len(series_pin["k0"])
+    faults += _report(
+        f"ior_series, {cells} cells, and qc_expectation: cpu {cpu:7.3f} s "
+        f"({series_calls(TABLE1_SERIES_CELLS)} J calls on Table 1's "
+        f"{len(TABLE1_SERIES_CELLS)} series cells at v0 = 0.3)  ",
+        series_sha, None if args.write else series_pin["sha256"],
+    )
+
     for v, zeta in FB_POINTS:
         intervals, (fb_cpu, tb_cpu, value_cpu) = fb_timing(v, zeta)
         print(f"v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} F_B intervals, "
@@ -448,8 +505,11 @@ def main() -> int:
         MOMENTUM_PIN_FILE.write_text(
             json.dumps({**momentum_pin, "sha256": momentum_sha}, indent=2) + "\n"
         )
+        SERIES_PIN_FILE.write_text(
+            json.dumps({**series_pin, "sha256": series_sha}, indent=2) + "\n"
+        )
         print(f"wrote {BRANCH_PIN_FILE}, {FACTOR_PIN_FILE}, {DENSE_PIN_FILE}, "
-              f"{DIRECT_PIN_FILE} and {MOMENTUM_PIN_FILE}")
+              f"{DIRECT_PIN_FILE}, {MOMENTUM_PIN_FILE} and {SERIES_PIN_FILE}")
     return 0
 
 

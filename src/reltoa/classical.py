@@ -11,7 +11,8 @@ per-region formulas and the above-barrier crossing time tau_top realize,
 and it is what the quantized kernels reproduce in their classical limit.
 Nothing here runs a quadrature engine: the potential is piecewise
 constant, the resummation of R_c's double series is finite arithmetic, and
-its branch-cut term is kernels.branch_transform's fixed rule.
+its branch-cut term is kernels.branch_transform's one rule, sized a
+priori from the barrier strength.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ computed by three independent routes that must agree,
                core (kernels._barrier_value) at each node,
   * series   - term-by-term Gaussian sine moments of the residue series
                plus the sine transform of the kernel's branch-cut term,
-               taken as one z-integral (kernels.branch_transform) of the
+               taken as one z-integral (kernels.branch_transform, one
+               trapezoid rule sized from the strength alone) of the
                closed-form (Faddeeva) sine transform of
                Phi(zeta) exp(-z zeta); it runs no oscillatory quadrature,
   * momentum - the closed half-line momentum integrals above kappa_c, in
@@ -442,9 +443,10 @@ def qc_expectation(
     no barrier dependence by construction.  With T_F's branch integral
     taken outermost this is k0 [J(0) + (2/pi) int_1^inf sqrt(z^2-1)/z J(z) dz],
     J from _laplace_sine: the series route's branch transform at G_B = 1.
-    J(0) is closed and the branch transform a fixed rule, so it takes no
-    settings.  The err is k0 times the branch transform's err plus the
-    Faddeeva bound on J(0).
+    J(0) is closed and the branch transform one rule sized a priori from
+    the strength (h = 2^-3 at zero height), so it takes no settings.  The
+    err is k0 times the branch transform's err plus the Faddeeva bound on
+    J(0).
     """
     packet = _natural_packet(packet, params)
     branch, branch_err = _branch_transform(packet, 0.0)

@@ -326,6 +326,21 @@ class TestIorSeries:
         with pytest.raises(SeriesDivergenceError):
             ior_series(wide(0.19), 0.3)
 
+    def test_one_rule_halves_the_j_calls(self):
+        # J calls over Table 1's seven v0 = 0.3 series cells, one for M_0
+        # and one per node of the branch transform's rule: 2,261 when it
+        # summed the h = 2^-3 rule to take the h = 2^-2 rule's err, 1,134
+        # on the h = 2^-2 rule alone
+        assert KERNEL_PINS.series_calls(KERNEL_PINS.TABLE1_SERIES_CELLS) == 1134
+
+    def test_bits_match_pin(self):
+        # sha256 of float.hex of R_c's value and err, sigma-major, then v0,
+        # then k0, with v0 on both sides of the branch transform's switch
+        # of rule, then of Q_c's on each (sigma, k0)
+        pin = json.loads(KERNEL_PINS.SERIES_PIN_FILE.read_text())
+        assert {key: pin[key] for key in KERNEL_PINS.SERIES_GRID} == KERNEL_PINS.SERIES_GRID
+        assert KERNEL_PINS.series_digest(pin) == pin["sha256"]
+
     @pytest.mark.parametrize("k0", [0.15, 2.0, 5.0])
     @pytest.mark.parametrize("v0", [0.3, 0.6])
     def test_branch_transform_matches_nested_oracle(self, k0, v0):

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 from conftest import ROOT, branch_integral_oracle, contour_kernel_oracle, load_by_path
 from reltoa import kernels
+from reltoa.ior import _laplace_sine
 from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
@@ -43,6 +44,7 @@ from reltoa.numerics import (
     SeriesDivergenceError,
     hyp0f1_one,
 )
+from reltoa.wavepacket import GaussianPacket
 
 
 # the script that writes the branch-cut pins defines their digests; the
@@ -990,6 +992,54 @@ class TestHalfRuleValue:
         )
         assert _value_or_error(lambda: barrier_free_gap(-vn, x)) == expected_gap
         assert_rules_settled(vn, x)
+
+
+# the two j families the library hands branch_transform, each (j, j_bound):
+# the series route's Laplace-sine J of a natural packet (sigma, k0), and the
+# x/(z^2 + x) of the R_c resummation and the limits' residue identity; the
+# members are the ones that came nearest their err in a wider sweep
+TRANSFORM_FAMILIES = {
+    "laplace_sine": [
+        (_laplace_sine(GaussianPacket(0.0, sigma, k0)), k0)
+        for sigma, k0 in ((0.25, 5.0), (1.0, 0.01), (6.0, 0.1), (30.0, 0.1),
+                          (300.0, 0.01), (3000.0, 0.01))
+    ],
+    "lorentzian": [
+        (lambda z, x=x: x / (z * z + x), x)
+        for x in (1e-6, 3e-5, 1e-4, 1e-2, 0.1, 1.0, 10.0, 3e4, 1e6)
+    ],
+}
+
+
+class TestBranchTransform:
+    """branch_transform sums one rule, sized a priori from the strength
+    alone: h = 2^-2 from v = 0.1 up, h = 2^-3 below, out to
+    u = 40 + ln(1/delta)."""
+
+    # (v, nodes): zero, both sides of the switch at 0.1 and next to the rest
+    # energy, with the rule's node count, which is also its j calls
+    @pytest.mark.parametrize("v, nodes", [
+        (0.0, 320), (1e-6, 320), (1e-3, 320), (0.01, 320), (0.05, 320),
+        (0.1, 160), (0.3, 161), (0.99, 178), (0.999999, 215),
+    ])
+    @pytest.mark.parametrize("family", sorted(TRANSFORM_FAMILIES))
+    def test_sized_rule_lies_within_err_of_the_finest(self, family, v, nodes):
+        # the h = 2^-6 rule out to u = 40 + ln(1/delta), summed here; below
+        # v = 0.1 the h = 2^-2 rule would miss it by up to 163 units of
+        # roundoff, against the err's 12 and the tail's bound
+        fine = int((40.0 - math.log(1.0 - v)) * 64)
+        w, c, _d = kernels._branch_nodes(v, 6, fine)
+        for j, j_bound in TRANSFORM_FAMILIES[family]:
+            calls = [0]
+
+            def counted(z, j=j):
+                calls[0] += 1
+                return j(z)
+
+            value, err = kernels.branch_transform(v, counted, j_bound)
+            assert calls[0] == nodes
+            finer = TWO_OVER_PI * math.fsum([c_k * j(1.0 + w_k) for w_k, c_k in zip(w[:fine], c)])
+            assert abs(value - finer) <= err
 
 
 def mpf_sum_oracle(terms) -> float:
