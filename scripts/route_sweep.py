@@ -17,10 +17,14 @@ The full grid is sigma in {0.5, 1, 1.5, 2, 3}, v0 in {0.1, 0.3, 0.6, 0.9,
 The reduced grid, which tests/test_ior.py runs, is sigma in {0.5, 2, 6},
 v0 in {0.3, 0.99} and k0 at 0.5, 1.1 and 2 times kappa_c.  The exit status
 is 3 when a route answers outside its err, as ``reltoa limits`` does on a
-failed check, and 0 otherwise.  Run from the repository root:
+failed check, and 0 otherwise.  --reference reads the reference's value and
+err from the ref and ref_err columns of a saved --out file instead, by
+(sigma, v0, k0), so that the routes of one commit are judged against the
+reference of another.  Run from the repository root:
 
     PYTHONPATH=src python scripts/route_sweep.py                  # full grid
     PYTHONPATH=src python scripts/route_sweep.py --grid reduced --out sweep.csv
+    PYTHONPATH=src python scripts/route_sweep.py --reference old.csv
 """
 
 from __future__ import annotations
@@ -75,10 +79,12 @@ def reduced_grid() -> list[tuple[float, float, float]]:
 GRIDS = {"full": full_grid, "reduced": reduced_grid}
 
 
-def sweep_cell(sigma: float, v0: float, k0: float) -> dict:
-    """One row: the reference and every route at (sigma, v0, k0)."""
+def sweep_cell(sigma: float, v0: float, k0: float, ref: Estimate | None = None) -> dict:
+    """One row: the reference (computed where ref is None) and every route
+    at (sigma, v0, k0)."""
     packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
-    ref = momentum_split(packet, v0, settings=REFERENCE_SETTINGS)[0]
+    if ref is None:
+        ref = momentum_split(packet, v0, settings=REFERENCE_SETTINGS)[0]
     row = {"sigma": sigma, "v0": v0, "k0": k0, "ref": ref.value, "ref_err": ref.err}
     for name, route in ROUTES.items():
         try:
@@ -101,8 +107,21 @@ def outcome(row: dict, route: str) -> str:
     return "within" if ratio <= 1.0 else "outside"
 
 
-def sweep(cells: Iterable[tuple[float, float, float]]) -> list[dict]:
-    return [sweep_cell(*cell) for cell in cells]
+def sweep(
+    cells: Iterable[tuple[float, float, float]],
+    reference: dict[tuple[float, float, float], Estimate] | None = None,
+) -> list[dict]:
+    return [sweep_cell(*cell, None if reference is None else reference[cell]) for cell in cells]
+
+
+def read_reference(path: str) -> dict[tuple[float, float, float], Estimate]:
+    """The ref and ref_err columns of a saved --out file, by (sigma, v0, k0)."""
+    with open(path, newline="") as handle:
+        return {
+            (float(row["sigma"]), float(row["v0"]), float(row["k0"])):
+                Estimate(float(row["ref"]), float(row["ref_err"]))
+            for row in csv.DictReader(handle)
+        }
 
 
 def outcome_table(rows: list[dict]) -> list[str]:
@@ -130,8 +149,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--grid", choices=sorted(GRIDS), default="full")
     parser.add_argument("--out", help="CSV file (default: stdout)")
+    parser.add_argument("--reference", metavar="CSV",
+                        help="take the reference from this saved --out file")
     args = parser.parse_args()
-    rows = sweep(GRIDS[args.grid]())
+    cells = GRIDS[args.grid]()
+    reference = None
+    if args.reference:
+        reference = read_reference(args.reference)
+        missing = [cell for cell in cells if cell not in reference]
+        if missing:
+            parser.error(f"{args.reference} has no row for {len(missing)} cells, "
+                         f"the first (sigma, v0, k0) = {missing[0]}")
+    rows = sweep(cells, reference)
     columns = ["sigma", "v0", "k0", "ref", "ref_err"] + [
         f"{name}{suffix}" for name in ROUTES for suffix in ("", "_err", "_ratio")
     ]

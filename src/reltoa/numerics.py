@@ -11,7 +11,8 @@ QuadratureError when a tail that does not decay drives bisection to t = 1
 or the width floor.
 integrate_sqrt_endpoint is not adaptive: it takes a Gaussian-weighted
 integral over k >= a against dk/sqrt(k^2 - a^2) in k = a cosh(tau), where
-that measure is dtau, on one nested trapezoid rule over a closed-form window.
+that measure is dtau, on one trapezoid rule over a closed-form window, its
+step sized a priori from a closed-form bound on the integrand in a strip.
 The oscillatory sine transform is one _adaptive_gk run over a window
 [0, end] its caller closes in closed form, taken in u under zeta = w u^3
 over the first period w of the faster of sin(k*zeta) and the kernel,
@@ -435,25 +436,128 @@ def sine_transform_decaying(
 # the tau rule's window: a node whose Gaussian exponent lies more than this
 # above its least value on k >= a is dropped (cf. kernels._BRANCH_CUT)
 _TAU_CUT = 40.0
-# the tau rule's first step: _TAU_WIDTH of the Gaussian's width in tau,
-# where the rule on a Gaussian errs by e^(-2 pi^2/0.64) ~ 4e-14, and at most
-# _TAU_STEP_CAP for the strip the integrand is analytic in
-_TAU_WIDTH = 0.8
-_TAU_STEP_CAP = 0.25
+# the greatest half-width of the strip |Im tau| < d that the tau rule's
+# truncation bound is taken on, below pi/4, where the Gaussian stays bounded
+_TAU_D_CAP = 0.75
 # nodes allowed to one tau rule
 _TAU_MAX_NODES = 1 << 14
-# the least window in k and first step in tau, relative to their ends: the
+# the least window in k and step in tau, relative to their ends: the
 # nodes resolve k, and their indexes stay below 2^45, so every j h is exact
 _TAU_MIN_STEP = 2.0 ** -30
 # from this least exponent on, the integral is exactly 0.0 in floats: below
 # e^-800 times a tau-integral of w under e^54, under half of 2^-1074
 _TAU_ZERO = 800.0
+# the contract's bound on |w| in the strip over w on the real axis (see
+# integrate_sqrt_endpoint): 1 for w = 1 and w = k, under sqrt((2 + vn)/(2 - vn))
+# for the momentum route's w at strength vn < 1
+_TAU_W_BOUND = math.sqrt(3.0)
+_GAMMA_5_4 = math.gamma(1.25)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 def _scaled(x: float, shift: float) -> float:
     """x e^-shift for x >= 0, formed under one exp so that only its last
     rounding is subnormal."""
     return math.exp(math.log(x) - shift) if x > 0.0 else 0.0
+
+
+def _strip_width(a: float, centre: float, lam: float, rel_tol: float) -> float:
+    """The strip half-width d that integrate_sqrt_endpoint sizes its step on.
+
+    The step that meets the bound 2M/(e^(2 pi d/h) - 1) <= (rel_tol/4) I is
+    h ~ 2 pi d/(L + phi(d)), L = ln(8/rel_tol), where phi(d) = ln(M/I) grows
+    as the strip Gaussian's peak (_strip_bound).  In t = sin(d)^2, phi is
+    exactly Q t + P t^2/(1 - 2t) with Q = lam (centre^2 - a^2) and P =
+    2 lam centre^2 for centre >= a; below, Q = lam a (a - centre) is its
+    first order and P = 2 lam max(centre, 0)^2 a model.  sqrt(t)/(L + phi)
+    is greatest where L = Q t + P t^2 (3 - 2t)/(1 - 2t)^2, which in r =
+    t/(1 - 2t) is the cubic 4 P r^3 + 3 P r^2 + (Q - 2L) r = L: two Newton
+    steps from the root of its quadratic part, from above.  d is at most
+    _TAU_D_CAP.
+    """
+    big = math.log(8.0 / rel_tol)
+    if centre >= a:
+        q = lam * (centre - a) * (centre + a)
+    else:
+        q = lam * a * (a - centre)
+    p = 2.0 * lam * max(centre, 0.0) ** 2
+    slope = q - 2.0 * big
+    if p > 0.0:
+        root = math.sqrt(slope * slope + 12.0 * p * big)
+        r = 2.0 * big / (slope + root) if slope > 0.0 else (root - slope) / (6.0 * p)
+        for _ in range(2):
+            excess = ((4.0 * p * r + 3.0 * p) * r + slope) * r - big
+            r -= excess / ((12.0 * p * r + 6.0 * p) * r + slope)
+    elif slope > 0.0:
+        r = big / slope
+    else:
+        return _TAU_D_CAP
+    return min(math.asin(math.sqrt(r / (1.0 + 2.0 * r))), _TAU_D_CAP)
+
+
+def _strip_bound(a: float, centre: float, lam: float, d: float) -> tuple[float, float, float]:
+    """(ln B, width, k_ref): for every k_r >= k_ref, int_0^inf |f(tau + i y)|
+    dtau <= S w(k_r) B on the lines y = +-d, for integrate_sqrt_endpoint's
+    f = exp(-lam (k - centre)^2) w(k), k = a cosh(tau), and a w within its
+    contract, |w(k_y)| <= S w(k) in the strip; width, under sqrt(cos 2d) of
+    the strip Gaussian's width in tau, estimates the width int_0^inf
+    exp(x_min - x) dtau of f's own.
+
+    With s = sin d, c2 = cos 2d, mu = lam c2 and b = centre cos(d)/c2, at
+    k_d = a cosh(tau + i d)
+
+      |exp(-lam (k_d - centre)^2)| = exp(lam s^2 (centre^2/c2 - a^2) - mu (k - b)^2)
+
+    exactly, and |w(k_d)| <= S w(k) <= S w(k_r) max(1, k/k_r).  The
+    peak k_m = max(a, b) gives the factor exp(lam s^2 (centre^2/c2 - a^2) -
+    mu T_m^2), T_m = k_m - b, and leaves int_0^inf exp(-mu (T^2 - T_m^2))
+    dtau, T = k - b, plus the tail past k_r.  Right of tau_m (cosh tau_m =
+    k_m/a), in t = tau - tau_m, T - T_m >= sqrt(k_m^2 - a^2) t + k_m t^2/2
+    and T - T_m >= k_m (e^t/2 - 1), with T + T_m >= 2 T_m, so that part is
+    at most each of (1/2) sqrt(pi/(mu (k_m^2 - a^2 + T_m k_m))), Gamma(5/4)
+    (mu k_m^2/4)^(-1/4) and ln(2 + 2/(sqrt(mu) k_m)) + 1/(2e).  Left of it
+    (b > a), in u = tau_m - tau, |T| = 2a sinh(tau_m - u/2) sinh(u/2) >= s u
+    up to u0 = min(1, tau_m), s = a sinh(tau_m - u0/2), and |T| rises with
+    u, so that part is at most min(u0, (1/2) sqrt(pi/mu)/s) + (tau_m - u0)
+    exp(-mu (s u0)^2).  k_ref = k_m + delta, delta the least of 1/sqrt(mu),
+    1/(mu sqrt(k_m^2 - a^2)) and (1/(mu T_m)^2 - k_m^2 + a^2)/(2 k_m),
+    makes D = 2 mu T_r sqrt(k_r^2 - a^2) >= 2 at every k_r >= k_ref, T_r =
+    k_r - b; past k_r, k/k_r <= e^(tau - tau_r) and T >= T_r + sqrt(k_r^2 -
+    a^2) (tau - tau_r), so the tail is at most exp(-mu (T_r^2 - T_m^2))/(D - 1).
+    """
+    s, co = math.sin(d), math.cos(d)
+    c2 = (co - s) * (co + s)
+    mu = lam * c2
+    b = centre * co / c2
+    k_m = max(a, b)
+    t_m = k_m - b
+    alpha2 = (k_m - a) * (k_m + a)
+    width = 1.0 / math.sqrt(mu)
+    core = _GAMMA_5_4 * math.sqrt(2.0 * width / k_m)
+    rise = alpha2 + t_m * k_m
+    if rise > 0.0:
+        core = min(core, 0.5 * _SQRT_PI * width / math.sqrt(rise))
+    if core > 0.8:
+        # the growth form is at least ln 2 + 1/(2e) > 0.8
+        core = min(core, math.log(2.0 + 2.0 * width / k_m) + 0.5 / math.e)
+    if b > a:
+        tau_m = math.acosh(k_m / a)
+        u0 = min(1.0, tau_m)
+        slope = a * math.sinh(tau_m - 0.5 * u0)
+        core += min(u0, 0.5 * _SQRT_PI * width / slope) + (tau_m - u0) * math.exp(
+            -mu * (slope * u0) ** 2
+        )
+    delta = width
+    if alpha2 > 0.0:
+        delta = min(delta, width * width / math.sqrt(alpha2))
+    if t_m > 0.0:
+        delta = min(delta, max((width ** 4 / (t_m * t_m) - alpha2) / (2.0 * k_m), 0.0))
+    k_ref = k_m + delta
+    t_r = k_ref - b
+    rate = 2.0 * mu * t_r * math.sqrt((k_ref - a) * (k_ref + a))
+    tail = math.exp(-mu * (t_r - t_m) * (t_r + t_m)) / (rate - 1.0)
+    peak = lam * s * s * (centre * centre / c2 - a * a) - mu * t_m * t_m
+    return peak + math.log(core + tail), core * math.sqrt(c2), k_ref
 
 
 def integrate_sqrt_endpoint(
@@ -467,44 +571,57 @@ def integrate_sqrt_endpoint(
 
     Under k = a cosh(tau), dk/sqrt(k^2 - a^2) = dtau exactly, so the
     integral is int_0^inf f(tau) dtau with f = exp(-lam (k - centre)^2) w(k),
-    even in tau.  For the momentum route's w, smooth and positive with its
-    nearest singularities at Im tau = pi/2, f is analytic in the strip
-    |Im tau| < pi/4, where the Gaussian stays bounded, and the trapezoid
-    rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014)
-    385), as kernels' branch-cut rule does.  The nodes are tau = j h,
-    j >= 0, the j = 0 node at half weight.  w is called once per node, at
-    k, and not where the Gaussian is 0.0.
+    even in tau.  The nodes are tau = j h, j >= 0, the j = 0 node at half
+    weight.  w is called once per node, at k, and not where the Gaussian is
+    0.0, and once more, at _strip_bound's k_ref.
 
-    Window: the tau where the exponent x = lam (k - centre)^2 is at most
-    _TAU_CUT = 40 above x_min, its least value on k >= a, widened to whole
-    steps.  Past its end k_hi = centre + r, x >= x_min + 40 + 2 lam r
-    (k - k_hi), and k grows by at least s_hi = sqrt(k_hi^2 - a^2) per unit
-    tau, so for a w that grows at most like k the dropped nodes sum to at
-    most e^(-x_min - 40) w(k_hi) (h + 1/(2 lam r s_hi)) (1 + 1/(2 lam r
-    k_hi)); below a start k_lo > a the same holds with k_lo's slope.  That
-    is about e^-40 ~ 4e-18 of the integral.  The first step is 0.8 of the
-    Gaussian's width in tau, 1/sqrt(x''), x'' the exponent's second
-    derivative in tau where it is least: 2 lam (centre^2 - a^2) for
-    centre > a, 2 lam a (a - centre) below, plus sqrt(lam) a for the
-    quartic rise that takes over as centre nears a.  It is at most
-    _TAU_STEP_CAP = 1/4 for the strip, where the first level errs by about
-    e^(-2 pi (pi/4)/h) ~ e^-20 and each halving squares that, and it is
-    rounded down to three significant bits, so that every node j h is
+    The contract on w: positive and nondecreasing on k >= a, w(k)/k
+    nonincreasing (w grows at most like k), and analytic in the strip
+    |Im tau| < pi/4 with |w(a cosh(tau + i y))| <= _TAU_W_BOUND w(a cosh
+    tau) there, _TAU_W_BOUND = sqrt(3).  w = 1 and w = k hold it within 1,
+    since |cosh(tau + i y)| <= cosh tau, and the momentum route's w within
+    sqrt((2 + vn)/(2 - vn)) (ior._crossing_integrand).  In the strip the
+    Gaussian's modulus is exactly exp(-lam (k - centre)^2 + lam E_y(k)),
+    E_y(k) = (2k^2 - a^2) sin^2 y - 2 centre k (1 - cos y), which stays
+    bounded while cos 2y > 0.  So f is analytic there, and on the lines
+    Im tau = +-d _strip_bound bounds M = int |f(tau +- i d)| dtau in closed
+    form from w(k_ref).  The trapezoid rule of step h then errs by at most
+    2M/(e^(2 pi d/h) - 1) (Trefethen & Weideman, SIAM Rev. 56 (2014) 385,
+    Thm 5.1) on the line, and so on the half line, where M is the half
+    line's.  The step is sized before any node is summed: d from
+    _strip_width, at most _TAU_D_CAP = 0.75, and h where that bound is
+    rel_tol/4 of an estimate of the integral, w(k_ref) min(1, k_peak/k_ref)
+    e^-x_min times _strip_bound's width, k_peak = max(a, centre).  h is
+    rounded down to eight significant bits, so that every node j h is
     exact.
 
-    The step halves, each level adding the odd nodes, until
-    |T_h - T_2h| plus a rounding bound is within rel_tol |T_h|, or, where
-    the rounding bound alone exceeds that, until |T_h - T_2h| is below the
-    bound, which no smaller step can improve; the err is their sum.
-    abs_tol is not read: f > 0, so its integral is judged relative to itself
-    down to the subnormal range.  Per unit of a node's value the bound
-    allows 16 roundoffs for the node (w, exp and the level sums), 4 per
-    unit of its exponent x (exp amplifies the rounding of its argument) and
-    8 per unit of lam |k - centre| k (the rounding of k = a cosh(tau),
-    which the exponent magnifies away from the centre), with cosh and exp
-    taken as correct to one ulp.  A node whose value is below the smallest
-    normal float rounds on the absolute grid 2^-1074 and adds 1 + w(k) steps
-    of it to the err, and to the tolerance, as _adaptive_gk's floor does.
+    Window: the tau where the exponent x = lam (k - centre)^2 is at most
+    _TAU_CUT = 40 above x_min, its least value on k >= a, widened to an
+    even number of whole steps.  Past its end k_hi = centre + r, x >= x_min
+    + 40 + 2 lam r (k - k_hi), and k grows by at least s_hi = sqrt(k_hi^2 -
+    a^2) per unit tau, so for a w within its contract the dropped nodes sum
+    to at most e^(-x_min - 40) w(k_hi) (h + 1/(2 lam r s_hi)) (1 + 1/(2 lam
+    r k_hi)); below a start tau_lo > 0, to at most e^(-x_min - 40) w(k_lo)
+    tau_lo.  The contract bounds w(k_hi) by w(k_ref) max(1, k_hi/k_ref), and
+    w(k_lo) by w(k_ref).  That is about e^-40 ~ 4e-18 of the integral.
+
+    The err is the truncation bound plus the window bound plus a rounding
+    bound; abs_tol is not read: f > 0, so its integral is judged relative
+    to itself down to the subnormal range.  Per unit of a node's value the
+    rounding bound allows 16 roundoffs for the node (w, exp and the level
+    sums), 4 per unit of its exponent x (exp amplifies the rounding of its
+    argument) and 8 per unit of lam |k - centre| k (the rounding of
+    k = a cosh(tau), which the exponent magnifies away from the centre),
+    with cosh and exp taken as correct to one ulp.  A node whose value is
+    below the smallest normal float rounds on the absolute grid 2^-1074 and
+    adds 1 + w(k) steps of it to the err, and to the tolerance, as
+    _adaptive_gk's floor does.
+    The even nodes are the rule of step 2h, bounded the same way: where
+    |T_h - T_2h| exceeds both bounds, three rounding bounds and two window
+    bounds, w breaks its contract (a jump, a NaN), and |T_h - T_2h| stands
+    in for the truncation bound.  The step halves, each level adding the
+    odd nodes, while the err exceeds rel_tol |T_h| and the truncation term
+    exceeds the rounding bound, which no smaller step can improve.
     Where exp(-x_min) underflows, the nodes take exp(x_min - x) and the
     result and err are scaled back by e^-x_min, the err by one more step of
     2^-1074 for the final rounding.  From x_min = _TAU_ZERO = 800 on, the
@@ -513,8 +630,8 @@ def integrate_sqrt_endpoint(
     with no call of w.
     QuadratureError is raised past _TAU_MAX_NODES nodes, where the sum is
     not finite, and where the window spans under 2^-30 of its end in k, or
-    the first step under 2^-30 of it in tau (packets some 1e8 times wider
-    than 1/k0).
+    the step under 2^-30 of it in tau (packets some 1e8 times wider than
+    1/k0).
     """
     # the tau = 0 node's exponent, in the nodes' own operations
     x_min = lam * (a - centre) * (a - centre) if centre < a else 0.0
@@ -528,20 +645,25 @@ def integrate_sqrt_endpoint(
     # 0.0 where the window in k is too narrow, which raises below
     tau_hi = math.acosh(k_hi / a) if k_hi - k_start > _TAU_MIN_STEP * k_hi else 0.0
     tau_lo = math.acosh(k_lo / a) if k_lo > a else 0.0
-    # the exponent's curvature in tau where it is least, and the quartic
-    # term's scale, which takes over as centre nears a
-    curv = 2.0 * lam * abs(centre - a) * max(centre + a, a) + math.sqrt(lam) * a
-    mant, expo = math.frexp(min(_TAU_WIDTH / math.sqrt(curv), _TAU_STEP_CAP))
-    step = math.ldexp(math.floor(8.0 * mant), expo - 3)
-    if not (tau_hi > 0.0 and step > _TAU_MIN_STEP * tau_hi):
+    if not tau_hi > 0.0:
         raise QuadratureError(f"window [{k_start!r}, {k_hi!r}] is too narrow for exact nodes")
-    j_lo = math.floor(tau_lo / step)
-    count = math.ceil(tau_hi / step) - j_lo
+    d = _strip_width(a, centre, lam, settings.rel_tol)
+    log_mass, width, k_ref = _strip_bound(a, centre, lam, d)
+    # M over the estimate w(k_ref) min(1, k_peak/k_ref) e^-x_min width of the integral
+    ratio = _TAU_W_BOUND * math.exp(log_mass + x_min) / width * max(k_ref / max(a, centre), 1.0)
+    mant, expo = math.frexp(2.0 * math.pi * d / math.log1p(8.0 * ratio / settings.rel_tol))
+    step = math.ldexp(math.floor(256.0 * mant), expo - 8)
+    if not step > _TAU_MIN_STEP * tau_hi:
+        raise QuadratureError(f"window [{k_start!r}, {k_hi!r}] is too narrow for exact nodes")
+    j_lo = 2 * math.floor(0.5 * tau_lo / step)
+    # an even count of steps, so that the even nodes span the same window
+    count = 2 * math.ceil(0.5 * (tau_hi / step - j_lo))
     cosh, exp, two_lam, tiny_v = math.cosh, math.exp, 2.0 * lam, _MIN_NORMAL
 
-    def level(first: float, spacing: float, n: int) -> tuple[float, float, float]:
-        # the n nodes first + i spacing: the sum of their values, of their
-        # charges (x + 2 lam |d| k) v, and of their steps of 2^-1074
+    def level(first: float, spacing: float, n: int) -> tuple[list[float], float, float]:
+        # the n nodes first + i spacing: their values (0.0 where the
+        # Gaussian is), and the sums of their charges (x + 2 lam |d| k) v
+        # and of their steps of 2^-1074
         values, charge, tiny = [], 0.0, 0.0
         append = values.append
         for i in range(n):
@@ -552,45 +674,60 @@ def integrate_sqrt_endpoint(
             if g:
                 wk = w(k)
                 v = g * wk
-                append(v)
                 charge += v * (x + two_lam * abs(d) * k)
                 if v < tiny_v:
                     tiny += 1.0 + wk
-        return math.fsum(values), charge, tiny
+            else:
+                v = 0.0
+            append(v)
+        return values, charge, tiny
 
+    values, charge, tiny = level(j_lo * step, step, count + 1)
     if j_lo == 0:
         # tau = 0 takes half weight: the rule covers the even extension
-        edge, edge_charge, edge_tiny = level(0.0, step, 1)
-        total, charge, tiny = level(step, step, count)
-        total += 0.5 * edge
-        charge += 0.5 * edge_charge
-        tiny += edge_tiny
-    else:
-        total, charge, tiny = level(j_lo * step, step, count + 1)
-    value = step * total
+        values[0] *= 0.5
+    # the even nodes are the rule of step 2h
+    even = math.fsum(values[::2])
+    total = even + math.fsum(values[1::2])
+    prev, value = 2.0 * step * even, step * total
+    w_ref = w(k_ref)
+    # 2M, from _strip_bound
+    mass = 2.0 * _TAU_W_BOUND * w_ref * math.exp(shift + log_mass)
+    # the dropped nodes' bound, with w(k_hi) and w(k_lo) under the contract
+    s_hi = math.sqrt((k_hi - a) * (k_hi + a))
+    beyond = max(k_hi / k_ref, 1.0) * (1.0 + 1.0 / (two_lam * reach * k_hi))
+    scale = w_ref * exp(shift - x_min - _TAU_CUT)
     while True:
+        gap = abs(value - prev)
+        rounding = step * (16.0 * total + 4.0 * charge) * _UNIT_ROUNDOFF
+        grid = tiny * _MIN_SUBNORMAL
+        # e^(2 pi d/h) capped below overflow, which only loosens the bound
+        spread = math.expm1(min(math.pi * d / step, 350.0))
+        trunc = mass / (spread * (spread + 2.0))
+        window = scale * (beyond * (step + 1.0 / (two_lam * reach * s_hi)) + tau_lo)
+        if not (math.isfinite(value) and math.isfinite(rounding) and math.isfinite(trunc)):
+            raise QuadratureError(
+                f"tau rule over [{tau_lo!r}, {tau_hi!r}] is not finite (value={value!r})"
+            )
+        if gap > trunc + mass / spread + 3.0 * rounding + 2.0 * window + grid:
+            # w breaks its contract: the levels' difference stands in for the bound
+            trunc = gap
+        err = trunc + rounding + window
+        if err <= settings.rel_tol * abs(value) + grid or trunc <= rounding:
+            if shift:
+                # the scaled sum back on the grid 2^-1074: one more step
+                return _scaled(value, shift), _scaled(err, shift) + _MIN_SUBNORMAL
+            return value, err + grid
+        if 2 * count > _TAU_MAX_NODES:
+            raise QuadratureError(
+                f"tau rule needs more than {_TAU_MAX_NODES} nodes "
+                f"(err={err:.3e}, value={value:.6e})"
+            )
         step *= 0.5
         j_lo *= 2
         new, more, more_tiny = level((j_lo + 1) * step, 2.0 * step, count)
         count *= 2
-        total += new
+        total += math.fsum(new)
         charge += more
         tiny += more_tiny
         prev, value = value, step * total
-        trunc = abs(value - prev)
-        rounding = step * (16.0 * total + 4.0 * charge) * _UNIT_ROUNDOFF
-        grid = tiny * _MIN_SUBNORMAL
-        if not (math.isfinite(value) and math.isfinite(rounding)):
-            raise QuadratureError(
-                f"tau rule over [{tau_lo!r}, {tau_hi!r}] is not finite (value={value!r})"
-            )
-        if trunc + rounding <= settings.rel_tol * abs(value) + grid or trunc <= rounding:
-            if shift:
-                # the scaled sum back on the grid 2^-1074: one more step
-                return _scaled(value, shift), _scaled(trunc + rounding, shift) + _MIN_SUBNORMAL
-            return value, trunc + rounding + grid
-        if 2 * count > _TAU_MAX_NODES:
-            raise QuadratureError(
-                f"tau rule needs more than {_TAU_MAX_NODES} nodes "
-                f"(err={trunc + rounding:.3e}, value={value:.6e})"
-            )

@@ -294,7 +294,7 @@ class TestPoint:
         by_key = {(r["quantity"], r["method"]): r for r in parse_csv(out)}
         for key in (("rc", "direct"), ("toa_difference", "direct")):
             assert (by_key[key]["value"], by_key[key]["err"]) == ("---", "---")
-        assert by_key[("rc", "momentum")]["value"] == "1.35453080574e-06"
+        assert by_key[("rc", "momentum")]["value"] == "1.35453080663e-06"
 
 
 class TestLimits:

@@ -417,6 +417,24 @@ class TestRouteSweep:
         for cell in SERIES_ITEM9_CELLS:
             assert ROUTE_SWEEP.outcome(reduced_sweep[cell], "series") in SERIES_OK, cell
 
+    def test_reference_is_read_from_a_saved_sweep(self, monkeypatch, tmp_path):
+        # --reference takes ref and ref_err from a saved --out file, by
+        # (sigma, v0, k0), and the ratios against them
+        cell = ROUTE_SWEEP.reduced_grid()[0]
+        saved = tmp_path / "old.csv"
+        saved.write_text("sigma,v0,k0,ref,ref_err\n" + ",".join(map(repr, cell)) + ",0.5,0.25\n")
+        reference = ROUTE_SWEEP.read_reference(str(saved))
+        assert reference == {cell: Estimate(0.5, 0.25)}
+        row = ROUTE_SWEEP.sweep([cell], reference)[0]
+        assert (row["ref"], row["ref_err"]) == (0.5, 0.25)
+        sigma, v0, k0 = cell
+        momentum = ior_momentum(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
+        assert row["momentum_ratio"] == abs(momentum.value - 0.5) / (momentum.err + 0.25)
+        monkeypatch.setattr(sys, "argv", ["route_sweep.py", "--grid", "reduced",
+                                          "--reference", str(saved)])
+        with pytest.raises(SystemExit, match="2"):
+            ROUTE_SWEEP.main()
+
     def test_exit_status_names_an_answer_outside_its_err(self, monkeypatch, tmp_path):
         out = tmp_path / "sweep.csv"
         monkeypatch.setattr(sys, "argv", ["route_sweep.py", "--grid", "reduced", "--out", str(out)])
@@ -655,6 +673,30 @@ class TestIorMomentum:
             assert ref_err <= 1e-30 * ref or ref == 0.0
             assert abs(est.value - ref) <= est.err + ref_err, (sign, est, ref)
 
+    def test_cell_that_sank_the_squared_test_lies_within_its_err(self):
+        # a stop one level sooner on |T_h - T_2h| gave 2.2454467309623993
+        # +- 2.3e-13 here; the truth is the rel_tol 1e-14 run of the rule
+        # that confirmed each level
+        est = ior_momentum(GaussianPacket(q0=-100.0, sigma=2.0, k0=1.209351), 0.566334)
+        assert abs(est.value - 2.245446730906325) <= est.err, est
+        assert est.err <= DEFAULT_SETTINGS.rel_tol * est.value
+
+    @pytest.mark.parametrize("k0", [1.05, 1.5, 3.0])
+    def test_fig5_barrier_weights_lie_within_err_of_the_reference(self, k0):
+        # Fig. 5's barrier, sigma 6 and v0 0.99: k0 8 and 2.6 sigma_k below
+        # kappa_c = 1.72 and 15 sigma_k above it, each weight within its err
+        # of the 40-digit reference
+        _, plus, minus = momentum_split(GaussianPacket(q0=-100.0, sigma=6.0, k0=k0), 0.99)
+        for sign, est in ((+1, plus), (-1, minus)):
+            ref, ref_err = momentum_weight_reference(0.99, 6.0, k0, sign, NATURAL_UNITS)
+            assert abs(est.value - ref) <= est.err + ref_err, (sign, est, ref)
+
+    def test_pin_cells_take_one_level_each(self):
+        # the momentum pin's 80 cells: each tau rule sums one level at its
+        # a-priori step, with no confirming level (5,267 evaluations when
+        # each rule halved until two levels agreed)
+        assert KERNEL_PINS.momentum_evals(KERNEL_PINS.MOMENTUM_GRID) == 2462
+
     def test_scan_rows_below_1e14_lie_within_err_of_the_reference(self):
         # Fig. 5's column as `scan` runs it, on the CLI's own k0 floats: R_c
         # moves ~220x faster than k0 there, so the 12 printed digits of k0
@@ -778,7 +820,7 @@ class TestIorMomentum:
         # over the benchmark sweep's sigmas plus a sigma 12 column, k0
         # across [0.1, 6] and v0 up to 0.99, ior_momentum takes
         # momentum_split's evaluations less those of the -k integrals it
-        # skips, and it skips them on about a third of the cells (143 of 440)
+        # skips, and it skips them on about a third of the cells (154 of 440)
         grid = [
             (GaussianPacket(q0=-100.0, sigma=sigma, k0=0.1 + 0.59 * j), v0)
             for sigma in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 12.0)

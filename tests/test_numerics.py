@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
 import pathlib
+import random
 
 import mpmath as mp
 import numpy as np
@@ -574,6 +576,94 @@ class TestSqrtEndpointMap:
         # until the node cap raises
         with pytest.raises(QuadratureError, match="tau rule needs more than 16384 nodes"):
             integrate_sqrt_endpoint(lambda k: 2.0 if k > 2.0 else 1.0, 1.0, 2.0, 1.0)
+
+
+
+def momentum_w(v0: float, sigma: float) -> callable:
+    """The momentum route's tau-integrand over its Gaussian, in complex k:
+    sqrt(2 sigma^2/pi) E sqrt((E + 1 + v0)/(E + 1 - v0)), E = sqrt(k^2 + 1),
+    on the principal branches, which are analytic for |Im tau| < pi/4."""
+    pref = sigma * math.sqrt(2.0 / math.pi)
+
+    def w(k: complex) -> complex:
+        e_k = cmath.sqrt(k * k + 1.0)
+        return pref * e_k * cmath.sqrt((e_k + 1.0 + v0) / (e_k + 1.0 - v0))
+
+    return w
+
+
+class TestStripBound:
+    """The tau rule's truncation bound: its two lemmas in the strip
+    |Im tau| < pi/4 and the closed-form M on the lines Im tau = +-d."""
+
+    def test_gaussian_modulus_in_the_strip(self):
+        # |exp(-lam (k_y - c)^2)| = exp(-lam (k - c)^2 + lam E_y(k)) exactly,
+        # k_y = a cosh(tau + i y), k = a cosh(tau)
+        rng = random.Random(38)
+        for _ in range(20000):
+            a, c = 10.0 ** rng.uniform(-6.0, 1.0), rng.uniform(-6.0, 8.0)
+            lam = 10.0 ** rng.uniform(-2.0, 3.0)
+            y, tau = rng.uniform(0.0, 0.78), rng.uniform(0.0, 5.0)
+            k = a * math.cosh(tau)
+            k_y = a * cmath.cosh(complex(tau, y))
+            exponent = (2.0 * k * k - a * a) * math.sin(y) ** 2 - 2.0 * c * k * (1.0 - math.cos(y))
+            closed = -lam * (k - c) ** 2 + lam * exponent
+            exact = (-lam * (k_y - c) ** 2).real
+            scale = 1.0 + lam * (k + abs(c)) ** 2
+            assert abs(exact - closed) <= 1e-11 * scale, (a, c, lam, y, tau)
+
+    def test_momentum_w_holds_the_contract(self):
+        # |w(k_y)| <= sqrt((2 + v0)/(2 - v0)) w(k) for |y| <= pi/4; w rises
+        # with k while w/k falls
+        rng = random.Random(39)
+        for _ in range(20000):
+            v0, sigma = rng.uniform(1e-12, 0.999), rng.uniform(0.2, 12.0)
+            a = math.sqrt(v0 * (2.0 + v0))
+            tau, y = rng.uniform(0.0, 8.0), rng.uniform(-math.pi / 4, math.pi / 4)
+            w = momentum_w(v0, sigma)
+            k = a * math.cosh(tau)
+            bound = math.sqrt((2.0 + v0) / (2.0 - v0)) * w(k).real
+            assert abs(w(a * cmath.cosh(complex(tau, y)))) <= bound, (v0, sigma, tau, y)
+            k2 = k * (1.0 + rng.uniform(0.0, 2.0))
+            assert w(k).real <= w(k2).real and w(k2).real / k2 <= w(k).real / k * (1.0 + 1e-15)
+
+    @given(
+        sigma=st.floats(min_value=0.2, max_value=12.0),
+        v0=st.floats(min_value=1e-12, max_value=0.999),
+        k0=st.floats(min_value=0.01, max_value=6.0),
+        sign=st.sampled_from((1, -1)),
+        d=st.one_of(st.none(), st.floats(min_value=0.01, max_value=0.75)),
+    )
+    @example(sigma=2.0, v0=0.566334, k0=1.209351, sign=1, d=None)
+    @example(sigma=6.0, v0=0.99, k0=1.05, sign=1, d=None)
+    @example(sigma=0.2, v0=1e-12, k0=0.01, sign=1, d=0.75)
+    @example(sigma=12.0, v0=0.999, k0=6.0, sign=-1, d=None)
+    def test_closed_form_mass_covers_the_line_integral(self, sigma, v0, k0, sign, d):
+        # strip w(k_ref) e^(ln B) >= int_0^inf |f(tau + i d)| dtau, the latter
+        # by scipy's quad on the complex integrand, at the rule's own d (None)
+        # or a drawn one; both are scaled by the bound, so nothing overflows
+        a, centre, lam = math.sqrt(v0 * (2.0 + v0)), sign * k0, 2.0 * sigma * sigma
+        if d is None:
+            d = numerics._strip_width(a, centre, lam, DEFAULT_SETTINGS.rel_tol)
+        log_mass, _, k_ref = numerics._strip_bound(a, centre, lam, d)
+        w = momentum_w(v0, sigma)
+        strip = math.sqrt((2.0 + v0) / (2.0 - v0))
+        c2 = math.cos(2.0 * d)
+        b = centre * math.cos(d) / c2
+        k_m = max(a, b)
+
+        def line(tau: float) -> float:
+            k_d = a * cmath.cosh(complex(tau, d))
+            return math.exp((-lam * (k_d - centre) ** 2).real - log_mass) * abs(w(k_d))
+
+        peak = math.acosh(k_m / a)
+        end = math.acosh((k_m + math.sqrt(800.0 / (lam * c2))) / a) + 1.0
+        pieces = [0.0, peak, end] if peak > 0.0 else [0.0, end]
+        mass = sum(
+            scipy.integrate.quad(line, lo, hi, epsabs=0.0, epsrel=1e-10, limit=400)[0]
+            for lo, hi in zip(pieces, pieces[1:])
+        )
+        assert mass <= strip * w(k_ref).real, (mass, strip * w(k_ref).real)
 
 
 class TestSettings:
