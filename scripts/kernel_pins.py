@@ -35,7 +35,8 @@ transform's switch of rule at 0.1 and k0 from 0.5 to 5, and
 ``qc_expectation``'s on the six (sigma, k0); beside its CPU time the script
 prints the J calls of Table 1's seven v0 = 0.3 series cells
 (TABLE1_SERIES_CELLS), counted by wrapping the route's Laplace-sine
-factory (series_calls).  Last, the residue factor
+factory (series_calls), and how many of them sum the Faddeeva function
+rather than J's Laplace expansion (faddeeva_calls).  Last, the residue factor
 F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
 call of ``reltoa.kernels._fb_sum``, ``barrier_factor`` and
 ``reltoa.kernels._barrier_value``, the direct route's core (their rules
@@ -356,6 +357,26 @@ def series_calls(cells) -> int:
     return calls[0]
 
 
+def faddeeva_calls(cells) -> int:
+    """Faddeeva calls of ior_series over cells, each (sigma, v0, k0): the J
+    calls that sum w, counted by wrapping reltoa.ior.faddeeva, which is
+    restored on exit; the rest take J's Laplace expansion."""
+    calls = [0]
+    faddeeva = ior.faddeeva
+
+    def counted(z):
+        calls[0] += 1
+        return faddeeva(z)
+
+    ior.faddeeva = counted
+    try:
+        for sigma, v0, k0 in cells:
+            ior_series(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
+    finally:
+        ior.faddeeva = faddeeva
+    return calls[0]
+
+
 def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
     """(intervals of the F_B rule summed, best warm CPU seconds per call of
     _fb_sum, barrier_factor and _barrier_value) at (v, zeta), natural
@@ -476,7 +497,8 @@ def main() -> int:
     cells = len(series_pin["sigma"]) * len(series_pin["v0"]) * len(series_pin["k0"])
     faults += _report(
         f"ior_series, {cells} cells, and qc_expectation: cpu {cpu:7.3f} s "
-        f"({series_calls(TABLE1_SERIES_CELLS)} J calls on Table 1's "
+        f"({series_calls(TABLE1_SERIES_CELLS)} J calls, "
+        f"{faddeeva_calls(TABLE1_SERIES_CELLS)} of them Faddeeva calls, on Table 1's "
         f"{len(TABLE1_SERIES_CELLS)} series cells at v0 = 0.3)  ",
         series_sha, None if args.write else series_pin["sha256"],
     )

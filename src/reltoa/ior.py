@@ -11,9 +11,12 @@ computed by three independent routes that must agree,
   * series   - term-by-term Gaussian sine moments of the residue series
                plus the sine transform of the kernel's branch-cut term,
                taken as one z-integral (kernels.branch_transform, one
-               trapezoid rule sized from the strength alone) of the
-               closed-form (Faddeeva) sine transform of
-               Phi(zeta) exp(-z zeta); it runs no oscillatory quadrature,
+               trapezoid rule sized from the strength alone) of the sine
+               transform J(z) of Phi(zeta) exp(-z zeta) in closed form:
+               the Faddeeva function at small z and, from a per-packet
+               switch point up, J's Laplace expansion in 1/(z - i k0),
+               whose remainder bound keeps it exact to rounding
+               (_laplace_sine); it runs no oscillatory quadrature,
   * momentum - the closed half-line momentum integrals above kappa_c, in
                k = kappa_c cosh(tau), where the crossing weight's threshold
                root cancels exactly, each on one trapezoid rule whose step
@@ -163,6 +166,36 @@ def ior_direct(
     ))
 
 
+# the most terms of J's Laplace expansion that _laplace_sine sums
+_LAPLACE_TERMS = 8
+
+
+def _laplace_switch(a: float, k0: float) -> list[tuple[float, tuple[float, ...]]]:
+    """(z_M, Horner factors) for M = 1 .. _LAPLACE_TERMS: the M-term
+    expansion of J is exact to rounding from z_M up.
+
+    E_M <= (a^M/M!) (2M)!/z^(2M+1) meets 2^-55 k0/z^2 from
+    z^(2M-1) = 2^55 a^M (2M)!/(M! k0) up, and the bound
+    (a^M/M!) k0 (2M+1)!/z^(2M+2) meets it from
+    z^(2M) = 2^55 a^M (2M+1)!/M! up; z_M is the lesser, but no less than
+    sqrt(2 (k0^2 + 6 a)), where J >= k0/(2 z^2).  It is raised by 2^-40 of
+    itself against the rounding of the logs.  The first z_M that z reaches
+    names the least M; the factors are the -2 a (2q - 1) of q = M-1 .. 1.
+    """
+    floor = math.sqrt(2.0 * (k0 * k0 + 6.0 * a))
+    log_k0 = math.log(k0)
+    switch = []
+    for m in range(1, _LAPLACE_TERMS + 1):
+        log_c = 55.0 * math.log(2.0) + m * math.log(a) + math.lgamma(2 * m + 1) - math.lgamma(m + 1)
+        z_m = min(
+            math.exp((log_c - log_k0) / (2 * m - 1)),
+            math.exp((log_c + math.log(2 * m + 1)) / (2 * m)),
+        )
+        factors = tuple(-2.0 * a * (2 * q - 1) for q in range(m - 1, 0, -1))
+        switch.append((max(z_m, floor) * (1.0 + 2.0 ** -40), factors))
+    return switch
+
+
 def _laplace_sine(packet: GaussianPacket) -> Callable[[float], float]:
     """J(z) = int_0^inf sin(k0 zeta) Phi(zeta) exp(-z zeta) dzeta, for a
     natural packet.
@@ -171,25 +204,54 @@ def _laplace_sine(packet: GaussianPacket) -> Callable[[float], float]:
     Im[(1/2) sqrt(pi/a) w((k0 + i z) / (2 sqrt(a)))], w the Faddeeva
     function.  J > 0 for every z >= 0: a decreasing weight under
     sin(k0 zeta) leaves each positive half-period ahead of the next.
+
+    Where z is large J is taken instead from its Laplace (Watson) expansion,
+    the Taylor series of exp(-a zeta^2) integrated term by term:
+
+      J = sum_{m<M} (-a)^m (2m)!/m! Im (z - i k0)^-(2m+1) + E_M,
+
+    summed by Horner's rule in r = (z - i k0)^-2.  e^-x's alternating
+    Taylor remainder is at most x^M/M!, and |sin(k0 zeta)| <= min(1,
+    k0 zeta), so |E_M| <= (a^M/M!) min((2M)!/z^(2M+1),
+    k0 (2M+1)!/z^(2M+2)).  And J >= k0/(z^2 + k0^2) - 6 a k0/z^4 >=
+    k0/(2 z^2) wherever z^2 >= 2 (k0^2 + 6 a).  The expansion takes the
+    least M <= 8 whose E_M is at most 2^-54 of that lower bound
+    (_laplace_switch, once per packet), so it departs from J by 2^-54 of J
+    plus its rounding (3.8 units of roundoff at most against mpmath, 8 in
+    the tests); below
+    the least switch point, and at J(0), w is summed.  Both forms lie
+    within FADDEEVA_IM_REL_ERR of J.  On Table 1's seven series cells,
+    131 of 1,134 J calls sum w.
     """
-    root = math.sqrt(2.0) * packet.sigma  # 1/(2 sqrt(a))
-    pref = math.sqrt(2.0 * math.pi) * packet.sigma  # (1/2) sqrt(pi/a)
-    re_arg = packet.k0 * root
+    sigma, k0 = packet.sigma, packet.k0
+    root = math.sqrt(2.0) * sigma  # 1/(2 sqrt(a))
+    pref = math.sqrt(2.0 * math.pi) * sigma  # (1/2) sqrt(pi/a)
+    re_arg = k0 * root
+    switch = _laplace_switch(1.0 / (8.0 * sigma * sigma), k0)
 
     def j(z: float) -> float:
+        for z_m, factors in switch:
+            if z >= z_m:
+                w = 1.0 / complex(z, -k0)
+                r = w * w
+                acc = 1.0
+                for factor in factors:
+                    acc = 1.0 + factor * r * acc
+                return (w * acc).imag
         return pref * faddeeva(complex(re_arg, root * z)).imag
 
     return j
 
 
-def _branch_transform(packet: GaussianPacket, vn: float) -> tuple[float, float]:
+def _branch_transform(j: Callable[[float], float], k0: float, vn: float) -> tuple[float, float]:
     # sine transform of the branch-cut term of T_B(-v0, zeta) times Phi, at
     # strength vn, which the series route adds to its residue moments, with
     # the zeta integral taken first in closed form: (2/pi) int_1^inf h(z)
-    # J(z) dz.  |sin(k0 zeta)| <= k0 zeta and Phi <= 1 give J(z) <= k0/z^2.
-    # h >= 0 and J > 0, so the Faddeeva error is at most its relative bound
-    # times |val|.
-    val, err = branch_transform(vn, _laplace_sine(packet), packet.k0)
+    # J(z) dz, J = j from _laplace_sine of a natural packet of wavenumber
+    # k0.  |sin(k0 zeta)| <= k0 zeta and Phi <= 1 give J(z) <= k0/z^2.
+    # h >= 0 and J > 0, so J's error is at most its relative bound times
+    # |val|.
+    val, err = branch_transform(vn, j, k0)
     return val, err + FADDEEVA_IM_REL_ERR * abs(val)
 
 
@@ -228,8 +290,8 @@ def ior_series(
     vn = _require_subcritical(v0, params)
     packet = _natural_packet(packet, params)
 
-    m0 = _laplace_sine(packet)(0.0)
-    moments = _gaussian_sine_moments(packet.k0, packet.sigma, m0)
+    j = _laplace_sine(packet)
+    moments = _gaussian_sine_moments(packet.k0, packet.sigma, j(0.0))
     coeffs = fb_moments(-vn)
 
     total = 0.0
@@ -278,7 +340,7 @@ def ior_series(
         raise SeriesDivergenceError(
             "sine-moment series lost all precision to cancellation"
         )
-    br, br_err = _branch_transform(packet, vn)
+    br, br_err = _branch_transform(j, packet.k0, vn)
     return Estimate(total + br, br_err + max_term * 1e-15 + settings.abs_tol)
 
 
@@ -462,8 +524,9 @@ def qc_expectation(
     J(0).
     """
     packet = _natural_packet(packet, params)
-    branch, branch_err = _branch_transform(packet, 0.0)
-    j0 = _laplace_sine(packet)(0.0)
+    j = _laplace_sine(packet)
+    branch, branch_err = _branch_transform(j, packet.k0, 0.0)
+    j0 = j(0.0)
     return Estimate(
         packet.k0 * (j0 + branch),
         packet.k0 * (branch_err + FADDEEVA_IM_REL_ERR * abs(j0)),

@@ -28,7 +28,9 @@ The series route keeps the power series F_B = sum_p D_p zeta^(2p)/(2p)!
 termwise.  Its coefficients are the moments
 D_p = (-1)^p (2/pi) int_0^kappa_c s^(2p) W(s) ds of the same weight (no
 sign change for v > 0), summed over one fixed 512-interval rule and cached
-per strength as the series walks p upward.
+per strength as the series walks p upward.  Each D_p is one math.fsum of
+the nodes' products, largest s first: fsum is correctly rounded, so its
+bits do not depend on the order, which only sets its cost (_more_moments).
 
 The branch-cut integrals int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz (G = 1
 for T_F, G_B for T_B, 1 - G_B for the gap T_F - T_B) and the series route's
@@ -394,7 +396,7 @@ def _fb_sum(vn: float, x: float, drop_unity: bool = False) -> tuple[float, float
 
 
 # D_p per strength v (in units of mu c^2): the D_p so far, the weights
-# times s^(2p) that continue them, and the nodes' s^2
+# times s^(2p) that continue them, and the nodes' s^2, largest s first
 _FB_MOMENTS: dict[float, tuple[tuple[float, ...], ...]] = {}
 
 
@@ -403,11 +405,17 @@ def _more_moments(vn: float) -> tuple[tuple[float, ...], ...]:
 
     D_p is the same sum of the same products whichever call extends the
     entry, so an entry is a pure function of vn and its length, and
-    threads racing here store equal entries.
+    threads racing here store equal entries.  The nodes are summed largest
+    s first.  fsum is correctly rounded in any order, so the order moves
+    no bit of D_p, but over the ~500-bit spread of s^(2p) at p ~ 30 an
+    ascending walk grows fsum's list of partials at every node and takes
+    ~15 times as long.  A D_p that overflows a float ends the extension
+    before it, and a call that can add no D_p raises SeriesDivergenceError,
+    so a walk yields every finite D_p first.
     """
     entry = _FB_MOMENTS.get(vn)
     if entry is None:
-        nodes = _fb_nodes(vn, _MOMENT_INTERVALS)
+        nodes = _fb_nodes(vn, _MOMENT_INTERVALS)[::-1]
         coeffs: tuple[float, ...] = ()
         powers = tuple(w * math.exp(ln_g) for _s, ln_g, w in nodes)
         squares = tuple(s**2 for s, _ln_g, _w in nodes)
@@ -416,7 +424,15 @@ def _more_moments(vn: float) -> tuple[tuple[float, ...], ...]:
     sign = -1.0 if vn < 0.0 else 1.0
     new = []
     for p in range(len(coeffs), len(coeffs) + _MOMENT_CHUNK):
-        new.append(sign**p * math.fsum(powers))
+        try:
+            total = math.fsum(powers)
+        except OverflowError:
+            total = math.inf
+        if math.isinf(total):
+            if not new:
+                raise SeriesDivergenceError(f"moment D_{p} of F_B({vn}, .) overflows a float")
+            break
+        new.append(sign**p * total)
         powers = tuple(map(operator.mul, powers, squares))
     entry = (coeffs + tuple(new), powers, squares)
     _FB_MOMENTS[vn] = entry
@@ -431,7 +447,9 @@ def fb_moments(v: float) -> Iterator[float]:
     (-1)^p (2/pi) int_0^kappa_c s^(2p) W(s) ds of the crossing weight (no
     sign change for v > 0), from the fixed 512-interval theta rule and
     cached per strength.  |v| must lie below 1; that is checked here,
-    before the first D_p.
+    before the first D_p.  The walk raises SeriesDivergenceError at the
+    first D_p that overflows a float (D_649 at v = -0.999999, D_743 at
+    v = -0.9); ior_series takes at most 601.
     """
     return _walk_moments(_strength(v, NATURAL_UNITS, "fb_moments"))
 

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -26,6 +27,7 @@ from reltoa.kernels import (
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     Estimate,
+    FADDEEVA_IM_REL_ERR,
     QuadratureError,
     QuadratureSettings,
     SeriesDivergenceError,
@@ -333,6 +335,11 @@ class TestIorSeries:
         # on the h = 2^-2 rule alone
         assert KERNEL_PINS.series_calls(KERNEL_PINS.TABLE1_SERIES_CELLS) == 1134
 
+    def test_laplace_expansion_spares_the_faddeeva_calls(self):
+        # of those 1,134 J calls, only J(0) and those below the packet's
+        # least switch point sum w
+        assert KERNEL_PINS.faddeeva_calls(KERNEL_PINS.TABLE1_SERIES_CELLS) == 131
+
     def test_bits_match_pin(self):
         # sha256 of float.hex of R_c's value and err, sigma-major, then v0,
         # then k0, with v0 on both sides of the branch transform's switch
@@ -344,7 +351,7 @@ class TestIorSeries:
     @pytest.mark.parametrize("k0", [0.15, 2.0, 5.0])
     @pytest.mark.parametrize("v0", [0.3, 0.6])
     def test_branch_transform_matches_nested_oracle(self, k0, v0):
-        swapped, swapped_err = _branch_transform(narrow(k0), v0)
+        swapped, swapped_err = _branch_transform(ior._laplace_sine(narrow(k0)), k0, v0)
         nested, nested_err = nested_branch_transform(narrow(k0), v0)
         gap = abs(swapped - nested)
         # the nested form sums the same branch rule per zeta, so the swapped
@@ -391,6 +398,57 @@ def reduced_sweep():
     rows = ROUTE_SWEEP.sweep(ROUTE_SWEEP.reduced_grid())
     return {(row["sigma"], row["v0"], round(row["k0"] / kappa_c(row["v0"]), 6)): row
             for row in rows}
+
+
+def laplace_sine_oracle(sigma: float, k0: float, z: float) -> float:
+    """J(z) = Im[sigma sqrt(2 pi) w((k0 + i z) sqrt(2) sigma)] of a natural
+    packet, from mpmath's exp and erfc at 40 digits, plus 2 log10 of the
+    argument's size as guard digits: exp(-x^2) and erfc(-i x) are huge and
+    tiny where |x| is large, and J is a small part of their product."""
+    size = math.sqrt(2.0) * sigma * math.hypot(k0, z)
+    with mp.workdps(40 + 2 * math.ceil(math.log10(1.0 + size))):
+        root = mp.sqrt(2) * mp.mpf(sigma)
+        x = mp.mpc(k0, z) * root
+        return float(mp.im(mp.sqrt(mp.pi) * root * mp.exp(-x * x) * mp.erfc(-1j * x)))
+
+
+class TestLaplaceSine:
+    """J(z) of the series route: w's closed form below the packet's least
+    switch point z_M, the M-term Laplace expansion from it up."""
+
+    @given(
+        log_sigma=st.floats(math.log(0.25), math.log(3000.0)),
+        log_k0=st.floats(math.log(0.01), math.log(10.0)),
+        index=st.integers(0, ior._LAPLACE_TERMS - 1),
+        above=st.booleans(),
+        log_offset=st.floats(-12.0 * math.log(10.0), math.log(0.5)),
+    )
+    @example(log_sigma=math.log(0.5), log_k0=math.log(0.15), index=7, above=False,
+             log_offset=math.log(1e-12))
+    @example(log_sigma=math.log(0.5), log_k0=math.log(5.0), index=0, above=True,
+             log_offset=math.log(1e-12))
+    def test_both_forms_meet_the_mpmath_oracle(self, log_sigma, log_k0, index, above, log_offset):
+        # z on either side of a switch point; both forms lie within the
+        # Faddeeva bound of J, with no allowance, and the expansion within
+        # its own: 2^-54 of J for the truncation, 8 units of roundoff for
+        # its rounding, and its remainder bound E_M within the 2^-54
+        sigma, k0 = math.exp(log_sigma), math.exp(log_k0)
+        a = 1.0 / (8.0 * sigma * sigma)
+        switch = ior._laplace_switch(a, k0)
+        z_switch = switch[index][0]
+        z = z_switch * (1.0 + math.exp(log_offset) if above else 1.0 - math.exp(log_offset))
+        value = ior._laplace_sine(GaussianPacket(0.0, sigma, k0))(z)
+        ref = laplace_sine_oracle(sigma, k0, z)
+        assert abs(value - ref) <= FADDEEVA_IM_REL_ERR * abs(ref)
+        taken = [len(factors) + 1 for z_m, factors in switch if z >= z_m]
+        if taken:
+            m = taken[0]
+            remainder = a**m / math.factorial(m) * min(
+                math.factorial(2 * m) / z ** (2 * m + 1),
+                k0 * math.factorial(2 * m + 1) / z ** (2 * m + 2),
+            )
+            assert remainder <= 2.0**-54 * ref
+            assert abs(value - ref) <= (2.0**-54 + 8.0 * 2.0**-53) * ref
 
 
 class TestRouteSweep:

