@@ -17,9 +17,10 @@ v0, so the two signs share a rule) and step 2^-m.  The direct pin,
 tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
 on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
 and 9, three barriers up to v0 = 0.99 and three k0; beside its CPU time the
-script prints the grid's T_B calls, counted by wrapping the direct route's
-T_B core (counting_barrier_calls), and the F_B and branch-cut nodes each
-T_B value sums, counted by wrapping the two rule sums under it
+script prints the grid's T_B calls, counted by wrapping the value method
+of the T_B core, which the direct route binds once per cell
+(counting_barrier_calls), and the F_B and branch-cut nodes each T_B value
+sums, counted by wrapping that method and the core's branch-cut sum
 (counting_kernel_nodes); beside them come the same counts for Table 1's
 seven v0 = 0.3 direct cells (TABLE1_DIRECT_CELLS) and for the two direct
 cells of the wide_packets benchmark (WIDE_DIRECT_CELLS).  The momentum pin,
@@ -38,12 +39,14 @@ prints the J calls of Table 1's seven v0 = 0.3 series cells
 factory (series_calls), and how many of them sum the Faddeeva function
 rather than J's Laplace expansion (faddeeva_calls).  Last, the residue factor
 F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
-call of ``reltoa.kernels._fb_sum``, ``barrier_factor`` and
-``reltoa.kernels._barrier_value``, the direct route's core (their rules
-cached, best of a few rounds) at v = -0.1 and +0.1, at zeta from 1 to 150,
-with the number of intervals of the F_B rule each call sums.  From zeta
-~ 36 at v = -0.1, and at every zeta past 32 at v = +0.1, barrier_factor and
-the value core both skip the branch-cut sum.
+call of the fb and value methods of the strength's T_B core
+(``reltoa.kernels._tb_core``), whose value the direct route calls at every
+node, and of ``barrier_factor`` (their rules cached, best of a few
+rounds), at v = -0.1 and +0.1, at zeta from 1 to 150, with the number of
+intervals of the F_B rule each call sums.  From zeta ~ 36 at v = -0.1, and
+at every zeta past 32 at v = +0.1, barrier_factor and the value both skip
+the branch-cut sum.  The script ends with the CPU time of a warm Table 1
+direct cell per T_B node it takes, and per cell (direct_node_cost).
 
 Run from the repository root:
 
@@ -208,49 +211,51 @@ def direct_digest(grid: dict) -> str:
 def counting_barrier_calls():
     """Count the direct route's T_B calls within the block.
 
-    Yields a one-item list that counts each call of ior._barrier_value, the
-    T_B core ior_direct calls at every sine-transform node, while the block
-    runs; the core is restored on exit.
+    Yields a one-item list that counts each call of the T_B core's value
+    method (kernels._TbCore.value), which ior_direct binds once per cell and
+    calls at every sine-transform node, while the block runs; the method is
+    restored on exit.
     """
     calls = [0]
-    core = ior._barrier_value
+    value = kernels._TbCore.value
 
-    def counted(*args):
+    def counted(core, x):
         calls[0] += 1
-        return core(*args)
+        return value(core, x)
 
-    ior._barrier_value = counted
+    kernels._TbCore.value = counted
     try:
         yield calls
     finally:
-        ior._barrier_value = core
+        kernels._TbCore.value = value
 
 
 @contextlib.contextmanager
 def counting_kernel_nodes():
     """Count the F_B and branch-cut nodes that T_B values sum within the block.
 
-    Yields a two-item list: each call of reltoa.kernels._fb_sum adds the
-    n + 1 nodes of its rule, n its a-priori intervals (kernels._fb_size),
-    and each call of _branch_value the n nodes of its a-priori rule
-    (kernels._branch_size).  The sums are restored on exit.
+    Yields a two-item list: each call of the T_B core's value method adds
+    the n + 1 nodes of its F_B rule, n its a-priori intervals (the core's
+    fb_size; none at zero height), and each call of its branch-cut sum
+    (branch) the n nodes of its a-priori rule (branch_size).  The methods
+    are restored on exit.
     """
     counts = [0, 0]
-    fb_sum, branch_value = kernels._fb_sum, kernels._branch_value
+    value, branch = kernels._TbCore.value, kernels._TbCore.branch
 
-    def fb_counted(vn, x, drop_unity=False):
-        counts[0] += kernels._fb_size(vn, x) + 1 if vn else 0
-        return fb_sum(vn, x, drop_unity)
+    def value_counted(core, x):
+        counts[0] += core.fb_size(x) + 1 if core.vn else 0
+        return value(core, x)
 
-    def branch_counted(vn, x, gap=False):
-        counts[1] += kernels._branch_size(vn, x)[1]
-        return branch_value(vn, x, gap)
+    def branch_counted(core, x, gap=False):
+        counts[1] += core.branch_size(x)[1]
+        return branch(core, x, gap)
 
-    kernels._fb_sum, kernels._branch_value = fb_counted, branch_counted
+    kernels._TbCore.value, kernels._TbCore.branch = value_counted, branch_counted
     try:
         yield counts
     finally:
-        kernels._fb_sum, kernels._branch_value = fb_sum, branch_value
+        kernels._TbCore.value, kernels._TbCore.branch = value, branch
 
 
 def direct_counts(cells) -> tuple[int, int, int]:
@@ -379,18 +384,15 @@ def faddeeva_calls(cells) -> int:
 
 def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
     """(intervals of the F_B rule summed, best warm CPU seconds per call of
-    _fb_sum, barrier_factor and _barrier_value) at (v, zeta), natural
-    units."""
-    # drop the rules of strength v, so that the sizes this call builds show
-    for key in [key for key in kernels._FB_RULES if key[0] == v]:
-        del kernels._FB_RULES[key]
-    kernels._fb_sum(v, zeta)
-    intervals = max(n for vn, n in kernels._FB_RULES if vn == v)
-    barrier_factor(v, zeta, NATURAL_UNITS)  # fills the branch nodes
+    the T_B core's fb, barrier_factor and the core's value) at (v, zeta),
+    natural units."""
+    core = kernels._tb_core(v)
+    intervals = core.fb_size(zeta)
+    barrier_factor(v, zeta, NATURAL_UNITS)  # fills the rules and branch nodes
     calls = (
-        lambda: kernels._fb_sum(v, zeta),
+        lambda: core.fb(zeta),
         lambda: barrier_factor(v, zeta, NATURAL_UNITS),
-        lambda: kernels._barrier_value(v, zeta),
+        lambda: core.value(zeta),
     )
     best = [float("inf")] * len(calls)
     for _ in range(FB_ROUNDS):
@@ -400,6 +402,21 @@ def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
                 call()
             best[i] = min(best[i], (time.process_time() - t0) / FB_CALLS)
     return intervals, best
+
+
+def direct_node_cost(cells) -> tuple[float, float]:
+    """(best warm CPU seconds of ior_direct over cells, each (sigma, v0, k0),
+    per T_B node and per cell), best of FB_ROUNDS passes after one warm-up."""
+    packets = [(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
+               for sigma, v0, k0 in cells]
+    calls = direct_calls(cells)  # also the warm-up
+    best = float("inf")
+    for _ in range(FB_ROUNDS):
+        t0 = time.process_time()
+        for packet, v0 in packets:
+            ior_direct(packet, v0)
+        best = min(best, time.process_time() - t0)
+    return best / calls, best / len(cells)
 
 
 def _report(line: str, sha: str, pinned: str | None) -> int:
@@ -508,6 +525,9 @@ def main() -> int:
         print(f"v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} F_B intervals, "
               f"F_B {1e6 * fb_cpu:6.1f} us/call, T_B {1e6 * tb_cpu:6.1f} us/call, "
               f"T_B value {1e6 * value_cpu:6.1f} us/call")
+    per_node, per_cell = direct_node_cost(TABLE1_DIRECT_CELLS)
+    print(f"warm Table 1 direct cell: {1e6 * per_node:5.2f} us CPU per T_B node, "
+          f"{1e3 * per_cell:5.2f} ms per cell")
 
     if faults:
         return 1

@@ -6,8 +6,8 @@ barrier region is t_c * R_c with t_c = L/c the photon crossing time.  R_c is
 computed by three independent routes that must agree,
 
   * direct   - oscillatory sine transform of T_B(-V_o, zeta) Phi(zeta),
-               with T_B's value from barrier_factor's unchecked value
-               core (kernels._barrier_value) at each node,
+               with T_B's value at each node from the strength's T_B
+               core (kernels._tb_core), bound once per cell,
   * series   - term-by-term Gaussian sine moments of the residue series
                plus the sine transform of the kernel's branch-cut term,
                taken as one z-integral (kernels.branch_transform, one
@@ -46,8 +46,7 @@ from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
-    _barrier_value,
-    barrier_free_gap,
+    _tb_core,
     branch_transform,
     fb_moments,
 )
@@ -61,7 +60,7 @@ from reltoa.numerics import (
     integrate_sqrt_endpoint,
     sine_transform_decaying,
 )
-from reltoa.wavepacket import GaussianPacket, phi_overlap
+from reltoa.wavepacket import GaussianPacket
 
 __all__ = [
     "Luminality",
@@ -114,6 +113,9 @@ def _phi_transform(
     """int_0^inf sin(k0 zeta) kernel(zeta) Phi(zeta) dzeta and its error, for
     a natural packet and a kernel of natural zeta.
 
+    The integrand is one closure, kernel(zeta) * phi_overlap(packet, zeta)
+    bit for bit, with Phi formed in phi_overlap's own operations.
+
     Every kernel transformed here is bounded by a small multiple of
     1 + 1/zeta, so the product is dropped past the window's end, taken in
     closed form where Phi(zeta) (4 + 1/zeta) meets cut = 1e-3 abs_tol:
@@ -128,13 +130,16 @@ def _phi_transform(
     with the first period under zeta = w u^3, which flattens the kernel's
     1/zeta start.
     """
+    sigma, exp = packet.sigma, math.exp
     cut = 1e-3 * settings.abs_tol
-    zeta_4 = _phi_reach(packet.sigma, 4.0, cut)
-    end = _phi_reach(packet.sigma, 4.0 + 1.0 / zeta_4, cut)
-    return sine_transform_decaying(
-        lambda zeta: kernel(zeta) * phi_overlap(packet, zeta),
-        packet.k0, end, bandwidth, settings,
-    )
+    zeta_4 = _phi_reach(sigma, 4.0, cut)
+    end = _phi_reach(sigma, 4.0 + 1.0 / zeta_4, cut)
+
+    def integrand(zeta: float) -> float:
+        u = zeta / sigma  # Phi in phi_overlap's operations
+        return kernel(zeta) * exp(-0.125 * u * u)
+
+    return sine_transform_decaying(integrand, packet.k0, end, bandwidth, settings)
 
 
 def ior_direct(
@@ -147,27 +152,36 @@ def ior_direct(
 
     R_c = (mu c / hbar) * int_0^inf sin(k0 zeta) T_B(-v0, zeta) Phi(zeta) dzeta,
     which in natural units is the transform itself.  The cell is checked
-    and converted once; each node takes barrier_factor's natural-unit
-    value, bit for bit, from kernels._barrier_value.  That core forms no
-    branch-cut err, and past zeta ~ 34-39 it drops the branch-cut sum
+    and converted once and binds the T_B core of strength -v0 once; each
+    node takes its value, barrier_factor's natural-unit value bit for bit
+    without the errs.  Past zeta ~ 34-39 it drops the branch-cut sum
     wherever the sum cannot move the value, as barrier_factor does.
     The sine transform is one adaptive G10/K21 run over Phi's closed-form
     window, seeded at each period of the faster of sin(k0 zeta) and T_B's
     cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F has none, so its
     bandwidth is 0), with the first period under zeta = w u^3, which
     flattens T_B's 2/(pi zeta) start; its err is judged against the total.
-    A Table 1 cell takes ~135 T_B values.
+    A Table 1 cell takes ~135 T_B values, ~7.4 us of CPU each, sine
+    transform included (scripts/kernel_pins.py).
     """
     vn = _require_subcritical(v0, params)
     packet = _natural_packet(packet, params)
     return Estimate(*_phi_transform(
-        lambda zeta: _barrier_value(-vn, zeta),
-        packet, settings, kappa_c(vn) if vn > 0.0 else 0.0,
+        _tb_core(-vn).value, packet, settings, kappa_c(vn) if vn > 0.0 else 0.0,
     ))
 
 
 # the most terms of J's Laplace expansion that _laplace_sine sums
 _LAPLACE_TERMS = 8
+# per M = 1 .. _LAPLACE_TERMS, the packet-free parts of _laplace_switch:
+# M, lgamma(2M + 1), lgamma(M + 1) and ln(2M + 1)
+_SWITCH_TERMS = tuple(
+    (m, math.lgamma(2 * m + 1), math.lgamma(m + 1), math.log(2 * m + 1))
+    for m in range(1, _LAPLACE_TERMS + 1)
+)
+_LOG_2_55 = 55.0 * math.log(2.0)
+# 2q - 1 for q = 1 .. _LAPLACE_TERMS - 1, the Horner factors over -2a
+_HORNER_ODDS = tuple(2.0 * q - 1.0 for q in range(1, _LAPLACE_TERMS))
 
 
 def _laplace_switch(a: float, k0: float) -> list[tuple[float, tuple[float, ...]]]:
@@ -181,18 +195,18 @@ def _laplace_switch(a: float, k0: float) -> list[tuple[float, tuple[float, ...]]
     sqrt(2 (k0^2 + 6 a)), where J >= k0/(2 z^2).  It is raised by 2^-40 of
     itself against the rounding of the logs.  The first z_M that z reaches
     names the least M; the factors are the -2 a (2q - 1) of q = M-1 .. 1.
+    The log-gammas, ln(2M + 1) and 2q - 1 are module constants
+    (_SWITCH_TERMS, _HORNER_ODDS), each in its place in the sums and
+    products that use it, so that every z_M and factor keeps its bits.
     """
     floor = math.sqrt(2.0 * (k0 * k0 + 6.0 * a))
-    log_k0 = math.log(k0)
+    log_k0, log_a = math.log(k0), math.log(a)
+    factors = [-2.0 * a * odd for odd in _HORNER_ODDS]
     switch = []
-    for m in range(1, _LAPLACE_TERMS + 1):
-        log_c = 55.0 * math.log(2.0) + m * math.log(a) + math.lgamma(2 * m + 1) - math.lgamma(m + 1)
-        z_m = min(
-            math.exp((log_c - log_k0) / (2 * m - 1)),
-            math.exp((log_c + math.log(2 * m + 1)) / (2 * m)),
-        )
-        factors = tuple(-2.0 * a * (2 * q - 1) for q in range(m - 1, 0, -1))
-        switch.append((max(z_m, floor) * (1.0 + 2.0 ** -40), factors))
+    for m, log_2m_fact, log_m_fact, log_2m1 in _SWITCH_TERMS:
+        log_c = _LOG_2_55 + m * log_a + log_2m_fact - log_m_fact
+        z_m = min(math.exp((log_c - log_k0) / (2 * m - 1)), math.exp((log_c + log_2m1) / (2 * m)))
+        switch.append((max(z_m, floor) * (1.0 + 2.0 ** -40), tuple(reversed(factors[:m - 1]))))
     return switch
 
 
@@ -565,14 +579,15 @@ def toa_difference(
     difference kernel [T_F - T_B(-V_o)] Phi: Q_c/k0 - R_c in natural
     units.  Taking the difference inside one transform lets the
     barrier-free limit cancel exactly, since the kernel vanishes
-    identically at V_o = 0.  The err is the sine transform's, times t_c.
+    identically at V_o = 0.  The cell binds the T_B core of strength -V_o
+    once, and each node takes its gap, barrier_free_gap's value bit for
+    bit.  The err is the sine transform's, times t_c.
     """
     barrier.require_subcritical(params)
     packet.check_support(barrier.a)
     vn = barrier.v0 / params.rest_energy
     gap, err = _phi_transform(
-        lambda zeta: barrier_free_gap(vn, zeta),
-        _natural_packet(packet, params), settings, kappa_c(vn),
+        _tb_core(-vn).gap, _natural_packet(packet, params), settings, kappa_c(vn),
     )
     t_c = barrier.length / params.c
     return Estimate(t_c * gap, t_c * err)

@@ -20,8 +20,8 @@ E sqrt((E + 1 - a)/(E + 1 + a)) for v > 0, smooth and positive, and C = cos
 or cosh.  The theta-integrand is even and periodic, so the trapezoid rule
 converges spectrally (Trefethen and Weideman, SIAM Rev. 56 (2014) 385).
 Its size is set a priori from zeta and from each strength's reach and
-analytic strip (_fb_size), and its node pairs (w_k g_k, s_k) are cached
-per (v, n), all in the standard library.  Every value is a pure function
+analytic strip (_TbCore.fb_size), and its node pairs (w_k g_k, s_k) are
+cached per (v, n), all in the standard library.  Every value is a pure function
 of its arguments, whichever calls or threads came first.
 
 The series route keeps the power series F_B = sum_p D_p zeta^(2p)/(2p)!
@@ -40,15 +40,15 @@ is even in u, analytic in |Im u| < pi/2 at every strength and decays doubly
 exponentially, so the rule at u_k = k 2^-m converges exponentially.  Its
 nodes are cached per (|v|/(mu c^2), m) and extended lazily; m is sized a
 priori, from the strength and zeta for the Laplace integrals
-(_branch_size) and from the strength alone for the branch transform
-(branch_transform).  A value sums only the nodes its arguments select,
+(_TbCore.branch_size) and from the strength alone for the branch
+transform (branch_transform).  A value sums only the nodes its arguments select,
 however far the lists were extended.
 
 Each err is a closed form of the value pieces: F_B's is its rule's
 rounding bound, a few operations on the rule's cached weight sums; the
 branch term's is a fixed multiple of its value, the rule's rounding bound
-at the Laplace mean of x (z - 1), which stays below 3/2 (_scaled_branch);
-where T_B skips the branch-cut sum it is B (below); and the branch
+at the Laplace mean of x (z - 1), which stays below 3/2
+(_TbCore.branch_term); where T_B skips the branch-cut sum it is B (below); and the branch
 transform's is its sum's rounding bound plus a bound on the tail past its
 last node.  That rounding bound bounds the error because of the a-priori
 sizing: each rule is exact to rounding, its sum within its own rounding
@@ -56,7 +56,7 @@ bound of the rule with twice the nodes, which the tests check over |v| < 1
 and zeta up to 750 (assert_rules_settled in the kernel tests), and the
 branch transform's within its err of the rule with eight or sixteen times
 its nodes.
-No level test runs: _fb_size and _branch_size pick each rule's one size,
+No level test runs: fb_size and branch_size pick each rule's one size,
 and raise QuadratureError past the cap, more than 32,768 F_B intervals or
 4,096 branch-cut nodes in the rule of twice the nodes, or where that
 rule's last node would overflow s^2 (natural zeta below 2.6e-153 to
@@ -74,16 +74,16 @@ skip first fires near x = 34 at v = 0, 35-39 for v < 0 up to -0.999 and
 at x = 32 for v > 0.
 
 The kernel-factor entries check each argument once (_strength,
-_natural_zeta) and hand the strength and zeta, in natural units, to their
-core: T_F and T_B to _barrier; the direct route calls _barrier_value, the
-same value without the errs, at every node of its sine transform, after
-checking the cell once, and toa_difference calls barrier_free_gap.  The
-branch cut has one Laplace sum, _branch_value, which T_F, T_B, the direct
-route and the gap all read.  No kernel factor reads a quadrature setting.
+_natural_zeta) and hand the zeta, in natural units, to the T_B core of the
+strength (_TbCore), the one place F_B and the branch cut are summed; the
+direct route and toa_difference bind it once per cell and call its value
+(gap) at every node of their sine transform.  No kernel factor reads a
+quadrature setting.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -182,10 +182,11 @@ def free_factor(zeta: float, params: PhysicalParams = NATURAL_UNITS) -> Estimate
 
     Strictly decreasing in zeta, -> 1 as zeta -> inf, and diverging like
     2*hbar/(pi*mu*c*zeta) as zeta -> 0+.  It is T_B(0, zeta), bit for bit:
-    _barrier at zero height, where F_B = (1.0, 0.0) and G_B = 1, so it
-    skips the branch-cut sum from natural zeta x ~ 34 on.
+    the T_B core's estimate at zero height, where F_B = (1.0, 0.0) and
+    G_B = 1, so it skips the branch-cut sum from natural zeta x ~ 34 on.
     """
-    return Estimate(*_barrier(0.0, _natural_zeta(zeta, params, "free_factor")))
+    x = _natural_zeta(zeta, params, "free_factor")
+    return Estimate(*_tb_core(0.0).estimate(x))
 
 
 def _strength(v0: float, params: PhysicalParams, name: str) -> float:
@@ -287,13 +288,14 @@ class _FbRule:
     """The n-interval trapezoid rule for F_B(v, .), v in units of mu c^2:
     F_B sums its (w_k g_k, s_k) pairs, F_B - 1 its columns s, m, w2."""
 
-    __slots__ = ("v", "cosine", "reach", "pairs", "s", "m", "w2", "c_sum", "cs_sum")
+    __slots__ = ("v", "cosine", "fn", "reach", "pairs", "s", "m", "w2", "c_sum", "cs_sum")
 
     def __init__(self, v: float, n: int) -> None:
         nodes = _fb_nodes(v, n)
         s = tuple(node[0] for node in nodes)
         c = [w * math.exp(ln_g) for _s, ln_g, w in nodes]  # w g
         self.v, self.cosine, self.reach = v, v < 0.0, s[-1]
+        self.fn = math.cos if self.cosine else math.cosh  # C
         self.pairs = tuple(zip(c, s))
         self.s = s
         self.m = tuple(w * math.expm1(ln_g) for _s, ln_g, w in nodes)  # w (g - 1)
@@ -301,21 +303,20 @@ class _FbRule:
         self.c_sum = math.fsum(c)
         self.cs_sum = math.fsum(map(operator.mul, c, s))
 
-    def evaluate(self, x: float, drop_unity: bool) -> tuple[float, float]:
-        """The rule's sum at natural zeta x and its rounding bound.
+    def total(self, x: float, drop_unity: bool = False) -> float:
+        """The rule's sum at natural zeta x.
 
         C is cos for v < 0 and cosh for v > 0.  With drop_unity the terms
         are those of F_B - 1, summed as (g - 1) C(x s) -+ 2 S(x s / 2)^2
         (S = sin or sinh), since the weights sum to one.  A sum that leaves
         the float range raises SeriesDivergenceError; past it no cosh(x
-        reach) overflows, since the last node is s = reach.  The bound
-        allows 6 units of roundoff per node value and 6 per unit of x * s
-        in C's argument, whose rounding C amplifies.
+        reach) overflows, since the last node is s = reach.
         """
-        fn, half_fn = (math.cos, math.sin) if self.cosine else (math.cosh, math.sinh)
+        fn = self.fn
         try:
             if drop_unity:
                 scaled = math.fsum(map(operator.mul, self.m, map(fn, map(x.__mul__, self.s))))
+                half_fn = math.sin if self.cosine else math.sinh
                 halves = [t * t for t in map(half_fn, map((0.5 * x).__mul__, self.s))]
                 unity = math.fsum(map(operator.mul, self.w2, halves))
                 total = scaled - unity if self.cosine else scaled + unity
@@ -325,6 +326,15 @@ class _FbRule:
             total = math.inf
         if math.isinf(total):
             raise SeriesDivergenceError(f"F_B({self.v}, {x}) overflows a float")
+        return total
+
+    def evaluate(self, x: float, drop_unity: bool) -> tuple[float, float]:
+        """The rule's sum at natural zeta x (total) and its rounding bound.
+
+        The bound allows 6 units of roundoff per node value and 6 per unit
+        of x * s in C's argument, whose rounding C amplifies.
+        """
+        total = self.total(x, drop_unity)
         y_max = x * self.reach
         if self.cosine:
             scale = 6.0 * self.c_sum + 6.0 * x * self.cs_sum
@@ -347,52 +357,6 @@ def _fb_rule(v: float, n: int) -> _FbRule:
         # setdefault: threads racing here end up sharing one rule
         rule = _FB_RULES.setdefault((v, n), _FbRule(v, n))
     return rule
-
-
-# per strength vn: (reach, least rule size), a pure function of vn
-_FB_STRENGTHS: dict[float, tuple[float, float]] = {}
-
-
-def _fb_size(vn: float, x: float) -> int:
-    """The a-priori rule size at strength vn != 0 and natural zeta x, or
-    QuadratureError where n passes _FB_MAX_INTERVALS.
-
-    The rule has n/2 intervals, n the least power of two >= 1.2 * y_max
-    + 16 and >= 20 / eta, at least 32.  y_max = x * reach counts the
-    oscillations (growth, for v > 0) of C(x s) over the rule.  eta is the
-    half-width of the strip about the real theta-axis in which g is
-    analytic, set by the branch point of E: sinh(eta) = 1/kappa_c for
-    v < 0 and cosh(eta) = 1/x* for v > 0, which narrows as v -> +1.  The
-    trapezoid error falls geometrically in n at a rate set by eta, so at
-    that size the n/2-interval rule is exact to rounding: it differs from
-    the n-interval rule by less than its own rounding bound, which the
-    tests check over |v| < 1 and zeta up to 750, and its sum is F_B with
-    that bound as the err.  The cap is passed for v > 0 from v ~ 0.9994
-    and for v < 0 from zeta kappa_c ~ 27,300.  reach and the least size
-    are cached per strength.
-    """
-    strength = _FB_STRENGTHS.get(vn)
-    if strength is None:
-        reach = _fb_reach(vn)
-        eta = math.asinh(1.0 / reach) if vn < 0.0 else math.acosh(1.0 / reach)
-        least = 20.0 / eta if eta else math.inf  # x* rounds to 1 near v = 1
-        strength = _FB_STRENGTHS.setdefault(vn, (reach, max(least, _FB_MIN_INTERVALS)))
-    reach, least = strength
-    # capped before the log, so that an infinite size raises as the cap does
-    need = min(max(1.2 * (x * reach) + 16.0, least), 2.0 * _FB_MAX_INTERVALS)
-    n = 1 << math.ceil(math.log2(need))
-    if n > _FB_MAX_INTERVALS:
-        raise QuadratureError(f"F_B({vn}, {x}) needs more than {_FB_MAX_INTERVALS} rule intervals")
-    return n >> 1
-
-
-def _fb_sum(vn: float, x: float, drop_unity: bool = False) -> tuple[float, float]:
-    """F_B (or F_B - 1) at strength vn = v/(mu c^2) and natural zeta = x,
-    with its error estimate: one pass of the a-priori rule (_fb_size), whose
-    err is the rule's rounding bound, a few operations beside the sum."""
-    if vn == 0.0:
-        return (0.0 if drop_unity else 1.0), 0.0
-    return _fb_rule(vn, _fb_size(vn, x)).evaluate(x, drop_unity)
 
 
 # D_p per strength v (in units of mu c^2): the D_p so far, the weights
@@ -471,12 +435,12 @@ def fb_series(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNITS) ->
     entering T_B(+V_o, zeta).  |v0| must lie below the rest energy.  F_B
     is finite at zeta = 0, so zeta = 0, and a zeta whose natural value
     underflows to 0, give F_B(v0, 0).  The err is the theta rule's
-    rounding bound (see _fb_size).
+    rounding bound (see _TbCore.fb_size).
     """
     vn = _strength(v0, params, "fb_series")
     if not 0.0 <= zeta < math.inf:
         raise ValueError(f"fb_series requires zeta >= 0, got {zeta}")
-    return Estimate(*_fb_sum(vn, params.mu * params.c * zeta / params.hbar))
+    return Estimate(*_tb_core(vn).fb(params.mu * params.c * zeta / params.hbar))
 
 
 # --- branch-cut integrals --------------------------------------------------
@@ -500,7 +464,7 @@ def _branch_bound(a: float, x: float) -> float:
     sqrt(z^2-1)/z <= 1 and G_B <= G_max; the factor 2 covers the rule's
     e^-37 error, its err (~1e-12 of the value) and the rounding of each.
     A subnormal B gains the branch err's two steps of 2^-1074
-    (_scaled_branch), so that it still bounds that err where its own
+    (_TbCore.branch_term), so that it still bounds that err where its own
     rounding on that grid is coarse.
     """
     bound = _TWO_OVER_PI * 2.0 * math.exp(-x) / (x * math.sqrt((1.0 - a) * (1.0 + a)))
@@ -511,13 +475,15 @@ def _branch_negligible(a: float, x: float, fb_val: float) -> bool:
     """True past x = _SKIP_MIN_X where B = _branch_bound(a, x) is below a
     quarter-ulp of fb_val: then fb_val plus the scaled branch value rounds
     back to fb_val, since the gap to fb_val's neighbours is at least
-    ulp(fb_val)/2.  The skip test of both T_B cores."""
+    ulp(fb_val)/2.  The skip test of the T_B core's estimate and value."""
     return x > _SKIP_MIN_X and _branch_bound(a, x) < 0.25 * math.ulp(fb_val)
 
 
-# the branch rule's step changes form at x = 8*37/pi^2 (~30); see _branch_size
+# the branch rule's step changes form at x = 8*37/pi^2 (~30); see branch_size
 _PI_SQUARED = math.pi**2
 _STEP_SWITCH = 8.0 * 37.0 / _PI_SQUARED
+# from here up the branch rule's last s^2 is finite (see branch_size)
+_FINITE_S2_X = 1e-140
 
 
 # per (vn, level): the node columns (w, c, d) over k = 1, 2, ...
@@ -553,103 +519,19 @@ def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...],
     return nodes
 
 
-def _branch_size(vn: float, x: float) -> tuple[int, int]:
-    """(m, n): the a-priori level of the branch-cut rule at strength vn
-    = |v|/(mu c^2) and natural zeta x > 0, and its node count, the nodes
-    u_k = k 2^-m below the u at which x (z - 1) reaches _BRANCH_CUT.
-
-    The step h = 2^-m is the least at most pi^2/(37 + pi^2 x/8) for
-    x <= 8*37/pi^2 (~30), and 0.73/sqrt(x) beyond.  The trapezoid error is
-    about the integrand's size on Im u = b times e^(-2 pi b/h), for b below
-    pi/2, where G_B's branch points and the pole of (s/z)^2 sit.  There
-    e^(-x (z - 1)) grows by at most e^(x (1 - cos b)) <= e^(x b^2/2), so the
-    error is e^(-pi^2/h + pi^2 x/8) at b = pi/2 and e^(-2 pi^2/(x h^2)) at
-    b = 2 pi/(x h) (< pi/2 for x h > 4): below e^-37 in each bracket.  So
-    the rule is exact to rounding: it differs from the step-h/2 rule by
-    less than its own rounding bound, e^-x times 2^-53 times
-    (12 + 2x) T + 8x sum_k t_k w_k (_scaled_branch), which the tests check
-    over |v| < 1 and zeta up to 750.
-
-    QuadratureError is raised where that step-h/2 rule could not be
-    built: where its nodes pass _BRANCH_MAX_NODES, for x below ~4e-221,
-    and where its last node's s = delta sinh(u) passes the square root of
-    the largest float, so that w = s^2/(1 + z) would be inf.  So the rule
-    reaches down to x between 2.6e-153 and 3.0e-153, by strength
-    (2.87e-153 at v = 0).
-    """
-    w_cut = _BRANCH_CUT / x
-    u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / (1.0 - vn))
-    step = _PI_SQUARED / (37.0 + x * _PI_SQUARED / 8) if x <= _STEP_SWITCH else 0.73 / math.sqrt(x)
-    fine = math.ceil(-math.log2(0.5 * step))  # the level of step h/2
-    count = u_cut * 2.0**fine
-    if not count <= _BRANCH_MAX_NODES:
-        raise QuadratureError(
-            f"branch-cut integral at x = {x} needs more than {_BRANCH_MAX_NODES} rule nodes"
-        )
-    n = int(count)
-    last = (1.0 - vn) * math.sinh(n * 0.5**fine)  # as _branch_nodes forms s
-    if math.isinf(last * last):
-        raise QuadratureError(
-            f"branch-cut integral at x = {x} needs rule nodes whose s^2 overflows a float"
-        )
-    return fine - 1, n >> 1
-
-
-def _branch_value(vn: float, x: float, gap: bool = False) -> float:
-    """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz, G = G_B(vn, z) or, with
-    gap, 1 - G_B; vn = |v|/(mu c^2), x > 0: the one branch-cut Laplace sum.
-
-    One pass of the a-priori rule (_branch_size): e^-x T, with
-    T = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT (the gap weights
-    d_k with gap).  The err of the branch term (_scaled_branch) is taken
-    from this value alone.
-    """
-    envelope = math.exp(-x)
-    if envelope == 0.0:
-        return 0.0
-    level, n = _branch_size(vn, x)
-    w, c, d = _branch_nodes(vn, level, n)
-    exp, neg_x = math.exp, -x
-    return envelope * math.fsum([a * exp(neg_x * w_k) for w_k, a in zip(w[:n], d if gap else c)])
-
-
 def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> tuple[float, float]:
     """Branch-cut term of T_B(v0, zeta), with its error estimate:
 
         (2/pi) * int_1^inf exp(-mu c |zeta| z / hbar) sqrt(z^2-1)/z G_B(v0, z) dz
 
     The err is a fixed multiple of the value, at least two steps of 2^-1074
-    where the value is subnormal (_scaled_branch).
+    where the value is subnormal (the core's branch_term).
     """
     vn = _strength(v0, params, "branch_integral")
     if not 0.0 < abs(zeta) < math.inf:
         raise ValueError(f"branch_integral requires 0 < |zeta| < inf, got {zeta}")
-    return _scaled_branch(abs(vn), _natural_zeta(abs(zeta), params, "branch_integral"))
-
-
-def _scaled_branch(a: float, x: float) -> tuple[float, float]:
-    """(2/pi) _branch_value(a, x), the branch term of T_B, and its err:
-    (2/pi) 2^-53 (24 + 2x) times the value, plus 2^-53 twice the term for
-    the factor 2/pi and its product.
-
-    The value is e^-x T, T = sum_k t_k, t_k = c_k e^(-x w_k) > 0, and the
-    err is e^-x times T's rounding bound.  Per unit of t_k that allows 12
-    roundoffs, 8 for a node (6.02 seen against mpmath) and 4 for the sum
-    and e^-x, and 2 per unit of x (the rounding of x in e^-x); and 8 per
-    unit of x w_k (4.5 seen, and 1.5 for the rounding of x), which is at
-    most 12 T, since x sum_k t_k w_k <= (3/2) T.  That is the Laplace mean
-    of x (z - 1) under the weight sqrt(z^2-1)/z G_B, which starts as
-    sqrt(2 (z - 1)) G_B(1) at z = 1: by Watson's lemma (Olver, Asymptotics
-    and Special Functions, 1974, ch. 3) it tends to Gamma(5/2)/Gamma(3/2)
-    = 3/2 as x grows, from below (1.4985 at v = 0, x = 740, the most seen),
-    which the tests check on the rule's own nodes over |v| < 1 and x up to
-    760.  Where the term is subnormal, it, e^-x and their product round on
-    the grid 2^-1074, less than a step in all, and the err gains two steps.
-    """
-    value = _branch_value(a, x)
-    val = value * _TWO_OVER_PI
-    err = _TWO_OVER_PI * (_UNIT_ROUNDOFF * (24.0 + 2.0 * x) * value) + 2.0 * _UNIT_ROUNDOFF * val
-    return val, err + 2.0 * _MIN_SUBNORMAL if val < _MIN_NORMAL else err
+    x = _natural_zeta(abs(zeta), params, "branch_integral")
+    return _tb_core(vn).branch_term(x)
 
 
 def branch_transform(
@@ -672,8 +554,8 @@ def branch_transform(
     v = 0.1 on, where it is exact to rounding; the h = 2^-3 rule departs by
     at most 3.1 at every strength.  The err is the sum's rounding bound,
     12 units of roundoff per unit of the value (8 for a node, as in
-    _scaled_branch, and 4 for its product with j, the sum and the factor
-    2/pi), plus the tail past the last node,
+    _TbCore.branch_term, and 4 for its product with j, the sum and the
+    factor 2/pi), plus the tail past the last node,
     int_Z^inf G_B j dz <= j_bound/(Z sqrt(1 - v^2)) since
     G_B <= (1 - v^2)^(-1/2); j's own error is the caller's.
     """
@@ -688,6 +570,219 @@ def branch_transform(
     return _TWO_OVER_PI * value, _TWO_OVER_PI * err
 
 
+# --- the T_B core ------------------------------------------------------------
+
+
+class _TbCore:
+    """T_B's sums at one strength vn = v/(mu c^2), with what each would
+    otherwise derive again bound once: T_F and T_B take its estimate,
+    fb_series its fb, branch_integral its branch_term, barrier_free_gap its
+    gap, and the direct route its value at every node.
+
+    It holds F_B's reach, least = max(20/eta, 32) and the rule of the
+    least size, and delta = 1 - |vn|, which sizes the branch-cut rule.
+    Wherever 1.2 x reach + 16 <= least, fb_size gives the least size, so
+    one comparison picks the held rule (rule); elsewhere the rule of
+    fb_size's size comes from _FB_RULES.  Its sums, F_B (F_B - 1 for
+    the gap) and the branch-cut Laplace sum (branch), are each one pass of
+    their rule at the size fb_size or branch_size states, and nothing else
+    states a size.  A core is a pure function of its strength, cached in
+    _TB_CORES as the rules are in _FB_RULES: shared through setdefault,
+    with no lock.  The branch nodes are cached per |vn| in _BRANCH_NODES,
+    since G_B is even in v.
+    """
+
+    __slots__ = ("vn", "a", "delta", "reach", "least", "least_rule")
+
+    def __init__(self, vn: float) -> None:
+        self.vn, self.a = vn, abs(vn)
+        self.delta = 1.0 - self.a
+        self.least_rule = None
+        if not vn:  # F_B is 1 exactly, with no rule
+            self.reach, self.least = 0.0, math.inf
+            return
+        self.reach = reach = _fb_reach(vn)
+        eta = math.asinh(1.0 / reach) if vn < 0.0 else math.acosh(1.0 / reach)
+        least = 20.0 / eta if eta else math.inf  # x* rounds to 1 near v = 1
+        self.least = max(least, _FB_MIN_INTERVALS)
+        with contextlib.suppress(QuadratureError):  # past the cap every size raises
+            self.least_rule = _fb_rule(vn, self.fb_size(0.0))
+
+    def fb_size(self, x: float) -> int:
+        """The a-priori F_B rule size at natural zeta x (vn != 0), or
+        QuadratureError where n passes _FB_MAX_INTERVALS.
+
+        The rule has n/2 intervals, n the least power of two >= 1.2 * y_max
+        + 16 and >= 20 / eta, at least 32.  y_max = x * reach counts the
+        oscillations (growth, for v > 0) of C(x s) over the rule.  eta is
+        the half-width of the strip about the real theta-axis in which g is
+        analytic, set by the branch point of E: sinh(eta) = 1/kappa_c for
+        v < 0 and cosh(eta) = 1/x* for v > 0, which narrows as v -> +1.
+        The trapezoid error falls geometrically in n at a rate set by eta,
+        so at that size the n/2-interval rule is exact to rounding: it
+        differs from the n-interval rule by less than its own rounding
+        bound, which the tests check over |v| < 1 and zeta up to 750, and
+        its sum is F_B with that bound as the err.  The cap is passed for
+        v > 0 from v ~ 0.9994 and for v < 0 from zeta kappa_c ~ 27,300.
+        """
+        # capped before the log, so that an infinite size raises as the cap does
+        need = min(max(1.2 * (x * self.reach) + 16.0, self.least), 2.0 * _FB_MAX_INTERVALS)
+        n = 1 << math.ceil(math.log2(need))
+        if n > _FB_MAX_INTERVALS:
+            raise QuadratureError(
+                f"F_B({self.vn}, {x}) needs more than {_FB_MAX_INTERVALS} rule intervals"
+            )
+        return n >> 1
+
+    def rule(self, x: float) -> _FbRule:
+        """The F_B rule of size fb_size(x), vn != 0."""
+        if 1.2 * (x * self.reach) + 16.0 <= self.least and self.least_rule:
+            return self.least_rule
+        return _fb_rule(self.vn, self.fb_size(x))
+
+    def fb(self, x: float, drop_unity: bool = False) -> tuple[float, float]:
+        """F_B (or F_B - 1) at natural zeta x and its err, the rule's
+        rounding bound; exactly (1.0, 0.0) (or (0.0, 0.0)) at vn = 0."""
+        if not self.vn:
+            return (0.0 if drop_unity else 1.0), 0.0
+        return self.rule(x).evaluate(x, drop_unity)
+
+    def branch_size(self, x: float) -> tuple[int, int]:
+        """(m, n): the a-priori level of the branch-cut rule at natural
+        zeta x > 0, and its node count, the nodes u_k = k 2^-m below the u
+        at which x (z - 1) reaches _BRANCH_CUT.
+
+        The step h = 2^-m is the least at most pi^2/(37 + pi^2 x/8) for
+        x <= 8*37/pi^2 (~30), and 0.73/sqrt(x) beyond.  The trapezoid error
+        is about the integrand's size on Im u = b times e^(-2 pi b/h), for
+        b below pi/2, where G_B's branch points and the pole of (s/z)^2
+        sit.  There e^(-x (z - 1)) grows by at most e^(x (1 - cos b)) <=
+        e^(x b^2/2), so the error is e^(-pi^2/h + pi^2 x/8) at b = pi/2 and
+        e^(-2 pi^2/(x h^2)) at b = 2 pi/(x h) (< pi/2 for x h > 4): below
+        e^-37 in each bracket.  So the rule is exact to rounding: it
+        differs from the step-h/2 rule by less than its own rounding bound,
+        e^-x times 2^-53 times (12 + 2x) T + 8x sum_k t_k w_k (branch_term),
+        which the tests check over |v| < 1 and zeta up to 750.
+
+        QuadratureError is raised where that step-h/2 rule could not be
+        built: where its nodes pass _BRANCH_MAX_NODES, for x below
+        ~4e-221, and where its last node's s = delta sinh(u) passes the
+        square root of the largest float, so that w = s^2/(1 + z) would be
+        inf.  So the rule reaches down to x between 2.6e-153 and 3.0e-153,
+        by strength (2.87e-153 at v = 0).  That last node lies at or below
+        u_cut, where delta sinh(u) = sqrt(w (w + 2)) < w + 1, w = 40/x, so
+        the check runs only below x = _FINITE_S2_X.
+        """
+        w_cut = _BRANCH_CUT / x
+        u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / self.delta)
+        step = (_PI_SQUARED / (37.0 + x * _PI_SQUARED / 8) if x <= _STEP_SWITCH
+                else 0.73 / math.sqrt(x))
+        fine = math.ceil(-math.log2(0.5 * step))  # the level of step h/2
+        count = u_cut * 2.0**fine
+        if not count <= _BRANCH_MAX_NODES:
+            raise QuadratureError(
+                f"branch-cut integral at x = {x} needs more than {_BRANCH_MAX_NODES} rule nodes"
+            )
+        n = int(count)
+        if x < _FINITE_S2_X:
+            last = self.delta * math.sinh(n * 0.5**fine)  # as _branch_nodes forms s
+            if math.isinf(last * last):
+                raise QuadratureError(
+                    f"branch-cut integral at x = {x} needs rule nodes whose s^2 overflows a float"
+                )
+        return fine - 1, n >> 1
+
+    def branch(self, x: float, gap: bool = False) -> float:
+        """int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz, G = G_B or, with gap,
+        1 - G_B, at natural zeta x > 0: the one branch-cut Laplace sum.
+
+        One pass of the a-priori rule (branch_size): e^-x T, with
+        T = sum_k c_k e^(-x w_k) over x w_k <= _BRANCH_CUT (the gap weights
+        d_k with gap).  The err of the branch term (branch_term) is taken
+        from this value alone.
+        """
+        envelope = math.exp(-x)
+        if envelope == 0.0:
+            return 0.0
+        level, n = self.branch_size(x)
+        w, c, d = _branch_nodes(self.a, level, n)
+        exp, neg_x = math.exp, -x
+        terms = [b * exp(neg_x * w_k) for w_k, b in zip(w[:n], d if gap else c)]
+        return envelope * math.fsum(terms)
+
+    def branch_term(self, x: float) -> tuple[float, float]:
+        """(2/pi) branch(x), the branch term of T_B, and its err:
+        (2/pi) 2^-53 (24 + 2x) times the value, plus 2^-53 twice the term
+        for the factor 2/pi and its product.
+
+        The value is e^-x T, T = sum_k t_k, t_k = c_k e^(-x w_k) > 0, and
+        the err is e^-x times T's rounding bound.  Per unit of t_k that
+        allows 12 roundoffs, 8 for a node (6.02 seen against mpmath) and 4
+        for the sum and e^-x, and 2 per unit of x (the rounding of x in
+        e^-x); and 8 per unit of x w_k (4.5 seen, and 1.5 for the rounding
+        of x), which is at most 12 T, since x sum_k t_k w_k <= (3/2) T.
+        That is the Laplace mean of x (z - 1) under the weight
+        sqrt(z^2-1)/z G_B, which starts as sqrt(2 (z - 1)) G_B(1) at z = 1:
+        by Watson's lemma (Olver, Asymptotics and Special Functions, 1974,
+        ch. 3) it tends to Gamma(5/2)/Gamma(3/2) = 3/2 as x grows, from
+        below (1.4985 at v = 0, x = 740, the most seen), which the tests
+        check on the rule's own nodes over |v| < 1 and x up to 760.  Where
+        the term is subnormal, it, e^-x and their product round on the
+        grid 2^-1074, less than a step in all, and the err gains two steps.
+        """
+        value = self.branch(x)
+        val = value * _TWO_OVER_PI
+        err = (_TWO_OVER_PI * (_UNIT_ROUNDOFF * (24.0 + 2.0 * x) * value)
+               + 2.0 * _UNIT_ROUNDOFF * val)
+        return val, err + 2.0 * _MIN_SUBNORMAL if val < _MIN_NORMAL else err
+
+    def estimate(self, x: float) -> tuple[float, float]:
+        """T_B and its err at natural zeta x > 0.
+
+        F_B and the branch term are each their rule's sum, with that rule's
+        rounding bound as the err (fb, branch_term), plus 2^-53 of the total
+        for their addition.  Where the branch-cut sum is skipped
+        (_branch_negligible, past x = 32), its bound B (_branch_bound) takes
+        the place of its err, so the err is at least B + 2^-53 |fb_val|,
+        also at vn = 0.  F_B runs first, so its typed errors come first; the
+        branch rule raises only at x below ~3e-153, far below the skip.
+        """
+        fb_val, fb_err = self.fb(x)
+        if _branch_negligible(self.a, x, fb_val):
+            return fb_val, fb_err + _branch_bound(self.a, x) + _UNIT_ROUNDOFF * abs(fb_val)
+        br_val, br_err = self.branch_term(x)
+        value = fb_val + br_val
+        return value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value)
+
+    def value(self, x: float) -> float:
+        """estimate(x)[0], bit for bit, in its operations and on its skip
+        test, without the errs; typed errors come as from estimate."""
+        fb_val = self.rule(x).total(x) if self.vn else 1.0
+        if _branch_negligible(self.a, x, fb_val):
+            return fb_val
+        return fb_val + self.branch(x) * _TWO_OVER_PI
+
+    def gap(self, x: float) -> float:
+        """T_F - T_B(vn) at natural zeta x > 0, from its small differences:
+        -(F_B - 1) plus 2/pi times the 1 - G_B Laplace sum, each its rule's
+        sum at the a-priori size, F_B's first."""
+        residue_part = self.rule(x).total(x, True) if self.vn else 0.0
+        return -residue_part + _TWO_OVER_PI * self.branch(x, True)
+
+
+# per strength vn (in units of mu c^2): its T_B core
+_TB_CORES: dict[float, _TbCore] = {}
+
+
+def _tb_core(vn: float) -> _TbCore:
+    """The cached T_B core of strength vn, a pure function of vn."""
+    core = _TB_CORES.get(vn)
+    if core is None:
+        # setdefault: threads racing here end up sharing one core
+        core = _TB_CORES.setdefault(vn, _TbCore(vn))
+    return core
+
+
 def barrier_factor(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNITS) -> Estimate:
     """Barrier time-kernel factor T_B(v0, zeta) = F_B + branch-cut term.
 
@@ -695,46 +790,8 @@ def barrier_factor(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNIT
     bit for bit.
     """
     vn = _strength(v0, params, "barrier_factor")
-    return Estimate(*_barrier(vn, _natural_zeta(zeta, params, "barrier_factor")))
-
-
-def _barrier(vn: float, x: float) -> tuple[float, float]:
-    """T_B and its error at strength vn = v0/(mu c^2) and natural zeta = x > 0,
-    unchecked: the core of barrier_factor and, at vn = 0, of free_factor.
-
-    F_B and the branch term are each their rule's sum, with that rule's
-    rounding bound as the err, F_B's from its cached weight sums (_fb_sum)
-    and the branch term's from its value (_scaled_branch), plus 2^-53 of
-    the total for their addition.  Where _branch_negligible holds, past x = 32
-    with the branch bound B (_branch_bound) below a quarter-ulp of F_B's
-    value, fb_val + br_val rounds to fb_val: the branch-cut sum is skipped
-    and B, which bounds the branch value, takes the place of its err.  The
-    err is then at least B + 2^-53 |fb_val|, also at vn = 0, where F_B is
-    exactly (1.0, 0.0).  F_B runs first either way, so its typed errors
-    come as before.  No branch QuadratureError is lost: the rule raises
-    only at x below ~3e-153, far below the skip.
-    """
-    a = abs(vn)
-    fb_val, fb_err = _fb_sum(vn, x)
-    if _branch_negligible(a, x, fb_val):
-        return fb_val, fb_err + _branch_bound(a, x) + _UNIT_ROUNDOFF * abs(fb_val)
-    br_val, br_err = _scaled_branch(a, x)
-    value = fb_val + br_val
-    return value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value)
-
-
-def _barrier_value(vn: float, x: float) -> float:
-    """_barrier(vn, x)[0], bit for bit, without the branch term's err: the
-    T_B core of the direct route, which calls it at every node.
-
-    The value is fb_val + br_val in _barrier's operations, and the branch
-    cut is skipped on _barrier's test (see the module docstring).  Typed
-    errors come as from _barrier, F_B's first.
-    """
-    fb_val = _fb_sum(vn, x)[0]
-    if _branch_negligible(abs(vn), x, fb_val):
-        return fb_val
-    return fb_val + _branch_value(abs(vn), x) * _TWO_OVER_PI
+    x = _natural_zeta(zeta, params, "barrier_factor")
+    return Estimate(*_tb_core(vn).estimate(x))
 
 
 def barrier_free_gap(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNITS) -> float:
@@ -744,13 +801,12 @@ def barrier_free_gap(v0: float, zeta: float, params: PhysicalParams = NATURAL_UN
     1 - G_B) are assembled from small differences, so the result stays
     accurate down to O(v0) and vanishes identically at v0 = 0.  This is
     what the arrival-time difference integrates against.  Each part is its
-    rule's sum at the a-priori size: _fb_sum's F_B - 1 and _branch_value's
-    1 - G_B column.
+    rule's sum at the a-priori size, taken by the core of -v0 (its gap),
+    which toa_difference binds once per cell instead.
     """
     vn = _strength(v0, params, "barrier_free_gap")
     x = _natural_zeta(zeta, params, "barrier_free_gap")
-    residue_part = _fb_sum(-vn, x, drop_unity=True)[0]
-    return -residue_part + _TWO_OVER_PI * _branch_value(abs(vn), x, gap=True)
+    return _tb_core(-vn).gap(x)
 
 
 _REGIONS = ("I", "II", "III")
@@ -775,7 +831,8 @@ def region_kernel(
     """
     if region not in _REGIONS:
         raise ValueError(f"region must be one of {_REGIONS}")
-    tf_val, tf_err = _barrier(0.0, _natural_zeta(zeta, params, "region_kernel"))
+    x = _natural_zeta(zeta, params, "region_kernel")
+    tf_val, tf_err = _tb_core(0.0).estimate(x)
     if region == "I":
         return Estimate(0.5 * eta * tf_val, 0.5 * abs(eta) * tf_err)
     d, v0 = (barrier.b, barrier.v0) if region == "II" else (barrier.length, -barrier.v0)

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings as hyp_settings, strateg
 
 from conftest import crossing_weight, load_by_path, momentum_weight_reference
 
-from reltoa import ior
+from reltoa import ior, kernels
 from reltoa.classical import kappa_c, qc_asymptotic, tau_top
 from reltoa.kernels import (
     NATURAL_UNITS,
@@ -271,6 +271,32 @@ class TestIorDirect:
         # six halvings toward zeta = 0, 1,197; with it under zeta = w u^3, 945
         calls = KERNEL_PINS.direct_calls(KERNEL_PINS.WIDE_DIRECT_CELLS)
         assert 0 < calls <= 1000, calls
+
+    @pytest.mark.parametrize(
+        "sigma, v0, k0", KERNEL_PINS.TABLE1_DIRECT_CELLS + [(0.7, 0.0, 2.0), (9.0, 0.1, 0.65)],
+    )
+    def test_integrand_is_the_barrier_value_times_phi(self, monkeypatch, sigma, v0, k0):
+        # at every node the route's integrand is the value of the T_B core
+        # of strength -v0 times Phi(zeta), bit for bit, on Table 1's seven
+        # direct cells, at v0 = 0, where T_B is T_F, and on a wide cell
+        # whose nodes pass the branch skip; sigma = 0.7 also tells
+        # zeta/sigma from zeta (1/sigma) apart
+        nodes = []
+        transform = ior.sine_transform_decaying
+
+        def recording(f, *args):
+            def g(zeta):
+                nodes.append((zeta, f(zeta)))
+                return nodes[-1][1]
+            return transform(g, *args)
+
+        monkeypatch.setattr(ior, "sine_transform_decaying", recording)
+        packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
+        ior_direct(packet, v0)
+        assert len(nodes) > 100
+        for zeta, value in nodes:
+            expected = kernels._tb_core(-v0).value(zeta) * phi_overlap(packet, zeta)
+            assert value.hex() == expected.hex(), zeta
 
     def test_bits_match_pin(self):
         # sha256 of float.hex of R_c's value and err on the widest cells,

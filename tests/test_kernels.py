@@ -298,7 +298,7 @@ class TestFbMomentForm:
             est = fb_series(v, zeta)
             assert abs(est.value - ref) <= est.err, zeta
             assert est.err <= 2e-13 * max(1.0, abs(est.value)), zeta
-            less, err = kernels._fb_sum(v, zeta, True)
+            less, err = kernels._tb_core(v).fb(zeta, True)
             assert abs(less - (ref - 1)) <= err, zeta
 
     @pytest.mark.parametrize("v", [-0.3, 0.3, -0.6])
@@ -337,13 +337,13 @@ class TestFbMomentForm:
             fb_series(-0.999999, 1e308)
 
     def test_concurrent_threads_on_empty_caches_match_serial_bits(self):
-        # strengths no other test uses, so their sizes, rules and moments
-        # start empty
+        # strengths no other test uses, so their T_B cores, rules and
+        # moments start empty
         grid = [(v0, zeta) for v0 in (-0.61, 0.61) for zeta in (0.5, 3.0, 20.0, 90.0)]
 
         def forget():
-            for key in [key for key in kernels._FB_STRENGTHS if abs(key) == 0.61]:
-                del kernels._FB_STRENGTHS[key]
+            for key in [key for key in kernels._TB_CORES if abs(key) == 0.61]:
+                del kernels._TB_CORES[key]
             for key in [key for key in kernels._FB_RULES if abs(key[0]) == 0.61]:
                 del kernels._FB_RULES[key]
             for key in [key for key in kernels._FB_MOMENTS if abs(key) == 0.61]:
@@ -351,7 +351,7 @@ class TestFbMomentForm:
 
         def bits(v0, zeta):
             est = fb_series(v0, zeta)
-            less, _err = kernels._fb_sum(v0, zeta, True)
+            less, _err = kernels._tb_core(v0).fb(zeta, True)
             moments = itertools.islice(fb_moments(v0), 100)
             return est.value.hex(), est.err.hex(), less.hex(), [d.hex() for d in moments]
 
@@ -490,7 +490,7 @@ class TestKernelFactorOracles:
             tb = barrier_factor(0.3, zeta)
             assert math.isfinite(tb.err), zeta
             assert abs(tb.value - float(fb_ref + mp_branch_oracle(0.3, zeta))) <= tb.err, zeta
-            less, err = kernels._fb_sum(0.3, zeta, True)
+            less, err = kernels._tb_core(0.3).fb(zeta, True)
             assert math.isfinite(err), zeta
             assert abs(less - float(fb_ref - 1)) <= err, zeta
 
@@ -532,8 +532,8 @@ class TestKernelFactorOracles:
         br, br_err = branch_integral(v0, above, NATURAL_UNITS)
         assert math.isfinite(br_err)
         assert abs(br - float(mp_branch_oracle(v0, above))) <= br_err
-        calls = (lambda: kernels._barrier(-v0, below)[0],
-                 lambda: kernels._barrier_value(-v0, below),
+        calls = (lambda: kernels._tb_core(-v0).estimate(below)[0],
+                 lambda: kernels._tb_core(-v0).value(below),
                  lambda: barrier_free_gap(v0, below))
         outcomes = {_value_or_error(call) for call in calls}
         assert outcomes == {
@@ -547,7 +547,8 @@ class TestKernelFactorOracles:
         for key in [key for key in kernels._BRANCH_NODES if key[0] == 0.37]:
             del kernels._BRANCH_NODES[key]
         later = branch_integral(0.37, 3.6e-153, NATURAL_UNITS)
-        assert kernels._branch_size(0.37, 3.6e-153)[1] < kernels._branch_size(0.37, 2.9e-153)[1]
+        core = kernels._tb_core(0.37)
+        assert core.branch_size(3.6e-153)[1] < core.branch_size(2.9e-153)[1]
         out = _run_bench_code(
             "from reltoa.kernels import NATURAL_UNITS, branch_integral\n"
             "print(*(f.hex() for z in (2.9e-153, 3.6e-153)"
@@ -610,13 +611,14 @@ def branch_rule_sum(a: float, x: float, level: int, gap: bool = False) -> float:
     the branch cut, the integral int_1^inf sqrt(z^2-1)/z G(z) e^(-x z) dz on
     the step 2^-level, summed here from kernels._branch_nodes.
 
-    The a-priori level m (_branch_size) ends at its node n, within a step
-    of the cut; at a finer level the nodes run up to u = (n + 1/2) 2^-m,
-    which passes the cut by less than the a-priori step."""
+    The a-priori level m (the core's branch_size) ends at its node n,
+    within a step of the cut; at a finer level the nodes run up to
+    u = (n + 1/2) 2^-m, which passes the cut by less than the a-priori
+    step."""
     envelope = math.exp(-x)
     if envelope == 0.0:
         return 0.0
-    top, n = kernels._branch_size(a, x)
+    top, n = kernels._tb_core(a).branch_size(x)
     n = (2 * n + 1) << (level - top) >> 1
     w, c, d = kernels._branch_nodes(a, level, n)
     terms = [b * math.exp(-x * w_k) for w_k, b in zip(w[:n], d if gap else c)]
@@ -627,8 +629,8 @@ def rule_sizes(vn: float, x: float) -> tuple[int, int]:
     """The a-priori F_B rule intervals (0 at vn = 0, where F_B is 1 with no
     rule) and branch-cut level at (vn, x); the finer rules, which the tests
     check them against, are 2n and level + 1."""
-    n = kernels._fb_size(vn, x) if vn else 0
-    return n, kernels._branch_size(abs(vn), x)[0]
+    n = kernels._tb_core(vn).fb_size(x) if vn else 0
+    return n, kernels._tb_core(vn).branch_size(x)[0]
 
 
 def scaled_branch(a: float, x: float) -> tuple[float, float]:
@@ -636,19 +638,19 @@ def scaled_branch(a: float, x: float) -> tuple[float, float]:
     its operations, the branch-cut sum always summed: the a-priori rule's
     sum, and an err of 2^-53 (24 + 2x) times the sum and 2^-53 twice its
     2/pi multiple, with two steps of 2^-1074 more where that is subnormal."""
-    value = branch_rule_sum(a, x, kernels._branch_size(a, x)[0])
+    value = branch_rule_sum(a, x, kernels._tb_core(a).branch_size(x)[0])
     br_val = value * TWO_OVER_PI
     err = TWO_OVER_PI * (EPS * (24.0 + 2.0 * x) * value) + 2.0 * EPS * br_val
     return br_val, err + 2.0 * MIN_SUBNORMAL if br_val < MIN_NORMAL else err
 
 
 def composed_barrier(vn: float, x: float) -> tuple[float, float]:
-    """_barrier's (value, err) as F_B plus the scaled branch-cut sum, the sum
+    """The T_B core's (value, err) as F_B plus the scaled branch-cut sum, the sum
     always formed: each value is its a-priori rule's sum and each err that
     rule's rounding bound.  Past x = 32, where the branch bound B is below a
     quarter-ulp of F_B's value, the sum leaves that value's bits alone (as
     checked here) and B takes the place of the branch term's err."""
-    kernels._fb_sum(vn, x)  # F_B's typed errors, which _barrier raises first
+    kernels._tb_core(vn).fb(x)  # F_B's typed errors, which T_B raises first
     n = rule_sizes(vn, x)[0]
     fb_val = fb_rule_sum(vn, x, n)
     fb_err = fb_rule_bound(vn, x, n, fb_val)
@@ -696,9 +698,9 @@ class TestBranchSkip:
             value, err = composed_barrier(vn, x)
         except (QuadratureError, SeriesDivergenceError) as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                kernels._barrier(vn, x)
+                kernels._tb_core(vn).estimate(x)
         else:
-            got = kernels._barrier(vn, x)
+            got = kernels._tb_core(vn).estimate(x)
             assert [f.hex() for f in got] == [value.hex(), err.hex()]
         tf = free_factor(x)
         assert [tf.value.hex(), tf.err.hex()] == [f.hex() for f in composed_barrier(0.0, x)]
@@ -714,7 +716,7 @@ class TestBranchSkip:
 
     def test_skip_fires_past_the_guard(self, monkeypatch):
         expected = barrier_factor(-0.3, 100.0), free_factor(100.0), barrier_factor(0.0, 100.0)
-        monkeypatch.setattr(kernels, "_branch_value", _no_branch_sum)
+        monkeypatch.setattr(kernels._TbCore, "branch", _no_branch_sum)
         got = barrier_factor(-0.3, 100.0), free_factor(100.0), barrier_factor(0.0, 100.0)
         assert got == expected
         for call in (lambda: barrier_factor(-0.3, 5.0), lambda: free_factor(5.0)):
@@ -758,24 +760,96 @@ class TestBranchSkip:
     @example(vn=0.5, x=746.0)
     @example(vn=0.95, x=760.0)
     def test_value_core_matches_barrier_bits(self, vn, x):
-        expected = _value_or_error(lambda: kernels._barrier(vn, x)[0])
+        expected = _value_or_error(lambda: kernels._tb_core(vn).estimate(x)[0])
         assert _value_or_error(lambda: composed_barrier(vn, x)[0]) == expected
-        got = _value_or_error(lambda: kernels._barrier_value(vn, x))
+        got = _value_or_error(lambda: kernels._tb_core(vn).value(x))
         assert got == expected
 
     def test_value_core_skips_from_the_value_onset(self, monkeypatch):
         # at (-0.1, 40) B is below a quarter-ulp of F_B's value, not of its
         # err; at (-0.1, 33.755) it is 6 ulps of the value
-        expected = kernels._barrier_value(-0.1, 40.0), barrier_factor(-0.1, 40.0)
-        monkeypatch.setattr(kernels, "_branch_value", _no_branch_sum)
-        got = kernels._barrier_value(-0.1, 40.0), barrier_factor(-0.1, 40.0)
+        expected = kernels._tb_core(-0.1).value(40.0), barrier_factor(-0.1, 40.0)
+        monkeypatch.setattr(kernels._TbCore, "branch", _no_branch_sum)
+        got = kernels._tb_core(-0.1).value(40.0), barrier_factor(-0.1, 40.0)
         assert got == expected
         assert got[0] == got[1].value
         assert got[1].err >= kernels._branch_bound(0.1, 40.0)
-        for call in (lambda: kernels._barrier_value(-0.1, 33.755),
+        for call in (lambda: kernels._tb_core(-0.1).value(33.755),
                      lambda: barrier_factor(-0.1, 33.755)):
             with pytest.raises(AssertionError, match="branch-cut sum called"):
                 call()
+
+
+# strengths the T_B core test always draws: zero, Table 1's 0.3 and two next
+# to the rest energy, at both signs
+CORE_STRENGTHS = [0.0] + [sign * a for a in (0.3, 0.99, 0.999999) for sign in (-1.0, 1.0)]
+
+
+def _least_reach(vn: float) -> float:
+    """The natural zeta up to which the core of strength vn sums its held
+    least F_B rule: where 1.2 x reach + 16 meets 20/eta (at least 32)."""
+    core = kernels._tb_core(vn)
+    return (core.least - 16.0) / (1.2 * core.reach)
+
+
+class TestTbCore:
+    """The per-strength T_B core: its value and err are the composed sums'
+    bits, and its held least rule serves exactly where fb_size gives that
+    rule's size (the direct route's integrand is checked in test_ior)."""
+
+    @given(
+        vn=st.one_of(
+            st.sampled_from(CORE_STRENGTHS),
+            st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        ),
+        x=st.floats(min_value=math.log(1e-160), max_value=math.log(760.0)).map(math.exp),
+    )
+    # about the held least rule's reach, where the next rule takes over
+    # (x ~ 16.05 at v = -0.3 and 18.7 at v = 0.3); where the branch rule's
+    # last node would overflow s^2 (x below ~3e-153) and the node cap
+    # (below ~4e-221); the skip's onset; exp's underflow; and v -> +1,
+    # where F_B's rule passes its cap
+    @example(vn=-0.3, x=_least_reach(-0.3) * (1.0 - 1e-9))
+    @example(vn=-0.3, x=_least_reach(-0.3) * (1.0 + 1e-9))
+    @example(vn=0.3, x=_least_reach(0.3) * (1.0 + 1e-9))
+    @example(vn=-0.99, x=_least_reach(-0.99) * (1.0 + 1e-9))
+    @example(vn=0.0, x=2.8e-153)
+    @example(vn=-0.3, x=1e-200)
+    @example(vn=-0.3, x=1e-160)
+    @example(vn=-0.1, x=35.0)
+    @example(vn=-0.999999, x=745.0)
+    @example(vn=0.999999, x=1.0)
+    def test_value_and_err_match_composed_barrier(self, vn, x):
+        core = kernels._tb_core(vn)
+        try:
+            value, err = composed_barrier(vn, x)
+        except (QuadratureError, SeriesDivergenceError) as exc:
+            for call in (lambda: core.estimate(x), lambda: core.value(x)):
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    call()
+            return
+        assert [f.hex() for f in core.estimate(x)] == [value.hex(), err.hex()]
+        assert core.value(x).hex() == value.hex()
+        if x >= kernels._FINITE_S2_X:
+            # branch_size checks s^2 of the rule's last node only below
+            # _FINITE_S2_X; here that node lies within half a step above
+            # the returned rule's last
+            level, n = core.branch_size(x)
+            last = core.delta * math.sinh((2 * n + 1) * 0.5 ** (level + 1))
+            assert math.isfinite(last * last)
+
+    @pytest.mark.parametrize("vn", [v for v in CORE_STRENGTHS if v])
+    def test_rule_has_the_stated_size_about_the_least_reach(self, vn):
+        # the held least rule serves up to its reach, and fb_size's rule on
+        # from there
+        core = kernels._tb_core(vn)
+        if core.least_rule is None:  # past the cap every size raises
+            with pytest.raises(QuadratureError, match="rule intervals"):
+                core.rule(1.0)
+            return
+        reach = _least_reach(vn)
+        for x in (reach * (1.0 - 1e-9), reach, reach * (1.0 + 1e-9), 2.0 * reach):
+            assert len(core.rule(x).s) == core.fb_size(x) + 1, x
 
 
 # the unit systems of the kernel and route tests
@@ -795,7 +869,7 @@ def _half_and_full(v0: float, zeta: float, params: PhysicalParams):
     try:
         tb = barrier_factor(v0, zeta, params)
     except (QuadratureError, SeriesDivergenceError) as exc:
-        for call in (lambda: kernels._barrier_value(vn, x),
+        for call in (lambda: kernels._tb_core(vn).value(x),
                      lambda: barrier_free_gap(-v0, zeta, params)):
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 call()
@@ -806,16 +880,16 @@ def _half_and_full(v0: float, zeta: float, params: PhysicalParams):
     gap = barrier_free_gap(-v0, zeta, params)
     gap_full = (-fb_rule_sum(vn, x, 2 * n, True)
                 + TWO_OVER_PI * branch_rule_sum(a, x, level + 1, True))
-    half = kernels._barrier_value(vn, x)
+    half = kernels._tb_core(vn).value(x)
     return (vn, x), (half, full, tb), (gap, gap_full, gap_bound(vn, x, gap))
 
 
 def gap_bound(vn: float, x: float, gap: float) -> float:
     """A bound on the error of gap = barrier_free_gap(-vn) at natural zeta x:
-    F_B - 1's rounding bound (_fb_sum), 2/pi times e^-x times the 1 - G_B
+    F_B - 1's rounding bound (the core's fb), 2/pi times e^-x times the 1 - G_B
     rule's rounding bound (branch_rule_parts), and 2^-53 twice the scaled
     branch part and the gap, for the rounding of their 2/pi product and sum."""
-    fb_err = kernels._fb_sum(vn, x, True)[1]
+    fb_err = kernels._tb_core(vn).fb(x, True)[1]
     envelope = math.exp(-x)
     if envelope == 0.0:
         return fb_err + 2.0 * EPS * abs(gap)
@@ -828,11 +902,11 @@ def branch_rule_parts(a: float, x: float, gap: bool) -> tuple[float, float, floa
     """(T_2h, |T_h - T_2h|, T_2h's rounding bound) of the branch-cut rule
     T_2h at its a-priori level and the rule T_h one level finer, on its
     nodes up to half a step of T_2h past T_2h's last (branch_rule_sum),
-    before the factor e^-x.  T_2h is formed in _branch_value's operations,
+    before the factor e^-x.  T_2h is formed in the core's branch operations,
     which must give its bits as e^-x T_2h.  The bound is summed term by
     term: per unit of a_k e^(-x w_k), a_k = c_k (|d_k| + c_k for the gap),
-    12 + 2x roundoffs, and 8 per unit of x w_k (see _scaled_branch)."""
-    level, n = kernels._branch_size(a, x)
+    12 + 2x roundoffs, and 8 per unit of x w_k (see the core's branch_term)."""
+    level, n = kernels._tb_core(a).branch_size(x)
 
     def terms_of(level, n):
         w, c, d = kernels._branch_nodes(a, level, n)
@@ -845,7 +919,7 @@ def branch_rule_parts(a: float, x: float, gap: bool) -> tuple[float, float, floa
     value = math.fsum(terms)
     rounding = EPS * ((12.0 + 2.0 * x) * sum(scales)
                       + 8.0 * x * sum(s * w_k for s, w_k in zip(scales, w)))
-    assert math.exp(-x) * value == kernels._branch_value(a, x, gap)
+    assert math.exp(-x) * value == kernels._tb_core(a).branch(x, gap)
     finer = math.fsum(terms_of(level + 1, 2 * n + 1)[1])
     return value, abs(finer - value), rounding
 
@@ -857,7 +931,7 @@ def assert_rules_settled(vn: float, x: float) -> None:
     err, and lets each value take one pass.  A rule that raises a typed
     error is not checked."""
     try:
-        n = kernels._fb_size(vn, x) if vn else 0
+        n = kernels._tb_core(vn).fb_size(x) if vn else 0
     except QuadratureError:
         n = 0
     rules = (kernels._fb_rule(vn, n), kernels._FbRule(vn, 2 * n)) if n else ()
@@ -879,8 +953,9 @@ def assert_rules_settled(vn: float, x: float) -> None:
 
 class TestHalfRuleValue:
     """Each kernel value is its rules' sum at their a-priori sizes, in one
-    pass, with the rules' rounding bounds as the err: _barrier_value gives
-    _barrier's value bits, and barrier_free_gap the sum of its two rules.
+    pass, with the rules' rounding bounds as the err: the T_B core's value
+    gives its estimate's value bits, and barrier_free_gap the sum of its two
+    rules.
     At those sizes each rule lies within its rounding bound of the rule
     with twice the nodes (assert_rules_settled)."""
 
@@ -907,7 +982,7 @@ class TestHalfRuleValue:
         summed term by term (branch_rule_parts), and that bound settles the
         rule (assert_rules_settled)."""
         a = abs(v)
-        level, n = kernels._branch_size(a, x)
+        level, n = kernels._tb_core(a).branch_size(x)
         w, c, _d = kernels._branch_nodes(a, level, n)
         terms = [c_k * math.exp(-x * w_k) for w_k, c_k in zip(w[:n], c)]
         assert x * math.fsum(map(operator.mul, terms, w)) <= 1.5 * math.fsum(terms)
@@ -982,13 +1057,15 @@ class TestHalfRuleValue:
     ])
     def test_value_cores_match_the_err_paths_at_the_caps(self, vn, x, outcome):
         # both paths take the rule sizes, and their typed errors, from
-        # _fb_size and _branch_size, and one pass of the rules settles there
-        expected = _value_or_error(lambda: kernels._barrier(vn, x)[0])
-        assert _value_or_error(lambda: kernels._barrier_value(vn, x)) == expected
+        # the core's fb_size and branch_size, and one pass of the rules
+        # settles there
+        expected = _value_or_error(lambda: kernels._tb_core(vn).estimate(x)[0])
+        assert _value_or_error(lambda: kernels._tb_core(vn).value(x)) == expected
         assert expected.startswith(outcome.__name__) if outcome else "Error" not in expected
+        branch_size = kernels._tb_core(vn).branch_size
         expected_gap = _value_or_error(
-            lambda: -kernels._fb_sum(vn, x, True)[0]
-            + TWO_OVER_PI * branch_rule_sum(abs(vn), x, kernels._branch_size(abs(vn), x)[0], True)
+            lambda: -kernels._tb_core(vn).fb(x, True)[0]
+            + TWO_OVER_PI * branch_rule_sum(abs(vn), x, branch_size(x)[0], True)
         )
         assert _value_or_error(lambda: barrier_free_gap(-vn, x)) == expected_gap
         assert_rules_settled(vn, x)
@@ -1164,7 +1241,7 @@ class TestFbExactSum:
 
         def evaluate(module, zeta):
             monkeypatch.setattr(kernels, "math", module)
-            val, err = kernels._fb_sum(v, zeta, drop_unity)
+            val, err = kernels._tb_core(v).fb(zeta, drop_unity)
             return val.hex(), err.hex()
 
         for zeta in zetas:
@@ -1315,7 +1392,7 @@ class TestBranchProfile:
         def forget(fb_rules: bool, trim: bool):
             # drop the branch nodes of |v0| = 0.3, or cut them back to three,
             # so that the threads race on extending them; with fb_rules,
-            # drop the F_B rules too
+            # drop the F_B rules and the T_B cores that hold them too
             for key in [key for key in kernels._BRANCH_NODES if key[0] == 0.3]:
                 if trim:
                     kernels._BRANCH_NODES[key] = tuple(c[:3] for c in kernels._BRANCH_NODES[key])
@@ -1324,6 +1401,8 @@ class TestBranchProfile:
             if fb_rules:
                 for key in [key for key in kernels._FB_RULES if abs(key[0]) == 0.3]:
                     del kernels._FB_RULES[key]
+                for key in [key for key in kernels._TB_CORES if abs(key) == 0.3]:
+                    del kernels._TB_CORES[key]
 
         def bits(v0, zeta):
             tb = barrier_factor(v0, zeta)
