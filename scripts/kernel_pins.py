@@ -17,29 +17,29 @@ v0, so the two signs share a rule) and step 2^-m.  The direct pin,
 tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
 on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
 and 9, three barriers up to v0 = 0.99 and three k0; beside its CPU time the
-script prints the grid's T_B calls, counted by wrapping the value method
-of the T_B core, which the direct route binds once per cell
-(counting_barrier_calls), and the F_B and branch-cut nodes each T_B value
-sums, counted by wrapping that method and the core's branch-cut sum
-(counting_kernel_nodes); beside them come the same counts for Table 1's
-seven v0 = 0.3 direct cells (TABLE1_DIRECT_CELLS) and for the two direct
-cells of the wide_packets benchmark (WIDE_DIRECT_CELLS).  The momentum pin,
-tests/data/momentum_pin.json, hashes ``reltoa.ior.momentum_split``'s R_c,
-+k and -k weights, each value and err, on 80 cells: sigma from 0.5 to 9,
-v0 up to 0.99 and k0 on both sides of kappa_c; beside its CPU time the
-script prints the integrand evaluations of ``reltoa.ior.ior_momentum`` on
-the same cells, counted by wrapping the route's integrand factory
-(counting_momentum_evals).  The series pin, tests/data/series_pin.json,
-hashes ``reltoa.ior.ior_series``'s (value, err), or its error type and
-text, on 18 cells, sigma 0.5 and 1, v0 on both sides of the branch
-transform's switch of rule at 0.1 and k0 from 0.5 to 5, and
-``qc_expectation``'s on the six (sigma, k0); beside its CPU time the script
-prints the J calls of Table 1's seven v0 = 0.3 series cells
-(TABLE1_SERIES_CELLS), counted by wrapping the route's Laplace-sine
-factory (series_calls), and how many of them sum the Faddeeva function
-rather than J's Laplace expansion (faddeeva_calls).  Last, the residue factor
-F_B, the whole barrier factor T_B and T_B's value alone are timed per warm
-call of the fb and value methods of the strength's T_B core
+script prints the grid's T_B calls, each a call of the value method of the
+T_B core, which the direct route binds once per cell, and the F_B and
+branch-cut nodes each T_B value sums (direct_counts); beside them come the
+same counts for Table 1's seven v0 = 0.3 direct cells (TABLE1_DIRECT_CELLS)
+and for the two direct cells of the wide_packets benchmark
+(WIDE_DIRECT_CELLS).  The momentum pin, tests/data/momentum_pin.json,
+hashes ``reltoa.ior.momentum_split``'s R_c, +k and -k weights, each value
+and err, on 80 cells: sigma from 0.5 to 9, v0 up to 0.99 and k0 on both
+sides of kappa_c; beside its CPU time the script prints the integrand
+evaluations of ``reltoa.ior.ior_momentum`` on the same cells
+(momentum_evals).  The series pin, tests/data/series_pin.json, hashes
+``reltoa.ior.ior_series``'s (value, err), or its error type and text, on
+18 cells, sigma 0.5 and 1, v0 on both sides of the branch transform's
+switch of rule at 0.1 and k0 from 0.5 to 5, and ``qc_expectation``'s on
+the six (sigma, k0); beside its CPU time the script prints the J calls of
+Table 1's seven v0 = 0.3 series cells (TABLE1_SERIES_CELLS) and how many
+of them sum the Faddeeva function rather than J's Laplace expansion
+(series_counts).  Every pin is the sha256 of its lines (digest), and
+every count comes from one profile-hook counter (counting), which counts
+the calls of named library functions and closures by their code objects
+and patches nothing.  Last, the residue factor F_B, the whole barrier
+factor T_B and T_B's value alone are timed per warm call of the fb and
+value methods of the strength's T_B core
 (``reltoa.kernels._tb_core``), whose value the direct route calls at every
 node, and of ``barrier_factor`` (their rules cached, best of a few
 rounds), at v = -0.1 and +0.1, at zeta from 1 to 150, with the number of
@@ -59,10 +59,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import json
 import pathlib
 import sys
 import time
+import types
 
 from reltoa import ior, kernels
 from reltoa.cli import TABLE1_ROWS, TABLE1_SIGMA
@@ -130,31 +132,17 @@ def branch_values(grid) -> dict:
     }
 
 
-def branch_digest(pin: dict, values: dict) -> str:
-    """sha256 of the (value, err) pairs, hashed v0-major whatever order made them."""
+def digest(lines) -> str:
+    """sha256 of the lines, each ended by a newline: every pin's hash."""
     h = hashlib.sha256()
-    for v0 in pin["v0"]:
-        for zeta in pin["zeta"]:
-            value, err = values[(v0, zeta)]
-            h.update(f"{value.hex()} {err.hex()}\n".encode())
+    for line in lines:
+        h.update(f"{line}\n".encode())
     return h.hexdigest()
 
 
-def free_factor_digest(zetas) -> str:
-    """sha256 of free_factor's (value, err) at each zeta, in order."""
-    h = hashlib.sha256()
-    for zeta in zetas:
-        est = free_factor(zeta, NATURAL_UNITS)
-        h.update(f"{est.value.hex()} {est.err.hex()}\n".encode())
-    return h.hexdigest()
-
-
-def gap_digest(v0: float, zetas) -> str:
-    """sha256 of barrier_free_gap(v0, zeta)'s value at each zeta, in order."""
-    h = hashlib.sha256()
-    for zeta in zetas:
-        h.update(f"{barrier_free_gap(v0, zeta, NATURAL_UNITS).hex()}\n".encode())
-    return h.hexdigest()
+def _hex(value: float, err: float) -> str:
+    """A (value, err) pair in float.hex."""
+    return f"{value.hex()} {err.hex()}"
 
 
 def _estimate_line(call, *args) -> str:
@@ -162,18 +150,30 @@ def _estimate_line(call, *args) -> str:
     try:
         est = call(*args, NATURAL_UNITS)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}\n"
-    return f"{est.value.hex()} {est.err.hex()}\n"
+        return f"{type(exc).__name__}: {exc}"
+    return _hex(est.value, est.err)
 
 
-def barrier_factor_digest(zetas) -> str:
-    """sha256 of barrier_factor's (value, err), or its error type and text,
-    at each (v0, zeta), v0-major."""
-    h = hashlib.sha256()
-    for v0 in BARRIER_V0:
-        for zeta in zetas:
-            h.update(_estimate_line(barrier_factor, v0, zeta).encode())
-    return h.hexdigest()
+def branch_lines(pin: dict, values: dict) -> list[str]:
+    """The (value, err) pairs, v0-major whatever order made them."""
+    return [_hex(*values[(v0, zeta)]) for v0 in pin["v0"] for zeta in pin["zeta"]]
+
+
+def free_factor_lines(zetas) -> list[str]:
+    """free_factor's (value, err) at each zeta, in order."""
+    return [_estimate_line(free_factor, zeta) for zeta in zetas]
+
+
+def gap_lines(v0: float, zetas) -> list[str]:
+    """barrier_free_gap(v0, zeta)'s value at each zeta, in order."""
+    return [barrier_free_gap(v0, zeta, NATURAL_UNITS).hex() for zeta in zetas]
+
+
+def barrier_factor_lines(zetas) -> list[str]:
+    """barrier_factor's (value, err), or its error type and text, at each
+    (v0, zeta), v0-major; the dense pin hashes free_factor's lines and
+    then these."""
+    return [_estimate_line(barrier_factor, v0, zeta) for v0 in BARRIER_V0 for zeta in zetas]
 
 
 def dense_zetas(spec: dict) -> list[float]:
@@ -182,94 +182,122 @@ def dense_zetas(spec: dict) -> list[float]:
     return [first * ratio ** (i / (count - 1)) for i in range(count)]
 
 
-def dense_digest(zetas) -> str:
-    """sha256 of free_factor's (value, err) at each zeta, then of
-    barrier_factor's at each (v0, zeta), v0-major; a point that raises
-    hashes its error type and text."""
-    h = hashlib.sha256()
-    for zeta in zetas:
-        h.update(_estimate_line(free_factor, zeta).encode())
-    for v0 in BARRIER_V0:
-        for zeta in zetas:
-            h.update(_estimate_line(barrier_factor, v0, zeta).encode())
-    return h.hexdigest()
+def grid_cells(grid: dict) -> list[tuple[float, float, float]]:
+    """grid's (sigma, v0, k0) cells, sigma-major, then v0, then k0."""
+    return [(sigma, v0, k0) for sigma in grid["sigma"] for v0 in grid["v0"] for k0 in grid["k0"]]
 
 
-def direct_digest(grid: dict) -> str:
-    """sha256 of ior_direct's (value, err) on grid's cells, sigma-major, then
-    v0, then k0."""
-    h = hashlib.sha256()
-    for sigma in grid["sigma"]:
-        for v0 in grid["v0"]:
-            for k0 in grid["k0"]:
-                est = ior_direct(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
-                h.update(f"{est.value.hex()} {est.err.hex()}\n".encode())
-    return h.hexdigest()
+def _packet(sigma: float, k0: float) -> GaussianPacket:
+    """The direct and series pins' packet, 40 sigma left of the barrier."""
+    return GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
+
+
+def direct_lines(grid: dict) -> list[str]:
+    """ior_direct's (value, err) on grid's cells."""
+    return [_estimate_line(ior_direct, _packet(sigma, k0), v0)
+            for sigma, v0, k0 in grid_cells(grid)]
+
+
+def momentum_lines(grid: dict) -> list[str]:
+    """momentum_split's R_c, plus and minus, each value and err, on grid's
+    cells (q0 = -100)."""
+    return [
+        " ".join(_hex(est.value, est.err)
+                 for est in momentum_split(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), v0))
+        for sigma, v0, k0 in grid_cells(grid)
+    ]
+
+
+def series_lines(grid: dict) -> list[str]:
+    """ior_series' (value, err), or its error type and text, on grid's
+    cells; then qc_expectation's on each (sigma, k0), sigma-major."""
+    return [_estimate_line(ior_series, _packet(sigma, k0), v0)
+            for sigma, v0, k0 in grid_cells(grid)] + [
+        _estimate_line(qc_expectation, _packet(sigma, k0))
+        for sigma in grid["sigma"] for k0 in grid["k0"]
+    ]
+
+
+def _code(name: str) -> types.CodeType:
+    """The code object of reltoa.<name>, a function or method, and past each
+    '.<locals>.' the one function of that name defined inside it;
+    ValueError if name resolves to none."""
+    outer, *inner = name.split(".<locals>.")
+    module, *path = outer.split(".")
+    obj = importlib.import_module(f"reltoa.{module}")
+    for part in path:
+        obj = getattr(obj, part, None)
+    code = getattr(obj, "__code__", None)
+    for part in inner:
+        found = [c for c in getattr(code, "co_consts", ())
+                 if isinstance(c, types.CodeType) and c.co_name == part]
+        code = found[0] if len(found) == 1 else None
+    if not isinstance(code, types.CodeType):
+        raise ValueError(f"reltoa.{name} names no function")
+    return code
 
 
 @contextlib.contextmanager
-def counting_barrier_calls():
-    """Count the direct route's T_B calls within the block.
+def counting(*specs):
+    """Count calls of reltoa's functions within the block, in the calling
+    thread only.
 
-    Yields a one-item list that counts each call of the T_B core's value
-    method (kernels._TbCore.value), which ior_direct binds once per cell and
-    calls at every sine-transform node, while the block runs; the method is
-    restored on exit.
+    Each spec is a name under reltoa, such as "kernels._TbCore.value", or
+    "ior._crossing_integrand.<locals>.w" for every w that factory returns,
+    or (name, weigh): each call then adds weigh(args), args the call's
+    arguments by name, instead of 1.  Yields a list of the counts, in spec
+    order.  Every name is resolved to its code object before the block
+    runs, and one that resolves to none raises ValueError, so a count
+    cannot read 0 for a function that moved.  The calls are seen by a
+    profile hook (sys.setprofile) that matches code objects by identity and
+    passes each event on to the hook it displaces, which is back on exit;
+    nothing in reltoa is patched.  A weigh that raises raises from the
+    counted call and ends the counting.
     """
-    calls = [0]
-    value = kernels._TbCore.value
+    watch: dict[types.CodeType, list] = {}
+    for i, spec in enumerate(specs):
+        name, weigh = (spec, None) if isinstance(spec, str) else spec
+        watch.setdefault(_code(name), []).append((i, weigh))
+    counts = [0] * len(specs)
+    previous = sys.getprofile()
 
-    def counted(core, x):
-        calls[0] += 1
-        return value(core, x)
+    def hook(frame, event, arg):
+        if event == "call":
+            for i, weigh in watch.get(frame.f_code, ()):
+                counts[i] += 1 if weigh is None else weigh(frame.f_locals)
+        if previous is not None:
+            previous(frame, event, arg)
 
-    kernels._TbCore.value = counted
-    try:
-        yield calls
-    finally:
-        kernels._TbCore.value = value
-
-
-@contextlib.contextmanager
-def counting_kernel_nodes():
-    """Count the F_B and branch-cut nodes that T_B values sum within the block.
-
-    Yields a two-item list: each call of the T_B core's value method adds
-    the n + 1 nodes of its F_B rule, n its a-priori intervals (the core's
-    fb_size; none at zero height), and each call of its branch-cut sum
-    (branch) the n nodes of its a-priori rule (branch_size).  The methods
-    are restored on exit.
-    """
-    counts = [0, 0]
-    value, branch = kernels._TbCore.value, kernels._TbCore.branch
-
-    def value_counted(core, x):
-        counts[0] += core.fb_size(x) + 1 if core.vn else 0
-        return value(core, x)
-
-    def branch_counted(core, x, gap=False):
-        counts[1] += core.branch_size(x)[1]
-        return branch(core, x, gap)
-
-    kernels._TbCore.value, kernels._TbCore.branch = value_counted, branch_counted
+    sys.setprofile(hook)
     try:
         yield counts
     finally:
-        kernels._TbCore.value, kernels._TbCore.branch = value, branch
+        sys.setprofile(previous)
+
+
+def _fb_nodes(args) -> int:
+    """The nodes of the F_B rule a T_B core's value sums at args["x"]: n + 1,
+    n its a-priori intervals (fb_size), and none at zero height."""
+    core = args["self"]
+    return core.fb_size(args["x"]) + 1 if core.vn else 0
+
+
+def _branch_nodes(args) -> int:
+    """The nodes of the a-priori rule a T_B core's branch-cut sum runs at
+    args["x"] (branch_size)."""
+    return args["self"].branch_size(args["x"])[1]
 
 
 def direct_counts(cells) -> tuple[int, int, int]:
     """(T_B calls, F_B nodes, branch-cut nodes) of ior_direct over cells,
-    each (sigma, v0, k0)."""
-    with counting_barrier_calls() as calls, counting_kernel_nodes() as nodes:
+    each (sigma, v0, k0): each call of the T_B core's value, which the
+    route binds once per cell and calls at every sine-transform node, and
+    the nodes of that value's F_B rule and of its core's branch-cut sum."""
+    value = "kernels._TbCore.value"
+    with counting(value, (value, _fb_nodes), ("kernels._TbCore.branch", _branch_nodes)) as counts:
         for sigma, v0, k0 in cells:
-            ior_direct(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
-    return calls[0], *nodes
-
-
-def direct_calls(cells) -> int:
-    """T_B calls of ior_direct over cells, each (sigma, v0, k0)."""
-    return direct_counts(cells)[0]
+            ior_direct(_packet(sigma, k0), v0)
+    return tuple(counts)
 
 
 def _per_value(counts) -> str:
@@ -279,107 +307,25 @@ def _per_value(counts) -> str:
             f"{branch_nodes / calls:.1f} branch-cut nodes a value")
 
 
-@contextlib.contextmanager
-def _counting_closure_calls(name: str):
-    """Yield a one-item list that counts each call of every function that
-    the factory reltoa.ior.<name> returns within the block; the factory is
-    restored on exit."""
-    calls = [0]
-    factory = getattr(ior, name)
-
-    def make(*args):
-        f = factory(*args)
-
-        def counted(x):
-            calls[0] += 1
-            return f(x)
-
-        return counted
-
-    setattr(ior, name, make)
-    try:
-        yield calls
-    finally:
-        setattr(ior, name, factory)
-
-
-def counting_momentum_evals():
-    """Count the momentum route's integrand evaluations within the block:
-    each call of every w that reltoa.ior._crossing_integrand returns, which
-    the tau rule calls once per node."""
-    return _counting_closure_calls("_crossing_integrand")
-
-
 def momentum_evals(grid: dict) -> int:
-    """ior_momentum's integrand evaluations over the momentum pin's cells."""
-    with counting_momentum_evals() as calls:
-        for sigma in grid["sigma"]:
-            for v0 in grid["v0"]:
-                for k0 in grid["k0"]:
-                    ior.ior_momentum(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), v0)
+    """ior_momentum's integrand evaluations over grid's cells (q0 = -100):
+    each call of every w that ior._crossing_integrand returns, which the
+    tau rule calls once per node."""
+    with counting("ior._crossing_integrand.<locals>.w") as calls:
+        for sigma, v0, k0 in grid_cells(grid):
+            ior.ior_momentum(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), v0)
     return calls[0]
 
 
-def momentum_digest(grid: dict) -> str:
-    """sha256 of momentum_split's R_c, plus and minus, each value and err, on
-    grid's cells (q0 = -100), sigma-major, then v0, then k0."""
-    h = hashlib.sha256()
-    for sigma in grid["sigma"]:
-        for v0 in grid["v0"]:
-            for k0 in grid["k0"]:
-                packet = GaussianPacket(q0=-100.0, sigma=sigma, k0=k0)
-                line = " ".join(
-                    f"{est.value.hex()} {est.err.hex()}" for est in momentum_split(packet, v0)
-                )
-                h.update(f"{line}\n".encode())
-    return h.hexdigest()
-
-
-def series_digest(grid: dict) -> str:
-    """sha256 of ior_series' (value, err), or its error type and text, on
-    grid's cells, sigma-major, then v0, then k0; then of qc_expectation's
-    (value, err) on each (sigma, k0), sigma-major."""
-    h = hashlib.sha256()
-    for sigma in grid["sigma"]:
-        for v0 in grid["v0"]:
-            for k0 in grid["k0"]:
-                packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
-                h.update(_estimate_line(ior_series, packet, v0).encode())
-    for sigma in grid["sigma"]:
-        for k0 in grid["k0"]:
-            packet = GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
-            h.update(_estimate_line(qc_expectation, packet).encode())
-    return h.hexdigest()
-
-
-def series_calls(cells) -> int:
-    """J calls of ior_series over cells, each (sigma, v0, k0): each call of
-    every J that reltoa.ior._laplace_sine returns, once for M_0 and once per
-    node of the branch transform's rule."""
-    with _counting_closure_calls("_laplace_sine") as calls:
+def series_counts(cells) -> tuple[int, int]:
+    """(J calls, Faddeeva calls) of ior_series over cells, each (sigma, v0,
+    k0): each call of every J that ior._laplace_sine returns, once for M_0
+    and once per node of the branch transform's rule, and those of them
+    that sum the Faddeeva function rather than J's Laplace expansion."""
+    with counting("ior._laplace_sine.<locals>.j", "numerics.faddeeva") as counts:
         for sigma, v0, k0 in cells:
-            ior_series(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
-    return calls[0]
-
-
-def faddeeva_calls(cells) -> int:
-    """Faddeeva calls of ior_series over cells, each (sigma, v0, k0): the J
-    calls that sum w, counted by wrapping reltoa.ior.faddeeva, which is
-    restored on exit; the rest take J's Laplace expansion."""
-    calls = [0]
-    faddeeva = ior.faddeeva
-
-    def counted(z):
-        calls[0] += 1
-        return faddeeva(z)
-
-    ior.faddeeva = counted
-    try:
-        for sigma, v0, k0 in cells:
-            ior_series(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
-    finally:
-        ior.faddeeva = faddeeva
-    return calls[0]
+            ior_series(_packet(sigma, k0), v0)
+    return tuple(counts)
 
 
 def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
@@ -407,9 +353,8 @@ def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
 def direct_node_cost(cells) -> tuple[float, float]:
     """(best warm CPU seconds of ior_direct over cells, each (sigma, v0, k0),
     per T_B node and per cell), best of FB_ROUNDS passes after one warm-up."""
-    packets = [(GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0), v0)
-               for sigma, v0, k0 in cells]
-    calls = direct_calls(cells)  # also the warm-up
+    packets = [(_packet(sigma, k0), v0) for sigma, v0, k0 in cells]
+    calls = direct_counts(cells)[0]  # also the warm-up
     best = float("inf")
     for _ in range(FB_ROUNDS):
         t0 = time.process_time()
@@ -440,13 +385,13 @@ def main() -> int:
     t0 = time.process_time()
     values = branch_values([(v0, zeta) for v0 in pin["v0"] for zeta in pin["zeta"]])
     cpu = time.process_time() - t0
-    sha = branch_digest(pin, values)
+    sha = digest(branch_lines(pin, values))
     faults += _report(f"branch_integral, {len(values)} points: cpu {cpu:7.3f} s  ",
                       sha, None if args.write else pin["sha256"])
 
     factor_pin = {} if args.write else json.loads(FACTOR_PIN_FILE.read_text())
     t0 = time.process_time()
-    free_sha = free_factor_digest(pin["zeta"])
+    free_sha = digest(free_factor_lines(pin["zeta"]))
     cpu = time.process_time() - t0
     faults += _report(f"free_factor, {len(pin['zeta'])} points: cpu {cpu:7.3f} s  ",
                       free_sha, factor_pin.get("free_factor"))
@@ -454,12 +399,12 @@ def main() -> int:
     gap_rows = []
     for v0 in GAP_V0:
         t0 = time.process_time()
-        gap_rows.append({"v0": v0, "sha256": gap_digest(v0, pin["zeta"])})
+        gap_rows.append({"v0": v0, "sha256": digest(gap_lines(v0, pin["zeta"]))})
         cpu = time.process_time() - t0
         faults += _report(f"barrier_free_gap v0={v0:+.1f}: cpu {cpu:7.3f} s  ",
                           gap_rows[-1]["sha256"], gap_pins.get(v0))
     t0 = time.process_time()
-    barrier_sha = barrier_factor_digest(pin["zeta"])
+    barrier_sha = digest(barrier_factor_lines(pin["zeta"]))
     cpu = time.process_time() - t0
     faults += _report(
         f"barrier_factor, {len(BARRIER_V0) * len(pin['zeta'])} points: cpu {cpu:7.3f} s  ",
@@ -470,7 +415,8 @@ def main() -> int:
         DENSE_PIN_FILE.read_text()
     )
     t0 = time.process_time()
-    dense_sha = dense_digest(dense_zetas(dense_pin["zeta"]))
+    zetas = dense_zetas(dense_pin["zeta"])
+    dense_sha = digest(free_factor_lines(zetas) + barrier_factor_lines(zetas))
     cpu = time.process_time() - t0
     faults += _report(
         f"dense T_F and T_B, {(1 + len(BARRIER_V0)) * dense_pin['zeta']['count']} points: "
@@ -482,13 +428,12 @@ def main() -> int:
         print(f"branch rule |v0|={vn:.1f} m={level}: {len(nodes[0])} nodes")
 
     direct_pin = DIRECT_GRID if args.write else json.loads(DIRECT_PIN_FILE.read_text())
-    with counting_barrier_calls() as calls, counting_kernel_nodes() as nodes:
-        t0 = time.process_time()
-        direct_sha = direct_digest(direct_pin)
-        cpu = time.process_time() - t0
-    cells = len(direct_pin["sigma"]) * len(direct_pin["v0"]) * len(direct_pin["k0"])
+    t0 = time.process_time()
+    direct_sha = digest(direct_lines(direct_pin))
+    cpu = time.process_time() - t0
+    cells = grid_cells(direct_pin)
     faults += _report(
-        f"ior_direct, {cells} cells: {_per_value((calls[0], *nodes))} "
+        f"ior_direct, {len(cells)} cells: {_per_value(direct_counts(cells))} "
         f"({_per_value(direct_counts(TABLE1_DIRECT_CELLS))} on Table 1's "
         f"{len(TABLE1_DIRECT_CELLS)} at v0 = 0.3; "
         f"{_per_value(direct_counts(WIDE_DIRECT_CELLS))} on wide_packets' "
@@ -498,24 +443,22 @@ def main() -> int:
 
     momentum_pin = MOMENTUM_GRID if args.write else json.loads(MOMENTUM_PIN_FILE.read_text())
     t0 = time.process_time()
-    momentum_sha = momentum_digest(momentum_pin)
+    momentum_sha = digest(momentum_lines(momentum_pin))
     cpu = time.process_time() - t0
-    cells = len(momentum_pin["sigma"]) * len(momentum_pin["v0"]) * len(momentum_pin["k0"])
     faults += _report(
-        f"momentum_split, {cells} cells: cpu {cpu:7.3f} s "
+        f"momentum_split, {len(grid_cells(momentum_pin))} cells: cpu {cpu:7.3f} s "
         f"(ior_momentum: {momentum_evals(momentum_pin)} integrand evaluations)  ",
         momentum_sha, None if args.write else momentum_pin["sha256"],
     )
 
     series_pin = SERIES_GRID if args.write else json.loads(SERIES_PIN_FILE.read_text())
     t0 = time.process_time()
-    series_sha = series_digest(series_pin)
+    series_sha = digest(series_lines(series_pin))
     cpu = time.process_time() - t0
-    cells = len(series_pin["sigma"]) * len(series_pin["v0"]) * len(series_pin["k0"])
+    j_calls, faddeeva_calls = series_counts(TABLE1_SERIES_CELLS)
     faults += _report(
-        f"ior_series, {cells} cells, and qc_expectation: cpu {cpu:7.3f} s "
-        f"({series_calls(TABLE1_SERIES_CELLS)} J calls, "
-        f"{faddeeva_calls(TABLE1_SERIES_CELLS)} of them Faddeeva calls, on Table 1's "
+        f"ior_series, {len(grid_cells(series_pin))} cells, and qc_expectation: cpu {cpu:7.3f} s "
+        f"({j_calls} J calls, {faddeeva_calls} of them Faddeeva calls, on Table 1's "
         f"{len(TABLE1_SERIES_CELLS)} series cells at v0 = 0.3)  ",
         series_sha, None if args.write else series_pin["sha256"],
     )

@@ -161,7 +161,7 @@ def ior_direct(
     cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F has none, so its
     bandwidth is 0), with the first period under zeta = w u^3, which
     flattens T_B's 2/(pi zeta) start; its err is judged against the total.
-    A Table 1 cell takes ~135 T_B values, ~7.4 us of CPU each, sine
+    A Table 1 cell takes ~135 T_B values, ~6.7 us of CPU each, sine
     transform included (scripts/kernel_pins.py).
     """
     vn = _require_subcritical(v0, params)

@@ -100,8 +100,11 @@ def nested_qc(packet: GaussianPacket) -> tuple[float, float]:
     return packet.k0 * val, packet.k0 * err
 
 
-# the script that writes the direct and momentum pins defines their digests
+# the script that writes the direct and momentum pins defines their lines,
+# and the call counter behind every pinned count
 KERNEL_PINS = load_by_path("scripts/kernel_pins.py", "kernel_pins")
+# every integrand closure of the momentum route, counted per call
+CROSSING_W = "ior._crossing_integrand.<locals>.w"
 ROUTE_SWEEP = load_by_path("scripts/route_sweep.py", "route_sweep")
 # the benchmark's scipy oracles share no code with the library's quadrature
 ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
@@ -148,6 +151,43 @@ def narrow(k0: float) -> GaussianPacket:
 
 def wide(k0: float, sigma: float = 9.0) -> GaussianPacket:
     return GaussianPacket(q0=-40.0 * sigma, sigma=sigma, k0=k0)
+
+
+class TestCallCounter:
+    """The profile-hook counter behind every pinned count of the routes."""
+
+    @pytest.mark.parametrize("name", [
+        "kernels._TbCore.no_such", "ior._crossing_integrand.<locals>.v", "kernels.NATURAL_UNITS",
+    ])
+    def test_unknown_name_raises_before_the_block(self, name):
+        # so that a count cannot read 0 for a function that moved
+        ran = []
+        with pytest.raises(ValueError, match="names no function"):
+            with KERNEL_PINS.counting(name):
+                ran.append(name)
+        assert ran == []
+
+    def test_counts_every_closure_of_a_factory(self):
+        first, second = (_crossing_integrand(narrow(k0), 0.3) for k0 in (1.0, 2.0))
+        with KERNEL_PINS.counting(CROSSING_W, "ior._crossing_integrand") as counts:
+            first(1.0)
+            second(1.0)
+            second(2.0)
+        assert counts == [3, 0]
+
+    def test_previous_hook_is_back_after_the_block(self):
+        # also when the block raises; the displaced hook sees every call
+        before = sys.getprofile()
+        with KERNEL_PINS.counting("numerics.faddeeva") as outer:
+            hook = sys.getprofile()
+            with pytest.raises(ZeroDivisionError):
+                with KERNEL_PINS.counting("numerics.faddeeva") as inner:
+                    ior.faddeeva(1j)
+                    1 / 0
+            assert sys.getprofile() is hook
+            ior.faddeeva(1j)
+        assert sys.getprofile() is before
+        assert (outer, inner) == ([2], [1])
 
 
 class TestIorDirect:
@@ -248,7 +288,7 @@ class TestIorDirect:
     def test_huge_k0_raises_before_any_barrier_value(self):
         # at k0 = 1e7 the window holds ~1.4e7 periods, above 16 x
         # max_subdivisions: the route raises before taking a single T_B value
-        with KERNEL_PINS.counting_barrier_calls() as calls:
+        with KERNEL_PINS.counting("kernels._TbCore.value") as calls:
             with pytest.raises(QuadratureError, match="periods"):
                 ior_direct(narrow(1e7), 0.3)
         assert calls[0] == 0
@@ -259,18 +299,20 @@ class TestIorDirect:
         # at kappa_c's scale, they made 2,391; on one-period panels that each
         # met the tolerance, 1,589; in one run over the window with the first
         # period graded six halvings toward zeta = 0, 1,554; with the first
-        # period under zeta = w u^3 instead, 945
-        calls = KERNEL_PINS.direct_calls(KERNEL_PINS.TABLE1_DIRECT_CELLS)
-        assert 0 < calls <= 1000, calls
+        # period under zeta = w u^3 instead, 945.  Those values sum 16,065
+        # F_B and 24,011 branch-cut nodes
+        counts = KERNEL_PINS.direct_counts(KERNEL_PINS.TABLE1_DIRECT_CELLS)
+        assert counts == (945, 16065, 24011)
 
     def test_bandwidth_panels_cut_the_wide_calls(self):
         # T_B calls over the wide_packets benchmark's two direct cells
         # (sigma 9, v0 0.1).  On adaptive G7/K15 panels, pi/k0 wide and split
         # at kappa_c's scale, they made 1,716; on one-period panels that each
         # met the tolerance, 1,310; in one run with the first period graded
-        # six halvings toward zeta = 0, 1,197; with it under zeta = w u^3, 945
-        calls = KERNEL_PINS.direct_calls(KERNEL_PINS.WIDE_DIRECT_CELLS)
-        assert 0 < calls <= 1000, calls
+        # six halvings toward zeta = 0, 1,197; with it under zeta = w u^3,
+        # 945, which sum 34,321 F_B and 7,907 branch-cut nodes
+        counts = KERNEL_PINS.direct_counts(KERNEL_PINS.WIDE_DIRECT_CELLS)
+        assert counts == (945, 34321, 7907)
 
     @pytest.mark.parametrize(
         "sigma, v0, k0", KERNEL_PINS.TABLE1_DIRECT_CELLS + [(0.7, 0.0, 2.0), (9.0, 0.1, 0.65)],
@@ -303,7 +345,7 @@ class TestIorDirect:
         # whose transforms reach natural zeta > 36, up to v0 = 0.99
         pin = json.loads(KERNEL_PINS.DIRECT_PIN_FILE.read_text())
         assert {key: pin[key] for key in KERNEL_PINS.DIRECT_GRID} == KERNEL_PINS.DIRECT_GRID
-        assert KERNEL_PINS.direct_digest(pin) == pin["sha256"]
+        assert KERNEL_PINS.digest(KERNEL_PINS.direct_lines(pin)) == pin["sha256"]
 
     # at hbar = 0.5 a product or quotient by mu c/hbar rounds the same
     # whichever order its factors take, so a third unit system tells the
@@ -359,12 +401,12 @@ class TestIorSeries:
         # and one per node of the branch transform's rule: 2,261 when it
         # summed the h = 2^-3 rule to take the h = 2^-2 rule's err, 1,134
         # on the h = 2^-2 rule alone
-        assert KERNEL_PINS.series_calls(KERNEL_PINS.TABLE1_SERIES_CELLS) == 1134
+        assert KERNEL_PINS.series_counts(KERNEL_PINS.TABLE1_SERIES_CELLS)[0] == 1134
 
     def test_laplace_expansion_spares_the_faddeeva_calls(self):
         # of those 1,134 J calls, only J(0) and those below the packet's
         # least switch point sum w
-        assert KERNEL_PINS.faddeeva_calls(KERNEL_PINS.TABLE1_SERIES_CELLS) == 131
+        assert KERNEL_PINS.series_counts(KERNEL_PINS.TABLE1_SERIES_CELLS)[1] == 131
 
     def test_bits_match_pin(self):
         # sha256 of float.hex of R_c's value and err, sigma-major, then v0,
@@ -372,7 +414,7 @@ class TestIorSeries:
         # of rule, then of Q_c's on each (sigma, k0)
         pin = json.loads(KERNEL_PINS.SERIES_PIN_FILE.read_text())
         assert {key: pin[key] for key in KERNEL_PINS.SERIES_GRID} == KERNEL_PINS.SERIES_GRID
-        assert KERNEL_PINS.series_digest(pin) == pin["sha256"]
+        assert KERNEL_PINS.digest(KERNEL_PINS.series_lines(pin)) == pin["sha256"]
 
     @pytest.mark.parametrize("k0", [0.15, 2.0, 5.0])
     @pytest.mark.parametrize("v0", [0.3, 0.6])
@@ -561,7 +603,7 @@ class TestIorMomentum:
         # sides of kappa_c
         pin = json.loads(KERNEL_PINS.MOMENTUM_PIN_FILE.read_text())
         assert {key: pin[key] for key in KERNEL_PINS.MOMENTUM_GRID} == KERNEL_PINS.MOMENTUM_GRID
-        assert KERNEL_PINS.momentum_digest(pin) == pin["sha256"]
+        assert KERNEL_PINS.digest(KERNEL_PINS.momentum_lines(pin)) == pin["sha256"]
 
     def test_split_error_bars_cover_tight_run(self):
         # each weight's err bounds its distance to a run at 1000x tighter
@@ -651,7 +693,7 @@ class TestIorMomentum:
             k_form = norm * crossing_weight(k, vn, NATURAL_UNITS) * math.sqrt(gap * (k + kc))
             assert abs(w(k) - k_form) <= bound * k_form, (k, w(k), k_form)
 
-    def test_underflowed_gaussian_gives_exact_zero(self, monkeypatch):
+    def test_underflowed_gaussian_gives_exact_zero(self):
         # sigma 9, k0 2.5: the -k Gaussian exp(-2 sigma^2 (k + k0)^2) has
         # underflowed already at kappa_c, so it is 0.0 at every node: the
         # minus weight is exactly zero, with a zero error, and w is never
@@ -659,23 +701,16 @@ class TestIorMomentum:
         packet, v0 = GaussianPacket(q0=-360.0, sigma=9.0, k0=2.5), 0.3
         kc = kappa_c(v0)
         assert math.exp(-2.0 * 81.0 * (kc + 2.5) ** 2) == 0.0
-        calls = []
-        crossing = ior._crossing_integrand
-
-        def counted(*args):
-            w = crossing(*args)
-            return lambda k: calls.append(k) or w(k)
-
-        monkeypatch.setattr(ior, "_crossing_integrand", counted)
-        minus = ior._weight(packet, v0, DEFAULT_SETTINGS, kc, -1)
-        assert calls == []
+        with KERNEL_PINS.counting(CROSSING_W) as calls:
+            minus = ior._weight(packet, v0, DEFAULT_SETTINGS, kc, -1)
+        assert calls == [0]
         assert minus == (0.0, 0.0)
         assert minus[0].hex() == "0x0.0p+0"
         _, _, split_minus = momentum_split(packet, v0)
         assert split_minus == Estimate(0.0, 0.0)
         # on the +k side w is finite and positive from kappa_c to far past
         # the Gaussian's reach
-        w = crossing(packet, v0)
+        w = _crossing_integrand(packet, v0)
         assert all(math.isfinite(w(k)) and w(k) > 0.0 for k in (kc, 1.0, 1e3, 1e150))
 
     @given(
@@ -816,7 +851,7 @@ class TestIorMomentum:
         # 1/sqrt(k + kappa_c) at u = +-i sqrt(2 kappa_c), took 27,820
         # evaluations on such a cell
         for sigma, k0 in ((0.5, 2.0), (0.5, 6.0), (2.0, 0.5), (9.0, 0.05)):
-            with KERNEL_PINS.counting_momentum_evals() as calls:
+            with KERNEL_PINS.counting(CROSSING_W) as calls:
                 ior_momentum(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), 1e-12)
             assert 0 < calls[0] <= 1000, (sigma, k0, calls[0])
 
@@ -919,7 +954,7 @@ class TestIorMomentum:
                 lambda: momentum_split(packet, v0),
                 lambda: ior._weight(packet, v0, DEFAULT_SETTINGS, kappa_c(v0), -1),
             ):
-                with KERNEL_PINS.counting_momentum_evals() as calls:
+                with KERNEL_PINS.counting(CROSSING_W) as calls:
                     run()
                 counts.append(calls[0])
             value_path, split, minus = counts

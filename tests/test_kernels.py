@@ -663,8 +663,8 @@ def composed_barrier(vn: float, x: float) -> tuple[float, float]:
     return value, fb_err + br_err + EPS * abs(value)
 
 
-def _no_branch_sum(*args, **kwargs):
-    raise AssertionError("branch-cut sum called")
+# every branch-cut sum, counted per call
+BRANCH_SUM = "kernels._TbCore.branch"
 
 
 def _value_or_error(call) -> str:
@@ -714,14 +714,16 @@ class TestBranchSkip:
             bound = kernels._branch_bound(a, x)
             assert abs(val) <= bound and err <= bound, x
 
-    def test_skip_fires_past_the_guard(self, monkeypatch):
-        expected = barrier_factor(-0.3, 100.0), free_factor(100.0), barrier_factor(0.0, 100.0)
-        monkeypatch.setattr(kernels._TbCore, "branch", _no_branch_sum)
-        got = barrier_factor(-0.3, 100.0), free_factor(100.0), barrier_factor(0.0, 100.0)
-        assert got == expected
-        for call in (lambda: barrier_factor(-0.3, 5.0), lambda: free_factor(5.0)):
-            with pytest.raises(AssertionError, match="branch-cut sum called"):
+    def test_skip_fires_past_the_guard(self):
+        # the branch-cut sums of each call: none past the guard, one below it
+        for sums, call in ((0, lambda: barrier_factor(-0.3, 100.0)),
+                           (0, lambda: free_factor(100.0)),
+                           (0, lambda: barrier_factor(0.0, 100.0)),
+                           (1, lambda: barrier_factor(-0.3, 5.0)),
+                           (1, lambda: free_factor(5.0))):
+            with KERNEL_PINS.counting(BRANCH_SUM) as calls:
                 call()
+            assert calls == [sums]
 
     @given(
         x=st.floats(min_value=1e-6, max_value=750.0),
@@ -765,19 +767,19 @@ class TestBranchSkip:
         got = _value_or_error(lambda: kernels._tb_core(vn).value(x))
         assert got == expected
 
-    def test_value_core_skips_from_the_value_onset(self, monkeypatch):
+    def test_value_core_skips_from_the_value_onset(self):
         # at (-0.1, 40) B is below a quarter-ulp of F_B's value, not of its
         # err; at (-0.1, 33.755) it is 6 ulps of the value
-        expected = kernels._tb_core(-0.1).value(40.0), barrier_factor(-0.1, 40.0)
-        monkeypatch.setattr(kernels._TbCore, "branch", _no_branch_sum)
-        got = kernels._tb_core(-0.1).value(40.0), barrier_factor(-0.1, 40.0)
-        assert got == expected
+        with KERNEL_PINS.counting(BRANCH_SUM) as calls:
+            got = kernels._tb_core(-0.1).value(40.0), barrier_factor(-0.1, 40.0)
+        assert calls == [0]
         assert got[0] == got[1].value
         assert got[1].err >= kernels._branch_bound(0.1, 40.0)
         for call in (lambda: kernels._tb_core(-0.1).value(33.755),
                      lambda: barrier_factor(-0.1, 33.755)):
-            with pytest.raises(AssertionError, match="branch-cut sum called"):
+            with KERNEL_PINS.counting(BRANCH_SUM) as calls:
                 call()
+            assert calls == [1]
 
 
 # strengths the T_B core test always draws: zero, Table 1's 0.3 and two next
@@ -1318,7 +1320,7 @@ class TestBranchProfile:
         out = _run_bench_code(
             "pin = json.loads(bench.BRANCH_PIN_FILE.read_text())\n"
             "grid = [(v0, zeta) for v0 in pin['v0'] for zeta in pin['zeta']]\n"
-            "print(bench.branch_digest(pin, bench.branch_values(grid[::-1])))\n"
+            "print(bench.digest(bench.branch_lines(pin, bench.branch_values(grid[::-1]))))\n"
         )
         assert len(BRANCH_PIN["v0"]) == 6 and len(BRANCH_PIN["zeta"]) == 40
         assert out.strip() == BRANCH_PIN["sha256"]
@@ -1327,9 +1329,9 @@ class TestBranchProfile:
         # a fresh process, so that the pins hold whatever ran before
         out = _run_bench_code(
             "zetas = json.loads(bench.BRANCH_PIN_FILE.read_text())['zeta']\n"
-            "print(bench.free_factor_digest(zetas))\n"
+            "print(bench.digest(bench.free_factor_lines(zetas)))\n"
             "for v0 in bench.GAP_V0:\n"
-            "    print(bench.gap_digest(v0, zetas))\n"
+            "    print(bench.digest(bench.gap_lines(v0, zetas)))\n"
         )
         gap_pins = {row["v0"]: row["sha256"] for row in FACTOR_PIN["barrier_free_gap"]}
         assert sorted(gap_pins) == sorted(KERNEL_PINS.GAP_V0)
@@ -1342,7 +1344,7 @@ class TestBranchProfile:
         # process, so that the pin holds whatever ran before
         out = _run_bench_code(
             "zetas = json.loads(bench.BRANCH_PIN_FILE.read_text())['zeta']\n"
-            "print(bench.barrier_factor_digest(zetas))\n"
+            "print(bench.digest(bench.barrier_factor_lines(zetas)))\n"
         )
         assert FACTOR_PIN["barrier_factor"]["v0"] == KERNEL_PINS.BARRIER_V0
         assert out.strip() == FACTOR_PIN["barrier_factor"]["sha256"]
@@ -1352,8 +1354,9 @@ class TestBranchProfile:
         # the onset of the branch-cut skip and exp's underflow at 745, in a
         # fresh process
         out = _run_bench_code(
-            "spec = json.loads(bench.DENSE_PIN_FILE.read_text())['zeta']\n"
-            "print(bench.dense_digest(bench.dense_zetas(spec)))\n"
+            "zetas = bench.dense_zetas(json.loads(bench.DENSE_PIN_FILE.read_text())['zeta'])\n"
+            "print(bench.digest(bench.free_factor_lines(zetas)"
+            " + bench.barrier_factor_lines(zetas)))\n"
         )
         assert DENSE_PIN["v0"] == KERNEL_PINS.BARRIER_V0
         assert DENSE_PIN["zeta"] == KERNEL_PINS.DENSE_ZETA
@@ -1473,11 +1476,7 @@ class TestKernelArguments:
         with pytest.raises(ValueError, match=f"^{name} requires mu c zeta/hbar > 0"):
             calls[name]()
 
-    def test_non_finite_v0_raises_before_any_build(self, monkeypatch):
-        def no_build(*args):
-            raise AssertionError("F_B rule build started")
-
-        monkeypatch.setattr(kernels, "_FbRule", no_build)
+    def test_non_finite_v0_raises_before_any_build(self):
         rules = set(kernels._BRANCH_NODES)
         calls = {
             "barrier_factor": lambda v0: barrier_factor(v0, 1.0),
@@ -1487,10 +1486,12 @@ class TestKernelArguments:
             ),
             "barrier_free_gap": lambda v0: barrier_free_gap(v0, 1.0),
         }
-        for v0 in (math.nan, math.inf, -math.inf):
-            for name, call in calls.items():
-                with pytest.raises(ValueError, match=f"^{name} requires a finite v0"):
-                    call(v0)
+        with KERNEL_PINS.counting("kernels._FbRule.__init__") as builds:
+            for v0 in (math.nan, math.inf, -math.inf):
+                for name, call in calls.items():
+                    with pytest.raises(ValueError, match=f"^{name} requires a finite v0"):
+                        call(v0)
+        assert builds == [0]
         assert set(kernels._BRANCH_NODES) == rules
 
 

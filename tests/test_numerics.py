@@ -16,7 +16,7 @@ import scipy.integrate
 import scipy.special
 from hypothesis import example, given, strategies as st
 
-from conftest import branch_integral_oracle, sine_integral_oracle
+from conftest import branch_integral_oracle, load_by_path, sine_integral_oracle
 from reltoa import numerics
 from reltoa.classical import crtoa_quadrature
 from reltoa.kernels import BarrierSpec
@@ -33,6 +33,9 @@ from reltoa.numerics import (
     integrate_sqrt_endpoint,
     sine_transform_decaying,
 )
+
+# the pin script's call counter
+KERNEL_PINS = load_by_path("scripts/kernel_pins.py", "kernel_pins")
 
 
 def hyp0f1_partial_sum(x: float, terms: int) -> float:
@@ -220,20 +223,12 @@ class TestSemiInfExp:
     # sine_openings - 1 periods of sin(zeta)
     @pytest.mark.parametrize("max_subdivisions, sine_openings", [(2, 7), (8, 8), (16, 10)])
     def test_one_cap_counts_bisected_segments_past_the_openings(
-        self, monkeypatch, max_subdivisions, sine_openings
+        self, max_subdivisions, sine_openings
     ):
         # on a tolerance neither run can meet, a seeded half-line integral
         # (four openings) and a sine transform each bisect max_subdivisions
         # segments past their openings, then raise
         end = (sine_openings - 1.5) * 2.0 * math.pi
-        passes = []
-        gk21 = numerics._gk21
-
-        def counting_gk21(f, a, b):
-            passes.append((a, b))
-            return gk21(f, a, b)
-
-        monkeypatch.setattr(numerics, "_gk21", counting_gk21)
         settings = QuadratureSettings(
             rel_tol=1e-300, abs_tol=0.0, max_subdivisions=max_subdivisions
         )
@@ -244,11 +239,11 @@ class TestSemiInfExp:
             (sine_openings, lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, end, 0.0, settings)),
         ]
         for openings, run in runs:
-            passes.clear()
             cap = openings + max_subdivisions - 1
-            with pytest.raises(QuadratureError, match=f"^tolerance not met within {cap} "):
-                run()
-            assert len(passes) == openings + max_subdivisions
+            with KERNEL_PINS.counting("numerics._gk21") as passes:
+                with pytest.raises(QuadratureError, match=f"^tolerance not met within {cap} "):
+                    run()
+            assert passes == [openings + max_subdivisions]
 
 
 class TestSineTransform:
