@@ -1,45 +1,55 @@
 #!/usr/bin/env python3
-"""Pin the branch-cut integrals, T_F, T_B and the T_F - T_B gap; time F_B warm.
+"""Pin the kernels, the three routes and the quadrature engines; count and time them.
 
-``reltoa.kernels.branch_integral`` runs over a grid of barrier strengths
-and log-spaced zeta.  Its (value, err) pairs are hashed and checked against
-tests/data/branch_integral_pin.json.  On the same grid, ``free_factor``'s
-(value, err) per zeta and ``barrier_free_gap``'s value per (v0, zeta) are
-hashed and checked against tests/data/branch_factors_pin.json, which
-tests/test_kernels.py also reads; so is ``barrier_factor``'s (value, err)
-on the same zeta at both signs of four strengths up to the rest-energy
-scale, where a point that raises hashes its error type and text.  The dense
-pin, tests/data/dense_kernel_pin.json, hashes T_F's and those T_B's (value,
-err) the same way on 1,000 log-spaced zeta from 20 to 750, past the onset of
-the branch-cut skip and exp's underflow at 745.  Then the number of nodes that the grid
-left in each branch-cut rule is printed, per strength |v0| (G_B is even in
-v0, so the two signs share a rule) and step 2^-m.  The direct pin,
-tests/data/direct_pin.json, hashes ``reltoa.ior.ior_direct``'s (value, err)
-on the wide cells whose sine transforms reach natural zeta > 36: sigma 6
-and 9, three barriers up to v0 = 0.99 and three k0; beside its CPU time the
-script prints the grid's T_B calls, each a call of the value method of the
-T_B core, which the direct route binds once per cell, and the F_B and
-branch-cut nodes each T_B value sums (direct_counts); beside them come the
-same counts for Table 1's seven v0 = 0.3 direct cells (TABLE1_DIRECT_CELLS)
-and for the two direct cells of the wide_packets benchmark
-(WIDE_DIRECT_CELLS).  The momentum pin, tests/data/momentum_pin.json,
-hashes ``reltoa.ior.momentum_split``'s R_c, +k and -k weights, each value
-and err, on 80 cells: sigma from 0.5 to 9, v0 up to 0.99 and k0 on both
-sides of kappa_c; beside its CPU time the script prints the integrand
-evaluations of ``reltoa.ior.ior_momentum`` on the same cells
-(momentum_evals).  The series pin, tests/data/series_pin.json, hashes
-``reltoa.ior.ior_series``'s (value, err), or its error type and text, on
-18 cells, sigma 0.5 and 1, v0 on both sides of the branch transform's
-switch of rule at 0.1 and k0 from 0.5 to 5, and ``qc_expectation``'s on
-the six (sigma, k0); beside its CPU time the script prints the J calls of
-Table 1's seven v0 = 0.3 series cells (TABLE1_SERIES_CELLS) and how many
-of them sum the Faddeeva function rather than J's Laplace expansion
-(series_counts).  Every pin is the sha256 of its lines (digest), and
-every count comes from one profile-hook counter (counting), which counts
-the calls of named library functions and closures by their code objects
-and patches nothing.  Last, the residue factor F_B, the whole barrier
-factor T_B and T_B's value alone are timed per warm call of the fb and
-value methods of the strength's T_B core
+One registry, PINS, names every pin and the builder of the lines it
+hashes; tests/data/pins.json maps each name to the sha256 of those lines
+(digest), and tests/test_pins.py reads both.  Each grid is stated once,
+as a constant here.  The pins:
+
+- branch_integral: ``reltoa.kernels.branch_integral``'s (value, err) on
+  BRANCH_CELLS, six barrier strengths by 40 log-spaced zeta, hashed
+  v0-major whatever order computed them (branch_lines);
+- free_factor: ``free_factor``'s (value, err) on the same zeta, and
+  barrier_free_gap <v0>: ``barrier_free_gap``'s value per zeta, one pin
+  for each of the six strengths;
+- barrier_factor: ``barrier_factor``'s (value, err) on the same zeta at
+  both signs of four strengths up to the rest-energy scale (BARRIER_V0),
+  where a point that raises hashes its error type and text;
+- dense: T_F's and those T_B's (value, err) on 1,000 log-spaced zeta from
+  20 to 750 (DENSE_ZETA), past the onset of the branch-cut skip and exp's
+  underflow at 745;
+- direct: ``reltoa.ior.ior_direct``'s (value, err) on the wide cells whose
+  sine transforms reach natural zeta > 36 (DIRECT_GRID: sigma 6 and 9,
+  three barriers up to v0 = 0.99 and three k0);
+- momentum: ``reltoa.ior.momentum_split``'s R_c, +k and -k weights, each
+  value and err, on 80 cells (MOMENTUM_GRID: sigma from 0.5 to 9, v0 up
+  to 0.99 and k0 on both sides of kappa_c);
+- series: ``reltoa.ior.ior_series``'s (value, err), or its error type and
+  text, on 18 cells (SERIES_GRID: sigma 0.5 and 1, v0 on both sides of
+  the branch transform's switch of rule at 0.1 and k0 from 0.5 to 5), and
+  ``qc_expectation``'s on the six (sigma, k0);
+- sine_transform_decaying, gk21, integrate_semiinf_exp,
+  integrate_sqrt_endpoint and crtoa_quadrature: the adaptive G10/K21
+  engine's callers and the tau rule, one pin per caller over its
+  ENGINE_CASES.
+
+Every pin is checked, or with --write written, and its CPU time printed.
+Then the script prints the number of nodes that the kernel pins, up to
+the dense one, left in each branch-cut rule, per strength |v0| (G_B is even in v0, so the two signs
+share a rule) and step 2^-m; the T_B calls of the direct pin's cells, of
+Table 1's seven v0 = 0.3 direct cells (TABLE1_DIRECT_CELLS) and of the two
+direct cells of the wide_packets benchmark (WIDE_DIRECT_CELLS), each a
+call of the value method of the T_B core, which the direct route binds
+once per cell, with the F_B and branch-cut nodes each T_B value sums
+(direct_counts); ``reltoa.ior.ior_momentum``'s integrand evaluations on
+the momentum pin's cells (momentum_evals); and the J calls of Table 1's
+seven v0 = 0.3 series cells (TABLE1_SERIES_CELLS) and how many of them
+sum the Faddeeva function rather than J's Laplace expansion
+(series_counts).  Every count comes from one profile-hook counter
+(counting), which counts the calls of named library functions and
+closures by their code objects and patches nothing.  Last, the residue
+factor F_B, the whole barrier factor T_B and T_B's value alone are timed
+per warm call of the fb and value methods of the strength's T_B core
 (``reltoa.kernels._tb_core``), whose value the direct route calls at every
 node, and of ``barrier_factor`` (their rules cached, best of a few
 rounds), at v = -0.1 and +0.1, at zeta from 1 to 150, with the number of
@@ -51,52 +61,57 @@ direct cell per T_B node it takes, and per cell (direct_node_cost).
 Run from the repository root:
 
     PYTHONPATH=src python scripts/kernel_pins.py           # time and check
-    PYTHONPATH=src python scripts/kernel_pins.py --write   # rewrite the pins
+    PYTHONPATH=src python scripts/kernel_pins.py --write   # rewrite pins.json
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
 import json
+import math
 import pathlib
 import sys
 import time
 import types
 
-from reltoa import ior, kernels
+from reltoa import ior, kernels, numerics
+from reltoa.classical import crtoa_quadrature
 from reltoa.cli import TABLE1_ROWS, TABLE1_SIGMA
 from reltoa.ior import ior_direct, ior_series, momentum_split, qc_expectation
 from reltoa.kernels import (
     NATURAL_UNITS,
+    BarrierSpec,
     barrier_factor,
     barrier_free_gap,
     branch_integral,
     free_factor,
 )
+from reltoa.numerics import (
+    DEFAULT_SETTINGS,
+    Estimate,
+    QuadratureSettings,
+    integrate_semiinf_exp,
+    integrate_sqrt_endpoint,
+    sine_transform_decaying,
+)
 from reltoa.wavepacket import GaussianPacket
 
-DATA = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
-BRANCH_PIN_FILE = DATA / "branch_integral_pin.json"
-FACTOR_PIN_FILE = DATA / "branch_factors_pin.json"
-DENSE_PIN_FILE = DATA / "dense_kernel_pin.json"
-DIRECT_PIN_FILE = DATA / "direct_pin.json"
-MOMENTUM_PIN_FILE = DATA / "momentum_pin.json"
-SERIES_PIN_FILE = DATA / "series_pin.json"
+PINS_FILE = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "pins.json"
 
 # the branch-cut pin: both signs the routes use, zero, and a strong barrier,
 # at 40 log-spaced zeta from a wide packet's small-zeta end to the kernel
-# table's far end
+# table's far end; the T_F and gap pins use the same zeta and strengths
 BRANCH_V0 = [-0.9, -0.3, -0.1, 0.0, 0.1, 0.3]
 BRANCH_ZETA = [0.05 * 3200.0 ** (i / 39) for i in range(40)]
-# the T_F and gap pins use the same grid
-GAP_V0 = BRANCH_V0
+BRANCH_CELLS = [(v0, zeta) for v0 in BRANCH_V0 for zeta in BRANCH_ZETA]
 # the T_B pin: both signs of four strengths, on the same zeta
 BARRIER_V0 = [sign * a for a in (0.1, 0.3, 0.9, 0.99) for sign in (-1.0, 1.0)]
-# the dense pin's zeta: count log-spaced points from first to last
-DENSE_ZETA = {"first": 20.0, "last": 750.0, "count": 1000}
+# the dense pin's zeta: 1,000 log-spaced points from 20 to 750
+DENSE_ZETA = [20.0 * (750.0 / 20.0) ** (i / 999) for i in range(1000)]
 # the direct pin's cells: the widest packets, whose transforms reach past
 # natural zeta 36, on barriers up to the rest-energy scale
 DIRECT_GRID = {"sigma": [6.0, 9.0], "v0": [0.1, 0.3, 0.99], "k0": [0.3, 0.65, 2.0]}
@@ -123,13 +138,12 @@ FB_POINTS = [(v, zeta) for v in (-0.1, 0.1) for zeta in (1.0, 3.0, 9.0, 50.0, 10
 FB_CALLS = 200  # calls per timed round
 FB_ROUNDS = 5
 
-
-def branch_values(grid) -> dict:
-    """branch_integral's (value, err) at each (v0, zeta), computed in grid order."""
-    return {
-        (v0, zeta): branch_integral(v0, zeta, NATURAL_UNITS)
-        for v0, zeta in grid
-    }
+# the engine pins' settings and barrier
+FEW_SUBDIVISIONS = QuadratureSettings(max_subdivisions=4)
+TIGHT_FEW = QuadratureSettings(rel_tol=1e-12, max_subdivisions=4)
+EIGHT_SUBDIVISIONS = QuadratureSettings(max_subdivisions=8)
+TIGHT = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16)
+PIN_BARRIER = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
 
 
 def digest(lines) -> str:
@@ -140,46 +154,44 @@ def digest(lines) -> str:
     return h.hexdigest()
 
 
-def _hex(value: float, err: float) -> str:
-    """A (value, err) pair in float.hex."""
-    return f"{value.hex()} {err.hex()}"
+def _hex(out) -> str:
+    """An Estimate's or a pair's value and err in float.hex, or a bare value's."""
+    if isinstance(out, Estimate):
+        out = (out.value, out.err)
+    return " ".join(x.hex() for x in (out if isinstance(out, tuple) else (out,)))
 
 
-def _estimate_line(call, *args) -> str:
-    """call(*args)'s (value, err) in float.hex, or its error type and text."""
+def _line(call, *args) -> str:
+    """call(*args)'s result in float.hex, or the error it raises, its type and text."""
     try:
-        est = call(*args, NATURAL_UNITS)
+        out = call(*args)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return _hex(est.value, est.err)
+    return _hex(out)
 
 
-def branch_lines(pin: dict, values: dict) -> list[str]:
-    """The (value, err) pairs, v0-major whatever order made them."""
-    return [_hex(*values[(v0, zeta)]) for v0 in pin["v0"] for zeta in pin["zeta"]]
+def branch_lines(order=BRANCH_CELLS) -> list[str]:
+    """branch_integral's (value, err) on BRANCH_CELLS, computed in order's
+    order and listed v0-major."""
+    values = {cell: branch_integral(*cell, NATURAL_UNITS) for cell in order}
+    return [_hex(values[cell]) for cell in BRANCH_CELLS]
 
 
 def free_factor_lines(zetas) -> list[str]:
     """free_factor's (value, err) at each zeta, in order."""
-    return [_estimate_line(free_factor, zeta) for zeta in zetas]
+    return [_line(free_factor, zeta, NATURAL_UNITS) for zeta in zetas]
 
 
-def gap_lines(v0: float, zetas) -> list[str]:
-    """barrier_free_gap(v0, zeta)'s value at each zeta, in order."""
-    return [barrier_free_gap(v0, zeta, NATURAL_UNITS).hex() for zeta in zetas]
+def gap_lines(v0: float) -> list[str]:
+    """barrier_free_gap(v0, zeta)'s value at each of BRANCH_ZETA, in order."""
+    return [_line(barrier_free_gap, v0, zeta, NATURAL_UNITS) for zeta in BRANCH_ZETA]
 
 
 def barrier_factor_lines(zetas) -> list[str]:
     """barrier_factor's (value, err), or its error type and text, at each
     (v0, zeta), v0-major; the dense pin hashes free_factor's lines and
     then these."""
-    return [_estimate_line(barrier_factor, v0, zeta) for v0 in BARRIER_V0 for zeta in zetas]
-
-
-def dense_zetas(spec: dict) -> list[float]:
-    """The dense pin's zeta: spec's count log-spaced points, first to last."""
-    first, ratio, count = spec["first"], spec["last"] / spec["first"], spec["count"]
-    return [first * ratio ** (i / (count - 1)) for i in range(count)]
+    return [_line(barrier_factor, v0, zeta, NATURAL_UNITS) for v0 in BARRIER_V0 for zeta in zetas]
 
 
 def grid_cells(grid: dict) -> list[tuple[float, float, float]]:
@@ -194,15 +206,14 @@ def _packet(sigma: float, k0: float) -> GaussianPacket:
 
 def direct_lines(grid: dict) -> list[str]:
     """ior_direct's (value, err) on grid's cells."""
-    return [_estimate_line(ior_direct, _packet(sigma, k0), v0)
-            for sigma, v0, k0 in grid_cells(grid)]
+    return [_line(ior_direct, _packet(sigma, k0), v0) for sigma, v0, k0 in grid_cells(grid)]
 
 
 def momentum_lines(grid: dict) -> list[str]:
     """momentum_split's R_c, plus and minus, each value and err, on grid's
     cells (q0 = -100)."""
     return [
-        " ".join(_hex(est.value, est.err)
+        " ".join(_hex(est)
                  for est in momentum_split(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), v0))
         for sigma, v0, k0 in grid_cells(grid)
     ]
@@ -211,11 +222,103 @@ def momentum_lines(grid: dict) -> list[str]:
 def series_lines(grid: dict) -> list[str]:
     """ior_series' (value, err), or its error type and text, on grid's
     cells; then qc_expectation's on each (sigma, k0), sigma-major."""
-    return [_estimate_line(ior_series, _packet(sigma, k0), v0)
-            for sigma, v0, k0 in grid_cells(grid)] + [
-        _estimate_line(qc_expectation, _packet(sigma, k0))
-        for sigma in grid["sigma"] for k0 in grid["k0"]
+    return [_line(ior_series, _packet(sigma, k0), v0) for sigma, v0, k0 in grid_cells(grid)] + [
+        _line(qc_expectation, _packet(sigma, k0)) for sigma in grid["sigma"] for k0 in grid["k0"]
     ]
+
+
+# (caller, thunk) pairs: each thunk returns (value, err), a bare value, or
+# raises.  The sine transform runs a decaying exponential, a Gaussian at
+# tight settings, a 1/zeta start under the cubic map (and again under a cap
+# of 8 subdivisions), sin * cos seeded at each period of cos, k far below
+# the bandwidth, two NaN tails, a 1/(1 + z) tail over 32 periods at
+# rel_tol 1e-12 on 4 bisected segments past its 33 openings, and a window
+# of 160 periods, more than 16 x 4.  The G10/K21 cases run the
+# pass alone and _adaptive_gk on it (a sqrt start, a subnormal value, a 1/z
+# start that reaches the width floor).  The tau rule runs the closed form
+# of tests/test_numerics.py's TestSqrtEndpoint with the endpoint at 1 and
+# near the origin, a narrow core at tight settings, a subnormal -k-like
+# weight, a NaN past k = 3 and a jump that reaches the node cap.
+ENGINE_CASES = [
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, 40.0, 0.0)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z / 8.0), 2.0, 20.0, 0.0, TIGHT)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z) / z, 1.0, 8.0, 0.0)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(
+         lambda z: math.exp(-z * z) / z, 1.0, 8.0, 0.0, EIGHT_SUBDIVISIONS
+     )),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(
+         lambda z: math.cos(2.0 * z) * math.exp(-0.2 * z), 0.5, 200.0, 2.0
+     )),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z * z), 1e-6, 40.0, 1.0)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(
+         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, 40.0, 0.0, FEW_SUBDIVISIONS
+     )),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(
+         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, 40.0, 2.0, FEW_SUBDIVISIONS
+     )),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: 1.0 / (1.0 + z), 0.5, 400.0, 0.0, TIGHT_FEW)),
+    ("sine_transform_decaying",
+     lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, 1000.0, 0.0, FEW_SUBDIVISIONS)),
+    ("gk21", lambda: numerics._gk21(math.exp, 0.0, 1.0)),
+    ("gk21", lambda: numerics._gk21(math.sqrt, 0.0, 2.0)),
+    ("gk21",
+     lambda: numerics._adaptive_gk(math.sqrt, 0.0, 1.0, DEFAULT_SETTINGS)),
+    ("gk21", lambda: numerics._adaptive_gk(lambda z: 1e-310 * z, 0.0, 1.0, DEFAULT_SETTINGS)),
+    ("gk21", lambda: numerics._adaptive_gk(lambda z: 1.0 / z, 0.0, 1.0, DEFAULT_SETTINGS)),
+    ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0)),
+    ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: z * z, 0.7, 1.3, TIGHT)),
+    ("integrate_semiinf_exp",
+     lambda: integrate_semiinf_exp(lambda z: math.sqrt(z * z - 1.0) / z, 1.0, 1.0)),
+    ("integrate_semiinf_exp",
+     lambda: integrate_semiinf_exp(lambda z: 1.0 / (1.0 + z * z), 0.0, 0.0)),
+    ("integrate_semiinf_exp",
+     lambda: integrate_semiinf_exp(
+         lambda z: math.exp(-((z - 5.0) / 0.01) ** 2), 0.0, 0.1, DEFAULT_SETTINGS, (5.0,)
+     )),
+    ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 0.0)),
+    ("integrate_sqrt_endpoint", lambda: integrate_sqrt_endpoint(lambda k: k, 1.0, 0.0, 1.0)),
+    ("integrate_sqrt_endpoint", lambda: integrate_sqrt_endpoint(lambda k: k, 1e-8, 0.0, 1.0)),
+    ("integrate_sqrt_endpoint",
+     lambda: integrate_sqrt_endpoint(lambda k: 1.0, 1.0, 9.0, 1e4, TIGHT)),
+    ("integrate_sqrt_endpoint",
+     lambda: integrate_sqrt_endpoint(lambda k: 1.0, 1.0, -0.5, 320.0)),
+    ("integrate_sqrt_endpoint",
+     lambda: integrate_sqrt_endpoint(lambda k: math.nan if k > 3.0 else 1.0, 1.0, 2.0, 0.5)),
+    ("integrate_sqrt_endpoint",
+     lambda: integrate_sqrt_endpoint(lambda k: 2.0 if k > 2.0 else 1.0, 1.0, 2.0, 1.0)),
+    ("crtoa_quadrature", lambda: crtoa_quadrature(-10.0, 1.0, None)),
+    ("crtoa_quadrature", lambda: crtoa_quadrature(-1.5, 1.0, PIN_BARRIER)),
+    ("crtoa_quadrature", lambda: crtoa_quadrature(-5.0, 2.0, PIN_BARRIER)),
+    ("crtoa_quadrature", lambda: crtoa_quadrature(0.5, -1.0, PIN_BARRIER)),
+]
+
+
+def engine_lines(caller: str) -> list[str]:
+    """Each of caller's ENGINE_CASES in float.hex, or its error type and text."""
+    return [_line(thunk) for name, thunk in ENGINE_CASES if name == caller]
+
+
+# every pin: its name in pins.json, and the builder of the lines it hashes
+PINS = {
+    "branch_integral": branch_lines,
+    "free_factor": functools.partial(free_factor_lines, BRANCH_ZETA),
+    **{f"barrier_free_gap {v0:+.1f}": functools.partial(gap_lines, v0) for v0 in BRANCH_V0},
+    "barrier_factor": functools.partial(barrier_factor_lines, BRANCH_ZETA),
+    "dense": lambda: free_factor_lines(DENSE_ZETA) + barrier_factor_lines(DENSE_ZETA),
+    "direct": functools.partial(direct_lines, DIRECT_GRID),
+    "momentum": functools.partial(momentum_lines, MOMENTUM_GRID),
+    "series": functools.partial(series_lines, SERIES_GRID),
+    **{caller: functools.partial(engine_lines, caller) for caller in dict(ENGINE_CASES)},
+}
 
 
 def _code(name: str) -> types.CodeType:
@@ -364,105 +467,40 @@ def direct_node_cost(cells) -> tuple[float, float]:
     return best / calls, best / len(cells)
 
 
-def _report(line: str, sha: str, pinned: str | None) -> int:
-    """Print a digest against its pin (None when writing); 1 if they differ."""
-    if pinned is None:
-        print(line + sha)
-        return 0
-    print(line + ("matches pin" if sha == pinned else f"DIFFERS from pin: {sha}"))
-    return int(sha != pinned)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--write", action="store_true", help="rewrite the pin files")
+    parser.add_argument("--write", action="store_true", help="rewrite tests/data/pins.json")
     args = parser.parse_args()
 
-    faults = 0
-    pin = {"v0": BRANCH_V0, "zeta": BRANCH_ZETA} if args.write else json.loads(
-        BRANCH_PIN_FILE.read_text()
-    )
-    t0 = time.process_time()
-    values = branch_values([(v0, zeta) for v0 in pin["v0"] for zeta in pin["zeta"]])
-    cpu = time.process_time() - t0
-    sha = digest(branch_lines(pin, values))
-    faults += _report(f"branch_integral, {len(values)} points: cpu {cpu:7.3f} s  ",
-                      sha, None if args.write else pin["sha256"])
-
-    factor_pin = {} if args.write else json.loads(FACTOR_PIN_FILE.read_text())
-    t0 = time.process_time()
-    free_sha = digest(free_factor_lines(pin["zeta"]))
-    cpu = time.process_time() - t0
-    faults += _report(f"free_factor, {len(pin['zeta'])} points: cpu {cpu:7.3f} s  ",
-                      free_sha, factor_pin.get("free_factor"))
-    gap_pins = {row["v0"]: row["sha256"] for row in factor_pin.get("barrier_free_gap", [])}
-    gap_rows = []
-    for v0 in GAP_V0:
+    pinned = {} if args.write else json.loads(PINS_FILE.read_text())
+    shas = {}
+    for name, lines in PINS.items():
         t0 = time.process_time()
-        gap_rows.append({"v0": v0, "sha256": digest(gap_lines(v0, pin["zeta"]))})
+        shas[name] = digest(lines())
         cpu = time.process_time() - t0
-        faults += _report(f"barrier_free_gap v0={v0:+.1f}: cpu {cpu:7.3f} s  ",
-                          gap_rows[-1]["sha256"], gap_pins.get(v0))
-    t0 = time.process_time()
-    barrier_sha = digest(barrier_factor_lines(pin["zeta"]))
-    cpu = time.process_time() - t0
-    faults += _report(
-        f"barrier_factor, {len(BARRIER_V0) * len(pin['zeta'])} points: cpu {cpu:7.3f} s  ",
-        barrier_sha, factor_pin.get("barrier_factor", {}).get("sha256"),
-    )
+        verdict = shas[name] if args.write else (
+            "matches pin" if shas[name] == pinned.get(name) else f"DIFFERS from pin: {shas[name]}"
+        )
+        print(f"{name}: cpu {cpu:7.3f} s  {verdict}")
+        if name == "dense":  # the branch-cut rules as the kernel pins leave them
+            rules = [(key, len(nodes[0])) for key, nodes in sorted(kernels._BRANCH_NODES.items())]
+    for name in pinned.keys() - PINS.keys():
+        print(f"{name}: pinned in {PINS_FILE.name} but not in the registry")
 
-    dense_pin = {"v0": BARRIER_V0, "zeta": DENSE_ZETA} if args.write else json.loads(
-        DENSE_PIN_FILE.read_text()
-    )
-    t0 = time.process_time()
-    zetas = dense_zetas(dense_pin["zeta"])
-    dense_sha = digest(free_factor_lines(zetas) + barrier_factor_lines(zetas))
-    cpu = time.process_time() - t0
-    faults += _report(
-        f"dense T_F and T_B, {(1 + len(BARRIER_V0)) * dense_pin['zeta']['count']} points: "
-        f"cpu {cpu:7.3f} s  ",
-        dense_sha, None if args.write else dense_pin["sha256"],
-    )
-
-    for (vn, level), nodes in sorted(kernels._BRANCH_NODES.items()):
-        print(f"branch rule |v0|={vn:.1f} m={level}: {len(nodes[0])} nodes")
-
-    direct_pin = DIRECT_GRID if args.write else json.loads(DIRECT_PIN_FILE.read_text())
-    t0 = time.process_time()
-    direct_sha = digest(direct_lines(direct_pin))
-    cpu = time.process_time() - t0
-    cells = grid_cells(direct_pin)
-    faults += _report(
-        f"ior_direct, {len(cells)} cells: {_per_value(direct_counts(cells))} "
-        f"({_per_value(direct_counts(TABLE1_DIRECT_CELLS))} on Table 1's "
-        f"{len(TABLE1_DIRECT_CELLS)} at v0 = 0.3; "
-        f"{_per_value(direct_counts(WIDE_DIRECT_CELLS))} on wide_packets' "
-        f"{len(WIDE_DIRECT_CELLS)}), cpu {cpu:7.3f} s  ",
-        direct_sha, None if args.write else direct_pin["sha256"],
-    )
-
-    momentum_pin = MOMENTUM_GRID if args.write else json.loads(MOMENTUM_PIN_FILE.read_text())
-    t0 = time.process_time()
-    momentum_sha = digest(momentum_lines(momentum_pin))
-    cpu = time.process_time() - t0
-    faults += _report(
-        f"momentum_split, {len(grid_cells(momentum_pin))} cells: cpu {cpu:7.3f} s "
-        f"(ior_momentum: {momentum_evals(momentum_pin)} integrand evaluations)  ",
-        momentum_sha, None if args.write else momentum_pin["sha256"],
-    )
-
-    series_pin = SERIES_GRID if args.write else json.loads(SERIES_PIN_FILE.read_text())
-    t0 = time.process_time()
-    series_sha = digest(series_lines(series_pin))
-    cpu = time.process_time() - t0
+    for (vn, level), count in rules:
+        print(f"branch rule |v0|={vn:.1f} m={level}: {count} nodes")
+    cells = grid_cells(DIRECT_GRID)
+    print(f"ior_direct: {_per_value(direct_counts(cells))} on the direct pin's "
+          f"{len(cells)} cells; "
+          f"{_per_value(direct_counts(TABLE1_DIRECT_CELLS))} on Table 1's "
+          f"{len(TABLE1_DIRECT_CELLS)} at v0 = 0.3; "
+          f"{_per_value(direct_counts(WIDE_DIRECT_CELLS))} on wide_packets' "
+          f"{len(WIDE_DIRECT_CELLS)}")
+    print(f"ior_momentum: {momentum_evals(MOMENTUM_GRID)} integrand evaluations on the "
+          f"momentum pin's {len(grid_cells(MOMENTUM_GRID))} cells")
     j_calls, faddeeva_calls = series_counts(TABLE1_SERIES_CELLS)
-    faults += _report(
-        f"ior_series, {len(grid_cells(series_pin))} cells, and qc_expectation: cpu {cpu:7.3f} s "
-        f"({j_calls} J calls, {faddeeva_calls} of them Faddeeva calls, on Table 1's "
-        f"{len(TABLE1_SERIES_CELLS)} series cells at v0 = 0.3)  ",
-        series_sha, None if args.write else series_pin["sha256"],
-    )
-
+    print(f"ior_series: {j_calls} J calls, {faddeeva_calls} of them Faddeeva calls, on "
+          f"Table 1's {len(TABLE1_SERIES_CELLS)} series cells at v0 = 0.3")
     for v, zeta in FB_POINTS:
         intervals, (fb_cpu, tb_cpu, value_cpu) = fb_timing(v, zeta)
         print(f"v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} F_B intervals, "
@@ -472,30 +510,11 @@ def main() -> int:
     print(f"warm Table 1 direct cell: {1e6 * per_node:5.2f} us CPU per T_B node, "
           f"{1e3 * per_cell:5.2f} ms per cell")
 
-    if faults:
-        return 1
     if args.write:
-        BRANCH_PIN_FILE.write_text(json.dumps({**pin, "sha256": sha}, indent=2) + "\n")
-        FACTOR_PIN_FILE.write_text(
-            json.dumps({
-                "free_factor": free_sha,
-                "barrier_free_gap": gap_rows,
-                "barrier_factor": {"v0": BARRIER_V0, "sha256": barrier_sha},
-            }, indent=2) + "\n"
-        )
-        DENSE_PIN_FILE.write_text(json.dumps({**dense_pin, "sha256": dense_sha}, indent=2) + "\n")
-        DIRECT_PIN_FILE.write_text(
-            json.dumps({**direct_pin, "sha256": direct_sha}, indent=2) + "\n"
-        )
-        MOMENTUM_PIN_FILE.write_text(
-            json.dumps({**momentum_pin, "sha256": momentum_sha}, indent=2) + "\n"
-        )
-        SERIES_PIN_FILE.write_text(
-            json.dumps({**series_pin, "sha256": series_sha}, indent=2) + "\n"
-        )
-        print(f"wrote {BRANCH_PIN_FILE}, {FACTOR_PIN_FILE}, {DENSE_PIN_FILE}, "
-              f"{DIRECT_PIN_FILE}, {MOMENTUM_PIN_FILE} and {SERIES_PIN_FILE}")
-    return 0
+        PINS_FILE.write_text(json.dumps(shas, indent=2) + "\n")
+        print(f"wrote {PINS_FILE}")
+        return 0
+    return int(shas != pinned)
 
 
 if __name__ == "__main__":

@@ -121,10 +121,11 @@ def _phi_transform(
     closed form where Phi(zeta) (4 + 1/zeta) meets cut = 1e-3 abs_tol:
     zeta_4 where 4 Phi meets the cut, then end where (4 + 1/zeta_4) Phi
     does, which lies past the crossing because the factor falls with zeta.
-    At abs_tol = 0 the window ends where Phi underflows.  bandwidth is the
-    kernel's own largest wavenumber: kappa_c at the strength for T_B(-v0)
-    and the gap T_F - T_B(-v0), whose residue terms go as
-    cos(kappa_c zeta), and 0 for T_F.
+    At abs_tol = 0 the window ends where Phi underflows; from abs_tol =
+    4000 on, where 4 Phi <= 4 never meets the cut, ValueError is raised.
+    bandwidth is the kernel's own largest wavenumber: kappa_c at the
+    strength for T_B(-v0) and the gap T_F - T_B(-v0), whose residue terms
+    go as cos(kappa_c zeta), and 0 for T_F.
     sine_transform_decaying takes [0, end] in one adaptive G10/K21 run,
     seeded at each period of the faster of sin(k0 zeta) and the kernel,
     with the first period under zeta = w u^3, which flattens the kernel's
@@ -132,6 +133,11 @@ def _phi_transform(
     """
     sigma, exp = packet.sigma, math.exp
     cut = 1e-3 * settings.abs_tol
+    if not cut < 4.0:
+        raise ValueError(
+            f"abs_tol must be below 4000 for the sine transform's window, got "
+            f"{settings.abs_tol!r}: it closes where 4 Phi meets 1e-3 abs_tol, and 4 Phi <= 4"
+        )
     zeta_4 = _phi_reach(sigma, 4.0, cut)
     end = _phi_reach(sigma, 4.0 + 1.0 / zeta_4, cut)
 
@@ -184,6 +190,14 @@ _LOG_2_55 = 55.0 * math.log(2.0)
 _HORNER_ODDS = tuple(2.0 * q - 1.0 for q in range(1, _LAPLACE_TERMS))
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, or +inf where it is past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _laplace_switch(a: float, k0: float) -> list[tuple[float, tuple[float, ...]]]:
     """(z_M, Horner factors) for M = 1 .. _LAPLACE_TERMS: the M-term
     expansion of J is exact to rounding from z_M up.
@@ -193,8 +207,10 @@ def _laplace_switch(a: float, k0: float) -> list[tuple[float, tuple[float, ...]]
     (a^M/M!) k0 (2M+1)!/z^(2M+2) meets it from
     z^(2M) = 2^55 a^M (2M+1)!/M! up; z_M is the lesser, but no less than
     sqrt(2 (k0^2 + 6 a)), where J >= k0/(2 z^2).  It is raised by 2^-40 of
-    itself against the rounding of the logs.  The first z_M that z reaches
-    names the least M; the factors are the -2 a (2q - 1) of q = M-1 .. 1.
+    itself against the rounding of the logs.  A bound past the float range
+    (k0 below ~1e-292 at sigma 0.5) is taken as +inf, which z never
+    reaches.  The first z_M that z reaches names the least M; the factors
+    are the -2 a (2q - 1) of q = M-1 .. 1.
     The log-gammas, ln(2M + 1) and 2q - 1 are module constants
     (_SWITCH_TERMS, _HORNER_ODDS), each in its place in the sums and
     products that use it, so that every z_M and factor keeps its bits.
@@ -205,7 +221,8 @@ def _laplace_switch(a: float, k0: float) -> list[tuple[float, tuple[float, ...]]
     switch = []
     for m, log_2m_fact, log_m_fact, log_2m1 in _SWITCH_TERMS:
         log_c = _LOG_2_55 + m * log_a + log_2m_fact - log_m_fact
-        z_m = min(math.exp((log_c - log_k0) / (2 * m - 1)), math.exp((log_c + log_2m1) / (2 * m)))
+        z_m = min(_exp_or_inf((log_c - log_k0) / (2 * m - 1)),
+                  _exp_or_inf((log_c + log_2m1) / (2 * m)))
         switch.append((max(z_m, floor) * (1.0 + 2.0 ** -40), tuple(reversed(factors[:m - 1]))))
     return switch
 

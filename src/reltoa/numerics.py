@@ -473,7 +473,8 @@ def _strip_width(a: float, centre: float, lam: float, rel_tol: float) -> float:
     is greatest where L = Q t + P t^2 (3 - 2t)/(1 - 2t)^2, which in r =
     t/(1 - 2t) is the cubic 4 P r^3 + 3 P r^2 + (Q - 2L) r = L: two Newton
     steps from the root of its quadratic part, from above.  d is at most
-    _TAU_D_CAP.
+    _TAU_D_CAP, and is _TAU_D_CAP, its limit as P -> 0, where P is so
+    small (a centre near 0) that r is not finite.
     """
     big = math.log(8.0 / rel_tol)
     if centre >= a:
@@ -491,6 +492,9 @@ def _strip_width(a: float, centre: float, lam: float, rel_tol: float) -> float:
     elif slope > 0.0:
         r = big / slope
     else:
+        return _TAU_D_CAP
+    if not math.isfinite(r):
+        # a P so small that the start overflows: d's limit as P -> 0
         return _TAU_D_CAP
     return min(math.asin(math.sqrt(r / (1.0 + 2.0 * r))), _TAU_D_CAP)
 

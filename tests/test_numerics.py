@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import cmath
-import hashlib
-import json
 import math
-import pathlib
 import random
 
 import mpmath as mp
@@ -18,8 +15,6 @@ from hypothesis import example, given, strategies as st
 
 from conftest import branch_integral_oracle, load_by_path, sine_integral_oracle
 from reltoa import numerics
-from reltoa.classical import crtoa_quadrature
-from reltoa.kernels import BarrierSpec
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
     FADDEEVA_IM_REL_ERR,
@@ -698,106 +693,3 @@ class TestSettings:
             for _ in range(3)
         }
         assert len(vals) == 1
-
-
-# --- the adaptive G10/K21 engine's callers, bit for bit ---------------------
-
-ENGINE_PIN = pathlib.Path(__file__).parent / "data" / "engine_pin.json"
-FEW_SUBDIVISIONS = QuadratureSettings(max_subdivisions=4)
-TIGHT_FEW = QuadratureSettings(rel_tol=1e-12, max_subdivisions=4)
-EIGHT_SUBDIVISIONS = QuadratureSettings(max_subdivisions=8)
-TIGHT = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16)
-PIN_BARRIER = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
-
-# (caller, thunk) pairs: each thunk returns (value, err), a bare value, or
-# raises.  The sine transform runs a decaying exponential, a Gaussian at
-# tight settings, a 1/zeta start under the cubic map (and again under a cap
-# of 8 subdivisions), sin * cos seeded at each period of cos, k far below
-# the bandwidth, two NaN tails, a 1/(1 + z) tail over 32 periods at
-# rel_tol 1e-12 on 4 bisected segments past its 33 openings, and a window
-# of 160 periods, more than 16 x 4.  The G10/K21 cases run the
-# pass alone and _adaptive_gk on it (a sqrt start, a subnormal value, a 1/z
-# start that reaches the width floor).  The tau rule runs the closed form
-# of TestSqrtEndpoint with the endpoint at 1 and near the origin, a narrow
-# core at tight settings, a subnormal -k-like weight, a NaN past k = 3 and a
-# jump that reaches the node cap.
-ENGINE_CASES = [
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, 40.0, 0.0)),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.exp(-z * z / 8.0), 2.0, 20.0, 0.0, TIGHT)),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.exp(-z * z) / z, 1.0, 8.0, 0.0)),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(
-         lambda z: math.exp(-z * z) / z, 1.0, 8.0, 0.0, EIGHT_SUBDIVISIONS
-     )),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(
-         lambda z: math.cos(2.0 * z) * math.exp(-0.2 * z), 0.5, 200.0, 2.0
-     )),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.exp(-z * z), 1e-6, 40.0, 1.0)),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(
-         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, 40.0, 0.0, FEW_SUBDIVISIONS
-     )),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(
-         lambda z: math.nan if z > 3.0 else math.exp(-z), 1.0, 40.0, 2.0, FEW_SUBDIVISIONS
-     )),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: 1.0 / (1.0 + z), 0.5, 400.0, 0.0, TIGHT_FEW)),
-    ("sine_transform_decaying",
-     lambda: sine_transform_decaying(lambda z: math.exp(-z), 1.0, 1000.0, 0.0, FEW_SUBDIVISIONS)),
-    ("gk21", lambda: numerics._gk21(math.exp, 0.0, 1.0)),
-    ("gk21", lambda: numerics._gk21(math.sqrt, 0.0, 2.0)),
-    ("gk21",
-     lambda: numerics._adaptive_gk(math.sqrt, 0.0, 1.0, DEFAULT_SETTINGS)),
-    ("gk21", lambda: numerics._adaptive_gk(lambda z: 1e-310 * z, 0.0, 1.0, DEFAULT_SETTINGS)),
-    ("gk21", lambda: numerics._adaptive_gk(lambda z: 1.0 / z, 0.0, 1.0, DEFAULT_SETTINGS)),
-    ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0)),
-    ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: z * z, 0.7, 1.3, TIGHT)),
-    ("integrate_semiinf_exp",
-     lambda: integrate_semiinf_exp(lambda z: math.sqrt(z * z - 1.0) / z, 1.0, 1.0)),
-    ("integrate_semiinf_exp",
-     lambda: integrate_semiinf_exp(lambda z: 1.0 / (1.0 + z * z), 0.0, 0.0)),
-    ("integrate_semiinf_exp",
-     lambda: integrate_semiinf_exp(
-         lambda z: math.exp(-((z - 5.0) / 0.01) ** 2), 0.0, 0.1, DEFAULT_SETTINGS, (5.0,)
-     )),
-    ("integrate_semiinf_exp", lambda: integrate_semiinf_exp(lambda z: 1.0, 1.0, 0.0)),
-    ("integrate_sqrt_endpoint", lambda: integrate_sqrt_endpoint(lambda k: k, 1.0, 0.0, 1.0)),
-    ("integrate_sqrt_endpoint", lambda: integrate_sqrt_endpoint(lambda k: k, 1e-8, 0.0, 1.0)),
-    ("integrate_sqrt_endpoint",
-     lambda: integrate_sqrt_endpoint(lambda k: 1.0, 1.0, 9.0, 1e4, TIGHT)),
-    ("integrate_sqrt_endpoint",
-     lambda: integrate_sqrt_endpoint(lambda k: 1.0, 1.0, -0.5, 320.0)),
-    ("integrate_sqrt_endpoint",
-     lambda: integrate_sqrt_endpoint(lambda k: math.nan if k > 3.0 else 1.0, 1.0, 2.0, 0.5)),
-    ("integrate_sqrt_endpoint",
-     lambda: integrate_sqrt_endpoint(lambda k: 2.0 if k > 2.0 else 1.0, 1.0, 2.0, 1.0)),
-    ("crtoa_quadrature", lambda: crtoa_quadrature(-10.0, 1.0, None)),
-    ("crtoa_quadrature", lambda: crtoa_quadrature(-1.5, 1.0, PIN_BARRIER)),
-    ("crtoa_quadrature", lambda: crtoa_quadrature(-5.0, 2.0, PIN_BARRIER)),
-    ("crtoa_quadrature", lambda: crtoa_quadrature(0.5, -1.0, PIN_BARRIER)),
-]
-
-
-def engine_digests() -> dict[str, str]:
-    """sha256 per caller over each case's float.hex of (value, err), or of
-    the bare value, or the raised error's type and text, one line a case."""
-    hashes = {}
-    for caller, thunk in ENGINE_CASES:
-        try:
-            out = thunk()
-        except (QuadratureError, ValueError) as exc:
-            line = f"{type(exc).__name__}: {exc}"
-        else:
-            line = " ".join(x.hex() for x in (out if isinstance(out, tuple) else (out,)))
-        hashes.setdefault(caller, hashlib.sha256()).update(f"{line}\n".encode())
-    return {caller: h.hexdigest() for caller, h in hashes.items()}
-
-
-def test_engine_callers_match_pin():
-    assert engine_digests() == json.loads(ENGINE_PIN.read_text())
