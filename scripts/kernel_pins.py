@@ -92,7 +92,6 @@ from reltoa.kernels import (
 )
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
-    Estimate,
     QuadratureSettings,
     integrate_semiinf_exp,
     integrate_sqrt_endpoint,
@@ -155,9 +154,7 @@ def digest(lines) -> str:
 
 
 def _hex(out) -> str:
-    """An Estimate's or a pair's value and err in float.hex, or a bare value's."""
-    if isinstance(out, Estimate):
-        out = (out.value, out.err)
+    """A value and err in float.hex (an Estimate or _gk21's pair), or a bare value."""
     return " ".join(x.hex() for x in (out if isinstance(out, tuple) else (out,)))
 
 

@@ -47,7 +47,9 @@ from reltoa.ior import (
     ior_series,
     momentum_split,
     qc_expectation,
+    superluminal_classify,
     toa_difference,
+    traversal_time,
 )
 
 UNAVAILABLE = "---"
@@ -271,16 +273,8 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     for k0 in k0_grid:
         packet = _packet(args.sigma, k0)
         res = ior_momentum(packet, args.vo, cfg.params, cfg.settings)
-        rows.append(
-            [
-                fmt(k0),
-                fmt(res.value),
-                fmt(res.err),
-                fmt(kc),
-                fmt(kc - sigma_k),
-                Luminality.of(res.value).value,
-            ]
-        )
+        rows.append([fmt(k0), *map(fmt, res), fmt(kc), fmt(kc - sigma_k),
+                     Luminality.of(res.value).value])
     _emit(cfg, header, rows)
     return EXIT_OK
 
@@ -331,17 +325,7 @@ def cmd_kernel(cfg: RunConfig, args: argparse.Namespace) -> int:
         tf = free_factor(z, cfg.params)
         tm = barrier_factor(-args.vo, z, cfg.params)
         tp = barrier_factor(+args.vo, z, cfg.params)
-        rows.append(
-            [
-                fmt(z),
-                fmt(tf.value),
-                fmt(tf.err),
-                fmt(tm.value),
-                fmt(tm.err),
-                fmt(tp.value),
-                fmt(tp.err),
-            ]
-        )
+        rows.append([fmt(x) for x in (z, *tf, *tm, *tp)])
     _emit(cfg, header, rows)
     return EXIT_OK
 
@@ -351,8 +335,8 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
     barrier.require_subcritical(cfg.params)
     q0 = args.qo if args.qo is not None else barrier.a - 20.0 * args.sigma
     packet = GaussianPacket(q0=q0, sigma=args.sigma, k0=args.ko)
-    packet.check_support(barrier.a)
-    t_c = barrier.length / cfg.params.c
+    # first: it checks that the packet lies left of the barrier
+    taus = traversal_time(packet, barrier, cfg.params, cfg.settings)
 
     header = ["quantity", "method", "value", "err", "unit"]
     rows: list[list[str]] = []
@@ -360,30 +344,25 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
     def put(name: str, method: str, value: float, err: float, unit: str) -> None:
         rows.append([name, method, fmt(value), fmt(err), unit])
 
-    kc = kappa_c(args.vo, cfg.params)
-    put("t_c", "exact", t_c, 0.0, "time")
-    put("kappa_c", "closed", kc, 0.0, "1/length")
-    rc, plus, minus = momentum_split(packet, args.vo, cfg.params, cfg.settings)
-    put("rc", "momentum", rc.value, rc.err, "dimensionless")
-    put("rc_plus", "momentum", plus.value, plus.err, "dimensionless")
-    put("rc_minus", "momentum", minus.value, minus.err, "dimensionless")
+    put("t_c", "exact", barrier.length / cfg.params.c, 0.0, "time")
+    put("kappa_c", "closed", kappa_c(args.vo, cfg.params), 0.0, "1/length")
+    rcs = momentum_split(packet, args.vo, cfg.params, cfg.settings)
+    for name, rc in zip(("rc", "rc_plus", "rc_minus"), rcs):
+        put(name, "momentum", *rc, "dimensionless")
     rows.append(["rc", "direct"]
                 + _safe_ior(lambda: ior_direct(packet, args.vo, cfg.params, cfg.settings))
                 + ["dimensionless"])
     rows.append(["rc", "series"]
                 + _safe_ior(lambda: ior_series(packet, args.vo, cfg.params, cfg.settings))
                 + ["dimensionless"])
-    qc = qc_expectation(packet, cfg.params)
-    put("qc", "direct", qc.value, qc.err, "dimensionless")
-    put("tau_trav", "momentum", t_c * rc.value, t_c * rc.err, "time")
-    put("tau_plus", "momentum", t_c * plus.value, t_c * plus.err, "time")
-    put("tau_minus", "momentum", t_c * minus.value, t_c * minus.err, "time")
+    put("qc", "direct", *qc_expectation(packet, cfg.params), "dimensionless")
+    for name, tau in zip(("tau_trav", "tau_plus", "tau_minus"), taus):
+        put(name, "momentum", *tau, "time")
     rows.append(["toa_difference", "direct"]
                 + _safe_ior(lambda: toa_difference(packet, barrier, cfg.params, cfg.settings))
                 + ["time"])
-    margin = packet.k0 - (kc - packet.sigma_k)
-    rows.append(["classification", "momentum", Luminality.of(rc.value).value, fmt(margin),
-                 "margin: 1/length"])
+    label, margin = superluminal_classify(packet, args.vo, cfg.params, cfg.settings)
+    rows.append(["classification", "momentum", label.value, fmt(margin), "margin: 1/length"])
     _emit(cfg, header, rows)
     return EXIT_OK
 

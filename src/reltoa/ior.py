@@ -32,6 +32,8 @@ Every route runs in natural units: each public entry checks its arguments
 and converts them once, v0 to its strength v0/(mu c^2) and the packet to
 sigma mu c/hbar and k0 hbar/(mu c) (_natural_packet).  R_c, its weights and
 Q_c are dimensionless; the times are t_c = L/c times a natural number.
+Each is a numerics.Estimate, its value with its err, and traversal_time
+scales the momentum route's three by t_c, errs included.
 """
 
 from __future__ import annotations
@@ -88,9 +90,15 @@ def _require_subcritical(v0: float, params: PhysicalParams) -> float:
 
 
 def _natural_packet(packet: GaussianPacket, params: PhysicalParams) -> GaussianPacket:
-    """packet in natural units, sigma mu c/hbar and k0 hbar/(mu c); no route reads q0."""
+    """packet in natural units, sigma mu c/hbar and k0 hbar/(mu c); no route reads q0.
+    ValueError where no route can form its Gaussians: the natural sigma^2
+    underflows to 0 (below ~1.6e-162) or 8 sigma^2 overflows (~4.7e153)."""
     wavenumber = params.mu * params.c / params.hbar
-    return GaussianPacket(q0=0.0, sigma=packet.sigma * wavenumber, k0=packet.k0 / wavenumber)
+    sigma = packet.sigma * wavenumber
+    if not (sigma * sigma > 0.0 and 8.0 * sigma * sigma < math.inf):
+        raise ValueError(f"sigma {packet.sigma!r} is {sigma!r} in natural units, where "
+                         f"sigma^2 underflows to 0 or 8 sigma^2 overflows")
+    return GaussianPacket(q0=0.0, sigma=sigma, k0=packet.k0 / wavenumber)
 
 
 # Phi(zeta) = exp(-zeta^2/(8 sigma^2)) is below the smallest float past
@@ -109,7 +117,7 @@ def _phi_transform(
     packet: GaussianPacket,
     settings: QuadratureSettings,
     bandwidth: float,
-) -> tuple[float, float]:
+) -> Estimate:
     """int_0^inf sin(k0 zeta) kernel(zeta) Phi(zeta) dzeta and its error, for
     a natural packet and a kernel of natural zeta.
 
@@ -172,9 +180,9 @@ def ior_direct(
     """
     vn = _require_subcritical(v0, params)
     packet = _natural_packet(packet, params)
-    return Estimate(*_phi_transform(
+    return _phi_transform(
         _tb_core(-vn).value, packet, settings, kappa_c(vn) if vn > 0.0 else 0.0,
-    ))
+    )
 
 
 # the most terms of J's Laplace expansion that _laplace_sine sums
@@ -274,7 +282,7 @@ def _laplace_sine(packet: GaussianPacket) -> Callable[[float], float]:
     return j
 
 
-def _branch_transform(j: Callable[[float], float], k0: float, vn: float) -> tuple[float, float]:
+def _branch_transform(j: Callable[[float], float], k0: float, vn: float) -> Estimate:
     # sine transform of the branch-cut term of T_B(-v0, zeta) times Phi, at
     # strength vn, which the series route adds to its residue moments, with
     # the zeta integral taken first in closed form: (2/pi) int_1^inf h(z)
@@ -283,7 +291,7 @@ def _branch_transform(j: Callable[[float], float], k0: float, vn: float) -> tupl
     # h >= 0 and J > 0, so J's error is at most its relative bound times
     # |val|.
     val, err = branch_transform(vn, j, k0)
-    return val, err + FADDEEVA_IM_REL_ERR * abs(val)
+    return Estimate(val, err + FADDEEVA_IM_REL_ERR * abs(val))
 
 
 def _gaussian_sine_moments(k: float, sigma: float, m: float) -> Iterator[float]:
@@ -408,12 +416,12 @@ def ior_momentum(
     """
     vn, kc = _momentum_threshold(v0, params)
     packet = _natural_packet(packet, params)
-    plus, err_p = _weight(packet, vn, settings, kc, +1)
+    plus = _weight(packet, vn, settings, kc, +1)
     bound = max(_minus_bound(packet, vn, kc), _SKIP_FLOOR)
-    if bound <= 0.25 * math.ulp(plus) and bound <= 0.25 * math.ulp(err_p):
-        return Estimate(plus, err_p)
-    minus, err_m = _weight(packet, vn, settings, kc, -1)
-    return Estimate(plus - minus, err_p + err_m)
+    if bound <= 0.25 * math.ulp(plus.value) and bound <= 0.25 * math.ulp(plus.err):
+        return plus
+    minus = _weight(packet, vn, settings, kc, -1)
+    return Estimate(plus.value - minus.value, plus.err + minus.err)
 
 
 def _minus_bound(packet: GaussianPacket, vn: float, kc: float) -> float:
@@ -486,7 +494,7 @@ def _crossing_integrand(packet: GaussianPacket, vn: float) -> Callable[[float], 
 
 def _weight(
     packet: GaussianPacket, vn: float, settings: QuadratureSettings, kc: float, sign: int,
-) -> tuple[float, float]:
+) -> Estimate:
     """The +k (sign 1) or -k (sign -1) weight of a natural packet, on the tau rule."""
     return integrate_sqrt_endpoint(
         _crossing_integrand(packet, vn), kc, sign * packet.k0,
@@ -516,10 +524,10 @@ def momentum_split(
     (v0 = 1e-12 mu c^2) the window runs ~15 wide in tau and a cell takes
     a few hundred.
     Returns (R_c, plus, minus), where plus and minus are the
-    above-threshold weights of the +k and -k components, each with its own
-    integral's error estimate, relative to it: abs_tol is not read.
-    R_c.value == plus.value - minus.value exactly and R_c.err == plus.err +
-    minus.err.
+    above-threshold weights of the +k and -k components, each the tau
+    rule's Estimate, with its own integral's err, relative to it: abs_tol
+    is not read.  R_c.value == plus.value - minus.value exactly and
+    R_c.err == plus.err + minus.err.
 
     This is the momentum route's reference form: ior_momentum returns its
     first element bit for bit.
@@ -533,9 +541,9 @@ def momentum_split(
     """
     vn, kc = _momentum_threshold(v0, params)
     packet = _natural_packet(packet, params)
-    plus, err_p = _weight(packet, vn, settings, kc, +1)
-    minus, err_m = _weight(packet, vn, settings, kc, -1)
-    return Estimate(plus - minus, err_p + err_m), Estimate(plus, err_p), Estimate(minus, err_m)
+    plus = _weight(packet, vn, settings, kc, +1)
+    minus = _weight(packet, vn, settings, kc, -1)
+    return Estimate(plus.value - minus.value, plus.err + minus.err), plus, minus
 
 
 def qc_expectation(
@@ -564,23 +572,32 @@ def qc_expectation(
     )
 
 
+def _crossing_time(packet: GaussianPacket, barrier: BarrierSpec, params: PhysicalParams) -> float:
+    """t_c = L/c, once the barrier is below the rest energy and the packet left
+    of it; the one line that warns of leakage, so the default filter shows it once."""
+    barrier.require_subcritical(params)
+    packet.check_support(barrier.a)
+    return barrier.length / params.c
+
+
 def traversal_time(
     packet: GaussianPacket,
     barrier: BarrierSpec,
     params: PhysicalParams = NATURAL_UNITS,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> tuple[float, float, float]:
+) -> tuple[Estimate, Estimate, Estimate]:
     """Expected barrier crossing time (tau_trav, tau_plus, tau_minus).
 
     tau_trav = t_c * R_c from the momentum route; the +/- parts are the
     crossing-time averages of tau_top over the corresponding momentum
-    components above threshold.
+    components above threshold.  Each is momentum_split's Estimate, value
+    and err, times t_c.
     """
-    barrier.require_subcritical(params)
-    packet.check_support(barrier.a)
-    res, plus, minus = momentum_split(packet, barrier.v0, params, settings)
-    t_c = barrier.length / params.c
-    return t_c * res.value, t_c * plus.value, t_c * minus.value
+    t_c = _crossing_time(packet, barrier, params)
+    return tuple(
+        Estimate(t_c * value, t_c * err)
+        for value, err in momentum_split(packet, barrier.v0, params, settings)
+    )
 
 
 def toa_difference(
@@ -600,13 +617,11 @@ def toa_difference(
     once, and each node takes its gap, barrier_free_gap's value bit for
     bit.  The err is the sine transform's, times t_c.
     """
-    barrier.require_subcritical(params)
-    packet.check_support(barrier.a)
+    t_c = _crossing_time(packet, barrier, params)
     vn = barrier.v0 / params.rest_energy
     gap, err = _phi_transform(
         _tb_core(-vn).gap, _natural_packet(packet, params), settings, kappa_c(vn),
     )
-    t_c = barrier.length / params.c
     return Estimate(t_c * gap, t_c * err)
 
 

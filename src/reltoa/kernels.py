@@ -185,8 +185,7 @@ def free_factor(zeta: float, params: PhysicalParams = NATURAL_UNITS) -> Estimate
     the T_B core's estimate at zero height, where F_B = (1.0, 0.0) and
     G_B = 1, so it skips the branch-cut sum from natural zeta x ~ 34 on.
     """
-    x = _natural_zeta(zeta, params, "free_factor")
-    return Estimate(*_tb_core(0.0).estimate(x))
+    return _tb_core(0.0).estimate(_natural_zeta(zeta, params, "free_factor"))
 
 
 def _strength(v0: float, params: PhysicalParams, name: str) -> float:
@@ -286,7 +285,7 @@ def _fb_nodes(v: float, n: int) -> list[tuple[float, float, float]]:
 
 class _FbRule:
     """The n-interval trapezoid rule for F_B(v, .), v in units of mu c^2:
-    F_B sums its (w_k g_k, s_k) pairs, F_B - 1 its columns s, m, w2."""
+    F_B sums its (w_k g_k, s_k) pairs, F_B - 1 (the gap's) its columns s, m, w2."""
 
     __slots__ = ("v", "cosine", "fn", "reach", "pairs", "s", "m", "w2", "c_sum", "cs_sum")
 
@@ -328,23 +327,18 @@ class _FbRule:
             raise SeriesDivergenceError(f"F_B({self.v}, {x}) overflows a float")
         return total
 
-    def evaluate(self, x: float, drop_unity: bool) -> tuple[float, float]:
-        """The rule's sum at natural zeta x (total) and its rounding bound.
+    def evaluate(self, x: float) -> tuple[float, float]:
+        """F_B's sum at natural zeta x (total) and its rounding bound.
 
         The bound allows 6 units of roundoff per node value and 6 per unit
         of x * s in C's argument, whose rounding C amplifies.
         """
-        total = self.total(x, drop_unity)
-        y_max = x * self.reach
+        total = self.total(x)
         if self.cosine:
-            scale = 6.0 * self.c_sum + 6.0 * x * self.cs_sum
-            if drop_unity:
-                scale += 12.0 + 6.0 * y_max
-            return total, _UNIT_ROUNDOFF * scale
-        # positive terms, each at most its weight times cosh(y_max); scaled
-        # by 2^-53 first, so that the bound stays finite where the sum does
-        size = 2.0 * _UNIT_ROUNDOFF * math.cosh(y_max) if drop_unity else _UNIT_ROUNDOFF * total
-        return total, (6.0 + 6.0 * y_max) * size
+            return total, _UNIT_ROUNDOFF * (6.0 * self.c_sum + 6.0 * x * self.cs_sum)
+        # positive terms: scaled by 2^-53 first, so that the bound stays
+        # finite where the sum does
+        return total, (6.0 + 6.0 * (x * self.reach)) * (_UNIT_ROUNDOFF * total)
 
 
 _FB_RULES: dict[tuple[float, int], _FbRule] = {}
@@ -519,7 +513,7 @@ def _branch_nodes(vn: float, level: int, count: int) -> tuple[tuple[float, ...],
     return nodes
 
 
-def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> tuple[float, float]:
+def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> Estimate:
     """Branch-cut term of T_B(v0, zeta), with its error estimate:
 
         (2/pi) * int_1^inf exp(-mu c |zeta| z / hbar) sqrt(z^2-1)/z G_B(v0, z) dz
@@ -531,14 +525,14 @@ def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> tuple[flo
     if not 0.0 < abs(zeta) < math.inf:
         raise ValueError(f"branch_integral requires 0 < |zeta| < inf, got {zeta}")
     x = _natural_zeta(abs(zeta), params, "branch_integral")
-    return _tb_core(vn).branch_term(x)
+    return Estimate(*_tb_core(vn).branch_term(x))
 
 
 def branch_transform(
     v: float,
     j: Callable[[float], float],
     j_bound: float,
-) -> tuple[float, float]:
+) -> Estimate:
     """(2/pi) int_1^inf sqrt(z^2-1)/z G_B(v, z) j(z) dz, with its error estimate,
     for 0 <= j(z) <= j_bound/z^2 and a strength v in units of mu c^2.
 
@@ -567,7 +561,7 @@ def branch_transform(
     value = math.fsum([ck * j(1.0 + wk) for wk, ck in zip(itertools.islice(w, count), c)])
     tail = j_bound / ((1.0 + w[count - 1]) * math.sqrt(delta * (1.0 + vn)))
     err = 12.0 * _UNIT_ROUNDOFF * value + tail
-    return _TWO_OVER_PI * value, _TWO_OVER_PI * err
+    return Estimate(_TWO_OVER_PI * value, _TWO_OVER_PI * err)
 
 
 # --- the T_B core ------------------------------------------------------------
@@ -640,12 +634,10 @@ class _TbCore:
             return self.least_rule
         return _fb_rule(self.vn, self.fb_size(x))
 
-    def fb(self, x: float, drop_unity: bool = False) -> tuple[float, float]:
-        """F_B (or F_B - 1) at natural zeta x and its err, the rule's
-        rounding bound; exactly (1.0, 0.0) (or (0.0, 0.0)) at vn = 0."""
-        if not self.vn:
-            return (0.0 if drop_unity else 1.0), 0.0
-        return self.rule(x).evaluate(x, drop_unity)
+    def fb(self, x: float) -> tuple[float, float]:
+        """F_B at natural zeta x and its err, the rule's rounding bound;
+        exactly (1.0, 0.0) at vn = 0."""
+        return self.rule(x).evaluate(x) if self.vn else (1.0, 0.0)
 
     def branch_size(self, x: float) -> tuple[int, int]:
         """(m, n): the a-priori level of the branch-cut rule at natural
@@ -736,7 +728,7 @@ class _TbCore:
                + 2.0 * _UNIT_ROUNDOFF * val)
         return val, err + 2.0 * _MIN_SUBNORMAL if val < _MIN_NORMAL else err
 
-    def estimate(self, x: float) -> tuple[float, float]:
+    def estimate(self, x: float) -> Estimate:
         """T_B and its err at natural zeta x > 0.
 
         F_B and the branch term are each their rule's sum, with that rule's
@@ -749,10 +741,10 @@ class _TbCore:
         """
         fb_val, fb_err = self.fb(x)
         if _branch_negligible(self.a, x, fb_val):
-            return fb_val, fb_err + _branch_bound(self.a, x) + _UNIT_ROUNDOFF * abs(fb_val)
+            return Estimate(fb_val, fb_err + _branch_bound(self.a, x) + _UNIT_ROUNDOFF * abs(fb_val))
         br_val, br_err = self.branch_term(x)
         value = fb_val + br_val
-        return value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value)
+        return Estimate(value, fb_err + br_err + _UNIT_ROUNDOFF * abs(value))
 
     def value(self, x: float) -> float:
         """estimate(x)[0], bit for bit, in its operations and on its skip
@@ -790,8 +782,7 @@ def barrier_factor(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNIT
     bit for bit.
     """
     vn = _strength(v0, params, "barrier_factor")
-    x = _natural_zeta(zeta, params, "barrier_factor")
-    return Estimate(*_tb_core(vn).estimate(x))
+    return _tb_core(vn).estimate(_natural_zeta(zeta, params, "barrier_factor"))
 
 
 def barrier_free_gap(v0: float, zeta: float, params: PhysicalParams = NATURAL_UNITS) -> float:

@@ -2,6 +2,8 @@
 
 Everything here is deterministic and pure: identical inputs and settings
 produce bit-identical outputs, from the standard library alone.
+Every value returned with its err, here and in the physics modules, is an
+Estimate; only the hot private _gk21 and _adaptive_gk hand on bare pairs.
 hyp0f1_one is one trapezoid rule on Bessel's integral.  Every adaptive
 integral is one run of _adaptive_gk, globally adaptive bisection on the
 nested Gauss-Kronrod (G10, K21) pair (QUADPACK's qk21), which returns
@@ -31,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "Estimate",
@@ -57,9 +59,8 @@ class SeriesDivergenceError(RuntimeError):
     """A series evaluation left its convergence regime."""
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """A computed number and its error estimate: every kernel and R_c result."""
+class Estimate(NamedTuple):
+    """A computed number and its error estimate, a tuple that unpacks as value, err."""
 
     value: float
     err: float
@@ -348,7 +349,7 @@ def integrate_semiinf_exp(
     decay: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
     seeds: tuple[float, ...] = (),
-) -> tuple[float, float]:
+) -> Estimate:
     """Integral of f(z) * exp(-decay * z) over [lower, inf).
 
     The substitution z = lower + t/(1-t) maps the half line onto [0, 1);
@@ -375,7 +376,7 @@ def integrate_semiinf_exp(
     t_seeds = tuple(
         (z - lower) / (1.0 + (z - lower)) for z in seeds if z > lower
     )
-    return _adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds)
+    return Estimate(*_adaptive_gk(mapped, 0.0, 1.0, settings, t_seeds))
 
 
 def sine_transform_decaying(
@@ -384,7 +385,7 @@ def sine_transform_decaying(
     end: float,
     bandwidth: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> tuple[float, float]:
+) -> Estimate:
     """Integral of sin(k*zeta) * f(zeta) over [0, end], f a decaying kernel.
 
     f is a kernel as reltoa.ior transforms them: C/zeta at the origin (the
@@ -410,7 +411,7 @@ def sine_transform_decaying(
     periods = math.ceil(end / width)
     if periods > 16 * settings.max_subdivisions:
         raise QuadratureError(
-            f"sine transform at k = {k!r}: {periods} periods exceed 16 x max_subdivisions"
+            f"sine transform at k = {k!r}: {periods:.6g} periods exceed 16 x max_subdivisions"
         )
     slope = 3.0 * width
     sin = math.sin
@@ -430,7 +431,7 @@ def sine_transform_decaying(
         raise QuadratureError(
             f"sine transform at k = {k!r} is not finite (value={val!r}, err={err!r})"
         )
-    return val, err
+    return Estimate(val, err)
 
 
 # the tau rule's window: a node whose Gaussian exponent lies more than this
@@ -570,7 +571,7 @@ def integrate_sqrt_endpoint(
     centre: float,
     lam: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> tuple[float, float]:
+) -> Estimate:
     """int_a^inf exp(-lam (k - centre)^2) w(k) dk / sqrt(k^2 - a^2), a, lam > 0.
 
     Under k = a cosh(tau), dk/sqrt(k^2 - a^2) = dtau exactly, so the
@@ -630,8 +631,8 @@ def integrate_sqrt_endpoint(
     result and err are scaled back by e^-x_min, the err by one more step of
     2^-1074 for the final rounding.  From x_min = _TAU_ZERO = 800 on, the
     integral is below e^-800 times a tau-integral of w, which for a w
-    under e^50 is below half of 2^-1074: the result is exactly (0.0, 0.0),
-    with no call of w.
+    under e^50 is below half of 2^-1074: the result is exactly
+    Estimate(0.0, 0.0), with no call of w.
     QuadratureError is raised past _TAU_MAX_NODES nodes, where the sum is
     not finite, and where the window spans under 2^-30 of its end in k, or
     the step under 2^-30 of it in tau (packets some 1e8 times wider than
@@ -640,7 +641,7 @@ def integrate_sqrt_endpoint(
     # the tau = 0 node's exponent, in the nodes' own operations
     x_min = lam * (a - centre) * (a - centre) if centre < a else 0.0
     if x_min >= _TAU_ZERO:
-        return 0.0, 0.0
+        return Estimate(0.0, 0.0)
     # where exp(-x_min) underflows, the nodes take exp(shift - x) instead
     shift = x_min if math.exp(-x_min) == 0.0 else 0.0
     reach = math.sqrt((x_min + _TAU_CUT) / lam)
@@ -720,8 +721,8 @@ def integrate_sqrt_endpoint(
         if err <= settings.rel_tol * abs(value) + grid or trunc <= rounding:
             if shift:
                 # the scaled sum back on the grid 2^-1074: one more step
-                return _scaled(value, shift), _scaled(err, shift) + _MIN_SUBNORMAL
-            return value, err + grid
+                return Estimate(_scaled(value, shift), _scaled(err, shift) + _MIN_SUBNORMAL)
+            return Estimate(value, err + grid)
         if 2 * count > _TAU_MAX_NODES:
             raise QuadratureError(
                 f"tau rule needs more than {_TAU_MAX_NODES} nodes "

@@ -129,6 +129,19 @@ class TestScan:
         tail = vals[-10:]
         assert max(tail) - min(tail) < 0.15 * peak
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--vo", "0.3", "--sigma", "1e-300", "--steps", "2"],
+        ["scan", "--vo", "0.3", "--sigma", "1e300", "--steps", "2"],
+        ["point", "--vo", "0.3", "--sigma", "1e-300", "--ko", "1", "--qo=-1e302"],
+    ])
+    def test_extreme_sigma_exits_1_without_traceback(self, argv):
+        # sigma^2 underflows or 8 sigma^2 overflows in natural units: a
+        # configuration error that names sigma
+        out = fresh_run(argv, check=False)
+        err = out.stderr.decode()
+        assert out.returncode == 1, err
+        assert "Traceback" not in err and "sigma" in err, err
+
     def test_step_validation(self, capsys):
         code, _ = run_cli(capsys, "scan", "--vo", "0.3", "--sigma", "6", "--steps", "1")
         assert code == 1
@@ -296,6 +309,32 @@ class TestPoint:
             assert (by_key[key]["value"], by_key[key]["err"]) == ("---", "---")
         assert by_key[("rc", "momentum")]["value"] == "1.35453080663e-06"
 
+    def test_time_and_label_rows_print_the_library_outputs(self, capsys):
+        # the tau rows are traversal_time's Estimates and the classification
+        # row superluminal_classify's label and margin, each through fmt
+        code, out = run_cli(
+            capsys, "point", "--vo", "0.2", "--sigma", "0.5", "--ko", "2.0",
+            "--barrier-a", "-21.0", "--barrier-b", "-20.0",
+        )
+        assert code == 0
+        by_key = {(r["quantity"], r["method"]): r for r in parse_csv(out)}
+        packet = reltoa.GaussianPacket(q0=-31.0, sigma=0.5, k0=2.0)
+        taus = reltoa.traversal_time(packet, reltoa.BarrierSpec(v0=0.2, a=-21.0, b=-20.0))
+        for name, tau in zip(("tau_trav", "tau_plus", "tau_minus"), taus):
+            row = by_key[(name, "momentum")]
+            assert (row["value"], row["err"]) == (fmt(tau.value), fmt(tau.err)), name
+        label, margin = reltoa.superluminal_classify(packet, 0.2)
+        row = by_key[("classification", "momentum")]
+        assert (row["value"], row["err"]) == (label.value, fmt(margin))
+
+    def test_leakage_warning_prints_once(self):
+        # traversal_time and toa_difference both check the packet's support,
+        # from one source line, so the default filter shows it once
+        argv = ["point", "--vo", "0.2", "--sigma", "0.5", "--ko", "2", "--qo", "-22",
+                "--barrier-a", "-21", "--barrier-b", "-20"]
+        err = fresh_run(argv).stderr.decode()
+        assert err.count("UserWarning: packet tail closer than 5 sigma") == 1, err
+
     @pytest.mark.parametrize("ko", ["1e-100", "1e-300"])
     def test_tiny_k0_answers_every_row(self, capsys, ko):
         # the momentum route's strip width and the series route's switch
@@ -390,16 +429,21 @@ class TestConfig:
         assert len(rows) == 3
 
 
-def fresh_stdout(argv: list[str]) -> bytes:
-    """The stdout of `python -m reltoa.cli argv` in a new interpreter, run
-    from the repository root, against which the commands' paths resolve."""
+def fresh_run(argv: list[str], check: bool = True) -> subprocess.CompletedProcess:
+    """`python -m reltoa.cli argv` in a new interpreter, run from the
+    repository root, against which the commands' paths resolve."""
     src = str(pathlib.Path(reltoa.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "reltoa.cli", *argv],
-        capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, check=check, env={**os.environ, "PYTHONPATH": path},
         cwd=DATA.parent.parent,
-    ).stdout
+    )
+
+
+def fresh_stdout(argv: list[str]) -> bytes:
+    """The stdout of fresh_run(argv)."""
+    return fresh_run(argv).stdout
 
 
 # Reference outputs, which a refactor must reproduce byte for byte: each

@@ -21,7 +21,10 @@ from reltoa.kernels import (
     PhysicalParams,
     barrier_factor,
     branch_integral,
+    branch_transform,
+    fb_series,
     free_factor,
+    region_kernel,
 )
 from reltoa.numerics import (
     DEFAULT_SETTINGS,
@@ -31,6 +34,7 @@ from reltoa.numerics import (
     QuadratureSettings,
     SeriesDivergenceError,
     integrate_semiinf_exp,
+    integrate_sqrt_endpoint,
     sine_transform_decaying,
 )
 from reltoa.wavepacket import GaussianPacket, momentum_density, phi_overlap
@@ -1047,14 +1051,14 @@ class TestTraversalTime:
         packet = GaussianPacket(q0=-40.0, sigma=0.5, k0=2.0)
         tau, tau_plus, tau_minus = traversal_time(packet, self.barrier)
         t_c = self.barrier.length  # c = 1
-        assert tau == pytest.approx(1.32442 * t_c, abs=2e-4 * t_c)
-        assert tau == pytest.approx(tau_plus - tau_minus, rel=1e-14)
+        assert tau.value == pytest.approx(1.32442 * t_c, abs=2e-4 * t_c)
+        assert tau.value == pytest.approx(tau_plus.value - tau_minus.value, rel=1e-14)
 
     def test_instantaneous_regime(self):
         barrier = BarrierSpec(v0=0.3, a=-400.0, b=-399.0)
         packet = GaussianPacket(q0=-500.0, sigma=9.0, k0=0.19)
         tau, _, _ = traversal_time(packet, barrier)
-        assert abs(tau) < 1e-20 * barrier.length
+        assert abs(tau.value) < 1e-20 * barrier.length
 
     def test_plus_part_is_tau_top_average(self):
         # same integral, assembled independently (library route vs QUADPACK)
@@ -1076,6 +1080,94 @@ class TestTraversalTime:
         oracle, _ = scipy.integrate.quad(integrand, 0.0, 12.0, limit=400,
                                          epsabs=1e-13, epsrel=1e-12)
         assert mine == pytest.approx(oracle, rel=1e-9)
+
+
+    def test_scales_each_momentum_estimate_by_t_c(self):
+        # the errs of the momentum weights are carried, not dropped
+        packet = GaussianPacket(q0=-40.0, sigma=0.5, k0=2.0)
+        t_c = self.barrier.length
+        taus = traversal_time(packet, self.barrier)
+        weights = momentum_split(packet, self.barrier.v0)
+        assert taus == tuple(Estimate(t_c * w.value, t_c * w.err) for w in weights)
+        assert all(tau.err > 0.0 for tau in taus)
+
+
+class TestOneResultType:
+    """Every public value-and-err return, from the engines to the
+    traversal times, is an Estimate: a tuple that unpacks as value, err,
+    with the repr Estimate(value=..., err=...)."""
+
+    def test_every_value_and_err_is_an_estimate(self):
+        packet = GaussianPacket(q0=-40.0, sigma=0.5, k0=2.0)
+        barrier = BarrierSpec(v0=0.3, a=-21.0, b=-20.0)
+        results = {
+            "sine_transform_decaying": sine_transform_decaying(
+                lambda z: math.exp(-z), 1.0, 40.0, 0.0),
+            "integrate_semiinf_exp": integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0),
+            "integrate_sqrt_endpoint": integrate_sqrt_endpoint(lambda k: k, 1.0, 0.0, 1.0),
+            "branch_transform": branch_transform(0.3, ior._laplace_sine(packet), packet.k0),
+            "branch_integral": branch_integral(-0.3, 2.0, NATURAL_UNITS),
+            "free_factor": free_factor(2.0),
+            "barrier_factor": barrier_factor(-0.3, 2.0),
+            "fb_series": fb_series(-0.3, 2.0),
+            "region_kernel": region_kernel("III", -25.0, 2.0, barrier),
+            "ior_direct": ior_direct(packet, 0.3),
+            "ior_series": ior_series(packet, 0.3),
+            "ior_momentum": ior_momentum(packet, 0.3),
+            "qc_expectation": qc_expectation(packet),
+            "toa_difference": toa_difference(packet, barrier),
+        }
+        for name, part in (("traversal_time", traversal_time(packet, barrier)),
+                           ("momentum_split", momentum_split(packet, 0.3))):
+            assert len(part) == 3, name
+            results.update({f"{name}[{i}]": est for i, est in enumerate(part)})
+        for name, est in results.items():
+            assert type(est) is Estimate, name
+            value, err = est
+            assert (value, err) == (est.value, est.err), name
+            assert type(value) is float and type(err) is float, name
+            assert repr(est) == f"Estimate(value={value!r}, err={err!r})", name
+        assert repr(Estimate(1.5, 0.25)) == "Estimate(value=1.5, err=0.25)"
+
+
+class TestExtremeSigma:
+    """A natural sigma whose square underflows to 0, or where 8 sigma^2
+    overflows, is a configuration error on every route."""
+
+    barrier = BarrierSpec(v0=0.3, a=-2.0, b=-1.0)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-163, 5e153, 1e300])
+    def test_every_route_raises_a_typed_error(self, sigma):
+        packet = GaussianPacket(q0=-3.0 - 20.0 * sigma, sigma=sigma, k0=1.0)
+        calls = {
+            "ior_direct": lambda: ior_direct(packet, 0.3),
+            "ior_series": lambda: ior_series(packet, 0.3),
+            "ior_momentum": lambda: ior_momentum(packet, 0.3),
+            "momentum_split": lambda: momentum_split(packet, 0.3),
+            "qc_expectation": lambda: qc_expectation(packet),
+            "toa_difference": lambda: toa_difference(packet, self.barrier),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value).startswith(f"sigma {sigma!r} is {sigma!r} in natural"), name
+
+    def test_answers_just_inside_the_guard_stay(self):
+        # the series route and Q_c answer where only 1/(8 sigma^2) is inf
+        # (its Gaussians underflow in one piece) and near sigma ~ 2e153
+        tiny = GaussianPacket(q0=-3.0, sigma=2e-162, k0=1.0)
+        assert 0.0 < ior_series(tiny, 0.3).value < 1e-300
+        assert 0.0 < qc_expectation(tiny).value < 1e-300
+        wide = GaussianPacket(q0=-3.0, sigma=2e153, k0=1.0)
+        assert qc_expectation(wide).value == pytest.approx(math.sqrt(2.0), rel=1e-10)
+
+    def test_si_units_convert_before_the_check(self):
+        # sigma is checked in natural units: 1e-300 m is fine where hbar/(mu c)
+        # is 1e-300 m as well
+        params = PhysicalParams(mu=1.0, c=1.0, hbar=1e-300)
+        packet = GaussianPacket(q0=-3e-300, sigma=1e-300, k0=1e300)
+        natural = qc_expectation(GaussianPacket(q0=-3.0, sigma=1.0, k0=1.0))
+        assert qc_expectation(packet, params).value == pytest.approx(natural.value, rel=1e-12)
 
 
 class TestToaDifference:

@@ -309,7 +309,7 @@ class TestFbMomentForm:
             est = fb_series(v, zeta)
             assert abs(est.value - ref) <= est.err, zeta
             assert est.err <= 2e-13 * max(1.0, abs(est.value)), zeta
-            less, err = kernels._tb_core(v).fb(zeta, True)
+            less, err = fb_minus_one(v, zeta)
             assert abs(less - (ref - 1)) <= err, zeta
 
     @pytest.mark.parametrize("v", [-0.3, 0.3, -0.6])
@@ -362,7 +362,7 @@ class TestFbMomentForm:
 
         def bits(v0, zeta):
             est = fb_series(v0, zeta)
-            less, _err = kernels._tb_core(v0).fb(zeta, True)
+            less, _err = fb_minus_one(v0, zeta)
             moments = itertools.islice(fb_moments(v0), 100)
             return est.value.hex(), est.err.hex(), less.hex(), [d.hex() for d in moments]
 
@@ -483,7 +483,7 @@ class TestKernelFactorOracles:
             tb = barrier_factor(0.3, zeta)
             assert math.isfinite(tb.err), zeta
             assert abs(tb.value - float(fb_ref + mp_branch_oracle(0.3, zeta))) <= tb.err, zeta
-            less, err = kernels._tb_core(0.3).fb(zeta, True)
+            less, err = fb_minus_one(0.3, zeta)
             assert math.isfinite(err), zeta
             assert abs(less - float(fb_ref - 1)) <= err, zeta
 
@@ -593,10 +593,23 @@ def fb_rule_bound(vn: float, x: float, n: int, total: float, drop_unity: bool = 
     nodes = kernels._fb_nodes(vn, n)
     y_max = x * nodes[-1][0]
     if vn > 0.0:
-        return EPS * (6.0 + 6.0 * y_max) * (2.0 * math.cosh(y_max) if drop_unity else total)
+        # positive terms, each at most its weight times cosh(y_max); scaled
+        # by 2^-53 first, so that the bound stays finite where the sum does
+        size = 2.0 * EPS * math.cosh(y_max) if drop_unity else EPS * total
+        return (6.0 + 6.0 * y_max) * size
     c = [w * math.exp(ln_g) for _s, ln_g, w in nodes]
     scale = 6.0 * math.fsum(c) + 6.0 * x * math.fsum([c_k * s for c_k, (s, _g, _w) in zip(c, nodes)])
     return EPS * (scale + (12.0 + 6.0 * y_max) if drop_unity else scale)
+
+
+def fb_minus_one(vn: float, x: float) -> tuple[float, float]:
+    """F_B - 1 at natural zeta x as the gap sums it, its a-priori rule's
+    total(x, True), and that rule's rounding bound (fb_rule_bound); (0.0,
+    0.0) at vn = 0, where F_B is 1 with no rule."""
+    if not vn:
+        return 0.0, 0.0
+    less = kernels._tb_core(vn).rule(x).total(x, True)
+    return less, fb_rule_bound(vn, x, kernels._tb_core(vn).fb_size(x), less, drop_unity=True)
 
 
 def branch_rule_sum(a: float, x: float, level: int, gap: bool = False) -> float:
@@ -884,7 +897,7 @@ def gap_bound(vn: float, x: float, gap: float) -> float:
     F_B - 1's rounding bound (the core's fb), 2/pi times e^-x times the 1 - G_B
     rule's rounding bound (branch_rule_parts), and 2^-53 twice the scaled
     branch part and the gap, for the rounding of their 2/pi product and sum."""
-    fb_err = kernels._tb_core(vn).fb(x, True)[1]
+    fb_err = fb_minus_one(vn, x)[1]
     envelope = math.exp(-x)
     if envelope == 0.0:
         return fb_err + 2.0 * EPS * abs(gap)
@@ -932,9 +945,13 @@ def assert_rules_settled(vn: float, x: float) -> None:
     rules = (kernels._fb_rule(vn, n), kernels._FbRule(vn, 2 * n)) if n else ()
     for drop_unity in (False, True) if rules else ():
         try:
-            (value, rounding), (finer, _rounding) = (r.evaluate(x, drop_unity) for r in rules)
+            value, finer = (r.total(x, drop_unity) for r in rules)
         except SeriesDivergenceError:
             continue
+        # F_B's bound is the rule's own; F_B - 1 carries none, so the
+        # test's copy (fb_rule_bound) stands in
+        rounding = (fb_rule_bound(vn, x, n, value, True) if drop_unity
+                    else rules[0].evaluate(x)[1])
         assert abs(finer - value) <= rounding, ("F_B", drop_unity)
     if math.exp(-x) == 0.0:
         return
@@ -1059,7 +1076,7 @@ class TestHalfRuleValue:
         assert expected.startswith(outcome.__name__) if outcome else "Error" not in expected
         branch_size = kernels._tb_core(vn).branch_size
         expected_gap = _value_or_error(
-            lambda: -kernels._tb_core(vn).fb(x, True)[0]
+            lambda: -fb_minus_one(vn, x)[0]
             + TWO_OVER_PI * branch_rule_sum(abs(vn), x, branch_size(x)[0], True)
         )
         assert _value_or_error(lambda: barrier_free_gap(-vn, x)) == expected_gap
@@ -1236,7 +1253,9 @@ class TestFbExactSum:
 
         def evaluate(module, zeta):
             monkeypatch.setattr(kernels, "math", module)
-            val, err = kernels._tb_core(v).fb(zeta, drop_unity)
+            if drop_unity:  # the gap's F_B - 1, which carries no err
+                return kernels._tb_core(v).rule(zeta).total(zeta, True).hex()
+            val, err = kernels._tb_core(v).fb(zeta)
             return val.hex(), err.hex()
 
         for zeta in zetas:

@@ -418,6 +418,15 @@ class TestSineTransform:
         with pytest.raises(ValueError):
             sine_transform_decaying(lambda z: math.exp(-z), 0.0, 40.0, 0.0)
 
+    def test_period_cap_message_stays_short(self):
+        # a window of ~1.6e299 periods: the count prints in six digits, not 300
+        with pytest.raises(QuadratureError) as info:
+            sine_transform_decaying(lambda z: 1.0, 1.0, 1e300, 0.0)
+        assert str(info.value) == (
+            "sine transform at k = 1.0: 1.59155e+299 periods exceed 16 x max_subdivisions"
+        )
+        assert len(str(info.value)) < 200
+
     @given(
         st.floats(min_value=-3.0, max_value=3.0),
         st.floats(min_value=-3.0, max_value=3.0),
