@@ -60,12 +60,13 @@ def tau_plus_consistency(packet: GaussianPacket, barrier: BarrierSpec) -> tuple[
     """Return (tau_plus, independent weighted average of tau_top).
 
     The two numbers are the same integral assembled through different code
-    paths: the momentum-route plus weight against direct quadrature of
-    tau_top(k) * |psi(+k)|^2 above kappa_c, taken in u = sqrt(k - kappa_c)
-    as 2u times the k-form, whose threshold root is not factored out.
+    paths: traversal_time's tau_plus, t_c times the momentum-route plus
+    weight, against direct quadrature of tau_top(k) * |psi(+k)|^2 above
+    kappa_c, taken in u = sqrt(k - kappa_c) as 2u times the k-form, whose
+    threshold root is not factored out.
     """
     kc = kappa_c(barrier.v0)
-    _, plus, _ = momentum_split(packet, barrier.v0)
+    _, tau_plus, _ = traversal_time(packet, barrier)
 
     def g(u: float) -> float:
         k = kc + u * u
@@ -75,7 +76,7 @@ def tau_plus_consistency(packet: GaussianPacket, barrier: BarrierSpec) -> tuple[
     cores = (packet.k0 + j * packet.sigma_k for j in (-12, -8, -4, -2, -1, 0, 1, 2, 4, 8, 12))
     u_seeds = tuple(math.sqrt(k - kc) for k in cores if k > kc)
     avg, _err = integrate_semiinf_exp(g, 0.0, 0.0, seeds=u_seeds)
-    return barrier.length * plus.value, avg  # t_c = L / c with c = 1
+    return tau_plus.value, avg
 
 
 def nested_branch_transform(packet: GaussianPacket, v0: float) -> tuple[float, float]:
