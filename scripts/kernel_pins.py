@@ -43,8 +43,9 @@ call of the value method of the T_B core, which the direct route binds
 once per cell, with the F_B and branch-cut nodes each T_B value sums
 (direct_counts); ``reltoa.ior.ior_momentum``'s integrand evaluations on
 the momentum pin's cells (momentum_evals); and the J calls of Table 1's
-seven v0 = 0.3 series cells (TABLE1_SERIES_CELLS) and how many of them
-sum the Faddeeva function rather than J's Laplace expansion
+seven v0 = 0.3 series cells (TABLE1_SERIES_CELLS), how many of them
+sum the Faddeeva function, the terms of each cell's far form and the CPU
+time of a cold build of the branch transform's inverse-power sums
 (series_counts).  Every count comes from one profile-hook counter
 (counting), which counts the calls of named library functions and
 closures by their code objects and patches nothing.  Last, the residue
@@ -417,15 +418,30 @@ def momentum_evals(grid: dict) -> int:
     return calls[0]
 
 
-def series_counts(cells) -> tuple[int, int]:
-    """(J calls, Faddeeva calls) of ior_series over cells, each (sigma, v0,
-    k0): each call of every J that ior._laplace_sine returns, once for M_0
-    and once per node of the branch transform's rule, and those of them
-    that sum the Faddeeva function rather than J's Laplace expansion."""
+def series_counts(cells) -> tuple[int, int, list[int], dict[float, float]]:
+    """(J calls, Faddeeva calls, far terms, build seconds) of ior_series over
+    cells, each (sigma, v0, k0): each call of every J that ior._laplace_sine
+    returns, once for M_0 and once per node of the branch transform's rule
+    below the far form's z0, and those of them that sum the Faddeeva
+    function; the terms of each cell's far form (ior._laplace_far); and per
+    strength the best CPU seconds, of FB_ROUNDS, of a cold build of the
+    branch transform's inverse-power sums (kernels._far_sums), which the
+    cells then share."""
+    builds = {}
+    for v0 in sorted({v0 for _sigma, v0, _k0 in cells}):
+        size = kernels._transform_size(v0)
+        builds[v0] = math.inf
+        for _ in range(FB_ROUNDS):
+            kernels._FAR_SUMS.pop((v0, size[0]), None)
+            t0 = time.process_time()
+            kernels._far_sums(v0, *size)
+            builds[v0] = min(builds[v0], time.process_time() - t0)
     with counting("ior._laplace_sine.<locals>.j", "numerics.faddeeva") as counts:
         for sigma, v0, k0 in cells:
             ior_series(_packet(sigma, k0), v0)
-    return tuple(counts)
+    terms = [len(ior._laplace_far(ior._natural_packet(_packet(sigma, k0), NATURAL_UNITS))[1])
+             for sigma, _v0, k0 in cells]
+    return counts[0], counts[1], terms, builds
 
 
 def fb_timing(v: float, zeta: float) -> tuple[int, list[float]]:
@@ -495,9 +511,11 @@ def main() -> int:
           f"{len(WIDE_DIRECT_CELLS)}")
     print(f"ior_momentum: {momentum_evals(MOMENTUM_GRID)} integrand evaluations on the "
           f"momentum pin's {len(grid_cells(MOMENTUM_GRID))} cells")
-    j_calls, faddeeva_calls = series_counts(TABLE1_SERIES_CELLS)
+    j_calls, faddeeva_calls, terms, builds = series_counts(TABLE1_SERIES_CELLS)
     print(f"ior_series: {j_calls} J calls, {faddeeva_calls} of them Faddeeva calls, on "
-          f"Table 1's {len(TABLE1_SERIES_CELLS)} series cells at v0 = 0.3")
+          f"Table 1's {len(TABLE1_SERIES_CELLS)} series cells at v0 = 0.3; far-form terms "
+          f"per cell {', '.join(map(str, terms))}; inverse-power sums built in "
+          + ", ".join(f"{1e3 * cpu:.3f} ms at v0 = {v0}" for v0, cpu in builds.items()))
     for v, zeta in FB_POINTS:
         intervals, (fb_cpu, tb_cpu, value_cpu) = fb_timing(v, zeta)
         print(f"v={v:+.1f} zeta={zeta:5.1f}: {intervals:4d} F_B intervals, "

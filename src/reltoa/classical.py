@@ -25,6 +25,7 @@ from reltoa.kernels import (
     BarrierSpec,
     PhysicalParams,
     branch_transform,
+    lorentzian_far,
 )
 from reltoa.numerics import SeriesDivergenceError
 
@@ -247,5 +248,6 @@ def rc_series_resummation(
                 f"R_c resummation leaves the float range at j = {j} "
                 f"(p0={p0!r}, v0={v0!r}, j_max={j_max})"
             )
-    br, _err = branch_transform(v0 / params.rest_energy, lambda z: x / (z * z + x), x)
+    br, _err = branch_transform(
+        v0 / params.rest_energy, lambda z: x / (z * z + x), x, lorentzian_far(x))
     return series + br

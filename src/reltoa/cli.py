@@ -30,6 +30,7 @@ from reltoa.kernels import (
     barrier_factor,
     branch_transform,
     free_factor,
+    lorentzian_far,
     momentum_kernel_f,
     momentum_kernel_g,
 )
@@ -389,8 +390,9 @@ def limit_checks(params: PhysicalParams, settings: QuadratureSettings):
     for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
         # int_1^inf sqrt(z^2-1)/z a^2/(a^2 + b^2 z^2) dz, by the branch
         # rule at G_B = 1, which carries a factor 2/pi
+        x = (a / b) ** 2
         val, _ = branch_transform(
-            0.0, lambda z, a=a, b=b: a * a / (a * a + b * b * z * z), (a / b) ** 2
+            0.0, lambda z, a=a, b=b: a * a / (a * a + b * b * z * z), x, lorentzian_far(x)
         )
         val *= 0.5 * math.pi
         ref = 0.5 * math.pi * (-1.0 + math.sqrt(1.0 + (a / b) ** 2))

@@ -13,10 +13,12 @@ computed by three independent routes that must agree,
                taken as one z-integral (kernels.branch_transform, one
                trapezoid rule sized from the strength alone) of the sine
                transform J(z) of Phi(zeta) exp(-z zeta) in closed form:
-               the Faddeeva function at small z and, from a per-packet
-               switch point up, J's Laplace expansion in 1/(z - i k0),
-               whose remainder bound keeps it exact to rounding
-               (_laplace_sine); it runs no oscillatory quadrature,
+               the Faddeeva function at small z (_laplace_sine) and, from
+               a per-packet far point up, J's Laplace expansion in inverse
+               powers of z, whose remainder bounds keep it exact to
+               rounding (_laplace_far), summed over the rule's far nodes
+               from per-strength inverse-power sums; it runs no
+               oscillatory quadrature,
   * momentum - the closed half-line momentum integrals above kappa_c, in
                k = kappa_c cosh(tau), where the crossing weight's threshold
                root cancels exactly, each on one trapezoid rule whose step
@@ -41,6 +43,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from typing import Callable, Iterator
 
 from reltoa.classical import kappa_c
@@ -48,6 +51,7 @@ from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
+    _FAR_TERMS,
     _tb_core,
     branch_transform,
     fb_moments,
@@ -185,17 +189,28 @@ def ior_direct(
     )
 
 
-# the most terms of J's Laplace expansion that _laplace_sine sums
+# J's Laplace expansion past its switch point takes the terms m < 8
 _LAPLACE_TERMS = 8
-# per M = 1 .. _LAPLACE_TERMS, the packet-free parts of _laplace_switch:
-# M, lgamma(2M + 1), lgamma(M + 1) and ln(2M + 1)
-_SWITCH_TERMS = tuple(
-    (m, math.lgamma(2 * m + 1), math.lgamma(m + 1), math.log(2 * m + 1))
-    for m in range(1, _LAPLACE_TERMS + 1)
-)
+# the packet-free parts of _laplace_switch at M = _LAPLACE_TERMS:
+# lgamma(2M + 1), lgamma(M + 1) and ln(2M + 1)
+_SWITCH_LOGS = (math.lgamma(17), math.lgamma(9), math.log(17))
 _LOG_2_55 = 55.0 * math.log(2.0)
-# 2q - 1 for q = 1 .. _LAPLACE_TERMS - 1, the Horner factors over -2a
-_HORNER_ODDS = tuple(2.0 * q - 1.0 for q in range(1, _LAPLACE_TERMS))
+# per p = 1 .. _FAR_TERMS + 1, C(2p - 1, 2m) (2m)!/m! for m < min(p, 8):
+# e_p = (-1)^(p-1) k0^(2p-1) sum_m of them times y^m, y = a/k0^2 (_laplace_far)
+_WATSON_ROWS = tuple(
+    tuple(float(math.comb(2 * p - 1, 2 * m) * math.factorial(2 * m) // math.factorial(m))
+          for m in range(min(p, _LAPLACE_TERMS)))
+    for p in range(1, _FAR_TERMS + 2)
+)
+# per p, (2p + 1) 2p/((2p - 13)(2p - 14)): times kappa^2 = k0^2/z^2 it bounds
+# |e_(p+1)|/(|e_p| z^2) once p >= 8 (0 below, where no remainder is taken)
+_WATSON_RATIOS = tuple(
+    (2 * p + 1) * 2 * p / ((2 * p - 13) * (2 * p - 14)) if p >= 8 else 0.0
+    for p in range(1, _FAR_TERMS + 2)
+)
+_LOG_2_58 = 58.0 * math.log(2.0)
+# the least k0 of a far form: k0^33 >= 2^-990 stays a normal float
+_FAR_LEAST_K0 = 2.0 ** -30
 
 
 def _exp_or_inf(x: float) -> float:
@@ -206,33 +221,26 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _laplace_switch(a: float, k0: float) -> list[tuple[float, tuple[float, ...]]]:
-    """(z_M, Horner factors) for M = 1 .. _LAPLACE_TERMS: the M-term
-    expansion of J is exact to rounding from z_M up.
+def _laplace_switch(a: float, k0: float) -> float:
+    """z_8: from here up the 8-term Laplace expansion of J is exact to
+    rounding, at a = 1/(8 sigma^2) and k0 of a natural packet.
 
-    E_M <= (a^M/M!) (2M)!/z^(2M+1) meets 2^-55 k0/z^2 from
-    z^(2M-1) = 2^55 a^M (2M)!/(M! k0) up, and the bound
-    (a^M/M!) k0 (2M+1)!/z^(2M+2) meets it from
-    z^(2M) = 2^55 a^M (2M+1)!/M! up; z_M is the lesser, but no less than
-    sqrt(2 (k0^2 + 6 a)), where J >= k0/(2 z^2).  It is raised by 2^-40 of
-    itself against the rounding of the logs.  A bound past the float range
-    (k0 below ~1e-292 at sigma 0.5) is taken as +inf, which z never
-    reaches.  The first z_M that z reaches names the least M; the factors
-    are the -2 a (2q - 1) of q = M-1 .. 1.
-    The log-gammas, ln(2M + 1) and 2q - 1 are module constants
-    (_SWITCH_TERMS, _HORNER_ODDS), each in its place in the sums and
-    products that use it, so that every z_M and factor keeps its bits.
+    E_8 <= (a^8/8!) 16!/z^17 meets 2^-55 k0/z^2 from
+    z^15 = 2^55 a^8 16!/(8! k0) up, and the bound
+    (a^8/8!) k0 17!/z^18 meets it from z^16 = 2^55 a^8 17!/8! up; z_8 is
+    the lesser, but no less than sqrt(2 (k0^2 + 6 a)), where
+    J >= k0/(2 z^2).  It is raised by 2^-40 of itself against the rounding
+    of the logs.  A bound past the float range (k0 below ~1e-292 at
+    sigma 0.5) is taken as +inf, which z never reaches.  The log-gammas and
+    ln 17 are module constants (_SWITCH_LOGS), in their places in the sums
+    that use them, so that z_8 keeps its bits.
     """
     floor = math.sqrt(2.0 * (k0 * k0 + 6.0 * a))
-    log_k0, log_a = math.log(k0), math.log(a)
-    factors = [-2.0 * a * odd for odd in _HORNER_ODDS]
-    switch = []
-    for m, log_2m_fact, log_m_fact, log_2m1 in _SWITCH_TERMS:
-        log_c = _LOG_2_55 + m * log_a + log_2m_fact - log_m_fact
-        z_m = min(_exp_or_inf((log_c - log_k0) / (2 * m - 1)),
-                  _exp_or_inf((log_c + log_2m1) / (2 * m)))
-        switch.append((max(z_m, floor) * (1.0 + 2.0 ** -40), tuple(reversed(factors[:m - 1]))))
-    return switch
+    log_2m_fact, log_m_fact, log_2m1 = _SWITCH_LOGS
+    log_c = _LOG_2_55 + _LAPLACE_TERMS * math.log(a) + log_2m_fact - log_m_fact
+    z_m = min(_exp_or_inf((log_c - math.log(k0)) / (2 * _LAPLACE_TERMS - 1)),
+              _exp_or_inf((log_c + log_2m1) / (2 * _LAPLACE_TERMS)))
+    return max(z_m, floor) * (1.0 + 2.0 ** -40)
 
 
 def _laplace_sine(packet: GaussianPacket) -> Callable[[float], float]:
@@ -241,56 +249,104 @@ def _laplace_sine(packet: GaussianPacket) -> Callable[[float], float]:
 
     With Phi = exp(-a zeta^2), a = 1/(8 sigma^2), this closes to
     Im[(1/2) sqrt(pi/a) w((k0 + i z) / (2 sqrt(a)))], w the Faddeeva
-    function.  J > 0 for every z >= 0: a decreasing weight under
-    sin(k0 zeta) leaves each positive half-period ahead of the next.
-
-    Where z is large J is taken instead from its Laplace (Watson) expansion,
-    the Taylor series of exp(-a zeta^2) integrated term by term:
-
-      J = sum_{m<M} (-a)^m (2m)!/m! Im (z - i k0)^-(2m+1) + E_M,
-
-    summed by Horner's rule in r = (z - i k0)^-2.  e^-x's alternating
-    Taylor remainder is at most x^M/M!, and |sin(k0 zeta)| <= min(1,
-    k0 zeta), so |E_M| <= (a^M/M!) min((2M)!/z^(2M+1),
-    k0 (2M+1)!/z^(2M+2)).  And J >= k0/(z^2 + k0^2) - 6 a k0/z^4 >=
-    k0/(2 z^2) wherever z^2 >= 2 (k0^2 + 6 a).  The expansion takes the
-    least M <= 8 whose E_M is at most 2^-54 of that lower bound
-    (_laplace_switch, once per packet), so it departs from J by 2^-54 of J
-    plus its rounding (3.8 units of roundoff at most against mpmath, 8 in
-    the tests); below
-    the least switch point, and at J(0), w is summed.  Both forms lie
-    within FADDEEVA_IM_REL_ERR of J.  On Table 1's seven series cells,
-    131 of 1,134 J calls sum w.
+    function, which J sums at every z, within FADDEEVA_IM_REL_ERR of J.
+    J > 0 for every z >= 0: a decreasing weight under sin(k0 zeta) leaves
+    each positive half-period ahead of the next.  The series route and Q_c
+    call it at z = 0 and below the packet's far point (_laplace_far), past
+    which the branch transform sums J's far form instead: on Table 1's
+    seven series cells, 131 calls, against 1,134 when every node of the
+    branch rule called J.
     """
     sigma, k0 = packet.sigma, packet.k0
     root = math.sqrt(2.0) * sigma  # 1/(2 sqrt(a))
     pref = math.sqrt(2.0 * math.pi) * sigma  # (1/2) sqrt(pi/a)
     re_arg = k0 * root
-    switch = _laplace_switch(1.0 / (8.0 * sigma * sigma), k0)
 
     def j(z: float) -> float:
-        for z_m, factors in switch:
-            if z >= z_m:
-                w = 1.0 / complex(z, -k0)
-                r = w * w
-                acc = 1.0
-                for factor in factors:
-                    acc = 1.0 + factor * r * acc
-                return (w * acc).imag
         return pref * faddeeva(complex(re_arg, root * z)).imag
 
     return j
 
 
-def _branch_transform(j: Callable[[float], float], k0: float, vn: float) -> Estimate:
-    # sine transform of the branch-cut term of T_B(-v0, zeta) times Phi, at
-    # strength vn, which the series route adds to its residue moments, with
-    # the zeta integral taken first in closed form: (2/pi) int_1^inf h(z)
-    # J(z) dz, J = j from _laplace_sine of a natural packet of wavenumber
-    # k0.  |sin(k0 zeta)| <= k0 zeta and Phi <= 1 give J(z) <= k0/z^2.
-    # h >= 0 and J > 0, so J's error is at most its relative bound times
-    # |val|.
-    val, err = branch_transform(vn, j, k0)
+def _laplace_far(packet: GaussianPacket) -> tuple[float, tuple[float, ...]]:
+    """J's far form for kernels.branch_transform, for a natural packet:
+    (z0, (e_1, .., e_P)), with J(z) = sum_p e_p z^-2p from z0 up to within
+    (2^-54 + 2^-56) of J's lower bound k0/(2 z^2).
+
+    Past z_8 (_laplace_switch) J is its Laplace (Watson) expansion,
+
+      J = sum_{m<8} (-a)^m (2m)!/m! Im (z - i k0)^-(2m+1) + E_8,
+
+    the Taylor series of exp(-a zeta^2) integrated term by term:
+    e^-x's alternating Taylor remainder is at most x^8/8!, and
+    |sin(k0 zeta)| <= min(1, k0 zeta), so |E_8| <= (a^8/8!) min(16!/z^17,
+    k0 17!/z^18), at most 2^-54 of k0/(2 z^2) from z_8 up; and
+    J >= k0/(z^2 + k0^2) - 6 a k0/z^4 >= k0/(2 z^2) wherever
+    z^2 >= 2 (k0^2 + 6 a), which z_8 keeps.  Each term, expanded
+    binomially in kappa = k0/z <= 1/sqrt(2), gives
+
+      e_p = (-1)^(p-1) k0^(2p-1) sum_{m < min(p, 8)} C(2p - 1, 2m) (2m)!/m! y^m,
+
+    y = a/k0^2: the Watson coefficients of sin(k0 zeta) times the 8 terms of
+    exp(-a zeta^2), all of one sign, which alternates with p.  Once p >= 8
+    each |e_(p+1)|/(|e_p| z^2) is at most q_p = (2p + 1) 2p/((2p - 13)(2p -
+    14)) kappa^2, so the terms past P sum to at most |e_(P+1)| z^-2(P+1)/(1
+    - q_(P+1)).  P is the least from 8 up at which that is at most 2^-56 of
+    k0/(2 z^2) at z0 = max(z_8, 1), the least z of a branch node; where 16
+    terms do not get there, z0 is raised to where they do, with q_17 <= 1/2.
+    Both bounds fall with z faster than k0/(2 z^2), so they hold past z0.
+    Each e_p is k0^(2p-1), a normal float for k0 from 2^-30 (~9.3e-10) up,
+    times a sum of positive products from 1 up, within a few units of
+    roundoff of it where y^7 <= 2^960 (sigma k0 above ~1e-21): a power of y
+    that underflows moves the sum by under 2^-1000.  Elsewhere, and where
+    z0 or a coefficient passes the float range, z0 is +inf, with no
+    coefficients, and J is summed at every node.
+    """
+    sigma, k0 = packet.sigma, packet.k0
+    a = 1.0 / (8.0 * sigma * sigma)
+    start = max(_laplace_switch(a, k0), 1.0)
+    if not (start < math.inf and k0 >= _FAR_LEAST_K0):
+        return math.inf, ()
+    y_powers = list(itertools.accumulate(itertools.repeat(a / (k0 * k0), _LAPLACE_TERMS - 1),
+                                         operator.mul, initial=1.0))
+    if not y_powers[-1] <= 2.0 ** 960:
+        return math.inf, ()
+    odd = list(itertools.accumulate(itertools.repeat(k0 * k0, _FAR_TERMS), operator.mul,
+                                    initial=k0))
+    kappa2 = (k0 / start) ** 2
+    inverse_square = 1.0 / (start * start)
+    coeffs = []
+    scale = 1.0  # z0^-2(p-1)
+    for p, (row, ratio, power) in enumerate(zip(_WATSON_ROWS, _WATSON_RATIOS, odd), start=1):
+        e_p = power * sum(map(operator.mul, row, y_powers))
+        q = ratio * kappa2
+        if p > _LAPLACE_TERMS and q < 1.0 and e_p * scale <= 2.0 ** -57 * k0 * (1.0 - q):
+            break
+        coeffs.append(e_p if p % 2 else -e_p)
+        scale *= inverse_square
+    else:  # 16 terms: z0 is raised to where q_17 <= 1/2 and the remainder holds
+        e_p = abs(coeffs.pop())
+        start = max(start, k0 * math.sqrt(2.0 * _WATSON_RATIOS[-1]), _exp_or_inf(
+            (math.log(e_p) - math.log(k0) + _LOG_2_58) / (2 * _FAR_TERMS))) * (1.0 + 2.0 ** -40)
+    # only a k0 above 1 can overflow a coefficient, and then the last is the largest
+    if not (start < math.inf and abs(coeffs[-1]) < math.inf):
+        return math.inf, ()
+    return start, tuple(coeffs)
+
+
+def _branch_transform(j: Callable[[float], float], packet: GaussianPacket, vn: float) -> Estimate:
+    """The sine transform of the branch-cut term of T_B(-v0, zeta) times Phi
+    at strength vn, which the series route adds to its residue moments,
+    with the zeta integral taken first in closed form: (2/pi) int_1^inf
+    h(z) J(z) dz for a natural packet, with J = j (_laplace_sine) below
+    its far point and J's far form (_laplace_far) from there.
+
+    |sin(k0 zeta)| <= k0 zeta and Phi <= 1 give J(z) <= k0/z^2.  h >= 0
+    and J > 0, so J's error, w's within FADDEEVA_IM_REL_ERR of J or the far
+    form's within 2^-54 + 2^-56 of it, is at most FADDEEVA_IM_REL_ERR
+    |val|, which the err adds to the branch transform's.
+    """
+    val, err = branch_transform(vn, j, packet.k0, _laplace_far(packet))
     return Estimate(val, err + FADDEEVA_IM_REL_ERR * abs(val))
 
 
@@ -324,7 +380,11 @@ def ior_series(
     Converges for packets dominated by above-barrier components; for wide
     packets (narrow momentum spread below the threshold) the moment series
     blows up and SeriesDivergenceError is raised, mirroring the regime
-    where this representation stops converging.
+    where this representation stops converging.  M_0 is J(0); the branch
+    transform calls J at the ~18 nodes of its rule below the packet's far
+    point z0, about z_8 (~32 at sigma 0.5), and sums the rest from J's far
+    form (_branch_transform): 19 J calls a Table 1 cell, against 162 when
+    every node called J.
     """
     vn = _require_subcritical(v0, params)
     packet = _natural_packet(packet, params)
@@ -379,7 +439,7 @@ def ior_series(
         raise SeriesDivergenceError(
             "sine-moment series lost all precision to cancellation"
         )
-    br, br_err = _branch_transform(j, packet.k0, vn)
+    br, br_err = _branch_transform(j, packet, vn)
     return Estimate(total + br, br_err + max_term * 1e-15 + settings.abs_tol)
 
 
@@ -390,14 +450,29 @@ def ior_series(
 _SKIP_FLOOR = 2.0 ** -1000
 
 
-def _momentum_threshold(v0: float, params: PhysicalParams) -> tuple[float, float]:
-    """The strength and natural kappa_c of a checked momentum-route barrier."""
+# the least natural sigma of the momentum route: below ~7.3e-77 the tau
+# rule's strip bound forms width^4 = (2 sigma^2 cos 2d)^-2, d <= 0.75, past
+# the float range (numerics._strip_bound)
+_MOMENTUM_MIN_SIGMA = 1e-76
+
+
+def _momentum_cell(
+    packet: GaussianPacket, v0: float, params: PhysicalParams,
+) -> tuple[GaussianPacket, float, float]:
+    """The natural packet, strength and natural kappa_c of a checked
+    momentum-route cell: 0 < v0 < mu c^2, and the packet's natural sigma
+    at least _MOMENTUM_MIN_SIGMA (ValueError below)."""
     vn = _require_subcritical(v0, params)
     if vn == 0.0:
         # no barrier: the threshold collapses and R_c degenerates to the
         # free-flight weight; treat via a vanishing-height limit instead
         raise ValueError("ior_momentum requires v0 > 0; use qc_expectation for v0 = 0")
-    return vn, kappa_c(vn)
+    natural = _natural_packet(packet, params)
+    if natural.sigma < _MOMENTUM_MIN_SIGMA:
+        raise ValueError(f"sigma {packet.sigma!r} is {natural.sigma!r} in natural units, below "
+                         f"{_MOMENTUM_MIN_SIGMA!r}, where the momentum route's tau rule "
+                         f"leaves the float range")
+    return natural, vn, kappa_c(vn)
 
 
 def ior_momentum(
@@ -414,8 +489,7 @@ def ior_momentum(
     can change by a bit.  A bound under 2^-1000 counts as 2^-1000
     (_SKIP_FLOOR), where the tau rule's subnormal sums cannot reach.
     """
-    vn, kc = _momentum_threshold(v0, params)
-    packet = _natural_packet(packet, params)
+    packet, vn, kc = _momentum_cell(packet, v0, params)
     plus = _weight(packet, vn, settings, kc, +1)
     bound = max(_minus_bound(packet, vn, kc), _SKIP_FLOOR)
     if bound <= 0.25 * math.ulp(plus.value) and bound <= 0.25 * math.ulp(plus.err):
@@ -438,6 +512,8 @@ def _minus_bound(packet: GaussianPacket, vn: float, kc: float) -> float:
                [(1 + vn) Gamma(1/2) lam^(-1/2) + Gamma(3/2) lam^(-3/2)],
 
     formed under one exp, so that only the last rounding can underflow.
+    Where lam^(3/2) underflows to 0 (k0 and kappa_c near 1e-150 and below)
+    there is no bound: it is +inf, and ior_momentum sums the -k weight.
     Dropping e^(-2 sigma^2 s^2) alone keeps it well above the integral:
     over 3,282 cells in three unit systems whose -k weight is a normal
     float, the weight was at most 0.99953 of it and its err 6e-5 of it.
@@ -446,10 +522,13 @@ def _minus_bound(packet: GaussianPacket, vn: float, kc: float) -> float:
     d = kc + packet.k0
     lam = 4.0 * s2 * d
     top = 1.0 + vn
-    factor = math.sqrt(2.0 * s2 / math.pi) * math.sqrt(top / (2.0 * kc)) * (
-        top * math.sqrt(math.pi / lam)
-        + 0.5 * math.sqrt(math.pi) / (lam * math.sqrt(lam))
-    )
+    try:
+        factor = math.sqrt(2.0 * s2 / math.pi) * math.sqrt(top / (2.0 * kc)) * (
+            top * math.sqrt(math.pi / lam)
+            + 0.5 * math.sqrt(math.pi) / (lam * math.sqrt(lam))
+        )
+    except ZeroDivisionError:  # lam^(3/2) underflows to 0: no bound, the weight is summed
+        return math.inf
     return math.exp(math.log(factor) - 2.0 * s2 * d * d)
 
 
@@ -539,8 +618,7 @@ def momentum_split(
     weight of a few steps of 2^-1074 keeps its value and an err of at
     least one step.
     """
-    vn, kc = _momentum_threshold(v0, params)
-    packet = _natural_packet(packet, params)
+    packet, vn, kc = _momentum_cell(packet, v0, params)
     plus = _weight(packet, vn, settings, kc, +1)
     minus = _weight(packet, vn, settings, kc, -1)
     return Estimate(plus.value - minus.value, plus.err + minus.err), plus, minus
@@ -556,15 +634,16 @@ def qc_expectation(
     sqrt(1 + (hbar k0)^2/(mu c)^2) for packets wide in position.  There is
     no barrier dependence by construction.  With T_F's branch integral
     taken outermost this is k0 [J(0) + (2/pi) int_1^inf sqrt(z^2-1)/z J(z) dz],
-    J from _laplace_sine: the series route's branch transform at G_B = 1.
-    J(0) is closed and the branch transform one rule sized a priori from
-    the strength (h = 2^-3 at zero height), so it takes no settings.  The
-    err is k0 times the branch transform's err plus the Faddeeva bound on
-    J(0).
+    J from _laplace_sine below its far point and from its far form
+    (_laplace_far) past it: the series route's branch transform at
+    G_B = 1.  J(0) is closed and the branch transform one rule sized a
+    priori from the strength (h = 2^-3 at zero height), so it takes no
+    settings.  The err is k0 times the branch transform's err plus the
+    Faddeeva bound on J(0).
     """
     packet = _natural_packet(packet, params)
     j = _laplace_sine(packet)
-    branch, branch_err = _branch_transform(j, packet.k0, 0.0)
+    branch, branch_err = _branch_transform(j, packet, 0.0)
     j0 = j(0.0)
     return Estimate(
         packet.k0 * (j0 + branch),

@@ -42,15 +42,18 @@ nodes are cached per (|v|/(mu c^2), m) and extended lazily; m is sized a
 priori, from the strength and zeta for the Laplace integrals
 (_TbCore.branch_size) and from the strength alone for the branch
 transform (branch_transform).  A value sums only the nodes its arguments select,
-however far the lists were extended.
+however far the lists were extended.  The branch transform calls its j
+only below the point where j's far form, a sum of inverse powers
+e_p z^-2p, takes over, and sums the nodes past it as sum_p e_p S_p from
+the rule's inverse-power sums S_p, built once per strength (_far_sums).
 
 Each err is a closed form of the value pieces: F_B's is its rule's
 rounding bound, a few operations on the rule's cached weight sums; the
 branch term's is a fixed multiple of its value, the rule's rounding bound
 at the Laplace mean of x (z - 1), which stays below 3/2
 (_TbCore.branch_term); where T_B skips the branch-cut sum it is B (below); and the branch
-transform's is its sum's rounding bound plus a bound on the tail past its
-last node.  That rounding bound bounds the error because of the a-priori
+transform's is its sum's rounding bound, with the far sum's own, plus a
+bound on the tail past its last node.  That rounding bound bounds the error because of the a-priori
 sizing: each rule is exact to rounding, its sum within its own rounding
 bound of the rule with twice the nodes, which the tests check over |v| < 1
 and zeta up to 750 (assert_rules_settled in the kernel tests), and the
@@ -83,7 +86,9 @@ quadrature setting.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -109,6 +114,7 @@ __all__ = [
     "fb_series",
     "barrier_factor",
     "branch_transform",
+    "lorentzian_far",
     "barrier_free_gap",
     "region_kernel",
     "momentum_kernel_f",
@@ -476,8 +482,43 @@ def _branch_negligible(a: float, x: float, fb_val: float) -> bool:
 # the branch rule's step changes form at x = 8*37/pi^2 (~30); see branch_size
 _PI_SQUARED = math.pi**2
 _STEP_SWITCH = 8.0 * 37.0 / _PI_SQUARED
+# the level of the step h/2 at x -> 0 (h -> pi^2/37), and the last level
+# whose breakpoint _level_breaks finds; past e^-x's underflow (x ~ 745),
+# where every branch-cut sum is 0, the level is 7
+_LEAST_LEVEL = 3
+_LAST_LEVEL = 8
 # from here up the branch rule's last s^2 is finite (see branch_size)
 _FINITE_S2_X = 1e-140
+
+
+def _step_level(x: float) -> int:
+    """The level of the step h/2 of the branch-cut rule at natural zeta x,
+    from h itself (_TbCore.branch_size)."""
+    step = (_PI_SQUARED / (37.0 + x * _PI_SQUARED / 8) if x <= _STEP_SWITCH
+            else 0.73 / math.sqrt(x))
+    return math.ceil(-math.log2(0.5 * step))
+
+
+@functools.cache
+def _level_breaks() -> tuple[float, ...]:
+    """The least float x at which _step_level reaches each level from
+    _LEAST_LEVEL + 1 to _LAST_LEVEL, found on first use.
+
+    _step_level does not fall as x grows, so its level at x is
+    _LEAST_LEVEL plus the breakpoints at or below x.  Each is walked, a
+    float at a time, from its closed form: h = 2^(2 - L), at
+    x = 8 (4 pi^2 - 37)/pi^2 for L = 4 and x = (0.73 2^(L-2))^2 beyond.
+    """
+    breaks = []
+    for level in range(_LEAST_LEVEL + 1, _LAST_LEVEL + 1):
+        x = 8.0 * (4.0 * _PI_SQUARED - 37.0) / _PI_SQUARED if level == 4 else (
+            0.73 * 2.0 ** (level - 2)) ** 2
+        while _step_level(x) >= level:
+            x = math.nextafter(x, 0.0)
+        while _step_level(x) < level:
+            x = math.nextafter(x, math.inf)
+        breaks.append(x)
+    return tuple(breaks)
 
 
 # per (vn, level): the node columns (w, c, d) over k = 1, 2, ...
@@ -528,18 +569,87 @@ def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> Estimate:
     return Estimate(*_tb_core(vn).branch_term(x))
 
 
+# the most inverse-power terms of a far form that branch_transform sums
+_FAR_TERMS = 16
+
+
+# per (vn, level): the branch transform's rule over its count nodes as
+# (z, c, sums, spread), z_k = 1 + w_k, the weights c_k, and per node K the
+# row of S_p(K) = sum_{K <= k < count} c_k z_k^-2p, p = 1 .. _FAR_TERMS,
+# and the ratio B_1(K)/S_1(K) that bounds their rounding (_far_sums)
+_FAR_SUMS: dict[tuple[float, int], tuple[tuple, tuple, tuple, tuple]] = {}
+# per p, the units of roundoff per unit of |e_p| S_p(K) besides the spread:
+# 3p for c_k z_k^-2p, one for the product with e_p and one for all second-order terms
+_FAR_UNITS = tuple(3.0 * p + 2.0 for p in range(1, _FAR_TERMS + 1))
+
+
+def _transform_size(vn: float) -> tuple[int, int]:
+    """(level, count) of branch_transform's rule at strength vn = |v|/(mu c^2):
+    h = 2^-2 from vn = 0.1 up and 2^-3 below, out to u = 40 + ln(1/delta)."""
+    level = 2 if vn >= 0.1 else 3
+    return level, int((40.0 - math.log(1.0 - vn)) * (1 << level))
+
+
+def _far_sums(vn: float, level: int, count: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The cached inverse-power sums of the branch transform's rule of
+    strength vn at level, count nodes: a pure function of (vn, level),
+    since count is one, built once and shared through setdefault.
+
+    Each c_k z_k^-2p is c_k times 1/(z_k z_k) p times, within 3p units of
+    roundoff, and each S_p(K) is summed from the last node down, so its
+    rounding is at most 2^-53 times the sum B_p(K) of the partial sums it
+    passed.  B_p(K)/S_p(K) is the mean of k - K + 1 under the terms of
+    S_p(K), which z_k^-2 weights further toward K at each p, so the
+    spread B_1(K)/S_1(K) bounds it at every p.
+    """
+    entry = _FAR_SUMS.get((vn, level))
+    if entry is None:
+        w, c, _d = _branch_nodes(vn, level, count)
+        zs = tuple(map((1.0).__add__, w[:count]))
+        inverse_squares = [1.0 / (z * z) for z in reversed(zs)]
+        terms = c[count - 1::-1]
+        sums = []
+        for _p in range(_FAR_TERMS):
+            terms = list(map(operator.mul, terms, inverse_squares))
+            sums.append(list(itertools.accumulate(terms)))
+        spread = map(operator.truediv, itertools.accumulate(sums[0]), sums[0])
+        entry = _FAR_SUMS.setdefault((vn, level), (
+            zs, c[:count], tuple(zip(*sums))[::-1], tuple(spread)[::-1]))
+    return entry
+
+
+def lorentzian_far(x: float) -> tuple[float, tuple[float, ...]]:
+    """The far form of x/(z^2 + x), x > 0, for branch_transform: from
+    z0 = max(4 sqrt(x), 1) up it is sum_p x (-x)^(p-1) z^-2p, p = 1 .. 16,
+    to within q^16 (1 + q)/(1 - q) < 2^-63 of itself, q = x/z^2 <= 1/16.
+    Where x^16 passes the float range (x ~ 1e19, z0 past 1e10) no node
+    takes it: z0 is inf."""
+    coeffs = list(itertools.accumulate(itertools.repeat(-x, _FAR_TERMS - 1), operator.mul,
+                                       initial=x))
+    if not math.isfinite(coeffs[-1]):
+        return math.inf, ()
+    return max(4.0 * math.sqrt(x), 1.0), tuple(coeffs)
+
+
 def branch_transform(
     v: float,
     j: Callable[[float], float],
     j_bound: float,
+    far: tuple[float, tuple[float, ...]],
 ) -> Estimate:
     """(2/pi) int_1^inf sqrt(z^2-1)/z G_B(v, z) j(z) dz, with its error estimate,
     for 0 <= j(z) <= j_bound/z^2 and a strength v in units of mu c^2.
 
+    far = (z0, (e_1, .., e_P)), P <= 16, is j's far form: from z0 up j(z)
+    is sum_p e_p z^-2p, to within j's own error.  j is called only below z0.
+
     One pass of the branch-cut rule at u_k = k h out to u = 40 + ln(1/delta),
     where z ~ e^40/2 whatever the strength, with h sized a priori from the
-    strength alone: h = 2^-2 from |v| = 0.1 up and 2^-3 below.  The
-    integrand's singularities sit on Im u = pi/2; as v -> 0 the pole of
+    strength alone: h = 2^-2 from |v| = 0.1 up and 2^-3 below.  The nodes
+    z_k >= z0 are summed as sum_p e_p S_p(K), S_p(K) = sum_{k >= K} c_k
+    z_k^-2p, from a table built once per strength (_far_sums), and the
+    nodes below z0 as c_k j(z_k).
+    The integrand's singularities sit on Im u = pi/2; as v -> 0 the pole of
     (s/z)^2 and G_B's branch point merge at u = i pi/2 into a double pole.
     Against the h = 2^-6 rule, over the Laplace-sine J of the series route
     (sigma 0.25 to 3000, k0 0.01 to 10) and x/(z^2 + x) (x 1e-6 to 1e6),
@@ -549,18 +659,35 @@ def branch_transform(
     at most 3.1 at every strength.  The err is the sum's rounding bound,
     12 units of roundoff per unit of the value (8 for a node, as in
     _TbCore.branch_term, and 4 for its product with j, the sum and the
-    factor 2/pi), plus the tail past the last node,
+    factor 2/pi), plus the far sum's own rounding bound,
+    2^-53 sum_p (3p + 2 + B_1(K)/S_1(K)) |e_p| S_p(K) (_far_sums), since
+    the e_p may alternate in sign, plus the tail past the last node,
     int_Z^inf G_B j dz <= j_bound/(Z sqrt(1 - v^2)) since
     G_B <= (1 - v^2)^(-1/2); j's own error is the caller's.
     """
     vn = abs(_strength(v, NATURAL_UNITS, "branch_transform"))
+    start, coeffs = far
+    if len(coeffs) > _FAR_TERMS:
+        raise ValueError(f"branch_transform takes at most {_FAR_TERMS} far-form terms, "
+                         f"got {len(coeffs)}")
     delta = 1.0 - vn
-    level = 2 if vn >= 0.1 else 3
-    count = int((40.0 - math.log(delta)) * (1 << level))
-    w, c, _d = _branch_nodes(vn, level, count)
-    value = math.fsum([ck * j(1.0 + wk) for wk, ck in zip(itertools.islice(w, count), c)])
-    tail = j_bound / ((1.0 + w[count - 1]) * math.sqrt(delta * (1.0 + vn)))
-    err = 12.0 * _UNIT_ROUNDOFF * value + tail
+    zs, c, sums, spread = _far_sums(vn, *_transform_size(vn))
+    near = bisect.bisect_left(zs, start)
+    terms = list(map(operator.mul, c, map(j, zs[:near])))
+    rounding = 0.0
+    if near < len(zs) and coeffs:
+        row = sums[near]
+        terms.extend(map(operator.mul, coeffs, row))
+        sizes = list(map(abs, coeffs))
+        # count (P + 2) steps of 2^-1074 for the terms c_k z_k^-2p that
+        # leave the normal range
+        rounding = _UNIT_ROUNDOFF * (
+            sum(map(operator.mul, sizes, map(operator.mul, _FAR_UNITS, row)))
+            + spread[near] * sum(map(operator.mul, sizes, row))
+        ) + len(zs) * (len(coeffs) + 2) * _MIN_SUBNORMAL * sum(sizes)
+    value = math.fsum(terms)
+    tail = j_bound / (zs[-1] * math.sqrt(delta * (1.0 + vn)))
+    err = 12.0 * _UNIT_ROUNDOFF * value + rounding + tail
     return Estimate(_TWO_OVER_PI * value, _TWO_OVER_PI * err)
 
 
@@ -574,7 +701,8 @@ class _TbCore:
     gap, and the direct route its value at every node.
 
     It holds F_B's reach, least = max(20/eta, 32) and the rule of the
-    least size, and delta = 1 - |vn|, which sizes the branch-cut rule.
+    least size, and delta = 1 - |vn| and the level breakpoints
+    (_level_breaks), which size the branch-cut rule.
     Wherever 1.2 x reach + 16 <= least, fb_size gives the least size, so
     one comparison picks the held rule (rule); elsewhere the rule of
     fb_size's size comes from _FB_RULES.  Its sums, F_B (F_B - 1 for
@@ -586,11 +714,12 @@ class _TbCore:
     since G_B is even in v.
     """
 
-    __slots__ = ("vn", "a", "delta", "reach", "least", "least_rule")
+    __slots__ = ("vn", "a", "delta", "breaks", "reach", "least", "least_rule")
 
     def __init__(self, vn: float) -> None:
         self.vn, self.a = vn, abs(vn)
         self.delta = 1.0 - self.a
+        self.breaks = _level_breaks()
         self.least_rule = None
         if not vn:  # F_B is 1 exactly, with no rule
             self.reach, self.least = 0.0, math.inf
@@ -654,7 +783,12 @@ class _TbCore:
         e^-37 in each bracket.  So the rule is exact to rounding: it
         differs from the step-h/2 rule by less than its own rounding bound,
         e^-x times 2^-53 times (12 + 2x) T + 8x sum_k t_k w_k (branch_term),
-        which the tests check over |v| < 1 and zeta up to 750.
+        which the tests check over |v| < 1 and zeta up to 750.  The level
+        of the step h/2 depends on x alone and does not fall as x grows,
+        so it is read off the exact float breakpoints of _level_breaks: 3
+        below x ~ 2.0, then 4 to 7 below x ~ 2183, where e^-x has long
+        underflowed and every branch-cut sum is 0, and _step_level's
+        formula from there.
 
         QuadratureError is raised where that step-h/2 rule could not be
         built: where its nodes pass _BRANCH_MAX_NODES, for x below
@@ -667,10 +801,9 @@ class _TbCore:
         """
         w_cut = _BRANCH_CUT / x
         u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / self.delta)
-        step = (_PI_SQUARED / (37.0 + x * _PI_SQUARED / 8) if x <= _STEP_SWITCH
-                else 0.73 / math.sqrt(x))
-        fine = math.ceil(-math.log2(0.5 * step))  # the level of step h/2
-        count = u_cut * 2.0**fine
+        fine = bisect.bisect_right(self.breaks, x)  # the level of step h/2
+        fine = fine + _LEAST_LEVEL if fine < len(self.breaks) else _step_level(x)
+        count = math.ldexp(u_cut, fine)
         if not count <= _BRANCH_MAX_NODES:
             raise QuadratureError(
                 f"branch-cut integral at x = {x} needs more than {_BRANCH_MAX_NODES} rule nodes"

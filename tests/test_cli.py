@@ -132,11 +132,13 @@ class TestScan:
     @pytest.mark.parametrize("argv", [
         ["scan", "--vo", "0.3", "--sigma", "1e-300", "--steps", "2"],
         ["scan", "--vo", "0.3", "--sigma", "1e300", "--steps", "2"],
+        ["scan", "--vo", "0.3", "--sigma", "1e-100", "--steps", "2"],
         ["point", "--vo", "0.3", "--sigma", "1e-300", "--ko", "1", "--qo=-1e302"],
     ])
     def test_extreme_sigma_exits_1_without_traceback(self, argv):
-        # sigma^2 underflows or 8 sigma^2 overflows in natural units: a
-        # configuration error that names sigma
+        # sigma^2 underflows or 8 sigma^2 overflows in natural units, or
+        # sigma lies below the momentum route's 1e-76: a configuration
+        # error that names sigma
         out = fresh_run(argv, check=False)
         err = out.stderr.decode()
         assert out.returncode == 1, err

@@ -425,20 +425,21 @@ class TestIorSeries:
 
     def test_one_rule_halves_the_j_calls(self):
         # J calls over Table 1's seven v0 = 0.3 series cells, one for M_0
-        # and one per node of the branch transform's rule: 2,261 when it
-        # summed the h = 2^-3 rule to take the h = 2^-2 rule's err, 1,134
-        # on the h = 2^-2 rule alone
-        assert KERNEL_PINS.series_counts(KERNEL_PINS.TABLE1_SERIES_CELLS)[0] == 1134
+        # and one per node of the branch transform's rule below the far
+        # form's z0: 2,261 when it summed the h = 2^-3 rule to take the
+        # h = 2^-2 rule's err, 1,134 when every node of the h = 2^-2 rule
+        # called J, 131 now
+        assert KERNEL_PINS.series_counts(KERNEL_PINS.TABLE1_SERIES_CELLS)[0] == 131
 
     def test_laplace_expansion_spares_the_faddeeva_calls(self):
-        # of those 1,134 J calls, only J(0) and those below the packet's
-        # least switch point sum w
+        # every one of those J calls sums w, J(0) and the nodes below the
+        # packet's z_8, as when the expansion was summed node by node
         assert KERNEL_PINS.series_counts(KERNEL_PINS.TABLE1_SERIES_CELLS)[1] == 131
 
     @pytest.mark.parametrize("k0", [0.15, 2.0, 5.0])
     @pytest.mark.parametrize("v0", [0.3, 0.6])
     def test_branch_transform_matches_nested_oracle(self, k0, v0):
-        swapped, swapped_err = _branch_transform(ior._laplace_sine(narrow(k0)), k0, v0)
+        swapped, swapped_err = _branch_transform(ior._laplace_sine(narrow(k0)), narrow(k0), v0)
         nested, nested_err = nested_branch_transform(narrow(k0), v0)
         gap = abs(swapped - nested)
         # the nested form sums the same branch rule per zeta, so the swapped
@@ -500,42 +501,47 @@ def laplace_sine_oracle(sigma: float, k0: float, z: float) -> float:
 
 
 class TestLaplaceSine:
-    """J(z) of the series route: w's closed form below the packet's least
-    switch point z_M, the M-term Laplace expansion from it up."""
+    """J(z) of the series route: w's closed form, which the route sums
+    below its far form's z0 and at J(0), and the far form, the 8-term
+    Laplace expansion in inverse powers of z, from z0 up."""
 
     @given(
         log_sigma=st.floats(math.log(0.25), math.log(3000.0)),
         log_k0=st.floats(math.log(0.01), math.log(10.0)),
-        index=st.integers(0, ior._LAPLACE_TERMS - 1),
         above=st.booleans(),
         log_offset=st.floats(-12.0 * math.log(10.0), math.log(0.5)),
     )
-    @example(log_sigma=math.log(0.5), log_k0=math.log(0.15), index=7, above=False,
+    @example(log_sigma=math.log(0.5), log_k0=math.log(0.15), above=False,
              log_offset=math.log(1e-12))
-    @example(log_sigma=math.log(0.5), log_k0=math.log(5.0), index=0, above=True,
+    @example(log_sigma=math.log(0.5), log_k0=math.log(5.0), above=True,
              log_offset=math.log(1e-12))
-    def test_both_forms_meet_the_mpmath_oracle(self, log_sigma, log_k0, index, above, log_offset):
-        # z on either side of a switch point; both forms lie within the
-        # Faddeeva bound of J, with no allowance, and the expansion within
-        # its own: 2^-54 of J for the truncation, 8 units of roundoff for
-        # its rounding, and its remainder bound E_M within the 2^-54
+    @example(log_sigma=math.log(2.0), log_k0=math.log(5.86), above=True,
+             log_offset=math.log(1e-12))
+    def test_both_forms_meet_the_mpmath_oracle(self, log_sigma, log_k0, above, log_offset):
+        # z on either side of z0: w lies within the Faddeeva bound of J
+        # below it, with no allowance; from z0 up the far form lies within
+        # its own bound, (2^-54 + 2^-56) of J's lower bound k0/(2 z^2), plus
+        # the rounding of its sum here, and z_8's remainder bound E_8 and
+        # J's lower bound hold
         sigma, k0 = math.exp(log_sigma), math.exp(log_k0)
         a = 1.0 / (8.0 * sigma * sigma)
-        switch = ior._laplace_switch(a, k0)
-        z_switch = switch[index][0]
-        z = z_switch * (1.0 + math.exp(log_offset) if above else 1.0 - math.exp(log_offset))
-        value = ior._laplace_sine(GaussianPacket(0.0, sigma, k0))(z)
+        packet = GaussianPacket(0.0, sigma, k0)
+        start, coeffs = ior._laplace_far(packet)
+        z = start * (1.0 + math.exp(log_offset) if above else 1.0 - math.exp(log_offset))
         ref = laplace_sine_oracle(sigma, k0, z)
-        assert abs(value - ref) <= FADDEEVA_IM_REL_ERR * abs(ref)
-        taken = [len(factors) + 1 for z_m, factors in switch if z >= z_m]
-        if taken:
-            m = taken[0]
-            remainder = a**m / math.factorial(m) * min(
-                math.factorial(2 * m) / z ** (2 * m + 1),
-                k0 * math.factorial(2 * m + 1) / z ** (2 * m + 2),
-            )
-            assert remainder <= 2.0**-54 * ref
-            assert abs(value - ref) <= (2.0**-54 + 8.0 * 2.0**-53) * ref
+        if not above:
+            value = ior._laplace_sine(packet)(z)
+            assert abs(value - ref) <= FADDEEVA_IM_REL_ERR * abs(ref)
+            return
+        assert z >= ior._laplace_switch(a, k0)
+        remainder = a**8 / math.factorial(8) * min(
+            math.factorial(16) / z**17, k0 * math.factorial(17) / z**18,
+        )
+        lower = k0 / (2.0 * z * z)
+        assert remainder <= 2.0**-54 * lower <= 2.0**-54 * ref
+        terms = [e_p * z ** (-2 * p) for p, e_p in enumerate(coeffs, start=1)]
+        rounding = 2.0**-53 * sum((2 * p + 3) * abs(t) for p, t in enumerate(terms, start=1))
+        assert abs(math.fsum(terms) - ref) <= (2.0**-54 + 2.0**-56) * lower + rounding
 
 
 class TestRouteSweep:
@@ -838,9 +844,8 @@ class TestIorMomentum:
         k0s = _grid("scan", "steps", 120, "--ko-min", 0.1, "--ko-max", 6.0)
         assert k0s[26:28] == [1.389075630252101, 1.4386554621848742]
         tight = QuadratureSettings(rel_tol=1e-13)
-        vn, kc = ior._momentum_threshold(0.99, NATURAL_UNITS)
         for k0 in k0s[26:28]:
-            packet = ior._natural_packet(_packet(6.0, k0), NATURAL_UNITS)
+            packet, vn, kc = ior._momentum_cell(_packet(6.0, k0), 0.99, NATURAL_UNITS)
             with KERNEL_PINS.counting(TAU_LEVEL) as levels:
                 value, err = ior._weight(packet, vn, tight, kc, +1)
             assert levels == [2] and err <= 1e-13 * value, (k0, err, value)
@@ -1106,7 +1111,8 @@ class TestOneResultType:
                 lambda z: math.exp(-z), 1.0, 40.0, 0.0),
             "integrate_semiinf_exp": integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0),
             "integrate_sqrt_endpoint": integrate_sqrt_endpoint(lambda k: k, 1.0, 0.0, 1.0),
-            "branch_transform": branch_transform(0.3, ior._laplace_sine(packet), packet.k0),
+            "branch_transform": branch_transform(
+                0.3, ior._laplace_sine(packet), packet.k0, ior._laplace_far(packet)),
             "branch_integral": branch_integral(-0.3, 2.0, NATURAL_UNITS),
             "free_factor": free_factor(2.0),
             "barrier_factor": barrier_factor(-0.3, 2.0),
@@ -1152,6 +1158,39 @@ class TestExtremeSigma:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value).startswith(f"sigma {sigma!r} is {sigma!r} in natural"), name
+
+    @pytest.mark.parametrize("sigma", [1e-140, 1e-120, 1e-100, 9.99e-77])
+    def test_momentum_route_raises_below_its_least_sigma(self, sigma):
+        # the tau rule's strip bound leaves the float range below a natural
+        # sigma of ~7.3e-77, and the -k bound's lam^(3/2) underflows below
+        # ~1e-107: each momentum-route entry names sigma instead
+        packet = GaussianPacket(q0=-3.0 - 20.0 * sigma, sigma=sigma, k0=1.0)
+        calls = {
+            "ior_momentum": lambda: ior_momentum(packet, 0.3),
+            "momentum_split": lambda: momentum_split(packet, 0.3),
+            "traversal_time": lambda: traversal_time(packet, self.barrier),
+            "superluminal_classify": lambda: superluminal_classify(packet, 0.3),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value).startswith(
+                f"sigma {sigma!r} is {sigma!r} in natural units, below 1e-76"), name
+
+    @pytest.mark.parametrize("sigma", [1e-76, 1e-60])
+    def test_momentum_route_answers_from_its_least_sigma(self, sigma):
+        packet = GaussianPacket(q0=-3.0 - 20.0 * sigma, sigma=sigma, k0=1.0)
+        rc = ior_momentum(packet, 0.3)
+        assert rc == momentum_split(packet, 0.3)[0]
+        assert math.isfinite(rc.value) and math.isfinite(rc.err)
+
+    def test_underflowing_minus_bound_sums_the_minus_weight(self):
+        # k0 and v0 near 1e-300 make the -k bound's lam^(3/2) underflow to 0
+        # where sigma is fine: no bound, so the -k weight is summed, and
+        # ior_momentum stays momentum_split's R_c
+        packet = GaussianPacket(q0=-3.0, sigma=1e-60, k0=1e-300)
+        assert _minus_bound(packet, 1e-300, kappa_c(1e-300)) == math.inf
+        assert ior_momentum(packet, 1e-300) == momentum_split(packet, 1e-300)[0]
 
     def test_answers_just_inside_the_guard_stay(self):
         # the series route and Q_c answer where only 1/(8 sigma^2) is inf

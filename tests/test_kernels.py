@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from conftest import branch_integral_oracle, contour_kernel_oracle, load_by_path, run_fresh
-from reltoa import kernels
+from reltoa import ior, kernels
 from reltoa.ior import _laplace_sine
 from reltoa.kernels import (
     NATURAL_UNITS,
@@ -1083,52 +1083,180 @@ class TestHalfRuleValue:
         assert_rules_settled(vn, x)
 
 
-# the two j families the library hands branch_transform, each (j, j_bound):
-# the series route's Laplace-sine J of a natural packet (sigma, k0), and the
-# x/(z^2 + x) of the R_c resummation and the limits' residue identity; the
-# members are the ones that came nearest their err in a wider sweep
+def laplace_sine_by_node(packet: GaussianPacket):
+    """J(z) of the series route node by node, as the branch transform
+    summed it before its far form: the library's w below the far form's z0,
+    and the 8-term Laplace expansion by Horner's rule in r = (z - i k0)^-2
+    from z0 >= z_8 up, within 2^-54 of J plus its rounding (3.8 units of
+    roundoff at most against mpmath).  The oracle of the far sum that
+    replaces it."""
+    j, k0 = _laplace_sine(packet), packet.k0
+    a = 1.0 / (8.0 * packet.sigma * packet.sigma)
+    start = ior._laplace_far(packet)[0]
+    factors = [-2.0 * a * (2 * q - 1) for q in range(7, 0, -1)]
+
+    def exact(z: float) -> float:
+        if z < start:
+            return j(z)
+        w = 1.0 / complex(z, -k0)
+        r, acc = w * w, 1.0
+        for factor in factors:
+            acc = 1.0 + factor * r * acc
+        return (w * acc).imag
+
+    return exact
+
+
+def lorentzian(x: float):
+    return lambda z: x / (z * z + x)
+
+
+# the two j families the library hands branch_transform, each (j, j_bound,
+# far form, j at every node): the series route's Laplace-sine J of a natural
+# packet (sigma, k0), and the x/(z^2 + x) of the R_c resummation and the
+# limits' residue identity; the members are the ones that came nearest their
+# err in a wider sweep
 TRANSFORM_FAMILIES = {
     "laplace_sine": [
-        (_laplace_sine(GaussianPacket(0.0, sigma, k0)), k0)
-        for sigma, k0 in ((0.25, 5.0), (1.0, 0.01), (6.0, 0.1), (30.0, 0.1),
-                          (300.0, 0.01), (3000.0, 0.01))
+        (_laplace_sine(packet), packet.k0, ior._laplace_far(packet), laplace_sine_by_node(packet))
+        for packet in (GaussianPacket(0.0, sigma, k0)
+                       for sigma, k0 in ((0.25, 5.0), (1.0, 0.01), (6.0, 0.1), (30.0, 0.1),
+                                         (300.0, 0.01), (3000.0, 0.01)))
     ],
     "lorentzian": [
-        (lambda z, x=x: x / (z * z + x), x)
+        (lorentzian(x), x, kernels.lorentzian_far(x), lorentzian(x))
         for x in (1e-6, 3e-5, 1e-4, 1e-2, 0.1, 1.0, 10.0, 3e4, 1e6)
     ],
 }
 
 
+def transform_rule(v: float, level: int | None = None) -> tuple[tuple, tuple]:
+    """The nodes' w and c of branch_transform's rule of strength v, at its
+    own level or at level, out to u = 40 + ln(1/delta)."""
+    level = (2 if v >= 0.1 else 3) if level is None else level
+    count = int((40.0 - math.log(1.0 - v)) * (1 << level))
+    w, c, _d = kernels._branch_nodes(v, level, count)
+    return w[:count], c[:count]
+
+
+def rule_sum(v: float, j, level: int | None = None) -> float:
+    """(2/pi) sum_k c_k j(z_k) over every node of transform_rule(v, level)."""
+    w, c = transform_rule(v, level)
+    return TWO_OVER_PI * math.fsum([c_k * j(1.0 + w_k) for w_k, c_k in zip(w, c)])
+
+
 class TestBranchTransform:
     """branch_transform sums one rule, sized a priori from the strength
     alone: h = 2^-2 from v = 0.1 up, h = 2^-3 below, out to
-    u = 40 + ln(1/delta)."""
+    u = 40 + ln(1/delta); j at the nodes below its far form's z0, the far
+    form's inverse-power sums from z0 on."""
 
     # (v, nodes): zero, both sides of the switch at 0.1 and next to the rest
-    # energy, with the rule's node count, which is also its j calls
+    # energy, with the rule's node count
     @pytest.mark.parametrize("v, nodes", [
         (0.0, 320), (1e-6, 320), (1e-3, 320), (0.01, 320), (0.05, 320),
         (0.1, 160), (0.3, 161), (0.99, 178), (0.999999, 215),
     ])
     @pytest.mark.parametrize("family", sorted(TRANSFORM_FAMILIES))
     def test_sized_rule_lies_within_err_of_the_finest(self, family, v, nodes):
-        # the h = 2^-6 rule out to u = 40 + ln(1/delta), summed here; below
-        # v = 0.1 the h = 2^-2 rule would miss it by up to 163 units of
-        # roundoff, against the err's 12 and the tail's bound
-        fine = int((40.0 - math.log(1.0 - v)) * 64)
-        w, c, _d = kernels._branch_nodes(v, 6, fine)
-        for j, j_bound in TRANSFORM_FAMILIES[family]:
-            calls = [0]
-
+        # the h = 2^-6 rule out to u = 40 + ln(1/delta), summed here with j
+        # at every node; below v = 0.1 the h = 2^-2 rule would miss it by up
+        # to 163 units of roundoff, against the err's 12 and the tail's bound
+        assert len(transform_rule(v)[0]) == nodes
+        calls = [0]
+        for j, j_bound, far, exact in TRANSFORM_FAMILIES[family]:
             def counted(z, j=j):
                 calls[0] += 1
                 return j(z)
 
-            value, err = kernels.branch_transform(v, counted, j_bound)
-            assert calls[0] == nodes
-            finer = TWO_OVER_PI * math.fsum([c_k * j(1.0 + w_k) for w_k, c_k in zip(w[:fine], c)])
-            assert abs(value - finer) <= err
+            value, err = kernels.branch_transform(v, counted, j_bound, far)
+            assert abs(value - rule_sum(v, exact, 6)) <= err
+        # j calls over the family's members: every node below each z0,
+        # against len(members) * nodes when every node called j
+        assert calls[0] == BRANCH_J_CALLS[family][v]
+
+    @pytest.mark.parametrize("v", [0.0, 0.05, 0.3, 0.99, 0.999999])
+    @pytest.mark.parametrize("family", sorted(TRANSFORM_FAMILIES))
+    def test_far_sum_lies_within_its_bound_of_the_node_sum(self, family, v):
+        # the node sum is the same rule with j at every node, the oracle the
+        # far sum replaces: they share their nodes' weights and the nodes
+        # below z0, and the far sum departs from it by its own rounding
+        # bound, the two sums' products and additions (12 units of the
+        # value in err) and the truncation of the two forms, at most 2^-53
+        # of the value (J's far form 2^-54 + 2^-56 and its Horner form
+        # 2^-54 of J; the Lorentzian's 2^-63)
+        z_last = 1.0 + transform_rule(v)[0][-1]
+        for j, j_bound, far, exact in TRANSFORM_FAMILIES[family]:
+            value, err = kernels.branch_transform(v, j, j_bound, far)
+            tail = TWO_OVER_PI * j_bound / (z_last * math.sqrt((1.0 - v) * (1.0 + v)))
+            assert abs(value - rule_sum(v, exact)) <= err - tail + EPS * value
+
+    @pytest.mark.parametrize("a, k0", [(0.5, 2.0), (0.5, 5.0), (0.0139, 3.0), (2.0, 0.3),
+                                       (1.25e-3, 0.9)])
+    def test_far_coefficients_are_watsons(self, a, k0):
+        # e_p = (2p - 1)! [zeta^(2p-1)] of sin(k0 zeta) times the 8 terms of
+        # exp(-a zeta^2), which are all of exp(-a zeta^2) up to p = 8
+        sigma = 1.0 / math.sqrt(8.0 * a)
+        _start, coeffs = ior._laplace_far(GaussianPacket(0.0, sigma, k0))
+        assert 8 <= len(coeffs) <= 16
+        with mp.workdps(40):
+            full = mp.taylor(lambda t: mp.sin(k0 * t) * mp.exp(-a * t * t), 0, 33)
+            eight = mp.taylor(lambda t: mp.sin(k0 * t)
+                              * sum((-a * t * t) ** m / mp.factorial(m) for m in range(8)), 0, 33)
+            for p, e_p in enumerate(coeffs, start=1):
+                ref = mp.factorial(2 * p - 1) * eight[2 * p - 1]
+                assert abs(e_p - ref) <= 1e-14 * abs(ref), p
+                if p <= 8:
+                    assert eight[2 * p - 1] == full[2 * p - 1]
+                assert (e_p > 0) == (p % 2 == 1)
+
+    def test_far_forms_reach_sixteen_terms(self):
+        # a packet whose kappa at z_8 needs more than 16 terms starts its far
+        # form further out, where 16 do; Table 1's take 8 to 14 from z_8
+        packet = GaussianPacket(0.0, 2.0, 5.86)
+        a = 1.0 / (8.0 * packet.sigma ** 2)
+        start, coeffs = ior._laplace_far(packet)
+        assert len(coeffs) == 16 and start > ior._laplace_switch(a, packet.k0)
+        for k0 in (2.0, 0.9, 3.0, 5.0, 0.15, 0.2, 0.25):
+            table1 = GaussianPacket(0.0, 0.5, k0)
+            start, coeffs = ior._laplace_far(table1)
+            assert start == ior._laplace_switch(0.5, k0) and 8 <= len(coeffs) <= 14
+
+    def test_more_far_terms_than_the_sums_hold_raise(self):
+        j, j_bound, (start, coeffs), _exact = TRANSFORM_FAMILIES["lorentzian"][0]
+        with pytest.raises(ValueError, match="at most 16 far-form terms, got 17"):
+            kernels.branch_transform(0.3, j, j_bound, (start, coeffs + (0.0,)))
+
+    def test_concurrent_threads_on_empty_sums_match_serial_bits(self):
+        # strengths no other test uses, so their inverse-power sums and
+        # branch nodes start empty; both families at each
+        strengths = (0.0721, 0.721)
+        members = [member[:3] for family in TRANSFORM_FAMILIES.values() for member in family]
+        grid = [(v, i) for v in strengths for i in range(len(members))]
+
+        def forget():
+            for table in (kernels._FAR_SUMS, kernels._BRANCH_NODES):
+                for key in [key for key in table if key[0] in strengths]:
+                    del table[key]
+
+        def bits(v, i):
+            est = kernels.branch_transform(v, *members[i])
+            return est.value.hex(), est.err.hex()
+
+        forget()
+        serial = {point: bits(*point) for point in grid}
+        race_matches_serial(grid, bits, serial, 6, forget=lambda rnd: forget())
+
+
+# j calls of test_sized_rule_lies_within_err_of_the_finest per family and
+# strength, over its 6 and 9 members: every node below each z0 (6 and 9
+# times the node count, 1,920 and 2,880 at v = 0, when every node called j)
+BRANCH_J_CALLS = {
+    "laplace_sine": {0.0: 78, 1e-6: 78, 1e-3: 78, 0.01: 78, 0.05: 80, 0.1: 39, 0.3: 42,
+                     0.99: 93, 0.999999: 204},
+    "lorentzian": {0.0: 174, 1e-6: 174, 1e-3: 174, 0.01: 174, 0.05: 177, 0.1: 89, 0.3: 93,
+                   0.99: 178, 0.999999: 363},
+}
 
 
 def mpf_sum_oracle(terms) -> float:
@@ -1293,6 +1421,44 @@ class TestFbExactSum:
         race_matches_serial(grid, bits, serial, 6, meddle=True)
         assert mp.mp.prec == prec
         assert all(kernels._FB_RULES[key] is rule for key, rule in rules.items())
+
+
+def branch_size_formula(delta: float, x: float) -> tuple[int, int]:
+    """(m, n) of the branch-cut rule at natural zeta x, from its step
+    formula, as _TbCore.branch_size's docstring states it: h/2 = 2^-(m+1)
+    the least power of two at most half of pi^2/(37 + pi^2 x/8) up to
+    x = 8*37/pi^2 and of 0.73/sqrt(x) beyond, at every x."""
+    pi2 = math.pi**2
+    step = pi2 / (37.0 + x * pi2 / 8) if x <= 8.0 * 37.0 / pi2 else 0.73 / math.sqrt(x)
+    fine = math.ceil(-math.log2(0.5 * step))
+    w_cut = 40.0 / x
+    u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / delta)
+    return fine - 1, int(u_cut * 2.0**fine) >> 1
+
+
+class TestBranchLevels:
+    """_TbCore.branch_size reads its level off exact float breakpoints."""
+
+    def test_each_breakpoint_and_the_float_below_it(self):
+        breaks = kernels._level_breaks()
+        assert len(breaks) == 5 and list(breaks) == sorted(breaks)
+        for level, x in enumerate(breaks, start=3):
+            assert branch_size_formula(1.0, x)[0] == level
+            assert branch_size_formula(1.0, math.nextafter(x, 0.0))[0] == level - 1
+            assert kernels._tb_core(0.0).branch_size(x)[0] == level
+            assert kernels._tb_core(0.0).branch_size(math.nextafter(x, 0.0))[0] == level - 1
+
+    @given(
+        log_x=st.floats(math.log(1e-150), math.log(5e3)),
+        v=st.sampled_from([-0.999, -0.3, 0.0, 0.1, 0.3, 0.9, 0.999]),
+    )
+    @example(log_x=math.log(2.008929641868021), v=0.0)
+    @example(log_x=math.log(745.0), v=0.3)
+    def test_every_level_matches_the_formula(self, log_x, v):
+        # levels m = 2 to 6 below x = 2183, from the breakpoints, and the
+        # formula's own from there
+        x = math.exp(log_x)
+        assert kernels._tb_core(v).branch_size(x) == branch_size_formula(1.0 - abs(v), x)
 
 
 class TestBranchProfile:
