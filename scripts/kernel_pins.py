@@ -429,12 +429,11 @@ def series_counts(cells) -> tuple[int, int, list[int], dict[float, float]]:
     cells then share."""
     builds = {}
     for v0 in sorted({v0 for _sigma, v0, _k0 in cells}):
-        size = kernels._transform_size(v0)
         builds[v0] = math.inf
         for _ in range(FB_ROUNDS):
-            kernels._FAR_SUMS.pop((v0, size[0]), None)
+            kernels._FAR_SUMS.pop(v0, None)
             t0 = time.process_time()
-            kernels._far_sums(v0, *size)
+            kernels._far_sums(v0)
             builds[v0] = min(builds[v0], time.process_time() - t0)
     with counting("ior._laplace_sine.<locals>.j", "numerics.faddeeva") as counts:
         for sigma, v0, k0 in cells:

@@ -13,7 +13,7 @@ answer outside its err.  A table of outcomes per route and sigma goes to
 stderr: answers within their err, answers outside it, and typed errors.
 
 The full grid is sigma in {0.5, 1, 1.5, 2, 3}, v0 in {0.1, 0.3, 0.6, 0.9,
-0.99} and 60 k0 evenly spaced on [0.1, 6]: 1,500 cells, about a minute.
+0.99} and 60 k0 evenly spaced on [0.1, 6]: 1,500 cells.
 The reduced grid, which tests/test_ior.py runs, is sigma in {0.5, 2, 6},
 v0 in {0.3, 0.99} and k0 at 0.5, 1.1 and 2 times kappa_c.  The exit status
 is 3 when a route answers outside its err, as ``reltoa limits`` does on a

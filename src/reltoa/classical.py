@@ -11,8 +11,8 @@ per-region formulas and the above-barrier crossing time tau_top realize,
 and it is what the quantized kernels reproduce in their classical limit.
 Nothing here runs a quadrature engine: the potential is piecewise
 constant, the resummation of R_c's double series is finite arithmetic, and
-its branch-cut term is kernels.branch_transform's one rule, sized a
-priori from the barrier strength.
+its branch-cut term is kernels.lorentzian_transform's, on the branch
+transform's one rule, sized a priori from the barrier strength.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from reltoa.kernels import (
     NATURAL_UNITS,
     BarrierSpec,
     PhysicalParams,
-    branch_transform,
-    lorentzian_far,
+    lorentzian_transform,
 )
 from reltoa.numerics import SeriesDivergenceError
 
@@ -218,7 +217,7 @@ def rc_series_resummation(
     in its own recurrence, so its terms stay in the float range where x^j
     alone would overflow.  The branch-cut term,
     (2/pi) int_1^inf sqrt(z^2-1)/z G_B(v0, z) x/(z^2 + x) dz, is
-    kernels.branch_transform's.  As j_max grows the result approaches
+    kernels.lorentzian_transform's.  As j_max grows the result approaches
     rc_asymptotic whenever p0 sits well above the barrier threshold.  A
     term or sum that leaves the float range raises SeriesDivergenceError.
     """
@@ -248,6 +247,5 @@ def rc_series_resummation(
                 f"R_c resummation leaves the float range at j = {j} "
                 f"(p0={p0!r}, v0={v0!r}, j_max={j_max})"
             )
-    br, _err = branch_transform(
-        v0 / params.rest_energy, lambda z: x / (z * z + x), x, lorentzian_far(x))
+    br, _err = lorentzian_transform(v0 / params.rest_energy, x)
     return series + br

@@ -28,9 +28,8 @@ from reltoa.kernels import (
     BarrierSpec,
     PhysicalParams,
     barrier_factor,
-    branch_transform,
     free_factor,
-    lorentzian_far,
+    lorentzian_transform,
     momentum_kernel_f,
     momentum_kernel_g,
 )
@@ -368,7 +367,7 @@ def cmd_point(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def limit_checks(params: PhysicalParams, settings: QuadratureSettings):
+def limit_checks(params: PhysicalParams):
     """Yield (name, residual, threshold) for every limit/oracle property.
 
     The one table of the paper's limits: `reltoa limits` prints it, and the
@@ -379,7 +378,9 @@ def limit_checks(params: PhysicalParams, settings: QuadratureSettings):
     hbar/(mu c^2).  So every residual is dimensionless, every row holds in
     any unit system, and in natural units every scale factor is 1.0.  The
     nonrelativistic limit raises c from the configured c, keeping the
-    scaled v0 and zeta, toward 0F1(;1; -mu v0 zeta^2/(2 hbar^2)).
+    scaled v0 and zeta, toward 0F1(;1; -mu v0 zeta^2/(2 hbar^2)).  No row
+    reads a quadrature setting: every kernel, the branch transform and Q_c
+    take none, so each row passes whatever tolerances a config sets.
     """
     energy = params.rest_energy
     length = params.hbar / (params.mu * params.c)
@@ -388,13 +389,9 @@ def limit_checks(params: PhysicalParams, settings: QuadratureSettings):
     time = length / params.c
 
     for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
-        # int_1^inf sqrt(z^2-1)/z a^2/(a^2 + b^2 z^2) dz, by the branch
-        # rule at G_B = 1, which carries a factor 2/pi
-        x = (a / b) ** 2
-        val, _ = branch_transform(
-            0.0, lambda z, a=a, b=b: a * a / (a * a + b * b * z * z), x, lorentzian_far(x)
-        )
-        val *= 0.5 * math.pi
+        # int_1^inf sqrt(z^2-1)/z x/(z^2 + x) dz, x = (a/b)^2, by the
+        # branch rule at G_B = 1, which carries a factor 2/pi
+        val = 0.5 * math.pi * lorentzian_transform(0.0, (a / b) ** 2).value
         ref = 0.5 * math.pi * (-1.0 + math.sqrt(1.0 + (a / b) ** 2))
         yield f"residue identity (a={a}, b={b})", abs(val - ref), 1e-8
 
@@ -410,9 +407,8 @@ def limit_checks(params: PhysicalParams, settings: QuadratureSettings):
         yield f"zero-height kernel (zeta={zeta})", abs(tb - tf) / abs(tf), 1e-9
 
     for zeta in (0.1, 1.0, 10.0):
-        combo = momentum_kernel_f(0, 0, zeta * length, params) + momentum_kernel_g(
-            0, 0, zeta * length, params, settings
-        )
+        combo = (momentum_kernel_f(0, 0, zeta * length, params)
+                 + momentum_kernel_g(0, 0, zeta * length, params))
         tf = free_factor(zeta * length, params).value
         yield f"f00+g00 vs free factor (zeta={zeta})", abs(combo - tf) / abs(tf), 1e-9
 
@@ -467,7 +463,7 @@ def cmd_limits(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Print each row of limit_checks in the configured units, PASS where its
     residual is within its threshold; exit 3 if any row fails."""
     failures = 0
-    for name, residual, threshold in limit_checks(cfg.params, cfg.settings):
+    for name, residual, threshold in limit_checks(cfg.params):
         ok = residual <= threshold
         if not ok:
             failures += 1

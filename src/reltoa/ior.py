@@ -179,8 +179,6 @@ def ior_direct(
     cos(kappa_c zeta) terms (at v0 = 0, T_B = T_F has none, so its
     bandwidth is 0), with the first period under zeta = w u^3, which
     flattens T_B's 2/(pi zeta) start; its err is judged against the total.
-    A Table 1 cell takes ~135 T_B values, ~6.7 us of CPU each, sine
-    transform included (scripts/kernel_pins.py).
     """
     vn = _require_subcritical(v0, params)
     packet = _natural_packet(packet, params)
@@ -253,9 +251,7 @@ def _laplace_sine(packet: GaussianPacket) -> Callable[[float], float]:
     J > 0 for every z >= 0: a decreasing weight under sin(k0 zeta) leaves
     each positive half-period ahead of the next.  The series route and Q_c
     call it at z = 0 and below the packet's far point (_laplace_far), past
-    which the branch transform sums J's far form instead: on Table 1's
-    seven series cells, 131 calls, against 1,134 when every node of the
-    branch rule called J.
+    which the branch transform sums J's far form instead.
     """
     sigma, k0 = packet.sigma, packet.k0
     root = math.sqrt(2.0) * sigma  # 1/(2 sqrt(a))
@@ -299,18 +295,18 @@ def _laplace_far(packet: GaussianPacket) -> tuple[float, tuple[float, ...]]:
     times a sum of positive products from 1 up, within a few units of
     roundoff of it where y^7 <= 2^960 (sigma k0 above ~1e-21): a power of y
     that underflows moves the sum by under 2^-1000.  Elsewhere, and where
-    z0 or a coefficient passes the float range, z0 is +inf, with no
-    coefficients, and J is summed at every node.
+    z0 or a coefficient passes the float range, z0 is +inf, with e_1 = k0
+    alone, which bounds J by k0/z^2, and J is summed at every node.
     """
     sigma, k0 = packet.sigma, packet.k0
     a = 1.0 / (8.0 * sigma * sigma)
     start = max(_laplace_switch(a, k0), 1.0)
     if not (start < math.inf and k0 >= _FAR_LEAST_K0):
-        return math.inf, ()
+        return math.inf, (k0,)
     y_powers = list(itertools.accumulate(itertools.repeat(a / (k0 * k0), _LAPLACE_TERMS - 1),
                                          operator.mul, initial=1.0))
     if not y_powers[-1] <= 2.0 ** 960:
-        return math.inf, ()
+        return math.inf, (k0,)
     odd = list(itertools.accumulate(itertools.repeat(k0 * k0, _FAR_TERMS), operator.mul,
                                     initial=k0))
     kappa2 = (k0 / start) ** 2
@@ -330,7 +326,7 @@ def _laplace_far(packet: GaussianPacket) -> tuple[float, tuple[float, ...]]:
             (math.log(e_p) - math.log(k0) + _LOG_2_58) / (2 * _FAR_TERMS))) * (1.0 + 2.0 ** -40)
     # only a k0 above 1 can overflow a coefficient, and then the last is the largest
     if not (start < math.inf and abs(coeffs[-1]) < math.inf):
-        return math.inf, ()
+        return math.inf, (k0,)
     return start, tuple(coeffs)
 
 
@@ -341,12 +337,13 @@ def _branch_transform(j: Callable[[float], float], packet: GaussianPacket, vn: f
     h(z) J(z) dz for a natural packet, with J = j (_laplace_sine) below
     its far point and J's far form (_laplace_far) from there.
 
-    |sin(k0 zeta)| <= k0 zeta and Phi <= 1 give J(z) <= k0/z^2.  h >= 0
-    and J > 0, so J's error, w's within FADDEEVA_IM_REL_ERR of J or the far
-    form's within 2^-54 + 2^-56 of it, is at most FADDEEVA_IM_REL_ERR
-    |val|, which the err adds to the branch transform's.
+    |sin(k0 zeta)| <= k0 zeta and Phi <= 1 give J(z) <= k0/z^2, k0 the
+    far form's e_1.  h >= 0 and J > 0, so J's error, w's within
+    FADDEEVA_IM_REL_ERR of J or the far form's within 2^-54 + 2^-56 of it,
+    is at most FADDEEVA_IM_REL_ERR |val|, which the err adds to the branch
+    transform's.
     """
-    val, err = branch_transform(vn, j, packet.k0, _laplace_far(packet))
+    val, err = branch_transform(vn, j, _laplace_far(packet))
     return Estimate(val, err + FADDEEVA_IM_REL_ERR * abs(val))
 
 
@@ -383,8 +380,7 @@ def ior_series(
     where this representation stops converging.  M_0 is J(0); the branch
     transform calls J at the ~18 nodes of its rule below the packet's far
     point z0, about z_8 (~32 at sigma 0.5), and sums the rest from J's far
-    form (_branch_transform): 19 J calls a Table 1 cell, against 162 when
-    every node called J.
+    form (_branch_transform).
     """
     vn = _require_subcritical(v0, params)
     packet = _natural_packet(packet, params)
@@ -596,12 +592,9 @@ def momentum_split(
     start cancels exactly against dk (see _crossing_integrand), on
     numerics.integrate_sqrt_endpoint's trapezoid rule, over a window closed
     from each weight's own Gaussian, with a step and an err sized a priori
-    from the integrand's bound in a strip.  On the benchmark's
-    momentum_sweep cells a +k weight takes 27.8 integrand evaluations and a
-    -k weight 16.7, on average (59.9 and 27.9 when each rule summed a
-    confirming level); where kappa_c lies far below the packet
-    (v0 = 1e-12 mu c^2) the window runs ~15 wide in tau and a cell takes
-    a few hundred.
+    from the integrand's bound in a strip.  Where kappa_c lies far below
+    the packet (v0 = 1e-12 mu c^2) the window runs ~15 wide in tau and a
+    cell takes a few hundred evaluations.
     Returns (R_c, plus, minus), where plus and minus are the
     above-threshold weights of the +k and -k components, each the tau
     rule's Estimate, with its own integral's err, relative to it: abs_tol

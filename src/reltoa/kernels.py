@@ -41,11 +41,14 @@ exponentially, so the rule at u_k = k 2^-m converges exponentially.  Its
 nodes are cached per (|v|/(mu c^2), m) and extended lazily; m is sized a
 priori, from the strength and zeta for the Laplace integrals
 (_TbCore.branch_size) and from the strength alone for the branch
-transform (branch_transform).  A value sums only the nodes its arguments select,
+transform (_far_sums).  A value sums only the nodes its arguments select,
 however far the lists were extended.  The branch transform calls its j
 only below the point where j's far form, a sum of inverse powers
 e_p z^-2p, takes over, and sums the nodes past it as sum_p e_p S_p from
 the rule's inverse-power sums S_p, built once per strength (_far_sums).
+The far form's first coefficient e_1 also bounds j by e_1/z^2, and so the
+tail past the last node.  lorentzian_transform is the transform of the
+Lorentzian x/(z^2 + x), the one place it and its far form are written.
 
 Each err is a closed form of the value pieces: F_B's is its rule's
 rounding bound, a few operations on the rule's cached weight sums; the
@@ -80,8 +83,9 @@ The kernel-factor entries check each argument once (_strength,
 _natural_zeta) and hand the zeta, in natural units, to the T_B core of the
 strength (_TbCore), the one place F_B and the branch cut are summed; the
 direct route and toa_difference bind it once per cell and call its value
-(gap) at every node of their sine transform.  No kernel factor reads a
-quadrature setting.
+(gap) at every node of their sine transform.  No kernel entry takes a
+quadrature setting: momentum_kernel_g's adaptive integral, the one left,
+runs at the engine's default settings.
 """
 
 from __future__ import annotations
@@ -96,10 +100,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from reltoa.numerics import (
-    DEFAULT_SETTINGS,
     Estimate,
     QuadratureError,
-    QuadratureSettings,
     SeriesDivergenceError,
     gen_binomial,
     integrate_semiinf_exp,
@@ -114,7 +116,7 @@ __all__ = [
     "fb_series",
     "barrier_factor",
     "branch_transform",
-    "lorentzian_far",
+    "lorentzian_transform",
     "barrier_free_gap",
     "region_kernel",
     "momentum_kernel_f",
@@ -573,27 +575,22 @@ def branch_integral(v0: float, zeta: float, params: PhysicalParams) -> Estimate:
 _FAR_TERMS = 16
 
 
-# per (vn, level): the branch transform's rule over its count nodes as
+# per strength vn: the branch transform's rule over its count nodes as
 # (z, c, sums, spread), z_k = 1 + w_k, the weights c_k, and per node K the
 # row of S_p(K) = sum_{K <= k < count} c_k z_k^-2p, p = 1 .. _FAR_TERMS,
 # and the ratio B_1(K)/S_1(K) that bounds their rounding (_far_sums)
-_FAR_SUMS: dict[tuple[float, int], tuple[tuple, tuple, tuple, tuple]] = {}
+_FAR_SUMS: dict[float, tuple[tuple, tuple, tuple, tuple]] = {}
 # per p, the units of roundoff per unit of |e_p| S_p(K) besides the spread:
 # 3p for c_k z_k^-2p, one for the product with e_p and one for all second-order terms
 _FAR_UNITS = tuple(3.0 * p + 2.0 for p in range(1, _FAR_TERMS + 1))
 
 
-def _transform_size(vn: float) -> tuple[int, int]:
-    """(level, count) of branch_transform's rule at strength vn = |v|/(mu c^2):
-    h = 2^-2 from vn = 0.1 up and 2^-3 below, out to u = 40 + ln(1/delta)."""
-    level = 2 if vn >= 0.1 else 3
-    return level, int((40.0 - math.log(1.0 - vn)) * (1 << level))
-
-
-def _far_sums(vn: float, level: int, count: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """The cached inverse-power sums of the branch transform's rule of
-    strength vn at level, count nodes: a pure function of (vn, level),
-    since count is one, built once and shared through setdefault.
+def _far_sums(vn: float) -> tuple[tuple, tuple, tuple, tuple]:
+    """The branch transform's rule at strength vn = |v|/(mu c^2) with its
+    inverse-power sums, the one place its size is stated: the nodes
+    u_k = k h, h = 2^-2 from vn = 0.1 up and 2^-3 below, out to
+    u = 40 + ln(1/delta).  A pure function of vn, built once per strength
+    and shared through setdefault.
 
     Each c_k z_k^-2p is c_k times 1/(z_k z_k) p times, within 3p units of
     roundoff, and each S_p(K) is summed from the last node down, so its
@@ -602,8 +599,10 @@ def _far_sums(vn: float, level: int, count: int) -> tuple[tuple, tuple, tuple, t
     S_p(K), which z_k^-2 weights further toward K at each p, so the
     spread B_1(K)/S_1(K) bounds it at every p.
     """
-    entry = _FAR_SUMS.get((vn, level))
+    entry = _FAR_SUMS.get(vn)
     if entry is None:
+        level = 2 if vn >= 0.1 else 3
+        count = int((40.0 - math.log(1.0 - vn)) * (1 << level))
         w, c, _d = _branch_nodes(vn, level, count)
         zs = tuple(map((1.0).__add__, w[:count]))
         inverse_squares = [1.0 / (z * z) for z in reversed(zs)]
@@ -613,42 +612,52 @@ def _far_sums(vn: float, level: int, count: int) -> tuple[tuple, tuple, tuple, t
             terms = list(map(operator.mul, terms, inverse_squares))
             sums.append(list(itertools.accumulate(terms)))
         spread = map(operator.truediv, itertools.accumulate(sums[0]), sums[0])
-        entry = _FAR_SUMS.setdefault((vn, level), (
+        entry = _FAR_SUMS.setdefault(vn, (
             zs, c[:count], tuple(zip(*sums))[::-1], tuple(spread)[::-1]))
     return entry
 
 
-def lorentzian_far(x: float) -> tuple[float, tuple[float, ...]]:
+def _lorentzian_far(x: float) -> tuple[float, tuple[float, ...]]:
     """The far form of x/(z^2 + x), x > 0, for branch_transform: from
     z0 = max(4 sqrt(x), 1) up it is sum_p x (-x)^(p-1) z^-2p, p = 1 .. 16,
     to within q^16 (1 + q)/(1 - q) < 2^-63 of itself, q = x/z^2 <= 1/16.
     Where x^16 passes the float range (x ~ 1e19, z0 past 1e10) no node
-    takes it: z0 is inf."""
+    takes it: z0 is inf, with e_1 = x alone."""
     coeffs = list(itertools.accumulate(itertools.repeat(-x, _FAR_TERMS - 1), operator.mul,
                                        initial=x))
     if not math.isfinite(coeffs[-1]):
-        return math.inf, ()
+        return math.inf, (x,)
     return max(4.0 * math.sqrt(x), 1.0), tuple(coeffs)
+
+
+def lorentzian_transform(v: float, x: float) -> Estimate:
+    """(2/pi) int_1^inf sqrt(z^2-1)/z G_B(v, z) x/(z^2 + x) dz, x > 0, at a
+    strength v in units of mu c^2: branch_transform of the Lorentzian
+    x/(z^2 + x) and its far form, the branch-cut term of the R_c
+    resummation and of the limits' residue identity.  At v = 0 it is
+    sqrt(1 + x) - 1."""
+    return branch_transform(v, lambda z: x / (z * z + x), _lorentzian_far(x))
 
 
 def branch_transform(
     v: float,
     j: Callable[[float], float],
-    j_bound: float,
     far: tuple[float, tuple[float, ...]],
 ) -> Estimate:
     """(2/pi) int_1^inf sqrt(z^2-1)/z G_B(v, z) j(z) dz, with its error estimate,
-    for 0 <= j(z) <= j_bound/z^2 and a strength v in units of mu c^2.
+    for 0 <= j(z) <= e_1/z^2 and a strength v in units of mu c^2.
 
-    far = (z0, (e_1, .., e_P)), P <= 16, is j's far form: from z0 up j(z)
-    is sum_p e_p z^-2p, to within j's own error.  j is called only below z0.
+    far = (z0, (e_1, .., e_P)), 1 <= P <= 16, is j's far form: from z0 up
+    j(z) is sum_p e_p z^-2p, to within j's own error.  j is called only
+    below z0.  Its first coefficient e_1 > 0 is carried also where z0 is
+    inf and no node takes the form, since it bounds the tail.
 
     One pass of the branch-cut rule at u_k = k h out to u = 40 + ln(1/delta),
     where z ~ e^40/2 whatever the strength, with h sized a priori from the
-    strength alone: h = 2^-2 from |v| = 0.1 up and 2^-3 below.  The nodes
-    z_k >= z0 are summed as sum_p e_p S_p(K), S_p(K) = sum_{k >= K} c_k
-    z_k^-2p, from a table built once per strength (_far_sums), and the
-    nodes below z0 as c_k j(z_k).
+    strength alone: h = 2^-2 from |v| = 0.1 up and 2^-3 below.  The rule,
+    its size and its inverse-power sums S_p(K) = sum_{k >= K} c_k z_k^-2p
+    are built once per strength (_far_sums); the nodes z_k >= z0 are
+    summed as sum_p e_p S_p(K), and the nodes below z0 as c_k j(z_k).
     The integrand's singularities sit on Im u = pi/2; as v -> 0 the pole of
     (s/z)^2 and G_B's branch point merge at u = i pi/2 into a double pole.
     Against the h = 2^-6 rule, over the Laplace-sine J of the series route
@@ -662,20 +671,22 @@ def branch_transform(
     factor 2/pi), plus the far sum's own rounding bound,
     2^-53 sum_p (3p + 2 + B_1(K)/S_1(K)) |e_p| S_p(K) (_far_sums), since
     the e_p may alternate in sign, plus the tail past the last node,
-    int_Z^inf G_B j dz <= j_bound/(Z sqrt(1 - v^2)) since
-    G_B <= (1 - v^2)^(-1/2); j's own error is the caller's.
+    int_Z^inf G_B j dz <= |e_1|/(Z sqrt(1 - v^2)) since
+    G_B <= (1 - v^2)^(-1/2); j's own error is the caller's.  A value or
+    err that is not a finite float, where j or the far sum leaves the float
+    range, raises QuadratureError.
     """
     vn = abs(_strength(v, NATURAL_UNITS, "branch_transform"))
     start, coeffs = far
-    if len(coeffs) > _FAR_TERMS:
-        raise ValueError(f"branch_transform takes at most {_FAR_TERMS} far-form terms, "
-                         f"got {len(coeffs)}")
+    if not 0 < len(coeffs) <= _FAR_TERMS:
+        raise ValueError(f"branch_transform takes at least 1 and at most {_FAR_TERMS} "
+                         f"far-form terms, got {len(coeffs)}")
     delta = 1.0 - vn
-    zs, c, sums, spread = _far_sums(vn, *_transform_size(vn))
+    zs, c, sums, spread = _far_sums(vn)
     near = bisect.bisect_left(zs, start)
     terms = list(map(operator.mul, c, map(j, zs[:near])))
     rounding = 0.0
-    if near < len(zs) and coeffs:
+    if near < len(zs):
         row = sums[near]
         terms.extend(map(operator.mul, coeffs, row))
         sizes = list(map(abs, coeffs))
@@ -685,9 +696,14 @@ def branch_transform(
             sum(map(operator.mul, sizes, map(operator.mul, _FAR_UNITS, row)))
             + spread[near] * sum(map(operator.mul, sizes, row))
         ) + len(zs) * (len(coeffs) + 2) * _MIN_SUBNORMAL * sum(sizes)
-    value = math.fsum(terms)
-    tail = j_bound / (zs[-1] * math.sqrt(delta * (1.0 + vn)))
+    try:
+        value = math.fsum(terms)
+    except (ValueError, OverflowError):  # inf - inf, or partials past the float range
+        value = math.nan
+    tail = abs(coeffs[0]) / (zs[-1] * math.sqrt(delta * (1.0 + vn)))
     err = 12.0 * _UNIT_ROUNDOFF * value + rounding + tail
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise QuadratureError(f"branch transform at v = {v} is not a finite float")
     return Estimate(_TWO_OVER_PI * value, _TWO_OVER_PI * err)
 
 
@@ -798,6 +814,16 @@ class _TbCore:
         by strength (2.87e-153 at v = 0).  That last node lies at or below
         u_cut, where delta sinh(u) = sqrt(w (w + 2)) < w + 1, w = 40/x, so
         the check runs only below x = _FINITE_S2_X.
+
+        Next to the rest energy the node cap is passed at large x too.
+        From x = 545.6896, where the step h/2 halves to 2^-7, that rule
+        needs more than 4,096 nodes wherever delta sinh(32) < sqrt(w (w +
+        2)): at every x up to exp's underflow at 745.13 from
+        |v| = 1 - 2^-47 up (the last 64 floats below the rest energy), at
+        some x from 1 - 88 2^-53 up, and nowhere below 1 - 2^-46 or below
+        x = 545.6896.  There branch_integral and barrier_free_gap raise,
+        while T_B(-v) skips the branch-cut sum (_branch_negligible) and
+        answers (T_B(+v) has raised in F_B from v ~ 0.9994).
         """
         w_cut = _BRANCH_CUT / x
         u_cut = math.asinh(math.sqrt(w_cut) * math.sqrt(w_cut + 2.0) / self.delta)
@@ -1011,7 +1037,6 @@ def momentum_kernel_g(
     k: int,
     zeta: float,
     params: PhysicalParams = NATURAL_UNITS,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Branch-cut building block g_{j,k}(zeta) of the momentum kernel.
 
@@ -1020,7 +1045,10 @@ def momentum_kernel_g(
     (-1)^j i^k (mu c)^(-2j) (2/pi).  The integrand is formed under one exp
     with its damping, so no factor leaves the float range where the
     product does not; where the product or the value (~Gamma(k - 2j + 1)
-    at zeta = 1) does, SeriesDivergenceError is raised.
+    at zeta = 1) does, SeriesDivergenceError is raised.  The integral is
+    integrate_semiinf_exp's at its default settings: like every kernel
+    entry, g takes no quadrature setting, so its value is the same whatever
+    tolerances a caller runs the routes at.
     """
     if j < 0 or k < 0:
         raise ValueError("momentum_kernel_g requires j >= 0 and k >= 0")
@@ -1035,7 +1063,7 @@ def momentum_kernel_g(
         return math.exp(half_k * math.log(y * y - 1.0) - (2 * j + 1) * math.log(y) - decay * y)
 
     try:
-        val, _err = integrate_semiinf_exp(integrand, 1.0, 0.0, settings)
+        val, _err = integrate_semiinf_exp(integrand, 1.0, 0.0)
     except OverflowError:
         val = math.inf
     if not math.isfinite(val):

@@ -79,11 +79,12 @@ class QuadratureSettings:
     on top of its opening segments (one, plus one per interior seed, which
     it does not limit), and the sine transform's periods at 16 times
     max_subdivisions.  The momentum route's weights (integrate_sqrt_endpoint)
-    read rel_tol alone: abs_tol no longer floors them, so a weight of 1e-80
-    is judged relative to itself, and the tau rule's node cap stands in for
-    max_subdivisions.  The kernel factors (T_F, F_B, the branch-cut term,
-    T_B and the T_F - T_B gap) read none of them: their trapezoid rules are
-    sized a priori and capped in reltoa.kernels.
+    read rel_tol alone, so a weight of 1e-80 is judged relative to itself,
+    and the tau rule's node cap stands in for max_subdivisions.  No kernel
+    entry in reltoa.kernels takes them: the kernel factors' trapezoid rules
+    (T_F, F_B, the branch-cut term, T_B, the T_F - T_B gap and the branch
+    transform) are sized a priori and capped there, and momentum_kernel_g's
+    adaptive integral runs at DEFAULT_SETTINGS.
     """
 
     rel_tol: float = 1e-10

@@ -28,7 +28,7 @@ import pytest
 from reltoa.classical import classical_toa_closed, crtoa_quadrature, kappa_c
 from reltoa.cli import limit_checks
 from reltoa.kernels import NATURAL_UNITS, BarrierSpec, momentum_kernel_f
-from reltoa.numerics import DEFAULT_SETTINGS, integrate_semiinf_exp
+from reltoa.numerics import integrate_semiinf_exp
 from reltoa.wavepacket import GaussianPacket
 from reltoa.ior import ior_direct, ior_momentum, ior_series, toa_difference
 
@@ -58,7 +58,7 @@ def report(ident: str, ok: bool, name: str, detail: str) -> None:
 
 @functools.cache
 def _limit_rows() -> tuple[tuple[str, float, float], ...]:
-    return tuple(limit_checks(NATURAL_UNITS, DEFAULT_SETTINGS))
+    return tuple(limit_checks(NATURAL_UNITS))
 
 
 def shared_rows(prefix: str, count: int, tol: float) -> list[float]:

@@ -19,7 +19,7 @@ from reltoa.classical import (
     tau_top,
 )
 from reltoa.kernels import (
-    NATURAL_UNITS, BarrierSpec, PhysicalParams, branch_transform, lorentzian_far,
+    NATURAL_UNITS, BarrierSpec, PhysicalParams, lorentzian_transform,
 )
 from reltoa.numerics import SeriesDivergenceError
 
@@ -235,7 +235,7 @@ class TestRcResummation:
                     alpha, j + 1
                 ) * scipy.special.hyp2f1(1.0, j + 1 - alpha, j + 2.0, -x)
                 total += outer * math.comb(j, k) * (-v0 / 2.0) ** (j - k) * bracket
-        return total + branch_transform(v0, lambda z: x / (z * z + x), x, lorentzian_far(x))[0]
+        return total + lorentzian_transform(v0, x).value
 
     @pytest.mark.parametrize("p0, v0", RESUM_POINTS)
     def test_partial_sums_match_the_hypergeometric_form(self, p0, v0):

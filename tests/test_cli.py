@@ -354,6 +354,21 @@ class TestLimits:
         assert "residue identity" in out
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("setting", ["--tol 1e-6", "max_subdivisions = 2"])
+    def test_passes_whatever_the_settings(self, capsys, tmp_path, setting):
+        # no row reads a quadrature setting: a loose --tol or a config that
+        # caps every adaptive integral at two subdivisions moves no residual
+        if setting.startswith("--tol"):
+            code, out = run_cli(capsys, *setting.split(), "limits")
+        else:
+            cfg = tmp_path / "settings.cfg"
+            cfg.write_text(setting + "\n")
+            code, out = run_cli(capsys, "--config", str(cfg), "limits")
+        assert code == 0
+        assert "FAIL" not in out
+        assert "all checks passed" in out
+        assert out == run_cli(capsys, "limits")[1]
+
     @pytest.mark.parametrize("mu, c, hbar", [
         (2.0, 3.0, 0.5),
         (0.5, 1.2, 1.0),

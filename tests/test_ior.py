@@ -1112,7 +1112,7 @@ class TestOneResultType:
             "integrate_semiinf_exp": integrate_semiinf_exp(lambda z: 1.0, 1.0, 1.0),
             "integrate_sqrt_endpoint": integrate_sqrt_endpoint(lambda k: k, 1.0, 0.0, 1.0),
             "branch_transform": branch_transform(
-                0.3, ior._laplace_sine(packet), packet.k0, ior._laplace_far(packet)),
+                0.3, ior._laplace_sine(packet), ior._laplace_far(packet)),
             "branch_integral": branch_integral(-0.3, 2.0, NATURAL_UNITS),
             "free_factor": free_factor(2.0),
             "barrier_factor": barrier_factor(-0.3, 2.0),
@@ -1191,6 +1191,14 @@ class TestExtremeSigma:
         packet = GaussianPacket(q0=-3.0, sigma=1e-60, k0=1e-300)
         assert _minus_bound(packet, 1e-300, kappa_c(1e-300)) == math.inf
         assert ior_momentum(packet, 1e-300) == momentum_split(packet, 1e-300)[0]
+
+    @pytest.mark.parametrize("sigma, k0", [(1e141, 1e20), (1e148, 1e9), (1e148, 1e20)])
+    def test_branch_transform_past_the_float_range_raises(self, sigma, k0):
+        # w's argument sqrt(2) sigma (k0 + i z) overflows at the nodes below
+        # the far form's z0, or at every node where the far form is out of
+        # range: Q_c raises a typed error naming the strength, not NaN
+        with pytest.raises(QuadratureError, match=r"branch transform at v = 0\.0 is not"):
+            qc_expectation(GaussianPacket(0.0, sigma, k0))
 
     def test_answers_just_inside_the_guard_stay(self):
         # the series route and Q_c answer where only 1/(8 sigma^2) is inf

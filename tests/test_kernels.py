@@ -516,6 +516,22 @@ class TestKernelFactorOracles:
         with pytest.raises(QuadratureError, match="needs more than 4096 rule nodes"):
             free_factor(1e-300)
 
+    def test_rule_next_to_the_rest_energy_reaches_its_node_cap(self):
+        # from x ~ 545.69, where the step h/2 halves to 2^-7, the rule needs
+        # more than 4096 nodes within 2^-47 of the rest energy, up to exp's
+        # underflow at 745.13; T_B(-v) skips the sum there and answers.
+        # Twice as far from it, at 1 - 2^-46, the rule answers up to 745.13
+        edge, inside = 1.0 - 2.0**-52, 1.0 - 2.0**-46
+        message = "^branch-cut integral at x = 562.34 needs more than 4096 rule nodes$"
+        for call in (lambda: branch_integral(edge, 562.34, NATURAL_UNITS),
+                     lambda: barrier_free_gap(edge, 562.34)):
+            with pytest.raises(QuadratureError, match=message):
+                call()
+        assert math.isfinite(barrier_factor(-edge, 562.34).value)
+        for x in (600.0, 745.0):
+            br, br_err = branch_integral(inside, x, NATURAL_UNITS)
+            assert abs(br - float(mp_branch_oracle(inside, x))) <= br_err, x
+
     @pytest.mark.parametrize("v0", [0.0, 0.3, 0.99])
     def test_rule_reaches_down_to_its_overflow_edge(self, v0):
         # the branch rule answers down to natural zeta 2.81e-153 (v0 = 0.3
@@ -865,13 +881,24 @@ UNITS = [NATURAL_UNITS, PhysicalParams(mu=1.5, c=2.0, hbar=0.7),
          PhysicalParams(mu=0.7, c=1.3, hbar=1.1)]
 
 
+def assert_beyond_branch_reach(vn: float, x: float, exc: QuadratureError) -> None:
+    """exc is the branch-cut rule's node cap, raised inside the reach that
+    _TbCore.branch_size states next to the rest energy: 1 - |vn| below
+    2^-46 and x from the breakpoint (~545.69) where its step h/2 halves to
+    2^-7."""
+    assert "needs more than 4096 rule nodes" in str(exc), (vn, x, exc)
+    assert 1.0 - abs(vn) < 2.0**-46 and x >= kernels._level_breaks()[3], (vn, x)
+
+
 def _half_and_full(v0: float, zeta: float, params: PhysicalParams):
     """At (v0, zeta) in params: barrier_factor, the value core's T_B and
     barrier_free_gap(-v0) = T_F - T_B(v0), each with the finer rules' sum
     (the theta rule of twice the a-priori intervals and the branch-cut
     level above the a-priori one, summed here) and the err that bounds
     both; None where barrier_factor raises a typed error, after checking
-    that both value cores raise it too."""
+    that both value cores raise it too, and None where only the gap's
+    branch-cut sum raises, inside the rule's reach next to the rest energy,
+    where T_B skips that sum and the value core gives its bits."""
     vn = kernels._strength(v0, params, "barrier_factor")
     x = kernels._natural_zeta(zeta, params, "barrier_factor")
     try:
@@ -882,7 +909,14 @@ def _half_and_full(v0: float, zeta: float, params: PhysicalParams):
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 call()
         return None
-    n, level = rule_sizes(vn, x)
+    try:
+        n, level = rule_sizes(vn, x)
+    except QuadratureError as exc:
+        assert_beyond_branch_reach(vn, x, exc)
+        assert kernels._tb_core(vn).value(x) == tb.value
+        with pytest.raises(QuadratureError, match=f"^{re.escape(str(exc))}$"):
+            barrier_free_gap(-v0, zeta, params)
+        return None
     a = abs(vn)
     full = fb_rule_sum(vn, x, 2 * n) + TWO_OVER_PI * branch_rule_sum(a, x, level + 1)
     gap = barrier_free_gap(-v0, zeta, params)
@@ -982,6 +1016,8 @@ class TestHalfRuleValue:
     @example(v=0.999999, x=745.0)
     @example(v=-0.999999, x=1e-6)
     @example(v=-0.999999, x=745.0)
+    # within 2^-47 of the rest energy, where the rule passes its node cap
+    @example(v=-(1.0 - 2.0**-52), x=600.0)
     def test_laplace_mean_stays_below_three_halves(self, v, x):
         """x sum_k t_k w_k <= (3/2) sum_k t_k, t_k = c_k e^(-x w_k), on the
         a-priori rule's nodes: the bound that lets the branch term's err be
@@ -994,7 +1030,11 @@ class TestHalfRuleValue:
         summed term by term (branch_rule_parts), and that bound settles the
         rule (assert_rules_settled)."""
         a = abs(v)
-        level, n = kernels._tb_core(a).branch_size(x)
+        try:
+            level, n = kernels._tb_core(a).branch_size(x)
+        except QuadratureError as exc:
+            assert_beyond_branch_reach(a, x, exc)
+            return
         w, c, _d = kernels._branch_nodes(a, level, n)
         terms = [c_k * math.exp(-x * w_k) for w_k, c_k in zip(w[:n], c)]
         assert x * math.fsum(map(operator.mul, terms, w)) <= 1.5 * math.fsum(terms)
@@ -1013,6 +1053,7 @@ class TestHalfRuleValue:
     @example(v=0.0, x=2.0, params=NATURAL_UNITS)
     @example(v=-0.999999, x=750.0, params=UNITS[1])
     @example(v=0.999, x=1.0, params=UNITS[2])
+    @example(v=-(1.0 - 2.0**-52), x=600.0, params=NATURAL_UNITS)
     def test_half_values_lie_within_err_of_the_full_rules(self, v, x, params):
         # x is natural zeta; the a-priori sizes make the rules' sums exact
         # to rounding, so each lies within its err of the finer rules' sum
@@ -1033,6 +1074,7 @@ class TestHalfRuleValue:
         params=st.sampled_from(UNITS),
     )
     @example(v=-0.3, x=2.0, params=UNITS[1])
+    @example(v=-(1.0 - 2.0**-52), x=600.0, params=NATURAL_UNITS)
     def test_half_values_lie_within_err_of_the_mpmath_oracles(self, v, x, params):
         found = _half_and_full(v * params.rest_energy, x * params.hbar / (params.mu * params.c),
                                params)
@@ -1111,20 +1153,20 @@ def lorentzian(x: float):
     return lambda z: x / (z * z + x)
 
 
-# the two j families the library hands branch_transform, each (j, j_bound,
-# far form, j at every node): the series route's Laplace-sine J of a natural
+# the two j families the library hands branch_transform, each (j, far form,
+# j at every node): the series route's Laplace-sine J of a natural
 # packet (sigma, k0), and the x/(z^2 + x) of the R_c resummation and the
 # limits' residue identity; the members are the ones that came nearest their
 # err in a wider sweep
 TRANSFORM_FAMILIES = {
     "laplace_sine": [
-        (_laplace_sine(packet), packet.k0, ior._laplace_far(packet), laplace_sine_by_node(packet))
+        (_laplace_sine(packet), ior._laplace_far(packet), laplace_sine_by_node(packet))
         for packet in (GaussianPacket(0.0, sigma, k0)
                        for sigma, k0 in ((0.25, 5.0), (1.0, 0.01), (6.0, 0.1), (30.0, 0.1),
                                          (300.0, 0.01), (3000.0, 0.01)))
     ],
     "lorentzian": [
-        (lorentzian(x), x, kernels.lorentzian_far(x), lorentzian(x))
+        (lorentzian(x), kernels._lorentzian_far(x), lorentzian(x))
         for x in (1e-6, 3e-5, 1e-4, 1e-2, 0.1, 1.0, 10.0, 3e4, 1e6)
     ],
 }
@@ -1164,12 +1206,12 @@ class TestBranchTransform:
         # to 163 units of roundoff, against the err's 12 and the tail's bound
         assert len(transform_rule(v)[0]) == nodes
         calls = [0]
-        for j, j_bound, far, exact in TRANSFORM_FAMILIES[family]:
+        for j, far, exact in TRANSFORM_FAMILIES[family]:
             def counted(z, j=j):
                 calls[0] += 1
                 return j(z)
 
-            value, err = kernels.branch_transform(v, counted, j_bound, far)
+            value, err = kernels.branch_transform(v, counted, far)
             assert abs(value - rule_sum(v, exact, 6)) <= err
         # j calls over the family's members: every node below each z0,
         # against len(members) * nodes when every node called j
@@ -1186,9 +1228,9 @@ class TestBranchTransform:
         # of the value (J's far form 2^-54 + 2^-56 and its Horner form
         # 2^-54 of J; the Lorentzian's 2^-63)
         z_last = 1.0 + transform_rule(v)[0][-1]
-        for j, j_bound, far, exact in TRANSFORM_FAMILIES[family]:
-            value, err = kernels.branch_transform(v, j, j_bound, far)
-            tail = TWO_OVER_PI * j_bound / (z_last * math.sqrt((1.0 - v) * (1.0 + v)))
+        for j, far, exact in TRANSFORM_FAMILIES[family]:
+            value, err = kernels.branch_transform(v, j, far)
+            tail = TWO_OVER_PI * far[1][0] / (z_last * math.sqrt((1.0 - v) * (1.0 + v)))
             assert abs(value - rule_sum(v, exact)) <= err - tail + EPS * value
 
     @pytest.mark.parametrize("a, k0", [(0.5, 2.0), (0.5, 5.0), (0.0139, 3.0), (2.0, 0.3),
@@ -1223,21 +1265,91 @@ class TestBranchTransform:
             assert start == ior._laplace_switch(0.5, k0) and 8 <= len(coeffs) <= 14
 
     def test_more_far_terms_than_the_sums_hold_raise(self):
-        j, j_bound, (start, coeffs), _exact = TRANSFORM_FAMILIES["lorentzian"][0]
+        j, (start, coeffs), _exact = TRANSFORM_FAMILIES["lorentzian"][0]
         with pytest.raises(ValueError, match="at most 16 far-form terms, got 17"):
-            kernels.branch_transform(0.3, j, j_bound, (start, coeffs + (0.0,)))
+            kernels.branch_transform(0.3, j, (start, coeffs + (0.0,)))
+
+    def test_far_form_with_no_term_raises(self):
+        # e_1 bounds the tail past the last node, so every far form carries it
+        j, _far, _exact = TRANSFORM_FAMILIES["lorentzian"][0]
+        with pytest.raises(ValueError, match="at least 1 and at most 16 far-form terms, got 0"):
+            kernels.branch_transform(0.3, j, (math.inf, ()))
+
+    @pytest.mark.parametrize("sigma, k0", [
+        (0.5, 1e-10),   # k0 below 2^-30
+        (1e-13, 1e-9),  # sigma k0 below ~1e-21: y^7 passes 2^960
+        (0.5, 1e20),    # a coefficient past the float range
+    ])
+    def test_far_form_without_nodes_keeps_its_first_coefficient(self, sigma, k0):
+        # each early exit of J's far form leaves J to every node, and still
+        # hands on e_1 = k0, the bound J <= k0/z^2 the tail is taken from
+        assert ior._laplace_far(GaussianPacket(0.0, sigma, k0)) == (math.inf, (k0,))
+
+    def test_lorentzian_far_form_without_nodes_keeps_its_first_coefficient(self):
+        # x^16 passes the float range from x ~ 1.9e19
+        assert kernels._lorentzian_far(1e19)[0] < math.inf
+        assert kernels._lorentzian_far(2e19) == (math.inf, (2e19,))
+
+    # (v, x, value, err) of branch_transform(v, x/(z^2 + x), with x as its
+    # bound and its far form) before lorentzian_transform owned it: the
+    # nine x of the Lorentzian family at two strengths, the limits' three
+    # residue identities, the R_c resummation cases of the classical tests
+    # and a far form that no node takes
+    LORENTZIAN_BITS = [
+        (0.0, 1e-06, "0x1.0c6f75a5789d6p-21", "0x1.08697ca5fee10p-69"),
+        (0.3, 1e-06, "0x1.0addd81dbba9fp-21", "0x1.aaa81b6819e5cp-70"),
+        (0.0, 3e-05, "0x1.f7500d72665e8p-17", "0x1.efc6179cfa8b1p-65"),
+        (0.3, 3e-05, "0x1.f45f06e0e8b45p-17", "0x1.8ffdbaf5db5e6p-65"),
+        (0.0, 0.0001, "0x1.a36b7f88b3957p-15", "0x1.9d25b0654ce40p-63"),
+        (0.3, 0.0001, "0x1.a0f7fbabdd6a7p-15", "0x1.4d53b412a2263p-63"),
+        (0.0, 0.01, "0x1.46dd68287f358p-8", "0x1.430a4c7c1c43fp-56"),
+        (0.3, 0.01, "0x1.44f3dbb2f1240p-8", "0x1.04874e8576492p-56"),
+        (0.0, 0.1, "0x1.8fd792d4adeb4p-5", "0x1.4ee33d2008534p-53"),
+        (0.3, 0.1, "0x1.8d7bc42797f7bp-5", "0x1.19ee89b4e320bp-53"),
+        (0.0, 1.0, "0x1.a827999fcef33p-2", "0x1.ce807613c5dcep-51"),
+        (0.3, 1.0, "0x1.a5999f0aedce1p-2", "0x1.a6d49cc41929bp-51"),
+        (0.0, 10.0, "0x1.2887293fd6f35p+1", "0x1.1c98d4a3a4f3bp-48"),
+        (0.3, 10.0, "0x1.271d60bfd0f19p+1", "0x1.079171022a8abp-48"),
+        (0.0, 30000.0, "0x1.586a7ab6ce596p+7", "0x1.eb2ce4a07ead0p-42"),
+        (0.3, 30000.0, "0x1.585c45e33d244p+7", "0x1.f7ccd0011850bp-42"),
+        (0.0, 1000000.0, "0x1.f38010624d8b7p+9", "0x1.ec74842066998p-38"),
+        (0.3, 1000000.0, "0x1.f37c754448490p+9", "0x1.12aacbe2ad6edp-37"),
+        (0.0, 4.0, "0x1.3c6ef372fe950p+0", "0x1.33dde3744c071p-49"),
+        (0.0, 0.1111111111111111, "0x1.bb204e7879c36p-5", "0x1.62df266c9783ep-53"),
+        (0.05, 0.25, "0x1.e363cd326fea5p-4", "0x1.4adfc60a0707cp-52"),
+        (0.1, 1.0, "0x1.a7e0b1d7961f4p-2", "0x1.a8c9c689075eep-51"),
+        (0.3, 4.0, "0x1.3aabe3a41d27bp+0", "0x1.213fef580672dp-49"),
+        (0.5, 9.0, "0x1.10ee5d2362283p+1", "0x1.ed3ea00d413dep-49"),
+        (0.3, 64.0, "0x1.c2c21f5a62102p+2", "0x1.8ceb70444ad6ap-47"),
+        (0.3, 2e+19, "0x1.0a8f60a807447p+32", "0x1.f8b1c4c3fe745p+6"),
+    ]
+
+    @pytest.mark.parametrize("v, x, value, err", LORENTZIAN_BITS)
+    def test_lorentzian_transform_keeps_the_composed_bits(self, v, x, value, err):
+        est = kernels.lorentzian_transform(v, x)
+        assert (est.value.hex(), est.err.hex()) == (value, err)
+
+    @pytest.mark.parametrize("j, far", [
+        (lambda z: math.nan, (math.inf, (1.0,))),
+        # fsum meets inf - inf: a typed error, not fsum's bare ValueError
+        (lambda z: math.inf, (3.0, (1.0, -math.inf))),
+    ])
+    def test_non_finite_sums_raise_a_typed_error(self, j, far):
+        with pytest.raises(QuadratureError, match=r"branch transform at v = 0\.3 is not"):
+            kernels.branch_transform(0.3, j, far)
 
     def test_concurrent_threads_on_empty_sums_match_serial_bits(self):
         # strengths no other test uses, so their inverse-power sums and
         # branch nodes start empty; both families at each
         strengths = (0.0721, 0.721)
-        members = [member[:3] for family in TRANSFORM_FAMILIES.values() for member in family]
+        members = [member[:2] for family in TRANSFORM_FAMILIES.values() for member in family]
         grid = [(v, i) for v in strengths for i in range(len(members))]
 
         def forget():
-            for table in (kernels._FAR_SUMS, kernels._BRANCH_NODES):
-                for key in [key for key in table if key[0] in strengths]:
-                    del table[key]
+            for v in strengths:
+                kernels._FAR_SUMS.pop(v, None)
+            for key in [key for key in kernels._BRANCH_NODES if key[0] in strengths]:
+                del kernels._BRANCH_NODES[key]
 
         def bits(v, i):
             est = kernels.branch_transform(v, *members[i])
